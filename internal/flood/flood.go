@@ -114,11 +114,24 @@ type Flooding struct {
 	stats floodCounters
 }
 
-// pendingForward is one armed rebroadcast.
+// pendingForward is one armed rebroadcast. The backoff timer is held by
+// value (sim.InitTimer), so arming costs one object, not a Timer and a
+// closure beside it; pendingForwards are never copied.
 type pendingForward struct {
-	timer  *sim.Timer
-	fwd    *packet.Packet
-	queued bool
+	f       *Flooding
+	timer   sim.Timer
+	fwd     *packet.Packet
+	backoff sim.Time
+	queued  bool
+}
+
+// fire is the backoff expiry: hand the rebroadcast to the MAC.
+func (pf *pendingForward) fire() {
+	pf.queued = true
+	if !pf.f.cfg.Cancel {
+		delete(pf.f.pending, pf.fwd.Key())
+	}
+	pf.f.transmit(pf.fwd, float64(pf.backoff))
 }
 
 // New builds a flooding instance; install it with Network.Install or
@@ -290,19 +303,12 @@ func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	if !ok {
 		return
 	}
-	key := pkt.Key()
-	pf := &pendingForward{fwd: f.prepareForward(pkt)}
-	pf.timer = sim.NewTimer(f.n.Kernel, func() {
-		pf.queued = true
-		if !f.cfg.Cancel {
-			delete(f.pending, key)
-		}
-		f.transmit(pf.fwd, float64(backoff))
-	})
+	pf := &pendingForward{f: f, fwd: f.prepareForward(pkt), backoff: backoff}
+	sim.InitTimer(&pf.timer, f.n.Kernel, pf.fire)
 	if f.pending == nil {
 		f.pending = make(map[packet.FlowKey]*pendingForward)
 	}
-	f.pending[key] = pf
+	f.pending[pkt.Key()] = pf
 	pf.timer.Reset(backoff)
 }
 

@@ -1,7 +1,10 @@
 // Package packet defines the in-simulation packet model shared by the
 // MAC layer and every network protocol in the repository. Packets are
-// plain structs, never serialized: a simulated transmission hands the
-// receiver a copy, and airtime is derived from the declared size.
+// plain structs, never serialized, and airtime is derived from the
+// declared size. A transmission freezes the packet as it is when
+// phy.Radio.Transmit is called: the sender may mutate or reuse its own
+// afterwards, each receiver that decodes the frame is handed a private
+// copy to mutate or keep, and the frame on the air never leaves phy.
 package packet
 
 import (
@@ -70,8 +73,9 @@ func (k Kind) String() string {
 func NumKinds() int { return int(numKinds) }
 
 // Packet carries MAC- and network-layer headers plus an opaque payload.
-// Every hop transmits a fresh copy (see Clone); mutating a received
-// packet never affects other receivers.
+// Every decoding receiver gets its own copy (see the package comment),
+// so mutating a received packet never affects other receivers or the
+// sender.
 type Packet struct {
 	// MAC layer addressing.
 	From NodeID // transmitter of this hop
@@ -108,8 +112,10 @@ type Packet struct {
 	// delay is measured against it.
 	CreatedAt sim.Time
 
-	// UID identifies this physical copy for tracing; assigned by the
-	// MAC on transmit.
+	// UID identifies this physical frame for tracing and link-layer
+	// duplicate suppression; the channel assigns it on the first
+	// transmission (zero means unassigned) and ARQ retransmissions of the
+	// same packet keep it.
 	UID uint64
 
 	// Payload is protocol- or application-specific extra state.

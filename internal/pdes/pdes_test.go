@@ -1,8 +1,10 @@
 package pdes
 
 import (
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"routeless/internal/sim"
@@ -242,4 +244,33 @@ func TestWorkerPanicPropagates(t *testing.T) {
 		Exchange:   func() int { return 0 },
 	}
 	mustPanic(t, "pdes: tile worker panic", func() { Run(cfg, 10.0) })
+}
+
+// TestKernelYieldsProcessor pins sim.Kernel's cooperative yield from
+// the side that needs it (and the one package allowed a go statement):
+// with every processor running an event loop, a goroutine that became
+// runnable — a coordinator, an HTTP handler — must get to run within
+// about sim's yield interval of 1024 events, not at the runtime's 10 ms
+// preemption tick tens of thousands of events later.
+func TestKernelYieldsProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const yieldEvery = 1024
+	k := sim.NewKernel(1)
+	var ran atomic.Bool
+	sawAt := uint64(0)
+	var tick func()
+	tick = func() {
+		if sawAt == 0 && ran.Load() {
+			sawAt = k.Processed()
+		}
+		if k.Processed() < 64*yieldEvery {
+			k.Schedule(1e-6, tick)
+		}
+	}
+	k.Schedule(0, tick)
+	go ran.Store(true)
+	k.Run()
+	if sawAt == 0 || sawAt > 2*yieldEvery {
+		t.Fatalf("waiting goroutine first ran after %d events (0 = never), want within %d", sawAt, 2*yieldEvery)
+	}
 }

@@ -573,6 +573,11 @@ func (c *Channel) boundCache(t *tileCtx, src int) {
 // boundary-crossing deliveries are parked in the tile outbox for the
 // next epoch barrier (their leading edge is at least the cross-tile
 // lookahead away, so the deferral never reorders the receiver).
+//
+// pkt is copied once per transmission, not once per receiver: the first
+// scheduled receiver freezes it into a frame every later signal of the
+// transmission shares, and only a receiver that decodes the frame pays
+// for a copy of its own (Radio.signalEnd).
 func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 	srcIdx := int(src.id)
 	t := c.tiles[c.tileOf[srcIdx]]
@@ -588,6 +593,7 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 		ls = c.buildLinks(t, srcIdx)
 	}
 	now := t.kernel.Now()
+	var f *frame
 	for i := range ls {
 		l := &ls[i]
 		rcv := &c.radios[l.idx]
@@ -601,10 +607,13 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 		if pDBm < rcv.params.CSThreshDBm {
 			continue // too weak to sense or corrupt: not scheduled
 		}
+		if f == nil {
+			f = &frame{pkt: *pkt}
+		}
 		rt := c.tiles[c.tileOf[l.idx]]
 		t.stats.deliveries.Inc()
 		if rt == t {
-			s := t.pools.newSignal(pkt.Clone(), pDBm, pMW)
+			s := t.pools.newSignal(f, pDBm, pMW)
 			s.end = now + l.delay + dur
 			src.txLive = append(src.txLive, s)
 			c.scheduleDelivery(t, rcv, s, now+l.delay)
@@ -613,7 +622,7 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 		// Cross-tile: plain allocation — the receiver tile's pools are
 		// not ours to touch mid-window, and the signal is released into
 		// them after delivery.
-		s := &signal{pkt: pkt.Clone(), powerDBm: pDBm, powerMW: pMW}
+		s := &signal{frame: f, powerDBm: pDBm, powerMW: pMW}
 		s.end = now + l.delay + dur
 		src.txLive = append(src.txLive, s)
 		t.outbox = append(t.outbox, xdeliv{rcv: rcv, sig: s, start: now + l.delay})
@@ -700,14 +709,14 @@ func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time)
 	ct.scratch = c.grid.WithinRadius(ct.scratch[:0], pos, c.cutoff, -1)
 	slices.Sort(ct.scratch)
 	ct.uid++
-	pkt := &packet.Packet{
+	f := &frame{pkt: packet.Packet{
 		Kind:   packet.KindJam,
 		From:   packet.None,
 		To:     packet.Broadcast,
 		Origin: packet.None,
 		Target: packet.None,
 		UID:    ct.uidBase | ct.uid,
-	}
+	}}
 	now := ct.kernel.Now()
 	hits := 0
 	for _, idx := range ct.scratch {
@@ -719,7 +728,7 @@ func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time)
 		}
 		rt := c.tiles[c.tileOf[idx]]
 		delay := sim.Time(propagation.Delay(d))
-		s := rt.pools.newSignal(pkt.Clone(), pDBm, propagation.DBmToMilliwatt(pDBm))
+		s := rt.pools.newSignal(f, pDBm, propagation.DBmToMilliwatt(pDBm))
 		s.aborted = true
 		s.end = now + delay + dur
 		ct.stats.deliveries.Inc()

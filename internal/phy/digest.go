@@ -17,8 +17,8 @@ func digestSignal(h *digest.Hash, s *signal) {
 	}
 	h.Bool(true)
 	var uid uint64
-	if s.pkt != nil {
-		uid = s.pkt.UID
+	if s.frame != nil {
+		uid = s.frame.pkt.UID
 	}
 	h.Uint64(uid)
 	h.Float64(s.powerDBm)

@@ -268,15 +268,56 @@ func TestCarrierBusyDuringOwnTx(t *testing.T) {
 	}
 }
 
-func TestReceiverCopiesAreIndependent(t *testing.T) {
-	k, ch, recs := testChannel(t, pts(0, 0, 100, 0, 100, 100), 250)
-	ch.Radio(0).Transmit(pkt(100))
-	k.Run()
-	if len(recs[1].rx) != 1 || len(recs[2].rx) != 1 {
-		t.Fatal("expected both receivers to decode")
+// scribbler is a recorder that, after recording a received packet by
+// value, rewrites every field of it — the most a Listener is allowed to
+// do with its copy.
+type scribbler struct {
+	recorder
+	got []packet.Packet
+}
+
+func (s *scribbler) OnReceive(p *packet.Packet, rssiDBm float64) {
+	s.got = append(s.got, *p)
+	*p = garbagePacket()
+	s.recorder.OnReceive(p, rssiDBm)
+}
+
+func garbagePacket() packet.Packet {
+	return packet.Packet{
+		From: 77, To: 78, Kind: packet.KindRERR, Origin: 79, Target: 80,
+		Seq: 81, HopCount: 82, ExpectedHops: 83, TTL: 84, Size: 85,
+		CreatedAt: 86, UID: 87, Payload: "scribbled",
 	}
-	recs[1].rx[0].HopCount = 42
-	if recs[2].rx[0].HopCount == 42 {
+}
+
+func TestReceiverCopiesAreIndependent(t *testing.T) {
+	// Receivers at 100, 141 and 200 m hear the trailing edge in that
+	// order; the nearest rewrites every field of what it is handed.
+	// Neither the later receivers nor the sender's own packet (the MAC's
+	// ARQ copy) may see any of it.
+	k, ch, recs := testChannel(t, pts(0, 0, 100, 0, 100, 100, 200, 0), 250)
+	scrib := &scribbler{}
+	ch.Radio(1).SetListener(scrib)
+	sent := &packet.Packet{
+		Kind: packet.KindData, To: packet.Broadcast, Origin: 0, Target: 3,
+		Seq: 9, HopCount: 1, ExpectedHops: 2, TTL: 5, Size: 100,
+		CreatedAt: 0.25, Payload: "payload",
+	}
+	ch.Radio(0).Transmit(sent)
+	onAir := *sent // with From and UID filled in by Transmit
+	k.Run()
+	if len(scrib.got) != 1 || len(recs[2].rx) != 1 || len(recs[3].rx) != 1 {
+		t.Fatal("expected all three receivers to decode")
+	}
+	for i, got := range []packet.Packet{scrib.got[0], *recs[2].rx[0], *recs[3].rx[0]} {
+		if got != onAir {
+			t.Fatalf("receiver %d decoded %+v, want %+v", i+1, got, onAir)
+		}
+	}
+	if *sent != onAir {
+		t.Fatalf("sender's packet changed to %+v", *sent)
+	}
+	if recs[2].rx[0] == recs[3].rx[0] {
 		t.Fatal("receivers share a packet instance")
 	}
 }

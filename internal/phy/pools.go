@@ -1,7 +1,5 @@
 package phy
 
-import "routeless/internal/packet"
-
 // Pools holds the channel's recyclable per-delivery objects — the
 // signal and delivery free lists the transmit hot path draws from.
 // Every channel has one; by default it is private (NewChannel allocates
@@ -15,6 +13,10 @@ import "routeless/internal/packet"
 // channels cannot change simulation results. A Pools must never be
 // shared between channels that run concurrently — workers own theirs
 // exclusively.
+//
+// Frames are not pooled: one frame is shared by every signal of its
+// transmission, across tiles, so only the collector knows its last
+// reader — and there is one per transmission, not one per delivery.
 type Pools struct {
 	sig []*signal
 	del []*delivery
@@ -40,7 +42,7 @@ const maxFreeObjects = 1 << 14
 
 // newSignal takes a signal struct from the free list (or allocates) and
 // initializes it for one delivery.
-func (p *Pools) newSignal(pkt *packet.Packet, dbm, mw float64) *signal {
+func (p *Pools) newSignal(f *frame, dbm, mw float64) *signal {
 	var s *signal
 	if n := len(p.sig); n > 0 {
 		s = p.sig[n-1]
@@ -48,7 +50,7 @@ func (p *Pools) newSignal(pkt *packet.Packet, dbm, mw float64) *signal {
 	} else {
 		s = &signal{}
 	}
-	*s = signal{pkt: pkt, powerDBm: dbm, powerMW: mw}
+	*s = signal{frame: f, powerDBm: dbm, powerMW: mw}
 	return s
 }
 
@@ -56,7 +58,7 @@ func (p *Pools) newSignal(pkt *packet.Packet, dbm, mw float64) *signal {
 // has fired; by then no radio holds a reference (signalEnd removed it
 // from the receiver's in-air set, or powerDown already dropped it).
 func (p *Pools) releaseSignal(s *signal) {
-	s.pkt = nil
+	s.frame = nil
 	if len(p.sig) < maxFreeObjects {
 		p.sig = append(p.sig, s)
 	}

@@ -82,6 +82,7 @@ func (p Params) AirTime(bytes int) sim.Time {
 type Listener interface {
 	// OnReceive delivers a successfully decoded frame with its receive
 	// power — the signal strength SSAF derives its backoff from (§3).
+	// pkt is this receiver's own copy, to mutate or keep.
 	OnReceive(pkt *packet.Packet, rssiDBm float64)
 	// OnMediumBusy and OnMediumIdle report carrier-sense transitions.
 	OnMediumBusy()
@@ -124,9 +125,21 @@ type radioCounters struct {
 	flushedByOff metrics.Counter32
 }
 
+// frame is one transmission's packet as it exists on the air: the
+// snapshot Channel.transmit takes of the sender's packet, shared
+// read-only by every signal of that transmission — all receivers, all
+// tiles (a barrier always separates the tile that wrote it from a tile
+// that reads it). Nothing mutates it and it never leaves this package;
+// a receiver that decodes it gets a private copy (decode), so listeners
+// may rewrite or keep theirs and the sender may reuse its own.
+type frame struct{ pkt packet.Packet }
+
+// decode returns a private copy of the frame for one receiver.
+func (f *frame) decode() *packet.Packet { return f.pkt.Clone() }
+
 // signal is one frame in flight at a particular receiver.
 type signal struct {
-	pkt      *packet.Packet
+	frame    *frame
 	powerDBm float64
 	powerMW  float64
 	end      sim.Time
@@ -294,10 +307,13 @@ func (r *Radio) sinrOK(frame *signal) bool {
 	return frame.powerMW >= interf*r.channel.captureRatio
 }
 
-// Transmit puts a frame on the air. The caller (MAC) is responsible for
-// carrier sensing; transmitting while receiving aborts the reception
-// (half-duplex). Transmit panics if the radio is off, asleep, or
-// already transmitting — those are MAC bugs, not channel conditions.
+// Transmit puts a frame on the air. Receivers decode pkt as it is at
+// this call (plus From and a first-transmission UID, which Transmit
+// writes into it); the caller may mutate or reuse it afterwards. The
+// caller (MAC) is responsible for carrier sensing; transmitting while
+// receiving aborts the reception (half-duplex). Transmit panics if the
+// radio is off, asleep, or already transmitting — those are MAC bugs,
+// not channel conditions.
 func (r *Radio) Transmit(pkt *packet.Packet) {
 	switch r.State() {
 	case StateOff, StateSleep:
@@ -404,7 +420,7 @@ func (r *Radio) signalEnd(s *signal) {
 			} else {
 				r.stats.rxFrames.Inc()
 				if r.listener != nil {
-					r.listener.OnReceive(s.pkt, s.powerDBm)
+					r.listener.OnReceive(s.frame.decode(), s.powerDBm)
 				}
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 )
 
@@ -424,12 +425,25 @@ func (k *Kernel) recycle(e *Event) {
 	e.fn = nil
 	e.kernel = nil
 	k.pool.live--
-	// Retain enough spares to cover the live queue: once the free list
-	// matches the peak in-flight event count, every At() is a reuse.
-	if len(k.pool.free) < len(k.events)+64 {
+	// Retain spares up to the pool's own watermark (free + live ≤ peak +
+	// 64), not the current queue depth: a heap that drains between
+	// bursts keeps the events its next burst needs, so once a burst has
+	// set the peak every At() is a reuse.
+	if len(k.pool.free)+k.pool.live < k.pool.peak+64 {
 		k.pool.free = append(k.pool.free, e)
 	}
 }
+
+// yieldEvery is how many events a kernel executes between offers of its
+// processor to other goroutines — a fraction of a millisecond of work.
+// An event loop never blocks, so without the offer a host whose kernels
+// occupy every processor (a run server with a full worker pool) leaves
+// its I/O goroutines waiting for the Go runtime's 10 ms preemption tick,
+// or for a garbage collection to stop the world. With nothing else
+// runnable the offer costs well under a microsecond; it cannot change
+// results, because no simulation state is shared between goroutines
+// that run concurrently.
+const yieldEvery = 1024
 
 // Step executes the earliest pending event. It returns false when the
 // queue is empty or the next event lies beyond the horizon.
@@ -459,6 +473,9 @@ func (k *Kernel) Step() bool {
 	fn := e.fn
 	k.recycle(e)
 	k.processed++
+	if k.processed%yieldEvery == 0 {
+		runtime.Gosched()
+	}
 	fn()
 	return true
 }

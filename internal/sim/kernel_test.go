@@ -368,6 +368,35 @@ func TestFreeListGrowsWithQueueDepth(t *testing.T) {
 	}
 }
 
+// TestFreeListSurvivesDrainBetweenBursts is the regression test for
+// the retention bound: a workload whose heap empties between bursts (a
+// flood, then quiet, then the next flood) must re-run a burst of the
+// same depth out of recycled events. Bounding the free list by the
+// current queue depth instead of the pool's watermark let go of about
+// half the events on every drain.
+func TestFreeListSurvivesDrainBetweenBursts(t *testing.T) {
+	k := NewKernel(1)
+	const depth = 2000
+	fn := func() {}
+	burst := func() {
+		for i := 0; i < depth; i++ {
+			k.Schedule(Time(i)*1e-6, fn)
+		}
+		k.Run()
+	}
+	burst() // sets the watermark
+	if got := k.pool.FreeLen(); got < depth {
+		t.Fatalf("free list holds %d events after a %d-deep burst drained", got, depth)
+	}
+	if allocs := testing.AllocsPerRun(5, burst); allocs != 0 {
+		t.Fatalf("a repeated burst allocates %.0f events; the drain emptied the free list", allocs)
+	}
+	if k.pool.Live() != 0 || k.pool.Peak() != depth {
+		t.Fatalf("live/peak = %d/%d, want 0/%d (digested state must not depend on retention)",
+			k.pool.Live(), k.pool.Peak(), depth)
+	}
+}
+
 // TestEventPoolSurvivesKernel verifies the sweep-worker reuse contract:
 // a pool filled by one kernel warms the next, so a second same-shaped
 // run schedules out of recycled Event structs.
