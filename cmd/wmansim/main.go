@@ -20,12 +20,11 @@
 //	-scale small   reduced scale with the same density (default)
 //
 // Other flags: -seeds N (replications), -duration S, -workers N,
-// -tiles N (intra-run PDES tiling for fig1/fig3/fig4/churn; fig2 and
-// the ablation reruns stay sequential), -csv (machine-readable
-// output), -width (fig2 map width), -journal F (append a JSONL run
-// journal: per-run metric snapshots for the journaled figures plus one
-// summary record per experiment with the table CSV, git revision, and
-// wall time). Tiled runs are bitwise identical to sequential ones, so
+// -tiles N (intra-run PDES tiling; fig2 and abl3 stay sequential),
+// -csv (machine-readable output), -width (fig2 map width), -journal F
+// (append a JSONL run journal: per-run metric snapshots for the
+// journaled figures plus one summary record per experiment with the
+// table CSV, git revision, and wall time). Tiled runs are bitwise identical to sequential ones, so
 // -tiles changes wall time, never output bytes.
 //
 // Unified scenario documents (the same format simserve accepts):
@@ -155,7 +154,7 @@ func run() int {
 		seeds    = flag.Int("seeds", 3, "independent replications per point")
 		duration = flag.Float64("duration", 0, "traffic seconds per run (0 = scale default)")
 		workers  = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		tiles    = flag.Int("tiles", 1, "PDES tiles per run for fig1/fig3/fig4/churn (1 = sequential kernel)")
+		tiles    = flag.Int("tiles", 1, "PDES tiles per run, except fig2 and abl3 (1 = sequential kernel)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		width    = flag.Int("width", 76, "figure 2 map width in characters")
 		journalF = flag.String("journal", "", "append a JSONL run journal to this file")

@@ -3,15 +3,14 @@ package experiments
 import (
 	"routeless/internal/core"
 	"routeless/internal/flood"
-	"routeless/internal/geo"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/rng"
 	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
-	"routeless/internal/traffic"
 )
 
 // --- ABL1: SSAF with and without duplicate cancellation ---------------
@@ -27,51 +26,21 @@ type Abl1Row struct {
 func RunAbl1(cfg Fig1Config) []Abl1Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("abl1", len(cfg.Intervals)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		pi, cancel := versusPoint(c.Point)
-		return runSSAFOnce(ctx, cfg, cfg.Intervals[pi], cancel, c.Seed)
+		fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
+		fcfg.Cancel = cancel
+		install := func(nw *node.Network) {
+			nw.Install(func(*node.Node) node.Protocol { return flood.New(&fcfg) })
+		}
+		return finish(assemble(ctx, fig1Spec(cfg, install, cfg.Intervals[pi], packet.SizeData, c.Seed)), false)
 	})
+	ssaf, ssafc := foldVersus(len(cfg.Intervals), cells, results)
 	rows := make([]Abl1Row, len(cfg.Intervals))
 	for i, iv := range cfg.Intervals {
-		rows[i].Interval = iv
-	}
-	for i, c := range cells {
-		pi, cancel := versusPoint(c.Point)
-		if cancel {
-			rows[pi].SSAFC.Add(results[i])
-		} else {
-			rows[pi].SSAF.Add(results[i])
-		}
+		rows[i] = Abl1Row{Interval: iv, SSAF: ssaf[i], SSAFC: ssafc[i]}
 	}
 	return rows
-}
-
-func runSSAFOnce(ctx *sweep.Context, cfg Fig1Config, interval float64, cancel bool, seed int64) RunMetrics {
-	nw := node.New(node.Config{
-		N: cfg.Nodes, Rect: geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range: cfg.Range, Seed: seed, EnsureConnected: true,
-		Runtime: ctx.Runtime(),
-	})
-	minDBm, maxDBm := ssafSpan(cfg.Range)
-	fcfg := flood.SSAFConfig(cfg.Lambda, minDBm, maxDBm)
-	fcfg.Cancel = cancel
-	nw.Install(func(n *node.Node) node.Protocol { return flood.New(&fcfg) })
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-	pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, cfg.Connections)
-	var cbrs []*traffic.CBR
-	for _, p := range pairs {
-		c := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(interval), packet.SizeData)
-		tap.Watch(c)
-		c.Start()
-		cbrs = append(cbrs, c)
-	}
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return collect(nw, tap)
 }
 
 // Abl1Table renders the comparison.
@@ -115,7 +84,7 @@ func RunAbl2(cfg Fig34Config, lambdas []sim.Time, pairs int) []Abl2Row {
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
 		run := cfg
 		run.Lambda = lambdas[c.Point]
-		return runRoutingOnce(ctx, run, ProtoRouteless, pairs, 0, c.Seed).RunMetrics
+		return runRouting(ctx, run, ProtoRouteless, pairs, 0, c.Seed).RunMetrics
 	})
 	rows := make([]Abl2Row, len(lambdas))
 	for i, l := range lambdas {
@@ -215,7 +184,7 @@ func runElectionOnce(ctx *sweep.Context, n, si, trial int, lambda sim.Time, seed
 	cl.AttachArbiter(arb)
 	arb.Trigger()
 	k.Run()
-	countEvents(k)
+	processed.Add(k.Processed())
 	var out abl3Out
 	winners := 0
 	for _, e := range electors {
@@ -261,25 +230,18 @@ type Abl4Row struct {
 func RunAbl4(cfg Fig34Config) []Abl4Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("abl4", len(cfg.Pairs)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		pi, grad := versusPoint(c.Point)
 		proto := ProtoRouteless
 		if grad {
 			proto = ProtoGradient
 		}
-		return runRoutingOnce(ctx, cfg, proto, cfg.Pairs[pi], 0, c.Seed).RunMetrics
+		return runRouting(ctx, cfg, proto, cfg.Pairs[pi], 0, c.Seed)
 	})
+	rr, grad := foldVersus(len(cfg.Pairs), cells, results)
 	rows := make([]Abl4Row, len(cfg.Pairs))
 	for i, p := range cfg.Pairs {
-		rows[i].Pairs = p
-	}
-	for i, c := range cells {
-		pi, grad := versusPoint(c.Point)
-		if grad {
-			rows[pi].Gradient.Add(results[i])
-		} else {
-			rows[pi].Routeless.Add(results[i])
-		}
+		rows[i] = Abl4Row{Pairs: p, Routeless: rr[i], Gradient: grad[i]}
 	}
 	return rows
 }
@@ -324,8 +286,11 @@ func RunAbl5(cfg Fig34Config, fractions []float64, pairs int) []Abl5Row {
 		pairs = 5
 	}
 	cells := sweep.Cells("abl5", len(fractions), cfg.Seeds)
+	install := scenario.Installer(scenario.ProtoRouteless, cfg.Lambda, cfg.Range)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
-		return runSleepOnce(ctx, cfg, pairs, fractions[c.Point], c.Seed)
+		sp, endpoints := routingSpec(cfg, c.Seed, pairs, install)
+		sp.Plan = dutyCycle(fractions[c.Point], true, endpoints)
+		return finish(assemble(ctx, sp), false).RunMetrics
 	})
 	rows := make([]Abl5Row, len(fractions))
 	for i, f := range fractions {
@@ -335,49 +300,6 @@ func RunAbl5(cfg Fig34Config, fractions []float64, pairs int) []Abl5Row {
 		rows[c.Point].RR.Add(results[i])
 	}
 	return rows
-}
-
-func runSleepOnce(ctx *sweep.Context, cfg Fig34Config, pairs int, frac float64, seed int64) RunMetrics {
-	nw := node.New(node.Config{
-		N: cfg.Nodes, Rect: geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range: cfg.Range, Seed: seed, EnsureConnected: true,
-		Runtime: ctx.Runtime(),
-	})
-	nw.Install(func(n *node.Node) node.Protocol {
-		return routing.NewRouteless(routing.RoutelessConfig{Lambda: cfg.Lambda})
-	})
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, pairs)
-	endpoint := map[packet.NodeID]bool{}
-	var cbrs []*traffic.CBR
-	for _, p := range conns {
-		endpoint[p.Src], endpoint[p.Dst] = true, true
-		fwd := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(cfg.Interval), cfg.DataSize)
-		rev := traffic.NewCBR(nw.Nodes[p.Dst], p.Src, sim.Time(cfg.Interval), cfg.DataSize)
-		tap.Watch(fwd)
-		tap.Watch(rev)
-		fwd.Start()
-		rev.Start()
-		cbrs = append(cbrs, fwd, rev)
-	}
-	if frac > 0 {
-		for _, n := range nw.Nodes {
-			if endpoint[n.ID] {
-				continue
-			}
-			fp := node.NewFailureProcess(n, rng.ForNode(seed, rng.StreamFailure, int(n.ID)))
-			fp.OffFraction = frac
-			fp.Sleep = true
-			fp.Start()
-		}
-	}
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return collect(nw, tap)
 }
 
 // Abl5Table renders the sleep study.
@@ -409,52 +331,21 @@ type Abl6Row struct {
 func RunAbl6(cfg Fig34Config) []Abl6Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("abl6", len(cfg.Pairs)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
+	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		pi, signal := versusPoint(c.Point)
-		return runSignalTieOnce(ctx, cfg, cfg.Pairs[pi], signal, c.Seed)
+		rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, SignalTieBreak: signal}
+		install := func(nw *node.Network) {
+			nw.Install(func(*node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
+		}
+		sp, _ := routingSpec(cfg, c.Seed, cfg.Pairs[pi], install)
+		return finish(assemble(ctx, sp), false)
 	})
+	pure, tie := foldVersus(len(cfg.Pairs), cells, results)
 	rows := make([]Abl6Row, len(cfg.Pairs))
 	for i, p := range cfg.Pairs {
-		rows[i].Pairs = p
-	}
-	for i, c := range cells {
-		pi, signal := versusPoint(c.Point)
-		if signal {
-			rows[pi].SignalTie.Add(results[i])
-		} else {
-			rows[pi].Pure.Add(results[i])
-		}
+		rows[i] = Abl6Row{Pairs: p, Pure: pure[i], SignalTie: tie[i]}
 	}
 	return rows
-}
-
-func runSignalTieOnce(ctx *sweep.Context, cfg Fig34Config, pairs int, signal bool, seed int64) RunMetrics {
-	nw := node.New(node.Config{
-		N: cfg.Nodes, Rect: geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range: cfg.Range, Seed: seed, EnsureConnected: true,
-		Runtime: ctx.Runtime(),
-	})
-	rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, SignalTieBreak: signal}
-	nw.Install(func(n *node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, pairs)
-	var cbrs []*traffic.CBR
-	for _, p := range conns {
-		fwd := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(cfg.Interval), cfg.DataSize)
-		rev := traffic.NewCBR(nw.Nodes[p.Dst], p.Src, sim.Time(cfg.Interval), cfg.DataSize)
-		tap.Watch(fwd)
-		tap.Watch(rev)
-		fwd.Start()
-		rev.Start()
-		cbrs = append(cbrs, fwd, rev)
-	}
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return collect(nw, tap)
 }
 
 // Abl6Table renders the tie-break comparison.

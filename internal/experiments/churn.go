@@ -4,16 +4,12 @@ import (
 	"fmt"
 
 	"routeless/internal/fault"
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
-	"routeless/internal/node"
 	"routeless/internal/packet"
-	"routeless/internal/rng"
-	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
-	"routeless/internal/traffic"
 )
 
 // ChurnConfig is the fault-plane churn study: fixed bidirectional CBR
@@ -123,67 +119,6 @@ func churnPlan(intensity float64, exclude []packet.NodeID) fault.Plan {
 	return fault.Plan{crash, deg, jam}
 }
 
-// runChurnOnce mirrors runRoutingOnce with the composite fault plan in
-// place of the hand-picked crash loop. The snapshot is always captured:
-// the repair-latency histograms are the study's output, journaled or
-// not.
-func runChurnOnce(ctx *sweep.Context, cfg ChurnConfig, proto RoutingProto, intensity float64, seed int64) runOut {
-	nw := node.New(node.Config{
-		N:               cfg.Nodes,
-		Rect:            geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range:           cfg.Range,
-		Seed:            seed,
-		EnsureConnected: true,
-		Runtime:         ctx.Runtime(),
-		Tiles:           cfg.Tiles,
-	})
-	switch proto {
-	case ProtoRouteless:
-		rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
-	case ProtoAODV:
-		acfg := routing.AODVConfig{NoHello: true}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewAODV(acfg) })
-	case ProtoGradient:
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewGradient(routing.GradientConfig{}) })
-	default:
-		panic("experiments: unknown protocol " + string(proto))
-	}
-
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-
-	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, cfg.Pairs)
-	endpoint := make(map[packet.NodeID]bool, 2*cfg.Pairs)
-	var cbrs []*traffic.CBR
-	for _, p := range conns {
-		endpoint[p.Src] = true
-		endpoint[p.Dst] = true
-		fwd := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(cfg.Interval), cfg.DataSize)
-		rev := traffic.NewCBR(nw.Nodes[p.Dst], p.Src, sim.Time(cfg.Interval), cfg.DataSize)
-		tap.Watch(fwd)
-		tap.Watch(rev)
-		fwd.Start()
-		rev.Start()
-		cbrs = append(cbrs, fwd, rev)
-	}
-
-	var excl []packet.NodeID
-	for _, n := range nw.Nodes {
-		if endpoint[n.ID] {
-			excl = append(excl, n.ID)
-		}
-	}
-	fault.Install(nw, churnPlan(intensity, excl))
-
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, true)}
-}
-
 // ChurnRow is one intensity point of the churn study.
 type ChurnRow struct {
 	Intensity float64
@@ -196,13 +131,23 @@ type ChurnRow struct {
 	RRRepairs, AODVRepairs, GradientRepairs stats.Welford
 }
 
-// RunChurn sweeps fault intensity × protocol across seeds.
+// RunChurn sweeps fault intensity × protocol across seeds on the
+// routing rig, with the composite fault plan in place of Figure 4's
+// crash-only one. Every cell's snapshot is captured: the repair-latency
+// histograms are the study's output, journaled or not.
 func RunChurn(cfg ChurnConfig) []ChurnRow {
 	cfg = cfg.withDefaults()
+	rig := Fig34Config{
+		Nodes: cfg.Nodes, Terrain: cfg.Terrain, Range: cfg.Range, Tiles: cfg.Tiles,
+		Interval: cfg.Interval, DataSize: cfg.DataSize, Duration: cfg.Duration,
+	}
 	cells := sweep.Cells("churn", len(cfg.Intensities)*numChurnProtos, cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
 		ii, pi := c.Point/numChurnProtos, c.Point%numChurnProtos
-		return runChurnOnce(ctx, cfg, churnProto(pi), cfg.Intensities[ii], c.Seed)
+		install := scenario.Installer(string(churnProto(pi)), cfg.Lambda, cfg.Range)
+		sp, endpoints := routingSpec(rig, c.Seed, cfg.Pairs, install)
+		sp.Plan = churnPlan(cfg.Intensities[ii], endpoints)
+		return finish(assemble(ctx, sp), true)
 	})
 	rows := make([]ChurnRow, len(cfg.Intensities))
 	for i, x := range cfg.Intensities {
@@ -228,19 +173,9 @@ func RunChurn(cfg ChurnConfig) []ChurnRow {
 			row.GradientRepairs.Add(float64(rep.Count))
 		}
 	}
-	if cfg.Journal != nil {
-		for i, c := range cells {
-			ii, pi := c.Point/numChurnProtos, c.Point%numChurnProtos
-			// A write failure sticks on the journal; callers check Err once.
-			_ = cfg.Journal.Write(metrics.Record{
-				Experiment: "churn",
-				Label:      fmt.Sprintf("%s intensity=%g", churnProto(pi), cfg.Intensities[ii]),
-				Seed:       c.Seed,
-				Config:     cfg,
-				Metrics:    results[i].snap,
-			})
-		}
-	}
+	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
+		return fmt.Sprintf("%s intensity=%g", churnProto(point%numChurnProtos), cfg.Intensities[point/numChurnProtos])
+	})
 	return rows
 }
 

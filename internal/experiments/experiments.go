@@ -3,26 +3,27 @@
 // Config (defaults reproduce the paper's scale; tests and benches scale
 // down), a Run function that sweeps the figure's x-axis across seeds in
 // parallel, and a Table formatter that prints the series the paper
-// plots.
+// plots. A figure is a list of scenario.Spec values plus a fold: every
+// cell is wired, advanced, drained and judged by scenario.Run.
 package experiments
 
 import (
+	"routeless/internal/geo"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
+	"routeless/internal/rng"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
+	"routeless/internal/sweep"
 	"routeless/internal/traffic"
 )
 
-// RunMetrics is one simulation run's outcome in the paper's units.
-type RunMetrics struct {
-	Delay      float64 // mean end-to-end delay, seconds
-	Hops       float64 // mean hop count of delivered packets
-	Delivery   float64 // delivered / sent
-	MACPackets float64 // total MAC-layer transmissions
-	EnergyJ    float64 // total radio energy, joules
-}
+// RunMetrics is one simulation run's outcome in the paper's units. The
+// type lives with the assembler that computes it; this alias stays
+// because the repository benchmark (bench/, frozen) names it.
+type RunMetrics = scenario.RunMetrics
 
 // Agg aggregates RunMetrics across seeds.
 type Agg struct {
@@ -38,152 +39,109 @@ func (a *Agg) Add(m RunMetrics) {
 	a.EnergyJ.Add(m.EnergyJ)
 }
 
-// appSample is one application delivery as buffered by the tap: its
-// receive time plus the delay/hops the meter scores.
-type appSample struct {
-	at    sim.Time
-	delay float64
-	hops  int
-}
-
-// AppTap meters application traffic across all nodes without touching
-// the shared Meter from inside event handlers. Deliveries append to a
-// per-tile buffer (handlers on one tile only write that tile's buffer,
-// so the tap is safe under tiled PDES); fold replays them into the
-// Meter after the run in global time order — on a sequential network
-// that is exactly the append order, so the Welford fold sequence, and
-// hence every journaled app.* value, is unchanged from the inline
-// metering it replaces. Sends are counted from each watched CBR's own
-// counter instead of a shared-callback increment.
-//
-// The type is exported for the scenario fuzzer (internal/fuzz), which
-// meters generated workloads through the exact tap the figures use so
-// both face the same oracle.
-type AppTap struct {
-	m      *stats.Meter
-	bufs   [][]appSample
-	cbrs   []*traffic.CBR
-	folded bool
-}
-
-// NewAppTap attaches the tap to every node and exposes the (folded)
-// meter on the network registry as the app.* series. Snapshots are
-// taken after collect, which folds first, so journaled values see the
-// complete run.
-func NewAppTap(nw *node.Network, m *stats.Meter) *AppTap {
-	t := &AppTap{m: m, bufs: make([][]appSample, nw.NumTiles())}
-	for _, n := range nw.Nodes {
-		n := n
-		n.OnAppReceive = func(p *packet.Packet) {
-			now := n.Kernel.Now()
-			t.bufs[n.Tile] = append(t.bufs[n.Tile], appSample{
-				at:    now,
-				delay: float64(now - p.CreatedAt),
-				hops:  p.HopCount,
-			})
-		}
-	}
-	nw.Metrics.Func("app.sent", func() uint64 { return m.Sent })
-	nw.Metrics.Func("app.received", func() uint64 { return m.Received })
-	nw.Metrics.GaugeFunc("app.delay_mean_s", func() float64 { return m.Delay.Mean() })
-	nw.Metrics.GaugeFunc("app.hops_mean", func() float64 { return m.Hops.Mean() })
-	return t
-}
-
-// Watch registers a CBR flow whose generation count the fold adds to
-// the meter's Sent.
-func (t *AppTap) Watch(c *traffic.CBR) { t.cbrs = append(t.cbrs, c) }
-
-// fold replays the buffered deliveries into the meter in (time, tile)
-// order and folds the watched send counters. Idempotent.
-func (t *AppTap) fold() {
-	if t.folded {
-		return
-	}
-	t.folded = true
-	for _, c := range t.cbrs {
-		t.m.Sent += c.Sent()
-	}
-	if len(t.bufs) == 1 {
-		for _, s := range t.bufs[0] {
-			t.m.PacketReceived(s.delay, s.hops)
-		}
-		return
-	}
-	// k-way merge; strict < keeps the lowest tile on equal timestamps.
-	idx := make([]int, len(t.bufs))
-	for {
-		best := -1
-		var bestAt sim.Time
-		for ti, b := range t.bufs {
-			if idx[ti] >= len(b) {
-				continue
-			}
-			if best < 0 || b[idx[ti]].at < bestAt {
-				best, bestAt = ti, b[idx[ti]].at
-			}
-		}
-		if best < 0 {
-			return
-		}
-		s := t.bufs[best][idx[best]]
-		idx[best]++
-		t.m.PacketReceived(s.delay, s.hops)
-	}
-}
-
-// CollectChecked is the shared run-under-oracle helper: it folds the
-// tap, counts the network's events into the package throughput
-// accumulator, evaluates every conservation law and invariant, and
-// returns the run's paper-unit metrics together with any oracle
-// violation as an error value. Every experiment run funnels through
-// here via collect (which panics — a violation there is a simulator
-// bug, not a measurement); the scenario fuzzer calls it directly and
-// classifies the error as a verdict instead.
-func CollectChecked(nw *node.Network, t *AppTap) (RunMetrics, error) {
-	t.fold()
-	countNetworkEvents(nw)
-	err := nw.CheckInvariants()
-	m := t.m
-	return RunMetrics{
-		Delay:      m.Delay.Mean(),
-		Hops:       m.Hops.Mean(),
-		Delivery:   m.DeliveryRatio(),
-		MACPackets: float64(nw.MACPackets()),
-		EnergyJ:    nw.TotalEnergy(),
-	}, err
-}
-
-// collect converts a finished network + tap into RunMetrics, panicking
-// on any conservation-law violation.
-func collect(nw *node.Network, t *AppTap) RunMetrics {
-	rm, err := CollectChecked(nw, t)
-	if err != nil {
-		panic(err)
-	}
-	return rm
-}
-
-// runOut is one run's result as it crosses the parallel.Map boundary:
-// the paper-unit metrics, plus the final registry snapshot when the
-// sweep is journaling (nil otherwise — snapshots are not free).
+// runOut is one run's result as it crosses the sweep boundary: the
+// paper-unit metrics, plus the final registry snapshot when the sweep
+// needs it (nil otherwise — snapshots are not free).
 type runOut struct {
 	RunMetrics
 	snap *metrics.Snapshot
 }
 
-// snapshotIf captures the network's final metric snapshot when want is
-// set.
-func snapshotIf(nw *node.Network, want bool) *metrics.Snapshot {
-	if !want {
-		return nil
+// assemble builds the cell's run on the sweep worker's runtime. A
+// figure's specs are fixed by its config, so a build failure is a
+// programming error in experiment setup and panics.
+func assemble(ctx *sweep.Context, sp scenario.Spec) *scenario.Run {
+	sp.Net.Runtime = ctx.Runtime()
+	run, err := scenario.Assemble(sp)
+	if err != nil {
+		panic(err)
 	}
-	return nw.Metrics.Snapshot()
+	return run
 }
 
-// drainTime is how long runs continue after traffic stops so in-flight
-// packets can land.
-const drainTime sim.Time = 5
+// finish runs the cell to its end and counts its events into the
+// package throughput accumulator. A conservation-law violation panics:
+// in a figure it is a simulator bug, not a measurement.
+func finish(run *scenario.Run, snap bool) runOut {
+	rm, err := run.Finish()
+	if err != nil {
+		panic(err)
+	}
+	nw := run.Network()
+	processed.Add(nw.Processed())
+	out := runOut{RunMetrics: rm}
+	if snap {
+		out.snap = nw.Metrics.Snapshot()
+	}
+	return out
+}
 
-// simTime re-exports sim.Time for test ergonomics.
-type simTime = sim.Time
+// field is the paper's arena: n nodes placed uniformly on a square of
+// the given side, redrawn until the unit-disk graph is connected.
+func field(n int, side, rangeM float64, seed int64, tiles int) node.Config {
+	return node.Config{
+		N:               n,
+		Rect:            geo.NewRect(side, side),
+		Range:           rangeM,
+		Seed:            seed,
+		EnsureConnected: true,
+		Tiles:           tiles,
+	}
+}
+
+// randomFlows draws count connections from the seed's traffic stream
+// and returns them as a Spec's flow list — both directions of each
+// pair when bidir ("the traffic being bidirectional", §4.3) — together
+// with the endpoint ids, which the failure studies shield from faults.
+func randomFlows(seed int64, n, count int, interval float64, size int, bidir bool) (func(*node.Network) []scenario.CBRFlow, []packet.NodeID) {
+	var flows []scenario.CBRFlow
+	var endpoints []packet.NodeID
+	for _, p := range traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, count) {
+		endpoints = append(endpoints, p.Src, p.Dst)
+		flows = append(flows, scenario.CBRFlow{Src: p.Src, Dst: p.Dst, Interval: sim.Time(interval), Size: size})
+		if bidir {
+			flows = append(flows, scenario.CBRFlow{Src: p.Dst, Dst: p.Src, Interval: sim.Time(interval), Size: size})
+		}
+	}
+	return func(*node.Network) []scenario.CBRFlow { return flows }, endpoints
+}
+
+// versusPoint decodes the two-variant x-axis flattening shared by
+// Figures 1, 3 and 4 and ablations 1, 4 and 6: even points are the
+// baseline variant, odd points the challenger.
+func versusPoint(point int) (idx int, challenger bool) { return point / 2, point%2 == 1 }
+
+// foldVersus aggregates a two-variant sweep's results per x-axis index,
+// in cell order (point-major, seeds ascending), so the Welford fold
+// sequence — and every table value — is the same at any worker count.
+func foldVersus(n int, cells []sweep.Cell, results []runOut) (base, challenger []Agg) {
+	base, challenger = make([]Agg, n), make([]Agg, n)
+	for i, c := range cells {
+		if idx, chal := versusPoint(c.Point); chal {
+			challenger[idx].Add(results[i].RunMetrics)
+		} else {
+			base[idx].Add(results[i].RunMetrics)
+		}
+	}
+	return base, challenger
+}
+
+// journalCells writes one Record per cell — config, seed, and the
+// final metric snapshot — after the sweep, in cell order, so the
+// journal bytes are deterministic for a fixed config at any worker
+// count. A nil journal writes nothing.
+func journalCells(j *metrics.Journal, cfg any, cells []sweep.Cell, results []runOut, label func(point int) string) {
+	if j == nil {
+		return
+	}
+	for i, c := range cells {
+		// A write failure sticks on the journal; callers check Err once.
+		_ = j.Write(metrics.Record{
+			Experiment: c.Figure,
+			Label:      label(c.Point),
+			Seed:       c.Seed,
+			Config:     cfg,
+			Metrics:    results[i].snap,
+		})
+	}
+}

@@ -3,17 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"routeless/internal/flood"
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
-	"routeless/internal/phy"
-	"routeless/internal/propagation"
-	"routeless/internal/rng"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
-	"routeless/internal/traffic"
 )
 
 // Fig1Config reproduces Figure 1: SSAF versus counter-1 flooding over
@@ -80,98 +75,46 @@ type Fig1Row struct {
 	SSAF     Agg
 }
 
-// fig1Point decodes the flattened x-axis: each interval contributes a
-// counter-1 point (even) and an SSAF point (odd).
-func fig1Point(cfg Fig1Config, point int) (interval float64, ssaf bool) {
-	return cfg.Intervals[point/2], point%2 == 1
+// fig1Spec is one Figure 1 cell: `Connections` random one-way flows of
+// packetSize bytes flooded over a connected field.
+func fig1Spec(cfg Fig1Config, install func(*node.Network), interval float64, packetSize int, seed int64) scenario.Spec {
+	flows, _ := randomFlows(seed, cfg.Nodes, cfg.Connections, interval, packetSize, false)
+	return scenario.Spec{
+		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed, cfg.Tiles),
+		Install:  install,
+		Flows:    flows,
+		Duration: sim.Time(cfg.Duration),
+	}
 }
 
 // RunFig1 sweeps the packet generation interval for both flooding
-// variants across all seeds through the sweep engine.
+// variants — counter-1 the baseline, SSAF the challenger — across all
+// seeds through the sweep engine.
 func RunFig1(cfg Fig1Config) []Fig1Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("fig1", len(cfg.Intervals)*2, cfg.Seeds)
+	variant := func(point int) (proto string, interval float64) {
+		idx, ssaf := versusPoint(point)
+		if ssaf {
+			return scenario.ProtoSSAF, cfg.Intervals[idx]
+		}
+		return scenario.ProtoCounter1, cfg.Intervals[idx]
+	}
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		interval, ssaf := fig1Point(cfg, c.Point)
-		return runFloodOnce(ctx, cfg, interval, ssaf, c.Seed)
+		proto, interval := variant(c.Point)
+		install := scenario.Installer(proto, cfg.Lambda, cfg.Range)
+		return finish(assemble(ctx, fig1Spec(cfg, install, interval, cfg.DataSize, c.Seed)), cfg.Journal != nil)
 	})
+	c1, ssaf := foldVersus(len(cfg.Intervals), cells, results)
 	rows := make([]Fig1Row, len(cfg.Intervals))
 	for i, iv := range cfg.Intervals {
-		rows[i].Interval = iv
+		rows[i] = Fig1Row{Interval: iv, Counter1: c1[i], SSAF: ssaf[i]}
 	}
-	for i, c := range cells {
-		row := &rows[c.Point/2]
-		if _, ssaf := fig1Point(cfg, c.Point); ssaf {
-			row.SSAF.Add(results[i].RunMetrics)
-		} else {
-			row.Counter1.Add(results[i].RunMetrics)
-		}
-	}
-	if cfg.Journal != nil {
-		for i, c := range cells {
-			interval, ssaf := fig1Point(cfg, c.Point)
-			variant := "counter1"
-			if ssaf {
-				variant = "ssaf"
-			}
-			// A write failure sticks on the journal; callers check Err once.
-			_ = cfg.Journal.Write(metrics.Record{
-				Experiment: "fig1",
-				Label:      fmt.Sprintf("%s interval=%g", variant, interval),
-				Seed:       c.Seed,
-				Config:     cfg,
-				Metrics:    results[i].snap,
-			})
-		}
-	}
-	return rows
-}
-
-// ssafSpan returns the RSSI range SSAF maps onto its delay band: the
-// decode threshold (far edge) up to the power at one tenth of the
-// transmission range (near).
-func ssafSpan(rangeM float64) (minDBm, maxDBm float64) {
-	model := propagation.NewFreeSpace()
-	params := phy.DefaultParams(model, rangeM)
-	minDBm = params.RxThreshDBm
-	maxDBm = propagation.ThresholdFor(model, params.TxPowerDBm, rangeM/10)
-	return
-}
-
-func runFloodOnce(ctx *sweep.Context, cfg Fig1Config, interval float64, ssaf bool, seed int64) runOut {
-	nw := node.New(node.Config{
-		N:               cfg.Nodes,
-		Rect:            geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range:           cfg.Range,
-		Seed:            seed,
-		EnsureConnected: true,
-		Runtime:         ctx.Runtime(),
-		Tiles:           cfg.Tiles,
+	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
+		proto, interval := variant(point)
+		return fmt.Sprintf("%s interval=%g", proto, interval)
 	})
-	var fcfg flood.Config
-	if ssaf {
-		minDBm, maxDBm := ssafSpan(cfg.Range)
-		fcfg = flood.SSAFConfig(cfg.Lambda, minDBm, maxDBm)
-	} else {
-		fcfg = flood.Counter1Config(cfg.Lambda)
-	}
-	nw.Install(func(n *node.Node) node.Protocol { return flood.New(&fcfg) })
-
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-	pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, cfg.Connections)
-	cbrs := make([]*traffic.CBR, len(pairs))
-	for i, p := range pairs {
-		cbrs[i] = traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(interval), cfg.DataSize)
-		tap.Watch(cbrs[i])
-		cbrs[i].Start()
-	}
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, cfg.Journal != nil)}
+	return rows
 }
 
 // Fig1Table renders the three panels as one table.

@@ -9,11 +9,11 @@ import (
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
 	"routeless/internal/trace"
-	"routeless/internal/traffic"
 )
 
 // Fig2Config reproduces Figure 2: automatic congestion avoidance. Two
@@ -27,7 +27,7 @@ type Fig2Config struct {
 	Seed          int64    // topology + protocol seed
 	Duration      float64  // traffic seconds, default 40
 	Interval      float64  // A→B CBR interval, default 1 s
-	CrossInterval float64  // C→D CBR interval, default 0.05 s (saturating)
+	CrossInterval float64  // C→D CBR interval, default 0.08 s (saturating)
 	CrossSize     int      // C→D payload bytes, default 512 (long airtime)
 	Lambda        sim.Time // Routeless λ, default 10 ms
 	Workers       int      `json:"-"` // parallelism across the two scenarios; default GOMAXPROCS
@@ -149,72 +149,64 @@ type fig2Out struct {
 }
 
 func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out {
-	nw := node.New(node.Config{
-		N:               cfg.Nodes,
-		Rect:            geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range:           cfg.Range,
-		Seed:            cfg.Seed,
-		EnsureConnected: true,
-		Runtime:         ctx.Runtime(),
-	})
-	collector := trace.NewPathCollector()
+	out := fig2Out{paths: trace.NewPathCollector()}
 	// A generous path budget lets packets swing wide around the
 	// congested middle — the behavior this figure demonstrates.
 	rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, PathMargin: 5}
-	nw.Install(func(n *node.Node) node.Protocol {
-		r := routing.NewRouteless(rcfg)
-		id := n.ID
-		r.OnRelay = func(pkt *packet.Packet) { collector.Record(id, pkt, n.Kernel.Now()) }
-		return r
+	run := assemble(ctx, scenario.Spec{
+		Net: field(cfg.Nodes, cfg.Terrain, cfg.Range, cfg.Seed, 1),
+		Install: func(nw *node.Network) {
+			nw.Install(func(n *node.Node) node.Protocol {
+				r := routing.NewRouteless(rcfg)
+				id := n.ID
+				r.OnRelay = func(pkt *packet.Packet) { out.paths.Record(id, pkt, n.Kernel.Now()) }
+				return r
+			})
+		},
+		// The endpoints are the nodes nearest four fixed points, so the
+		// flows depend on the built placement.
+		Flows: func(nw *node.Network) []scenario.CBRFlow {
+			t := cfg.Terrain
+			out.a = nearestNode(nw, geo.Point{X: 0.08 * t, Y: 0.5 * t})
+			out.b = nearestNode(nw, geo.Point{X: 0.92 * t, Y: 0.5 * t})
+			out.c = nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.08 * t})
+			out.d = nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.92 * t})
+			iv, cross := sim.Time(cfg.Interval), sim.Time(cfg.CrossInterval)
+			flows := []scenario.CBRFlow{{Src: out.a, Dst: out.b, Interval: iv, Size: packet.SizeData, StartAt: iv}}
+			if withCross {
+				// Bidirectional heavy cross traffic saturates the middle.
+				flows = append(flows,
+					scenario.CBRFlow{Src: out.c, Dst: out.d, Interval: cross, Size: cfg.CrossSize, StartAt: cross / 2},
+					scenario.CBRFlow{Src: out.d, Dst: out.c, Interval: cross, Size: cfg.CrossSize, StartAt: cross / 3})
+			}
+			return flows
+		},
+		Duration: sim.Time(cfg.Duration),
 	})
 
-	positions := make([]geo.Point, len(nw.Nodes))
+	nw := run.Network()
+	out.positions = make([]geo.Point, len(nw.Nodes))
 	for i, n := range nw.Nodes {
-		positions[i] = n.Pos
+		out.positions[i] = n.Pos
 	}
-	t := cfg.Terrain
-	a := nearestNode(nw, geo.Point{X: 0.08 * t, Y: 0.5 * t})
-	b := nearestNode(nw, geo.Point{X: 0.92 * t, Y: 0.5 * t})
-	c := nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.08 * t})
-	d := nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.92 * t})
-
-	var delivered uint64
-	nw.Nodes[b].OnAppReceive = func(p *packet.Packet) {
-		if p.Origin == packet.NodeID(a) {
-			delivered++
+	// Count A's arrivals at B on top of the run's own delivery metering.
+	b := nw.Nodes[out.b]
+	metered := b.OnAppReceive
+	b.OnAppReceive = func(p *packet.Packet) {
+		metered(p)
+		if p.Origin == out.a {
+			out.delivered++
 		}
 	}
-
-	ab := traffic.NewCBR(nw.Nodes[a], packet.NodeID(b), sim.Time(cfg.Interval), packet.SizeData)
-	ab.StartAt(sim.Time(cfg.Interval))
-	cbrs := []*traffic.CBR{ab}
-	if withCross {
-		// Bidirectional heavy cross traffic saturates the middle.
-		cd := traffic.NewCBR(nw.Nodes[c], packet.NodeID(d), sim.Time(cfg.CrossInterval), cfg.CrossSize)
-		dc := traffic.NewCBR(nw.Nodes[d], packet.NodeID(c), sim.Time(cfg.CrossInterval), cfg.CrossSize)
-		cd.StartAt(sim.Time(cfg.CrossInterval) / 2)
-		dc.StartAt(sim.Time(cfg.CrossInterval) / 3)
-		cbrs = append(cbrs, cd, dc)
-	}
-	nw.Run(sim.Time(cfg.Duration))
-	for _, cb := range cbrs {
-		cb.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	countEvents(nw.Kernel)
-	return fig2Out{
-		paths: collector, positions: positions,
-		a: packet.NodeID(a), b: packet.NodeID(b),
-		c: packet.NodeID(c), d: packet.NodeID(d),
-		delivered: delivered,
-	}
+	finish(run, false)
+	return out
 }
 
-func nearestNode(nw *node.Network, p geo.Point) int {
-	best, bestD := -1, math.MaxFloat64
-	for i, n := range nw.Nodes {
+func nearestNode(nw *node.Network, p geo.Point) packet.NodeID {
+	best, bestD := packet.None, math.MaxFloat64
+	for _, n := range nw.Nodes {
 		if d := n.Pos.Dist(p); d < bestD {
-			best, bestD = i, d
+			best, bestD = n.ID, d
 		}
 	}
 	return best

@@ -4,16 +4,13 @@ import (
 	"fmt"
 
 	"routeless/internal/fault"
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
-	"routeless/internal/rng"
-	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
-	"routeless/internal/traffic"
 )
 
 // RoutingProto selects the protocol under test in Figures 3 and 4.
@@ -21,9 +18,9 @@ type RoutingProto string
 
 // Protocols the routing experiments can run.
 const (
-	ProtoRouteless RoutingProto = "routeless"
-	ProtoAODV      RoutingProto = "aodv"
-	ProtoGradient  RoutingProto = "gradient"
+	ProtoRouteless RoutingProto = scenario.ProtoRouteless
+	ProtoAODV      RoutingProto = scenario.ProtoAODV
+	ProtoGradient  RoutingProto = scenario.ProtoGradient
 )
 
 // Fig34Config covers both routing figures: Figure 3 sweeps the number
@@ -94,75 +91,38 @@ func (c Fig34Config) withDefaults() Fig34Config {
 	return c
 }
 
-// runRoutingOnce builds a network, installs the protocol, starts
-// bidirectional CBR over `pairs` connections, injects duty-cycle
-// failures on non-endpoint nodes, and measures.
-func runRoutingOnce(ctx *sweep.Context, cfg Fig34Config, proto RoutingProto, pairs int, failurePct float64, seed int64) runOut {
-	nw := node.New(node.Config{
-		N:               cfg.Nodes,
-		Rect:            geo.NewRect(cfg.Terrain, cfg.Terrain),
-		Range:           cfg.Range,
-		Seed:            seed,
-		EnsureConnected: true,
-		Runtime:         ctx.Runtime(),
-		Tiles:           cfg.Tiles,
-	})
-	switch proto {
-	case ProtoRouteless:
-		rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
-	case ProtoAODV:
-		acfg := routing.AODVConfig{NoHello: true}
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewAODV(acfg) })
-	case ProtoGradient:
-		nw.Install(func(n *node.Node) node.Protocol { return routing.NewGradient(routing.GradientConfig{}) })
-	default:
-		panic("experiments: unknown protocol " + string(proto))
-	}
+// routingSpec is the §4.3 rig shared by Figures 3 and 4, the churn
+// study and ablations 2, 4, 5 and 6: a connected field and `pairs`
+// bidirectional CBR connections. It also returns the traffic endpoints,
+// which the failure studies shield from their fault plans.
+func routingSpec(cfg Fig34Config, seed int64, pairs int, install func(*node.Network)) (scenario.Spec, []packet.NodeID) {
+	flows, endpoints := randomFlows(seed, cfg.Nodes, pairs, cfg.Interval, cfg.DataSize, true)
+	return scenario.Spec{
+		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed, cfg.Tiles),
+		Install:  install,
+		Flows:    flows,
+		Duration: sim.Time(cfg.Duration),
+	}, endpoints
+}
 
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-
-	conns := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, pairs)
-	endpoint := make(map[packet.NodeID]bool, 2*pairs)
-	var cbrs []*traffic.CBR
-	for _, p := range conns {
-		endpoint[p.Src] = true
-		endpoint[p.Dst] = true
-		// "the traffic being bidirectional" (§4.3): both directions.
-		fwd := traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(cfg.Interval), cfg.DataSize)
-		rev := traffic.NewCBR(nw.Nodes[p.Dst], p.Src, sim.Time(cfg.Interval), cfg.DataSize)
-		tap.Watch(fwd)
-		tap.Watch(rev)
-		fwd.Start()
-		rev.Start()
-		cbrs = append(cbrs, fwd, rev)
+// dutyCycle is the §4.3 failure model as a fault plan: "node failures
+// are artificially introduced to turn off transceivers in all nodes but
+// those that generate and receive CBR traffic". sleep selects the §4.2
+// voluntary low-power variant. A zero fraction returns no plan, so the
+// run is bitwise identical to one without the fault plane.
+func dutyCycle(offFraction float64, sleep bool, endpoints []packet.NodeID) fault.Plan {
+	if offFraction <= 0 {
+		return nil
 	}
+	return fault.Plan{fault.CrashSpec{OffFraction: offFraction, Sleep: sleep, Exclude: endpoints}}
+}
 
-	// "node failures are artificially introduced to turn off
-	// transceivers in all nodes but those that generate and receive CBR
-	// traffic" (§4.3). The crash fault routes through the fault plane,
-	// which reuses the per-node StreamFailure streams and installs in
-	// node-id order — bitwise identical to the hand-wired loop this
-	// replaces, plus fault.* recovery series in the journal snapshots.
-	if failurePct > 0 {
-		var excl []packet.NodeID
-		for _, n := range nw.Nodes {
-			if endpoint[n.ID] {
-				excl = append(excl, n.ID)
-			}
-		}
-		crash := fault.Crash(failurePct)
-		crash.Exclude = excl
-		fault.Install(nw, fault.Plan{crash})
-	}
-
-	nw.Run(sim.Time(cfg.Duration))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(cfg.Duration) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, cfg.Journal != nil)}
+// runRouting runs one routing-rig cell of proto at its document-level
+// settings.
+func runRouting(ctx *sweep.Context, cfg Fig34Config, proto RoutingProto, pairs int, failurePct float64, seed int64) runOut {
+	sp, endpoints := routingSpec(cfg, seed, pairs, scenario.Installer(string(proto), cfg.Lambda, cfg.Range))
+	sp.Plan = dutyCycle(failurePct, false, endpoints)
+	return finish(assemble(ctx, sp), cfg.Journal != nil)
 }
 
 // Fig3Row is one x-axis point of the four Figure 3 panels.
@@ -172,74 +132,58 @@ type Fig3Row struct {
 	Routeless Agg
 }
 
-// versusPoint decodes the shared two-protocol x-axis flattening used by
-// Figures 3 and 4 (and the ablations that reuse their rigs): even
-// points are the baseline protocol, odd points the challenger.
-func versusPoint(point int) (idx int, challenger bool) { return point / 2, point%2 == 1 }
+// versusProto names the protocol at a Figure 3/4 point: AODV is the
+// baseline, Routeless Routing the challenger.
+func versusProto(point int) RoutingProto {
+	if _, rr := versusPoint(point); rr {
+		return ProtoRouteless
+	}
+	return ProtoAODV
+}
 
 // RunFig3 sweeps the number of communicating pairs with no failures.
 func RunFig3(cfg Fig34Config) []Fig3Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("fig3", len(cfg.Pairs)*2, cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		pi, rr := versusPoint(c.Point)
-		proto := ProtoAODV
-		if rr {
-			proto = ProtoRouteless
-		}
-		return runRoutingOnce(ctx, cfg, proto, cfg.Pairs[pi], 0, c.Seed)
+		return runRouting(ctx, cfg, versusProto(c.Point), cfg.Pairs[c.Point/2], 0, c.Seed)
 	})
+	aodv, rr := foldVersus(len(cfg.Pairs), cells, results)
 	rows := make([]Fig3Row, len(cfg.Pairs))
 	for i, p := range cfg.Pairs {
-		rows[i].Pairs = p
+		rows[i] = Fig3Row{Pairs: p, AODV: aodv[i], Routeless: rr[i]}
 	}
-	for i, c := range cells {
-		pi, rr := versusPoint(c.Point)
-		if rr {
-			rows[pi].Routeless.Add(results[i].RunMetrics)
-		} else {
-			rows[pi].AODV.Add(results[i].RunMetrics)
-		}
-	}
-	if cfg.Journal != nil {
-		for i, c := range cells {
-			pi, rr := versusPoint(c.Point)
-			proto := ProtoAODV
-			if rr {
-				proto = ProtoRouteless
-			}
-			// A write failure sticks on the journal; callers check Err once.
-			_ = cfg.Journal.Write(metrics.Record{
-				Experiment: "fig3",
-				Label:      fmt.Sprintf("%s pairs=%d", proto, cfg.Pairs[pi]),
-				Seed:       c.Seed,
-				Config:     cfg,
-				Metrics:    results[i].snap,
-			})
-		}
-	}
+	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
+		return fmt.Sprintf("%s pairs=%d", versusProto(point), cfg.Pairs[point/2])
+	})
 	return rows
 }
 
-// Fig3Table renders the four panels as one table.
-func Fig3Table(rows []Fig3Row) *stats.Table {
-	t := stats.NewTable(
-		"Figure 3 — Routeless Routing vs AODV, no failures (bidirectional CBR)",
-		"pairs",
+// routingTable renders the four panels Figures 3 and 4 share, one row
+// per x-axis value.
+func routingTable(title, xcol string, n int, row func(i int) (x any, aodv, rr *Agg)) *stats.Table {
+	t := stats.NewTable(title, xcol,
 		"aodv_delay_s", "rr_delay_s",
 		"aodv_delivery", "rr_delivery",
 		"aodv_mac_pkts", "rr_mac_pkts",
 		"aodv_hops", "rr_hops",
 	)
-	for _, r := range rows {
-		t.AddRow(r.Pairs,
-			r.AODV.Delay.Mean(), r.Routeless.Delay.Mean(),
-			r.AODV.Delivery.Mean(), r.Routeless.Delivery.Mean(),
-			r.AODV.MACPackets.Mean(), r.Routeless.MACPackets.Mean(),
-			r.AODV.Hops.Mean(), r.Routeless.Hops.Mean(),
+	for i := 0; i < n; i++ {
+		x, aodv, rr := row(i)
+		t.AddRow(x,
+			aodv.Delay.Mean(), rr.Delay.Mean(),
+			aodv.Delivery.Mean(), rr.Delivery.Mean(),
+			aodv.MACPackets.Mean(), rr.MACPackets.Mean(),
+			aodv.Hops.Mean(), rr.Hops.Mean(),
 		)
 	}
 	return t
+}
+
+// Fig3Table renders the four panels as one table.
+func Fig3Table(rows []Fig3Row) *stats.Table {
+	return routingTable("Figure 3 — Routeless Routing vs AODV, no failures (bidirectional CBR)", "pairs",
+		len(rows), func(i int) (any, *Agg, *Agg) { return rows[i].Pairs, &rows[i].AODV, &rows[i].Routeless })
 }
 
 // Fig4Row is one x-axis point of the four Figure 4 panels.
@@ -254,62 +198,21 @@ func RunFig4(cfg Fig34Config) []Fig4Row {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("fig4", len(cfg.FailurePcts)*2, cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		pi, rr := versusPoint(c.Point)
-		proto := ProtoAODV
-		if rr {
-			proto = ProtoRouteless
-		}
-		return runRoutingOnce(ctx, cfg, proto, cfg.Fig4Pairs, cfg.FailurePcts[pi], c.Seed)
+		return runRouting(ctx, cfg, versusProto(c.Point), cfg.Fig4Pairs, cfg.FailurePcts[c.Point/2], c.Seed)
 	})
+	aodv, rr := foldVersus(len(cfg.FailurePcts), cells, results)
 	rows := make([]Fig4Row, len(cfg.FailurePcts))
 	for i, pct := range cfg.FailurePcts {
-		rows[i].FailurePct = pct
+		rows[i] = Fig4Row{FailurePct: pct, AODV: aodv[i], Routeless: rr[i]}
 	}
-	for i, c := range cells {
-		pi, rr := versusPoint(c.Point)
-		if rr {
-			rows[pi].Routeless.Add(results[i].RunMetrics)
-		} else {
-			rows[pi].AODV.Add(results[i].RunMetrics)
-		}
-	}
-	if cfg.Journal != nil {
-		for i, c := range cells {
-			pi, rr := versusPoint(c.Point)
-			proto := ProtoAODV
-			if rr {
-				proto = ProtoRouteless
-			}
-			// A write failure sticks on the journal; callers check Err once.
-			_ = cfg.Journal.Write(metrics.Record{
-				Experiment: "fig4",
-				Label:      fmt.Sprintf("%s failure=%g", proto, cfg.FailurePcts[pi]),
-				Seed:       c.Seed,
-				Config:     cfg,
-				Metrics:    results[i].snap,
-			})
-		}
-	}
+	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
+		return fmt.Sprintf("%s failure=%g", versusProto(point), cfg.FailurePcts[point/2])
+	})
 	return rows
 }
 
 // Fig4Table renders the four panels as one table.
 func Fig4Table(rows []Fig4Row) *stats.Table {
-	t := stats.NewTable(
-		"Figure 4 — Routeless Routing vs AODV under duty-cycle node failures",
-		"failure_pct",
-		"aodv_delay_s", "rr_delay_s",
-		"aodv_delivery", "rr_delivery",
-		"aodv_mac_pkts", "rr_mac_pkts",
-		"aodv_hops", "rr_hops",
-	)
-	for _, r := range rows {
-		t.AddRow(r.FailurePct,
-			r.AODV.Delay.Mean(), r.Routeless.Delay.Mean(),
-			r.AODV.Delivery.Mean(), r.Routeless.Delivery.Mean(),
-			r.AODV.MACPackets.Mean(), r.Routeless.MACPackets.Mean(),
-			r.AODV.Hops.Mean(), r.Routeless.Hops.Mean(),
-		)
-	}
-	return t
+	return routingTable("Figure 4 — Routeless Routing vs AODV under duty-cycle node failures", "failure_pct",
+		len(rows), func(i int) (any, *Agg, *Agg) { return rows[i].FailurePct, &rows[i].AODV, &rows[i].Routeless })
 }

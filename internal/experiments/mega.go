@@ -10,6 +10,7 @@ import (
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/rng"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/sweep"
@@ -139,17 +140,9 @@ func RunMega(cfg MegaConfig) []MegaRow {
 			row.Election.Add(m.Delay / m.Hops)
 		}
 	}
-	if cfg.Journal != nil {
-		for i, c := range cells {
-			_ = cfg.Journal.Write(metrics.Record{
-				Experiment: "fig_mega",
-				Label:      fmt.Sprintf("ssaf n=%d", cfg.Ns[c.Point]),
-				Seed:       c.Seed,
-				Config:     cfg,
-				Metrics:    results[i].snap,
-			})
-		}
-	}
+	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
+		return fmt.Sprintf("ssaf n=%d", cfg.Ns[point])
+	})
 	return rows
 }
 
@@ -159,61 +152,61 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 		baseline = retainedHeap()
 	}
 	side := megaSide(n, cfg.Density)
-	nw := node.New(node.Config{
-		N:     n,
-		Rect:  geo.NewRect(side, side),
-		Range: cfg.Range,
-		Seed:  seed,
-		// No EnsureConnected: the connectivity check is O(N·deg) per
-		// placement draw, and at Figure-1 density a giant component
-		// spans the arena anyway — stragglers just dent the delivery
-		// ratio deterministically.
-		Runtime:      ctx.Runtime(),
-		Tiles:        cfg.Tiles,
-		TileWorkers:  cfg.TileWorkers,
-		LinkCacheCap: cfg.LinkCacheCap,
-		CompactRNG:   true,
-	})
-	minDBm, maxDBm := ssafSpan(cfg.Range)
-	fcfg := flood.SSAFConfig(cfg.Lambda, minDBm, maxDBm)
+	dur := megaDuration(cfg, side)
+	fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
 	// The default TTL of 32 suits paper-scale arenas; a mega arena's
 	// diagonal is hundreds of hops (SSAF's effective hop progress is
 	// roughly half the calibrated range), so the brake scales with the
 	// geometry instead of silently amputating the flood mid-arena.
 	fcfg.TTL = int(4*side*math.Sqrt2/cfg.Range) + 16
-	// Aggregate the flood.* series: per-node registration would cost six
-	// registry entries per node and an O(N) snapshot; the aggregate is
-	// bit-identical and O(1).
-	floodArena := make([]flood.Flooding, n)
-	floods := make([]*flood.Flooding, 0, n)
-	nw.InstallAggregated(func(n *node.Node) node.Protocol {
-		f := &floodArena[len(floods)]
-		flood.Init(f, &fcfg)
-		floods = append(floods, f)
-		return f
-	}, func(reg *metrics.Registry) { flood.RegisterAggregate(reg, floods) })
-	if cfg.MemProbe != nil {
-		cfg.MemProbe(n, retainedHeap()-baseline)
-	}
-
-	var meter stats.Meter
-	tap := NewAppTap(nw, &meter)
-	dur := megaDuration(cfg, side)
-	pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, cfg.Flows)
-	cbrs := make([]*traffic.CBR, len(pairs))
-	for i, p := range pairs {
-		// One packet per flow: the interval outlasts the whole run, and
-		// the 1 s stagger keeps floods from colliding at birth.
-		cbrs[i] = traffic.NewCBR(nw.Nodes[p.Src], p.Dst, sim.Time(dur)+3*drainTime, cfg.DataSize)
-		tap.Watch(cbrs[i])
-		cbrs[i].StartAt(sim.Time(0.5 + float64(i)))
-	}
-	nw.Run(sim.Time(dur))
-	for _, c := range cbrs {
-		c.Stop()
-	}
-	nw.Run(sim.Time(dur) + drainTime)
-	return runOut{collect(nw, tap), snapshotIf(nw, cfg.Journal != nil)}
+	return finish(assemble(ctx, scenario.Spec{
+		Net: node.Config{
+			N:     n,
+			Rect:  geo.NewRect(side, side),
+			Range: cfg.Range,
+			Seed:  seed,
+			// No EnsureConnected: the connectivity check is O(N·deg) per
+			// placement draw, and at Figure-1 density a giant component
+			// spans the arena anyway — stragglers just dent the delivery
+			// ratio deterministically.
+			Tiles:        cfg.Tiles,
+			TileWorkers:  cfg.TileWorkers,
+			LinkCacheCap: cfg.LinkCacheCap,
+			CompactRNG:   true,
+		},
+		Install: func(nw *node.Network) {
+			// One contiguous protocol arena, and aggregate flood.* series:
+			// per-node registration would cost six registry entries per
+			// node and an O(N) snapshot; the aggregate is bit-identical
+			// and O(1).
+			floodArena := make([]flood.Flooding, n)
+			floods := make([]*flood.Flooding, 0, n)
+			nw.InstallAggregated(func(*node.Node) node.Protocol {
+				f := &floodArena[len(floods)]
+				flood.Init(f, &fcfg)
+				floods = append(floods, f)
+				return f
+			}, func(reg *metrics.Registry) { flood.RegisterAggregate(reg, floods) })
+			if cfg.MemProbe != nil {
+				cfg.MemProbe(n, retainedHeap()-baseline)
+			}
+		},
+		Flows: func(*node.Network) []scenario.CBRFlow {
+			pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, cfg.Flows)
+			flows := make([]scenario.CBRFlow, len(pairs))
+			for i, p := range pairs {
+				// One packet per flow: the interval outlasts the whole run,
+				// and the 1 s stagger keeps floods from colliding at birth.
+				flows[i] = scenario.CBRFlow{
+					Src: p.Src, Dst: p.Dst, Size: cfg.DataSize,
+					Interval: sim.Time(dur) + 3*scenario.DrainTime,
+					StartAt:  sim.Time(0.5 + float64(i)),
+				}
+			}
+			return flows
+		},
+		Duration: sim.Time(dur),
+	}), cfg.Journal != nil)
 }
 
 // retainedHeap forces a collection and returns the live heap bytes —

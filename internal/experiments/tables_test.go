@@ -11,9 +11,9 @@ import (
 
 // The journal goldens pin fig1, churn and fig_mega; the tables golden
 // pins everything else the CLI prints — fig1–4, abl1–6 and churn as
-// CSV at a scale that runs in seconds. It was committed from the
-// behaviour before the figures moved onto the shared run assembler, so
-// a byte of drift here means a figure's wiring order changed.
+// CSV at a scale that runs in seconds. A byte of drift here means some
+// figure's run wiring (network, protocol, flows, faults, their order)
+// changed.
 
 func tinyFig34() Fig34Config {
 	return Fig34Config{

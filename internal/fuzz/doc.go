@@ -24,39 +24,3 @@
 // fuzz driver (cmd/simfuzz -seeds) therefore produces the identical
 // verdict list on every invocation.
 package fuzz
-
-import "routeless/internal/scenario"
-
-// The scenario document itself was promoted to internal/scenario — the
-// unified run-description API shared by wmansim, simserve, snapshots,
-// and this fuzzer. These aliases keep the fuzzer's historical
-// vocabulary (and every committed fixture) meaning exactly what it
-// always meant; the generator now writes into the public document type.
-type (
-	Scenario  = scenario.Scenario
-	Flow      = scenario.Flow
-	Mobility  = scenario.Mobility
-	FaultSpec = scenario.FaultSpec
-)
-
-// Protocol and placement vocabularies, re-exported.
-const (
-	ProtoCounter1  = scenario.ProtoCounter1
-	ProtoSSAF      = scenario.ProtoSSAF
-	ProtoRouteless = scenario.ProtoRouteless
-	ProtoAODV      = scenario.ProtoAODV
-	ProtoGradient  = scenario.ProtoGradient
-
-	PlaceUniform = scenario.PlaceUniform
-	PlaceCluster = scenario.PlaceCluster
-	PlaceLine    = scenario.PlaceLine
-	PlaceGrid    = scenario.PlaceGrid
-)
-
-// subGenerate is the generator's child stream label under
-// rng.StreamFuzz (placement and mobility labels live with the
-// scenario package, which owns those draws now).
-const subGenerate = scenario.SubGenerate
-
-var protocols = scenario.Protocols
-var placements = scenario.Placements

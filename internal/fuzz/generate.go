@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"routeless/internal/rng"
+	"routeless/internal/scenario"
 )
 
 // Limits bounds the generator so a fuzz run's wall time stays
@@ -44,10 +45,10 @@ func (l Limits) withDefaults() Limits {
 // every generated scenario validates cleanly by construction — an
 // invalid-scenario verdict on a generated seed means the generator and
 // Validate disagree, which its test treats as a bug.
-func Generate(seed int64, lim Limits) Scenario {
+func Generate(seed int64, lim Limits) scenario.Scenario {
 	lim = lim.withDefaults()
-	r := rng.New(seed, rng.StreamFuzz, subGenerate)
-	sc := Scenario{Seed: seed}
+	r := rng.New(seed, rng.StreamFuzz, scenario.SubGenerate)
+	sc := scenario.Scenario{Seed: seed}
 
 	sc.N = 4 + r.Intn(lim.MaxN-3)
 	sc.Range = 100 + r.Float64()*150
@@ -66,13 +67,13 @@ func Generate(seed int64, lim Limits) Scenario {
 
 	switch d := r.Intn(10); {
 	case d < 4:
-		sc.Placement = PlaceUniform
+		sc.Placement = scenario.PlaceUniform
 	case d < 6:
-		sc.Placement = PlaceCluster
+		sc.Placement = scenario.PlaceCluster
 	case d < 8:
-		sc.Placement = PlaceLine
+		sc.Placement = scenario.PlaceLine
 	default:
-		sc.Placement = PlaceGrid
+		sc.Placement = scenario.PlaceGrid
 	}
 	wantConnected := r.Intn(4) < 3
 	wantFading := r.Intn(5) == 0
@@ -85,19 +86,19 @@ func Generate(seed int64, lim Limits) Scenario {
 	minSpeed := 0.5 + r.Float64()*2
 	maxSpeed := minSpeed + r.Float64()*4
 
-	sc.Protocol = protocols[r.Intn(len(protocols))]
+	sc.Protocol = scenario.Protocols[r.Intn(len(scenario.Protocols))]
 	sc.Lambda = 0
 	if r.Intn(3) == 0 {
 		sc.Lambda = 0.002 + r.Float64()*0.02
 	}
 
 	nFlows := 1 + r.Intn(lim.MaxFlows)
-	seen := make(map[Flow]bool, nFlows)
+	seen := make(map[scenario.Flow]bool, nFlows)
 	for i := 0; i < nFlows; i++ {
 		// Bounded rejection sampling for distinct, non-self flows; a few
 		// collisions simply yield fewer flows.
 		for try := 0; try < 8; try++ {
-			f := Flow{Src: r.Intn(sc.N), Dst: r.Intn(sc.N)}
+			f := scenario.Flow{Src: r.Intn(sc.N), Dst: r.Intn(sc.N)}
 			if f.Src == f.Dst || seen[f] {
 				continue
 			}
@@ -114,14 +115,14 @@ func Generate(seed int64, lim Limits) Scenario {
 	// Reconcile against the constraint matrix: tiles win over fading and
 	// mobility (they exercise the rarer engine), Connected only applies
 	// to uniform placement.
-	sc.Connected = wantConnected && sc.Placement == PlaceUniform
+	sc.Connected = wantConnected && sc.Placement == scenario.PlaceUniform
 	if wantTiles > 1 {
 		sc.Tiles = wantTiles
 	} else {
 		sc.Fading = wantFading
 		if wantMobility {
 			movers := 1 + int(moverFrac*float64(sc.N-1))
-			sc.Mobility = &Mobility{Movers: movers, MinSpeed: minSpeed, MaxSpeed: maxSpeed}
+			sc.Mobility = &scenario.Mobility{Movers: movers, MinSpeed: minSpeed, MaxSpeed: maxSpeed}
 		}
 	}
 
@@ -135,24 +136,24 @@ func Generate(seed int64, lim Limits) Scenario {
 // genFault draws one fault spec from realistic parameter ranges — the
 // same shapes the churn study installs, with dials wide enough to reach
 // corners the experiments never set.
-func genFault(r *rand.Rand) FaultSpec {
+func genFault(r *rand.Rand) scenario.FaultSpec {
 	switch r.Intn(4) {
 	case 0:
-		return FaultSpec{Kind: "crash",
+		return scenario.FaultSpec{Kind: "crash",
 			OffFraction: 0.05 + r.Float64()*0.3,
 			Cycle:       0.5 + r.Float64()*2,
 			Sleep:       r.Intn(2) == 0}
 	case 1:
-		return FaultSpec{Kind: "drain",
+		return scenario.FaultSpec{Kind: "drain",
 			CapacityJ: 0.05 + r.Float64()*5,
 			Period:    0.1 + r.Float64()*0.9}
 	case 2:
-		return FaultSpec{Kind: "degrade",
+		return scenario.FaultSpec{Kind: "degrade",
 			OffsetDB: -30 + r.Float64()*20,
 			Period:   0.5 + r.Float64()*4,
 			Duration: 0.2 + r.Float64()*1.8}
 	default:
-		return FaultSpec{Kind: "jam",
+		return scenario.FaultSpec{Kind: "jam",
 			TxPowerDBm: 10 + r.Float64()*20,
 			Period:     0.5 + r.Float64()*4,
 			Burst:      0.1 + r.Float64()*0.9,

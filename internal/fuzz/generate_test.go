@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"reflect"
+	"routeless/internal/scenario"
 	"testing"
 )
 
@@ -67,12 +68,12 @@ func TestGenerateCoversFeatures(t *testing.T) {
 			faulted++
 		}
 	}
-	for _, p := range placements {
+	for _, p := range scenario.Placements {
 		if !seenPlacement[p] {
 			t.Errorf("placement %q never generated", p)
 		}
 	}
-	for _, p := range protocols {
+	for _, p := range scenario.Protocols {
 		if !seenProto[p] {
 			t.Errorf("protocol %q never generated", p)
 		}

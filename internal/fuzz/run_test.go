@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"routeless/internal/node"
+	"routeless/internal/scenario"
 )
 
 // tiny returns a fast-passing scenario for runner tests.
-func tiny() Scenario {
-	return Scenario{
+func tiny() scenario.Scenario {
+	return scenario.Scenario{
 		Seed: 7, N: 8, Width: 400, Height: 400, Range: 250,
-		Placement: PlaceUniform, Connected: true,
-		Protocol: ProtoCounter1,
-		Flows:    []Flow{{Src: 0, Dst: 5}},
+		Placement: scenario.PlaceUniform, Connected: true,
+		Protocol: scenario.ProtoCounter1,
+		Flows:    []scenario.Flow{{Src: 0, Dst: 5}},
 		Interval: 0.5, DataSize: 64, Duration: 1,
 	}
 }
@@ -54,7 +55,7 @@ func TestRunImpossiblePlacementIsInvalid(t *testing.T) {
 	sc.N = 3
 	sc.Width, sc.Height = 100000, 100000
 	sc.Range = 30
-	sc.Flows = []Flow{{Src: 0, Dst: 1}}
+	sc.Flows = []scenario.Flow{{Src: 0, Dst: 1}}
 	res := r.Run(sc)
 	if res.Verdict != VerdictInvalid || !strings.Contains(res.Detail, "no connected placement") {
 		t.Fatalf("verdict = %q (%s), want invalid-scenario from placement", res.Verdict, res.Detail)

@@ -1,5 +1,7 @@
 package fuzz
 
+import "routeless/internal/scenario"
+
 // The shrinking reducer: given a failing scenario and a predicate that
 // re-checks failure, greedily apply size-reducing moves until no move
 // keeps the scenario failing. The result is the minimal reproducer that
@@ -18,7 +20,7 @@ package fuzz
 // sum the shrinker minimizes. Duration is counted in 0.5 s halves (the
 // generator's quantum), so every move below maps to a positive integer
 // decrease.
-func cost(sc Scenario) int {
+func cost(sc scenario.Scenario) int {
 	c := sc.N * 1000
 	c += int(sc.Duration*2) * 50
 	c += len(sc.Flows) * 20
@@ -40,9 +42,9 @@ func cost(sc Scenario) int {
 
 // clampToN drops flows referencing nodes at or beyond n and clamps the
 // mobility head-set, so node-count moves always yield valid scenarios.
-func clampToN(sc Scenario, n int) Scenario {
+func clampToN(sc scenario.Scenario, n int) scenario.Scenario {
 	sc.N = n
-	var flows []Flow
+	var flows []scenario.Flow
 	for _, f := range sc.Flows {
 		if f.Src < n && f.Dst < n {
 			flows = append(flows, f)
@@ -61,17 +63,17 @@ func clampToN(sc Scenario, n int) Scenario {
 // within each axis: drop whole fault specs, drop flows, halve then
 // decrement duration, halve then decrement N, switch off mobility /
 // fading / tiling / the connectivity requirement.
-func moves(sc Scenario) []Scenario {
-	var out []Scenario
+func moves(sc scenario.Scenario) []scenario.Scenario {
+	var out []scenario.Scenario
 
 	for i := range sc.Faults {
 		c := sc
-		c.Faults = append(append([]FaultSpec(nil), sc.Faults[:i]...), sc.Faults[i+1:]...)
+		c.Faults = append(append([]scenario.FaultSpec(nil), sc.Faults[:i]...), sc.Faults[i+1:]...)
 		out = append(out, c)
 	}
 	for i := range sc.Flows {
 		c := sc
-		c.Flows = append(append([]Flow(nil), sc.Flows[:i]...), sc.Flows[i+1:]...)
+		c.Flows = append(append([]scenario.Flow(nil), sc.Flows[:i]...), sc.Flows[i+1:]...)
 		out = append(out, c)
 	}
 
@@ -141,7 +143,7 @@ func maxInt(a, b int) int {
 // still returns true, along with how many candidate evaluations the
 // reduction spent. maxEvals bounds predicate calls (each one is a full
 // double simulation when driven by a Runner); 0 means 1000.
-func Shrink(sc Scenario, failing func(Scenario) bool, maxEvals int) (Scenario, int) {
+func Shrink(sc scenario.Scenario, failing func(scenario.Scenario) bool, maxEvals int) (scenario.Scenario, int) {
 	if maxEvals <= 0 {
 		maxEvals = 1000
 	}

@@ -4,19 +4,20 @@ import (
 	"testing"
 
 	"routeless/internal/node"
+	"routeless/internal/scenario"
 )
 
 // big returns the oversized failing scenario the shrink tests start
 // from.
-func big() Scenario {
-	return Scenario{
+func big() scenario.Scenario {
+	return scenario.Scenario{
 		Seed: 3, N: 40, Width: 900, Height: 900, Range: 250,
-		Placement: PlaceUniform, Connected: true,
-		Protocol: ProtoCounter1,
-		Flows:    []Flow{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}, {Src: 4, Dst: 5}},
+		Placement: scenario.PlaceUniform, Connected: true,
+		Protocol: scenario.ProtoCounter1,
+		Flows:    []scenario.Flow{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}, {Src: 4, Dst: 5}},
 		Interval: 0.5, DataSize: 64, Duration: 6,
-		Mobility: &Mobility{Movers: 5, MinSpeed: 1, MaxSpeed: 5},
-		Faults: []FaultSpec{
+		Mobility: &scenario.Mobility{Movers: 5, MinSpeed: 1, MaxSpeed: 5},
+		Faults: []scenario.FaultSpec{
 			{Kind: "crash", OffFraction: 0.2},
 			{Kind: "jam", TxPowerDBm: 20},
 		},
@@ -29,7 +30,7 @@ func big() Scenario {
 // (N, duration, plan) form — every axis at its smallest still-failing
 // value and every irrelevant feature stripped.
 func TestShrinkPinnedMinimal(t *testing.T) {
-	failing := func(sc Scenario) bool {
+	failing := func(sc scenario.Scenario) bool {
 		return sc.N >= 4 && sc.Duration >= 2 && len(sc.Faults) >= 1
 	}
 	start := big()
@@ -69,7 +70,7 @@ func TestShrinkPinnedMinimal(t *testing.T) {
 
 // TestShrinkDeterministic: same scenario, same predicate, same result.
 func TestShrinkDeterministic(t *testing.T) {
-	failing := func(sc Scenario) bool { return sc.N >= 6 && len(sc.Flows) >= 1 }
+	failing := func(sc scenario.Scenario) bool { return sc.N >= 6 && len(sc.Flows) >= 1 }
 	a, _ := Shrink(big(), failing, 0)
 	b, _ := Shrink(big(), failing, 0)
 	if a.N != b.N || a.Duration != b.Duration || len(a.Flows) != len(b.Flows) || len(a.Faults) != len(b.Faults) {
@@ -80,7 +81,7 @@ func TestShrinkDeterministic(t *testing.T) {
 // TestShrinkRespectsEvalBudget stops at the budget and still returns a
 // failing scenario.
 func TestShrinkRespectsEvalBudget(t *testing.T) {
-	failing := func(sc Scenario) bool { return true }
+	failing := func(sc scenario.Scenario) bool { return true }
 	_, evals := Shrink(big(), failing, 3)
 	if evals > 3 {
 		t.Fatalf("spent %d evals with budget 3", evals)
@@ -91,7 +92,7 @@ func TestShrinkRespectsEvalBudget(t *testing.T) {
 // the predicate is itself a valid scenario, so Runner-driven predicates
 // never burn evaluations on invalid forms.
 func TestShrinkValidityPreserved(t *testing.T) {
-	failing := func(sc Scenario) bool {
+	failing := func(sc scenario.Scenario) bool {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("shrinker proposed an invalid scenario: %v\n%+v", err, sc)
 		}
@@ -116,14 +117,14 @@ func TestShrinkWithRunner(t *testing.T) {
 			nw.Metrics.Counter("mac.enqueued").Inc()
 		}
 	}}
-	start := Scenario{
+	start := scenario.Scenario{
 		Seed: 11, N: 10, Width: 500, Height: 500, Range: 250,
-		Placement: PlaceUniform, Connected: true,
-		Protocol: ProtoCounter1,
-		Flows:    []Flow{{Src: 0, Dst: 3}},
+		Placement: scenario.PlaceUniform, Connected: true,
+		Protocol: scenario.ProtoCounter1,
+		Flows:    []scenario.Flow{{Src: 0, Dst: 3}},
 		Interval: 0.5, DataSize: 64, Duration: 1,
 	}
-	failing := func(sc Scenario) bool { return r.Run(sc).Verdict == VerdictViolation }
+	failing := func(sc scenario.Scenario) bool { return r.Run(sc).Verdict == VerdictViolation }
 	if !failing(start) {
 		t.Fatal("sabotaged start scenario must fail")
 	}

@@ -221,11 +221,12 @@ func (m *MAC) Stats() Stats {
 }
 
 // RegisterAggregate registers the network-wide mac.* series as
-// aggregate func-counters summing over every MAC in macs, in the exact
-// order RegisterMetrics registers them per MAC. The registry sums
-// same-name sources at snapshot time, so the aggregate exposes
-// bit-identical snapshots to N per-MAC registrations while costing
-// O(1) registry entries instead of O(N).
+// aggregate func-counters summing over every MAC in macs: the twelve
+// counters, then the live backlog (the in-flight term of the mac-queue
+// conservation law: frames waiting in the priority queue plus the one
+// under contention). The series order is frozen — it is the order the
+// journals list them in — and one entry per series keeps the registry
+// O(1) in the node count.
 func RegisterAggregate(reg *metrics.Registry, macs []*MAC) {
 	sum := func(pick func(*macCounters) *metrics.Counter32) func() uint64 {
 		return func() uint64 {
@@ -255,31 +256,6 @@ func RegisterAggregate(reg *metrics.Registry, macs []*MAC) {
 			if m.current != nil {
 				n++
 			}
-		}
-		return n
-	})
-}
-
-// RegisterMetrics registers the MAC counters plus the live backlog (the
-// in-flight term of the mac-queue conservation law: frames waiting in
-// the priority queue plus the one under contention).
-func (m *MAC) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe32("mac.enqueued", &m.stats.enqueued)
-	reg.Observe32("mac.dropped_full", &m.stats.droppedFull)
-	reg.Observe32("mac.tx_frames", &m.stats.txFrames)
-	reg.Observe32("mac.tx_acks", &m.stats.txAcks)
-	reg.Observe32("mac.retries", &m.stats.retries)
-	reg.Observe32("mac.unicast_failed", &m.stats.unicastFailed)
-	reg.Observe32("mac.delivered", &m.stats.delivered)
-	reg.Observe32("mac.acks_received", &m.stats.acksReceived)
-	reg.Observe32("mac.dropped_paused", &m.stats.droppedPaused)
-	reg.Observe32("mac.dequeued", &m.stats.dequeued)
-	reg.Observe32("mac.dup_rx", &m.stats.dupRx)
-	reg.Observe32("mac.completed", &m.stats.completed)
-	reg.Func("mac.backlog", func() uint64 {
-		n := uint64(m.queue.len())
-		if m.current != nil {
-			n++
 		}
 		return n
 	})

@@ -111,11 +111,11 @@ func NewRuntime() *Runtime {
 }
 
 // Reset shrinks the runtime's event free lists to the watermark of the
-// run(s) since the previous Reset (see sim.EventPool.Reset). The sweep
-// engine calls it between cells so a worker that just served the
-// sweep's largest cell does not pin that cell's memory for every
-// smaller cell that follows. Must not be called while any network
-// built on this runtime is still running.
+// run since the previous Reset (see sim.EventPool.Reset) and zeroes the
+// watermarks. Its one caller is the run assembler (scenario.Assemble),
+// right before each build; a second call between runs would see a zero
+// watermark and empty the free lists. Must not be called while any
+// network built on this runtime is still running.
 func (rt *Runtime) Reset() {
 	rt.Events.Reset()
 	for _, p := range rt.tileEvents {

@@ -431,12 +431,11 @@ func (c *Channel) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // RegisterRadioMetrics registers the network-wide phy.* series as
-// aggregate func-counters summing over every radio, in the exact order
-// Radio.RegisterMetrics registers them per radio. The registry sums
-// same-name sources at snapshot time, so N per-radio Observe
-// registrations and one aggregate Func per series expose bit-identical
-// snapshots — but the aggregate costs O(1) registry entries instead of
-// O(N), which is what makes a million-radio registry affordable.
+// aggregate func-counters summing over every radio: the twelve radio
+// counters, then the in-flight signal count. The series order is frozen
+// — it is the order the journals list them in — and one entry per
+// series keeps the registry O(1) in the node count, which is what makes
+// a million-radio registry affordable.
 func (c *Channel) RegisterRadioMetrics(reg *metrics.Registry) {
 	sum := func(pick func(*radioCounters) *metrics.Counter32) func() uint64 {
 		return func() uint64 {

@@ -223,25 +223,6 @@ func (r *Radio) Stats() Stats {
 	}
 }
 
-// RegisterMetrics registers the radio's counters and in-flight signal
-// count with the registry; per-radio registrations under the same names
-// sum into network-wide phy.* series.
-func (r *Radio) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe32("phy.tx_frames", &r.stats.txFrames)
-	reg.Observe32("phy.rx_frames", &r.stats.rxFrames)
-	reg.Observe32("phy.collisions", &r.stats.collisions)
-	reg.Observe32("phy.missed_weak", &r.stats.missedWeak)
-	reg.Observe32("phy.dropped_off", &r.stats.droppedOff)
-	reg.Observe32("phy.aborted_by_tx", &r.stats.abortedByTx)
-	reg.Observe32("phy.aborted_by_off", &r.stats.abortedByOff)
-	reg.Observe32("phy.tx_aborted", &r.stats.txAborted)
-	reg.Observe32("phy.truncated", &r.stats.truncated)
-	reg.Observe32("phy.signal_starts", &r.stats.signalStarts)
-	reg.Observe32("phy.signal_ends", &r.stats.signalEnds)
-	reg.Observe32("phy.flushed_by_off", &r.stats.flushedByOff)
-	reg.Func("phy.in_air", func() uint64 { return uint64(len(r.inAir)) })
-}
-
 // Energy returns the radio's energy meter (a view into the channel's
 // struct-of-arrays meter slot).
 func (r *Radio) Energy() *Energy { return &r.channel.energies[r.id] }

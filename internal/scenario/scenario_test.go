@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"routeless/internal/scenario"
+	"routeless/internal/sweep"
 )
 
 func validDoc() scenario.Scenario {
@@ -98,5 +99,35 @@ func TestBuildTypedError(t *testing.T) {
 	_, err := scenario.Build(sc)
 	if !errors.Is(err, scenario.ErrBuild) {
 		t.Fatalf("got %v, want errors.Is(ErrBuild)", err)
+	}
+}
+
+// TestPoolWorkerKeepsEventFreeList: the runtime reset has one owner, the
+// assembler. Two identical documents run back to back on one pool
+// worker, and the second build must find the first run's recycled
+// events still on the free list — a second reset between the runs would
+// read a zero watermark and drop them all.
+func TestPoolWorkerKeepsEventFreeList(t *testing.T) {
+	pool := sweep.NewPool(1)
+	var freeAtBuild [2]int
+	for i := range freeAtBuild {
+		pool.Submit(func(ctx *sweep.Context) {
+			run, err := scenario.BuildWith(validDoc(), scenario.BuildOptions{Runtime: ctx.Runtime()})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			freeAtBuild[i] = ctx.Runtime().Events.FreeLen()
+			if _, err := run.Finish(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	pool.Close()
+	if freeAtBuild[0] != 0 {
+		t.Fatalf("first build on a fresh worker found %d free events", freeAtBuild[0])
+	}
+	if freeAtBuild[1] == 0 {
+		t.Fatal("second build found an empty event free list: the first run's events were dropped between runs")
 	}
 }

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"routeless/internal/metrics"
+	"routeless/internal/rng"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/snapshot"
+	"routeless/internal/traffic"
 )
 
 // fig1Scenario mirrors the fig1_tiny golden configuration: 30 nodes on
@@ -184,16 +188,81 @@ func TestSnapshotAtEveryEpoch(t *testing.T) {
 	}
 }
 
-// TestGoldenJournalLinkage ties the scenario path to the committed
-// golden journals indirectly: the fig1-shaped scenario's metric
-// snapshot must be identical between two independent builds — the
-// determinism base the journal gates stand on.
+// goldenCell reads record idx of a committed experiment journal and
+// returns the harness config and seed it was produced from plus the
+// JSON of its final metric snapshot.
+func goldenCell(t *testing.T, name string, idx int, cfg any) (seed int64, snap []byte) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Seed    int64           `json:"seed"`
+		Config  json.RawMessage `json:"config"`
+		Metrics json.RawMessage `json:"metrics"`
+	}
+	if err := json.Unmarshal(bytes.Split(data, []byte("\n"))[idx], &rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(rec.Config, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Seed, rec.Metrics
+}
+
+// TestGoldenJournalLinkage ties the document path to the committed
+// experiment goldens: a scenario document written from a figure cell's
+// parameters — flows drawn the way the harness draws them, the churn
+// plan spelled out as fault specs — must finish with a metric snapshot
+// byte-identical to that cell's record in the golden journal. Harness
+// cells and documents share one assembler; this is the test that
+// notices if they ever stop doing so.
 func TestGoldenJournalLinkage(t *testing.T) {
-	sc := fig1Scenario(scenario.ProtoCounter1, 1)
-	_, a := runFull(t, sc)
-	_, b := runFull(t, sc)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same-seed scenario runs diverge (%d vs %d bytes)", len(a), len(b))
+	var cfg struct {
+		Nodes, Connections, Pairs, DataSize int
+		Terrain, Range, Duration, Lambda    float64
+		Interval                            float64
+		Intervals, Intensities              []float64
+	}
+	doc := func(seed int64, proto string, interval float64, pairs int, bidir bool) scenario.Scenario {
+		sc := scenario.Scenario{
+			Seed: seed, N: cfg.Nodes, Width: cfg.Terrain, Height: cfg.Terrain, Range: cfg.Range,
+			Placement: scenario.PlaceUniform, Connected: true,
+			Protocol: proto, Lambda: cfg.Lambda,
+			Interval: interval, DataSize: cfg.DataSize, Duration: cfg.Duration,
+		}
+		for _, p := range traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), cfg.Nodes, pairs) {
+			sc.Flows = append(sc.Flows, scenario.Flow{Src: int(p.Src), Dst: int(p.Dst)})
+			if bidir {
+				sc.Flows = append(sc.Flows, scenario.Flow{Src: int(p.Dst), Dst: int(p.Src)})
+			}
+		}
+		return sc
+	}
+
+	// fig1_tiny record 0: counter-1 flooding at the only interval.
+	seed, want := goldenCell(t, "fig1_tiny.journal.jsonl", 0, &cfg)
+	sc := doc(seed, scenario.ProtoCounter1, cfg.Intervals[0], cfg.Connections, false)
+	if _, got := runFull(t, sc); !bytes.Equal(got, want) {
+		t.Fatalf("fig1 document diverges from the golden cell (%d vs %d bytes)", len(got), len(want))
+	}
+
+	// churn_tiny record 0: Routeless Routing under the composite plan.
+	seed, want = goldenCell(t, "churn_tiny.journal.jsonl", 0, &cfg)
+	sc = doc(seed, scenario.ProtoRouteless, cfg.Interval, cfg.Pairs, true)
+	x := cfg.Intensities[0]
+	crash := scenario.FaultSpec{Kind: "crash", OffFraction: x}
+	for _, f := range sc.Flows {
+		crash.Exclude = append(crash.Exclude, f.Src)
+	}
+	sc.Faults = []scenario.FaultSpec{
+		crash,
+		{Kind: "degrade", OffsetDB: -25, Period: 0.05 / x},
+		{Kind: "jam", TxPowerDBm: 24.5, Period: 0.05 / x},
+	}
+	if _, got := runFull(t, sc); !bytes.Equal(got, want) {
+		t.Fatalf("churn document diverges from the golden cell (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -35,9 +35,6 @@ func NewPool(workers int) *Pool {
 			ctx := &Context{worker: w, rt: node.NewRuntime()}
 			for job := range p.jobs {
 				job(ctx)
-				// Shrink pooled free lists to this job's watermark, as
-				// the batch engine does between cells.
-				ctx.rt.Reset()
 			}
 		}(w)
 	}

@@ -66,7 +66,9 @@ type Context struct {
 func (c *Context) Worker() int { return c.worker }
 
 // Runtime returns the worker's reusable allocation state for
-// node.Config.Runtime.
+// node.Config.Runtime. The engine never resets it: the run assembler
+// (scenario.Assemble) does, once, before each build — a second reset
+// between runs would read a zero watermark and empty the free lists.
 func (c *Context) Runtime() *node.Runtime { return c.rt }
 
 // queue hands out cell indices to workers. Each worker owns a
@@ -143,9 +145,6 @@ func Run[T any](workers int, cells []Cell, fn func(ctx *Context, i int, c Cell) 
 		ctx := &Context{worker: 0, rt: node.NewRuntime()}
 		for i, c := range cells {
 			out[i] = fn(ctx, i, c)
-			// Shrink pooled free lists to this cell's watermark, so one
-			// big cell does not pin its footprint for the whole sweep.
-			ctx.rt.Reset()
 		}
 		return out
 	}
@@ -160,7 +159,6 @@ func Run[T any](workers int, cells []Cell, fn func(ctx *Context, i int, c Cell) 
 				return
 			}
 			out[i] = fn(ctx, i, cells[i])
-			ctx.rt.Reset()
 		}
 	})
 	return out
