@@ -106,10 +106,10 @@ func main() {
 			}
 			if arb.Leader() != packet.None {
 				resolved++
-				rounds += float64(arb.Stats().Triggers)
+				rounds += float64(arb.Count(core.Triggers))
 				latency += float64(electedAt) * 1e3
 			}
-			msgs += float64(cl.Stats().Broadcasts)
+			msgs += float64(cl.Count(core.Broadcasts))
 		}
 		t := float64(*trials)
 		meanRounds, meanLat := 0.0, 0.0

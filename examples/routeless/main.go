@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"routeless"
+	"routeless/internal/routing"
 )
 
 func main() {
@@ -70,9 +71,8 @@ func main() {
 		}
 		fmt.Printf("  n%-4d %3d relays (%s)\n", id, relayLoad[id], state)
 	}
-	st := protos[src].Stats()
 	fmt.Printf("\nsource stats: %d discoveries (no re-discovery after the failure), %d data sent\n",
-		st.DiscoveriesSent, st.DataSent)
+		protos[src].Count(routing.RRDiscoveriesSent), protos[src].Count(routing.RRDataSent))
 }
 
 func nearest(nw *routeless.Network, x, y float64) int {

@@ -32,23 +32,20 @@ type Cluster struct {
 
 	inflight map[packet.NodeID][]*delivery
 
-	stats clusterCounters
+	stats [numClusterSeries]metrics.Counter32
 }
 
-// ClusterStats is a read-only view of the medium counters.
-type ClusterStats struct {
-	Broadcasts uint64
-	Delivered  uint64
-	Lost       uint64 // random loss
-	Collided   uint64 // destroyed by the collision window
-}
+// ClusterSeries indexes one of the medium's counters.
+type ClusterSeries uint8
 
-type clusterCounters struct {
-	broadcasts metrics.Counter
-	delivered  metrics.Counter
-	lost       metrics.Counter
-	collided   metrics.Counter
-}
+// The medium's counters.
+const (
+	Broadcasts ClusterSeries = iota
+	Delivered
+	Lost     // random loss
+	Collided // destroyed by the collision window
+	numClusterSeries
+)
 
 type delivery struct {
 	at       sim.Time
@@ -107,34 +104,19 @@ func (c *Cluster) AttachElector(e *Elector) { c.electors[e.ID()] = e }
 // AttachArbiter registers an arbiter to receive deliveries at its id.
 func (c *Cluster) AttachArbiter(a *Arbiter) { c.arbiters[a.ID()] = a }
 
-// Stats returns medium counters.
-func (c *Cluster) Stats() ClusterStats {
-	return ClusterStats{
-		Broadcasts: c.stats.broadcasts.Value(),
-		Delivered:  c.stats.delivered.Value(),
-		Lost:       c.stats.lost.Value(),
-		Collided:   c.stats.collided.Value(),
-	}
-}
-
-// RegisterMetrics implements metrics.Source.
-func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe("cluster.broadcasts", &c.stats.broadcasts)
-	reg.Observe("cluster.delivered", &c.stats.delivered)
-	reg.Observe("cluster.lost", &c.stats.lost)
-	reg.Observe("cluster.collided", &c.stats.collided)
-}
+// Count returns the current value of one of the medium's counters.
+func (c *Cluster) Count(s ClusterSeries) uint64 { return c.stats[s].Value() }
 
 // Broadcast implements Medium.
 func (c *Cluster) Broadcast(from packet.NodeID, msg Message) {
-	c.stats.broadcasts.Inc()
+	c.stats[Broadcasts].Inc()
 	at := c.kernel.Now() + c.delay
 	for to, linked := range c.adj[from] {
 		if !linked {
 			continue
 		}
 		if c.loss > 0 && c.rng.Float64() < c.loss {
-			c.stats.lost.Inc()
+			c.stats[Lost].Inc()
 			continue
 		}
 		rcv := packet.NodeID(to)
@@ -169,10 +151,10 @@ func (c *Cluster) deliver(to packet.NodeID, d *delivery) {
 		}
 	}
 	if d.collided {
-		c.stats.collided.Inc()
+		c.stats[Collided].Inc()
 		return
 	}
-	c.stats.delivered.Inc()
+	c.stats[Delivered].Inc()
 	if e, ok := c.electors[to]; ok {
 		e.Handle(d.from, d.msg)
 	}

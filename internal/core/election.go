@@ -47,26 +47,21 @@ type Elector struct {
 	// itself or learns the leader. Optional.
 	OnOutcome func(Outcome)
 
-	stats electorCounters
+	stats [numElectorSeries]metrics.Counter32
 }
 
-// ElectorStats is the plain-uint64 snapshot view of election counters.
-type ElectorStats struct {
-	Syncs      uint64 // synchronization points observed
-	Announces  uint64 // rounds this node claimed leadership
-	Cancels    uint64 // backoffs cancelled by someone else's win
-	Abstained  uint64 // rounds the policy declined to compete
-	AckCancels uint64 // cancellations caused by arbiter ACKs
-}
+// ElectorSeries indexes one of an elector's counters.
+type ElectorSeries uint8
 
-// electorCounters is the live counter storage behind ElectorStats.
-type electorCounters struct {
-	syncs      metrics.Counter
-	announces  metrics.Counter
-	cancels    metrics.Counter
-	abstained  metrics.Counter
-	ackCancels metrics.Counter
-}
+// The elector's counters.
+const (
+	Syncs      ElectorSeries = iota // synchronization points observed
+	Announces                       // rounds this node claimed leadership
+	Cancels                         // backoffs cancelled by someone else's win
+	Abstained                       // rounds the policy declined to compete
+	AckCancels                      // cancellations caused by arbiter ACKs
+	numElectorSeries
+)
 
 // NewElector builds an elector for node id using the given policy.
 func NewElector(k *sim.Kernel, id packet.NodeID, medium Medium, policy BackoffPolicy) *Elector {
@@ -78,26 +73,8 @@ func NewElector(k *sim.Kernel, id packet.NodeID, medium Medium, policy BackoffPo
 // ID returns the elector's node id.
 func (e *Elector) ID() packet.NodeID { return e.id }
 
-// Stats returns the elector's counters.
-func (e *Elector) Stats() ElectorStats {
-	return ElectorStats{
-		Syncs:      e.stats.syncs.Value(),
-		Announces:  e.stats.announces.Value(),
-		Cancels:    e.stats.cancels.Value(),
-		Abstained:  e.stats.abstained.Value(),
-		AckCancels: e.stats.ackCancels.Value(),
-	}
-}
-
-// RegisterMetrics registers the elector counters; per-node sources sum
-// into study-wide election.* series.
-func (e *Elector) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe("election.syncs", &e.stats.syncs)
-	reg.Observe("election.announces", &e.stats.announces)
-	reg.Observe("election.cancels", &e.stats.cancels)
-	reg.Observe("election.abstained", &e.stats.abstained)
-	reg.Observe("election.ack_cancels", &e.stats.ackCancels)
-}
+// Count returns the current value of one of the elector's counters.
+func (e *Elector) Count(s ElectorSeries) uint64 { return e.stats[s].Value() }
 
 // Round returns the current round number.
 func (e *Elector) Round() uint32 { return e.round }
@@ -125,10 +102,10 @@ func (e *Elector) beginRound(round uint32, ctx Context) {
 	}
 	e.decided = false
 	e.outcome = Outcome{Round: round, Leader: packet.None}
-	e.stats.syncs.Inc()
+	e.stats[Syncs].Inc()
 	d, ok := e.policy.Backoff(e.ctx)
 	if !ok {
-		e.stats.abstained.Inc()
+		e.stats[Abstained].Inc()
 		e.backoff.Stop()
 		return
 	}
@@ -138,7 +115,7 @@ func (e *Elector) beginRound(round uint32, ctx Context) {
 // announce fires when the backoff expires uncancelled: claim leadership.
 func (e *Elector) announce() {
 	e.decided = true
-	e.stats.announces.Inc()
+	e.stats[Announces].Inc()
 	e.outcome = Outcome{Round: e.round, Leader: e.id, Won: true}
 	e.medium.Broadcast(e.id, Message{Kind: packet.KindAnnounce, Round: e.round, Leader: e.id})
 	e.report()
@@ -158,7 +135,7 @@ func (e *Elector) Handle(from packet.NodeID, msg Message) {
 		}
 		if e.backoff.Pending() {
 			e.backoff.Stop()
-			e.stats.cancels.Inc()
+			e.stats[Cancels].Inc()
 		}
 		e.decided = true
 		e.outcome = Outcome{Round: msg.Round, Leader: msg.Leader}
@@ -169,7 +146,7 @@ func (e *Elector) Handle(from packet.NodeID, msg Message) {
 		}
 		if e.backoff.Pending() {
 			e.backoff.Stop()
-			e.stats.ackCancels.Inc()
+			e.stats[AckCancels].Inc()
 		}
 		if !e.decided {
 			e.decided = true
@@ -216,26 +193,18 @@ type Arbiter struct {
 	// OnGaveUp fires when MaxRetries is exhausted.
 	OnGaveUp func(round uint32)
 
-	stats arbiterCounters
+	stats [numArbiterSeries]metrics.Counter32
 }
 
-// arbiterCounters is the live counter storage behind ArbiterStats.
-type arbiterCounters struct {
-	triggers metrics.Counter
-	acks     metrics.Counter
+// ArbiterSeries indexes one of an arbiter's counters.
+type ArbiterSeries uint8
 
-	// electLatency spans Trigger → Ack for every completed election;
-	// reelectLatency is the subset that needed at least one re-trigger —
-	// the recovery metric the fault plane's churn study reads.
-	electLatency   metrics.Histogram
-	reelectLatency metrics.Histogram
-}
-
-// ArbiterStats is the plain-uint64 snapshot view of arbiter counters.
-type ArbiterStats struct {
-	Triggers uint64 // sync broadcasts (initial + retries)
-	Acks     uint64 // acknowledgements broadcast
-}
+// The arbiter's counters.
+const (
+	Triggers ArbiterSeries = iota // sync broadcasts (initial + retries)
+	Acks                          // acknowledgements broadcast
+	numArbiterSeries
+)
 
 // NewArbiter builds an arbiter for node id.
 func NewArbiter(k *sim.Kernel, id packet.NodeID, medium Medium, timeout sim.Time) *Arbiter {
@@ -247,21 +216,8 @@ func NewArbiter(k *sim.Kernel, id packet.NodeID, medium Medium, timeout sim.Time
 // ID returns the arbiter's node id.
 func (a *Arbiter) ID() packet.NodeID { return a.id }
 
-// Stats returns the arbiter's counters.
-func (a *Arbiter) Stats() ArbiterStats {
-	return ArbiterStats{
-		Triggers: a.stats.triggers.Value(),
-		Acks:     a.stats.acks.Value(),
-	}
-}
-
-// RegisterMetrics registers the arbiter counters under arbiter.* names.
-func (a *Arbiter) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe("arbiter.triggers", &a.stats.triggers)
-	reg.Observe("arbiter.acks", &a.stats.acks)
-	reg.ObserveHistogram("arbiter.elect_latency_s", &a.stats.electLatency)
-	reg.ObserveHistogram("arbiter.reelect_latency_s", &a.stats.reelectLatency)
-}
+// Count returns the current value of one of the arbiter's counters.
+func (a *Arbiter) Count(s ArbiterSeries) uint64 { return a.stats[s].Value() }
 
 // Leader returns the elected leader, or packet.None.
 func (a *Arbiter) Leader() packet.NodeID {
@@ -283,7 +239,7 @@ func (a *Arbiter) Trigger() {
 }
 
 func (a *Arbiter) broadcastSync() {
-	a.stats.triggers.Inc()
+	a.stats[Triggers].Inc()
 	a.medium.Broadcast(a.id, Message{Kind: packet.KindSync, Round: a.round})
 	a.timer.Reset(a.Timeout)
 }
@@ -296,15 +252,7 @@ func (a *Arbiter) Handle(from packet.NodeID, msg Message) {
 	a.done = true
 	a.leader = msg.Leader
 	a.timer.Stop()
-	a.stats.acks.Inc()
-	// Latency is measured from the logical election's first trigger:
-	// retriggered rounds keep roundStart, so a re-election's latency
-	// includes every timed-out attempt.
-	lat := float64(a.kernel.Now() - a.roundStart)
-	a.stats.electLatency.Observe(lat)
-	if a.retries > 0 {
-		a.stats.reelectLatency.Observe(lat)
-	}
+	a.stats[Acks].Inc()
 	a.medium.Broadcast(a.id, Message{Kind: packet.KindAck, Round: a.round, Leader: msg.Leader})
 	if a.OnElected != nil {
 		a.OnElected(msg.Leader, a.round)

@@ -99,7 +99,7 @@ func TestCollisionCanYieldNoLeader(t *testing.T) {
 			t.Fatalf("node %v learned leader %v through a collided medium", e.ID(), o.Leader)
 		}
 	}
-	if cluster.Stats().Collided == 0 {
+	if cluster.Count(Collided) == 0 {
 		t.Fatal("expected collisions")
 	}
 }
@@ -152,8 +152,8 @@ func TestArbiterAcknowledgesWinner(t *testing.T) {
 	if arb.Leader() != elected {
 		t.Fatalf("Leader() = %v, want %v", arb.Leader(), elected)
 	}
-	if arb.Stats().Acks != 1 {
-		t.Fatalf("acks = %d, want 1", arb.Stats().Acks)
+	if arb.Count(Acks) != 1 {
+		t.Fatalf("acks = %d, want 1", arb.Count(Acks))
 	}
 }
 
@@ -174,9 +174,9 @@ func TestArbiterRetriggersThroughLoss(t *testing.T) {
 	k.SetHorizon(60)
 	k.Run()
 	if arb.Leader() == packet.None {
-		t.Fatalf("no leader after unbounded retries (triggers=%d)", arb.Stats().Triggers)
+		t.Fatalf("no leader after unbounded retries (triggers=%d)", arb.Count(Triggers))
 	}
-	if arb.Stats().Triggers < 2 {
+	if arb.Count(Triggers) < 2 {
 		t.Skip("loss pattern let round 1 through; nothing to assert")
 	}
 }
@@ -195,7 +195,7 @@ func TestArbiterGivesUpAfterMaxRetries(t *testing.T) {
 	if !gaveUp {
 		t.Fatal("arbiter never gave up")
 	}
-	if got := arb.Stats().Triggers; got != 4 { // initial + 3 retries
+	if got := arb.Count(Triggers); got != 4 { // initial + 3 retries
 		t.Fatalf("triggers = %d, want 4", got)
 	}
 }
@@ -234,8 +234,8 @@ func TestAckCancelsPendingBackoffs(t *testing.T) {
 	if e1.Current().Leader != 0 {
 		t.Fatalf("node 1 learned leader %v, want 0", e1.Current().Leader)
 	}
-	if e1.Stats().AckCancels != 1 {
-		t.Fatalf("AckCancels = %d, want 1", e1.Stats().AckCancels)
+	if e1.Count(AckCancels) != 1 {
+		t.Fatalf("AckCancels = %d, want 1", e1.Count(AckCancels))
 	}
 }
 
@@ -245,11 +245,11 @@ func TestStaleRoundIgnored(t *testing.T) {
 	cluster := es[0].medium.(*Cluster)
 	cluster.TriggerAll(2, map[packet.NodeID]Context{})
 	k.Run()
-	syncsBefore := es[0].Stats().Syncs
+	syncsBefore := es[0].Count(Syncs)
 	cluster.TriggerAll(1, map[packet.NodeID]Context{}) // stale
 	cluster.TriggerAll(2, map[packet.NodeID]Context{}) // duplicate
 	k.Run()
-	if es[0].Stats().Syncs != syncsBefore {
+	if es[0].Count(Syncs) != syncsBefore {
 		t.Fatal("stale/duplicate round restarted the elector")
 	}
 }
@@ -265,8 +265,8 @@ func TestAbstentionCounted(t *testing.T) {
 	}
 	cluster.TriggerAll(1, ctxs)
 	k.Run()
-	if es[0].Stats().Abstained != 1 {
-		t.Fatalf("node 0 Abstained = %d, want 1", es[0].Stats().Abstained)
+	if es[0].Count(Abstained) != 1 {
+		t.Fatalf("node 0 Abstained = %d, want 1", es[0].Count(Abstained))
 	}
 	if es[0].Current().Won {
 		t.Fatal("abstaining node won")

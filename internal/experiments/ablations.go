@@ -199,9 +199,9 @@ func runElectionOnce(ctx *sweep.Context, n, si, trial int, lambda sim.Time, seed
 		out.none = 1
 	}
 	if arb.Leader() != packet.None {
-		out.rounds = float64(arb.Stats().Triggers)
+		out.rounds = float64(arb.Count(core.Triggers))
 	}
-	out.bcasts = float64(cl.Stats().Broadcasts)
+	out.bcasts = float64(cl.Count(core.Broadcasts))
 	return out
 }
 

@@ -175,18 +175,13 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 			CompactRNG:   true,
 		},
 		Install: func(nw *node.Network) {
-			// One contiguous protocol arena, and aggregate flood.* series:
-			// per-node registration would cost six registry entries per
-			// node and an O(N) snapshot; the aggregate is bit-identical
-			// and O(1).
+			// One contiguous protocol arena instead of N heap objects.
 			floodArena := make([]flood.Flooding, n)
-			floods := make([]*flood.Flooding, 0, n)
-			nw.InstallAggregated(func(*node.Node) node.Protocol {
-				f := &floodArena[len(floods)]
+			nw.Install(func(nd *node.Node) node.Protocol {
+				f := &floodArena[nd.ID]
 				flood.Init(f, &fcfg)
-				floods = append(floods, f)
 				return f
-			}, func(reg *metrics.Registry) { flood.RegisterAggregate(reg, floods) })
+			})
 			if cfg.MemProbe != nil {
 				cfg.MemProbe(n, retainedHeap()-baseline)
 			}

@@ -74,26 +74,29 @@ func LocationConfig(lambda sim.Time, rangeM float64, locator func(id packet.Node
 	}
 }
 
-// Stats is the plain-uint64 snapshot view of one node's flooding
-// counters.
-type Stats struct {
-	Originated uint64 // packets this node sourced
-	Forwards   uint64 // rebroadcasts enqueued to the MAC
-	Duplicates uint64 // copies suppressed by dedup
-	Cancelled  uint64 // pending rebroadcasts cancelled (Cancel variant)
-	Delivered  uint64 // packets consumed as destination
-	TTLDrops   uint64 // copies dropped for exhausted TTL
-}
+// Series indexes one cell of a node's flooding counter block.
+type Series uint8
 
-// floodCounters is the live counter storage behind Stats.
-type floodCounters struct {
-	originated metrics.Counter32
-	forwards   metrics.Counter32
-	duplicates metrics.Counter32
-	cancelled  metrics.Counter32
-	delivered  metrics.Counter32
-	ttlDrops   metrics.Counter32
-}
+// The flood.* counters, in journal order.
+const (
+	Originated Series = iota // packets this node sourced
+	Forwards                 // rebroadcasts enqueued to the MAC
+	Duplicates               // copies suppressed by dedup
+	Cancelled                // pending rebroadcasts cancelled (Cancel variant)
+	Delivered                // packets consumed as destination
+	TTLDrops                 // copies dropped for exhausted TTL
+	numSeries
+)
+
+// table names the series; it is the only place they are spelled.
+var table = metrics.Table{Counters: []string{
+	Originated: "flood.originated",
+	Forwards:   "flood.forwards",
+	Duplicates: "flood.duplicates",
+	Cancelled:  "flood.cancelled",
+	Delivered:  "flood.delivered",
+	TTLDrops:   "flood.ttl_drops",
+}}
 
 // Flooding is one node's instance of the protocol.
 type Flooding struct {
@@ -111,7 +114,7 @@ type Flooding struct {
 	// OnForward, if set, observes every rebroadcast (for tracing).
 	OnForward func(pkt *packet.Packet)
 
-	stats floodCounters
+	stats [numSeries]metrics.Counter32
 }
 
 // pendingForward is one armed rebroadcast. The backoff timer is held by
@@ -134,9 +137,8 @@ func (pf *pendingForward) fire() {
 	pf.f.transmit(pf.fwd, float64(pf.backoff))
 }
 
-// New builds a flooding instance; install it with Network.Install or
-// (sharing one Config across the population) InstallAggregated. cfg is
-// retained, not copied — every node's instance reads the same Config,
+// New builds a flooding instance; install it with Network.Install. cfg
+// is retained, not copied — every node's instance reads the same Config,
 // which is 48 bytes of identical bytes per node otherwise — and New
 // fills in zero-valued defaults in place, so callers must not mutate
 // it after the first New.
@@ -169,58 +171,18 @@ func Init(f *Flooding, cfg *Config) {
 // Start implements node.Protocol.
 func (f *Flooding) Start(n *node.Node) { f.n = n }
 
-// Stats returns the node's flooding counters.
-func (f *Flooding) Stats() Stats {
-	return Stats{
-		Originated: f.stats.originated.Value(),
-		Forwards:   f.stats.forwards.Value(),
-		Duplicates: f.stats.duplicates.Value(),
-		Cancelled:  f.stats.cancelled.Value(),
-		Delivered:  f.stats.delivered.Value(),
-		TTLDrops:   f.stats.ttlDrops.Value(),
-	}
-}
+// Count returns the current value of one of the node's counters.
+func (f *Flooding) Count(s Series) uint64 { return f.stats[s].Value() }
 
-// RegisterMetrics registers the flooding counters; per-node sources sum
-// into network-wide flood.* series.
-func (f *Flooding) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe32("flood.originated", &f.stats.originated)
-	reg.Observe32("flood.forwards", &f.stats.forwards)
-	reg.Observe32("flood.duplicates", &f.stats.duplicates)
-	reg.Observe32("flood.cancelled", &f.stats.cancelled)
-	reg.Observe32("flood.delivered", &f.stats.delivered)
-	reg.Observe32("flood.ttl_drops", &f.stats.ttlDrops)
-}
-
-// RegisterAggregate registers the network-wide flood.* series as
-// aggregate func-counters summing over every instance in floods, in the
-// exact order RegisterMetrics registers them per node. The registry
-// sums same-name sources at snapshot time, so the aggregate exposes
-// bit-identical snapshots to N per-node registrations while costing
-// O(1) registry entries instead of O(N) — install with
-// Network.InstallAggregated at mega scale.
-func RegisterAggregate(reg *metrics.Registry, floods []*Flooding) {
-	sum := func(pick func(*floodCounters) *metrics.Counter32) func() uint64 {
-		return func() uint64 {
-			var s uint64
-			for _, f := range floods {
-				s += pick(&f.stats).Value()
-			}
-			return s
-		}
-	}
-	reg.Func("flood.originated", sum(func(s *floodCounters) *metrics.Counter32 { return &s.originated }))
-	reg.Func("flood.forwards", sum(func(s *floodCounters) *metrics.Counter32 { return &s.forwards }))
-	reg.Func("flood.duplicates", sum(func(s *floodCounters) *metrics.Counter32 { return &s.duplicates }))
-	reg.Func("flood.cancelled", sum(func(s *floodCounters) *metrics.Counter32 { return &s.cancelled }))
-	reg.Func("flood.delivered", sum(func(s *floodCounters) *metrics.Counter32 { return &s.delivered }))
-	reg.Func("flood.ttl_drops", sum(func(s *floodCounters) *metrics.Counter32 { return &s.ttlDrops }))
+// MetricBlock implements metrics.Source.
+func (f *Flooding) MetricBlock() metrics.Block {
+	return metrics.Block{Table: &table, Counters: f.stats[:]}
 }
 
 // Send implements node.Protocol: originate a flooded data packet.
 func (f *Flooding) Send(target packet.NodeID, size int) {
 	f.seq++
-	f.stats.originated.Inc()
+	f.stats[Originated].Inc()
 	pkt := &packet.Packet{
 		Kind: packet.KindFlood, To: packet.Broadcast,
 		Origin: f.n.ID, Target: target, Seq: f.seq,
@@ -242,7 +204,7 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	}
 	key := pkt.Key()
 	if f.dedup.Seen(key) {
-		f.stats.duplicates.Inc()
+		f.stats[Duplicates].Inc()
 		if f.cfg.Cancel {
 			if pf, ok := f.pending[key]; ok {
 				cancelled := false
@@ -254,20 +216,20 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 				}
 				if cancelled {
 					delete(f.pending, key)
-					f.stats.cancelled.Inc()
+					f.stats[Cancelled].Inc()
 				}
 			}
 		}
 		return
 	}
 	if pkt.Target == f.n.ID {
-		f.stats.delivered.Inc()
+		f.stats[Delivered].Inc()
 		f.n.Deliver(pkt)
 		// The destination still participates in the flood: other
 		// receivers may sit behind it.
 	}
 	if pkt.TTL <= 1 {
-		f.stats.ttlDrops.Inc()
+		f.stats[TTLDrops].Inc()
 		return
 	}
 	f.armForward(pkt, rssiDBm)
@@ -275,11 +237,11 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 
 func (f *Flooding) handleBlind(pkt *packet.Packet, rssiDBm float64) {
 	if pkt.Target == f.n.ID {
-		f.stats.delivered.Inc()
+		f.stats[Delivered].Inc()
 		f.n.Deliver(pkt)
 	}
 	if pkt.TTL <= 1 {
-		f.stats.ttlDrops.Inc()
+		f.stats[TTLDrops].Inc()
 		return
 	}
 	backoff := sim.Time(f.n.Rng.Float64()) * 5e-3
@@ -321,7 +283,7 @@ func (f *Flooding) prepareForward(pkt *packet.Packet) *packet.Packet {
 }
 
 func (f *Flooding) transmit(fwd *packet.Packet, priority float64) {
-	f.stats.forwards.Inc()
+	f.stats[Forwards].Inc()
 	if f.OnForward != nil {
 		f.OnForward(fwd)
 	}

@@ -1,10 +1,14 @@
 package flood
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"routeless/internal/core"
 	"routeless/internal/geo"
+	"routeless/internal/mac"
+	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
@@ -56,15 +60,15 @@ func TestCounter1EachNodeForwardsOnce(t *testing.T) {
 	floods[0].Send(4, packet.SizeData)
 	nw.Run(2)
 	for i, f := range floods[1:] {
-		if f.Stats().Forwards != 1 {
-			t.Fatalf("node %d forwarded %d times, want 1", i+1, f.Stats().Forwards)
+		if f.Count(Forwards) != 1 {
+			t.Fatalf("node %d forwarded %d times, want 1", i+1, f.Count(Forwards))
 		}
 	}
-	if floods[0].Stats().Forwards != 0 {
+	if floods[0].Count(Forwards) != 0 {
 		t.Fatal("source re-forwarded its own packet")
 	}
 	// Interior nodes hear duplicates from both sides.
-	if floods[1].Stats().Duplicates == 0 {
+	if floods[1].Count(Duplicates) == 0 {
 		t.Fatal("interior node saw no duplicates — dedup untested")
 	}
 }
@@ -85,8 +89,7 @@ func TestFloodReachesEveryNodeInField(t *testing.T) {
 		if id == 0 {
 			continue
 		}
-		st := f.Stats()
-		if st.Forwards == 0 && st.Duplicates == 0 {
+		if f.Count(Forwards) == 0 && f.Count(Duplicates) == 0 {
 			missed++
 		}
 	}
@@ -180,7 +183,7 @@ func TestCancelVariantSuppressesForwards(t *testing.T) {
 		nw.Run(2)
 		var sum uint64
 		for _, f := range floods {
-			sum += f.Stats().Forwards
+			sum += f.Count(Forwards)
 		}
 		return sum
 	}
@@ -196,7 +199,7 @@ func TestCancelVariantSuppressesForwards(t *testing.T) {
 	nw.Run(2)
 	var cancels uint64
 	for _, f := range floods {
-		cancels += f.Stats().Cancelled
+		cancels += f.Count(Cancelled)
 	}
 	if cancels == 0 {
 		t.Fatal("Cancelled counter never incremented")
@@ -210,14 +213,14 @@ func TestBlindFloodingTTLBounded(t *testing.T) {
 	nw.Run(5)
 	var forwards uint64
 	for _, f := range floods {
-		forwards += f.Stats().Forwards
+		forwards += f.Count(Forwards)
 	}
 	if forwards == 0 {
 		t.Fatal("blind flooding never forwarded")
 	}
 	var ttlDrops uint64
 	for _, f := range floods {
-		ttlDrops += f.Stats().TTLDrops
+		ttlDrops += f.Count(TTLDrops)
 	}
 	if ttlDrops == 0 {
 		t.Fatal("TTL never exhausted — unbounded blind flood?")
@@ -232,7 +235,7 @@ func TestBlindForwardsMoreThanCounter1(t *testing.T) {
 		nw.Run(5)
 		var sum uint64
 		for _, f := range floods {
-			sum += f.Stats().Forwards
+			sum += f.Count(Forwards)
 		}
 		return sum
 	}
@@ -254,10 +257,10 @@ func TestTTLDropsAtHorizon(t *testing.T) {
 	if delivered {
 		t.Fatal("packet crossed 3 hops with TTL 2")
 	}
-	if floods[1].Stats().Forwards != 1 {
-		t.Fatalf("first relay forwards = %d, want 1", floods[1].Stats().Forwards)
+	if floods[1].Count(Forwards) != 1 {
+		t.Fatalf("first relay forwards = %d, want 1", floods[1].Count(Forwards))
 	}
-	if floods[2].Stats().TTLDrops == 0 {
+	if floods[2].Count(TTLDrops) == 0 {
 		t.Fatal("second relay should have dropped on TTL")
 	}
 }
@@ -300,7 +303,7 @@ func TestBackoffPriorityReachesMAC(t *testing.T) {
 	nw, floods := build(t, SSAFConfig(5e-3, -55.1, -33.2), 11, chain(3, 200)...)
 	floods[0].Send(2, packet.SizeData)
 	nw.Run(2)
-	if nw.Nodes[1].MAC.Stats().TxFrames < 1 {
+	if nw.Nodes[1].MAC.Count(mac.TxFrames) < 1 {
 		t.Fatal("relay never transmitted")
 	}
 	_ = sim.Time(0)
@@ -337,8 +340,30 @@ func TestLocationPolicyAbstainsWithoutLocator(t *testing.T) {
 	floods[0].Send(packet.None, 64)
 	nw.Run(2)
 	for i, f := range floods {
-		if f.Stats().Forwards != 0 {
+		if f.Count(Forwards) != 0 {
 			t.Fatalf("node %d forwarded without position information", i)
+		}
+	}
+}
+
+// TestTableIsTheSchema pins the series table to the index constants:
+// a constant added without a name (or the reverse) fails here, not as a
+// shifted journal column.
+func TestTableIsTheSchema(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		table  metrics.Table
+		n      int
+	}{
+		{"flood.", table, int(numSeries)},
+	} {
+		if len(tc.table.Counters) != tc.n {
+			t.Errorf("%s table names %d counters, the block has %d", tc.prefix, len(tc.table.Counters), tc.n)
+		}
+		for i, name := range append(slices.Clone(tc.table.Counters), tc.table.Hists...) {
+			if !strings.HasPrefix(name, tc.prefix) || len(name) == len(tc.prefix) {
+				t.Errorf("%s series %d is named %q", tc.prefix, i, name)
+			}
 		}
 	}
 }

@@ -17,8 +17,8 @@ func TestDequeueFromQueue(t *testing.T) {
 	if len(recs[1].delivered) != 1 || recs[1].delivered[0].Seq != 1 {
 		t.Fatalf("receiver saw %d frames", len(recs[1].delivered))
 	}
-	if macs[0].Stats().Dequeued != 1 {
-		t.Fatalf("Dequeued = %d", macs[0].Stats().Dequeued)
+	if macs[0].Count(Dequeued) != 1 {
+		t.Fatalf("Dequeued = %d", macs[0].Count(Dequeued))
 	}
 }
 
@@ -87,8 +87,8 @@ func TestARQDuplicateSuppressed(t *testing.T) {
 	// direct double-delivery scenario — retransmit path exercised in
 	// TestUnicastToDeadNeighborFails; here check happy path has none.
 	k.Run()
-	if macs[1].Stats().DupRx != 0 {
-		t.Fatalf("spurious duplicate suppression: %d", macs[1].Stats().DupRx)
+	if macs[1].Count(DupRx) != 0 {
+		t.Fatalf("spurious duplicate suppression: %d", macs[1].Count(DupRx))
 	}
 	if len(recs[1].delivered) != 1 {
 		t.Fatalf("delivered %d", len(recs[1].delivered))

@@ -77,39 +77,43 @@ type Handler interface {
 	OnUnicastFailed(pkt *packet.Packet)
 }
 
-// Stats is the plain-uint64 snapshot view of MAC counters. TxFrames
-// counts every transmission attempt including retries and ACKs: it is
-// the paper's "Number of MAC Packets" metric (Figures 3 and 4).
-type Stats struct {
-	Enqueued      uint64
-	DroppedFull   uint64
-	TxFrames      uint64
-	TxAcks        uint64
-	Retries       uint64
-	UnicastFailed uint64
-	Delivered     uint64
-	AcksReceived  uint64
-	DroppedPaused uint64
-	Dequeued      uint64
-	DupRx         uint64
-	Completed     uint64 // frames that finished successfully (sent/acked)
-}
+// Series indexes one cell of a MAC's counter block.
+type Series uint8
 
-// macCounters is the live counter storage behind Stats.
-type macCounters struct {
-	enqueued      metrics.Counter32
-	droppedFull   metrics.Counter32
-	txFrames      metrics.Counter32
-	txAcks        metrics.Counter32
-	retries       metrics.Counter32
-	unicastFailed metrics.Counter32
-	delivered     metrics.Counter32
-	acksReceived  metrics.Counter32
-	droppedPaused metrics.Counter32
-	dequeued      metrics.Counter32
-	dupRx         metrics.Counter32
-	completed     metrics.Counter32
-}
+// The mac.* counters, in journal order.
+const (
+	Enqueued Series = iota
+	DroppedFull
+	// TxFrames counts every transmission attempt including retries and
+	// ACKs: the paper's "Number of MAC Packets" (Figures 3 and 4).
+	TxFrames
+	TxAcks
+	Retries
+	UnicastFailed
+	Delivered
+	AcksReceived
+	DroppedPaused
+	Dequeued
+	DupRx
+	Completed // frames that finished successfully (sent/acked)
+	numSeries
+)
+
+// table names the series; it is the only place they are spelled.
+var table = metrics.Table{Counters: []string{
+	Enqueued:      "mac.enqueued",
+	DroppedFull:   "mac.dropped_full",
+	TxFrames:      "mac.tx_frames",
+	TxAcks:        "mac.tx_acks",
+	Retries:       "mac.retries",
+	UnicastFailed: "mac.unicast_failed",
+	Delivered:     "mac.delivered",
+	AcksReceived:  "mac.acks_received",
+	DroppedPaused: "mac.dropped_paused",
+	Dequeued:      "mac.dequeued",
+	DupRx:         "mac.dup_rx",
+	Completed:     "mac.completed",
+}}
 
 type macState uint8
 
@@ -160,7 +164,7 @@ type MAC struct {
 	// tagged kernel event (see TagTransmits).
 	tagTx bool
 
-	stats macCounters
+	stats [numSeries]metrics.Counter32
 }
 
 // New wires a MAC onto a radio. It installs itself as the radio's
@@ -202,58 +206,22 @@ func (m *MAC) TagTransmits() {
 	m.access.MarkTagged()
 }
 
-// Stats returns a snapshot of the MAC counters.
-func (m *MAC) Stats() Stats {
-	return Stats{
-		Enqueued:      m.stats.enqueued.Value(),
-		DroppedFull:   m.stats.droppedFull.Value(),
-		TxFrames:      m.stats.txFrames.Value(),
-		TxAcks:        m.stats.txAcks.Value(),
-		Retries:       m.stats.retries.Value(),
-		UnicastFailed: m.stats.unicastFailed.Value(),
-		Delivered:     m.stats.delivered.Value(),
-		AcksReceived:  m.stats.acksReceived.Value(),
-		DroppedPaused: m.stats.droppedPaused.Value(),
-		Dequeued:      m.stats.dequeued.Value(),
-		DupRx:         m.stats.dupRx.Value(),
-		Completed:     m.stats.completed.Value(),
-	}
-}
+// Count returns the current value of one of the MAC's counters.
+func (m *MAC) Count(s Series) uint64 { return m.stats[s].Value() }
 
-// RegisterAggregate registers the network-wide mac.* series as
-// aggregate func-counters summing over every MAC in macs: the twelve
-// counters, then the live backlog (the in-flight term of the mac-queue
-// conservation law: frames waiting in the priority queue plus the one
-// under contention). The series order is frozen — it is the order the
-// journals list them in — and one entry per series keeps the registry
-// O(1) in the node count.
-func RegisterAggregate(reg *metrics.Registry, macs []*MAC) {
-	sum := func(pick func(*macCounters) *metrics.Counter32) func() uint64 {
-		return func() uint64 {
-			var s uint64
-			for _, m := range macs {
-				s += pick(&m.stats).Value()
-			}
-			return s
-		}
-	}
-	reg.Func("mac.enqueued", sum(func(s *macCounters) *metrics.Counter32 { return &s.enqueued }))
-	reg.Func("mac.dropped_full", sum(func(s *macCounters) *metrics.Counter32 { return &s.droppedFull }))
-	reg.Func("mac.tx_frames", sum(func(s *macCounters) *metrics.Counter32 { return &s.txFrames }))
-	reg.Func("mac.tx_acks", sum(func(s *macCounters) *metrics.Counter32 { return &s.txAcks }))
-	reg.Func("mac.retries", sum(func(s *macCounters) *metrics.Counter32 { return &s.retries }))
-	reg.Func("mac.unicast_failed", sum(func(s *macCounters) *metrics.Counter32 { return &s.unicastFailed }))
-	reg.Func("mac.delivered", sum(func(s *macCounters) *metrics.Counter32 { return &s.delivered }))
-	reg.Func("mac.acks_received", sum(func(s *macCounters) *metrics.Counter32 { return &s.acksReceived }))
-	reg.Func("mac.dropped_paused", sum(func(s *macCounters) *metrics.Counter32 { return &s.droppedPaused }))
-	reg.Func("mac.dequeued", sum(func(s *macCounters) *metrics.Counter32 { return &s.dequeued }))
-	reg.Func("mac.dup_rx", sum(func(s *macCounters) *metrics.Counter32 { return &s.dupRx }))
-	reg.Func("mac.completed", sum(func(s *macCounters) *metrics.Counter32 { return &s.completed }))
+// RegisterMetrics registers the network-wide mac.* series over a MAC
+// arena: the counter blocks as one population, then the live backlog
+// (the in-flight term of the mac-queue conservation law: frames waiting
+// in the priority queue plus the one under contention).
+func RegisterMetrics(reg *metrics.Registry, macs []MAC) {
+	reg.Population(&table, len(macs), func(i int) metrics.Block {
+		return metrics.Block{Table: &table, Counters: macs[i].stats[:]}
+	})
 	reg.Func("mac.backlog", func() uint64 {
 		var n uint64
-		for _, m := range macs {
-			n += uint64(m.queue.len())
-			if m.current != nil {
+		for i := range macs {
+			n += uint64(macs[i].queue.len())
+			if macs[i].current != nil {
 				n++
 			}
 		}
@@ -271,9 +239,9 @@ func (m *MAC) ID() packet.NodeID { return m.radio.ID() }
 // served first — network layers pass their backoff delay). It reports
 // false when the queue is full and the frame was dropped.
 func (m *MAC) Enqueue(pkt *packet.Packet, priority float64) bool {
-	m.stats.enqueued.Inc()
+	m.stats[Enqueued].Inc()
 	if !m.queue.push(pkt, priority) {
-		m.stats.droppedFull.Inc()
+		m.stats[DroppedFull].Inc()
 		return false
 	}
 	if m.state == stIdle {
@@ -297,14 +265,14 @@ func (m *MAC) Dequeue(pkt *packet.Packet) bool {
 			m.access.Stop()
 			m.current = nil
 			m.state = stIdle
-			m.stats.dequeued.Inc()
+			m.stats[Dequeued].Inc()
 			m.nextFrame()
 			return true
 		}
 		return false
 	}
 	if m.queue.remove(pkt) {
-		m.stats.dequeued.Inc()
+		m.stats[Dequeued].Inc()
 		return true
 	}
 	return false
@@ -319,7 +287,7 @@ func (m *MAC) Pause() {
 	if m.current != nil {
 		// Back in the queue; it will recontend after Resume.
 		if !m.queue.push(m.current.pkt, m.current.priority) {
-			m.stats.droppedPaused.Inc()
+			m.stats[DroppedPaused].Inc()
 		}
 		m.current = nil
 	}
@@ -409,7 +377,7 @@ func (m *MAC) transmitCurrent() {
 		return
 	}
 	m.state = stTx
-	m.stats.txFrames.Inc()
+	m.stats[TxFrames].Inc()
 	m.pendingTx = m.current.pkt
 	m.radio.Transmit(m.current.pkt)
 }
@@ -432,13 +400,13 @@ func (m *MAC) OnTxDone() {
 }
 
 func (m *MAC) ackTimeout() {
-	m.stats.retries.Inc()
+	m.stats[Retries].Inc()
 	m.retries++
 	if m.retries > m.cfg.RetryLimit {
 		pkt := m.current.pkt
 		m.current = nil
 		m.state = stIdle
-		m.stats.unicastFailed.Inc()
+		m.stats[UnicastFailed].Inc()
 		if m.handler != nil {
 			m.handler.OnUnicastFailed(pkt)
 		}
@@ -454,7 +422,7 @@ func (m *MAC) ackTimeout() {
 func (m *MAC) finishCurrent(pkt *packet.Packet, ok bool) {
 	m.current = nil
 	m.state = stIdle
-	m.stats.completed.Inc()
+	m.stats[Completed].Inc()
 	if ok && m.handler != nil {
 		m.handler.OnSent(pkt)
 	}
@@ -466,7 +434,7 @@ func (m *MAC) OnReceive(pkt *packet.Packet, rssiDBm float64) {
 	if pkt.Kind == packet.KindMACAck {
 		if m.state == stAck && pkt.To == m.radio.ID() {
 			if ref, okRef := pkt.Payload.(uint64); okRef && ref == m.ackRef {
-				m.stats.acksReceived.Inc()
+				m.stats[AcksReceived].Inc()
 				m.access.Stop()
 				m.finishCurrent(m.current.pkt, true)
 			}
@@ -476,11 +444,11 @@ func (m *MAC) OnReceive(pkt *packet.Packet, rssiDBm float64) {
 	if pkt.To == m.radio.ID() {
 		m.scheduleAck(pkt)
 		if m.seenUID(pkt.UID) {
-			m.stats.dupRx.Inc()
+			m.stats[DupRx].Inc()
 			return // ARQ retransmission: acked again, delivered once
 		}
 	}
-	m.stats.delivered.Inc()
+	m.stats[Delivered].Inc()
 	if m.handler != nil {
 		m.handler.OnDeliver(pkt, rssiDBm)
 	}
@@ -524,8 +492,8 @@ func (m *MAC) scheduleAck(orig *packet.Packet) {
 		if !m.radio.On() || m.radio.State() == phy.StateTx {
 			return // can't ack right now; sender will retry
 		}
-		m.stats.txAcks.Inc()
-		m.stats.txFrames.Inc()
+		m.stats[TxAcks].Inc()
+		m.stats[TxFrames].Inc()
 		m.radio.Transmit(ack)
 	}
 	if m.tagTx {

@@ -1,9 +1,12 @@
 package mac
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"routeless/internal/geo"
+	"routeless/internal/metrics"
 	"routeless/internal/packet"
 	"routeless/internal/phy"
 	"routeless/internal/propagation"
@@ -86,7 +89,7 @@ func TestBroadcastNoAck(t *testing.T) {
 	k, _, macs, _ := rig(t, pts(0, 0, 100, 0))
 	macs[0].Enqueue(bcast(1), 0)
 	k.Run()
-	if macs[1].Stats().TxAcks != 0 {
+	if macs[1].Count(TxAcks) != 0 {
 		t.Fatal("broadcast frames must not be acknowledged")
 	}
 }
@@ -101,11 +104,11 @@ func TestUnicastAcked(t *testing.T) {
 	if len(recs[0].sent) != 1 {
 		t.Fatal("sender missing OnSent after ACK")
 	}
-	if macs[1].Stats().TxAcks != 1 {
-		t.Fatalf("TxAcks = %d, want 1", macs[1].Stats().TxAcks)
+	if macs[1].Count(TxAcks) != 1 {
+		t.Fatalf("TxAcks = %d, want 1", macs[1].Count(TxAcks))
 	}
-	if macs[0].Stats().AcksReceived != 1 {
-		t.Fatalf("AcksReceived = %d, want 1", macs[0].Stats().AcksReceived)
+	if macs[0].Count(AcksReceived) != 1 {
+		t.Fatalf("AcksReceived = %d, want 1", macs[0].Count(AcksReceived))
 	}
 	if len(recs[0].failed) != 0 {
 		t.Fatal("spurious unicast failure")
@@ -121,13 +124,12 @@ func TestUnicastToDeadNeighborFails(t *testing.T) {
 	if len(recs[0].failed) != 1 {
 		t.Fatalf("failed = %d, want 1 (retry limit exhausted)", len(recs[0].failed))
 	}
-	st := macs[0].Stats()
-	if st.Retries != uint64(DefaultConfig().RetryLimit)+1 {
-		t.Fatalf("Retries = %d, want %d", st.Retries, DefaultConfig().RetryLimit+1)
+	if macs[0].Count(Retries) != uint64(DefaultConfig().RetryLimit)+1 {
+		t.Fatalf("Retries = %d, want %d", macs[0].Count(Retries), DefaultConfig().RetryLimit+1)
 	}
 	// Every retry is a MAC transmission: retry limit + 1 originals.
-	if st.TxFrames != uint64(DefaultConfig().RetryLimit)+1 {
-		t.Fatalf("TxFrames = %d, want %d", st.TxFrames, DefaultConfig().RetryLimit+1)
+	if macs[0].Count(TxFrames) != uint64(DefaultConfig().RetryLimit)+1 {
+		t.Fatalf("TxFrames = %d, want %d", macs[0].Count(TxFrames), DefaultConfig().RetryLimit+1)
 	}
 }
 
@@ -144,7 +146,7 @@ func TestOverhearingPromiscuous(t *testing.T) {
 		t.Fatal("overheard frame lost its MAC destination")
 	}
 	// But the bystander must not ACK it.
-	if macs[2].Stats().TxAcks != 0 {
+	if macs[2].Count(TxAcks) != 0 {
 		t.Fatal("bystander acknowledged a frame not addressed to it")
 	}
 }
@@ -193,13 +195,12 @@ func TestQueueOverflowDrops(t *testing.T) {
 		macs[0].Enqueue(bcast(uint32(s)), 0)
 	}
 	k.Run()
-	st := macs[0].Stats()
-	if st.DroppedFull == 0 {
+	if macs[0].Count(DroppedFull) == 0 {
 		t.Fatal("overflow did not drop")
 	}
 	// One frame is promoted out of the queue immediately, so cap+1 fit.
-	if st.DroppedFull != uint64(10-1) {
-		t.Fatalf("DroppedFull = %d, want 9", st.DroppedFull)
+	if macs[0].Count(DroppedFull) != uint64(10-1) {
+		t.Fatalf("DroppedFull = %d, want 9", macs[0].Count(DroppedFull))
 	}
 }
 
@@ -284,8 +285,8 @@ func TestStatsTxCountsIncludeAcks(t *testing.T) {
 	k, _, macs, _ := rig(t, pts(0, 0, 100, 0))
 	macs[0].Enqueue(unicast(1, 1), 0)
 	k.Run()
-	if macs[1].Stats().TxFrames != 1 {
-		t.Fatalf("receiver TxFrames = %d, want 1 (the ACK)", macs[1].Stats().TxFrames)
+	if macs[1].Count(TxFrames) != 1 {
+		t.Fatalf("receiver TxFrames = %d, want 1 (the ACK)", macs[1].Count(TxFrames))
 	}
 }
 
@@ -329,8 +330,7 @@ func TestHiddenTerminalCollides(t *testing.T) {
 		macs[2].Enqueue(&packet.Packet{Kind: packet.KindData, To: packet.Broadcast, Origin: 2, Seq: s, Size: packet.SizeData}, 0)
 	}
 	k.Run()
-	st := ch.Radio(1).Stats()
-	if st.Collisions+st.MissedWeak == 0 {
+	if ch.Radio(1).Count(phy.Collisions)+ch.Radio(1).Count(phy.MissedWeak) == 0 {
 		t.Fatal("hidden terminals never collided — carrier sense model suspect")
 	}
 	if len(recs[1].delivered) == 40 {
@@ -345,4 +345,26 @@ func TestQueuePanicsOnBadCap(t *testing.T) {
 		}
 	}()
 	newPrioQueue(0)
+}
+
+// TestTableIsTheSchema pins the series table to the index constants:
+// a constant added without a name (or the reverse) fails here, not as a
+// shifted journal column.
+func TestTableIsTheSchema(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		table  metrics.Table
+		n      int
+	}{
+		{"mac.", table, int(numSeries)},
+	} {
+		if len(tc.table.Counters) != tc.n {
+			t.Errorf("%s table names %d counters, the block has %d", tc.prefix, len(tc.table.Counters), tc.n)
+		}
+		for i, name := range append(slices.Clone(tc.table.Counters), tc.table.Hists...) {
+			if !strings.HasPrefix(name, tc.prefix) || len(name) == len(tc.prefix) {
+				t.Errorf("%s series %d is named %q", tc.prefix, i, name)
+			}
+		}
+	}
 }

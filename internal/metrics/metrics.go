@@ -9,15 +9,17 @@
 //     the name index map is only ever used for point lookups, never
 //     iterated. Snapshots and their JSON encodings are bit-for-bit
 //     identical across same-seed runs.
-//   - Hot-path cost. A Counter is one uint64 behind an Inc/Add method;
-//     instrumented layers embed Counter fields directly in their private
-//     counter structs, so counting is a plain increment with no map
-//     lookup, interface call, or allocation. Registration happens once
-//     at network construction.
+//   - Hot-path cost. A counter is one integer behind an Inc/Add method;
+//     each per-node layer holds its counters as one fixed-size block
+//     indexed by constants, so counting is a constant-index increment
+//     with no map lookup, interface call, or allocation. Registration
+//     happens once at network construction.
+//   - One spelling. A layer names its per-node series once, in a Table;
+//     Registry.Population registers every entity's Block under those
+//     names as one summing source, so the registry stays O(series) at
+//     any node count.
 //   - Mutation discipline. Counter/Gauge values are unexported; the only
-//     way to change them is through the typed methods. The simlint
-//     `statsmut` rule additionally forbids raw `++`/`+=` mutation of
-//     exported Stats-view fields outside this package.
+//     way to change them is through the typed methods.
 //
 // Conservation laws make drop/abort accounting self-checking: a law
 // states that the sum of one set of counter names equals the sum of
@@ -49,9 +51,9 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// Counter32 is a 4-byte counter for dense per-entity stat blocks
-// (per-radio, per-MAC, per-flooder) where a million instances exist and
-// every field is paid N times. Value widens to uint64, and the registry
+// Counter32 is the 4-byte cell of a per-entity Block (per-radio,
+// per-MAC, per-protocol-instance), where a million instances exist and
+// every cell is paid N times. Value widens to uint64, and the registry
 // sums sources in uint64, so aggregate series stay exact as long as
 // each individual entity's count stays below 2^32 — per-node event
 // counts in any feasible run are orders of magnitude smaller. Network-
@@ -126,18 +128,22 @@ func (k Kind) String() string {
 }
 
 // entry is one named metric. Registering the same name again appends to
-// the entry's source list: per-node counters sum into one network-wide
-// series, which is what the experiments report. Registration order of
-// the FIRST appearance fixes the entry's position forever.
+// the entry's source list: per-tile counters and per-node populations
+// sum into one network-wide series, which is what the experiments
+// report. Registration order of the FIRST appearance fixes the entry's
+// position forever.
 type entry struct {
-	name       string
-	kind       Kind
-	counters   []*Counter
-	counters32 []*Counter32
-	cfuncs     []func() uint64
-	gauges     []*Gauge
-	gfuncs     []func() float64
-	hists      []*Histogram
+	name     string
+	kind     Kind
+	counters []*Counter
+	cfuncs   []func() uint64
+	gauges   []*Gauge
+	gfuncs   []func() float64
+	hists    []*Histogram
+	// popSums and popHists point at the column of each registered
+	// population that carries this name; Registry.refresh fills them.
+	popSums  []*uint64
+	popHists []*stats.Welford
 }
 
 func (e *entry) total() uint64 {
@@ -145,8 +151,8 @@ func (e *entry) total() uint64 {
 	for _, c := range e.counters {
 		t += c.v
 	}
-	for _, c := range e.counters32 {
-		t += uint64(c.v)
+	for _, p := range e.popSums {
+		t += *p
 	}
 	for _, f := range e.cfuncs {
 		t += f()
@@ -170,7 +176,45 @@ func (e *entry) welford() stats.Welford {
 	for _, h := range e.hists {
 		w.Merge(h.w)
 	}
+	for _, p := range e.popHists {
+		w.Merge(*p)
+	}
 	return w
+}
+
+// Table declares one layer's per-entity series in journal order: the
+// counter names, position i naming cell i of every entity's block, then
+// the histogram names. A layer declares its table once, as a package-
+// level literal it never assigns; the table's address is its identity.
+type Table struct {
+	Counters []string
+	Hists    []string
+}
+
+// Block is one entity's live cells for its layer's Table: Counters[i]
+// counts Table.Counters[i] and Hists[i] samples Table.Hists[i]. The
+// zero Block belongs to no table.
+type Block struct {
+	Table    *Table
+	Counters []Counter32
+	Hists    []Histogram
+}
+
+// Source is implemented by protocol layers that count; the network
+// collects the blocks of the protocols it installs into one population
+// per table.
+type Source interface {
+	MetricBlock() Block
+}
+
+// population is n entities sharing one table, summed column-wise by
+// refresh into the cells the table's entries point at.
+type population struct {
+	table *Table
+	n     int
+	at    func(i int) Block
+	sums  []uint64
+	hists []stats.Welford
 }
 
 // law is one conservation assertion: sum(left) == sum(right), exact in
@@ -198,6 +242,7 @@ type invariant struct {
 type Registry struct {
 	entries    []*entry
 	index      map[string]int
+	pops       []*population
 	laws       []law
 	invariants []invariant
 }
@@ -239,11 +284,47 @@ func (r *Registry) Observe(name string, c *Counter) {
 	e.counters = append(e.counters, c)
 }
 
-// Observe32 registers an existing 4-byte counter under name; it is
-// summed with any other sources of the same name, widened to uint64.
-func (r *Registry) Observe32(name string, c *Counter32) {
-	e := r.lookup(name, KindCounter)
-	e.counters32 = append(e.counters32, c)
+// Population registers the blocks at(0) … at(n-1) as one summing source
+// under t's names, in t's order: counters add, widened to uint64, and
+// histograms Welford-merge in index order. Blocks of another table
+// (including the zero Block of an entity that does not count) are
+// skipped, so one at may serve every table of a mixed population. The
+// registry holds one entry per series whatever n is, and a snapshot
+// visits each entity once.
+func (r *Registry) Population(t *Table, n int, at func(i int) Block) {
+	p := &population{table: t, n: n, at: at,
+		sums:  make([]uint64, len(t.Counters)),
+		hists: make([]stats.Welford, len(t.Hists))}
+	r.pops = append(r.pops, p)
+	for i, name := range t.Counters {
+		e := r.lookup(name, KindCounter)
+		e.popSums = append(e.popSums, &p.sums[i])
+	}
+	for i, name := range t.Hists {
+		e := r.lookup(name, KindHistogram)
+		e.popHists = append(e.popHists, &p.hists[i])
+	}
+}
+
+// refresh re-sums every population, one pass per entity; Snapshot and
+// Violations call it before reading any entry.
+func (r *Registry) refresh() {
+	for _, p := range r.pops {
+		clear(p.sums)
+		clear(p.hists)
+		for i := 0; i < p.n; i++ {
+			b := p.at(i)
+			if b.Table != p.table {
+				continue
+			}
+			for c := range b.Counters {
+				p.sums[c] += uint64(b.Counters[c].v)
+			}
+			for h := range b.Hists {
+				p.hists[h].Merge(b.Hists[h].w)
+			}
+		}
+	}
 }
 
 // Func registers an integer-valued function under name; it is summed
@@ -255,17 +336,13 @@ func (r *Registry) Func(name string, fn func() uint64) {
 	e.cfuncs = append(e.cfuncs, fn)
 }
 
-// Gauge allocates and registers a fresh gauge under name.
+// Gauge allocates and registers a fresh gauge under name (summed with
+// any other source of the same name).
 func (r *Registry) Gauge(name string) *Gauge {
 	g := &Gauge{}
-	r.ObserveGauge(name, g)
-	return g
-}
-
-// ObserveGauge registers an existing gauge under name (summed).
-func (r *Registry) ObserveGauge(name string, g *Gauge) {
 	e := r.lookup(name, KindGauge)
 	e.gauges = append(e.gauges, g)
+	return g
 }
 
 // GaugeFunc registers a float-valued function under name (summed with
@@ -275,18 +352,13 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	e.gfuncs = append(e.gfuncs, fn)
 }
 
-// Histogram allocates and registers a fresh histogram under name.
+// Histogram allocates and registers a fresh histogram under name;
+// multiple sources are Welford-merged at snapshot time.
 func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{}
-	r.ObserveHistogram(name, h)
-	return h
-}
-
-// ObserveHistogram registers an existing histogram under name; multiple
-// sources are Welford-merged at snapshot time.
-func (r *Registry) ObserveHistogram(name string, h *Histogram) {
 	e := r.lookup(name, KindHistogram)
 	e.hists = append(e.hists, h)
+	return h
 }
 
 // Law registers the conservation assertion sum(left) == sum(right).
@@ -360,6 +432,7 @@ func (v Violation) String() string {
 // nil when every check holds. Both law sides are exact uint64 sums, so
 // the comparison is precise at any instant.
 func (r *Registry) Violations() []Violation {
+	r.refresh()
 	var out []Violation
 	for _, l := range r.laws {
 		lhs, err := r.sum(l.left)
@@ -426,6 +499,7 @@ type Snapshot struct {
 
 // Snapshot captures the registry's current values.
 func (r *Registry) Snapshot() *Snapshot {
+	r.refresh()
 	s := &Snapshot{Samples: make([]Sample, 0, len(r.entries))}
 	for _, e := range r.entries {
 		smp := Sample{Name: e.name, Kind: e.kind.String()}
@@ -490,10 +564,4 @@ func (s *Snapshot) Table(title string) *stats.Table {
 		t.AddRow(smp.Name, smp.Kind, smp.Count, smp.Value, smp.Std, smp.Min, smp.Max)
 	}
 	return t
-}
-
-// Source is implemented by protocol layers that expose metrics; the
-// network checks for it when a protocol is installed.
-type Source interface {
-	RegisterMetrics(r *Registry)
 }

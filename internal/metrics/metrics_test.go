@@ -56,6 +56,85 @@ func TestRegistrySummedRegistration(t *testing.T) {
 	}
 }
 
+// TestPopulationMatchesPerCellRegistration pins block registration to
+// the reference it replaced: the same cells registered one at a time (a
+// Func per counter cell, a Histogram per entity fed the same samples)
+// snapshot to identical bytes — summed counters, a histogram merged
+// across entities in index order, a func-counter registered after the
+// block, and an entity of another table skipped.
+func TestPopulationMatchesPerCellRegistration(t *testing.T) {
+	table := &Table{
+		Counters: []string{"x.sent", "x.dropped", "x.idle"},
+		Hists:    []string{"x.latency_s"},
+	}
+	type entity struct {
+		cells [3]Counter32
+		lat   [1]Histogram
+	}
+	ents := make([]entity, 5)
+	ref := NewRegistry()
+	for _, name := range table.Counters {
+		ref.Func(name, func() uint64 { return 0 }) // fix the series order first
+	}
+	for i := range ents {
+		e := &ents[i]
+		e.cells[0].Add(uint32(10 * (i + 1)))
+		e.cells[1].Add(uint32(i))
+		h := ref.Histogram("x.latency_s")
+		for k := 0; k <= i; k++ { // entity 0 keeps one sample, entity 4 five
+			x := 0.1*float64(i) + 0.03*float64(k)
+			e.lat[0].Observe(x)
+			h.Observe(x)
+		}
+		for c, name := range table.Counters {
+			cell := &e.cells[c]
+			ref.Func(name, cell.Value)
+		}
+	}
+	stranger := Block{Table: &Table{}, Counters: make([]Counter32, 3)}
+	stranger.Counters[0].Add(99)
+
+	// The population interleaves the stranger and an entity that does
+	// not count; both must be skipped without disturbing the order.
+	var blocks []Block
+	for i := range ents {
+		if i == 2 {
+			blocks = append(blocks, stranger, Block{})
+		}
+		blocks = append(blocks, Block{Table: table, Counters: ents[i].cells[:], Hists: ents[i].lat[:]})
+	}
+	pop := NewRegistry()
+	pop.Population(table, len(blocks), func(i int) Block { return blocks[i] })
+	var backlog uint64 = 7
+	for _, r := range []*Registry{ref, pop} {
+		r.Func("x.backlog", func() uint64 { return backlog })
+		r.Law("x-conservation", []string{"x.sent"}, []string{"x.dropped", "x.idle", "x.backlog"})
+	}
+
+	want, err := json.Marshal(ref.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(pop.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("population snapshot differs from per-cell registration:\n%s\n%s", got, want)
+	}
+	if n := pop.Snapshot().Count("x.sent"); n != 150 {
+		t.Fatalf("x.sent = %d, want 150 (the stranger's 99 must not count)", n)
+	}
+	// Laws read the same refreshed sums: 150 != 10 + 0 + 7 on both.
+	if g, w := fmt.Sprint(pop.Violations()), fmt.Sprint(ref.Violations()); g != w || g == "[]" {
+		t.Fatalf("violations differ or are missing:\n%s\n%s", g, w)
+	}
+	ents[0].cells[2].Add(133)
+	if vs := pop.Violations(); vs != nil {
+		t.Fatalf("law should hold after the cells moved: %v", vs)
+	}
+}
+
 func TestRegistryKindClashPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 
 	"routeless/internal/geo"
 	"routeless/internal/mac"
@@ -164,10 +165,11 @@ type Network struct {
 	minArm     sim.Time
 	crossDelay []sim.Time
 
-	// Metrics is the network-wide registry: channel counters, then every
-	// radio and MAC in node-id order, then any protocol implementing
-	// metrics.Source at Install time. Registration order is fixed, so
-	// same-seed snapshots are bit-for-bit identical.
+	// Metrics is the network-wide registry: channel counters, then the
+	// radio and MAC populations, then one population per table of the
+	// protocols implementing metrics.Source at Install time.
+	// Registration order is fixed, so same-seed snapshots are
+	// bit-for-bit identical.
 	Metrics *metrics.Registry
 }
 
@@ -325,7 +327,6 @@ func TryNew(cfg Config) (*Network, error) {
 	// land in one allocation.
 	arena := make([]Node, len(positions))
 	macArena := make([]mac.MAC, len(positions))
-	macs := make([]*mac.MAC, len(positions))
 	for i := range positions {
 		nk := kernel
 		tile := 0
@@ -346,16 +347,9 @@ func TryNew(cfg Config) (*Network, error) {
 		n.MAC = &macArena[i]
 		mac.Init(n.MAC, nk, n.Radio, &macCfg, forNode(cfg.Seed, rng.StreamMAC, i))
 		n.MAC.SetHandler(macAdapter{n})
-		macs[i] = n.MAC
 		nw.Nodes[i] = n
 	}
-	// Aggregate phy.*/mac.* registration: one summing func-counter per
-	// series instead of 25 registry entries per node. Series names and
-	// first-registration order match the historical per-node loop, and
-	// the registry sums same-name sources either way, so snapshots are
-	// bit-identical.
-	ch.RegisterRadioMetrics(nw.Metrics)
-	mac.RegisterAggregate(nw.Metrics, macs)
+	mac.RegisterMetrics(nw.Metrics, macArena)
 	if tiles > 1 {
 		// Conservative-window parameters: every transmission is armed at
 		// least MinArm ahead (MAC timer discipline), and a signal leaving
@@ -441,36 +435,25 @@ func (nw *Network) CheckInvariants() error { return nw.Metrics.Check() }
 
 // Install attaches one protocol instance per node using the factory and
 // starts them. Call exactly once, before running the kernel. Protocols
-// implementing metrics.Source are registered with the network registry
-// in node-id order.
+// implementing metrics.Source register as one population per series
+// table, tables in first-appearance order by node id; a factory may mix
+// protocol types, and types that do not count are skipped.
 func (nw *Network) Install(factory func(n *Node) Protocol) {
-	for _, n := range nw.Nodes {
+	block := func(i int) metrics.Block {
+		if src, ok := nw.Nodes[i].Net.(metrics.Source); ok {
+			return src.MetricBlock()
+		}
+		return metrics.Block{}
+	}
+	var tables []*metrics.Table
+	for i, n := range nw.Nodes {
 		n.Net = factory(n)
-		if src, ok := n.Net.(metrics.Source); ok {
-			src.RegisterMetrics(nw.Metrics)
+		if t := block(i).Table; t != nil && !slices.Contains(tables, t) {
+			tables = append(tables, t)
+			nw.Metrics.Population(t, len(nw.Nodes), block)
 		}
 	}
 	// Separate loop: protocols may talk to neighbors during Start.
-	for _, n := range nw.Nodes {
-		n.Net.Start(n)
-	}
-}
-
-// InstallAggregated installs like Install but skips the per-node
-// metrics.Source registration; register (if non-nil) then registers one
-// aggregate source for the whole population — e.g. a closure over
-// flood.RegisterAggregate. The registry sums same-name sources at
-// snapshot time, so an aggregate that mirrors the per-node series names
-// and order yields bit-identical snapshots while keeping the registry
-// O(series) instead of O(N) — the difference between 6 and 6,000,000
-// entries at mega scale.
-func (nw *Network) InstallAggregated(factory func(n *Node) Protocol, register func(reg *metrics.Registry)) {
-	for _, n := range nw.Nodes {
-		n.Net = factory(n)
-	}
-	if register != nil {
-		register(nw.Metrics)
-	}
 	for _, n := range nw.Nodes {
 		n.Net.Start(n)
 	}
@@ -507,7 +490,7 @@ func (nw *Network) MoveNode(id packet.NodeID, p geo.Point) {
 func (nw *Network) MACPackets() uint64 {
 	var sum uint64
 	for _, n := range nw.Nodes {
-		sum += n.MAC.Stats().TxFrames
+		sum += n.MAC.Count(mac.TxFrames)
 	}
 	return sum
 }

@@ -2,9 +2,11 @@ package node
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"routeless/internal/geo"
+	"routeless/internal/metrics"
 	"routeless/internal/packet"
 	"routeless/internal/rng"
 )
@@ -86,6 +88,66 @@ func TestInstallAndTraffic(t *testing.T) {
 	}
 	if nw.MACPackets() != 1 {
 		t.Fatalf("MACPackets = %d, want 1", nw.MACPackets())
+	}
+	if got := nw.Metrics.Snapshot().Count("mac.tx_frames"); got != nw.MACPackets() {
+		t.Fatalf("journal mac.tx_frames = %d, MACPackets = %d: not the same cells", got, nw.MACPackets())
+	}
+}
+
+// countingProto is an echoProto that counts its sends in a block of the
+// given table, so one factory can hand out several protocol types.
+type countingProto struct {
+	echoProto
+	table *metrics.Table
+	cells [2]metrics.Counter32
+}
+
+func (p *countingProto) Send(target packet.NodeID, size int) {
+	p.cells[1].Inc()
+	p.echoProto.Send(target, size)
+}
+
+func (p *countingProto) MetricBlock() metrics.Block {
+	return metrics.Block{Table: p.table, Counters: p.cells[:]}
+}
+
+// TestInstallGroupsMixedProtocolsByTable covers a factory that returns
+// two counting protocol types and a sink that counts nothing: each
+// table registers once, in the order its first node appears, after the
+// network's own series; the sink is skipped.
+func TestInstallGroupsMixedProtocolsByTable(t *testing.T) {
+	beta := &metrics.Table{Counters: []string{"beta.idle", "beta.sends"}}
+	alpha := &metrics.Table{Counters: []string{"alpha.idle", "alpha.sends"}}
+	pos := []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 100, Y: 0}, {X: 150, Y: 0}, {X: 200, Y: 0}}
+	nw := New(Config{Positions: pos, Seed: 5})
+	base := len(nw.Metrics.Snapshot().Samples)
+	nw.Install(func(n *Node) Protocol {
+		switch n.ID {
+		case 0:
+			return &echoProto{}
+		case 2:
+			return &countingProto{table: alpha}
+		}
+		return &countingProto{table: beta}
+	})
+	for _, n := range nw.Nodes {
+		n.Net.Send(packet.Broadcast, packet.SizeData)
+	}
+	nw.Run(1)
+	snap := nw.Metrics.Snapshot()
+	var names []string
+	for _, smp := range snap.Samples[base:] {
+		names = append(names, smp.Name)
+	}
+	want := []string{"beta.idle", "beta.sends", "alpha.idle", "alpha.sends"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("installed series = %v, want %v", names, want)
+	}
+	if b, a := snap.Count("beta.sends"), snap.Count("alpha.sends"); b != 3 || a != 1 {
+		t.Fatalf("beta.sends = %d, alpha.sends = %d, want 3 and 1", b, a)
+	}
+	if err := nw.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

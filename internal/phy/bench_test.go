@@ -87,13 +87,13 @@ func TestFanoutAllocBudget(t *testing.T) {
 	before := ch.Stats()
 	var rxBefore uint64
 	for i := range pts {
-		rxBefore += ch.Radio(i).Stats().RxFrames
+		rxBefore += ch.Radio(i).Count(RxFrames)
 	}
 	const runs = 20
 	allocs := testing.AllocsPerRun(runs, broadcast)
 	var rx uint64
 	for i := range pts {
-		rx += ch.Radio(i).Stats().RxFrames
+		rx += ch.Radio(i).Count(RxFrames)
 	}
 	// AllocsPerRun makes one extra warm-up call.
 	decoded := float64(rx-rxBefore) / (runs + 1)

@@ -162,6 +162,9 @@ type xdeliv struct {
 type linkKey struct{ from, to int32 }
 
 // ChannelStats is the plain-uint64 snapshot view of medium-wide counters.
+// The channel is a singleton, not a population, so it keeps a view where
+// the per-node layers have Count; the benchmark's ladder reads
+// Stats().Deliveries.
 type ChannelStats struct {
 	Transmissions uint64 // frames put on the air
 	Deliveries    uint64 // (radio, frame) pairs scheduled
@@ -406,7 +409,8 @@ func (c *Channel) Stats() ChannelStats {
 }
 
 // RegisterMetrics registers the medium-wide counters and the pending
-// leading-edge count with the registry. Per-tile counters register
+// leading-edge count, then the radios' counter blocks as one phy.*
+// population and the in-flight signal count. Per-tile counters register
 // under the shared series names; the registry sums same-name sources,
 // so tiled and sequential runs expose identical series.
 func (c *Channel) RegisterMetrics(reg *metrics.Registry) {
@@ -428,36 +432,9 @@ func (c *Channel) RegisterMetrics(reg *metrics.Registry) {
 		}
 		return uint64(n)
 	})
-}
-
-// RegisterRadioMetrics registers the network-wide phy.* series as
-// aggregate func-counters summing over every radio: the twelve radio
-// counters, then the in-flight signal count. The series order is frozen
-// — it is the order the journals list them in — and one entry per
-// series keeps the registry O(1) in the node count, which is what makes
-// a million-radio registry affordable.
-func (c *Channel) RegisterRadioMetrics(reg *metrics.Registry) {
-	sum := func(pick func(*radioCounters) *metrics.Counter32) func() uint64 {
-		return func() uint64 {
-			var s uint64
-			for i := range c.radios {
-				s += pick(&c.radios[i].stats).Value()
-			}
-			return s
-		}
-	}
-	reg.Func("phy.tx_frames", sum(func(s *radioCounters) *metrics.Counter32 { return &s.txFrames }))
-	reg.Func("phy.rx_frames", sum(func(s *radioCounters) *metrics.Counter32 { return &s.rxFrames }))
-	reg.Func("phy.collisions", sum(func(s *radioCounters) *metrics.Counter32 { return &s.collisions }))
-	reg.Func("phy.missed_weak", sum(func(s *radioCounters) *metrics.Counter32 { return &s.missedWeak }))
-	reg.Func("phy.dropped_off", sum(func(s *radioCounters) *metrics.Counter32 { return &s.droppedOff }))
-	reg.Func("phy.aborted_by_tx", sum(func(s *radioCounters) *metrics.Counter32 { return &s.abortedByTx }))
-	reg.Func("phy.aborted_by_off", sum(func(s *radioCounters) *metrics.Counter32 { return &s.abortedByOff }))
-	reg.Func("phy.tx_aborted", sum(func(s *radioCounters) *metrics.Counter32 { return &s.txAborted }))
-	reg.Func("phy.truncated", sum(func(s *radioCounters) *metrics.Counter32 { return &s.truncated }))
-	reg.Func("phy.signal_starts", sum(func(s *radioCounters) *metrics.Counter32 { return &s.signalStarts }))
-	reg.Func("phy.signal_ends", sum(func(s *radioCounters) *metrics.Counter32 { return &s.signalEnds }))
-	reg.Func("phy.flushed_by_off", sum(func(s *radioCounters) *metrics.Counter32 { return &s.flushedByOff }))
+	reg.Population(&radioTable, len(c.radios), func(i int) metrics.Block {
+		return metrics.Block{Table: &radioTable, Counters: c.radios[i].stats[:]}
+	})
 	reg.Func("phy.in_air", func() uint64 {
 		var n uint64
 		for i := range c.radios {

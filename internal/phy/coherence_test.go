@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"routeless/internal/geo"
+	"routeless/internal/metrics"
 	"routeless/internal/packet"
 	"routeless/internal/propagation"
 	"routeless/internal/sim"
@@ -30,7 +31,7 @@ type coherenceDelivery struct {
 // coherenceSnapshot is everything observable about a finished run.
 type coherenceSnapshot struct {
 	Channel    ChannelStats
-	Radios     []Stats
+	Radios     [][numRadioSeries]metrics.Counter32
 	Deliveries [][]coherenceDelivery
 }
 
@@ -113,11 +114,11 @@ func runCoherenceScenario(fade bool, noCache bool) coherenceSnapshot {
 
 	snap := coherenceSnapshot{
 		Channel:    ch.Stats(),
-		Radios:     make([]Stats, n),
+		Radios:     make([][numRadioSeries]metrics.Counter32, n),
 		Deliveries: deliveries,
 	}
 	for i := 0; i < n; i++ {
-		snap.Radios[i] = ch.Radio(i).Stats()
+		snap.Radios[i] = ch.Radio(i).stats
 	}
 	return snap
 }

@@ -57,7 +57,7 @@ func TestTurnOffMidTransmitAbortsEveryReceiver(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 2; i++ {
-		if got := ch.Radio(i).Stats().Truncated; got != 1 {
+		if got := ch.Radio(i).Count(Truncated); got != 1 {
 			t.Fatalf("receiver %d Truncated = %d, want 1", i, got)
 		}
 	}

@@ -2,9 +2,12 @@ package phy
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"routeless/internal/geo"
+	"routeless/internal/metrics"
 	"routeless/internal/packet"
 	"routeless/internal/propagation"
 	"routeless/internal/sim"
@@ -118,8 +121,7 @@ func TestCollisionSymmetric(t *testing.T) {
 	if len(recs[1].rx) != 0 {
 		t.Fatalf("middle receiver decoded %d frames during collision", len(recs[1].rx))
 	}
-	st := ch.Radio(1).Stats()
-	if st.Collisions+st.MissedWeak == 0 {
+	if ch.Radio(1).Count(Collisions)+ch.Radio(1).Count(MissedWeak) == 0 {
 		t.Fatal("collision not counted")
 	}
 }
@@ -162,7 +164,7 @@ func TestTransmitAbortsReception(t *testing.T) {
 	if len(recs[1].rx) != 0 {
 		t.Fatal("aborted reception still delivered")
 	}
-	if ch.Radio(1).Stats().AbortedByTx != 1 {
+	if ch.Radio(1).Count(AbortedByTx) != 1 {
 		t.Fatal("AbortedByTx not counted")
 	}
 	// Node 1's frame ended while node 0 was still transmitting, so node
@@ -197,7 +199,7 @@ func TestTurnOffDropsFrames(t *testing.T) {
 	if len(recs[1].rx) != 0 {
 		t.Fatal("off radio decoded a frame")
 	}
-	if ch.Radio(1).Stats().DroppedOff != 1 {
+	if ch.Radio(1).Count(DroppedOff) != 1 {
 		t.Fatal("DroppedOff not counted")
 	}
 }
@@ -210,7 +212,7 @@ func TestTurnOffMidReceptionLosesFrame(t *testing.T) {
 	if len(recs[1].rx) != 0 {
 		t.Fatal("frame delivered despite mid-reception power-down")
 	}
-	if ch.Radio(1).Stats().AbortedByOff != 1 {
+	if ch.Radio(1).Count(AbortedByOff) != 1 {
 		t.Fatal("AbortedByOff not counted")
 	}
 }
@@ -504,10 +506,10 @@ func TestTurnOffMidTransmitTruncates(t *testing.T) {
 	if len(recs[1].rx) != 0 {
 		t.Fatal("receiver decoded a frame whose transmission was powered down mid-air")
 	}
-	if got := ch.Radio(0).Stats().TxAborted; got != 1 {
+	if got := ch.Radio(0).Count(TxAborted); got != 1 {
 		t.Fatalf("TxAborted = %d, want 1", got)
 	}
-	if got := ch.Radio(1).Stats().Truncated; got != 1 {
+	if got := ch.Radio(1).Count(Truncated); got != 1 {
 		t.Fatalf("Truncated = %d, want 1", got)
 	}
 	if recs[0].txDone != 0 {
@@ -541,7 +543,7 @@ func TestSleepMidTransmitTruncates(t *testing.T) {
 	if len(recs[1].rx) != 0 {
 		t.Fatal("receiver decoded a frame whose sender slept mid-transmission")
 	}
-	if got := ch.Radio(0).Stats().TxAborted; got != 1 {
+	if got := ch.Radio(0).Count(TxAborted); got != 1 {
 		t.Fatalf("TxAborted = %d, want 1", got)
 	}
 }
@@ -609,7 +611,7 @@ func TestLinkCacheSurvivesReceiverOffOn(t *testing.T) {
 	if len(recs[1].rx) != 1 {
 		t.Fatal("off receiver decoded a frame")
 	}
-	if got := ch.Radio(1).Stats().DroppedOff; got != 1 {
+	if got := ch.Radio(1).Count(DroppedOff); got != 1 {
 		t.Fatalf("DroppedOff = %d, want 1 (cache must still schedule the delivery)", got)
 	}
 	ch.Radio(1).TurnOn()
@@ -617,5 +619,27 @@ func TestLinkCacheSurvivesReceiverOffOn(t *testing.T) {
 	k.Run()
 	if len(recs[1].rx) != 2 {
 		t.Fatal("receiver did not receive after TurnOn")
+	}
+}
+
+// TestTableIsTheSchema pins the series table to the index constants:
+// a constant added without a name (or the reverse) fails here, not as a
+// shifted journal column.
+func TestTableIsTheSchema(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		table  metrics.Table
+		n      int
+	}{
+		{"phy.", radioTable, int(numRadioSeries)},
+	} {
+		if len(tc.table.Counters) != tc.n {
+			t.Errorf("%s table names %d counters, the block has %d", tc.prefix, len(tc.table.Counters), tc.n)
+		}
+		for i, name := range append(slices.Clone(tc.table.Counters), tc.table.Hists...) {
+			if !strings.HasPrefix(name, tc.prefix) || len(name) == len(tc.prefix) {
+				t.Errorf("%s series %d is named %q", tc.prefix, i, name)
+			}
+		}
 	}
 }

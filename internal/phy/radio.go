@@ -91,39 +91,41 @@ type Listener interface {
 	OnTxDone()
 }
 
-// Stats is the plain-uint64 snapshot view of a radio's counters.
-type Stats struct {
-	TxFrames     uint64 // frames transmitted
-	RxFrames     uint64 // frames delivered to the listener
-	Collisions   uint64 // frames corrupted by overlapping energy
-	MissedWeak   uint64 // decodable frames lost to in-progress activity
-	DroppedOff   uint64 // frames that arrived while sleeping or off
-	AbortedByTx  uint64 // receptions aborted by our own transmission
-	AbortedByOff uint64 // receptions aborted by turning the radio off
-	TxAborted    uint64 // own transmissions truncated by power-down
-	Truncated    uint64 // decodable frames lost to the sender's power-down
-	SignalStarts uint64 // leading edges that entered in-air tracking
-	SignalEnds   uint64 // trailing edges that left in-air tracking
-	FlushedByOff uint64 // tracked in-air signals forgotten by power-down
-}
+// RadioSeries indexes one cell of a radio's counter block.
+type RadioSeries uint8
 
-// radioCounters is the live counter storage behind Stats. Mutation goes
-// through metrics.Counter methods only; the registry sums the per-radio
-// counters into network-wide phy.* series.
-type radioCounters struct {
-	txFrames     metrics.Counter32
-	rxFrames     metrics.Counter32
-	collisions   metrics.Counter32
-	missedWeak   metrics.Counter32
-	droppedOff   metrics.Counter32
-	abortedByTx  metrics.Counter32
-	abortedByOff metrics.Counter32
-	txAborted    metrics.Counter32
-	truncated    metrics.Counter32
-	signalStarts metrics.Counter32
-	signalEnds   metrics.Counter32
-	flushedByOff metrics.Counter32
-}
+// The phy.* counters, in journal order.
+const (
+	TxFrames     RadioSeries = iota // frames transmitted
+	RxFrames                        // frames delivered to the listener
+	Collisions                      // frames corrupted by overlapping energy
+	MissedWeak                      // decodable frames lost to in-progress activity
+	DroppedOff                      // frames that arrived while sleeping or off
+	AbortedByTx                     // receptions aborted by our own transmission
+	AbortedByOff                    // receptions aborted by turning the radio off
+	TxAborted                       // own transmissions truncated by power-down
+	Truncated                       // decodable frames lost to the sender's power-down
+	SignalStarts                    // leading edges that entered in-air tracking
+	SignalEnds                      // trailing edges that left in-air tracking
+	FlushedByOff                    // tracked in-air signals forgotten by power-down
+	numRadioSeries
+)
+
+// radioTable names the series; it is the only place they are spelled.
+var radioTable = metrics.Table{Counters: []string{
+	TxFrames:     "phy.tx_frames",
+	RxFrames:     "phy.rx_frames",
+	Collisions:   "phy.collisions",
+	MissedWeak:   "phy.missed_weak",
+	DroppedOff:   "phy.dropped_off",
+	AbortedByTx:  "phy.aborted_by_tx",
+	AbortedByOff: "phy.aborted_by_off",
+	TxAborted:    "phy.tx_aborted",
+	Truncated:    "phy.truncated",
+	SignalStarts: "phy.signal_starts",
+	SignalEnds:   "phy.signal_ends",
+	FlushedByOff: "phy.flushed_by_off",
+}}
 
 // frame is one transmission's packet as it exists on the air: the
 // snapshot Channel.transmit takes of the sender's packet, shared
@@ -187,7 +189,7 @@ type Radio struct {
 	// power-down already truncated.
 	txEnd sim.Time
 
-	stats radioCounters
+	stats [numRadioSeries]metrics.Counter32
 }
 
 // ID returns the radio's node id.
@@ -205,23 +207,8 @@ func (r *Radio) Params() Params {
 	return p
 }
 
-// Stats returns a snapshot of the radio's counters.
-func (r *Radio) Stats() Stats {
-	return Stats{
-		TxFrames:     r.stats.txFrames.Value(),
-		RxFrames:     r.stats.rxFrames.Value(),
-		Collisions:   r.stats.collisions.Value(),
-		MissedWeak:   r.stats.missedWeak.Value(),
-		DroppedOff:   r.stats.droppedOff.Value(),
-		AbortedByTx:  r.stats.abortedByTx.Value(),
-		AbortedByOff: r.stats.abortedByOff.Value(),
-		TxAborted:    r.stats.txAborted.Value(),
-		Truncated:    r.stats.truncated.Value(),
-		SignalStarts: r.stats.signalStarts.Value(),
-		SignalEnds:   r.stats.signalEnds.Value(),
-		FlushedByOff: r.stats.flushedByOff.Value(),
-	}
-}
+// Count returns the current value of one of the radio's counters.
+func (r *Radio) Count(s RadioSeries) uint64 { return r.stats[s].Value() }
 
 // Energy returns the radio's energy meter (a view into the channel's
 // struct-of-arrays meter slot).
@@ -302,13 +289,13 @@ func (r *Radio) Transmit(pkt *packet.Packet) {
 	case StateTx:
 		panic(fmt.Sprintf("phy: %v Transmit while already transmitting", r.id))
 	case StateRx:
-		r.stats.abortedByTx.Inc()
+		r.stats[AbortedByTx].Inc()
 		r.rx = nil
 		r.rxCorrupt = false
 	}
 	r.setState(StateTx)
 	r.updateCarrier() // our own transmission makes the medium busy
-	r.stats.txFrames.Inc()
+	r.stats[TxFrames].Inc()
 	pkt.From = r.id
 	dur := r.params.AirTime(pkt.Size)
 	r.txLive = r.txLive[:0]
@@ -336,23 +323,23 @@ func (r *Radio) txDone() {
 // reaches this radio.
 func (r *Radio) signalStart(s *signal) {
 	if !r.On() {
-		r.stats.droppedOff.Inc()
+		r.stats[DroppedOff].Inc()
 		return
 	}
 	s.tracked = true
-	r.stats.signalStarts.Inc()
+	r.stats[SignalStarts].Inc()
 	r.inAir = append(r.inAir, s)
 	switch r.State() {
 	case StateIdle:
 		if s.powerDBm >= r.params.RxThreshDBm {
 			switch {
 			case !r.sinrOK(s):
-				r.stats.missedWeak.Inc()
+				r.stats[MissedWeak].Inc()
 			case s.aborted:
 				// Would have locked, but the sender powered down before
 				// the leading edge arrived: the truncated frame still
 				// interferes but carries nothing decodable.
-				r.stats.truncated.Inc()
+				r.stats[Truncated].Inc()
 			default:
 				r.rx = s
 				r.rxCorrupt = false
@@ -363,7 +350,7 @@ func (r *Radio) signalStart(s *signal) {
 		if !r.sinrOK(r.rx) {
 			if !r.rxCorrupt {
 				r.rxCorrupt = true
-				r.stats.collisions.Inc()
+				r.stats[Collisions].Inc()
 			}
 		}
 	case StateTx:
@@ -378,7 +365,7 @@ func (r *Radio) signalEnd(s *signal) {
 	if !s.tracked {
 		return // arrived while off/asleep, or flushed by our power-down
 	}
-	r.stats.signalEnds.Inc()
+	r.stats[SignalEnds].Inc()
 	for i, in := range r.inAir {
 		if in == s {
 			r.inAir[i] = r.inAir[len(r.inAir)-1]
@@ -397,9 +384,9 @@ func (r *Radio) signalEnd(s *signal) {
 			if s.aborted {
 				// Locked on it, but the sender powered down mid-frame:
 				// the tail never made it onto the air.
-				r.stats.truncated.Inc()
+				r.stats[Truncated].Inc()
 			} else {
-				r.stats.rxFrames.Inc()
+				r.stats[RxFrames].Inc()
 				if r.listener != nil {
 					r.listener.OnReceive(s.frame.decode(), s.powerDBm)
 				}
@@ -443,14 +430,14 @@ func (r *Radio) powerDown(s State) {
 		return
 	}
 	if r.rx != nil {
-		r.stats.abortedByOff.Inc()
+		r.stats[AbortedByOff].Inc()
 		r.rx = nil
 		r.rxCorrupt = false
 	}
 	if cur == StateTx {
 		// Truncate the transmission in flight: receivers that would have
 		// decoded it count it as truncated instead.
-		r.stats.txAborted.Inc()
+		r.stats[TxAborted].Inc()
 		for _, out := range r.txLive {
 			out.aborted = true
 		}
@@ -458,7 +445,7 @@ func (r *Radio) powerDown(s State) {
 	}
 	for _, in := range r.inAir {
 		in.tracked = false
-		r.stats.flushedByOff.Inc()
+		r.stats[FlushedByOff].Inc()
 	}
 	r.inAir = r.inAir[:0]
 	r.setState(s)

@@ -70,50 +70,49 @@ func (c AODVConfig) withDefaults() AODVConfig {
 	return c
 }
 
-// AODVStats is the plain-uint64 snapshot view of one node's protocol
-// counters.
-type AODVStats struct {
-	DataSent        uint64
-	DataForwarded   uint64
-	DataDelivered   uint64
-	DataDropped     uint64 // no route at an intermediate hop
-	RREQSent        uint64
-	RREQForwarded   uint64
-	RREPSent        uint64
-	RREPForwarded   uint64
-	RERRSent        uint64
-	Hellos          uint64
-	LinkBreaks      uint64 // ARQ failures + hello losses
-	RoutesInvalided uint64
-	Rediscoveries   uint64
-	DroppedNoRoute  uint64 // source-side, discovery gave up
-	Repairs         uint64 // parked packets that found a route again
-}
+// AODVSeries indexes one cell of a node's AODV counter block.
+type AODVSeries uint8
 
-// aodvCounters is the live counter storage behind AODVStats.
-type aodvCounters struct {
-	dataSent        metrics.Counter
-	dataForwarded   metrics.Counter
-	dataDelivered   metrics.Counter
-	dataDropped     metrics.Counter
-	rreqSent        metrics.Counter
-	rreqForwarded   metrics.Counter
-	rrepSent        metrics.Counter
-	rrepForwarded   metrics.Counter
-	rerrSent        metrics.Counter
-	hellos          metrics.Counter
-	linkBreaks      metrics.Counter
-	routesInvalided metrics.Counter
-	rediscoveries   metrics.Counter
-	droppedNoRoute  metrics.Counter
-	repairs         metrics.Counter
+// The aodv.* counters, in journal order.
+const (
+	AODVDataSent AODVSeries = iota
+	AODVDataForwarded
+	AODVDataDelivered
+	AODVDataDropped // no route at an intermediate hop
+	AODVRREQSent
+	AODVRREQForwarded
+	AODVRREPSent
+	AODVRREPForwarded
+	AODVRERRSent
+	AODVHellos
+	AODVLinkBreaks // ARQ failures + hello losses
+	AODVRoutesInvalided
+	AODVRediscoveries
+	AODVDroppedNoRoute // source-side, discovery gave up
+	AODVRepairs        // parked packets that found a route again
+	numAODVSeries
+)
 
-	// repairLatency spans a data packet's parking behind a re-discovery
-	// (link break or route expiry with no alternative) to the moment a
-	// valid route let it move again — AODV's route-repair recovery
-	// metric. Instant salvages over an existing alternate route never
-	// open a window and are not counted.
-	repairLatency metrics.Histogram
+// aodvTable names the series; it is the only place they are spelled.
+var aodvTable = metrics.Table{
+	Counters: []string{
+		AODVDataSent:        "aodv.data_sent",
+		AODVDataForwarded:   "aodv.data_forwarded",
+		AODVDataDelivered:   "aodv.data_delivered",
+		AODVDataDropped:     "aodv.data_dropped",
+		AODVRREQSent:        "aodv.rreq_sent",
+		AODVRREQForwarded:   "aodv.rreq_forwarded",
+		AODVRREPSent:        "aodv.rrep_sent",
+		AODVRREPForwarded:   "aodv.rrep_forwarded",
+		AODVRERRSent:        "aodv.rerr_sent",
+		AODVHellos:          "aodv.hellos",
+		AODVLinkBreaks:      "aodv.link_breaks",
+		AODVRoutesInvalided: "aodv.routes_invalided",
+		AODVRediscoveries:   "aodv.rediscoveries",
+		AODVDroppedNoRoute:  "aodv.dropped_no_route",
+		AODVRepairs:         "aodv.repairs",
+	},
+	Hists: []string{"aodv.repair_latency_s"},
 }
 
 // route is one forward-table row.
@@ -168,7 +167,13 @@ type AODV struct {
 	hello   *sim.Ticker
 	monitor *sim.Ticker
 
-	stats aodvCounters
+	stats [numAODVSeries]metrics.Counter32
+	// repairLatency spans a data packet's parking behind a re-discovery
+	// (link break or route expiry with no alternative) to the moment a
+	// valid route let it move again — AODV's route-repair recovery
+	// metric. Instant salvages over an existing alternate route never
+	// open a window and are not counted.
+	repairLatency [1]metrics.Histogram
 }
 
 // NewAODV builds an instance; install with Network.Install.
@@ -199,47 +204,12 @@ func (a *AODV) Start(n *node.Node) {
 	a.monitor.StartAfter(sim.Time(1+n.Rng.Float64()) * a.cfg.HelloInterval)
 }
 
-// Stats returns the node's counters.
-func (a *AODV) Stats() AODVStats {
-	s := &a.stats
-	return AODVStats{
-		DataSent:        s.dataSent.Value(),
-		DataForwarded:   s.dataForwarded.Value(),
-		DataDelivered:   s.dataDelivered.Value(),
-		DataDropped:     s.dataDropped.Value(),
-		RREQSent:        s.rreqSent.Value(),
-		RREQForwarded:   s.rreqForwarded.Value(),
-		RREPSent:        s.rrepSent.Value(),
-		RREPForwarded:   s.rrepForwarded.Value(),
-		RERRSent:        s.rerrSent.Value(),
-		Hellos:          s.hellos.Value(),
-		LinkBreaks:      s.linkBreaks.Value(),
-		RoutesInvalided: s.routesInvalided.Value(),
-		Rediscoveries:   s.rediscoveries.Value(),
-		DroppedNoRoute:  s.droppedNoRoute.Value(),
-		Repairs:         s.repairs.Value(),
-	}
-}
+// Count returns the current value of one of the node's counters.
+func (a *AODV) Count(s AODVSeries) uint64 { return a.stats[s].Value() }
 
-// RegisterMetrics registers the protocol counters; per-node sources sum
-// into network-wide aodv.* series.
-func (a *AODV) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe("aodv.data_sent", &a.stats.dataSent)
-	reg.Observe("aodv.data_forwarded", &a.stats.dataForwarded)
-	reg.Observe("aodv.data_delivered", &a.stats.dataDelivered)
-	reg.Observe("aodv.data_dropped", &a.stats.dataDropped)
-	reg.Observe("aodv.rreq_sent", &a.stats.rreqSent)
-	reg.Observe("aodv.rreq_forwarded", &a.stats.rreqForwarded)
-	reg.Observe("aodv.rrep_sent", &a.stats.rrepSent)
-	reg.Observe("aodv.rrep_forwarded", &a.stats.rrepForwarded)
-	reg.Observe("aodv.rerr_sent", &a.stats.rerrSent)
-	reg.Observe("aodv.hellos", &a.stats.hellos)
-	reg.Observe("aodv.link_breaks", &a.stats.linkBreaks)
-	reg.Observe("aodv.routes_invalided", &a.stats.routesInvalided)
-	reg.Observe("aodv.rediscoveries", &a.stats.rediscoveries)
-	reg.Observe("aodv.dropped_no_route", &a.stats.droppedNoRoute)
-	reg.Observe("aodv.repairs", &a.stats.repairs)
-	reg.ObserveHistogram("aodv.repair_latency_s", &a.stats.repairLatency)
+// MetricBlock implements metrics.Source.
+func (a *AODV) MetricBlock() metrics.Block {
+	return metrics.Block{Table: &aodvTable, Counters: a.stats[:], Hists: a.repairLatency[:]}
 }
 
 // endRepair closes an open repair window for target: parked data can
@@ -250,8 +220,8 @@ func (a *AODV) endRepair(target packet.NodeID) {
 		return
 	}
 	delete(a.repairStart, target)
-	a.stats.repairs.Inc()
-	a.stats.repairLatency.Observe(float64(a.n.Kernel.Now() - t0))
+	a.stats[AODVRepairs].Inc()
+	a.repairLatency[0].Observe(float64(a.n.Kernel.Now() - t0))
 }
 
 // RouteTo reports the current route to target (hops, ok) — test and
@@ -283,9 +253,9 @@ func (a *AODV) Send(target packet.NodeID, size int) {
 		size = a.cfg.DataSize
 	}
 	now := a.n.Kernel.Now()
-	a.stats.dataSent.Inc()
+	a.stats[AODVDataSent].Inc()
 	if target == a.n.ID {
-		a.stats.dataDelivered.Inc()
+		a.stats[AODVDataDelivered].Inc()
 		a.n.Deliver(&packet.Packet{Kind: packet.KindData, Origin: a.n.ID, Target: target, Size: size, CreatedAt: now})
 		return
 	}
@@ -336,7 +306,7 @@ func (a *AODV) ringTTL(attempt int) int {
 
 func (a *AODV) floodRREQRing(target packet.NodeID, ttl int) {
 	a.rreqID++
-	a.stats.rreqSent.Inc()
+	a.stats[AODVRREQSent].Inc()
 	pkt := &packet.Packet{
 		Kind: packet.KindRREQ, To: packet.Broadcast,
 		Origin: a.n.ID, Target: target, Seq: a.rreqID,
@@ -365,20 +335,20 @@ func (a *AODV) discoveryTimeout(target packet.NodeID) {
 		return
 	}
 	if !retry {
-		a.stats.droppedNoRoute.Add(uint64(len(d.queue) + len(a.salvage[target])))
+		a.stats[AODVDroppedNoRoute].Add(uint32(len(d.queue) + len(a.salvage[target])))
 		delete(a.salvage, target)
 		// The repair failed; the window closes without a latency sample
 		// (give-ups are visible through aodv.dropped_no_route).
 		delete(a.repairStart, target)
 		return
 	}
-	a.stats.rediscoveries.Inc()
+	a.stats[AODVRediscoveries].Inc()
 	a.floodRREQRing(target, a.ringTTL(d.retries))
 	d.timer.Reset(a.cfg.DiscoveryTimeout)
 }
 
 func (a *AODV) sendHello() {
-	a.stats.hellos.Inc()
+	a.stats[AODVHellos].Inc()
 	a.n.MAC.Enqueue(&packet.Packet{
 		Kind: packet.KindHello, To: packet.Broadcast,
 		Origin: a.n.ID, Seq: a.nextSeq(), Size: packet.SizeHello,
@@ -399,7 +369,7 @@ func (a *AODV) checkNeighbors() {
 	slices.Sort(dead)
 	for _, id := range dead {
 		delete(a.neighbors, id)
-		a.stats.linkBreaks.Inc()
+		a.stats[AODVLinkBreaks].Inc()
 		a.invalidateVia(id)
 	}
 }
@@ -411,7 +381,7 @@ func (a *AODV) invalidateVia(hop packet.NodeID) {
 	for dest, r := range a.routes {
 		if r.nextHop == hop {
 			delete(a.routes, dest)
-			a.stats.routesInvalided.Inc()
+			a.stats[AODVRoutesInvalided].Inc()
 			lost = append(lost, dest)
 		}
 	}
@@ -419,7 +389,7 @@ func (a *AODV) invalidateVia(hop packet.NodeID) {
 		// The neighbor itself is unreachable as a destination too.
 		if _, ok := a.routes[hop]; ok {
 			delete(a.routes, hop)
-			a.stats.routesInvalided.Inc()
+			a.stats[AODVRoutesInvalided].Inc()
 		}
 		lost = append(lost, hop)
 	}
@@ -427,7 +397,7 @@ func (a *AODV) invalidateVia(hop packet.NodeID) {
 		return
 	}
 	slices.Sort(lost)
-	a.stats.rerrSent.Inc()
+	a.stats[AODVRERRSent].Inc()
 	a.n.MAC.Enqueue(&packet.Packet{
 		Kind: packet.KindRERR, To: packet.Broadcast,
 		Origin: a.n.ID, Seq: a.nextSeq(), Size: packet.SizeControl,
@@ -483,7 +453,7 @@ func (a *AODV) handleRREQ(pkt *packet.Packet) {
 		if rev == nil {
 			return
 		}
-		a.stats.rrepSent.Inc()
+		a.stats[AODVRREPSent].Inc()
 		a.n.MAC.Enqueue(&packet.Packet{
 			Kind: packet.KindRREP, To: rev.nextHop,
 			Origin: a.n.ID, Target: pkt.Origin, Seq: pkt.Seq,
@@ -504,7 +474,7 @@ func (a *AODV) handleRREQ(pkt *packet.Packet) {
 	fwd.TTL--
 	backoff := sim.Time(a.n.Rng.Float64()) * a.cfg.RREQBackoff
 	a.n.Kernel.Schedule(backoff, func() {
-		a.stats.rreqForwarded.Inc()
+		a.stats[AODVRREQForwarded].Inc()
 		a.n.MAC.Enqueue(fwd, 0)
 	})
 }
@@ -519,7 +489,7 @@ func (a *AODV) handleRREP(pkt *packet.Packet) {
 			if r := a.validRoute(pkt.Origin); r != nil {
 				a.sendDataVia(r, pkt.Origin, pd.size, pd.created)
 			} else {
-				a.stats.droppedNoRoute.Inc()
+				a.stats[AODVDroppedNoRoute].Inc()
 			}
 		}
 		a.flushSalvage(pkt.Origin)
@@ -535,7 +505,7 @@ func (a *AODV) handleRREP(pkt *packet.Packet) {
 	if fwd.TTL--; fwd.TTL <= 0 {
 		return
 	}
-	a.stats.rrepForwarded.Inc()
+	a.stats[AODVRREPForwarded].Inc()
 	a.n.MAC.Enqueue(fwd, 0)
 }
 
@@ -548,12 +518,12 @@ func (a *AODV) handleRERR(pkt *packet.Packet) {
 	for _, dest := range info.unreachable {
 		if r, ok := a.routes[dest]; ok && r.nextHop == pkt.From {
 			delete(a.routes, dest)
-			a.stats.routesInvalided.Inc()
+			a.stats[AODVRoutesInvalided].Inc()
 			propagate = append(propagate, dest)
 		}
 	}
 	if len(propagate) > 0 {
-		a.stats.rerrSent.Inc()
+		a.stats[AODVRERRSent].Inc()
 		a.n.MAC.Enqueue(&packet.Packet{
 			Kind: packet.KindRERR, To: packet.Broadcast,
 			Origin: a.n.ID, Seq: a.nextSeq(), Size: packet.SizeControl,
@@ -567,7 +537,7 @@ func (a *AODV) handleData(pkt *packet.Packet) {
 		// Salvaged copies of one logical packet can arrive over two
 		// paths; deliver only the first.
 		if !a.consumed.Seen(pkt.Key()) {
-			a.stats.dataDelivered.Inc()
+			a.stats[AODVDataDelivered].Inc()
 			a.n.Deliver(pkt)
 		}
 		return
@@ -584,11 +554,11 @@ func (a *AODV) handleData(pkt *packet.Packet) {
 	fwd.To = r.nextHop
 	fwd.HopCount++
 	if fwd.TTL--; fwd.TTL <= 0 {
-		a.stats.dataDropped.Inc()
+		a.stats[AODVDataDropped].Inc()
 		return
 	}
 	r.expiry = a.n.Kernel.Now() + a.cfg.RouteLifetime
-	a.stats.dataForwarded.Inc()
+	a.stats[AODVDataForwarded].Inc()
 	a.n.MAC.Enqueue(fwd, 0)
 }
 
@@ -611,14 +581,14 @@ func (a *AODV) OnSent(pkt *packet.Packet) {}
 // retries toward pkt.To — treat the link as broken immediately (faster
 // than waiting for hello loss).
 func (a *AODV) OnUnicastFailed(pkt *packet.Packet) {
-	a.stats.linkBreaks.Inc()
+	a.stats[AODVLinkBreaks].Inc()
 	delete(a.neighbors, pkt.To)
 	a.invalidateVia(pkt.To)
 	// Salvage data packets — originated here or being forwarded — by
 	// re-routing them through a fresh route (or discovery), keeping
 	// their original headers so end-to-end delay stays honest.
 	if pkt.Kind == packet.KindData && pkt.Target != a.n.ID {
-		a.stats.rediscoveries.Inc()
+		a.stats[AODVRediscoveries].Inc()
 		a.salvageData(pkt)
 	}
 }
@@ -631,13 +601,13 @@ func (a *AODV) salvageData(pkt *packet.Packet) {
 		fwd := pkt.Clone()
 		fwd.To = r.nextHop
 		fwd.UID = 0 // a new frame, not an ARQ duplicate
-		a.stats.dataForwarded.Inc()
+		a.stats[AODVDataForwarded].Inc()
 		a.n.MAC.Enqueue(fwd, 0)
 		return
 	}
 	list := a.salvage[pkt.Target]
 	if len(list) >= 16 {
-		a.stats.dataDropped.Inc() // bounded salvage buffer
+		a.stats[AODVDataDropped].Inc() // bounded salvage buffer
 		return
 	}
 	if _, open := a.repairStart[pkt.Target]; !open {

@@ -68,7 +68,7 @@ func TestAODVRouteReuse(t *testing.T) {
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(2, 0)
 	nw.Run(5)
-	rreqs := as[0].Stats().RREQSent
+	rreqs := as[0].Count(AODVRREQSent)
 	for i := 0; i < 5; i++ {
 		as[0].Send(2, 0)
 	}
@@ -76,7 +76,7 @@ func TestAODVRouteReuse(t *testing.T) {
 	if count != 6 {
 		t.Fatalf("delivered %d, want 6", count)
 	}
-	if as[0].Stats().RREQSent != rreqs {
+	if as[0].Count(AODVRREQSent) != rreqs {
 		t.Fatal("established route not reused")
 	}
 }
@@ -104,11 +104,10 @@ func TestAODVLinkBreakTriggersRediscovery(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("second packet lost after link break (delivered=%d)", count)
 	}
-	st := as[0].Stats()
-	if st.LinkBreaks == 0 {
+	if as[0].Count(AODVLinkBreaks) == 0 {
 		t.Fatal("link break never detected")
 	}
-	if st.Rediscoveries == 0 && st.RREQSent < 2 {
+	if as[0].Count(AODVRediscoveries) == 0 && as[0].Count(AODVRREQSent) < 2 {
 		t.Fatal("no re-discovery after link break")
 	}
 }
@@ -116,7 +115,7 @@ func TestAODVLinkBreakTriggersRediscovery(t *testing.T) {
 func TestAODVHelloMaintainsNeighbors(t *testing.T) {
 	nw, as := buildAODV(t, AODVConfig{}, 5, line(2, 150))
 	nw.Run(5)
-	if as[0].Stats().Hellos == 0 {
+	if as[0].Count(AODVHellos) == 0 {
 		t.Fatal("no hello beacons sent")
 	}
 	if _, ok := as[0].neighbors[1]; !ok {
@@ -128,7 +127,7 @@ func TestAODVHelloMaintainsNeighbors(t *testing.T) {
 	if _, ok := as[0].neighbors[1]; ok {
 		t.Fatal("dead neighbor never expired")
 	}
-	if as[0].Stats().LinkBreaks == 0 {
+	if as[0].Count(AODVLinkBreaks) == 0 {
 		t.Fatal("hello loss not counted as link break")
 	}
 }
@@ -151,7 +150,7 @@ func TestAODVRERRPropagates(t *testing.T) {
 	}
 	var rerrs uint64
 	for _, a := range as {
-		rerrs += a.Stats().RERRSent
+		rerrs += a.Count(AODVRERRSent)
 	}
 	if rerrs == 0 {
 		t.Fatal("no RERR ever sent")
@@ -164,8 +163,8 @@ func TestAODVNoRouteGivesUp(t *testing.T) {
 	nw, as := buildAODV(t, cfg, 7, positions)
 	as[0].Send(2, 0)
 	nw.Run(10)
-	if as[0].Stats().DroppedNoRoute != 1 {
-		t.Fatalf("DroppedNoRoute = %d, want 1", as[0].Stats().DroppedNoRoute)
+	if as[0].Count(AODVDroppedNoRoute) != 1 {
+		t.Fatalf("DroppedNoRoute = %d, want 1", as[0].Count(AODVDroppedNoRoute))
 	}
 }
 
@@ -209,7 +208,7 @@ func TestAODVRouteExpiry(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("delivered %d, want 2", count)
 	}
-	if as[0].Stats().RREQSent < 2 {
+	if as[0].Count(AODVRREQSent) < 2 {
 		t.Fatal("expiry did not force a new discovery")
 	}
 }
@@ -292,7 +291,7 @@ func TestAODVExpandingRingEventuallyReachesFarTarget(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("delivered %d, want 1 after ring escalation", count)
 	}
-	if as[0].Stats().RREQSent < 2 {
+	if as[0].Count(AODVRREQSent) < 2 {
 		t.Fatal("far target should need more than one ring")
 	}
 }

@@ -28,12 +28,11 @@ func TestRRTimeoutFlushesPassivelyLearnedGradient(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("queued data delivered %d times, want 1", got)
 	}
-	s := rrs[0].Stats()
-	if s.DiscoveriesSent != 1 {
-		t.Fatalf("DiscoveriesSent = %d, want 1 (timeout re-flooded next to a known gradient)", s.DiscoveriesSent)
+	if rrs[0].Count(RRDiscoveriesSent) != 1 {
+		t.Fatalf("DiscoveriesSent = %d, want 1 (timeout re-flooded next to a known gradient)", rrs[0].Count(RRDiscoveriesSent))
 	}
-	if s.DroppedNoRoute != 0 {
-		t.Fatalf("DroppedNoRoute = %d, want 0", s.DroppedNoRoute)
+	if rrs[0].Count(RRDroppedNoRoute) != 0 {
+		t.Fatalf("DroppedNoRoute = %d, want 0", rrs[0].Count(RRDroppedNoRoute))
 	}
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -54,12 +53,11 @@ func TestAODVTimeoutFlushesPassivelyLearnedRoute(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("queued data delivered %d times, want 1", got)
 	}
-	s := as[0].Stats()
-	if s.Rediscoveries != 0 {
-		t.Fatalf("Rediscoveries = %d, want 0 (timeout re-flooded next to a valid route)", s.Rediscoveries)
+	if as[0].Count(AODVRediscoveries) != 0 {
+		t.Fatalf("Rediscoveries = %d, want 0 (timeout re-flooded next to a valid route)", as[0].Count(AODVRediscoveries))
 	}
-	if s.DroppedNoRoute != 0 {
-		t.Fatalf("DroppedNoRoute = %d, want 0", s.DroppedNoRoute)
+	if as[0].Count(AODVDroppedNoRoute) != 0 {
+		t.Fatalf("DroppedNoRoute = %d, want 0", as[0].Count(AODVDroppedNoRoute))
 	}
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -80,12 +78,11 @@ func TestGradientTimeoutFlushesPassivelyLearnedGradient(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("queued data delivered %d times, want 1", got)
 	}
-	s := gs[0].Stats()
-	if s.DiscoveriesSent != 1 {
-		t.Fatalf("DiscoveriesSent = %d, want 1 (timeout re-flooded next to a known gradient)", s.DiscoveriesSent)
+	if gs[0].Count(GradDiscoveriesSent) != 1 {
+		t.Fatalf("DiscoveriesSent = %d, want 1 (timeout re-flooded next to a known gradient)", gs[0].Count(GradDiscoveriesSent))
 	}
-	if s.DroppedNoRoute != 0 {
-		t.Fatalf("DroppedNoRoute = %d, want 0", s.DroppedNoRoute)
+	if gs[0].Count(GradDroppedNoRoute) != 0 {
+		t.Fatalf("DroppedNoRoute = %d, want 0", gs[0].Count(GradDroppedNoRoute))
 	}
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func TestRRSurvivesUnidirectionalLink(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("delivered %d, want 1 via the healthy relay", count)
 	}
-	if rrs[3].Stats().Relays == 0 {
+	if rrs[3].Count(RRRelays) == 0 {
 		t.Fatal("healthy relay never carried the packet")
 	}
 }

@@ -46,40 +46,39 @@ func (c GradientConfig) withDefaults() GradientConfig {
 	return c
 }
 
-// GradientStats is the plain-uint64 snapshot view of one node's
-// counters.
-type GradientStats struct {
-	DataSent          uint64
-	DataDelivered     uint64
-	Forwards          uint64 // gradient-qualified retransmissions
-	NotCloserDrops    uint64 // copies dropped for lacking progress
-	DiscoveriesSent   uint64
-	DiscoveryForwards uint64
-	RepliesSent       uint64
-	DroppedNoRoute    uint64
-	TTLDrops          uint64
-	Repairs           uint64 // gradients rebuilt after a discovery retry
-}
+// GradientSeries indexes one cell of a node's Gradient counter block.
+type GradientSeries uint8
 
-// gradientCounters is the live counter storage behind GradientStats.
-type gradientCounters struct {
-	dataSent          metrics.Counter
-	dataDelivered     metrics.Counter
-	forwards          metrics.Counter
-	notCloserDrops    metrics.Counter
-	discoveriesSent   metrics.Counter
-	discoveryForwards metrics.Counter
-	repliesSent       metrics.Counter
-	droppedNoRoute    metrics.Counter
-	ttlDrops          metrics.Counter
-	repairs           metrics.Counter
+// The gradient.* counters, in journal order.
+const (
+	GradDataSent GradientSeries = iota
+	GradDataDelivered
+	GradForwards       // gradient-qualified retransmissions
+	GradNotCloserDrops // copies dropped for lacking progress
+	GradDiscoveriesSent
+	GradDiscoveryForwards
+	GradRepliesSent
+	GradDroppedNoRoute
+	GradTTLDrops
+	GradRepairs // gradients rebuilt after a discovery retry
+	numGradientSeries
+)
 
-	// repairLatency spans a discovery's first re-flood (the gradient
-	// failed to form, or dissolved under churn) to the moment it yields a
-	// usable gradient. Gradient has no per-packet maintenance, so
-	// discovery retry is its repair mechanism; first-attempt successes
-	// never open a window.
-	repairLatency metrics.Histogram
+// gradientTable names the series; it is the only place they are spelled.
+var gradientTable = metrics.Table{
+	Counters: []string{
+		GradDataSent:          "gradient.data_sent",
+		GradDataDelivered:     "gradient.data_delivered",
+		GradForwards:          "gradient.forwards",
+		GradNotCloserDrops:    "gradient.not_closer_drops",
+		GradDiscoveriesSent:   "gradient.discoveries_sent",
+		GradDiscoveryForwards: "gradient.discovery_forwards",
+		GradRepliesSent:       "gradient.replies_sent",
+		GradDroppedNoRoute:    "gradient.dropped_no_route",
+		GradTTLDrops:          "gradient.ttl_drops",
+		GradRepairs:           "gradient.repairs",
+	},
+	Hists: []string{"gradient.repair_latency_s"},
 }
 
 // Gradient is the §4.4 comparison protocol (after Poor's Gradient
@@ -105,7 +104,13 @@ type Gradient struct {
 	// target; cleared when the discovery succeeds or gives up.
 	repairStart map[packet.NodeID]sim.Time
 
-	stats gradientCounters
+	stats [numGradientSeries]metrics.Counter32
+	// repairLatency spans a discovery's first re-flood (the gradient
+	// failed to form, or dissolved under churn) to the moment it yields a
+	// usable gradient. Gradient has no per-packet maintenance, so
+	// discovery retry is its repair mechanism; first-attempt successes
+	// never open a window.
+	repairLatency [1]metrics.Histogram
 }
 
 // NewGradient builds an instance; install with Network.Install.
@@ -126,37 +131,12 @@ func NewGradient(cfg GradientConfig) *Gradient {
 // Start implements node.Protocol.
 func (g *Gradient) Start(n *node.Node) { g.n = n }
 
-// Stats returns the node's counters.
-func (g *Gradient) Stats() GradientStats {
-	s := &g.stats
-	return GradientStats{
-		DataSent:          s.dataSent.Value(),
-		DataDelivered:     s.dataDelivered.Value(),
-		Forwards:          s.forwards.Value(),
-		NotCloserDrops:    s.notCloserDrops.Value(),
-		DiscoveriesSent:   s.discoveriesSent.Value(),
-		DiscoveryForwards: s.discoveryForwards.Value(),
-		RepliesSent:       s.repliesSent.Value(),
-		DroppedNoRoute:    s.droppedNoRoute.Value(),
-		TTLDrops:          s.ttlDrops.Value(),
-		Repairs:           s.repairs.Value(),
-	}
-}
+// Count returns the current value of one of the node's counters.
+func (g *Gradient) Count(s GradientSeries) uint64 { return g.stats[s].Value() }
 
-// RegisterMetrics registers the protocol counters; per-node sources sum
-// into network-wide gradient.* series.
-func (g *Gradient) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe("gradient.data_sent", &g.stats.dataSent)
-	reg.Observe("gradient.data_delivered", &g.stats.dataDelivered)
-	reg.Observe("gradient.forwards", &g.stats.forwards)
-	reg.Observe("gradient.not_closer_drops", &g.stats.notCloserDrops)
-	reg.Observe("gradient.discoveries_sent", &g.stats.discoveriesSent)
-	reg.Observe("gradient.discovery_forwards", &g.stats.discoveryForwards)
-	reg.Observe("gradient.replies_sent", &g.stats.repliesSent)
-	reg.Observe("gradient.dropped_no_route", &g.stats.droppedNoRoute)
-	reg.Observe("gradient.ttl_drops", &g.stats.ttlDrops)
-	reg.Observe("gradient.repairs", &g.stats.repairs)
-	reg.ObserveHistogram("gradient.repair_latency_s", &g.stats.repairLatency)
+// MetricBlock implements metrics.Source.
+func (g *Gradient) MetricBlock() metrics.Block {
+	return metrics.Block{Table: &gradientTable, Counters: g.stats[:], Hists: g.repairLatency[:]}
 }
 
 // endRepair closes an open repair window for target: the discovery that
@@ -167,8 +147,8 @@ func (g *Gradient) endRepair(target packet.NodeID) {
 		return
 	}
 	delete(g.repairStart, target)
-	g.stats.repairs.Inc()
-	g.stats.repairLatency.Observe(float64(g.n.Kernel.Now() - t0))
+	g.stats[GradRepairs].Inc()
+	g.repairLatency[0].Observe(float64(g.n.Kernel.Now() - t0))
 }
 
 // Table exposes the gradient table (read-mostly; used by tests and
@@ -181,9 +161,9 @@ func (g *Gradient) Send(target packet.NodeID, size int) {
 		size = g.cfg.DataSize
 	}
 	now := g.n.Kernel.Now()
-	g.stats.dataSent.Inc()
+	g.stats[GradDataSent].Inc()
 	if target == g.n.ID {
-		g.stats.dataDelivered.Inc()
+		g.stats[GradDataDelivered].Inc()
 		g.n.Deliver(&packet.Packet{Kind: packet.KindData, Origin: g.n.ID, Target: target, Size: size, CreatedAt: now})
 		return
 	}
@@ -218,7 +198,7 @@ func (g *Gradient) floodDiscovery(target packet.NodeID) {
 		CreatedAt: g.n.Kernel.Now(),
 	}
 	g.floodDedup.Seen(pkt.Key())
-	g.stats.discoveriesSent.Inc()
+	g.stats[GradDiscoveriesSent].Inc()
 	g.n.MAC.Enqueue(pkt, 0)
 }
 
@@ -239,7 +219,7 @@ func (g *Gradient) discoveryTimeout(target packet.NodeID) {
 		return
 	}
 	if !retry {
-		g.stats.droppedNoRoute.Add(uint64(len(d.queue)))
+		g.stats[GradDroppedNoRoute].Add(uint32(len(d.queue)))
 		// The repair failed; no latency sample (give-ups are visible
 		// through gradient.dropped_no_route).
 		delete(g.repairStart, target)
@@ -264,7 +244,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 		if pkt.Target == g.n.ID {
 			// Establish the reverse gradient with a reply that flows
 			// back down the just-built gradient.
-			g.stats.repliesSent.Inc()
+			g.stats[GradRepliesSent].Inc()
 			g.n.MAC.Enqueue(&packet.Packet{
 				Kind: packet.KindReply, To: packet.Broadcast,
 				Origin: g.n.ID, Target: pkt.Origin, Seq: g.nextSeq(),
@@ -274,7 +254,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 			return
 		}
 		if pkt.TTL <= 1 {
-			g.stats.ttlDrops.Inc()
+			g.stats[GradTTLDrops].Inc()
 			return
 		}
 		backoff, _ := g.discPolicy.Backoff(core.Context{Rand: g.n.Rng})
@@ -283,7 +263,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 		fwd.HopCount++
 		fwd.TTL--
 		g.n.Kernel.Schedule(backoff, func() {
-			g.stats.discoveryForwards.Inc()
+			g.stats[GradDiscoveryForwards].Inc()
 			g.n.MAC.Enqueue(fwd, 0)
 		})
 	case packet.KindReply, packet.KindData:
@@ -292,7 +272,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 		if pkt.Target == g.n.ID {
 			if !g.consumed.Seen(key) {
 				if pkt.Kind == packet.KindData {
-					g.stats.dataDelivered.Inc()
+					g.stats[GradDataDelivered].Inc()
 					g.n.Deliver(pkt)
 				} else {
 					g.endRepair(pkt.Origin)
@@ -307,12 +287,12 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 			return // each node retransmits a packet at most once
 		}
 		if pkt.TTL <= 1 {
-			g.stats.ttlDrops.Inc()
+			g.stats[GradTTLDrops].Inc()
 			return
 		}
 		h := g.table.Hops(pkt.Target)
 		if h < 0 || h >= pkt.ExpectedHops {
-			g.stats.notCloserDrops.Inc()
+			g.stats[GradNotCloserDrops].Inc()
 			return // only strictly closer nodes forward
 		}
 		fwd := pkt.Clone()
@@ -322,7 +302,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 		fwd.ExpectedHops = h
 		backoff := sim.Time(g.n.Rng.Float64()) * g.cfg.Backoff
 		g.n.Kernel.Schedule(backoff, func() {
-			g.stats.forwards.Inc()
+			g.stats[GradForwards].Inc()
 			g.n.MAC.Enqueue(fwd, float64(backoff))
 		})
 	}

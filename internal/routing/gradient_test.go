@@ -51,13 +51,13 @@ func TestGradientOnlyCloserNodesForward(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("delivered %d, want 1", count)
 	}
-	if gs[0].Stats().Forwards != 0 {
+	if gs[0].Count(GradForwards) != 0 {
 		t.Fatal("node behind the source forwarded the packet")
 	}
-	if gs[0].Stats().NotCloserDrops == 0 {
+	if gs[0].Count(GradNotCloserDrops) == 0 {
 		t.Fatal("gradient constraint never evaluated at the rear node")
 	}
-	if gs[2].Stats().Forwards == 0 {
+	if gs[2].Count(GradForwards) == 0 {
 		t.Fatal("forward relay never forwarded")
 	}
 }
@@ -81,7 +81,7 @@ func TestGradientRedundantForwarders(t *testing.T) {
 	}
 	var midForwards uint64
 	for _, g := range gs[1:4] {
-		midForwards += g.Stats().Forwards
+		midForwards += g.Count(GradForwards)
 	}
 	if midForwards < 2 {
 		t.Fatalf("middle forwards = %d; gradient routing should be redundant", midForwards)
@@ -130,7 +130,7 @@ func TestGradientNoRouteGivesUp(t *testing.T) {
 	nw, gs := buildGrad(t, cfg, 5, positions)
 	gs[0].Send(1, 0)
 	nw.Run(5)
-	if gs[0].Stats().DroppedNoRoute != 1 {
-		t.Fatalf("DroppedNoRoute = %d, want 1", gs[0].Stats().DroppedNoRoute)
+	if gs[0].Count(GradDroppedNoRoute) != 1 {
+		t.Fatalf("DroppedNoRoute = %d, want 1", gs[0].Count(GradDroppedNoRoute))
 	}
 }

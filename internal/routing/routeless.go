@@ -119,60 +119,61 @@ func (c RoutelessConfig) withDefaults() RoutelessConfig {
 	return c
 }
 
-// RoutelessStats is the plain-uint64 snapshot view of one node's
-// counters.
-type RoutelessStats struct {
-	DataSent            uint64
-	DataDelivered       uint64
-	DiscoveriesSent     uint64
-	DiscoveryForwards   uint64
-	DiscoveryCancelled  uint64
-	DupDiscovery        uint64
-	RepliesSent         uint64
-	RepliesReceived     uint64
-	Relays              uint64 // reply/data forwards won by election
-	Retransmissions     uint64 // arbiter retransmissions
-	RelayGiveUps        uint64
-	CancelledByOverhear uint64 // backoffs cancelled by a downstream copy
-	CancelledByAck      uint64 // backoffs cancelled by an ACK
-	ArbiterAcks         uint64 // ACKs sent after overhearing the next hop
-	TargetAcks          uint64 // ACKs sent as the packet's target
-	ReAcks              uint64 // retained for API stability; unused since the detour check
-	StaleDrops          uint64 // copies refused by the detour check
-	Abstains            uint64 // elections skipped for lack of a gradient
-	TTLDrops            uint64
-	DroppedNoRoute      uint64 // data dropped after discovery gave up
-	Repairs             uint64 // relays recovered after arbiter retransmission
-}
+// RoutelessSeries indexes one cell of a node's Routeless Routing counter block.
+type RoutelessSeries uint8
 
-// routelessCounters is the live counter storage behind RoutelessStats.
-type routelessCounters struct {
-	dataSent            metrics.Counter
-	dataDelivered       metrics.Counter
-	discoveriesSent     metrics.Counter
-	discoveryForwards   metrics.Counter
-	discoveryCancelled  metrics.Counter
-	dupDiscovery        metrics.Counter
-	repliesSent         metrics.Counter
-	repliesReceived     metrics.Counter
-	relays              metrics.Counter
-	retransmissions     metrics.Counter
-	relayGiveUps        metrics.Counter
-	cancelledByOverhear metrics.Counter
-	cancelledByAck      metrics.Counter
-	arbiterAcks         metrics.Counter
-	targetAcks          metrics.Counter
-	reAcks              metrics.Counter
-	staleDrops          metrics.Counter
-	abstains            metrics.Counter
-	ttlDrops            metrics.Counter
-	droppedNoRoute      metrics.Counter
-	repairs             metrics.Counter
+// The rr.* counters, in journal order.
+const (
+	RRDataSent RoutelessSeries = iota
+	RRDataDelivered
+	RRDiscoveriesSent
+	RRDiscoveryForwards
+	RRDiscoveryCancelled
+	RRDupDiscovery
+	RRRepliesSent
+	RRRepliesReceived
+	RRRelays          // reply/data forwards won by election
+	RRRetransmissions // arbiter retransmissions
+	RRRelayGiveUps
+	RRCancelledByOverhear // backoffs cancelled by a downstream copy
+	RRCancelledByAck      // backoffs cancelled by an ACK
+	RRArbiterAcks         // ACKs sent after overhearing the next hop
+	RRTargetAcks          // ACKs sent as the packet's target
+	RRReAcks              // never counted since the detour check; rr.re_acks stays a journal column
+	RRStaleDrops          // copies refused by the detour check
+	RRAbstains            // elections skipped for lack of a gradient
+	RRTTLDrops
+	RRDroppedNoRoute // data dropped after discovery gave up
+	RRRepairs        // relays recovered after arbiter retransmission
+	numRoutelessSeries
+)
 
-	// repairLatency spans a relay's first arbiter retransmission to the
-	// evidence that the packet moved again (overheard downstream copy or
-	// ACK) — Routeless Routing's route-repair recovery metric.
-	repairLatency metrics.Histogram
+// routelessTable names the series; it is the only place they are spelled.
+var routelessTable = metrics.Table{
+	Counters: []string{
+		RRDataSent:            "rr.data_sent",
+		RRDataDelivered:       "rr.data_delivered",
+		RRDiscoveriesSent:     "rr.discoveries_sent",
+		RRDiscoveryForwards:   "rr.discovery_forwards",
+		RRDiscoveryCancelled:  "rr.discovery_cancelled",
+		RRDupDiscovery:        "rr.dup_discovery",
+		RRRepliesSent:         "rr.replies_sent",
+		RRRepliesReceived:     "rr.replies_received",
+		RRRelays:              "rr.relays",
+		RRRetransmissions:     "rr.retransmissions",
+		RRRelayGiveUps:        "rr.relay_give_ups",
+		RRCancelledByOverhear: "rr.cancelled_by_overhear",
+		RRCancelledByAck:      "rr.cancelled_by_ack",
+		RRArbiterAcks:         "rr.arbiter_acks",
+		RRTargetAcks:          "rr.target_acks",
+		RRReAcks:              "rr.re_acks",
+		RRStaleDrops:          "rr.stale_drops",
+		RRAbstains:            "rr.abstains",
+		RRTTLDrops:            "rr.ttl_drops",
+		RRDroppedNoRoute:      "rr.dropped_no_route",
+		RRRepairs:             "rr.repairs",
+	},
+	Hists: []string{"rr.repair_latency_s"},
 }
 
 type relayPhase uint8
@@ -246,7 +247,11 @@ type Routeless struct {
 	// protocol studies.
 	OnEvent func(ev string, key packet.FlowKey, hop int)
 
-	stats routelessCounters
+	stats [numRoutelessSeries]metrics.Counter32
+	// repairLatency spans a relay's first arbiter retransmission to the
+	// evidence that the packet moved again (overheard downstream copy or
+	// ACK) — Routeless Routing's route-repair recovery metric.
+	repairLatency [1]metrics.Histogram
 }
 
 // NewRouteless builds an instance; install with Network.Install.
@@ -282,59 +287,12 @@ func (r *Routeless) Start(n *node.Node) {
 	r.sweep.StartAfter(sim.Time(5 + n.Rng.Float64()))
 }
 
-// Stats returns the node's counters.
-func (r *Routeless) Stats() RoutelessStats {
-	s := &r.stats
-	return RoutelessStats{
-		DataSent:            s.dataSent.Value(),
-		DataDelivered:       s.dataDelivered.Value(),
-		DiscoveriesSent:     s.discoveriesSent.Value(),
-		DiscoveryForwards:   s.discoveryForwards.Value(),
-		DiscoveryCancelled:  s.discoveryCancelled.Value(),
-		DupDiscovery:        s.dupDiscovery.Value(),
-		RepliesSent:         s.repliesSent.Value(),
-		RepliesReceived:     s.repliesReceived.Value(),
-		Relays:              s.relays.Value(),
-		Retransmissions:     s.retransmissions.Value(),
-		RelayGiveUps:        s.relayGiveUps.Value(),
-		CancelledByOverhear: s.cancelledByOverhear.Value(),
-		CancelledByAck:      s.cancelledByAck.Value(),
-		ArbiterAcks:         s.arbiterAcks.Value(),
-		TargetAcks:          s.targetAcks.Value(),
-		ReAcks:              s.reAcks.Value(),
-		StaleDrops:          s.staleDrops.Value(),
-		Abstains:            s.abstains.Value(),
-		TTLDrops:            s.ttlDrops.Value(),
-		DroppedNoRoute:      s.droppedNoRoute.Value(),
-		Repairs:             s.repairs.Value(),
-	}
-}
+// Count returns the current value of one of the node's counters.
+func (r *Routeless) Count(s RoutelessSeries) uint64 { return r.stats[s].Value() }
 
-// RegisterMetrics registers the protocol counters; per-node sources sum
-// into network-wide rr.* series.
-func (r *Routeless) RegisterMetrics(reg *metrics.Registry) {
-	reg.Observe("rr.data_sent", &r.stats.dataSent)
-	reg.Observe("rr.data_delivered", &r.stats.dataDelivered)
-	reg.Observe("rr.discoveries_sent", &r.stats.discoveriesSent)
-	reg.Observe("rr.discovery_forwards", &r.stats.discoveryForwards)
-	reg.Observe("rr.discovery_cancelled", &r.stats.discoveryCancelled)
-	reg.Observe("rr.dup_discovery", &r.stats.dupDiscovery)
-	reg.Observe("rr.replies_sent", &r.stats.repliesSent)
-	reg.Observe("rr.replies_received", &r.stats.repliesReceived)
-	reg.Observe("rr.relays", &r.stats.relays)
-	reg.Observe("rr.retransmissions", &r.stats.retransmissions)
-	reg.Observe("rr.relay_give_ups", &r.stats.relayGiveUps)
-	reg.Observe("rr.cancelled_by_overhear", &r.stats.cancelledByOverhear)
-	reg.Observe("rr.cancelled_by_ack", &r.stats.cancelledByAck)
-	reg.Observe("rr.arbiter_acks", &r.stats.arbiterAcks)
-	reg.Observe("rr.target_acks", &r.stats.targetAcks)
-	reg.Observe("rr.re_acks", &r.stats.reAcks)
-	reg.Observe("rr.stale_drops", &r.stats.staleDrops)
-	reg.Observe("rr.abstains", &r.stats.abstains)
-	reg.Observe("rr.ttl_drops", &r.stats.ttlDrops)
-	reg.Observe("rr.dropped_no_route", &r.stats.droppedNoRoute)
-	reg.Observe("rr.repairs", &r.stats.repairs)
-	reg.ObserveHistogram("rr.repair_latency_s", &r.stats.repairLatency)
+// MetricBlock implements metrics.Source.
+func (r *Routeless) MetricBlock() metrics.Block {
+	return metrics.Block{Table: &routelessTable, Counters: r.stats[:], Hists: r.repairLatency[:]}
 }
 
 // repairDone closes an open repair window on st: the packet provably
@@ -344,8 +302,8 @@ func (r *Routeless) repairDone(st *relayState) {
 	if st.repairStart == 0 {
 		return
 	}
-	r.stats.repairs.Inc()
-	r.stats.repairLatency.Observe(float64(r.n.Kernel.Now() - st.repairStart))
+	r.stats[RRRepairs].Inc()
+	r.repairLatency[0].Observe(float64(r.n.Kernel.Now() - st.repairStart))
 	st.repairStart = 0
 }
 
@@ -367,8 +325,8 @@ func (r *Routeless) Send(target packet.NodeID, size int) {
 	}
 	now := r.n.Kernel.Now()
 	if target == r.n.ID {
-		r.stats.dataSent.Inc()
-		r.stats.dataDelivered.Inc()
+		r.stats[RRDataSent].Inc()
+		r.stats[RRDataDelivered].Inc()
 		r.n.Deliver(&packet.Packet{Kind: packet.KindData, Origin: r.n.ID, Target: target, Size: size, CreatedAt: now})
 		return
 	}
@@ -408,7 +366,7 @@ func (r *Routeless) sendData(target packet.NodeID, size int, created sim.Time) {
 		HopCount: 1, ExpectedHops: h - 1,
 		TTL: r.pathBudget(h), Size: size, CreatedAt: created,
 	}
-	r.stats.dataSent.Inc()
+	r.stats[RRDataSent].Inc()
 	r.originate(pkt)
 }
 
@@ -425,7 +383,7 @@ func (r *Routeless) sendReply(source packet.NodeID) {
 		HopCount: 1, ExpectedHops: h - 1,
 		TTL: r.pathBudget(h), Size: packet.SizeControl, CreatedAt: r.n.Kernel.Now(),
 	}
-	r.stats.repliesSent.Inc()
+	r.stats[RRRepliesSent].Inc()
 	r.originate(pkt)
 }
 
@@ -463,7 +421,7 @@ func (r *Routeless) floodDiscovery(target packet.NodeID) {
 		Size: packet.SizeControl, CreatedAt: r.n.Kernel.Now(),
 	}
 	r.floodDedup.Seen(pkt.Key())
-	r.stats.discoveriesSent.Inc()
+	r.stats[RRDiscoveriesSent].Inc()
 	r.n.MAC.Enqueue(pkt, 0)
 }
 
@@ -484,7 +442,7 @@ func (r *Routeless) discoveryTimeout(target packet.NodeID) {
 		return
 	}
 	if !retry {
-		r.stats.droppedNoRoute.Add(uint64(len(d.queue)))
+		r.stats[RRDroppedNoRoute].Add(uint32(len(d.queue)))
 		return
 	}
 	r.floodDiscovery(target)
@@ -508,7 +466,7 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 	r.table.Observe(pkt.Origin, pkt.HopCount, pkt.Seq, now)
 	key := pkt.Key()
 	if r.floodDedup.Seen(key) {
-		r.stats.dupDiscovery.Inc()
+		r.stats[RRDupDiscovery].Inc()
 		if !r.cfg.PlainDiscovery {
 			// Counter-1 suppression: a duplicate overheard before our
 			// rebroadcast reaches the air cancels it.
@@ -522,7 +480,7 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 				}
 				if cancelled {
 					delete(r.discPending, key)
-					r.stats.discoveryCancelled.Inc()
+					r.stats[RRDiscoveryCancelled].Inc()
 				}
 			}
 		}
@@ -533,7 +491,7 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		return
 	}
 	if pkt.TTL <= 1 {
-		r.stats.ttlDrops.Inc()
+		r.stats[RRTTLDrops].Inc()
 		return
 	}
 	backoff, _ := r.discPolicy.Backoff(core.Context{Rand: r.n.Rng})
@@ -544,7 +502,7 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 	df := &discForward{fwd: fwd, created: now}
 	df.timer = sim.NewTimer(r.n.Kernel, func() {
 		df.queued = true
-		r.stats.discoveryForwards.Inc()
+		r.stats[RRDiscoveryForwards].Inc()
 		r.n.MAC.Enqueue(fwd, float64(backoff))
 	})
 	r.discPending[key] = df
@@ -565,7 +523,7 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 	// later election. Refuse it entirely.
 	if r.relays[key] == nil && pkt.Target != r.n.ID {
 		if ho := r.table.Hops(pkt.Origin); ho >= 0 && pkt.HopCount > ho+r.cfg.HopSlack {
-			r.stats.staleDrops.Inc()
+			r.stats[RRStaleDrops].Inc()
 			r.event("stale", key, pkt.HopCount)
 			return
 		}
@@ -576,17 +534,17 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 		if !r.consumed.Seen(key) {
 			switch pkt.Kind {
 			case packet.KindData:
-				r.stats.dataDelivered.Inc()
+				r.stats[RRDataDelivered].Inc()
 				r.event("consume", key, pkt.HopCount)
 				r.n.Deliver(pkt)
 			case packet.KindReply:
-				r.stats.repliesReceived.Inc()
+				r.stats[RRRepliesReceived].Inc()
 				r.routeEstablished(pkt.Origin)
 			}
 		}
 		// ACK on every copy: a retransmission means our previous ACK
 		// was missed.
-		r.stats.targetAcks.Inc()
+		r.stats[RRTargetAcks].Inc()
 		r.sendAck(key)
 		return
 	}
@@ -607,7 +565,7 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			// it is a sibling's relay carrying the packet onward.
 			st.timer.Stop()
 			st.phase = phaseDone
-			r.stats.cancelledByOverhear.Inc()
+			r.stats[RRCancelledByOverhear].Inc()
 			r.event("cancel-oh", key, pkt.HopCount)
 		}
 	case phaseQueued:
@@ -618,14 +576,14 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			// the air yet.
 			if r.n.MAC.Dequeue(st.inflight) {
 				st.phase = phaseDone
-				r.stats.cancelledByOverhear.Inc()
+				r.stats[RRCancelledByOverhear].Inc()
 				r.event("dequeue", key, pkt.HopCount)
 				if pkt.HopCount > st.txHop {
 					// Only possible for a queued retransmission: our
 					// earlier copy did get relayed downstream — finish
 					// the arbiter duty with an ACK.
 					r.repairDone(st)
-					r.stats.arbiterAcks.Inc()
+					r.stats[RRArbiterAcks].Inc()
 					r.sendAck(key)
 				}
 			}
@@ -639,7 +597,7 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			st.timer.Stop()
 			st.phase = phaseDone
 			r.repairDone(st)
-			r.stats.arbiterAcks.Inc()
+			r.stats[RRArbiterAcks].Inc()
 			r.event("ack-tx", key, pkt.HopCount)
 			r.sendAck(key)
 		}
@@ -653,14 +611,14 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 // armRelay enters the election for a freshly seen reply/data packet.
 func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.FlowKey, now sim.Time) {
 	if pkt.TTL <= 1 {
-		r.stats.ttlDrops.Inc()
+		r.stats[RRTTLDrops].Inc()
 		return
 	}
 	hops := r.table.Hops(pkt.Target)
 	// Budget check: relaying is pointless if the target cannot be
 	// reached within the packet's remaining hop budget.
 	if hops >= 0 && hops >= pkt.TTL {
-		r.stats.ttlDrops.Inc()
+		r.stats[RRTTLDrops].Inc()
 		r.event("budget", key, pkt.HopCount)
 		return
 	}
@@ -672,7 +630,7 @@ func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.Flo
 		Rand:         r.n.Rng,
 	})
 	if !ok {
-		r.stats.abstains.Inc()
+		r.stats[RRAbstains].Inc()
 		r.event("abstain", key, pkt.HopCount)
 		return
 	}
@@ -705,7 +663,7 @@ func (r *Routeless) relayWon(key packet.FlowKey, priority float64) {
 	st.phase = phaseQueued
 	st.txHop = st.fwd.HopCount
 	st.timer = sim.NewTimer(r.n.Kernel, func() { r.relayTimeout(key) })
-	r.stats.relays.Inc()
+	r.stats[RRRelays].Inc()
 	r.event("win", key, st.txHop)
 	r.enqueueRelay(st, priority)
 }
@@ -735,11 +693,11 @@ func (r *Routeless) relayTimeout(key packet.FlowKey) {
 	st.retries++
 	if st.retries > r.cfg.MaxRelayRetries {
 		st.phase = phaseDone
-		r.stats.relayGiveUps.Inc()
+		r.stats[RRRelayGiveUps].Inc()
 		r.event("giveup", key, st.txHop)
 		return
 	}
-	r.stats.retransmissions.Inc()
+	r.stats[RRRetransmissions].Inc()
 	r.event("retransmit", key, st.txHop)
 	if st.repairStart == 0 {
 		st.repairStart = r.n.Kernel.Now()
@@ -772,13 +730,13 @@ func (r *Routeless) handleAck(pkt *packet.Packet) {
 		// relayed (or arrived); stand down.
 		st.timer.Stop()
 		st.phase = phaseDone
-		r.stats.cancelledByAck.Inc()
+		r.stats[RRCancelledByAck].Inc()
 		r.event("cancel-ack", key, st.armedHop)
 	case phaseQueued:
 		if r.n.MAC.Dequeue(st.inflight) {
 			st.phase = phaseDone
 			r.repairDone(st)
-			r.stats.cancelledByAck.Inc()
+			r.stats[RRCancelledByAck].Inc()
 		}
 	case phaseRelayed:
 		st.timer.Stop()

@@ -1,9 +1,12 @@
 package routing
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"routeless/internal/geo"
+	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
@@ -44,11 +47,11 @@ func TestRRDirectNeighborDelivery(t *testing.T) {
 	if got[0].HopCount != 1 {
 		t.Fatalf("hop count %d, want 1", got[0].HopCount)
 	}
-	st := rrs[0].Stats()
-	if st.DiscoveriesSent != 1 || st.DataSent != 1 {
-		t.Fatalf("source stats %+v", st)
+	if rrs[0].Count(RRDiscoveriesSent) != 1 || rrs[0].Count(RRDataSent) != 1 {
+		t.Fatalf("source sent %d discoveries and %d data, want 1 and 1",
+			rrs[0].Count(RRDiscoveriesSent), rrs[0].Count(RRDataSent))
 	}
-	if rrs[1].Stats().RepliesSent != 1 {
+	if rrs[1].Count(RRRepliesSent) != 1 {
 		t.Fatal("destination never replied to discovery")
 	}
 }
@@ -96,13 +99,13 @@ func TestRRSecondPacketSkipsDiscovery(t *testing.T) {
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { count++ }
 	rrs[0].Send(2, 0)
 	nw.Run(5)
-	first := rrs[0].Stats().DiscoveriesSent
+	first := rrs[0].Count(RRDiscoveriesSent)
 	rrs[0].Send(2, 0)
 	nw.Run(10)
 	if count != 2 {
 		t.Fatalf("delivered %d, want 2", count)
 	}
-	if rrs[0].Stats().DiscoveriesSent != first {
+	if rrs[0].Count(RRDiscoveriesSent) != first {
 		t.Fatal("second packet triggered another discovery")
 	}
 }
@@ -136,12 +139,12 @@ func TestRRIntermediateFailureReroutes(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("first packet not delivered (%d)", count)
 	}
-	discoveriesAfterFirst := rrs[0].Stats().DiscoveriesSent
+	discoveriesAfterFirst := rrs[0].Count(RRDiscoveriesSent)
 	// Kill the relay that actually forwarded data.
 	var relay int
-	if rrs[1].Stats().Relays > 0 {
+	if rrs[1].Count(RRRelays) > 0 {
 		relay = 1
-	} else if rrs[2].Stats().Relays > 0 {
+	} else if rrs[2].Count(RRRelays) > 0 {
 		relay = 2
 	} else {
 		t.Fatal("no relay recorded for first packet")
@@ -152,11 +155,11 @@ func TestRRIntermediateFailureReroutes(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("second packet lost after relay failure (delivered=%d)", count)
 	}
-	if rrs[0].Stats().DiscoveriesSent != discoveriesAfterFirst {
+	if rrs[0].Count(RRDiscoveriesSent) != discoveriesAfterFirst {
 		t.Fatal("failure triggered a re-discovery; Routeless should reroute in place")
 	}
 	other := 3 - relay // the surviving relay (1↔2)
-	if rrs[other].Stats().Relays == 0 {
+	if rrs[other].Count(RRRelays) == 0 {
 		t.Fatal("surviving relay never carried the rerouted packet")
 	}
 }
@@ -179,9 +182,8 @@ func TestRRCancellationSuppressesRedundantRelays(t *testing.T) {
 	}
 	var relays, cancels uint64
 	for _, r := range rrs[1:4] {
-		st := r.Stats()
-		relays += st.Relays
-		cancels += st.CancelledByOverhear + st.CancelledByAck
+		relays += r.Count(RRRelays)
+		cancels += r.Count(RRCancelledByOverhear) + r.Count(RRCancelledByAck)
 	}
 	if relays == 0 {
 		t.Fatal("no middle relay carried the packet")
@@ -211,7 +213,7 @@ func TestRRArbiterRetransmitsThroughGap(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("delivered %d, want 1 (arbiter retransmission should recover)", count)
 	}
-	if rrs[2].Stats().Retransmissions+rrs[0].Stats().Retransmissions == 0 {
+	if rrs[2].Count(RRRetransmissions)+rrs[0].Count(RRRetransmissions) == 0 {
 		t.Fatal("no retransmissions recorded despite the outage window")
 	}
 }
@@ -224,12 +226,11 @@ func TestRRNoRouteGivesUp(t *testing.T) {
 	nw, rrs := buildRR(t, cfg, 9, positions)
 	rrs[0].Send(2, 0)
 	nw.Run(10)
-	st := rrs[0].Stats()
-	if st.DroppedNoRoute != 1 {
-		t.Fatalf("DroppedNoRoute = %d, want 1", st.DroppedNoRoute)
+	if rrs[0].Count(RRDroppedNoRoute) != 1 {
+		t.Fatalf("DroppedNoRoute = %d, want 1", rrs[0].Count(RRDroppedNoRoute))
 	}
-	if st.DiscoveriesSent != 3 { // initial + 2 retries
-		t.Fatalf("DiscoveriesSent = %d, want 3", st.DiscoveriesSent)
+	if rrs[0].Count(RRDiscoveriesSent) != 3 { // initial + 2 retries
+		t.Fatalf("DiscoveriesSent = %d, want 3", rrs[0].Count(RRDiscoveriesSent))
 	}
 }
 
@@ -300,8 +301,8 @@ func TestRRQueuedDataFlushedByReply(t *testing.T) {
 	if len(delays) != 3 {
 		t.Fatalf("delivered %d, want 3", len(delays))
 	}
-	if rrs[0].Stats().DiscoveriesSent != 1 {
-		t.Fatalf("discoveries = %d, want 1 (others queued)", rrs[0].Stats().DiscoveriesSent)
+	if rrs[0].Count(RRDiscoveriesSent) != 1 {
+		t.Fatalf("discoveries = %d, want 1 (others queued)", rrs[0].Count(RRDiscoveriesSent))
 	}
 	for _, d := range delays {
 		if d <= 0 {
@@ -325,7 +326,31 @@ func TestRRConcurrentFlowsShareGradients(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("delivered %d, want 2", count)
 	}
-	if rrs[1].Stats().DiscoveriesSent != 0 {
+	if rrs[1].Count(RRDiscoveriesSent) != 0 {
 		t.Fatal("second source re-discovered despite passive gradient")
+	}
+}
+
+// TestTableIsTheSchema pins the series table to the index constants:
+// a constant added without a name (or the reverse) fails here, not as a
+// shifted journal column.
+func TestTableIsTheSchema(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		table  metrics.Table
+		n      int
+	}{
+		{"rr.", routelessTable, int(numRoutelessSeries)},
+		{"aodv.", aodvTable, int(numAODVSeries)},
+		{"gradient.", gradientTable, int(numGradientSeries)},
+	} {
+		if len(tc.table.Counters) != tc.n {
+			t.Errorf("%s table names %d counters, the block has %d", tc.prefix, len(tc.table.Counters), tc.n)
+		}
+		for i, name := range append(slices.Clone(tc.table.Counters), tc.table.Hists...) {
+			if !strings.HasPrefix(name, tc.prefix) || len(name) == len(tc.prefix) {
+				t.Errorf("%s series %d is named %q", tc.prefix, i, name)
+			}
+		}
 	}
 }

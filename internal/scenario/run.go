@@ -34,8 +34,7 @@ type Spec struct {
 	// figures do not — O(N) tracked streams would cost the mega arena
 	// its memory bound).
 	Net node.Config
-	// Install attaches the network layer with one nw.Install or
-	// nw.InstallAggregated call.
+	// Install attaches the network layer with one nw.Install call.
 	Install func(nw *node.Network)
 	// Flows returns the run's CBR sources in start order. It is called
 	// once the protocol is installed, so endpoints may be chosen from
