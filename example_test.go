@@ -9,9 +9,9 @@ import (
 // ExampleNewNetwork shows the minimal end-to-end flow: build a field,
 // install Routeless Routing, send one packet.
 func ExampleNewNetwork() {
-	nw := routeless.NewNetwork(routeless.NetworkConfig{
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 100, Seed: 42, EnsureConnected: true,
-	})
+	}))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})

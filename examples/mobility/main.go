@@ -16,9 +16,9 @@ import (
 )
 
 func run(maxSpeed float64) (delivery float64, hops float64) {
-	nw := routeless.NewNetwork(routeless.NetworkConfig{
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 150, Rect: routeless.NewRect(1100, 1100), Seed: 13, EnsureConnected: true,
-	})
+	}))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})

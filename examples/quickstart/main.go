@@ -16,7 +16,7 @@ import (
 // run builds a field from the options, routes 20 packets corner to
 // corner, and reports delivery.
 func run(label string, opts ...routeless.Option) {
-	nw := routeless.NewNetwork(opts...)
+	nw := routeless.Must(routeless.NewNetwork(opts...))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})

@@ -16,9 +16,9 @@ import (
 )
 
 func main() {
-	nw := routeless.NewNetwork(routeless.NetworkConfig{
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 200, Rect: routeless.NewRect(1200, 1200), Seed: 11, EnsureConnected: true,
-	})
+	}))
 
 	relayLoad := map[routeless.NodeID]int{}
 	protos := make([]*routeless.Routeless, 0, len(nw.Nodes))

@@ -13,9 +13,9 @@ import (
 )
 
 func run(ssaf bool) (m routeless.Meter, macPackets uint64) {
-	nw := routeless.NewNetwork(routeless.NetworkConfig{
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 100, Rect: routeless.NewRect(1000, 1000), Seed: 7, EnsureConnected: true,
-	})
+	}))
 
 	var cfg routeless.FloodConfig
 	if ssaf {

@@ -172,7 +172,6 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 			Tiles:        cfg.Tiles,
 			TileWorkers:  cfg.TileWorkers,
 			LinkCacheCap: cfg.LinkCacheCap,
-			CompactRNG:   true,
 		},
 		Install: func(nw *node.Network) {
 			// One contiguous protocol arena instead of N heap objects.

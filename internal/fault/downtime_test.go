@@ -6,6 +6,7 @@ import (
 	"routeless/internal/fault"
 	"routeless/internal/geo"
 	"routeless/internal/node"
+	"routeless/internal/packet"
 	"routeless/internal/rng"
 	"routeless/internal/sim"
 )
@@ -24,7 +25,7 @@ func TestDowntimeBoundWithTwoCrashSpecs(t *testing.T) {
 	c2.Cycle = 0.9
 	c2.Sleep = true
 	nw := scenario(t, 78, 12, func(nw *node.Network) {
-		fault.Install(nw, fault.Plan{c1, c2})
+		node.Must(fault.Install(nw, fault.Plan{c1, c2}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("two-crash plan violated invariants: %v", err)
@@ -46,7 +47,7 @@ func TestDowntimeAccrualWithDrainInterference(t *testing.T) {
 	drain := fault.Drain(0.13)
 	drain.Period = sim.Time(0.26)
 	nw := scenario(t, 76, 12, func(nw *node.Network) {
-		fault.Install(nw, fault.Plan{crash, drain})
+		node.Must(fault.Install(nw, fault.Plan{crash, drain}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("crash+drain plan violated invariants: %v", err)
@@ -61,9 +62,9 @@ func TestDowntimeAccrualWithDrainInterference(t *testing.T) {
 // the recovery branch with a stale downSince and DownTime() compounded
 // to many times the elapsed clock.
 func TestFailureProcessOwnsItsPhases(t *testing.T) {
-	nw := node.New(node.Config{
+	nw := node.Must(node.New(node.Config{
 		N: 4, Rect: geo.NewRect(300, 300), Seed: 5, EnsureConnected: true,
-	})
+	}))
 	n := nw.Nodes[3]
 	fp := node.NewFailureProcess(n, rng.ForNode(5, rng.StreamFailure, 3))
 	fp.OffFraction = 0.3
@@ -81,5 +82,34 @@ func TestFailureProcessOwnsItsPhases(t *testing.T) {
 	}
 	if fp.Failures() == 0 {
 		t.Fatal("process never entered a down phase of its own")
+	}
+}
+
+// Two crash specs covering the same node are two independent duty
+// cycles: each draws from its own (StreamFailure, spec index, id)
+// stream. When the spec index was ignored both consumed identical
+// exponential variates and flipped in lock-step, so their schedules —
+// and therefore their accrued downtimes — were bit-equal.
+func TestTwoCrashSpecsOnOneNodeAreIndependent(t *testing.T) {
+	nw := node.Must(node.New(node.Config{
+		N: 4, Rect: geo.NewRect(300, 300), Seed: 5, EnsureConnected: true,
+	}))
+	crash := fault.Crash(0.3)
+	crash.Cycle = 1
+	crash.Nodes = []packet.NodeID{2}
+	inj := node.Must(fault.Install(nw, fault.Plan{crash, crash}))
+	nw.Run(30)
+
+	procs := inj.Crashes()
+	if len(procs) != 2 {
+		t.Fatalf("installed %d crash processes, want 2", len(procs))
+	}
+	a, b := procs[0], procs[1]
+	if a.Failures() == 0 || b.Failures() == 0 {
+		t.Fatalf("a process never cycled: %d and %d failures", a.Failures(), b.Failures())
+	}
+	if a.Failures() == b.Failures() && a.DownTime() == b.DownTime() {
+		t.Fatalf("both specs ran the same schedule: %d failures, %.6f s down each",
+			a.Failures(), a.DownTime())
 	}
 }

@@ -84,25 +84,14 @@ type Injector struct {
 	jamHits   metrics.Counter
 }
 
-// Install wires plan into nw. All fault streams derive from nw.Seed.
-// An empty plan installs nothing and registers nothing, so a run with
-// the fault plane merely present stays byte-identical to one without.
-// The plan is validated first; an invalid plan panics. Callers holding
-// a plan of unknown provenance should use TryInstall.
-func Install(nw *node.Network, plan Plan) *Injector {
-	inj, err := TryInstall(nw, plan)
-	if err != nil {
-		panic(err.Error())
-	}
-	return inj
-}
-
-// TryInstall validates plan and, when it is clean, wires it into nw
-// exactly as Install does. An invalid plan is reported as an error
-// value with nothing installed — no metrics registered, no events
-// scheduled — so the network remains usable (and byte-identical to one
-// that never saw the plan).
-func TryInstall(nw *node.Network, plan Plan) (*Injector, error) {
+// Install validates plan and, when it is clean, wires it into nw. All
+// fault streams derive from nw.Seed and live in nw.RNG. An empty plan
+// installs nothing and registers nothing, so a run with the fault plane
+// merely present stays byte-identical to one without. An invalid plan
+// is reported as an error value with nothing installed — no metrics
+// registered, no events scheduled — so the network remains usable (and
+// byte-identical to one that never saw the plan).
+func Install(nw *node.Network, plan Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -165,10 +154,7 @@ func (inj *Injector) checkDowntime() error {
 // from here (the faultrand lint rule forbids raw *rand.Rand plumbing
 // in this package).
 func (inj *Injector) stream(idx int) *rand.Rand {
-	if t := inj.nw.RNG; t != nil {
-		return t.New(inj.nw.Seed, rng.StreamFault, uint64(idx))
-	}
-	return rng.New(inj.nw.Seed, rng.StreamFault, uint64(idx))
+	return inj.nw.RNG.New(inj.nw.Seed, rng.StreamFault, uint64(idx))
 }
 
 // selectNodes resolves a spec's node selection in ascending id order —

@@ -25,12 +25,12 @@ func scenario(t *testing.T, seed int64, dur sim.Time, prep func(nw *node.Network
 
 func scenarioAt(t *testing.T, seed int64, dur, interval sim.Time, prep func(nw *node.Network)) *node.Network {
 	t.Helper()
-	nw := node.New(node.Config{
+	nw := node.Must(node.New(node.Config{
 		N:               30,
 		Rect:            geo.NewRect(600, 600),
 		Seed:            seed,
 		EnsureConnected: true,
-	})
+	}))
 	nw.Install(func(n *node.Node) node.Protocol {
 		return routing.NewRouteless(routing.RoutelessConfig{})
 	})
@@ -70,8 +70,8 @@ func snapshotJSON(t *testing.T, nw *node.Network) []byte {
 func TestEmptyPlanInert(t *testing.T) {
 	base := scenario(t, 7, 10, nil)
 	wired := scenario(t, 7, 10, func(nw *node.Network) {
-		fault.Install(nw, nil)
-		fault.Install(nw, fault.Plan{})
+		node.Must(fault.Install(nw, nil))
+		node.Must(fault.Install(nw, fault.Plan{}))
 	})
 	if g, w := base.Kernel.Processed(), wired.Kernel.Processed(); g != w {
 		t.Fatalf("empty plan changed event count: %d vs %d", g, w)
@@ -82,8 +82,9 @@ func TestEmptyPlanInert(t *testing.T) {
 }
 
 // Routing the legacy hand-wired FailureProcess loop through a one-crash
-// plan must be bitwise identical in simulation behavior: the plan reuses
-// the same per-node StreamFailure streams and installs in id order.
+// plan must be bitwise identical in simulation behavior: spec 0 of the
+// plan draws from the per-node (StreamFailure, 0, id) streams and
+// installs in id order.
 func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 	const p = 0.3
 	legacy := scenario(t, 11, 10, func(nw *node.Network) {
@@ -95,7 +96,7 @@ func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 			if skip[n.ID] {
 				continue
 			}
-			fp := node.NewFailureProcess(n, rng.ForNode(nw.Seed, rng.StreamFailure, int(n.ID)))
+			fp := node.NewFailureProcess(n, rng.New(nw.Seed, rng.StreamFailure, 0, uint64(n.ID)))
 			fp.OffFraction = p
 			fp.Start()
 		}
@@ -103,7 +104,7 @@ func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 	planned := scenario(t, 11, 10, func(nw *node.Network) {
 		crash := fault.Crash(p)
 		crash.Exclude = endpoints(nw)
-		fault.Install(nw, fault.Plan{crash})
+		node.Must(fault.Install(nw, fault.Plan{crash}))
 	})
 	if g, w := legacy.Kernel.Processed(), planned.Kernel.Processed(); g != w {
 		t.Fatalf("crash plan diverged from legacy loop: %d vs %d events", g, w)
@@ -126,7 +127,7 @@ func TestCrashSleepDutyCycle(t *testing.T) {
 		crash.Cycle = 2
 		crash.Sleep = true
 		crash.Exclude = endpoints(nw)
-		fault.Install(nw, fault.Plan{crash})
+		node.Must(fault.Install(nw, fault.Plan{crash}))
 	})
 	snap := nw.Metrics.Snapshot()
 	if snap.Count("fault.crashes") == 0 || snap.Count("fault.recoveries") == 0 {
@@ -154,7 +155,7 @@ func TestMidTXPowerDownUnderChurn(t *testing.T) {
 		crash := fault.Crash(0.5)
 		crash.Cycle = 0.5 // flip fast enough to land inside frames
 		crash.Exclude = endpoints(nw)
-		fault.Install(nw, fault.Plan{crash})
+		node.Must(fault.Install(nw, fault.Plan{crash}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("invariants violated under fast churn: %v", err)
@@ -177,7 +178,7 @@ func TestDrainKillsPermanently(t *testing.T) {
 		drain.Nodes = victims
 		crash := fault.Crash(0.3)
 		crash.Nodes = victims
-		fault.Install(nw, fault.Plan{drain, crash})
+		node.Must(fault.Install(nw, fault.Plan{drain, crash}))
 	})
 	snap := nw.Metrics.Snapshot()
 	if got := snap.Count("fault.drained"); got != uint64(len(victims)) {
@@ -201,7 +202,7 @@ func TestDegradeShadowsLinks(t *testing.T) {
 		deg := fault.Degrade(-25)
 		deg.Period = 0.25
 		deg.Duration = 0.5
-		fault.Install(nw, fault.Plan{deg})
+		node.Must(fault.Install(nw, fault.Plan{deg}))
 	})
 	snap := nw.Metrics.Snapshot()
 	if snap.Count("fault.degrades") == 0 {
@@ -241,7 +242,7 @@ func TestDegradeShadowsLinks(t *testing.T) {
 func TestJamInterferes(t *testing.T) {
 	clean := scenario(t, 29, 10, nil)
 	jammed := scenario(t, 29, 10, func(nw *node.Network) {
-		fault.Install(nw, fault.Plan{fault.Jam(24.5)})
+		node.Must(fault.Install(nw, fault.Plan{fault.Jam(24.5)}))
 	})
 	snap := jammed.Metrics.Snapshot()
 	if snap.Count("fault.jam_bursts") == 0 || snap.Count("fault.jam_hits") == 0 {
@@ -264,7 +265,7 @@ func TestCompositePlanInvariants(t *testing.T) {
 		crash.Exclude = endpoints(nw)
 		deg := fault.Degrade(-25)
 		deg.Period = 0.5
-		fault.Install(nw, fault.Plan{crash, deg, fault.Jam(24.5)})
+		node.Must(fault.Install(nw, fault.Plan{crash, deg, fault.Jam(24.5)}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("composite plan violated invariants: %v", err)

@@ -37,10 +37,9 @@ func finite(name string, v float64) error {
 // alternates exponentially distributed up and down periods whose means
 // give the long-run off fraction.
 //
-// Streams: each node's process draws from
-// rng.ForNode(seed, rng.StreamFailure, id) — exactly the stream the
-// legacy hand-wired path used, so routing an existing experiment
-// through a one-crash plan stays bitwise identical.
+// Streams: each node's process draws from the stream labelled
+// (seed, rng.StreamFailure, spec index, id), so two crash specs that
+// cover the same node drive independent duty cycles.
 type CrashSpec struct {
 	// OffFraction p ∈ [0, 1) is the long-run fraction of time down.
 	OffFraction float64
@@ -73,11 +72,8 @@ func (s CrashSpec) validate() error {
 
 func (s CrashSpec) install(inj *Injector, idx int) {
 	for _, n := range selectNodes(inj.nw, s.Nodes, s.Exclude) {
-		fr := rng.ForNode(inj.nw.Seed, rng.StreamFailure, int(n.ID))
-		if t := inj.nw.RNG; t != nil {
-			fr = t.ForNode(inj.nw.Seed, rng.StreamFailure, int(n.ID))
-		}
-		fp := node.NewFailureProcess(n, fr)
+		fp := node.NewFailureProcess(n,
+			inj.nw.RNG.New(inj.nw.Seed, rng.StreamFailure, uint64(idx), uint64(n.ID)))
 		fp.OffFraction = s.OffFraction
 		if s.Cycle != 0 {
 			fp.Cycle = s.Cycle

@@ -15,7 +15,7 @@ import (
 // tinyNetwork is a minimal sequential field for install-path tests.
 func tinyNetwork(t *testing.T) *node.Network {
 	t.Helper()
-	return node.New(node.Config{N: 10, Rect: geo.NewRect(400, 400), Seed: 1, EnsureConnected: true})
+	return node.Must(node.New(node.Config{N: 10, Rect: geo.NewRect(400, 400), Seed: 1, EnsureConnected: true}))
 }
 
 // TestValidateRejectsBadSpecs table-drives Plan.Validate over every
@@ -88,7 +88,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 // regression for the DrainSpec negative-period bug: before validation
 // existed, DrainSpec{CapacityJ: 1, Period: -1} blew up inside
 // sim.NewTicker ("ticker period must be positive") during Install —
-// process death on a value problem. TryInstall must reject the plan as
+// process death on a value problem. Install must reject the plan as
 // an error and leave the network byte-identical to one that never saw
 // a fault plane.
 func TestTryInstallRejectsWithoutSideEffects(t *testing.T) {
@@ -98,12 +98,12 @@ func TestTryInstallRejectsWithoutSideEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj, err := fault.TryInstall(nw, fault.Plan{fault.DrainSpec{CapacityJ: 1, Period: -1}})
+	inj, err := fault.Install(nw, fault.Plan{fault.DrainSpec{CapacityJ: 1, Period: -1}})
 	if err == nil {
-		t.Fatal("TryInstall accepted a negative drain period")
+		t.Fatal("Install accepted a negative drain period")
 	}
 	if inj != nil {
-		t.Error("TryInstall returned a non-nil injector alongside an error")
+		t.Error("Install returned a non-nil injector alongside an error")
 	}
 
 	after, err := json.Marshal(nw.Metrics.Snapshot())
@@ -114,21 +114,20 @@ func TestTryInstallRejectsWithoutSideEffects(t *testing.T) {
 		t.Error("rejected plan mutated the metrics registry")
 	}
 	// The network must still accept a valid plan afterwards.
-	if _, err := fault.TryInstall(nw, fault.Plan{fault.Crash(0.05)}); err != nil {
-		t.Errorf("valid plan rejected after a failed TryInstall: %v", err)
+	if _, err := fault.Install(nw, fault.Plan{fault.Crash(0.05)}); err != nil {
+		t.Errorf("valid plan rejected after a failed Install: %v", err)
 	}
 }
 
-// TestInstallPanicsOnInvalidPlan pins the backstop: the panicking
-// Install path still refuses invalid plans loudly (now before any
-// process starts), preserving the fail-fast contract for hand-wired
-// experiment code.
+// TestInstallPanicsOnInvalidPlan pins the backstop: Must(Install)
+// still refuses invalid plans loudly (before any process starts),
+// preserving the fail-fast contract for hand-wired experiment code.
 func TestInstallPanicsOnInvalidPlan(t *testing.T) {
 	nw := tinyNetwork(t)
 	defer func() {
 		if recover() == nil {
-			t.Error("Install did not panic on an invalid plan")
+			t.Error("Must(Install) did not panic on an invalid plan")
 		}
 	}()
-	fault.Install(nw, fault.Plan{fault.Crash(1.0)})
+	node.Must(fault.Install(nw, fault.Plan{fault.Crash(1.0)}))
 }

@@ -18,7 +18,7 @@ import (
 // flooding config on every node.
 func build(t *testing.T, cfg Config, seed int64, positions ...geo.Point) (*node.Network, []*Flooding) {
 	t.Helper()
-	nw := node.New(node.Config{Positions: positions, Seed: seed})
+	nw := node.Must(node.New(node.Config{Positions: positions, Seed: seed}))
 	floods := make([]*Flooding, len(positions))
 	i := 0
 	nw.Install(func(n *node.Node) node.Protocol {
@@ -74,7 +74,7 @@ func TestCounter1EachNodeForwardsOnce(t *testing.T) {
 }
 
 func TestFloodReachesEveryNodeInField(t *testing.T) {
-	nw := node.New(node.Config{N: 60, Rect: geo.NewRect(1000, 1000), Seed: 3, EnsureConnected: true})
+	nw := node.Must(node.New(node.Config{N: 60, Rect: geo.NewRect(1000, 1000), Seed: 3, EnsureConnected: true}))
 	floods := map[packet.NodeID]*Flooding{}
 	fcfg := Counter1Config(5e-3)
 	nw.Install(func(n *node.Node) node.Protocol {
@@ -313,7 +313,7 @@ func TestLocationBasedFlooding(t *testing.T) {
 	// The idealized scheme SSAF approximates: with true positions the
 	// far relay must deterministically fire first.
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 240, Y: 0}}
-	nw := node.New(node.Config{Positions: positions, Seed: 31})
+	nw := node.Must(node.New(node.Config{Positions: positions, Seed: 31}))
 	locator := func(id packet.NodeID) geo.Point { return positions[id] }
 	cfg := LocationConfig(10e-3, 250, locator)
 	floods := make([]*Flooding, 0, 3)

@@ -15,7 +15,7 @@
 // a panic from inside the simulator — is a simulator bug. Every
 // crash-instead-of-error path the fuzzer trips therefore has to be
 // converted to a structured verdict first; that conversion is the
-// repo's fault.Plan.Validate / node.TryNew / fault.TryInstall error
+// repo's fault.Plan.Validate / node.New / fault.Install error
 // plumbing.
 //
 // Determinism contract: a Scenario is a pure value; Generate(seed) is a

@@ -125,7 +125,7 @@ type onceOut struct {
 
 // runOnce builds and runs the scenario once through scenario.Build,
 // converting any panic into a value. The build path goes through the
-// error-returning TryNew / TryInstall entry points, so only genuine
+// error-returning node.New / fault.Install constructors, so only genuine
 // simulator bugs can still reach the recover.
 func (r *Runner) runOnce(sc scenario.Scenario, runIdx int) (out onceOut) {
 	defer func() {

@@ -40,7 +40,7 @@ func rig(t *testing.T, positions []geo.Point) (*sim.Kernel, *phy.Channel, []*MAC
 	recs := make([]*netRecorder, len(positions))
 	cfg := DefaultConfig()
 	for i := range positions {
-		macs[i] = New(k, ch.Radio(i), &cfg, rng.ForNode(3, rng.StreamMAC, i))
+		macs[i] = New(k, ch.Radio(i), &cfg, rng.ForNode(1, rng.StreamMAC, i))
 		recs[i] = &netRecorder{}
 		macs[i].SetHandler(recs[i])
 	}

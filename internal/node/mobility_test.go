@@ -9,7 +9,7 @@ import (
 )
 
 func TestWaypointMovesWithinTerrain(t *testing.T) {
-	nw := New(Config{N: 5, Rect: geo.NewRect(500, 500), Seed: 1})
+	nw := Must(New(Config{N: 5, Rect: geo.NewRect(500, 500), Seed: 1}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	w := NewWaypoint(nw, nw.Nodes[0], rng.ForNode(1, rng.StreamTopology, 0))
 	start := nw.Nodes[0].Pos
@@ -27,7 +27,7 @@ func TestWaypointMovesWithinTerrain(t *testing.T) {
 }
 
 func TestWaypointSpeedBound(t *testing.T) {
-	nw := New(Config{N: 2, Rect: geo.NewRect(1000, 1000), Seed: 2})
+	nw := Must(New(Config{N: 2, Rect: geo.NewRect(1000, 1000), Seed: 2}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	w := NewWaypoint(nw, nw.Nodes[0], rng.ForNode(2, rng.StreamTopology, 0))
 	w.MinSpeed, w.MaxSpeed = 2, 2 // exactly 2 m/s
@@ -50,7 +50,7 @@ func TestWaypointSpeedBound(t *testing.T) {
 }
 
 func TestWaypointStopFreezes(t *testing.T) {
-	nw := New(Config{N: 2, Rect: geo.NewRect(500, 500), Seed: 3})
+	nw := Must(New(Config{N: 2, Rect: geo.NewRect(500, 500), Seed: 3}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	w := NewWaypoint(nw, nw.Nodes[0], rng.ForNode(3, rng.StreamTopology, 0))
 	w.Start()
@@ -64,7 +64,7 @@ func TestWaypointStopFreezes(t *testing.T) {
 }
 
 func TestMoveNodeSyncsChannel(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 4})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 4}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	nw.MoveNode(1, geo.Point{X: 400, Y: 300})
 	if nw.Nodes[1].Pos != (geo.Point{X: 400, Y: 300}) {
@@ -78,7 +78,7 @@ func TestMoveNodeSyncsChannel(t *testing.T) {
 func TestMobilityAffectsConnectivity(t *testing.T) {
 	// Two nodes in range exchange traffic; move one out of range and
 	// traffic stops; move it back and traffic resumes.
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 5})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 5}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	count := 0
 	nw.Nodes[1].OnAppReceive = func(*packet.Packet) { count++ }

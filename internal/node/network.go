@@ -65,19 +65,6 @@ type Config struct {
 	// rebuilds). Zero keeps every cache — fine up to ~100k nodes;
 	// mega-scale runs set a cap to keep link memory O(active).
 	LinkCacheCap int
-	// CompactRNG switches the per-node network and MAC random streams
-	// to 8-byte SplitMix64 sources instead of the stdlib's ~4.9 KB lag
-	// tables — the difference between ~10 KB and ~200 B of RNG state
-	// per node. The draw sequences differ from the stdlib source, so
-	// this is opt-in: results stay deterministic and seed-stable, but
-	// are not comparable to a non-compact run of the same seed.
-	CompactRNG bool
-	// RNG, when non-nil, routes every random-stream creation through
-	// the tracker so draw counts become observable state (snapshot
-	// fingerprints hash them). Tracked streams produce the identical
-	// draw sequences — the tracker observes, never perturbs — so this
-	// too changes no results.
-	RNG *rng.Tracker
 }
 
 // AutoTiles is the Config.Tiles sentinel that sizes the PDES tiling
@@ -148,10 +135,9 @@ type Network struct {
 	Rect    geo.Rect
 	Seed    int64
 
-	// RNG is the draw tracker every stream was created through, when
-	// the network was built with Config.RNG (nil otherwise). The fault
-	// plane and mobility route their stream creation through it too, so
-	// a tracked network's entire randomness consumption is observable.
+	// RNG is the arena every stream of the network lives in. The fault
+	// plane and mobility create their streams through it too, so the
+	// run's entire randomness consumption is one observable value.
 	RNG *rng.Tracker
 
 	// TileKernels holds one kernel per PDES tile; nil when sequential.
@@ -173,27 +159,12 @@ type Network struct {
 	Metrics *metrics.Registry
 }
 
-// New builds the network. It panics on nonsensical configuration —
-// construction errors are programming errors in experiment setup.
-// Callers holding a configuration of unknown provenance (the scenario
-// fuzzer's generated topologies) use TryNew, which reports the same
-// conditions as error values instead.
-func New(cfg Config) *Network {
-	nw, err := TryNew(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return nw
-}
-
-// TryNew builds the network, returning an error instead of panicking
-// when the configuration cannot produce one: non-positive N without
-// explicit positions, no connected placement within the attempt budget,
-// or a tiled network combined with fading (the per-link fading stream
-// is sequential). The random draws on the success path are identical to
-// New's, so a configuration that constructs at all constructs
-// bitwise-identically through either entry point.
-func TryNew(cfg Config) (*Network, error) {
+// New builds the network. It returns an error when the configuration
+// cannot produce one: non-positive N without explicit positions, no
+// connected placement within the attempt budget, or a tiled network
+// combined with fading (the per-link fading stream is sequential).
+// Callers whose configuration is a literal wrap the call in Must.
+func New(cfg Config) (*Network, error) {
 	if cfg.Rect == (geo.Rect{}) {
 		cfg.Rect = geo.NewRect(1000, 1000)
 	}
@@ -211,20 +182,7 @@ func TryNew(cfg Config) (*Network, error) {
 		macCfg = *cfg.MAC
 	}
 
-	// Stream constructors, optionally routed through the draw tracker.
-	// Either path yields the identical draw sequences.
-	newStream := rng.New
-	forNode := rng.ForNode
-	if cfg.CompactRNG {
-		forNode = rng.ForNodeCompact
-	}
-	if cfg.RNG != nil {
-		newStream = cfg.RNG.New
-		forNode = cfg.RNG.ForNode
-		if cfg.CompactRNG {
-			forNode = cfg.RNG.ForNodeCompact
-		}
-	}
+	streams := rng.NewTracker()
 
 	rt := cfg.Runtime
 	if rt == nil {
@@ -260,7 +218,7 @@ func TryNew(cfg Config) (*Network, error) {
 		if cfg.N <= 0 {
 			return nil, fmt.Errorf("node: Config.N must be positive without explicit positions, got %d", cfg.N)
 		}
-		placer := newStream(cfg.Seed, rng.StreamTopology)
+		placer := streams.New(cfg.Seed, rng.StreamTopology)
 		positions = geo.UniformPoints(placer, cfg.Rect, cfg.N)
 		if cfg.EnsureConnected {
 			for try := 0; try < 100; try++ {
@@ -285,7 +243,7 @@ func TryNew(cfg Config) (*Network, error) {
 		Model:        cfg.Model,
 		Fader:        cfg.Fader,
 		FadeMarginDB: cfg.FadeMarginDB,
-		Rng:          newStream(cfg.Seed, rng.StreamChannel),
+		Rng:          streams.New(cfg.Seed, rng.StreamChannel),
 		Pools:        rt.Phy,
 		Ranges:       rt.Ranges,
 		LinkCacheCap: cfg.LinkCacheCap,
@@ -317,7 +275,7 @@ func TryNew(cfg Config) (*Network, error) {
 	ch := phy.NewChannel(kernel, cfg.Rect, positions, params, chCfg)
 
 	nw := &Network{Kernel: kernel, Channel: ch, Rect: cfg.Rect, Seed: cfg.Seed,
-		RNG:         cfg.RNG,
+		RNG:         streams,
 		TileKernels: tileKernels, tileWorkers: cfg.TileWorkers,
 		Metrics: metrics.NewRegistry()}
 	ch.RegisterMetrics(nw.Metrics)
@@ -342,10 +300,10 @@ func TryNew(cfg Config) (*Network, error) {
 			Ctl:    kernel,
 			Tile:   tile,
 			Radio:  ch.Radio(i),
-			Rng:    forNode(cfg.Seed, rng.StreamNet, i),
+			Rng:    streams.ForNode(cfg.Seed, rng.StreamNet, i),
 		}
 		n.MAC = &macArena[i]
-		mac.Init(n.MAC, nk, n.Radio, &macCfg, forNode(cfg.Seed, rng.StreamMAC, i))
+		mac.Init(n.MAC, nk, n.Radio, &macCfg, streams.ForNode(cfg.Seed, rng.StreamMAC, i))
 		n.MAC.SetHandler(macAdapter{n})
 		nw.Nodes[i] = n
 	}
@@ -384,6 +342,17 @@ func TryNew(cfg Config) (*Network, error) {
 	}
 	nw.registerLaws()
 	return nw, nil
+}
+
+// Must unwraps a constructor's result, panicking on its error. It is
+// for the error-returning constructors (New here, fault.Install,
+// routeless.NewNetwork) at call sites where the configuration is a
+// literal, so a failure is a programming error in experiment setup.
+func Must[T any](v T, err error) T {
+	if err != nil {
+		panic(err.Error())
+	}
+	return v
 }
 
 // NumTiles returns how many PDES tiles the network runs on (1 when

@@ -16,7 +16,7 @@ import (
 // scenario-invalid. The config below (3 nodes, 30 m range, 100 km
 // square) cannot connect at any luck.
 func TestTryNewRejectsImpossiblePlacement(t *testing.T) {
-	nw, err := TryNew(Config{
+	nw, err := New(Config{
 		N:               3,
 		Rect:            geo.NewRect(100000, 100000),
 		Range:           30,
@@ -24,10 +24,10 @@ func TestTryNewRejectsImpossiblePlacement(t *testing.T) {
 		EnsureConnected: true,
 	})
 	if err == nil {
-		t.Fatal("TryNew found a connected placement in an impossible configuration")
+		t.Fatal("New found a connected placement in an impossible configuration")
 	}
 	if nw != nil {
-		t.Error("TryNew returned a network alongside an error")
+		t.Error("New returned a network alongside an error")
 	}
 	if !strings.Contains(err.Error(), "no connected placement") {
 		t.Errorf("error %q does not describe the placement failure", err)
@@ -36,11 +36,11 @@ func TestTryNewRejectsImpossiblePlacement(t *testing.T) {
 
 // TestTryNewRejectsNonPositiveN covers the other construction error.
 func TestTryNewRejectsNonPositiveN(t *testing.T) {
-	if _, err := TryNew(Config{N: 0, Seed: 1}); err == nil {
-		t.Error("TryNew accepted N=0 without positions")
+	if _, err := New(Config{N: 0, Seed: 1}); err == nil {
+		t.Error("New accepted N=0 without positions")
 	}
-	if _, err := TryNew(Config{N: -7, Seed: 1}); err == nil {
-		t.Error("TryNew accepted negative N")
+	if _, err := New(Config{N: -7, Seed: 1}); err == nil {
+		t.Error("New accepted negative N")
 	}
 }
 
@@ -48,31 +48,32 @@ func TestTryNewRejectsNonPositiveN(t *testing.T) {
 // construction boundary: fading draws are sequential, so a tiled
 // network with a real fader must be an error, not a deep phy panic.
 func TestTryNewRejectsTiledFading(t *testing.T) {
-	_, err := TryNew(Config{
+	_, err := New(Config{
 		N: 20, Seed: 1, Tiles: 4,
 		Fader: propagation.Rayleigh{},
 	})
 	if err == nil {
-		t.Fatal("TryNew accepted tiles=4 with Rayleigh fading")
+		t.Fatal("New accepted tiles=4 with Rayleigh fading")
 	}
 	if !strings.Contains(err.Error(), "NoFade") {
 		t.Errorf("error %q does not explain the NoFade requirement", err)
 	}
 	// NoFade explicitly set is fine.
-	if _, err := TryNew(Config{N: 20, Seed: 1, Tiles: 4, Fader: propagation.NoFade{}}); err != nil {
-		t.Errorf("TryNew rejected tiles=4 with explicit NoFade: %v", err)
+	if _, err := New(Config{N: 20, Seed: 1, Tiles: 4, Fader: propagation.NoFade{}}); err != nil {
+		t.Errorf("New rejected tiles=4 with explicit NoFade: %v", err)
 	}
 }
 
 // TestTryNewMatchesNew pins the bitwise contract: a config that
-// constructs at all must produce the identical network through either
-// entry point (same placement draws, same metric registry bytes).
+// constructs at all produces the identical network whether or not the
+// call is wrapped in Must (same placement draws, same metric registry
+// bytes).
 func TestTryNewMatchesNew(t *testing.T) {
 	cfg := Config{N: 25, Rect: geo.NewRect(500, 500), Seed: 7, EnsureConnected: true}
-	a := New(cfg)
-	b, err := TryNew(cfg)
+	a := Must(New(cfg))
+	b, err := New(cfg)
 	if err != nil {
-		t.Fatalf("TryNew failed where New succeeded: %v", err)
+		t.Fatalf("New failed where Must(New) succeeded: %v", err)
 	}
 	for i := range a.Nodes {
 		if a.Nodes[i].Pos != b.Nodes[i].Pos {
@@ -82,17 +83,17 @@ func TestTryNewMatchesNew(t *testing.T) {
 	sa, _ := json.Marshal(a.Metrics.Snapshot())
 	sb, _ := json.Marshal(b.Metrics.Snapshot())
 	if string(sa) != string(sb) {
-		t.Error("initial metric snapshots differ between New and TryNew")
+		t.Error("initial metric snapshots differ between two builds of one config")
 	}
 }
 
 // TestNewStillPanics pins the backstop behavior for hand-written
-// experiment code.
+// experiment code: Must turns the construction error into a panic.
 func TestNewStillPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New did not panic on N=0")
+			t.Error("Must(New) did not panic on N=0")
 		}
 	}()
-	New(Config{N: 0, Seed: 1})
+	Must(New(Config{N: 0, Seed: 1}))
 }

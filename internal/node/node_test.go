@@ -39,7 +39,7 @@ func (p *echoProto) Send(target packet.NodeID, size int) {
 }
 
 func TestNetworkConstructionDefaults(t *testing.T) {
-	nw := New(Config{N: 20, Seed: 1})
+	nw := Must(New(Config{N: 20, Seed: 1}))
 	if len(nw.Nodes) != 20 {
 		t.Fatalf("nodes = %d", len(nw.Nodes))
 	}
@@ -58,7 +58,7 @@ func TestNetworkConstructionDefaults(t *testing.T) {
 
 func TestExplicitPositions(t *testing.T) {
 	pos := []geo.Point{{X: 10, Y: 10}, {X: 100, Y: 10}}
-	nw := New(Config{Positions: pos, Seed: 2})
+	nw := Must(New(Config{Positions: pos, Seed: 2}))
 	if len(nw.Nodes) != 2 {
 		t.Fatalf("nodes = %d", len(nw.Nodes))
 	}
@@ -70,14 +70,14 @@ func TestExplicitPositions(t *testing.T) {
 func TestEnsureConnected(t *testing.T) {
 	// Sparse enough that some draws are disconnected, dense enough that
 	// a connected one exists within a few attempts.
-	nw := New(Config{N: 40, Rect: geo.NewRect(2000, 2000), Range: 500, Seed: 3, EnsureConnected: true})
+	nw := Must(New(Config{N: 40, Rect: geo.NewRect(2000, 2000), Range: 500, Seed: 3, EnsureConnected: true}))
 	if !nw.Channel.Connected() {
 		t.Fatal("EnsureConnected produced a disconnected network")
 	}
 }
 
 func TestInstallAndTraffic(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 4})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 4}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	var got []*packet.Packet
 	nw.Nodes[1].OnAppReceive = func(p *packet.Packet) { got = append(got, p) }
@@ -119,7 +119,7 @@ func TestInstallGroupsMixedProtocolsByTable(t *testing.T) {
 	beta := &metrics.Table{Counters: []string{"beta.idle", "beta.sends"}}
 	alpha := &metrics.Table{Counters: []string{"alpha.idle", "alpha.sends"}}
 	pos := []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 0}, {X: 100, Y: 0}, {X: 150, Y: 0}, {X: 200, Y: 0}}
-	nw := New(Config{Positions: pos, Seed: 5})
+	nw := Must(New(Config{Positions: pos, Seed: 5}))
 	base := len(nw.Metrics.Snapshot().Samples)
 	nw.Install(func(n *Node) Protocol {
 		switch n.ID {
@@ -152,14 +152,14 @@ func TestInstallGroupsMixedProtocolsByTable(t *testing.T) {
 }
 
 func TestDeterministicConstruction(t *testing.T) {
-	a := New(Config{N: 30, Seed: 7})
-	b := New(Config{N: 30, Seed: 7})
+	a := Must(New(Config{N: 30, Seed: 7}))
+	b := Must(New(Config{N: 30, Seed: 7}))
 	for i := range a.Nodes {
 		if a.Nodes[i].Pos != b.Nodes[i].Pos {
 			t.Fatal("same seed produced different placement")
 		}
 	}
-	c := New(Config{N: 30, Seed: 8})
+	c := Must(New(Config{N: 30, Seed: 8}))
 	same := 0
 	for i := range a.Nodes {
 		if a.Nodes[i].Pos == c.Nodes[i].Pos {
@@ -172,7 +172,7 @@ func TestDeterministicConstruction(t *testing.T) {
 }
 
 func TestFailRecover(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 5})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 5}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	n := nw.Nodes[1]
 	if !n.Up() {
@@ -191,7 +191,7 @@ func TestFailRecover(t *testing.T) {
 }
 
 func TestFailureProcessDutyCycle(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 6})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 6}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	fp := NewFailureProcess(nw.Nodes[0], rng.ForNode(6, rng.StreamFailure, 0))
 	fp.OffFraction = 0.1
@@ -209,7 +209,7 @@ func TestFailureProcessDutyCycle(t *testing.T) {
 }
 
 func TestFailureProcessZeroFractionInert(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 7})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 7}))
 	fp := NewFailureProcess(nw.Nodes[0], rng.ForNode(7, rng.StreamFailure, 0))
 	fp.Start()
 	nw.Run(100)
@@ -219,7 +219,7 @@ func TestFailureProcessZeroFractionInert(t *testing.T) {
 }
 
 func TestFailureProcessStopRecovers(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 8})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 8}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	fp := NewFailureProcess(nw.Nodes[0], rng.ForNode(8, rng.StreamFailure, 0))
 	fp.OffFraction = 0.9 // nearly always down
@@ -233,7 +233,7 @@ func TestFailureProcessStopRecovers(t *testing.T) {
 }
 
 func TestTrafficThroughFailedNodeLost(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 9})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 9}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	delivered := 0
 	nw.Nodes[1].OnAppReceive = func(*packet.Packet) { delivered++ }
@@ -257,11 +257,11 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic for N=0 without positions")
 		}
 	}()
-	New(Config{Seed: 1})
+	Must(New(Config{Seed: 1}))
 }
 
 func TestTotalEnergyPositive(t *testing.T) {
-	nw := New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 10})
+	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 10}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
 	nw.Nodes[0].Net.Send(1, packet.SizeData)
 	nw.Run(10)

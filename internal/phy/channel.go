@@ -185,11 +185,11 @@ type ChannelConfig struct {
 	FadeMarginDB float64
 	// Rng drives fading; may be nil when Fader is nil/NoFade.
 	Rng *rand.Rand
-	// NoLinkCache disables the per-node link cache: every transmission
+	// noLinkCache disables the per-node link cache: every transmission
 	// re-queries the spatial grid and recomputes propagation math. This
-	// is the slow reference path; it exists so tests can prove the
-	// cached channel is bit-for-bit equivalent to it.
-	NoLinkCache bool
+	// is the slow reference path; only the package's coherence tests
+	// set it, to prove the cached channel bit-for-bit equivalent to it.
+	noLinkCache bool
 	// LinkCacheCap, when positive, bounds the number of per-node link
 	// caches each tile keeps live at once (FIFO eviction). At mega
 	// scale an unbounded cache costs kilobytes per transmitter that
@@ -281,7 +281,7 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 		cutoff:    cutoff,
 		links:     make([][]link, len(positions)),
 		linkValid: make([]bool, len(positions)),
-		noCache:   cfg.NoLinkCache,
+		noCache:   cfg.noLinkCache,
 		linkCap:   cfg.LinkCacheCap,
 		ranges:    ranges,
 	}

@@ -14,7 +14,7 @@ import (
 
 // The link cache is a pure optimization: a cached channel must produce
 // byte-for-byte the same simulation as the recompute-every-time
-// reference path (ChannelConfig.NoLinkCache). These tests run the same
+// reference path (ChannelConfig.noLinkCache). These tests run the same
 // scripted scenario — traffic interleaved with MoveTo and SetTxPower —
 // through both channels and require every observable to match exactly:
 // channel counters, per-radio counters, and each delivered frame's
@@ -58,7 +58,7 @@ func runCoherenceScenario(fade bool, noCache bool) coherenceSnapshot {
 	k := sim.NewKernel(1)
 	model := propagation.NewFreeSpace()
 	params := DefaultParams(model, rangeM)
-	cfg := ChannelConfig{Model: model, NoLinkCache: noCache}
+	cfg := ChannelConfig{Model: model, noLinkCache: noCache}
 	if fade {
 		cfg.Fader = propagation.LogNormalShadow{SigmaDB: 6}
 		cfg.FadeMarginDB = 12

@@ -11,7 +11,7 @@ import (
 
 func buildAODV(t *testing.T, cfg AODVConfig, seed int64, positions []geo.Point) (*node.Network, []*AODV) {
 	t.Helper()
-	nw := node.New(node.Config{Positions: positions, Seed: seed})
+	nw := node.Must(node.New(node.Config{Positions: positions, Seed: seed}))
 	as := make([]*AODV, len(positions))
 	i := 0
 	nw.Install(func(n *node.Node) node.Protocol {
@@ -243,7 +243,7 @@ func TestRRIdleHasNoControlTraffic(t *testing.T) {
 func TestAODVExpandingRingFindsNearTargetCheaply(t *testing.T) {
 	// With a close destination, ring TTL 1 suffices: the RREQ must not
 	// flood the whole field.
-	nw1 := node.New(node.Config{N: 80, Rect: geo.NewRect(900, 900), Seed: 14, EnsureConnected: true})
+	nw1 := node.Must(node.New(node.Config{N: 80, Rect: geo.NewRect(900, 900), Seed: 14, EnsureConnected: true}))
 	plain := make([]*AODV, 0, 80)
 	nw1.Install(func(n *node.Node) node.Protocol {
 		a := NewAODV(AODVConfig{NoHello: true})
@@ -260,7 +260,7 @@ func TestAODVExpandingRingFindsNearTargetCheaply(t *testing.T) {
 		t.Fatal("plain AODV failed to deliver")
 	}
 
-	nw2 := node.New(node.Config{N: 80, Rect: geo.NewRect(900, 900), Seed: 14, EnsureConnected: true})
+	nw2 := node.Must(node.New(node.Config{N: 80, Rect: geo.NewRect(900, 900), Seed: 14, EnsureConnected: true}))
 	ring := make([]*AODV, 0, 80)
 	nw2.Install(func(n *node.Node) node.Protocol {
 		a := NewAODV(AODVConfig{NoHello: true, ExpandingRing: true})

@@ -16,9 +16,9 @@ import (
 // number of delivered application packets.
 func benchNetwork(b *testing.B, install func(n *node.Node) node.Protocol, seconds float64) uint64 {
 	b.Helper()
-	nw := node.New(node.Config{
+	nw := node.Must(node.New(node.Config{
 		N: 150, Rect: geo.NewRect(1100, 1100), Seed: 1, EnsureConnected: true,
-	})
+	}))
 	nw.Install(install)
 	delivered := uint64(0)
 	for _, n := range nw.Nodes {

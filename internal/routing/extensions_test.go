@@ -17,7 +17,7 @@ import (
 // packet, so routes follow the nodes (the "dynamic topological changes"
 // motivation of §4).
 func TestRRUnderMobility(t *testing.T) {
-	nw := node.New(node.Config{N: 120, Rect: geo.NewRect(1000, 1000), Seed: 21, EnsureConnected: true})
+	nw := node.Must(node.New(node.Config{N: 120, Rect: geo.NewRect(1000, 1000), Seed: 21, EnsureConnected: true}))
 	rrs := make([]*Routeless, 0, 120)
 	nw.Install(func(n *node.Node) node.Protocol {
 		r := NewRouteless(RoutelessConfig{})
@@ -63,7 +63,7 @@ func TestRRSurvivesUnidirectionalLink(t *testing.T) {
 	positions := []geo.Point{
 		{X: 0, Y: 0}, {X: 200, Y: 40}, {X: 400, Y: 0}, {X: 200, Y: -60},
 	}
-	nw := node.New(node.Config{Positions: positions, Seed: 22})
+	nw := node.Must(node.New(node.Config{Positions: positions, Seed: 22}))
 	rrs := make([]*Routeless, 0, 4)
 	nw.Install(func(n *node.Node) node.Protocol {
 		r := NewRouteless(RoutelessConfig{})
@@ -88,10 +88,10 @@ func TestRRSurvivesUnidirectionalLink(t *testing.T) {
 // distance increases still holds at large scales", so SSAF keeps
 // working (just with noisier relay choices).
 func TestSSAFUnderRayleighFading(t *testing.T) {
-	nw := node.New(node.Config{
+	nw := node.Must(node.New(node.Config{
 		N: 80, Rect: geo.NewRect(900, 900), Seed: 23, EnsureConnected: true,
 		Fader: propagation.Rayleigh{}, FadeMarginDB: 15,
-	})
+	}))
 	delivered := 0
 	nw.Nodes[60].OnAppReceive = func(*packet.Packet) { delivered++ }
 	protos := make([]node.Protocol, 0, 80)

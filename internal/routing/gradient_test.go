@@ -11,7 +11,7 @@ import (
 
 func buildGrad(t *testing.T, cfg GradientConfig, seed int64, positions []geo.Point) (*node.Network, []*Gradient) {
 	t.Helper()
-	nw := node.New(node.Config{Positions: positions, Seed: seed})
+	nw := node.Must(node.New(node.Config{Positions: positions, Seed: seed}))
 	gs := make([]*Gradient, len(positions))
 	i := 0
 	nw.Install(func(n *node.Node) node.Protocol {

@@ -15,7 +15,7 @@ import (
 // buildRR constructs a network running Routeless Routing on every node.
 func buildRR(t *testing.T, cfg RoutelessConfig, seed int64, positions []geo.Point) (*node.Network, []*Routeless) {
 	t.Helper()
-	nw := node.New(node.Config{Positions: positions, Seed: seed})
+	nw := node.Must(node.New(node.Config{Positions: positions, Seed: seed}))
 	rrs := make([]*Routeless, len(positions))
 	i := 0
 	nw.Install(func(n *node.Node) node.Protocol {
@@ -111,7 +111,7 @@ func TestRRSecondPacketSkipsDiscovery(t *testing.T) {
 }
 
 func TestRRBidirectionalTraffic(t *testing.T) {
-	nw, rrs := buildRR(t, RoutelessConfig{}, 5, line(4, 200))
+	nw, rrs := buildRR(t, RoutelessConfig{}, 1, line(4, 200))
 	got := map[packet.NodeID]int{}
 	nw.Nodes[0].OnAppReceive = func(p *packet.Packet) { got[0]++ }
 	nw.Nodes[3].OnAppReceive = func(p *packet.Packet) { got[3]++ }

@@ -20,9 +20,9 @@ func TestSoakRoutelessUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	nw := node.New(node.Config{
+	nw := node.Must(node.New(node.Config{
 		N: 150, Rect: geo.NewRect(1100, 1100), Seed: 77, EnsureConnected: true,
-	})
+	}))
 	rrs := make([]*Routeless, 0, 150)
 	nw.Install(func(n *node.Node) node.Protocol {
 		r := NewRouteless(RoutelessConfig{})

@@ -8,7 +8,6 @@ import (
 	"routeless/internal/packet"
 	"routeless/internal/phy"
 	"routeless/internal/propagation"
-	"routeless/internal/rng"
 	"routeless/internal/routing"
 	"routeless/internal/sim"
 )
@@ -45,7 +44,6 @@ func BuildWith(sc Scenario, opts BuildOptions) (*Run, error) {
 			Range:     sc.Range,
 			Seed:      sc.Seed,
 			Tiles:     sc.Tiles,
-			RNG:       rng.NewTracker(),
 			Runtime:   opts.Runtime,
 		},
 		Install: Installer(sc.Protocol, sim.Time(sc.Lambda), sc.Range),

@@ -19,7 +19,7 @@ const DrainTime sim.Time = 5
 
 // ErrBuild marks run construction failures: a valid description the
 // simulator still cannot realize (typically an impossible connected
-// placement). It wraps the underlying TryNew/TryInstall error.
+// placement). It wraps the underlying node.New/fault.Install error.
 var ErrBuild = errors.New("scenario: build failed")
 
 // Spec is the Go-level description of one run — what BuildWith derives
@@ -29,10 +29,7 @@ var ErrBuild = errors.New("scenario: build failed")
 // a wired network.
 type Spec struct {
 	// Net is the network to build. A non-nil Net.Runtime is reset
-	// before the build; a non-nil Net.RNG tracks every stream the run
-	// creates (documents track so snapshots can hash draw counts; the
-	// figures do not — O(N) tracked streams would cost the mega arena
-	// its memory bound).
+	// before the build.
 	Net node.Config
 	// Install attaches the network layer with one nw.Install call.
 	Install func(nw *node.Network)
@@ -96,7 +93,7 @@ func Assemble(sp Spec) (*Run, error) {
 	if rt := sp.Net.Runtime; rt != nil {
 		rt.Reset()
 	}
-	nw, err := node.TryNew(sp.Net)
+	nw, err := node.New(sp.Net)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBuild, err)
 	}
@@ -117,19 +114,15 @@ func Assemble(sp Spec) (*Run, error) {
 	}
 
 	if m := sp.Mobility; m != nil {
-		newStream := rng.New
-		if nw.RNG != nil {
-			newStream = nw.RNG.New
-		}
 		for i := 0; i < m.Movers; i++ {
-			w := node.NewWaypoint(nw, nw.Nodes[i], newStream(nw.Seed, rng.StreamFuzz, SubMobility, uint64(i)))
+			w := node.NewWaypoint(nw, nw.Nodes[i], nw.RNG.New(nw.Seed, rng.StreamFuzz, SubMobility, uint64(i)))
 			w.MinSpeed, w.MaxSpeed = m.MinSpeed, m.MaxSpeed
 			w.Start()
 			r.movers = append(r.movers, w)
 		}
 	}
 
-	if r.inj, err = fault.TryInstall(nw, sp.Plan); err != nil {
+	if r.inj, err = fault.Install(nw, sp.Plan); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBuild, err)
 	}
 	return r, nil
@@ -143,9 +136,8 @@ func (r *Run) Scenario() Scenario { return r.sc }
 // Network returns the underlying network.
 func (r *Run) Network() *node.Network { return r.nw }
 
-// RNG returns the run's stream tracker: every random stream the
-// simulation created, in creation order, with live draw counts. Nil
-// when the Spec did not ask for tracking.
+// RNG returns the run's stream arena: every random stream the
+// simulation created, in creation order, at its current state.
 func (r *Run) RNG() *rng.Tracker { return r.nw.RNG }
 
 // Traffic returns the run's CBR sources in flow order.

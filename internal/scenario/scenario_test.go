@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"routeless/internal/scenario"
@@ -129,5 +130,45 @@ func TestPoolWorkerKeepsEventFreeList(t *testing.T) {
 	}
 	if freeAtBuild[1] == 0 {
 		t.Fatal("second build found an empty event free list: the first run's events were dropped between runs")
+	}
+}
+
+// TestBuildRetainedBytesPerNode gates what a built run holds per node:
+// post-GC heap growth across Parse+Build of a 6 400-node SSAF grid
+// document (the benchmark's arena_cold shape) must stay within 2 KiB a
+// node. Every stream is eight bytes in the run's arena; a per-node
+// kilobyte-scale object creeping back into node, mac, phy or the
+// protocols shows here before it shows in a benchmark table.
+func TestBuildRetainedBytesPerNode(t *testing.T) {
+	const n, limit = 6400, 2048
+	doc, err := json.Marshal(scenario.Scenario{
+		Ver: scenario.Version, Seed: 1, N: n, Width: 8000, Height: 8000, Range: 250,
+		Placement: scenario.PlaceGrid, Protocol: scenario.ProtoSSAF,
+		Flows:    []scenario.Flow{{Src: 3239, Dst: 3160}},
+		Interval: 1, DataSize: 512, Duration: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	sc, err := scenario.Parse(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := scenario.Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(heap()-before) / n
+	runtime.KeepAlive(run)
+	t.Logf("retained %.0f B/node over %d nodes", perNode, n)
+	if perNode > limit {
+		t.Fatalf("Parse+Build retains %.0f B/node, limit %d", perNode, limit)
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+
+	"routeless/internal/rng"
 )
 
 // Time is simulation time in seconds since the start of the run.
@@ -182,7 +184,7 @@ func NewKernelPooled(seed int64, pool *EventPool) *Kernel {
 		pool = NewEventPool()
 	}
 	return &Kernel{
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     rng.New(seed),
 		horizon: Infinity,
 		pool:    pool,
 	}

@@ -54,13 +54,7 @@ func Fingerprint(run *scenario.Run) Digest {
 	hr := digest.New()
 	tracker := run.RNG()
 	hr.Int(tracker.Len())
-	tracker.Visit(func(labels []uint64, draws uint64) {
-		hr.Int(len(labels))
-		for _, l := range labels {
-			hr.Uint64(l)
-		}
-		hr.Uint64(draws)
-	})
+	tracker.Visit(hr.Uint64)
 	d.RNG = hr.Sum()
 
 	hm := digest.New()

@@ -42,8 +42,10 @@ import (
 // Magic opens every snapshot document.
 const Magic = "RLSNAP1\n"
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Version 1 hashed
+// (labels, draw count) per stream of a different generator; its RNG
+// word cannot match a replay, so such a file is refused up front.
+const Version = 2
 
 // maxScenarioLen bounds the embedded document so a corrupt length field
 // cannot drive a huge allocation before the CRC check runs.
@@ -81,7 +83,8 @@ type Digest struct {
 	// (how many events a warm sweep arena had pre-allocated), which the
 	// pooling contract already exempts from bitwise equivalence.
 	Pools uint64
-	// RNG covers every random stream's label path and draw count.
+	// RNG covers every random stream's state, in creation order: its
+	// derivation origin plus one increment per draw.
 	RNG uint64
 	// Metrics covers the canonical JSON of the full metrics snapshot.
 	Metrics uint64

@@ -2,9 +2,11 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -322,6 +324,16 @@ func TestVersionMismatch(t *testing.T) {
 		t.Fatal("Read accepted a future version")
 	} else if !errors.Is(err, snapshot.ErrVersion) && !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("untyped error: %v", err)
+	}
+
+	// A well-formed version-1 file (checksum and all) predates the
+	// single generator: it must be refused as a version, not replayed
+	// into a misleading "rng streams" state mismatch.
+	v1 := append([]byte(nil), doc[:len(doc)-4]...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	if _, err := snapshot.Read(bytes.NewReader(v1)); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("version-1 document: got %v, want ErrVersion", err)
 	}
 }
 

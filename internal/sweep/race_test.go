@@ -16,14 +16,14 @@ import (
 // pooled event free list, phy pools, and shared range cache that a
 // buggy engine would share across workers.
 func raceCell(ctx *Context, i int, c Cell) uint64 {
-	nw := node.New(node.Config{
+	nw := node.Must(node.New(node.Config{
 		N:               10,
 		Rect:            geo.NewRect(400, 400),
 		Range:           250,
 		Seed:            c.Seed + int64(c.Point)*1000,
 		EnsureConnected: true,
 		Runtime:         ctx.Runtime(),
-	})
+	}))
 	fcfg := flood.Counter1Config(10e-3)
 	nw.Install(func(n *node.Node) node.Protocol {
 		return flood.New(&fcfg)

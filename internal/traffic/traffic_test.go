@@ -78,7 +78,7 @@ func (s *sinkProto) OnUnicastFailed(*packet.Packet)      {}
 func (s *sinkProto) Send(target packet.NodeID, size int) { s.sends = append(s.sends, target) }
 
 func TestCBRGeneratesAtInterval(t *testing.T) {
-	nw := node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 5})
+	nw := node.Must(node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 5}))
 	sinks := make([]*sinkProto, 0, 2)
 	nw.Install(func(n *node.Node) node.Protocol {
 		s := &sinkProto{}
@@ -111,7 +111,7 @@ func TestCBRGeneratesAtInterval(t *testing.T) {
 }
 
 func TestCBRSilentWhileNodeDown(t *testing.T) {
-	nw := node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 6})
+	nw := node.Must(node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 6}))
 	nw.Install(func(n *node.Node) node.Protocol { return &sinkProto{} })
 	c := NewCBR(nw.Nodes[0], 1, 0.5, 100)
 	c.StartAt(0.25)
@@ -126,7 +126,7 @@ func TestCBRSilentWhileNodeDown(t *testing.T) {
 }
 
 func TestCBRRandomStartWithinInterval(t *testing.T) {
-	nw := node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 7})
+	nw := node.Must(node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 7}))
 	nw.Install(func(n *node.Node) node.Protocol { return &sinkProto{} })
 	c := NewCBR(nw.Nodes[0], 1, 2.0, 100)
 	c.Start()
@@ -137,7 +137,7 @@ func TestCBRRandomStartWithinInterval(t *testing.T) {
 }
 
 func TestCBRBadIntervalPanics(t *testing.T) {
-	nw := node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 8})
+	nw := node.Must(node.New(node.Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 8}))
 	nw.Install(func(n *node.Node) node.Protocol { return &sinkProto{} })
 	defer func() {
 		if recover() == nil {

@@ -18,11 +18,11 @@
 //
 // # Quickstart
 //
-//	nw := routeless.NewNetwork(
+//	nw := routeless.Must(routeless.NewNetwork(
 //		routeless.WithN(100),
 //		routeless.WithSeed(42),
 //		routeless.WithEnsureConnected(),
-//	)
+//	))
 //	nw.Install(func(n *routeless.Node) routeless.Protocol {
 //		return routeless.NewRouteless(routeless.RoutelessConfig{})
 //	})
@@ -33,14 +33,14 @@
 // NewNetwork also accepts a full NetworkConfig struct literal — the
 // struct is itself an Option — so both call forms are supported:
 //
-//	nw := routeless.NewNetwork(routeless.NetworkConfig{
+//	nw, err := routeless.NewNetwork(routeless.NetworkConfig{
 //		N: 100, Seed: 42, EnsureConnected: true,
 //	})
 //
 // Deterministic fault injection (crashes, battery drain, link
 // shadowing, jamming) rides along as an option:
 //
-//	nw := routeless.NewNetwork(
+//	nw, err := routeless.NewNetwork(
 //		routeless.WithN(100), routeless.WithSeed(42),
 //		routeless.WithFaults(routeless.FaultPlan{
 //			routeless.Crash(0.05),
@@ -187,43 +187,30 @@ func WithFaults(plan FaultPlan) Option {
 
 // NewNetwork builds a network from the options. Both call forms work:
 // a single NetworkConfig struct literal, or field options like WithN.
-// It panics on nonsensical configuration; TryNewNetwork reports the
-// same conditions as error values.
-func NewNetwork(opts ...Option) *Network {
-	var s netSetup
-	for _, o := range opts {
-		o.apply(&s)
-	}
-	nw := node.New(s.cfg)
-	if len(s.faults) > 0 {
-		fault.Install(nw, s.faults)
-	}
-	return nw
-}
-
-// TryNewNetwork builds a network from the options, returning an error
-// instead of panicking when construction cannot succeed: non-positive
+// It returns an error when construction cannot succeed: non-positive
 // N, no connected placement found under WithEnsureConnected, a tiled
-// configuration combined with fading, or an invalid fault plan. The
-// success path is bitwise identical to NewNetwork's, so generated
-// scenarios (the fuzzer's) and hand-written experiments share one
-// construction semantics.
-func TryNewNetwork(opts ...Option) (*Network, error) {
+// configuration combined with fading, or an invalid fault plan.
+// Hand-written experiments whose options are literals wrap the call in
+// Must.
+func NewNetwork(opts ...Option) (*Network, error) {
 	var s netSetup
 	for _, o := range opts {
 		o.apply(&s)
 	}
-	nw, err := node.TryNew(s.cfg)
+	nw, err := node.New(s.cfg)
 	if err != nil {
 		return nil, err
 	}
 	if len(s.faults) > 0 {
-		if _, err := fault.TryInstall(nw, s.faults); err != nil {
+		if _, err := fault.Install(nw, s.faults); err != nil {
 			return nil, err
 		}
 	}
 	return nw, nil
 }
+
+// Must unwraps a constructor's result, panicking on its error.
+func Must[T any](v T, err error) T { return node.Must(v, err) }
 
 // NewFailureProcess builds a duty-cycle failure process for n.
 var NewFailureProcess = node.NewFailureProcess
@@ -259,7 +246,8 @@ var Degrade = fault.Degrade
 var Jam = fault.Jam
 
 // InstallFaults wires a fault plan into a built network and returns
-// the injector handle. WithFaults is the option-form equivalent.
+// the injector handle, or an error for an invalid plan. WithFaults is
+// the option-form equivalent.
 var InstallFaults = fault.Install
 
 // Local leader election (§2).

@@ -9,9 +9,9 @@ import (
 // TestQuickstartFlow exercises the façade end to end the way the README
 // shows: build a network, install Routeless Routing, deliver a packet.
 func TestQuickstartFlow(t *testing.T) {
-	nw := routeless.NewNetwork(routeless.NetworkConfig{
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 100, Seed: 42, EnsureConnected: true,
-	})
+	}))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})
@@ -50,9 +50,9 @@ func TestFloodingAPI(t *testing.T) {
 		routeless.SSAFConfig(5e-3, -55.1, -33.2),
 	} {
 		cfg := cfg
-		nw := routeless.NewNetwork(routeless.NetworkConfig{
+		nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 			N: 40, Rect: routeless.NewRect(700, 700), Seed: 9, EnsureConnected: true,
-		})
+		}))
 		nw.Install(func(n *routeless.Node) routeless.Protocol {
 			return routeless.NewFlooding(&cfg)
 		})
@@ -68,9 +68,9 @@ func TestFloodingAPI(t *testing.T) {
 
 // TestAODVAPI routes through the baseline protocol via the façade.
 func TestAODVAPI(t *testing.T) {
-	nw := routeless.NewNetwork(routeless.NetworkConfig{
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 60, Rect: routeless.NewRect(900, 900), Seed: 4, EnsureConnected: true,
-	})
+	}))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewAODV(routeless.AODVConfig{})
 	})
@@ -86,9 +86,9 @@ func TestAODVAPI(t *testing.T) {
 // TestFailureProcessAPI injects §4.3 duty-cycle failures via the façade
 // and checks Routeless keeps delivering.
 func TestFailureProcessAPI(t *testing.T) {
-	nw := routeless.NewNetwork(routeless.NetworkConfig{
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 120, Rect: routeless.NewRect(1000, 1000), Seed: 5, EnsureConnected: true,
-	})
+	}))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})
@@ -159,26 +159,26 @@ func TestFunctionalOptions(t *testing.T) {
 		nw.Run(5)
 		return nw.Kernel.Processed()
 	}
-	literal := run(routeless.NewNetwork(routeless.NetworkConfig{
+	literal := run(routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 40, Rect: routeless.NewRect(700, 700), Seed: 9, EnsureConnected: true,
-	}))
-	options := run(routeless.NewNetwork(
+	})))
+	options := run(routeless.Must(routeless.NewNetwork(
 		routeless.WithN(40),
 		routeless.WithRect(routeless.NewRect(700, 700)),
 		routeless.WithSeed(9),
 		routeless.WithEnsureConnected(),
-	))
+	)))
 	if literal != options {
 		t.Fatalf("options form diverged from struct literal: %d vs %d events", literal, options)
 	}
 
-	nw := routeless.NewNetwork(
+	nw := routeless.Must(routeless.NewNetwork(
 		routeless.WithN(40),
 		routeless.WithRect(routeless.NewRect(700, 700)),
 		routeless.WithSeed(9),
 		routeless.WithEnsureConnected(),
 		routeless.WithFaults(routeless.FaultPlan{routeless.Crash(0.3)}),
-	)
+	))
 	run(nw)
 	if nw.Metrics.Snapshot().Count("fault.crashes") == 0 {
 		t.Fatal("WithFaults never crashed a node")
