@@ -136,10 +136,6 @@ func (r *Run) Scenario() Scenario { return r.sc }
 // Network returns the underlying network.
 func (r *Run) Network() *node.Network { return r.nw }
 
-// RNG returns the run's stream arena: every random stream the
-// simulation created, in creation order, at its current state.
-func (r *Run) RNG() *rng.Tracker { return r.nw.RNG }
-
 // Traffic returns the run's CBR sources in flow order.
 func (r *Run) Traffic() []*traffic.CBR { return r.cbrs }
 

@@ -52,9 +52,8 @@ func Fingerprint(run *scenario.Run) Digest {
 	d.Pools = hp.Sum()
 
 	hr := digest.New()
-	tracker := run.RNG()
-	hr.Int(tracker.Len())
-	tracker.Visit(hr.Uint64)
+	hr.Int(nw.RNG.Len())
+	nw.RNG.Visit(hr.Uint64)
 	d.RNG = hr.Sum()
 
 	hm := digest.New()
