@@ -12,8 +12,6 @@
 //	simbench -workers 4           # sweep worker count for every figure
 //	simbench -scaling 1,2,4,8     # per-figure multicore scaling study
 //	simbench -scaling 1,4 -min-speedup 1.6   # CI scaling gate
-//	simbench -tiles 1,4           # intra-run tiled-PDES scaling study
-//	simbench -tiles 1,4 -min-tiled-speedup 1.6 -out BENCH_7.json
 //	simbench -mega                # million-node arena cost point (events/sec, bytes/node)
 //	simbench -mega -mega-nodes 100000 -max-bytes-node 1024 -baseline BENCH_9.json
 //	simbench -baseline BENCH_2.json -max-regress 0.20
@@ -36,14 +34,8 @@
 // clamped list has no parallel point (a 1-core runner), the gate is
 // skipped with the reason recorded in the report.
 //
-// With -tiles, a single large flood topology is measured once per
-// listed intra-run tile count on the tiled PDES engine (-min-tiled-speedup
-// gates the speedup at the highest measured tile count the same way).
-// Tiled runs are bitwise identical to sequential ones, so this study
-// measures pure engine overhead/speedup, not workload drift.
-//
 // With -mega, a single fig_mega arena (default one million nodes at
-// Figure-1 density, auto-tiled) replaces the figure suite. On top of
+// Figure-1 density) replaces the figure suite. On top of
 // events/sec the mode reports the memory constants the O(active) data
 // plane promises: the post-GC heap retained by the built arena divided
 // by the node count (gated by -max-bytes-node — the per-node state the
@@ -100,20 +92,8 @@ type ScalingPoint struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// TiledPoint is the tiled-PDES study's cost at one intra-run tile
-// count (same topology, same seed, same output bytes — only the tile
-// count changes).
-type TiledPoint struct {
-	Tiles        int     `json:"tiles"`
-	Events       uint64  `json:"events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is events/sec relative to the 1-tile point.
-	Speedup float64 `json:"speedup"`
-}
-
 // Report is the schema of the committed benchmark snapshots
-// (BENCH_2.json, BENCH_4.json, BENCH_7.json).
+// (BENCH_2.json, BENCH_4.json, BENCH_9.json).
 type Report struct {
 	GoVersion         string         `json:"go_version"`
 	GOMAXPROCS        int            `json:"gomaxprocs"`
@@ -129,11 +109,6 @@ type Report struct {
 	ScalingRequested []int  `json:"scaling_requested,omitempty"`
 	ScalingMeasured  []int  `json:"scaling_measured,omitempty"`
 	ScalingNote      string `json:"scaling_note,omitempty"`
-	// Tiled holds the -tiles intra-run study; TiledNote records why a
-	// point or the gate was skipped on boxes too small to measure it.
-	Tiled        []TiledPoint `json:"tiled,omitempty"`
-	TiledSpeedup float64      `json:"tiled_speedup,omitempty"`
-	TiledNote    string       `json:"tiled_note,omitempty"`
 	// Mega holds the -mega arena cost point (BENCH_9.json).
 	Mega *MegaResult `json:"mega,omitempty"`
 	// BenchmarkFig1 preserves the hand-recorded `go test -bench`
@@ -143,7 +118,7 @@ type Report struct {
 }
 
 // MegaResult is the -mega study's cost point: throughput plus the
-// memory constants of one auto-tiled fig_mega arena.
+// memory constants of one fig_mega arena.
 type MegaResult struct {
 	Nodes        int     `json:"nodes"`
 	Events       uint64  `json:"events"`
@@ -183,19 +158,6 @@ func fig34Config() experiments.Fig34Config {
 		Nodes: 150, Terrain: 1100, Duration: 20,
 		Pairs: []int{2, 6}, Seeds: []int64{1},
 		FailurePcts: []float64{0, 0.10}, Fig4Pairs: 6,
-	}
-}
-
-// tiledConfig is the -tiles study workload: one large flood topology
-// at Figure-1 density (100 nodes per 1000×1000 m → 1200 nodes in
-// 3575×3575 m), one interval, one seed, sweep workers pinned to 1 so
-// the intra-run tile workers are the only parallelism being measured.
-func tiledConfig(tiles int) experiments.Fig1Config {
-	return experiments.Fig1Config{
-		Nodes: 1200, Terrain: 3575, Connections: 60,
-		Intervals: []float64{0.5},
-		Duration:  5, Seeds: []int64{1},
-		Workers: 1, Tiles: tiles,
 	}
 }
 
@@ -306,9 +268,9 @@ func checkRegression(base *Report, cur *Report, maxRegress float64) []string {
 	return failed
 }
 
-// parseCounts parses a comma-separated positive-integer list flag
-// (-scaling worker counts, -tiles tile counts), sorted ascending.
-func parseCounts(name, s string) ([]int, error) {
+// parseCounts parses the -scaling flag: a comma-separated list of
+// positive worker counts, returned sorted ascending and deduplicated.
+func parseCounts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -316,7 +278,7 @@ func parseCounts(name, s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		var w int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &w); err != nil || w < 1 {
-			return nil, fmt.Errorf("bad %s entry %q (want positive integers)", name, part)
+			return nil, fmt.Errorf("bad -scaling entry %q (want positive integers)", part)
 		}
 		out = append(out, w)
 	}
@@ -376,83 +338,11 @@ func writeReport(rep *Report, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// measureTiled runs the tiled study workload once at one tile count.
-func measureTiled(tiles int) TiledPoint {
-	runtime.GC()
-	experiments.ResetEventCount()
-	//lint:ignore wallclock wall-time of a whole experiment run, measured outside the event loop
-	start := time.Now()
-	experiments.RunFig1(tiledConfig(tiles))
-	//lint:ignore wallclock closes the timing window opened above, after every kernel has drained
-	elapsed := time.Since(start).Seconds()
-	events := experiments.EventCount()
-	return TiledPoint{
-		Tiles:        tiles,
-		Events:       events,
-		WallSeconds:  elapsed,
-		EventsPerSec: float64(events) / elapsed,
-	}
-}
-
-// runTiledStudy is the -tiles mode: measure the single large flood
-// topology once per tile count, record speedups relative to the 1-tile
-// baseline, and apply the -min-tiled-speedup gate. The gate is skipped
-// — with the reason recorded in the report, never silently — when
-// GOMAXPROCS cannot host one core per tile, since a small box cannot
-// measure parallel speedup no matter how good the engine is.
-func runTiledStudy(rep *Report, tileCounts []int, minTiled float64, out string) int {
-	if tileCounts[0] != 1 {
-		// Speedup needs the sequential baseline.
-		tileCounts = append([]int{1}, tileCounts...)
-	}
-	fmt.Printf("tiled intra-run study: %d-node flood, tile counts %v, GOMAXPROCS=%d\n",
-		tiledConfig(1).Nodes, tileCounts, rep.GOMAXPROCS)
-	var base float64
-	for _, tc := range tileCounts {
-		p := measureTiled(tc)
-		if tc == 1 {
-			base = p.EventsPerSec
-		}
-		if base > 0 {
-			p.Speedup = p.EventsPerSec / base
-		}
-		rep.Tiled = append(rep.Tiled, p)
-		fmt.Printf("tiles=%-3d %12d events %8.2fs %12.0f events/sec %6.2fx\n",
-			tc, p.Events, p.WallSeconds, p.EventsPerSec, p.Speedup)
-	}
-	maxT := tileCounts[len(tileCounts)-1]
-	last := rep.Tiled[len(rep.Tiled)-1]
-	rep.TiledSpeedup = last.Speedup
-	gateFailed := false
-	if rep.GOMAXPROCS < maxT {
-		rep.TiledNote = fmt.Sprintf("tiled speedup not measurable: GOMAXPROCS=%d < %d tiles; gate skipped", rep.GOMAXPROCS, maxT)
-		fmt.Println(rep.TiledNote)
-	} else if minTiled > 0 {
-		fmt.Printf("tiled speedup at %d tiles: %.2fx (gate %.2fx)\n", maxT, rep.TiledSpeedup, minTiled)
-		if rep.TiledSpeedup < minTiled {
-			fmt.Fprintf(os.Stderr, "simbench: tiled speedup %.2fx at %d tiles below required %.2fx\n",
-				rep.TiledSpeedup, maxT, minTiled)
-			gateFailed = true
-		}
-	}
-	if out != "" {
-		if err := writeReport(rep, out); err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			return 2
-		}
-	}
-	if gateFailed {
-		return 1
-	}
-	return 0
-}
-
-// runMegaStudy is the -mega mode: one fig_mega arena, auto-tiled, sweep
-// workers pinned to 1 so the intra-run tile pool is the only
-// parallelism. Gates: -max-bytes-node on the retained-arena-per-node
+// runMegaStudy is the -mega mode: one fig_mega arena on one sweep
+// worker. Gates: -max-bytes-node on the retained-arena-per-node
 // constant, and the usual -baseline/-max-regress on mega events/sec.
 func runMegaStudy(rep *Report, nodes int, maxBytesNode float64, baselinePath string, maxRegress float64, journal *metrics.Journal, out string) int {
-	fmt.Printf("mega arena study: %d nodes at Figure-1 density, auto-tiled, GOMAXPROCS=%d\n",
+	fmt.Printf("mega arena study: %d nodes at Figure-1 density, GOMAXPROCS=%d\n",
 		nodes, rep.GOMAXPROCS)
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -547,8 +437,6 @@ func run() int {
 		workers    = flag.Int("workers", 0, "sweep worker count for every figure (0 = GOMAXPROCS)")
 		scaling    = flag.String("scaling", "", "comma-separated worker counts for a per-figure scaling study, e.g. 1,2,4,8")
 		minSpeedup = flag.Float64("min-speedup", 0, "fail if aggregate speedup at the highest -scaling worker count is below this (0 = no gate)")
-		tilesF     = flag.String("tiles", "", "comma-separated intra-run tile counts for the tiled-PDES study, e.g. 1,4 (replaces the figure suite)")
-		minTiled   = flag.Float64("min-tiled-speedup", 0, "fail if tiled speedup at the highest -tiles count is below this (0 = no gate)")
 		megaF      = flag.Bool("mega", false, "run the mega arena cost point instead of the figure suite")
 		megaNodes  = flag.Int("mega-nodes", 1_000_000, "node count for the -mega arena")
 		maxBytesN  = flag.Float64("max-bytes-node", 0, "fail if the -mega peak heap exceeds this many bytes per node (0 = no gate)")
@@ -559,12 +447,7 @@ func run() int {
 	)
 	flag.Parse()
 
-	scalingWorkers, err := parseCounts("-scaling", *scaling)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return 2
-	}
-	tileCounts, err := parseCounts("-tiles", *tilesF)
+	scalingWorkers, err := parseCounts(*scaling)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
 		return 2
@@ -637,9 +520,6 @@ func run() int {
 		if rep.ScalingNote != "" {
 			fmt.Println("scaling:", rep.ScalingNote)
 		}
-	}
-	if len(tileCounts) > 0 {
-		return runTiledStudy(&rep, tileCounts, *minTiled, *out)
 	}
 	if *megaF {
 		return runMegaStudy(&rep, *megaNodes, *maxBytesN, *baseline, *maxRegress, journal, *out)

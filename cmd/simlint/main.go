@@ -31,8 +31,8 @@
 // The JSON payload carries the findings, the audit result, and the
 // shardsafety/v1 inventory: every event-handler entry point, every
 // package-level variable classified readonly/atomic/mutable, and the
-// shared singleton types reached from handler context — the go/no-go
-// input for the PDES tile decomposition.
+// shared singleton types reached from handler context — the proof that
+// concurrent sweep workers share no state.
 //
 // Exit status: 0 clean, 1 findings (or stale directives under -audit),
 // 2 usage or load failure.
@@ -160,8 +160,8 @@ func main() {
 		failed = true
 	}
 	// -audit is also the shard-safety hard gate: a package-level global
-	// that is both mutable and handler-written breaks the tiled PDES
-	// engine's determinism contract, and unlike the sharedstate
+	// that is both mutable and handler-written is shared by every sweep
+	// worker's run and breaks the determinism contract, and unlike the sharedstate
 	// diagnostics this check reads the raw inventory, so a //lint:ignore
 	// cannot waive it.
 	var shardViolations []string

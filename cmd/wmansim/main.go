@@ -20,12 +20,10 @@
 //	-scale small   reduced scale with the same density (default)
 //
 // Other flags: -seeds N (replications), -duration S, -workers N,
-// -tiles N (intra-run PDES tiling; fig2 and abl3 stay sequential),
 // -csv (machine-readable output), -width (fig2 map width), -journal F
 // (append a JSONL run journal: per-run metric snapshots for the
 // journaled figures plus one summary record per experiment with the
-// table CSV, git revision, and wall time). Tiled runs are bitwise identical to sequential ones, so
-// -tiles changes wall time, never output bytes.
+// table CSV, git revision, and wall time).
 //
 // Unified scenario documents (the same format simserve accepts):
 //
@@ -154,7 +152,6 @@ func run() int {
 		seeds    = flag.Int("seeds", 3, "independent replications per point")
 		duration = flag.Float64("duration", 0, "traffic seconds per run (0 = scale default)")
 		workers  = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		tiles    = flag.Int("tiles", 1, "PDES tiles per run, except fig2 and abl3 (1 = sequential kernel)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		width    = flag.Int("width", 76, "figure 2 map width in characters")
 		journalF = flag.String("journal", "", "append a JSONL run journal to this file")
@@ -170,10 +167,6 @@ func run() int {
 	}
 	if *mega {
 		*exp = "mega"
-	}
-	if *tiles < 1 {
-		fmt.Fprintf(os.Stderr, "wmansim: -tiles must be >= 1 (got %d)\n", *tiles)
-		return 2
 	}
 
 	var journal *metrics.Journal
@@ -202,20 +195,13 @@ func run() int {
 		return 2
 	}
 
-	// fig2's path collector shares state across the whole run, so it
-	// stays on the sequential kernel regardless of -tiles.
-	fig1 := experiments.Fig1Config{Seeds: seedList, Workers: *workers, Tiles: *tiles, Duration: *duration, Journal: journal}
-	fig34 := experiments.Fig34Config{Seeds: seedList, Workers: *workers, Tiles: *tiles, Duration: *duration, Journal: journal}
+	fig1 := experiments.Fig1Config{Seeds: seedList, Workers: *workers, Duration: *duration, Journal: journal}
+	fig34 := experiments.Fig34Config{Seeds: seedList, Workers: *workers, Duration: *duration, Journal: journal}
 	fig2 := experiments.Fig2Config{Seed: seedList[0], Workers: *workers}
-	churnCfg := experiments.ChurnConfig{Seeds: seedList, Workers: *workers, Tiles: *tiles, Duration: *duration, Journal: journal}
-	// Mega runs auto-size their PDES tiling from the arena (the point of
-	// the study); an explicit -tiles above 1 overrides that, -tiles 1
-	// keeps the default. Replications default to one — each x-axis point
-	// is a whole arena, not a noisy sample.
+	churnCfg := experiments.ChurnConfig{Seeds: seedList, Workers: *workers, Duration: *duration, Journal: journal}
+	// Mega replications default to one — each x-axis point is a whole
+	// arena, not a noisy sample.
 	megaCfg := experiments.MegaConfig{Seeds: seedList[:1], Workers: *workers, Duration: *duration, Journal: journal}
-	if *tiles > 1 {
-		megaCfg.Tiles = *tiles
-	}
 	if *mega {
 		megaCfg.Ns = []int{1_000_000}
 	} else if full {

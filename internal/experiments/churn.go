@@ -26,7 +26,6 @@ type ChurnConfig struct {
 	Duration float64  // traffic seconds, default 30
 	Seeds    []int64  // default {1,2,3}
 	Workers  int      `json:"-"` // default GOMAXPROCS
-	Tiles    int      `json:"-"` // PDES tiles per run; default 1 (sequential)
 	Lambda   sim.Time // Routeless λ, default 10 ms
 	DataSize int      // CBR payload bytes; default 64
 	Pairs    int      // communicating pairs; default 5
@@ -138,7 +137,7 @@ type ChurnRow struct {
 func RunChurn(cfg ChurnConfig) []ChurnRow {
 	cfg = cfg.withDefaults()
 	rig := Fig34Config{
-		Nodes: cfg.Nodes, Terrain: cfg.Terrain, Range: cfg.Range, Tiles: cfg.Tiles,
+		Nodes: cfg.Nodes, Terrain: cfg.Terrain, Range: cfg.Range,
 		Interval: cfg.Interval, DataSize: cfg.DataSize, Duration: cfg.Duration,
 	}
 	cells := sweep.Cells("churn", len(cfg.Intensities)*numChurnProtos, cfg.Seeds)

@@ -78,14 +78,13 @@ func finish(run *scenario.Run, snap bool) runOut {
 
 // field is the paper's arena: n nodes placed uniformly on a square of
 // the given side, redrawn until the unit-disk graph is connected.
-func field(n int, side, rangeM float64, seed int64, tiles int) node.Config {
+func field(n int, side, rangeM float64, seed int64) node.Config {
 	return node.Config{
 		N:               n,
 		Rect:            geo.NewRect(side, side),
 		Range:           rangeM,
 		Seed:            seed,
 		EnsureConnected: true,
-		Tiles:           tiles,
 	}
 }
 

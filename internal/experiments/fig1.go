@@ -23,7 +23,6 @@ type Fig1Config struct {
 	Duration    float64   // traffic seconds per run; default 30
 	Seeds       []int64   // replications; default {1,2,3}
 	Workers     int       `json:"-"` // parallelism; default GOMAXPROCS
-	Tiles       int       `json:"-"` // PDES tiles per run; default 1 (sequential)
 	Lambda      sim.Time  // SSAF λ and counter-1 max backoff; default 10 ms
 	DataSize    int       // flooded payload bytes; default 64
 
@@ -80,7 +79,7 @@ type Fig1Row struct {
 func fig1Spec(cfg Fig1Config, install func(*node.Network), interval float64, packetSize int, seed int64) scenario.Spec {
 	flows, _ := randomFlows(seed, cfg.Nodes, cfg.Connections, interval, packetSize, false)
 	return scenario.Spec{
-		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed, cfg.Tiles),
+		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed),
 		Install:  install,
 		Flows:    flows,
 		Duration: sim.Time(cfg.Duration),

@@ -154,7 +154,7 @@ func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out
 	// congested middle — the behavior this figure demonstrates.
 	rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, PathMargin: 5}
 	run := assemble(ctx, scenario.Spec{
-		Net: field(cfg.Nodes, cfg.Terrain, cfg.Range, cfg.Seed, 1),
+		Net: field(cfg.Nodes, cfg.Terrain, cfg.Range, cfg.Seed),
 		Install: func(nw *node.Network) {
 			nw.Install(func(n *node.Node) node.Protocol {
 				r := routing.NewRouteless(rcfg)

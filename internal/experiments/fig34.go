@@ -35,7 +35,6 @@ type Fig34Config struct {
 	Duration float64  // traffic seconds, default 60
 	Seeds    []int64  // default {1,2,3}
 	Workers  int      `json:"-"` // default GOMAXPROCS
-	Tiles    int      `json:"-"` // PDES tiles per run; default 1 (sequential)
 	Lambda   sim.Time // Routeless λ, default 10 ms
 	DataSize int      // CBR payload bytes; default 64
 
@@ -98,7 +97,7 @@ func (c Fig34Config) withDefaults() Fig34Config {
 func routingSpec(cfg Fig34Config, seed int64, pairs int, install func(*node.Network)) (scenario.Spec, []packet.NodeID) {
 	flows, endpoints := randomFlows(seed, cfg.Nodes, pairs, cfg.Interval, cfg.DataSize, true)
 	return scenario.Spec{
-		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed, cfg.Tiles),
+		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed),
 		Install:  install,
 		Flows:    flows,
 		Duration: sim.Time(cfg.Duration),

@@ -20,11 +20,11 @@ import (
 // MegaConfig is the million-node arena study: SSAF flooding on arenas
 // grown at fixed Figure-1 density (100 nodes/km²), the x-axis the node
 // count on a log scale. It is the scale proof for the O(active) data
-// plane — auto-sized PDES tiling, bounded link caches, compact per-node
-// RNG — and reports the two quantities the paper's mechanisms promise
-// to keep flat as N grows: delivery ratio and the per-hop local
-// election latency (mean end-to-end delay divided by mean hop count,
-// i.e. how long each hop's SSAF election took).
+// plane — contiguous per-node arenas, bounded link caches, 8-byte RNG
+// streams — and reports the two quantities the paper's mechanisms
+// promise to keep flat as N grows: delivery ratio and the per-hop
+// local election latency (mean end-to-end delay divided by mean hop
+// count, i.e. how long each hop's SSAF election took).
 type MegaConfig struct {
 	Ns      []int   // x-axis node counts; default {1e3, 1e4, 1e5}
 	Density float64 // nodes per km²; default 100 (Figure 1's density)
@@ -36,15 +36,13 @@ type MegaConfig struct {
 	Duration     float64
 	Seeds        []int64  // replications; default {1}
 	Workers      int      `json:"-"` // sweep parallelism; default GOMAXPROCS
-	Tiles        int      `json:"-"` // PDES tiles per run; default node.AutoTiles
-	TileWorkers  int      `json:"-"` // PDES worker bound; default GOMAXPROCS
-	LinkCacheCap int      `json:"-"` // per-tile link-cache residency bound; default 4096
+	LinkCacheCap int      `json:"-"` // per-run link-cache residency bound; default 4096
 	Lambda       sim.Time // SSAF λ; default 10 ms
 	DataSize     int      // flooded payload bytes; default 64
 
 	// Journal, when non-nil, receives one Record per run plus nothing
-	// else; bytes are deterministic for a fixed config at any worker,
-	// tile, or link-cache setting.
+	// else; bytes are deterministic for a fixed config at any worker
+	// or link-cache setting.
 	Journal *metrics.Journal `json:"-"`
 
 	// MemProbe, when non-nil, receives each run's arena memory cost:
@@ -73,9 +71,6 @@ func (c MegaConfig) withDefaults() MegaConfig {
 	}
 	if len(c.Seeds) == 0 {
 		c.Seeds = []int64{1}
-	}
-	if c.Tiles == 0 {
-		c.Tiles = node.AutoTiles
 	}
 	if c.LinkCacheCap == 0 {
 		c.LinkCacheCap = 4096
@@ -119,9 +114,8 @@ type MegaRow struct {
 }
 
 // RunMega sweeps the node counts across seeds through the sweep engine.
-// Every run uses compact per-node RNG streams (the study's point is the
-// O(active) memory plane), so its draws are not comparable to fig1's —
-// but are themselves deterministic and pinned by the journal golden.
+// Its draws come from the same generator as every other study's and
+// are pinned by the fig_mega_tiny journal golden.
 func RunMega(cfg MegaConfig) []MegaRow {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("fig_mega", len(cfg.Ns), cfg.Seeds)
@@ -169,8 +163,6 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 			// placement draw, and at Figure-1 density a giant component
 			// spans the arena anyway — stragglers just dent the delivery
 			// ratio deterministically.
-			Tiles:        cfg.Tiles,
-			TileWorkers:  cfg.TileWorkers,
 			LinkCacheCap: cfg.LinkCacheCap,
 		},
 		Install: func(nw *node.Network) {

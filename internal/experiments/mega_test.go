@@ -10,9 +10,7 @@ import (
 )
 
 // tinyMega shrinks fig_mega to golden scale: same density and flow
-// shape as the real study, arenas of 64 and 128 nodes. Tiles stays at
-// the AutoTiles default — the invariance tests below pin that explicit
-// tile and worker counts reproduce the same bytes.
+// shape as the real study, arenas of 64 and 128 nodes.
 func tinyMega() MegaConfig {
 	return MegaConfig{
 		Ns:       []int{64, 128},
@@ -45,25 +43,11 @@ func TestMegaJournalSameSeedBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestMegaJournalTileCountInvariant pins the study's core claim at
-// golden scale: the auto-tiled mega data plane produces the same bytes
-// as the sequential kernel and as any explicit tiling.
-func TestMegaJournalTileCountInvariant(t *testing.T) {
-	j1 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Tiles = 1 })
-	for _, tiles := range []int{4, 16} {
-		tiles := tiles
-		jt := runTinyMegaJournal(t, func(c *MegaConfig) { c.Tiles = tiles })
-		if !bytes.Equal(j1, jt) {
-			t.Fatalf("tiles=%d changed journal bytes:\ntiles=1: %s\ntiles=%d: %s", tiles, j1, tiles, jt)
-		}
-	}
-}
-
-// TestMegaJournalWorkerCountInvariant covers both worker knobs: the
-// sweep's cross-run parallelism and the PDES per-run tile worker pool.
+// TestMegaJournalWorkerCountInvariant: the sweep's cross-run
+// parallelism changes wall time, never bytes.
 func TestMegaJournalWorkerCountInvariant(t *testing.T) {
-	j1 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers, c.TileWorkers = 1, 1 })
-	j8 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers, c.TileWorkers = 8, 8 })
+	j1 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers = 1 })
+	j8 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers = 8 })
 	if !bytes.Equal(j1, j8) {
 		t.Fatalf("worker counts changed journal bytes:\nworkers=1: %s\nworkers=8: %s", j1, j8)
 	}

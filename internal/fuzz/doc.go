@@ -8,11 +8,11 @@
 //
 // The package tells two failure classes apart, and that distinction is
 // the whole point: an *invalid scenario* (a plan the fault plane
-// rejects, a placement that cannot connect, a tiled run asking for
-// fading) is the generator's or the user's problem and is reported as a
-// value; everything else that goes wrong — a conservation-law
-// imbalance, a run that does not bitwise-reproduce under its own seed,
-// a panic from inside the simulator — is a simulator bug. Every
+// rejects, a placement that cannot connect) is the generator's or the
+// user's problem and is reported as a value; everything else that goes
+// wrong — a conservation-law imbalance, a run that does not
+// bitwise-reproduce under its own seed, a panic from inside the
+// simulator — is a simulator bug. Every
 // crash-instead-of-error path the fuzzer trips therefore has to be
 // converted to a structured verdict first; that conversion is the
 // repo's fault.Plan.Validate / node.New / fault.Install error

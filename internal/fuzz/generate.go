@@ -40,11 +40,11 @@ func (l Limits) withDefaults() Limits {
 // Seed field (driving the simulation streams) is the input seed itself.
 //
 // The generator draws every dial unconditionally and then reconciles
-// against the constraint matrix (tiles exclude fading and mobility,
-// Connected requires uniform placement) by switching features off, so
-// every generated scenario validates cleanly by construction — an
-// invalid-scenario verdict on a generated seed means the generator and
-// Validate disagree, which its test treats as a bug.
+// against Validate's one cross-field rule (Connected requires uniform
+// placement) by switching the feature off, so every generated scenario
+// validates cleanly by construction — an invalid-scenario verdict on a
+// generated seed means the generator and Validate disagree, which its
+// test treats as a bug.
 func Generate(seed int64, lim Limits) scenario.Scenario {
 	lim = lim.withDefaults()
 	r := rng.New(seed, rng.StreamFuzz, scenario.SubGenerate)
@@ -77,9 +77,10 @@ func Generate(seed int64, lim Limits) scenario.Scenario {
 	}
 	wantConnected := r.Intn(4) < 3
 	wantFading := r.Intn(5) == 0
-	wantTiles := 0
+	// Tiles is the document's ignored compatibility field; drawing it
+	// keeps proving that it is ignored (and keeps the draw sequence).
 	if r.Intn(4) == 0 {
-		wantTiles = 2 << r.Intn(2) // 2 or 4
+		sc.Tiles = 2 << r.Intn(2) // 2 or 4
 	}
 	wantMobility := r.Intn(5) == 0
 	moverFrac := r.Float64()
@@ -112,18 +113,12 @@ func Generate(seed int64, lim Limits) scenario.Scenario {
 	// Duration in 0.5 s quanta keeps the shrinker's time axis discrete.
 	sc.Duration = 0.5 * float64(4+r.Intn(int(lim.MaxDuration*2)-3))
 
-	// Reconcile against the constraint matrix: tiles win over fading and
-	// mobility (they exercise the rarer engine), Connected only applies
-	// to uniform placement.
+	// Connected only applies to uniform placement.
 	sc.Connected = wantConnected && sc.Placement == scenario.PlaceUniform
-	if wantTiles > 1 {
-		sc.Tiles = wantTiles
-	} else {
-		sc.Fading = wantFading
-		if wantMobility {
-			movers := 1 + int(moverFrac*float64(sc.N-1))
-			sc.Mobility = &scenario.Mobility{Movers: movers, MinSpeed: minSpeed, MaxSpeed: maxSpeed}
-		}
+	sc.Fading = wantFading
+	if wantMobility {
+		movers := 1 + int(moverFrac*float64(sc.N-1))
+		sc.Mobility = &scenario.Mobility{Movers: movers, MinSpeed: minSpeed, MaxSpeed: maxSpeed}
 	}
 
 	nFaults := r.Intn(lim.MaxFaults + 1)

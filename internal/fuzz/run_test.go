@@ -33,6 +33,36 @@ func TestRunPass(t *testing.T) {
 	}
 }
 
+// TestRunTilesDialIsInert runs the first generated scenarios from the
+// once-forbidden corner — the tiles dial together with fading or
+// mobility — and demands a pass verdict with the very metrics of the
+// same scenario with the dial cleared: the field fuzzes a compatibility
+// surface, not an engine.
+func TestRunTilesDialIsInert(t *testing.T) {
+	var r Runner
+	ran := 0
+	for seed := int64(1); seed <= 300 && ran < 4; seed++ {
+		sc := Generate(seed, Limits{})
+		if sc.Tiles <= 1 || !(sc.Fading || sc.Mobility != nil) {
+			continue
+		}
+		ran++
+		got := r.Run(sc)
+		sc.Tiles = 0
+		want := r.Run(sc)
+		if got.Verdict != VerdictPass || want.Verdict != VerdictPass {
+			t.Fatalf("seed %d: verdicts %q (%s) / %q (%s), want pass", seed,
+				got.Verdict, got.Detail, want.Verdict, want.Detail)
+		}
+		if *got.Metrics != *want.Metrics {
+			t.Errorf("seed %d: tiles changed the run: %+v vs %+v", seed, *got.Metrics, *want.Metrics)
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no seed in 1:300 draws tiles with fading or mobility")
+	}
+}
+
 func TestRunInvalidScenario(t *testing.T) {
 	var r Runner
 	sc := tiny()

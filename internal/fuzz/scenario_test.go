@@ -28,7 +28,7 @@ func TestValidateConstraintMatrix(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*scenario.Scenario)
-		want string // substring of the error
+		want string // substring of the error; "" expects a valid document
 	}{
 		{"n too small", func(s *scenario.Scenario) { s.N = 1 }, "N must be at least 2"},
 		{"width nan", func(s *scenario.Scenario) { s.Width = math.NaN() }, "Width"},
@@ -52,12 +52,13 @@ func TestValidateConstraintMatrix(t *testing.T) {
 			s.Mobility = &scenario.Mobility{Movers: 1, MinSpeed: 5, MaxSpeed: 1}
 		}, "speeds"},
 		{"tiles negative", func(s *scenario.Scenario) { s.Tiles = -1 }, "Tiles"},
-		{"tiled fading", func(s *scenario.Scenario) { s.Connected = false; s.Tiles = 4; s.Fading = true }, "fading"},
+		// Tiles is an ignored compatibility field: it constrains nothing.
+		{"tiled fading", func(s *scenario.Scenario) { s.Connected = false; s.Tiles = 4; s.Fading = true }, ""},
 		{"tiled mobility", func(s *scenario.Scenario) {
 			s.Connected = false
 			s.Tiles = 4
 			s.Mobility = &scenario.Mobility{Movers: 1, MaxSpeed: 1}
-		}, "mobility"},
+		}, ""},
 		{"unknown fault kind", func(s *scenario.Scenario) { s.Faults = []scenario.FaultSpec{{Kind: "meteor"}} }, "unknown fault kind"},
 		{"bad fault numerics", func(s *scenario.Scenario) {
 			s.Faults = []scenario.FaultSpec{{Kind: "drain", CapacityJ: -1}}
@@ -68,6 +69,12 @@ func TestValidateConstraintMatrix(t *testing.T) {
 			sc := valid()
 			tc.mut(&sc)
 			err := sc.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("scenario rejected: %v", err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatalf("scenario accepted, want error containing %q", tc.want)
 			}
@@ -91,10 +98,7 @@ func TestValidateAcceptsFullFeatureSet(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("full-feature scenario rejected: %v", err)
 	}
-	// Tiled variant of the same scenario, with the incompatible
-	// features stripped, is also fine.
-	sc.Fading = false
-	sc.Mobility = nil
+	// The same scenario carrying the ignored tiles field is also fine.
 	sc.Tiles = 4
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("tiled scenario rejected: %v", err)

@@ -46,10 +46,10 @@ var sharedSingletonTypes = []string{
 }
 
 // tileStateFields curates the struct fields on shared simulator objects
-// that the million-node SoA refactor made per-tile (or per-node-slot,
-// which is the same thing once tileOf assigns every slot to exactly one
-// tile): mutable state that event handlers write without locks, yet
-// that never crosses a tile boundary inside a PDES window. The report
+// that the million-node SoA refactor hoisted onto the channel: mutable
+// state that event handlers write without locks, yet that is confined
+// to one run (the name and the "per-tile" class predate the removal of
+// the tiled engine; a run is the one tile left). The report
 // classifies them explicitly so the shard-safety gate documents WHY the
 // unguarded writes are sound instead of staying silent about them.
 // Every entry is existence-checked against the type-checker in
@@ -61,16 +61,10 @@ var tileStateFields = []tileStateSpec{
 		Fields: []string{
 			"radios", "states", "txPow", "energies",
 			"links", "linkValid",
-		},
-		Rationale: "indexed by node id; tileOf assigns each slot to exactly one tile, and only the owning tile (or the control lane at a barrier) writes a slot",
-	},
-	{
-		Type: "internal/phy.(tileCtx)",
-		Fields: []string{
-			"uid", "stats", "pendingStarts", "scratch", "outbox",
+			"uid", "stats", "pendingStarts", "scratch",
 			"cached", "cachedHead",
 		},
-		Rationale: "one tileCtx per tile; only the owning tile's worker touches it inside a window, and cross-tile reads (outbox drain, counter roll-up) happen at barriers",
+		Rationale: "one channel per run; sweep workers never share one, and a run's handlers execute on its single sequential kernel",
 	},
 }
 

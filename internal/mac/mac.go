@@ -31,23 +31,6 @@ type Config struct {
 	QueueCap   int      // outgoing queue capacity (frames)
 }
 
-// MinArm returns the minimum delay between any MAC event and the
-// earliest radio transmission it can cause. Every Transmit happens
-// inside an event armed at least this far in advance: the access timer
-// is always reset with SlotTime, DIFS, or AckTimeout, and link-layer
-// ACKs are scheduled SIFS ahead. PDES uses this as structural
-// lookahead — a tile whose earliest pending event is at E cannot put a
-// new, not-yet-scheduled signal on the air before E+MinArm.
-func (c Config) MinArm() sim.Time {
-	min := c.SlotTime
-	for _, d := range []sim.Time{c.DIFS, c.SIFS, c.AckTimeout} {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // DefaultConfig returns 802.11-flavored parameters.
 func DefaultConfig() Config {
 	return Config{
@@ -160,10 +143,6 @@ type MAC struct {
 	rxSeen     map[uint64]struct{}
 	rxSeenFIFO []uint64
 
-	// tagTx marks every event that can lead to a transmission as a
-	// tagged kernel event (see TagTransmits).
-	tagTx bool
-
 	stats [numSeries]metrics.Counter32
 }
 
@@ -195,16 +174,6 @@ func Init(m *MAC, k *sim.Kernel, radio *phy.Radio, cfg *Config, rng *rand.Rand) 
 
 // SetHandler installs the network layer.
 func (m *MAC) SetHandler(h Handler) { m.handler = h }
-
-// TagTransmits marks the two event paths that call Radio.Transmit —
-// the access timer and the SIFS ACK closure — as tagged kernel events,
-// so a PDES coordinator can bound this node's next possible
-// transmission with Kernel.PeekTagged. Tagging is scheduling-neutral;
-// on kernels without tag tracking enabled it is a no-op.
-func (m *MAC) TagTransmits() {
-	m.tagTx = true
-	m.access.MarkTagged()
-}
 
 // Count returns the current value of one of the MAC's counters.
 func (m *MAC) Count(s Series) uint64 { return m.stats[s].Value() }
@@ -496,11 +465,7 @@ func (m *MAC) scheduleAck(orig *packet.Packet) {
 		m.stats[TxFrames].Inc()
 		m.radio.Transmit(ack)
 	}
-	if m.tagTx {
-		m.kernel.ScheduleTagged(m.cfg.SIFS, fire)
-	} else {
-		m.kernel.Schedule(m.cfg.SIFS, fire)
-	}
+	m.kernel.Schedule(m.cfg.SIFS, fire)
 }
 
 // OnMediumBusy implements phy.Listener.

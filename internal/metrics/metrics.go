@@ -128,7 +128,7 @@ func (k Kind) String() string {
 }
 
 // entry is one named metric. Registering the same name again appends to
-// the entry's source list: per-tile counters and per-node populations
+// the entry's source list: per-process counters and per-node populations
 // sum into one network-wide series, which is what the experiments
 // report. Registration order of the FIRST appearance fixes the entry's
 // position forever.

@@ -2,15 +2,14 @@ package node
 
 import "routeless/internal/digest"
 
-// DigestState folds the node's own mutable state into h: position,
-// tile assignment, and the shared power-failure latch. The radio, MAC,
+// DigestState folds the node's own mutable state into h: position and
+// the shared power-failure latch. The radio, MAC,
 // and protocol attached to the node are digested separately by the
 // snapshot walk (each owns its own DigestState).
 func (n *Node) DigestState(h *digest.Hash) {
 	h.Int64(int64(n.ID))
 	h.Float64(n.Pos.X)
 	h.Float64(n.Pos.Y)
-	h.Int(n.Tile)
 	h.Bool(n.failing)
 }
 

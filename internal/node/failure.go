@@ -48,10 +48,7 @@ type FailureProcess struct {
 // start until Start is called.
 func NewFailureProcess(n *Node, r *rand.Rand) *FailureProcess {
 	fp := &FailureProcess{Cycle: 10, node: n, rng: r}
-	// Failure schedules are a control-plane process: on a tiled network
-	// they run on the global kernel at epoch barriers, where flipping a
-	// radio is safe (no tile worker is mid-window).
-	fp.timer = sim.NewTimer(n.Ctl, fp.flip)
+	fp.timer = sim.NewTimer(n.Kernel, fp.flip)
 	return fp
 }
 

@@ -44,9 +44,7 @@ func NewWaypoint(nw *Network, n *Node, r *rand.Rand) *Waypoint {
 		Tick: 0.25,
 		nw:   nw, node: n, rng: r, rect: nw.Rect,
 	}
-	// Mobility is control-plane like failures; note tiled networks
-	// reject MoveNode outright, so waypoints only run sequentially.
-	w.timer = sim.NewTimer(n.Ctl, w.step)
+	w.timer = sim.NewTimer(n.Kernel, w.step)
 	return w
 }
 

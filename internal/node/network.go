@@ -8,7 +8,6 @@ import (
 	"routeless/internal/mac"
 	"routeless/internal/metrics"
 	"routeless/internal/packet"
-	"routeless/internal/pdes"
 	"routeless/internal/phy"
 	"routeless/internal/propagation"
 	"routeless/internal/rng"
@@ -48,28 +47,12 @@ type Config struct {
 	// identical behavior; reuse changes allocation counts only, never
 	// results.
 	Runtime *Runtime
-	// Tiles, when above 1, partitions the arena into that many geo
-	// tiles, each with its own kernel advanced by a parallel PDES
-	// worker between epoch barriers (see internal/pdes). Results are
-	// identical to the sequential network; requires no fading and no
-	// mobility. 0 or 1 builds the classic sequential network. The
-	// sentinel AutoTiles sizes the tiling from the arena instead: tile
-	// sides at least twice the channel's interference cutoff (the
-	// minimum sound lookahead geometry), as many tiles as fit.
-	Tiles int
-	// TileWorkers bounds the PDES worker pool on a tiled run; 0 means
-	// GOMAXPROCS. Results are identical for any value.
-	TileWorkers int
 	// LinkCacheCap, when positive, bounds how many per-node link caches
-	// each tile keeps live at once (FIFO eviction, bit-identical
+	// the run keeps live at once (FIFO eviction, bit-identical
 	// rebuilds). Zero keeps every cache — fine up to ~100k nodes;
 	// mega-scale runs set a cap to keep link memory O(active).
 	LinkCacheCap int
 }
-
-// AutoTiles is the Config.Tiles sentinel that sizes the PDES tiling
-// automatically from the arena and the channel's interference cutoff.
-const AutoTiles = -1
 
 // Runtime is the reusable allocation state one sweep worker owns: the
 // kernel event free list, the phy signal/delivery pools, and the
@@ -80,13 +63,6 @@ type Runtime struct {
 	Events *sim.EventPool
 	Phy    *phy.Pools
 	Ranges *propagation.SharedRangeCache
-
-	// Per-tile allocation state for tiled networks, grown on demand.
-	// Tile kernels run concurrently, so each tile owns its pools; the
-	// global kernel keeps using Events (it only runs at barriers, while
-	// every tile worker is parked).
-	tileEvents []*sim.EventPool
-	tilePhy    []*phy.Pools
 }
 
 // NewRuntime returns a fresh runtime with empty pools.
@@ -98,37 +74,17 @@ func NewRuntime() *Runtime {
 	}
 }
 
-// Reset shrinks the runtime's event free lists to the watermark of the
+// Reset shrinks the runtime's event free list to the watermark of the
 // run since the previous Reset (see sim.EventPool.Reset) and zeroes the
-// watermarks. Its one caller is the run assembler (scenario.Assemble),
+// watermark. Its one caller is the run assembler (scenario.Assemble),
 // right before each build; a second call between runs would see a zero
-// watermark and empty the free lists. Must not be called while any
+// watermark and empty the free list. Must not be called while any
 // network built on this runtime is still running.
-func (rt *Runtime) Reset() {
-	rt.Events.Reset()
-	for _, p := range rt.tileEvents {
-		p.Reset()
-	}
-}
-
-// tilePools returns per-tile event pools and phy pools for n tiles,
-// growing the runtime's slots on first use so consecutive tiled runs on
-// one sweep worker reuse warm memory.
-func (rt *Runtime) tilePools(n int) ([]*sim.EventPool, []*phy.Pools) {
-	for len(rt.tileEvents) < n {
-		rt.tileEvents = append(rt.tileEvents, sim.NewEventPool())
-		rt.tilePhy = append(rt.tilePhy, phy.NewPools())
-	}
-	return rt.tileEvents[:n], rt.tilePhy[:n]
-}
+func (rt *Runtime) Reset() { rt.Events.Reset() }
 
 // Network is a fully assembled simulation: kernel, channel, and nodes.
 // Protocols and applications are attached after construction.
 type Network struct {
-	// Kernel is the simulation kernel on a sequential network, and the
-	// global control-lane kernel on a tiled one (fault schedules and
-	// other cross-cutting processes live there; its handlers run at
-	// epoch barriers with every tile clock equal to the global clock).
 	Kernel  *sim.Kernel
 	Channel *phy.Channel
 	Nodes   []*Node
@@ -140,17 +96,6 @@ type Network struct {
 	// run's entire randomness consumption is one observable value.
 	RNG *rng.Tracker
 
-	// TileKernels holds one kernel per PDES tile; nil when sequential.
-	TileKernels []*sim.Kernel
-	// tileWorkers bounds the PDES pool (0 = GOMAXPROCS).
-	tileWorkers int
-
-	// minArm and crossDelay parameterize the conservative PDES window
-	// (see internal/pdes): the MAC's minimum arming interval and, per
-	// tile, the minimum propagation delay of any boundary-crossing link.
-	minArm     sim.Time
-	crossDelay []sim.Time
-
 	// Metrics is the network-wide registry: channel counters, then the
 	// radio and MAC populations, then one population per table of the
 	// protocols implementing metrics.Source at Install time.
@@ -160,9 +105,8 @@ type Network struct {
 }
 
 // New builds the network. It returns an error when the configuration
-// cannot produce one: non-positive N without explicit positions, no
-// connected placement within the attempt budget, or a tiled network
-// combined with fading (the per-link fading stream is sequential).
+// cannot produce one: non-positive N without explicit positions, or no
+// connected placement within the attempt budget.
 // Callers whose configuration is a literal wrap the call in Must.
 func New(cfg Config) (*Network, error) {
 	if cfg.Rect == (geo.Rect{}) {
@@ -189,28 +133,6 @@ func New(cfg Config) (*Network, error) {
 		rt = NewRuntime()
 	}
 	params := phy.DefaultParams(cfg.Model, cfg.Range)
-	tiles := cfg.Tiles
-	var tiling geo.Tiling
-	haveTiling := false
-	if tiles == AutoTiles {
-		// Tile sides of at least twice the interference cutoff keep the
-		// conservative-window geometry sound (a frame can only reach
-		// adjacent tiles) while admitting as many tiles as the arena
-		// supports; paper-scale arenas degenerate to one tile and run
-		// sequentially.
-		tiling = geo.AutoTiling(cfg.Rect, 2*phy.CutoffFor(cfg.Model, params, 0, cfg.Rect))
-		tiles = tiling.Tiles()
-		haveTiling = true
-	}
-	if tiles < 1 {
-		tiles = 1
-	}
-	if tiles > 1 && cfg.Fader != nil {
-		if _, noFade := cfg.Fader.(propagation.NoFade); !noFade {
-			return nil, fmt.Errorf("node: tiled network requires NoFade (the fading stream is sequential), got fader %q with %d tiles",
-				cfg.Fader.Name(), tiles)
-		}
-	}
 	kernel := sim.NewKernelPooled(rng.Derive(cfg.Seed, 0xC0FFEE), rt.Events)
 
 	positions := cfg.Positions
@@ -248,36 +170,10 @@ func New(cfg Config) (*Network, error) {
 		Ranges:       rt.Ranges,
 		LinkCacheCap: cfg.LinkCacheCap,
 	}
-	var tileKernels []*sim.Kernel
-	var tileOf []int32
-	if tiles > 1 {
-		// Tile assignment is pure arithmetic on the final positions, so
-		// the same seed yields the same node→tile map at any tile count.
-		if !haveTiling {
-			tiling = geo.NewTiling(cfg.Rect, tiles)
-		}
-		tileOf = make([]int32, len(positions))
-		for i, p := range positions {
-			tileOf[i] = int32(tiling.TileOf(p))
-		}
-		evPools, phyPools := rt.tilePools(tiles)
-		tileKernels = make([]*sim.Kernel, tiles)
-		specs := make([]phy.TileSpec, tiles)
-		for t := 0; t < tiles; t++ {
-			k := sim.NewKernelPooled(rng.Derive(cfg.Seed, 0xC0FFEE, uint64(t+1)), evPools[t])
-			k.EnableTagTracking()
-			tileKernels[t] = k
-			specs[t] = phy.TileSpec{Kernel: k, Pools: phyPools[t]}
-		}
-		chCfg.Tiles = specs
-		chCfg.TileOf = tileOf
-	}
 	ch := phy.NewChannel(kernel, cfg.Rect, positions, params, chCfg)
 
 	nw := &Network{Kernel: kernel, Channel: ch, Rect: cfg.Rect, Seed: cfg.Seed,
-		RNG:         streams,
-		TileKernels: tileKernels, tileWorkers: cfg.TileWorkers,
-		Metrics: metrics.NewRegistry()}
+		RNG: streams, Metrics: metrics.NewRegistry()}
 	ch.RegisterMetrics(nw.Metrics)
 	nw.Nodes = make([]*Node, len(positions))
 	// One contiguous Node arena instead of N heap objects; Nodes keeps
@@ -286,60 +182,20 @@ func New(cfg Config) (*Network, error) {
 	arena := make([]Node, len(positions))
 	macArena := make([]mac.MAC, len(positions))
 	for i := range positions {
-		nk := kernel
-		tile := 0
-		if tiles > 1 {
-			tile = int(tileOf[i])
-			nk = tileKernels[tile]
-		}
 		n := &arena[i]
 		*n = Node{
 			ID:     packet.NodeID(i),
 			Pos:    positions[i],
-			Kernel: nk,
-			Ctl:    kernel,
-			Tile:   tile,
+			Kernel: kernel,
 			Radio:  ch.Radio(i),
 			Rng:    streams.ForNode(cfg.Seed, rng.StreamNet, i),
 		}
 		n.MAC = &macArena[i]
-		mac.Init(n.MAC, nk, n.Radio, &macCfg, streams.ForNode(cfg.Seed, rng.StreamMAC, i))
+		mac.Init(n.MAC, kernel, n.Radio, &macCfg, streams.ForNode(cfg.Seed, rng.StreamMAC, i))
 		n.MAC.SetHandler(macAdapter{n})
 		nw.Nodes[i] = n
 	}
 	mac.RegisterMetrics(nw.Metrics, macArena)
-	if tiles > 1 {
-		// Conservative-window parameters: every transmission is armed at
-		// least MinArm ahead (MAC timer discipline), and a signal leaving
-		// tile t takes at least crossDelay[t] to reach another tile. Only
-		// boundary transmitters — nodes with an in-cutoff neighbor on
-		// another tile — tag their TX-risk timers; interior nodes cannot
-		// affect other tiles inside a window.
-		nw.minArm = macCfg.MinArm()
-		nw.crossDelay = make([]sim.Time, tiles)
-		for t := range nw.crossDelay {
-			nw.crossDelay[t] = sim.Infinity
-		}
-		var buf []int
-		for i := range positions {
-			ti := int(tileOf[i])
-			buf = ch.InterferenceNeighbors(buf, i)
-			boundary := false
-			for _, j := range buf {
-				if int(tileOf[j]) == ti {
-					continue
-				}
-				boundary = true
-				d := sim.Time(propagation.Delay(positions[i].Dist(positions[j])))
-				if d < nw.crossDelay[ti] {
-					nw.crossDelay[ti] = d
-				}
-			}
-			if boundary {
-				nw.Nodes[i].MAC.TagTransmits()
-			}
-		}
-	}
 	nw.registerLaws()
 	return nw, nil
 }
@@ -355,24 +211,8 @@ func Must[T any](v T, err error) T {
 	return v
 }
 
-// NumTiles returns how many PDES tiles the network runs on (1 when
-// sequential).
-func (nw *Network) NumTiles() int {
-	if nw.TileKernels == nil {
-		return 1
-	}
-	return len(nw.TileKernels)
-}
-
-// Processed sums the events executed across every kernel in the
-// network.
-func (nw *Network) Processed() uint64 {
-	n := nw.Kernel.Processed()
-	for _, k := range nw.TileKernels {
-		n += k.Processed()
-	}
-	return n
-}
+// Processed returns the events the run has executed.
+func (nw *Network) Processed() uint64 { return nw.Kernel.Processed() }
 
 // registerLaws declares the packet conservation invariants every run
 // must satisfy at any instant. Each law equates two exact uint64 sums;
@@ -428,24 +268,8 @@ func (nw *Network) Install(factory func(n *Node) Protocol) {
 	}
 }
 
-// Run executes the simulation until time t: sequentially on the single
-// kernel, or — when the network was built with Config.Tiles > 1 — as a
-// conservative tiled PDES run whose results are identical to the
-// sequential one.
-func (nw *Network) Run(t sim.Time) {
-	if nw.TileKernels == nil {
-		nw.Kernel.RunUntil(t)
-		return
-	}
-	pdes.Run(pdes.Config{
-		Tiles:      nw.TileKernels,
-		Global:     nw.Kernel,
-		MinArm:     nw.minArm,
-		CrossDelay: nw.crossDelay,
-		Exchange:   nw.Channel.ExchangeCross,
-		Workers:    nw.tileWorkers,
-	}, t)
-}
+// Run executes the simulation until time t.
+func (nw *Network) Run(t sim.Time) { nw.Kernel.RunUntil(t) }
 
 // MoveNode relocates a node (mobility extension), keeping the channel's
 // spatial index and the node's own position in sync.

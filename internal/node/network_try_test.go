@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"routeless/internal/geo"
-	"routeless/internal/propagation"
 )
 
 // TestTryNewRejectsImpossiblePlacement is the fails-pre-fix regression
@@ -41,26 +40,6 @@ func TestTryNewRejectsNonPositiveN(t *testing.T) {
 	}
 	if _, err := New(Config{N: -7, Seed: 1}); err == nil {
 		t.Error("New accepted negative N")
-	}
-}
-
-// TestTryNewRejectsTiledFading pins the constraint matrix at the
-// construction boundary: fading draws are sequential, so a tiled
-// network with a real fader must be an error, not a deep phy panic.
-func TestTryNewRejectsTiledFading(t *testing.T) {
-	_, err := New(Config{
-		N: 20, Seed: 1, Tiles: 4,
-		Fader: propagation.Rayleigh{},
-	})
-	if err == nil {
-		t.Fatal("New accepted tiles=4 with Rayleigh fading")
-	}
-	if !strings.Contains(err.Error(), "NoFade") {
-		t.Errorf("error %q does not explain the NoFade requirement", err)
-	}
-	// NoFade explicitly set is fine.
-	if _, err := New(Config{N: 20, Seed: 1, Tiles: 4, Fader: propagation.NoFade{}}); err != nil {
-		t.Errorf("New rejected tiles=4 with explicit NoFade: %v", err)
 	}
 }
 

@@ -39,17 +39,10 @@ type Node struct {
 	ID     packet.NodeID
 	Pos    geo.Point
 	Kernel *sim.Kernel
-	// Ctl is the control-lane kernel for processes driven from outside
-	// the node's own event flow (failure schedules, mobility waypoints).
-	// On a sequential network it is Kernel; on a tiled network it is
-	// the global kernel, whose handlers only run at epoch barriers.
-	Ctl *sim.Kernel
-	// Tile is the PDES tile this node lives on (0 when sequential).
-	Tile  int
-	Radio *phy.Radio
-	MAC   *mac.MAC
-	Net   Protocol
-	Rng   *rand.Rand // network-layer random stream
+	Radio  *phy.Radio
+	MAC    *mac.MAC
+	Net    Protocol
+	Rng    *rand.Rand // network-layer random stream
 
 	// OnAppReceive, if set, is invoked when the protocol delivers an
 	// application packet addressed to this node.

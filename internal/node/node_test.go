@@ -94,6 +94,40 @@ func TestInstallAndTraffic(t *testing.T) {
 	}
 }
 
+// TestProcessedIsTheKernelCount pins the one-engine contract: traffic,
+// a mover and a failure process all run on the network's single kernel,
+// so the run's event count is that kernel's and nothing else's.
+func TestProcessedIsTheKernelCount(t *testing.T) {
+	nw := Must(New(Config{N: 5, Rect: geo.NewRect(300, 300), Seed: 4}))
+	nw.Install(func(n *Node) Protocol { return &echoProto{} })
+	w := NewWaypoint(nw, nw.Nodes[1], rng.ForNode(4, rng.StreamTopology, 1))
+	start := nw.Nodes[1].Pos
+	w.Start()
+	fp := NewFailureProcess(nw.Nodes[2], rng.ForNode(4, rng.StreamFailure, 2))
+	fp.OffFraction, fp.Cycle = 0.5, 1
+	fp.Start()
+	nw.Nodes[0].Net.Send(3, packet.SizeData)
+	before := nw.Processed()
+	nw.Run(10)
+	if nw.Nodes[1].Pos == start {
+		t.Fatal("mover never ran")
+	}
+	if fp.Failures() == 0 {
+		t.Fatal("failure process never fired")
+	}
+	if nw.Processed() == before {
+		t.Fatal("Run executed no events")
+	}
+	if nw.Processed() != nw.Kernel.Processed() {
+		t.Fatalf("Processed() = %d, Kernel.Processed() = %d", nw.Processed(), nw.Kernel.Processed())
+	}
+	for _, n := range nw.Nodes {
+		if n.Kernel != nw.Kernel {
+			t.Fatalf("node %d runs on a kernel other than the network's", n.ID)
+		}
+	}
+}
+
 // countingProto is an echoProto that counts its sends in a block of the
 // given table, so one factory can hand out several protocol types.
 type countingProto struct {

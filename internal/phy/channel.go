@@ -68,42 +68,47 @@ type Channel struct {
 	// a receiver even after fading; signals past it are not scheduled.
 	cutoff float64
 
-	// tiles holds the per-tile scheduling state. A sequential channel
-	// has exactly one tile whose kernel is the simulation kernel — the
-	// pre-tiling code path, unchanged. A tiled channel (ChannelConfig
-	// .Tiles) has one tileCtx per arena tile; transmissions run on the
-	// source node's tile and same-tile deliveries schedule directly,
-	// while boundary-crossing deliveries queue in the source tile's
-	// outbox for the barrier exchange (ExchangeCross).
-	tiles []*tileCtx
-	// ctl serves the single-threaded control lane: interference
-	// injection, mobility, link offsets. Sequential channels alias it
-	// to tiles[0]; tiled channels give it the barrier-synchronized
-	// control kernel.
-	ctl *tileCtx
-	// tileOf maps node id → tile index (all zero when sequential).
-	tileOf []int32
+	// kernel schedules every signal edge; pools recycles the signal and
+	// delivery objects they carry.
+	kernel *sim.Kernel
+	pools  *Pools
+
+	// uid counts frames born on this channel, transmissions and jammer
+	// bursts alike (UIDs are only ever compared for equality and zero).
+	uid uint64
+
+	stats chanCounters
+
+	// pendingStarts counts deliveries scheduled whose leading edge has
+	// not yet reached the receiver — the channel's term of the
+	// phy-delivery conservation law.
+	pendingStarts int
+
+	scratch []int
 
 	// links[i] caches node i's outgoing edges; linkValid[i] marks the
 	// entry current. noCache forces a rebuild on every transmission —
 	// the recompute-every-time reference the coherence tests compare
-	// against. Entry i is only ever written by node i's own tile (or
-	// by the control lane at a barrier), so the shared slices are safe
-	// under tiled execution.
+	// against.
 	links     [][]link
 	linkValid []bool
 	noCache   bool
-	// linkCap, when positive, bounds how many nodes per tile may hold a
-	// valid link cache at once: each tile evicts its least-recently
-	// built entry FIFO-style past the cap. Rebuilds are bit-identical,
-	// so eviction changes memory and time, never results.
+	// linkCap, when positive, bounds how many nodes may hold a valid
+	// link cache at once: the channel evicts its least-recently built
+	// entry FIFO-style past the cap. Rebuilds are bit-identical, so
+	// eviction changes memory and time, never results.
 	linkCap int
+	// cached is the FIFO of nodes whose link cache was built, consulted
+	// only when cache residency is bounded (linkCap > 0). cachedHead
+	// indexes the oldest live entry; the slice compacts when the dead
+	// prefix dominates.
+	cached     []int32
+	cachedHead int
 
 	// offsets holds the fault plane's per-link shadowing: extra gain in
 	// dB applied on top of the propagation model for specific directed
 	// links. Nil (the common case) means the power math runs exactly the
-	// pre-offset expressions, preserving float bit-identity. Mutated
-	// only from the control lane (all tiles parked at a barrier).
+	// pre-offset expressions, preserving float bit-identity.
 	offsets map[linkKey]float64
 
 	// ranges memoizes the RangeFor bisection per radio parameter set
@@ -112,50 +117,6 @@ type Channel struct {
 	// supplies a cache it is shared across every channel the owning
 	// sweep worker builds; otherwise the channel owns a private one.
 	ranges *propagation.SharedRangeCache
-}
-
-// tileCtx is the per-tile slice of the channel's mutable scheduling
-// state: the tile's kernel, its object pools, its share of the medium
-// counters (the registry sums same-name counters, so per-tile counters
-// roll up to the same network series), its UID namespace, and the
-// outbox of boundary-crossing deliveries awaiting the next barrier.
-// Sequential channels have exactly one, making every field access
-// identical to the pre-tiling single-struct layout.
-type tileCtx struct {
-	kernel *sim.Kernel
-	pools  *Pools
-
-	// uid counts frames born on this tile; uidBase disambiguates the
-	// namespace across tiles (UIDs are only ever compared for equality
-	// and zero). Sequential channels use base 0, preserving historical
-	// values.
-	uid     uint64
-	uidBase uint64
-
-	stats chanCounters
-
-	// pendingStarts counts deliveries scheduled whose leading edge has
-	// not yet reached the receiver — this tile's term of the
-	// phy-delivery conservation law.
-	pendingStarts int
-
-	scratch []int
-	outbox  []xdeliv
-
-	// cached is the FIFO of nodes whose link cache this tile built,
-	// consulted only when the channel bounds cache residency
-	// (Channel.linkCap > 0). cachedHead indexes the oldest live entry;
-	// the slice compacts when the dead prefix dominates.
-	cached     []int32
-	cachedHead int
-}
-
-// xdeliv is one boundary-crossing delivery parked in a source tile's
-// outbox between transmission and the next epoch barrier.
-type xdeliv struct {
-	rcv   *Radio
-	sig   *signal
-	start sim.Time
 }
 
 // linkKey identifies one directed link for the offset table.
@@ -191,10 +152,10 @@ type ChannelConfig struct {
 	// set it, to prove the cached channel bit-for-bit equivalent to it.
 	noLinkCache bool
 	// LinkCacheCap, when positive, bounds the number of per-node link
-	// caches each tile keeps live at once (FIFO eviction). At mega
-	// scale an unbounded cache costs kilobytes per transmitter that
-	// ever spoke; a cap keeps link-cache memory O(active transmitters
-	// per tile). Zero means unbounded (the historical behavior).
+	// caches the run keeps live at once (FIFO eviction). At mega scale
+	// an unbounded cache costs kilobytes per transmitter that ever
+	// spoke; a cap keeps link-cache memory O(active transmitters). Zero
+	// means unbounded (the historical behavior).
 	// Eviction only forces bit-identical rebuilds — results never
 	// change.
 	LinkCacheCap int
@@ -206,33 +167,13 @@ type ChannelConfig struct {
 	// Ranges, when non-nil, supplies an externally owned cross-model
 	// range cache; nil means a private one.
 	Ranges *propagation.SharedRangeCache
-	// Tiles, when it holds more than one entry, partitions the medium
-	// for tiled PDES: one kernel (and optional pools) per arena tile,
-	// with TileOf mapping every node id to its tile. The kernel passed
-	// to NewChannel then becomes the control-lane kernel (interference
-	// injection, link offsets), which only runs while all tile workers
-	// are parked at an epoch barrier. Empty or single-entry means the
-	// classic sequential medium. Tiling requires NoFade: the fading
-	// stream is a single sequential draw order that cannot be
-	// partitioned without changing results.
-	Tiles []TileSpec
-	// TileOf maps node id → index into Tiles; required iff tiled.
-	TileOf []int32
-}
-
-// TileSpec names one tile's scheduling resources for a tiled channel.
-type TileSpec struct {
-	Kernel *sim.Kernel
-	// Pools, when nil, gives the tile private pools.
-	Pools *Pools
 }
 
 // CutoffFor returns the interference cutoff a channel over rect with
 // the given radio parameters will use: the distance beyond which a
 // transmission cannot affect a receiver, against the carrier-sense
 // threshold widened by fadeMarginDB (pass 0 without fading). Exposed so
-// the network layer can size PDES tilings from the same number the
-// channel computes.
+// the benchmark's geo probe queries at the radius the channel uses.
 func CutoffFor(model propagation.Model, params Params, fadeMarginDB float64, rect geo.Rect) float64 {
 	cutoff := propagation.RangeFor(model, params.TxPowerDBm, params.CSThreshDBm-fadeMarginDB, 1,
 		rect.Width()+rect.Height()+1)
@@ -273,6 +214,8 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 		ranges = propagation.NewSharedRangeCache()
 	}
 	ch := &Channel{
+		kernel:    k,
+		pools:     pools,
 		model:     model,
 		fader:     fader,
 		noFade:    noFade,
@@ -285,37 +228,6 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 		linkCap:   cfg.LinkCacheCap,
 		ranges:    ranges,
 	}
-	if len(cfg.Tiles) > 1 {
-		if !noFade {
-			panic("phy: tiled channel requires NoFade (the fading stream is sequential)")
-		}
-		if len(cfg.TileOf) != len(positions) {
-			panic("phy: tiled channel needs TileOf for every node")
-		}
-		ch.tiles = make([]*tileCtx, len(cfg.Tiles))
-		for i, ts := range cfg.Tiles {
-			p := ts.Pools
-			if p == nil {
-				p = NewPools()
-			}
-			ch.tiles[i] = &tileCtx{
-				kernel:  ts.Kernel,
-				pools:   p,
-				uidBase: uint64(i+1) << 48,
-			}
-		}
-		ch.ctl = &tileCtx{
-			kernel:  k,
-			pools:   NewPools(),
-			uidBase: uint64(len(cfg.Tiles)+1) << 48,
-		}
-		ch.tileOf = cfg.TileOf
-	} else {
-		t := &tileCtx{kernel: k, pools: pools}
-		ch.tiles = []*tileCtx{t}
-		ch.ctl = t
-		ch.tileOf = make([]int32, len(positions))
-	}
 	ch.params = params
 	ch.power = DefaultPower()
 	ch.noiseMW = propagation.DBmToMilliwatt(params.NoiseFloorDBm)
@@ -326,7 +238,7 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 		r := &ch.radios[i]
 		r.id = packet.NodeID(i)
 		r.params = &ch.params
-		r.kernel = ch.tiles[ch.tileOf[i]].kernel
+		r.kernel = k
 		r.channel = ch
 		ch.states[i] = StateIdle
 		ch.txPow[i] = params.TxPowerDBm
@@ -334,10 +246,6 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 	}
 	return ch
 }
-
-// Tiled reports whether the medium is partitioned into more than one
-// tile.
-func (c *Channel) Tiled() bool { return len(c.tiles) > 1 }
 
 // Radio returns the transceiver at position index i.
 func (c *Channel) Radio(i int) *Radio { return &c.radios[i] }
@@ -359,24 +267,17 @@ func (c *Channel) Position(i int) geo.Point { return c.grid.At(i) }
 // positions because any node that moved had its own cache invalidated
 // by its own MoveTo.
 func (c *Channel) MoveTo(i int, p geo.Point) {
-	if c.Tiled() {
-		// Tile assignment and boundary tagging are fixed at
-		// construction; a move could cross a tile border or create a
-		// new boundary transmitter mid-run, both unsound.
-		panic("phy: MoveTo is not supported on a tiled channel")
-	}
 	if c.noCache {
 		c.grid.MoveTo(i, p)
 		return
 	}
-	t := c.ctl
-	t.scratch = c.grid.WithinRadius(t.scratch[:0], c.grid.At(i), c.cutoff, i)
-	for _, id := range t.scratch {
+	c.scratch = c.grid.WithinRadius(c.scratch[:0], c.grid.At(i), c.cutoff, i)
+	for _, id := range c.scratch {
 		c.linkValid[id] = false
 	}
 	c.grid.MoveTo(i, p)
-	t.scratch = c.grid.WithinRadius(t.scratch[:0], p, c.cutoff, i)
-	for _, id := range t.scratch {
+	c.scratch = c.grid.WithinRadius(c.scratch[:0], p, c.cutoff, i)
+	for _, id := range c.scratch {
 		c.linkValid[id] = false
 	}
 	c.linkValid[i] = false
@@ -393,45 +294,22 @@ func (c *Channel) Model() propagation.Model { return c.model }
 // Cutoff returns the interference cutoff distance in meters.
 func (c *Channel) Cutoff() float64 { return c.cutoff }
 
-// Stats returns medium-wide counters, summed across tiles (and the
-// control lane, whose jammer bursts count as deliveries).
+// Stats returns medium-wide counters (jammer bursts count as
+// deliveries).
 func (c *Channel) Stats() ChannelStats {
-	var tx, dl uint64
-	for _, t := range c.tiles {
-		tx += t.stats.transmissions.Value()
-		dl += t.stats.deliveries.Value()
+	return ChannelStats{
+		Transmissions: c.stats.transmissions.Value(),
+		Deliveries:    c.stats.deliveries.Value(),
 	}
-	if c.ctl != c.tiles[0] {
-		tx += c.ctl.stats.transmissions.Value()
-		dl += c.ctl.stats.deliveries.Value()
-	}
-	return ChannelStats{Transmissions: tx, Deliveries: dl}
 }
 
 // RegisterMetrics registers the medium-wide counters and the pending
 // leading-edge count, then the radios' counter blocks as one phy.*
-// population and the in-flight signal count. Per-tile counters register
-// under the shared series names; the registry sums same-name sources,
-// so tiled and sequential runs expose identical series.
+// population and the in-flight signal count.
 func (c *Channel) RegisterMetrics(reg *metrics.Registry) {
-	for _, t := range c.tiles {
-		reg.Observe("chan.transmissions", &t.stats.transmissions)
-		reg.Observe("chan.deliveries", &t.stats.deliveries)
-	}
-	if c.ctl != c.tiles[0] {
-		reg.Observe("chan.transmissions", &c.ctl.stats.transmissions)
-		reg.Observe("chan.deliveries", &c.ctl.stats.deliveries)
-	}
-	reg.Func("chan.pending_starts", func() uint64 {
-		var n int
-		for _, t := range c.tiles {
-			n += t.pendingStarts
-		}
-		if c.ctl != c.tiles[0] {
-			n += c.ctl.pendingStarts
-		}
-		return uint64(n)
-	})
+	reg.Observe("chan.transmissions", &c.stats.transmissions)
+	reg.Observe("chan.deliveries", &c.stats.deliveries)
+	reg.Func("chan.pending_starts", func() uint64 { return uint64(c.pendingStarts) })
 	reg.Population(&radioTable, len(c.radios), func(i int) metrics.Block {
 		return metrics.Block{Table: &radioTable, Counters: c.radios[i].stats[:]}
 	})
@@ -492,13 +370,13 @@ func (c *Channel) linkGain(from, to int, p float64) float64 {
 // with the same distance and power expressions transmit used before the
 // cache existed — the cache must be bit-for-bit equivalent, not merely
 // approximately right.
-func (c *Channel) buildLinks(t *tileCtx, src int) []link {
+func (c *Channel) buildLinks(src int) []link {
 	pos := c.grid.At(src)
-	t.scratch = c.grid.WithinRadius(t.scratch[:0], pos, c.cutoff, src)
-	slices.Sort(t.scratch)
+	c.scratch = c.grid.WithinRadius(c.scratch[:0], pos, c.cutoff, src)
+	slices.Sort(c.scratch)
 	ls := c.links[src][:0]
 	tx := c.txPow[src]
-	for _, idx := range t.scratch {
+	for _, idx := range c.scratch {
 		d := pos.Dist(c.grid.At(idx))
 		p := c.linkGain(src, idx, c.model.ReceivedPower(tx, d))
 		ls = append(ls, link{
@@ -512,22 +390,22 @@ func (c *Channel) buildLinks(t *tileCtx, src int) []link {
 	c.links[src] = ls
 	c.linkValid[src] = true
 	if c.linkCap > 0 && !c.noCache {
-		c.boundCache(t, src)
+		c.boundCache(src)
 	}
 	return ls
 }
 
-// boundCache records src in tile t's cache-residency FIFO and evicts
-// the oldest entries past the channel's cap. An evicted node's next
+// boundCache records src in the cache-residency FIFO and evicts the
+// oldest entries past the channel's cap. An evicted node's next
 // transmission rebuilds its links bit-identically, so the bound trades
-// rebuild time for O(linkCap) cache memory per tile. Entries can be
-// stale (invalidated by MoveTo/SetTxPower, or re-cached later in the
-// FIFO); evicting a stale entry is a cheap no-op.
-func (c *Channel) boundCache(t *tileCtx, src int) {
-	t.cached = append(t.cached, int32(src))
-	for len(t.cached)-t.cachedHead > c.linkCap {
-		old := t.cached[t.cachedHead]
-		t.cachedHead++
+// rebuild time for O(linkCap) cache memory. Entries can be stale
+// (invalidated by MoveTo/SetTxPower, or re-cached later in the FIFO);
+// evicting a stale entry is a cheap no-op.
+func (c *Channel) boundCache(src int) {
+	c.cached = append(c.cached, int32(src))
+	for len(c.cached)-c.cachedHead > c.linkCap {
+		old := c.cached[c.cachedHead]
+		c.cachedHead++
 		if int(old) != src && c.linkValid[old] {
 			c.linkValid[old] = false
 			c.links[old] = nil
@@ -535,20 +413,15 @@ func (c *Channel) boundCache(t *tileCtx, src int) {
 	}
 	// Compact once the dead prefix dominates, keeping the FIFO's
 	// footprint proportional to the cap rather than to traffic history.
-	if t.cachedHead > len(t.cached)/2 && t.cachedHead > 32 {
-		n := copy(t.cached, t.cached[t.cachedHead:])
-		t.cached = t.cached[:n]
-		t.cachedHead = 0
+	if c.cachedHead > len(c.cached)/2 && c.cachedHead > 32 {
+		n := copy(c.cached, c.cached[c.cachedHead:])
+		c.cached = c.cached[:n]
+		c.cachedHead = 0
 	}
 }
 
 // transmit fans a frame out to every radio within the cutoff range.
 // Receivers are visited in id order so fading draws are reproducible.
-// On a tiled channel it runs on the source node's tile: same-tile
-// receivers schedule directly on the tile kernel, while
-// boundary-crossing deliveries are parked in the tile outbox for the
-// next epoch barrier (their leading edge is at least the cross-tile
-// lookahead away, so the deferral never reorders the receiver).
 //
 // pkt is copied once per transmission, not once per receiver: the first
 // scheduled receiver freezes it into a frame every later signal of the
@@ -556,19 +429,18 @@ func (c *Channel) boundCache(t *tileCtx, src int) {
 // for a copy of its own (Radio.signalEnd).
 func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 	srcIdx := int(src.id)
-	t := c.tiles[c.tileOf[srcIdx]]
-	t.stats.transmissions.Inc()
+	c.stats.transmissions.Inc()
 	if pkt.UID == 0 {
 		// Assign once per frame: ARQ retransmissions keep their UID so
 		// receivers can suppress duplicates of the same frame.
-		t.uid++
-		pkt.UID = t.uidBase | t.uid
+		c.uid++
+		pkt.UID = c.uid
 	}
 	ls := c.links[srcIdx]
 	if c.noCache || !c.linkValid[srcIdx] {
-		ls = c.buildLinks(t, srcIdx)
+		ls = c.buildLinks(srcIdx)
 	}
-	now := t.kernel.Now()
+	now := c.kernel.Now()
 	var f *frame
 	for i := range ls {
 		l := &ls[i]
@@ -586,46 +458,12 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 		if f == nil {
 			f = &frame{pkt: *pkt}
 		}
-		rt := c.tiles[c.tileOf[l.idx]]
-		t.stats.deliveries.Inc()
-		if rt == t {
-			s := t.pools.newSignal(f, pDBm, pMW)
-			s.end = now + l.delay + dur
-			src.txLive = append(src.txLive, s)
-			c.scheduleDelivery(t, rcv, s, now+l.delay)
-			continue
-		}
-		// Cross-tile: plain allocation — the receiver tile's pools are
-		// not ours to touch mid-window, and the signal is released into
-		// them after delivery.
-		s := &signal{frame: f, powerDBm: pDBm, powerMW: pMW}
+		c.stats.deliveries.Inc()
+		s := c.pools.newSignal(f, pDBm, pMW)
 		s.end = now + l.delay + dur
 		src.txLive = append(src.txLive, s)
-		t.outbox = append(t.outbox, xdeliv{rcv: rcv, sig: s, start: now + l.delay})
+		c.scheduleDelivery(rcv, s, now+l.delay)
 	}
-}
-
-// ExchangeCross drains every tile's outbox of boundary-crossing
-// deliveries onto the receiving tiles' kernels, in (source tile,
-// transmit order) — a deterministic order independent of how the
-// tile workers interleaved. Must be called at an epoch barrier, with
-// every tile worker parked. Returns the number of deliveries moved.
-func (c *Channel) ExchangeCross() int {
-	n := 0
-	for _, t := range c.tiles {
-		for i := range t.outbox {
-			x := &t.outbox[i]
-			rt := c.tiles[c.tileOf[x.rcv.id]]
-			if x.start < rt.kernel.Now() {
-				panic("phy: cross-tile delivery in the receiver's past (lookahead violated)")
-			}
-			c.scheduleDelivery(rt, x.rcv, x.sig, x.start)
-			x.rcv, x.sig = nil, nil
-			n++
-		}
-		t.outbox = t.outbox[:0]
-	}
-	return n
 }
 
 // delivery carries one frame to one receiver. It is a pooled object
@@ -634,7 +472,6 @@ func (c *Channel) ExchangeCross() int {
 // itself for the trailing edge (signalEnd) — replacing the two closures
 // the channel used to allocate per delivery.
 type delivery struct {
-	tile    *tileCtx
 	rcv     *Radio
 	sig     *signal
 	started bool
@@ -642,29 +479,29 @@ type delivery struct {
 }
 
 // scheduleDelivery arms a pooled delivery for s at the receiver,
-// starting (leading edge) at start, on the receiver's tile t.
-func (c *Channel) scheduleDelivery(t *tileCtx, rcv *Radio, s *signal, start sim.Time) {
-	d := t.pools.newDelivery(t)
+// starting (leading edge) at start.
+func (c *Channel) scheduleDelivery(rcv *Radio, s *signal, start sim.Time) {
+	d := c.pools.newDelivery()
 	d.rcv, d.sig, d.started = rcv, s, false
-	t.pendingStarts++
-	t.kernel.At(start, d.fn)
+	c.pendingStarts++
+	c.kernel.At(start, d.fn)
 }
 
 // fire is the delivery's only callback. First firing: leading edge —
 // queue the trailing edge, then hand the signal to the receiver. Second
 // firing: trailing edge — finish reception and recycle.
 func (d *delivery) fire() {
+	c := d.rcv.channel
 	if !d.started {
 		d.started = true
-		d.tile.pendingStarts--
-		d.tile.kernel.At(d.sig.end, d.fn)
+		c.pendingStarts--
+		c.kernel.At(d.sig.end, d.fn)
 		d.rcv.signalStart(d.sig)
 		return
 	}
-	t := d.tile
 	d.rcv.signalEnd(d.sig)
-	t.pools.releaseSignal(d.sig)
-	t.pools.releaseDelivery(d)
+	c.pools.releaseSignal(d.sig)
+	c.pools.releaseDelivery(d)
 }
 
 // InjectInterference radiates an interference-only burst of duration
@@ -677,49 +514,35 @@ func (d *delivery) fire() {
 // frame fading stream; reach is bounded by the channel's interference
 // cutoff. Returns how many radios the burst was scheduled at.
 func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time) int {
-	// Runs on the control lane: single-threaded, and on a tiled channel
-	// only at an epoch barrier (every tile clock equals the control
-	// clock), so scheduling straight onto the receivers' tiles is
-	// causal.
-	ct := c.ctl
-	ct.scratch = c.grid.WithinRadius(ct.scratch[:0], pos, c.cutoff, -1)
-	slices.Sort(ct.scratch)
-	ct.uid++
+	c.scratch = c.grid.WithinRadius(c.scratch[:0], pos, c.cutoff, -1)
+	slices.Sort(c.scratch)
+	c.uid++
 	f := &frame{pkt: packet.Packet{
 		Kind:   packet.KindJam,
 		From:   packet.None,
 		To:     packet.Broadcast,
 		Origin: packet.None,
 		Target: packet.None,
-		UID:    ct.uidBase | ct.uid,
+		UID:    c.uid,
 	}}
-	now := ct.kernel.Now()
+	now := c.kernel.Now()
 	hits := 0
-	for _, idx := range ct.scratch {
+	for _, idx := range c.scratch {
 		rcv := &c.radios[idx]
 		d := pos.Dist(c.grid.At(idx))
 		pDBm := c.model.ReceivedPower(txDBm, d)
 		if pDBm < rcv.params.CSThreshDBm {
 			continue
 		}
-		rt := c.tiles[c.tileOf[idx]]
 		delay := sim.Time(propagation.Delay(d))
-		s := rt.pools.newSignal(f, pDBm, propagation.DBmToMilliwatt(pDBm))
+		s := c.pools.newSignal(f, pDBm, propagation.DBmToMilliwatt(pDBm))
 		s.aborted = true
 		s.end = now + delay + dur
-		ct.stats.deliveries.Inc()
-		c.scheduleDelivery(rt, rcv, s, now+delay)
+		c.stats.deliveries.Inc()
+		c.scheduleDelivery(rcv, s, now+delay)
 		hits++
 	}
 	return hits
-}
-
-// InterferenceNeighbors appends the ids within the interference cutoff
-// of node i to dst (unsorted) — every node a transmission from i could
-// possibly touch, even after fading. Tiled construction uses it to find
-// boundary transmitters and the minimum cross-tile propagation delay.
-func (c *Channel) InterferenceNeighbors(dst []int, i int) []int {
-	return c.grid.WithinRadius(dst[:0], c.grid.At(i), c.cutoff, i)
 }
 
 // NeighborIDs appends the ids within node i's deterministic decode

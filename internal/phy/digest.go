@@ -7,7 +7,7 @@ import (
 )
 
 // digestSignal folds one in-air signal into h. A signal's identity is
-// its frame UID (assigned deterministically from the owning tile's
+// its frame UID (assigned deterministically from the channel's
 // counter at transmit time) plus the receive-side parameters that decide
 // decode and interference outcomes.
 func digestSignal(h *digest.Hash, s *signal) {
@@ -51,8 +51,8 @@ func (r *Radio) DigestState(h *digest.Hash) {
 // DigestState folds the channel's mutable run state into h: the
 // struct-of-arrays per-node scalars (transceiver state, live transmit
 // power, energy meters), the lazily built link-cache validity bits, the
-// fault plane's link offsets, and each tile's scheduling counters (UID
-// cursor, pending delivery count, outbox and cache-residency sizes).
+// fault plane's link offsets, and the scheduling counters (UID cursor,
+// pending delivery count, cache-residency size).
 // The offsets map is iterated in sorted key order; everything else is
 // slice-indexed. Radios are digested separately by the per-node walk.
 func (c *Channel) DigestState(h *digest.Hash) {
@@ -87,24 +87,7 @@ func (c *Channel) DigestState(h *digest.Hash) {
 		h.Float64(c.offsets[k])
 	}
 
-	digestTile := func(t *tileCtx) {
-		h.Uint64(t.uid)
-		h.Uint64(t.uidBase)
-		h.Int(t.pendingStarts)
-		h.Int(len(t.outbox))
-		for _, x := range t.outbox {
-			digestSignal(h, x.sig)
-		}
-		h.Int(len(t.cached) - t.cachedHead)
-	}
-	h.Int(len(c.tiles))
-	for _, t := range c.tiles {
-		digestTile(t)
-	}
-	if c.ctl != nil && (len(c.tiles) == 0 || c.ctl != c.tiles[0]) {
-		h.Bool(true)
-		digestTile(c.ctl)
-	} else {
-		h.Bool(false)
-	}
+	h.Uint64(c.uid)
+	h.Int(c.pendingStarts)
+	h.Int(len(c.cached) - c.cachedHead)
 }

@@ -8,15 +8,15 @@ package phy
 // re-growing a fresh free list per replication.
 //
 // Pooled objects carry no residual state: newSignal and
-// scheduleDelivery reinitialize every field (including the delivery's
-// channel binding) on reuse, so sharing a pool across consecutive
-// channels cannot change simulation results. A Pools must never be
-// shared between channels that run concurrently — workers own theirs
-// exclusively.
+// scheduleDelivery reinitialize every field on reuse (a delivery finds
+// its channel through its receiver), so sharing a pool across
+// consecutive channels cannot change simulation results. A Pools must
+// never be shared between channels that run concurrently — workers own
+// theirs exclusively.
 //
 // Frames are not pooled: one frame is shared by every signal of its
-// transmission, across tiles, so only the collector knows its last
-// reader — and there is one per transmission, not one per delivery.
+// transmission, so only the collector knows its last reader — and
+// there is one per transmission, not one per delivery.
 type Pools struct {
 	sig []*signal
 	del []*delivery
@@ -65,10 +65,8 @@ func (p *Pools) releaseSignal(s *signal) {
 }
 
 // newDelivery takes a delivery from the free list (or allocates one
-// with its callback pre-bound) and binds it to the arming tile. The
-// rebind matters: a pooled delivery may have last served a different
-// channel (or tile) on the same worker.
-func (p *Pools) newDelivery(t *tileCtx) *delivery {
+// with its callback pre-bound).
+func (p *Pools) newDelivery() *delivery {
 	var d *delivery
 	if n := len(p.del); n > 0 {
 		d = p.del[n-1]
@@ -77,7 +75,6 @@ func (p *Pools) newDelivery(t *tileCtx) *delivery {
 		d = &delivery{}
 		d.fn = d.fire
 	}
-	d.tile = t
 	return d
 }
 
@@ -107,7 +104,7 @@ func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
 
 // releaseDelivery returns a finished delivery to the free list.
 func (p *Pools) releaseDelivery(d *delivery) {
-	d.tile, d.rcv, d.sig = nil, nil, nil
+	d.rcv, d.sig = nil, nil
 	if len(p.del) < maxFreeObjects {
 		p.del = append(p.del, d)
 	}

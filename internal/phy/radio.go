@@ -129,9 +129,8 @@ var radioTable = metrics.Table{Counters: []string{
 
 // frame is one transmission's packet as it exists on the air: the
 // snapshot Channel.transmit takes of the sender's packet, shared
-// read-only by every signal of that transmission — all receivers, all
-// tiles (a barrier always separates the tile that wrote it from a tile
-// that reads it). Nothing mutates it and it never leaves this package;
+// read-only by every signal of that transmission — all receivers.
+// Nothing mutates it and it never leaves this package;
 // a receiver that decodes it gets a private copy (decode), so listeners
 // may rewrite or keep theirs and the sender may reuse its own.
 type frame struct{ pkt packet.Packet }

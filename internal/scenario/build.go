@@ -43,7 +43,6 @@ func BuildWith(sc Scenario, opts BuildOptions) (*Run, error) {
 			Positions: positions(sc),
 			Range:     sc.Range,
 			Seed:      sc.Seed,
-			Tiles:     sc.Tiles,
 			Runtime:   opts.Runtime,
 		},
 		Install: Installer(sc.Protocol, sim.Time(sc.Lambda), sc.Range),

@@ -1,11 +1,11 @@
 // Package scenario is the single, versioned description of one
-// simulation run: topology, placement, mobility, fading, tiling,
-// traffic flows, and a typed fault plan, as one validated JSON
-// document. It is the unified entry point every consumer shares — the
-// fuzzer generates into it, `wmansim -scenario` loads it, `simserve`
-// accepts it over HTTP, and snapshots embed it — so the simulator's
-// constraint matrix (tiled ⇒ no fading and no mobility, Connected ⇒
-// uniform placement) lives in exactly one place: Validate.
+// simulation run: topology, placement, mobility, fading, traffic
+// flows, and a typed fault plan, as one validated JSON document. It is
+// the unified entry point every consumer shares — the fuzzer generates
+// into it, `wmansim -scenario` loads it, `simserve` accepts it over
+// HTTP, and snapshots embed it — so the simulator's input constraints
+// (bounds, Connected ⇒ uniform placement) live in exactly one place:
+// Validate.
 //
 // Determinism contract: a Scenario is a pure value, and Build derives
 // every random stream of the run from Scenario.Seed. Two builds of one
@@ -77,8 +77,7 @@ type Flow struct {
 }
 
 // Mobility switches on random-waypoint motion for the first Movers
-// nodes. Tiled scenarios must be static (tile re-binding is not
-// supported), which Validate enforces.
+// nodes.
 type Mobility struct {
 	Movers   int     `json:"movers"`
 	MinSpeed float64 `json:"min_speed"` // m/s
@@ -154,11 +153,11 @@ type Scenario struct {
 	// position styles are used as drawn — disconnection is part of the
 	// adversarial space they exist to reach).
 	Connected bool `json:"connected,omitempty"`
-	// Fading adds Rayleigh small-scale fading. Incompatible with Tiles.
+	// Fading adds Rayleigh small-scale fading.
 	Fading bool `json:"fading,omitempty"`
-	// Tiles > 1 runs the scenario on the tiled PDES engine. Requires no
-	// fading and no mobility (the constraint matrix the tiled engine
-	// ships with).
+	// Tiles is accepted for Version-1 documents written when a tiled
+	// engine existed and is otherwise ignored: every run is sequential,
+	// and a tiled run was byte-identical to it by contract.
 	Tiles int `json:"tiles,omitempty"`
 
 	Protocol string  `json:"protocol"`
@@ -306,16 +305,6 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.Tiles < 0 {
 		return invalidf("Tiles must be non-negative, got %d", sc.Tiles)
-	}
-	if sc.Tiles > 1 {
-		// The tiled engine's constraint matrix: per-link fading draw
-		// order is sequential, and mobility would re-bind tiles.
-		if sc.Fading {
-			return invalidf("tiled scenarios cannot use fading (tiles=%d)", sc.Tiles)
-		}
-		if sc.Mobility != nil {
-			return invalidf("tiled scenarios cannot use mobility (tiles=%d)", sc.Tiles)
-		}
 	}
 	for i, f := range sc.Faults {
 		if len(f.Exclude) > 0 && f.Kind != "crash" && f.Kind != "drain" {

@@ -1,12 +1,15 @@
 package scenario_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"routeless/internal/metrics"
 	"routeless/internal/scenario"
 	"routeless/internal/sweep"
 )
@@ -68,7 +71,8 @@ func TestParseTypedErrors(t *testing.T) {
 		{"bad-protocol", mutate(func(sc *scenario.Scenario) { sc.Protocol = "ospf" }), scenario.ErrInvalid},
 		{"self-loop-flow", mutate(func(sc *scenario.Scenario) { sc.Flows = []scenario.Flow{{Src: 3, Dst: 3}} }), scenario.ErrInvalid},
 		{"flow-out-of-range", mutate(func(sc *scenario.Scenario) { sc.Flows = []scenario.Flow{{Src: 0, Dst: 12}} }), scenario.ErrInvalid},
-		{"tiled-fading", mutate(func(sc *scenario.Scenario) { sc.Tiles = 4; sc.Fading = true }), scenario.ErrInvalid},
+		// Tiles is a compatibility field: no combination with it is invalid.
+		{"tiled-fading", mutate(func(sc *scenario.Scenario) { sc.Tiles = 4; sc.Fading = true }), nil},
 		{"exclude-out-of-range", mutate(func(sc *scenario.Scenario) {
 			sc.Faults = []scenario.FaultSpec{{Kind: "crash", OffFraction: 0.1, Exclude: []int{99}}}
 		}), scenario.ErrInvalid},
@@ -81,6 +85,48 @@ func TestParseTypedErrors(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want errors.Is(%v)", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestTilesFieldIsIgnored: a Version-1 document carrying `tiles` — here
+// with fading and mobility, which the tiled engine used to reject —
+// parses, builds, and runs to the same journal records and RunMetrics
+// as the same document without the field. Only the start record, which
+// echoes the document, may differ.
+func TestTilesFieldIsIgnored(t *testing.T) {
+	const doc = `{"seed":7,"n":12,"width":400,"height":300,"range":150,
+		"placement":"uniform","protocol":"ssaf","fading":true%s,
+		"mobility":{"movers":4,"min_speed":1,"max_speed":5},
+		"flows":[{"src":0,"dst":11}],"interval":0.5,"data_size":256,
+		"duration":3,"journal_every":1}`
+	run := func(tiles string) ([]byte, scenario.RunMetrics) {
+		sc, err := scenario.Parse([]byte(fmt.Sprintf(doc, tiles)))
+		if err != nil {
+			t.Fatalf("tiles=%q: %v", tiles, err)
+		}
+		r, err := scenario.Build(sc)
+		if err != nil {
+			t.Fatalf("tiles=%q: %v", tiles, err)
+		}
+		var buf bytes.Buffer
+		r.SetJournal(metrics.NewJournal(&buf))
+		rm, err := r.Finish()
+		if err != nil {
+			t.Fatalf("tiles=%q: %v", tiles, err)
+		}
+		_, records, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+		return records, rm
+	}
+	want, wantRM := run("")
+	got, gotRM := run(`,"tiles":4`)
+	if len(want) == 0 || wantRM.MACPackets == 0 {
+		t.Fatal("reference run journaled nothing")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("journal records differ with tiles=4:\n got %s\nwant %s", got, want)
+	}
+	if gotRM != wantRM {
+		t.Errorf("RunMetrics differ with tiles=4: got %+v, want %+v", gotRM, wantRM)
 	}
 }
 

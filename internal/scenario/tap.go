@@ -3,7 +3,6 @@ package scenario
 import (
 	"routeless/internal/node"
 	"routeless/internal/packet"
-	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/traffic"
 )
@@ -17,26 +16,24 @@ type RunMetrics struct {
 	EnergyJ    float64 // total radio energy, joules
 }
 
-// appSample is one application delivery as buffered by the tap: its
-// receive time plus the delay/hops the meter scores.
+// appSample is one application delivery as buffered by the tap: the
+// delay and hops the meter scores.
 type appSample struct {
-	at    sim.Time
 	delay float64
 	hops  int
 }
 
 // appTap meters application traffic across all nodes without touching
 // the shared Meter from inside event handlers. Deliveries append to a
-// per-tile buffer (handlers on one tile only write that tile's buffer,
-// so the tap is safe under tiled PDES); fold replays them into the
-// Meter after the run in global time order — on a sequential network
-// that is exactly the append order, so the Welford fold sequence, and
-// hence every journaled app.* value, is the same as metering inline.
+// buffer; fold replays them into the Meter after the run in append
+// order — the run's event order — so the Welford fold sequence, and
+// hence every journaled app.* value, is the same as metering inline,
+// while epoch records taken mid-run see no partial app.* figures.
 // Sends are counted from each CBR's own counter instead of a
 // shared-callback increment.
 type appTap struct {
 	m      stats.Meter
-	bufs   [][]appSample
+	buf    []appSample
 	folded bool
 }
 
@@ -45,14 +42,12 @@ type appTap struct {
 // are taken after Finish, which folds first, so journaled values see
 // the complete run.
 func newAppTap(nw *node.Network) *appTap {
-	t := &appTap{bufs: make([][]appSample, nw.NumTiles())}
+	t := &appTap{}
 	for _, n := range nw.Nodes {
 		n := n
 		n.OnAppReceive = func(p *packet.Packet) {
-			now := n.Kernel.Now()
-			t.bufs[n.Tile] = append(t.bufs[n.Tile], appSample{
-				at:    now,
-				delay: float64(now - p.CreatedAt),
+			t.buf = append(t.buf, appSample{
+				delay: float64(n.Kernel.Now() - p.CreatedAt),
 				hops:  p.HopCount,
 			})
 		}
@@ -65,8 +60,8 @@ func newAppTap(nw *node.Network) *appTap {
 	return t
 }
 
-// fold replays the buffered deliveries into the meter in (time, tile)
-// order and adds the flows' generation counts to Sent. Idempotent.
+// fold replays the buffered deliveries into the meter and adds the
+// flows' generation counts to Sent. Idempotent.
 func (t *appTap) fold(cbrs []*traffic.CBR) {
 	if t.folded {
 		return
@@ -75,30 +70,7 @@ func (t *appTap) fold(cbrs []*traffic.CBR) {
 	for _, c := range cbrs {
 		t.m.Sent += c.Sent()
 	}
-	if len(t.bufs) == 1 {
-		for _, s := range t.bufs[0] {
-			t.m.PacketReceived(s.delay, s.hops)
-		}
-		return
-	}
-	// k-way merge; strict < keeps the lowest tile on equal timestamps.
-	idx := make([]int, len(t.bufs))
-	for {
-		best := -1
-		var bestAt sim.Time
-		for ti, b := range t.bufs {
-			if idx[ti] >= len(b) {
-				continue
-			}
-			if best < 0 || b[idx[ti]].at < bestAt {
-				best, bestAt = ti, b[idx[ti]].at
-			}
-		}
-		if best < 0 {
-			return
-		}
-		s := t.bufs[best][idx[best]]
-		idx[best]++
+	for _, s := range t.buf {
 		t.m.PacketReceived(s.delay, s.hops)
 	}
 }

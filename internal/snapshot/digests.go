@@ -6,7 +6,6 @@ import (
 
 	"routeless/internal/digest"
 	"routeless/internal/scenario"
-	"routeless/internal/sim"
 )
 
 func floatBits(f float64) uint64     { return math.Float64bits(f) }
@@ -14,41 +13,32 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Fingerprint computes the run's full state digest — the six words a
 // snapshot stores and a restore must reproduce. Every walk below is in
-// a deterministic order: kernels in network order (global first, then
-// tiles), nodes by id, maps sorted inside each DigestState.
+// a deterministic order: pending events by key, nodes by id, maps
+// sorted inside each DigestState.
 func Fingerprint(run *scenario.Run) Digest {
 	nw := run.Network()
-	kernels := make([]*sim.Kernel, 0, 1+len(nw.TileKernels))
-	kernels = append(kernels, nw.Kernel)
-	kernels = append(kernels, nw.TileKernels...)
+	k := nw.Kernel
 
 	var d Digest
 
 	hn := digest.New()
-	for _, k := range kernels {
-		hn.Float64(float64(k.Now()))
-	}
+	hn.Float64(float64(k.Now()))
 	d.Now = hn.Sum()
 
 	he := digest.New()
-	for _, k := range kernels {
-		he.Uint64(k.Seq())
-		he.Uint64(k.Processed())
-		keys := k.PendingKeys()
-		he.Int(len(keys))
-		for _, ek := range keys {
-			he.Float64(float64(ek.At))
-			he.Uint64(ek.Seq)
-		}
+	he.Uint64(k.Seq())
+	he.Uint64(k.Processed())
+	keys := k.PendingKeys()
+	he.Int(len(keys))
+	for _, ek := range keys {
+		he.Float64(float64(ek.At))
+		he.Uint64(ek.Seq)
 	}
 	d.Events = he.Sum()
 
 	hp := digest.New()
-	for _, k := range kernels {
-		p := k.Pool()
-		hp.Int(p.Live())
-		hp.Int(p.Peak())
-	}
+	hp.Int(k.Pool().Live())
+	hp.Int(k.Pool().Peak())
 	d.Pools = hp.Sum()
 
 	hr := digest.New()

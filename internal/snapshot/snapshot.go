@@ -43,9 +43,11 @@ import (
 const Magic = "RLSNAP1\n"
 
 // Version is the current snapshot format version. Version 1 hashed
-// (labels, draw count) per stream of a different generator; its RNG
-// word cannot match a replay, so such a file is refused up front.
-const Version = 2
+// (labels, draw count) per stream of a different generator, and
+// version 2 folded tile indices and per-tile UID namespaces into the
+// state word; neither can match a replay, so such a file is refused up
+// front.
+const Version = 3
 
 // maxScenarioLen bounds the embedded document so a corrupt length field
 // cannot drive a huge allocation before the CRC check runs.
@@ -72,13 +74,13 @@ var (
 // words, each covering one component of simulator state, so a restore
 // mismatch names what diverged rather than reporting one opaque bit.
 type Digest struct {
-	// Now covers every kernel clock (global and per-tile).
+	// Now covers the kernel clock.
 	Now uint64
-	// Events covers every kernel's event heap: sequence counter,
+	// Events covers the kernel's event heap: sequence counter,
 	// processed count, and the sorted (time, seq) key of each pending
 	// event.
 	Events uint64
-	// Pools covers the event pools' live and peak watermarks. Free-list
+	// Pools covers the event pool's live and peak watermarks. Free-list
 	// length is deliberately excluded: it records allocation history
 	// (how many events a warm sweep arena had pre-allocated), which the
 	// pooling contract already exempts from bitwise equivalence.

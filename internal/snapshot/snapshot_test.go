@@ -326,14 +326,17 @@ func TestVersionMismatch(t *testing.T) {
 		t.Fatalf("untyped error: %v", err)
 	}
 
-	// A well-formed version-1 file (checksum and all) predates the
-	// single generator: it must be refused as a version, not replayed
-	// into a misleading "rng streams" state mismatch.
-	v1 := append([]byte(nil), doc[:len(doc)-4]...)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
-	if _, err := snapshot.Read(bytes.NewReader(v1)); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("version-1 document: got %v, want ErrVersion", err)
+	// A well-formed older file (checksum and all) must be refused as a
+	// version, not replayed into a misleading state mismatch: version 1
+	// predates the single generator ("rng streams"), version 2 hashed
+	// tile indices into the state word ("node state").
+	for _, ver := range []uint32{1, 2} {
+		old := append([]byte(nil), doc[:len(doc)-4]...)
+		binary.LittleEndian.PutUint32(old[8:], ver)
+		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+		if _, err := snapshot.Read(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("version-%d document: got %v, want ErrVersion", ver, err)
+		}
 	}
 }
 

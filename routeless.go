@@ -188,8 +188,8 @@ func WithFaults(plan FaultPlan) Option {
 // NewNetwork builds a network from the options. Both call forms work:
 // a single NetworkConfig struct literal, or field options like WithN.
 // It returns an error when construction cannot succeed: non-positive
-// N, no connected placement found under WithEnsureConnected, a tiled
-// configuration combined with fading, or an invalid fault plan.
+// N, no connected placement found under WithEnsureConnected, or an
+// invalid fault plan.
 // Hand-written experiments whose options are literals wrap the call in
 // Must.
 func NewNetwork(opts ...Option) (*Network, error) {
