@@ -366,6 +366,7 @@ func TestModuleCorpus(t *testing.T) {
 		"internal/phy.(Channel).links",
 		"internal/phy.(Channel).linkValid",
 		"internal/phy.(Channel).pendingStarts",
+		"internal/phy.(Channel).inFlight",
 		"internal/phy.(Channel).cached",
 	} {
 		f, ok := tileRows[want]

@@ -61,7 +61,8 @@ var tileStateFields = []tileStateSpec{
 		Fields: []string{
 			"radios", "states", "txPow", "energies",
 			"links", "linkValid",
-			"uid", "stats", "pendingStarts", "scratch",
+			"uid", "stats", "pendingStarts", "scratch", "order",
+			"inFlight",
 			"cached", "cachedHead",
 		},
 		Rationale: "one channel per run; sweep workers never share one, and a run's handlers execute on its single sequential kernel",

@@ -55,8 +55,8 @@ type Config struct {
 }
 
 // Runtime is the reusable allocation state one sweep worker owns: the
-// kernel event free list, the phy signal/delivery pools, and the
-// cross-model range cache. A Runtime warms up on a worker's first run
+// kernel event free list, the phy transmission pool and radio arena,
+// and the cross-model range cache. A Runtime warms up on a worker's first run
 // and makes every later run on that worker allocate less; it must
 // never be shared between networks that run concurrently.
 type Runtime struct {

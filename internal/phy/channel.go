@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 
@@ -16,24 +17,30 @@ import (
 // and deterministic propagation math a transmission needs, computed
 // once instead of per frame.
 type link struct {
-	idx     int32    // receiver node id
+	idx int32 // receiver node id
+	// ord is this link's place when the transmitter's links are sorted
+	// by (delay, idx): where its signal goes in a transmission's slab so
+	// that the slab comes out in firing order. It lives in the padding
+	// after idx, so caching the order costs no memory.
+	ord     int32
 	dist    float64  // transmitter→receiver distance, meters
 	meanDBm float64  // deterministic (unfaded) receive power
-	meanMW  float64  // meanDBm in milliwatts, for the no-fading fast path
+	meanMW  float64  // meanDBm in milliwatts; computed only for a channel without fading, the one reader
 	delay   sim.Time // propagation delay over dist
 }
 
 // Channel is the shared broadcast medium. It knows every radio's
 // position, computes per-receiver power through a propagation model and
-// an optional fader, and schedules signal start/end events with the
-// true propagation delay.
+// an optional fader, and fires each receiver's signal start and end as
+// its own event at the true propagation delay (see transmission).
 //
 // The hot path — transmit — runs off a per-node link cache: the
-// id-sorted receivers within the cutoff, with distance, mean power, and
-// propagation delay precomputed. Caches build lazily on a node's first
-// transmission and are invalidated per node by MoveTo and SetTxPower,
-// so static topologies (the paper's scenarios) pay the grid query,
-// sort, and log/pow propagation math exactly once per transmitter.
+// id-sorted receivers within the cutoff, with distance, mean power,
+// propagation delay and firing order precomputed. Caches build lazily
+// on a node's first transmission and are invalidated per node by MoveTo
+// and SetTxPower, so static topologies (the paper's scenarios) pay the
+// grid query, sorts, and log/pow propagation math exactly once per
+// transmitter.
 type Channel struct {
 	model  propagation.Model
 	fader  propagation.Fader
@@ -68,10 +75,15 @@ type Channel struct {
 	// a receiver even after fading; signals past it are not scheduled.
 	cutoff float64
 
-	// kernel schedules every signal edge; pools recycles the signal and
-	// delivery objects they carry.
+	// kernel fires every signal edge; pools recycles the transmissions
+	// that carry them.
 	kernel *sim.Kernel
 	pools  *Pools
+
+	// inFlight lists the transmissions with an edge still to fire, in
+	// launch order — a run-deterministic order for DigestState, which
+	// must cover the edges the kernel's pending keys no longer do.
+	inFlight []*transmission
 
 	// uid counts frames born on this channel, transmissions and jammer
 	// bursts alike (UIDs are only ever compared for equality and zero).
@@ -85,6 +97,7 @@ type Channel struct {
 	pendingStarts int
 
 	scratch []int
+	order   []uint64 // buildLinks' sort keys
 
 	// links[i] caches node i's outgoing edges; linkValid[i] marks the
 	// entry current. noCache forces a rebuild on every transmission —
@@ -159,8 +172,8 @@ type ChannelConfig struct {
 	// Eviction only forces bit-identical rebuilds — results never
 	// change.
 	LinkCacheCap int
-	// Pools, when non-nil, supplies externally owned signal/delivery
-	// free lists (a sweep worker's reusable run context). Nil means the
+	// Pools, when non-nil, supplies an externally owned transmission
+	// free list (a sweep worker's reusable run context). Nil means the
 	// channel allocates private pools — identical behavior, colder
 	// memory.
 	Pools *Pools
@@ -369,24 +382,37 @@ func (c *Channel) linkGain(from, to int, p float64) float64 {
 // cutoff in ascending id order (so fading draws stay reproducible),
 // with the same distance and power expressions transmit used before the
 // cache existed — the cache must be bit-for-bit equivalent, not merely
-// approximately right.
+// approximately right — and each link's place in firing order.
 func (c *Channel) buildLinks(src int) []link {
 	pos := c.grid.At(src)
 	c.scratch = c.grid.WithinRadius(c.scratch[:0], pos, c.cutoff, src)
 	slices.Sort(c.scratch)
 	ls := c.links[src][:0]
+	order := c.order[:0]
 	tx := c.txPow[src]
-	for _, idx := range c.scratch {
+	for i, idx := range c.scratch {
 		d := pos.Dist(c.grid.At(idx))
-		p := c.linkGain(src, idx, c.model.ReceivedPower(tx, d))
-		ls = append(ls, link{
+		l := link{
 			idx:     int32(idx),
 			dist:    d,
-			meanDBm: p,
-			meanMW:  propagation.DBmToMilliwatt(p),
+			meanDBm: c.linkGain(src, idx, c.model.ReceivedPower(tx, d)),
 			delay:   sim.Time(propagation.Delay(d)),
-		})
+		}
+		if c.noFade {
+			l.meanMW = propagation.DBmToMilliwatt(l.meanDBm)
+		}
+		ls = append(ls, l)
+		// A non-negative float32's bits order as the float does, so one
+		// integer sort of delay<<32|i ranks the links by (delay, idx).
+		// Delays that differ only beyond float32 precision come out in
+		// idx order; launch's pass on the exact keys corrects those.
+		order = append(order, uint64(math.Float32bits(float32(l.delay)))<<32|uint64(i))
 	}
+	slices.Sort(order)
+	for rank, key := range order {
+		ls[uint32(key)].ord = int32(rank)
+	}
+	c.order = order
 	c.links[src] = ls
 	c.linkValid[src] = true
 	if c.linkCap > 0 && !c.noCache {
@@ -420,14 +446,17 @@ func (c *Channel) boundCache(src int) {
 	}
 }
 
-// transmit fans a frame out to every radio within the cutoff range.
-// Receivers are visited in id order so fading draws are reproducible.
+// transmit fans a frame out to every radio within the cutoff range and
+// returns the transmission carrying it, nil when nobody can sense it.
+// Receivers are visited in id order so fading draws are reproducible,
+// and number their leading edges in that order; each signal is written
+// at its link's cached place in firing order.
 //
-// pkt is copied once per transmission, not once per receiver: the first
-// scheduled receiver freezes it into a frame every later signal of the
-// transmission shares, and only a receiver that decodes the frame pays
-// for a copy of its own (Radio.signalEnd).
-func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
+// pkt is copied once per transmission, not once per receiver: launch
+// freezes it into a frame every signal of the transmission shares, and
+// only a receiver that decodes the frame pays for a copy of its own
+// (Radio.signalEnd).
+func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) *transmission {
 	srcIdx := int(src.id)
 	c.stats.transmissions.Inc()
 	if pkt.UID == 0 {
@@ -441,10 +470,11 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 		ls = c.buildLinks(srcIdx)
 	}
 	now := c.kernel.Now()
-	var f *frame
+	seq := c.kernel.Seq()
+	t := c.pools.newTransmission(len(ls))
+	sigs := t.signals
 	for i := range ls {
 		l := &ls[i]
-		rcv := &c.radios[l.idx]
 		var pDBm, pMW float64
 		if c.noFade {
 			pDBm, pMW = l.meanDBm, l.meanMW
@@ -452,63 +482,138 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) {
 			pDBm = c.fader.Fade(c.frng, l.meanDBm)
 			pMW = propagation.DBmToMilliwatt(pDBm)
 		}
-		if pDBm < rcv.params.CSThreshDBm {
-			continue // too weak to sense or corrupt: not scheduled
+		if pDBm < c.params.CSThreshDBm {
+			sigs[l.ord].rcv = -1 // too weak to sense or corrupt: not scheduled
+			continue
 		}
-		if f == nil {
-			f = &frame{pkt: *pkt}
+		start := now + l.delay
+		sigs[l.ord] = signal{
+			rcv:      l.idx,
+			lead:     sim.EventKey{At: start, Seq: seq},
+			trail:    sim.EventKey{At: start + dur},
+			powerDBm: pDBm,
+			powerMW:  pMW,
 		}
-		c.stats.deliveries.Inc()
-		s := c.pools.newSignal(f, pDBm, pMW)
-		s.end = now + l.delay + dur
-		src.txLive = append(src.txLive, s)
-		c.scheduleDelivery(rcv, s, now+l.delay)
+		seq++
 	}
-}
-
-// delivery carries one frame to one receiver. It is a pooled object
-// scheduled twice on the kernel with a single pre-bound callback: the
-// first firing is the frame's leading edge (signalStart) and reschedules
-// itself for the trailing edge (signalEnd) — replacing the two closures
-// the channel used to allocate per delivery.
-type delivery struct {
-	rcv     *Radio
-	sig     *signal
-	started bool
-	fn      func() // d.fire bound once at allocation, reused across recycles
-}
-
-// scheduleDelivery arms a pooled delivery for s at the receiver,
-// starting (leading edge) at start.
-func (c *Channel) scheduleDelivery(rcv *Radio, s *signal, start sim.Time) {
-	d := c.pools.newDelivery()
-	d.rcv, d.sig, d.started = rcv, s, false
-	c.pendingStarts++
-	c.kernel.At(start, d.fn)
-}
-
-// fire is the delivery's only callback. First firing: leading edge —
-// queue the trailing edge, then hand the signal to the receiver. Second
-// firing: trailing edge — finish reception and recycle.
-func (d *delivery) fire() {
-	c := d.rcv.channel
-	if !d.started {
-		d.started = true
-		c.pendingStarts--
-		c.kernel.At(d.sig.end, d.fn)
-		d.rcv.signalStart(d.sig)
-		return
+	if kept := int(seq - c.kernel.Seq()); kept < len(sigs) {
+		n := 0
+		for i := range sigs {
+			if sigs[i].rcv >= 0 {
+				sigs[n] = sigs[i]
+				n++
+			}
+		}
+		t.signals = sigs[:kept]
 	}
-	d.rcv.signalEnd(d.sig)
-	c.pools.releaseSignal(d.sig)
-	c.pools.releaseDelivery(d)
+	return c.launch(t, pkt)
+}
+
+// transmission is one frame on the air: every receiver's signal, by
+// value in one slab sorted in firing order, walked by two cursors. The
+// leading-edge cursor is armed at launch; the trailing-edge cursor by
+// the first leading edge, since a trailing edge takes its sequence
+// number when its leading edge fires. Each cursor holds one kernel event
+// (sim.AtCursor), so the heap carries a transmission's next two edges,
+// not all of them — and every edge still fires as its own event under
+// the (time, sequence number) key a per-receiver event would have had.
+//
+// A receiver's inAir and rx point into the slab; the trailing cursor
+// recycles the transmission after the last trailing edge, by when no
+// radio refers to it (signalEnd or a power-down dropped the pointers).
+type transmission struct {
+	ch      *Channel
+	frame   frame // by value: the last trailing edge is its last reader
+	signals []signal
+	lead    int  // signals[:lead] have started
+	trail   int  // signals[:trail] have ended
+	armed   bool // the trailing cursor is queued, at signals[trail]
+
+	leadFn, trailFn func() // bound once at allocation, reused across recycles
+}
+
+// launch puts t on the air: orders the slab, takes the leading edges'
+// sequence numbers, freezes pkt and arms the leading cursor.
+//
+// A sender's slab arrives sorted by (delay, receiver id), but edges fire
+// by (now+delay, sequence number), and sequence numbers follow receiver
+// id. The two orders differ only where unequal delays round to one
+// arrival time (late in a long run, or below float32 precision in
+// buildLinks' sort): there the nearer receiver must not fire first if
+// its id is higher. One insertion pass on the exact keys restores that;
+// it moves nothing otherwise. Trailing edges need no pass: lead.At+dur
+// is monotone in lead.At and their numbers are taken in firing order.
+func (c *Channel) launch(t *transmission, pkt *packet.Packet) *transmission {
+	sigs := t.signals
+	if len(sigs) == 0 {
+		c.pools.releaseTransmission(t)
+		return nil
+	}
+	for i := 1; i < len(sigs); i++ {
+		if !sigs[i].lead.Before(sigs[i-1].lead) {
+			continue
+		}
+		s, j := sigs[i], i
+		for ; j > 0 && s.lead.Before(sigs[j-1].lead); j-- {
+			sigs[j] = sigs[j-1]
+		}
+		sigs[j] = s
+	}
+	c.kernel.ReserveSeq(len(sigs))
+	c.stats.deliveries.Add(uint64(len(sigs)))
+	c.pendingStarts += len(sigs)
+	t.ch, t.frame = c, frame{pkt: *pkt}
+	c.inFlight = append(c.inFlight, t)
+	c.kernel.AtCursor(sigs[0].lead, t.leadFn)
+	return t
+}
+
+// fireLead is a leading edge: take the trailing edge's sequence number,
+// move on to the next leading edge, then hand the signal to the
+// receiver.
+func (t *transmission) fireLead() {
+	c := t.ch
+	s := &t.signals[t.lead]
+	t.lead++
+	c.pendingStarts--
+	s.trail.Seq = c.kernel.ReserveSeq(1)
+	if !t.armed {
+		// The first leading edge — or a trailing cursor that caught up
+		// with this one, when airtime is shorter than the spread of
+		// propagation delays.
+		t.armed = true
+		c.kernel.AtCursor(s.trail, t.trailFn)
+	}
+	if t.lead < len(t.signals) {
+		c.kernel.Rekey(t.signals[t.lead].lead)
+	}
+	c.radios[s.rcv].signalStart(s)
+}
+
+// fireTrail is a trailing edge: finish reception, then move on to the
+// next signal that has started, or recycle after the last.
+func (t *transmission) fireTrail() {
+	c := t.ch
+	s := &t.signals[t.trail]
+	t.trail++
+	if t.trail < t.lead {
+		c.kernel.Rekey(t.signals[t.trail].trail)
+	} else {
+		t.armed = false // caught up with the leading cursor, or done
+	}
+	c.radios[s.rcv].signalEnd(s, &t.frame)
+	if t.trail == len(t.signals) {
+		i := slices.Index(c.inFlight, t)
+		c.inFlight = slices.Delete(c.inFlight, i, i+1)
+		c.pools.releaseTransmission(t)
+	}
 }
 
 // InjectInterference radiates an interference-only burst of duration
 // dur from an arbitrary position — the fault plane's roaming jammer.
-// The burst fans out through the normal delivery path so carrier
-// sensing, SINR corruption, and the phy conservation laws all account
-// for it, but its signals are born aborted: they raise the noise floor
+// The burst is launched like any transmission so carrier sensing, SINR
+// corruption, and the phy conservation laws all account for it, but its
+// signals are born aborted: they raise the noise floor
 // and hold the medium busy without ever decoding. Power is the
 // deterministic mean (no fading draw), so a jammer never perturbs the
 // frame fading stream; reach is bounded by the channel's interference
@@ -517,32 +622,40 @@ func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time)
 	c.scratch = c.grid.WithinRadius(c.scratch[:0], pos, c.cutoff, -1)
 	slices.Sort(c.scratch)
 	c.uid++
-	f := &frame{pkt: packet.Packet{
+	now := c.kernel.Now()
+	seq := c.kernel.Seq()
+	t := c.pools.newTransmission(len(c.scratch))
+	sigs := t.signals[:0]
+	for _, idx := range c.scratch {
+		d := pos.Dist(c.grid.At(idx))
+		pDBm := c.model.ReceivedPower(txDBm, d)
+		if pDBm < c.params.CSThreshDBm {
+			continue
+		}
+		start := now + sim.Time(propagation.Delay(d))
+		sigs = append(sigs, signal{
+			rcv:      int32(idx),
+			aborted:  true,
+			lead:     sim.EventKey{At: start, Seq: seq},
+			trail:    sim.EventKey{At: start + dur},
+			powerDBm: pDBm,
+			powerMW:  propagation.DBmToMilliwatt(pDBm),
+		})
+		seq++
+	}
+	// A jammer has no link cache to take the firing order from: the slab
+	// is in id order and launch's pass sorts it outright, which a burst
+	// is rare and small enough (~100 radios) to afford.
+	t.signals = sigs
+	c.launch(t, &packet.Packet{
 		Kind:   packet.KindJam,
 		From:   packet.None,
 		To:     packet.Broadcast,
 		Origin: packet.None,
 		Target: packet.None,
 		UID:    c.uid,
-	}}
-	now := c.kernel.Now()
-	hits := 0
-	for _, idx := range c.scratch {
-		rcv := &c.radios[idx]
-		d := pos.Dist(c.grid.At(idx))
-		pDBm := c.model.ReceivedPower(txDBm, d)
-		if pDBm < rcv.params.CSThreshDBm {
-			continue
-		}
-		delay := sim.Time(propagation.Delay(d))
-		s := c.pools.newSignal(f, pDBm, propagation.DBmToMilliwatt(pDBm))
-		s.aborted = true
-		s.end = now + delay + dur
-		c.stats.deliveries.Inc()
-		c.scheduleDelivery(rcv, s, now+delay)
-		hits++
-	}
-	return hits
+	})
+	return len(sigs)
 }
 
 // NeighborIDs appends the ids within node i's deterministic decode

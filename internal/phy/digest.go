@@ -6,32 +6,51 @@ import (
 	"routeless/internal/digest"
 )
 
-// digestSignal folds one in-air signal into h. A signal's identity is
-// its frame UID (assigned deterministically from the channel's
-// counter at transmit time) plus the receive-side parameters that decide
-// decode and interference outcomes.
+// digestSignal folds one signal into h: its receiver, both edge keys
+// (the leading key's sequence number is unique, so it is the signal's
+// identity) and the receive-side parameters that decide decode and
+// interference outcomes.
 func digestSignal(h *digest.Hash, s *signal) {
 	if s == nil {
 		h.Bool(false)
 		return
 	}
 	h.Bool(true)
-	var uid uint64
-	if s.frame != nil {
-		uid = s.frame.pkt.UID
-	}
-	h.Uint64(uid)
+	h.Int64(int64(s.rcv))
+	h.Float64(float64(s.lead.At))
+	h.Uint64(s.lead.Seq)
+	h.Float64(float64(s.trail.At))
+	h.Uint64(s.trail.Seq)
 	h.Float64(s.powerDBm)
-	h.Float64(float64(s.end))
 	h.Bool(s.tracked)
 	h.Bool(s.aborted)
 }
 
+// digestTransmission folds one frame on the air into h: the frame's
+// UID, where both cursors stand, and every signal — the edges that are
+// yet to fire exist nowhere else, the kernel holds only each cursor's
+// next key.
+func digestTransmission(h *digest.Hash, t *transmission) {
+	if t == nil {
+		h.Bool(false)
+		return
+	}
+	h.Bool(true)
+	h.Uint64(t.frame.pkt.UID)
+	h.Int(t.lead)
+	h.Int(t.trail)
+	h.Bool(t.armed)
+	h.Int(len(t.signals))
+	for i := range t.signals {
+		digestSignal(h, &t.signals[i])
+	}
+}
+
 // DigestState folds this radio's receive-side machine into h: the
 // carrier-sense flags, the frame being decoded, every signal currently
-// on its air, and the live-transmission bookkeeping. The inAir and
-// txLive slices are hashed in storage order — appends happen in event
-// order, which is deterministic per run.
+// on its air, and the transmission it has on the air. inAir is hashed
+// in storage order — appends happen in event order, which is
+// deterministic per run.
 func (r *Radio) DigestState(h *digest.Hash) {
 	h.Byte(byte(r.channel.states[r.id]))
 	h.Bool(r.busy)
@@ -42,17 +61,15 @@ func (r *Radio) DigestState(h *digest.Hash) {
 	for _, s := range r.inAir {
 		digestSignal(h, s)
 	}
-	h.Int(len(r.txLive))
-	for _, s := range r.txLive {
-		digestSignal(h, s)
-	}
+	digestTransmission(h, r.txLive)
 }
 
 // DigestState folds the channel's mutable run state into h: the
 // struct-of-arrays per-node scalars (transceiver state, live transmit
 // power, energy meters), the lazily built link-cache validity bits, the
-// fault plane's link offsets, and the scheduling counters (UID cursor,
-// pending delivery count, cache-residency size).
+// fault plane's link offsets, the scheduling counters (UID cursor,
+// pending delivery count, cache-residency size), and every transmission
+// in flight, in launch order.
 // The offsets map is iterated in sorted key order; everything else is
 // slice-indexed. Radios are digested separately by the per-node walk.
 func (c *Channel) DigestState(h *digest.Hash) {
@@ -90,4 +107,9 @@ func (c *Channel) DigestState(h *digest.Hash) {
 	h.Uint64(c.uid)
 	h.Int(c.pendingStarts)
 	h.Int(len(c.cached) - c.cachedHead)
+
+	h.Int(len(c.inFlight))
+	for _, t := range c.inFlight {
+		digestTransmission(h, t)
+	}
 }

@@ -32,10 +32,11 @@ func TestTurnOffMidTransmitAbortsEveryReceiver(t *testing.T) {
 	// they now all point at one frame.
 	k, ch, recs := testChannel(t, pts(0, 0, 100, 0, 200, 0, 400, 0), 250)
 	ch.Radio(0).Transmit(pkt(1000)) // 8 ms
-	var live []*signal
+	var live []signal
 	k.Schedule(0.004, func() {
-		live = append(live, ch.Radio(0).txLive...)
+		tx := ch.Radio(0).txLive
 		ch.Radio(0).TurnOff()
+		live = tx.signals
 		for i, s := range live {
 			if !s.aborted {
 				t.Errorf("signal %d of the truncated transmission not aborted", i)

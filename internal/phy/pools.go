@@ -1,32 +1,35 @@
 package phy
 
-// Pools holds the channel's recyclable per-delivery objects — the
-// signal and delivery free lists the transmit hot path draws from.
+// Pools holds the channel's recyclable objects — the transmission free
+// list the transmit hot path draws from, and the radio arena.
 // Every channel has one; by default it is private (NewChannel allocates
 // it), but a sweep worker can pass one Pools through ChannelConfig so
 // consecutive runs on that worker reuse the same memory instead of
 // re-growing a fresh free list per replication.
 //
-// Pooled objects carry no residual state: newSignal and
-// scheduleDelivery reinitialize every field on reuse (a delivery finds
-// its channel through its receiver), so sharing a pool across
-// consecutive channels cannot change simulation results. A Pools must
-// never be shared between channels that run concurrently — workers own
-// theirs exclusively.
+// Pooled objects carry no residual state: transmit and launch
+// reinitialize every field and every signal a recycled transmission
+// exposes, so sharing a pool across consecutive channels cannot change
+// simulation results. A Pools must never be shared between channels
+// that run concurrently — workers own theirs exclusively.
 //
-// Frames are not pooled: one frame is shared by every signal of its
-// transmission, so only the collector knows its last reader — and
-// there is one per transmission, not one per delivery.
+// A frame needs no pool of its own: it lives by value in its
+// transmission, whose last trailing edge is the frame's last reader
+// (receivers that decode it take a copy).
 type Pools struct {
-	sig []*signal
-	del []*delivery
+	// tx is the transmission free list. A recycled transmission keeps
+	// its signal slab, which is what it costs to retain, so the list is
+	// bounded by txSignals — the slab capacity it pins in total — rather
+	// than by its length.
+	tx        []*transmission
+	txSignals int
 
 	// Radio arena: the channel's per-node state — the Radio structs and
 	// the struct-of-arrays hot scalars (phase, transmit power, energy
 	// meter) — lives in these contiguous slices, handed out by
 	// radioArena. A sweep worker's consecutive runs reuse the same
-	// backing arrays (including each radio's warmed inAir/txLive
-	// capacity) instead of allocating N small objects per cell.
+	// backing arrays (including each radio's warmed inAir capacity)
+	// instead of allocating N small objects per cell.
 	radios   []Radio
 	states   []State
 	txPow    []float64
@@ -36,53 +39,53 @@ type Pools struct {
 // NewPools returns an empty pool set, ready to hand to ChannelConfig.
 func NewPools() *Pools { return &Pools{} }
 
-// maxFreeObjects bounds the signal and delivery free lists; anything
-// beyond the cap is left for the garbage collector.
-const maxFreeObjects = 1 << 14
+// maxFreeSignals bounds the signal capacity the transmission free list
+// may pin: 3.5 MB of signals, ~700 transmissions at Figure-1 density.
+// Anything beyond it is left for the garbage collector, so a sweep
+// worker that ran one mega cell does not carry its footprint into every
+// later one.
+const maxFreeSignals = 1 << 16
 
-// newSignal takes a signal struct from the free list (or allocates) and
-// initializes it for one delivery.
-func (p *Pools) newSignal(f *frame, dbm, mw float64) *signal {
-	var s *signal
-	if n := len(p.sig); n > 0 {
-		s = p.sig[n-1]
-		p.sig = p.sig[:n-1]
+// newTransmission takes a transmission from the free list (or allocates
+// one with its callbacks pre-bound) with an n-signal slab whose contents
+// are stale: the caller writes every signal it keeps.
+func (p *Pools) newTransmission(n int) *transmission {
+	var t *transmission
+	if last := len(p.tx) - 1; last >= 0 {
+		t = p.tx[last]
+		p.tx[last] = nil
+		p.tx = p.tx[:last]
+		p.txSignals -= cap(t.signals)
 	} else {
-		s = &signal{}
+		t = &transmission{}
+		t.leadFn, t.trailFn = t.fireLead, t.fireTrail
 	}
-	*s = signal{frame: f, powerDBm: dbm, powerMW: mw}
-	return s
+	if cap(t.signals) < n {
+		t.signals = make([]signal, n, n+n/4) // headroom: the next sender's neighbourhood differs
+	}
+	t.signals = t.signals[:n]
+	t.lead, t.trail, t.armed = 0, 0, false
+	return t
 }
 
-// releaseSignal returns a signal to the free list once its end event
-// has fired; by then no radio holds a reference (signalEnd removed it
-// from the receiver's in-air set, or powerDown already dropped it).
-func (p *Pools) releaseSignal(s *signal) {
-	s.frame = nil
-	if len(p.sig) < maxFreeObjects {
-		p.sig = append(p.sig, s)
+// releaseTransmission returns a transmission to the free list once its
+// last trailing edge has fired; by then no radio points into its slab
+// (signalEnd removed each signal from its receiver's in-air set, or a
+// power-down already dropped it). The channel and the frame are cleared
+// so a parked transmission pins neither a finished run nor a payload.
+func (p *Pools) releaseTransmission(t *transmission) {
+	t.ch, t.frame = nil, frame{}
+	if p.txSignals+cap(t.signals) <= maxFreeSignals {
+		p.tx = append(p.tx, t)
+		p.txSignals += cap(t.signals)
 	}
-}
-
-// newDelivery takes a delivery from the free list (or allocates one
-// with its callback pre-bound).
-func (p *Pools) newDelivery() *delivery {
-	var d *delivery
-	if n := len(p.del); n > 0 {
-		d = p.del[n-1]
-		p.del = p.del[:n-1]
-	} else {
-		d = &delivery{}
-		d.fn = d.fire
-	}
-	return d
 }
 
 // radioArena returns cleared per-node state slices of length n,
 // reusing the pool's backing arrays when they are large enough. Radio
-// structs keep their inAir/txLive backing across reuse (warm capacity);
-// every other field is zeroed, so a recycled arena is indistinguishable
-// from a fresh one.
+// structs keep their inAir backing across reuse (warm capacity); every
+// other field is zeroed, so a recycled arena is indistinguishable from a
+// fresh one.
 func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
 	if cap(p.radios) < n {
 		p.radios = make([]Radio, n)
@@ -96,16 +99,7 @@ func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
 	p.energies = p.energies[:n]
 	for i := range p.radios {
 		r := &p.radios[i]
-		inAir, txLive := r.inAir[:0], r.txLive[:0]
-		*r = Radio{inAir: inAir, txLive: txLive}
+		*r = Radio{inAir: r.inAir[:0]}
 	}
 	return p.radios, p.states, p.txPow, p.energies
-}
-
-// releaseDelivery returns a finished delivery to the free list.
-func (p *Pools) releaseDelivery(d *delivery) {
-	d.rcv, d.sig = nil, nil
-	if len(p.del) < maxFreeObjects {
-		p.del = append(p.del, d)
-	}
 }

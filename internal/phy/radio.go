@@ -128,7 +128,7 @@ var radioTable = metrics.Table{Counters: []string{
 }}
 
 // frame is one transmission's packet as it exists on the air: the
-// snapshot Channel.transmit takes of the sender's packet, shared
+// snapshot Channel.launch takes of the sender's packet, shared
 // read-only by every signal of that transmission — all receivers.
 // Nothing mutates it and it never leaves this package;
 // a receiver that decodes it gets a private copy (decode), so listeners
@@ -138,16 +138,21 @@ type frame struct{ pkt packet.Packet }
 // decode returns a private copy of the frame for one receiver.
 func (f *frame) decode() *packet.Packet { return f.pkt.Clone() }
 
-// signal is one frame in flight at a particular receiver.
+// signal is one frame in flight at a particular receiver: one element
+// of its transmission's slab. It holds no pointers, so the collector
+// never scans a slab.
 type signal struct {
-	frame    *frame
-	powerDBm float64
-	powerMW  float64
-	end      sim.Time
-	tracked  bool
+	rcv     int32 // receiver node id
+	tracked bool
 	// aborted marks a signal whose transmitter powered down mid-frame:
 	// it keeps interfering (the energy was radiated) but never decodes.
 	aborted bool
+	// lead and trail are the keys the signal's two edges fire under.
+	// lead's sequence number is taken at transmit, in receiver-id order;
+	// trail's when the leading edge fires.
+	lead, trail sim.EventKey
+	powerDBm    float64
+	powerMW     float64
 }
 
 // Radio is a half-duplex transceiver attached to a Channel.
@@ -177,12 +182,12 @@ type Radio struct {
 	rxCorrupt bool
 	busy      bool // last carrier-sense state reported
 
-	// txLive holds the signals of the transmission currently on the air
-	// (one per scheduled receiver), so a mid-TX power-down can mark them
-	// aborted. Cleared by txDone and powerDown; every trailing edge fires
-	// strictly after txDone (propagation delay > 0), so entries are never
-	// recycled while the transmission is live.
-	txLive []*signal
+	// txLive is the transmission currently on the air, so a mid-TX
+	// power-down can mark its signals aborted. Cleared by txDone and
+	// powerDown; every trailing edge fires after txDone (which is queued
+	// first, for the same instant at the earliest), so the transmission
+	// is never recycled while it is live.
+	txLive *transmission
 	// txEnd is when the current transmission leaves the air; it guards
 	// txDone against a stale completion event from a transmission that a
 	// power-down already truncated.
@@ -297,9 +302,8 @@ func (r *Radio) Transmit(pkt *packet.Packet) {
 	r.stats[TxFrames].Inc()
 	pkt.From = r.id
 	dur := r.params.AirTime(pkt.Size)
-	r.txLive = r.txLive[:0]
 	r.txEnd = r.kernel.Now() + dur
-	r.channel.transmit(r, pkt, dur)
+	r.txLive = r.channel.transmit(r, pkt, dur)
 	r.kernel.Schedule(dur, r.txDone)
 }
 
@@ -310,7 +314,7 @@ func (r *Radio) txDone() {
 	if r.kernel.Now() < r.txEnd { // stale event from a truncated transmission
 		return
 	}
-	r.txLive = r.txLive[:0]
+	r.txLive = nil
 	r.setState(StateIdle)
 	if r.listener != nil {
 		r.listener.OnTxDone()
@@ -358,9 +362,9 @@ func (r *Radio) signalStart(s *signal) {
 	r.updateCarrier()
 }
 
-// signalEnd is called by the channel when a frame's trailing edge
+// signalEnd is called by the channel when the trailing edge of frame f
 // passes this radio.
-func (r *Radio) signalEnd(s *signal) {
+func (r *Radio) signalEnd(s *signal, f *frame) {
 	if !s.tracked {
 		return // arrived while off/asleep, or flushed by our power-down
 	}
@@ -387,7 +391,7 @@ func (r *Radio) signalEnd(s *signal) {
 			} else {
 				r.stats[RxFrames].Inc()
 				if r.listener != nil {
-					r.listener.OnReceive(s.frame.decode(), s.powerDBm)
+					r.listener.OnReceive(f.decode(), s.powerDBm)
 				}
 			}
 		}
@@ -437,10 +441,12 @@ func (r *Radio) powerDown(s State) {
 		// Truncate the transmission in flight: receivers that would have
 		// decoded it count it as truncated instead.
 		r.stats[TxAborted].Inc()
-		for _, out := range r.txLive {
-			out.aborted = true
+		if t := r.txLive; t != nil {
+			for i := range t.signals {
+				t.signals[i].aborted = true
+			}
+			r.txLive = nil
 		}
-		r.txLive = r.txLive[:0]
 	}
 	for _, in := range r.inAir {
 		in.tracked = false

@@ -7,7 +7,15 @@
 // simulations are causally ordered by the event heap, and determinism
 // (same seed, same schedule, same results) matters more than intra-run
 // parallelism. Parallelism belongs one level up, across runs (see
-// internal/parallel).
+// internal/sweep).
+//
+// Execution order is the total order of (time, sequence number) keys.
+// Most events take the next sequence number when they are scheduled. A
+// producer that knows a whole run of future keys at once — the channel
+// knows every edge of a transmission when it starts — may instead
+// reserve the numbers (ReserveSeq) and walk the run with one cursor
+// event (AtCursor, Rekey): the heap then holds the run's next key only,
+// and the pop sequence is exactly what one event per key would give.
 package sim
 
 import (
@@ -45,6 +53,7 @@ type Event struct {
 	index    int // position in the heap, -1 when not queued
 	tagIndex int // position in the tagged index, -1 when untagged
 	kernel   *Kernel
+	cursor   bool // scheduled by AtCursor: stays queued while fn runs
 }
 
 // At returns the time the event is (or was) scheduled to fire.
@@ -53,26 +62,33 @@ func (e *Event) At() Time { return e.at }
 // Pending reports whether the event is still queued to fire.
 func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
-// heapNode is one slot of the event queue. The ordering keys live
+// EventKey is one event's position in the execution order: its time,
+// then the sequence number that breaks ties deterministically — the
+// order events were scheduled in, or a number reserved with ReserveSeq.
+type EventKey struct {
+	At  Time
+	Seq uint64
+}
+
+// Before orders keys by (time, sequence number). The pair is a total
+// order — Seq is unique — so the pop sequence is independent of heap
+// shape, which is what makes the heap arity an implementation detail
+// rather than a determinism concern.
+func (a EventKey) Before(b EventKey) bool {
+	//lint:ignore floateq stored timestamps are compared verbatim for tie-breaking, never recomputed
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	return a.Seq < b.Seq
+}
+
+// heapNode is one slot of the event queue. The ordering key lives
 // inline in the heap array — a sift compares adjacent array slots
 // instead of dereferencing two *Event pointers, which is where most of
 // container/heap's cache misses came from.
 type heapNode struct {
-	at  Time
-	seq uint64 // insertion order, breaks ties deterministically
-	e   *Event
-}
-
-// before orders nodes by (time, insertion sequence). The pair is a
-// total order — seq is unique — so the pop sequence is independent of
-// heap shape, which is what makes the heap arity an implementation
-// detail rather than a determinism concern.
-func (n heapNode) before(o heapNode) bool {
-	//lint:ignore floateq stored timestamps are compared verbatim for tie-breaking, never recomputed
-	if n.at != o.at {
-		return n.at < o.at
-	}
-	return n.seq < o.seq
+	EventKey
+	e *Event
 }
 
 // EventPool is a free list of recycled Event structs; DES workloads
@@ -91,8 +107,9 @@ type EventPool struct {
 	free []*Event
 
 	// live counts events currently checked out (allocated or reused via
-	// At and not yet recycled); peak is its high-water mark since the
-	// last Reset. Together they are the shrink watermark: a pool that
+	// At or AtCursor and not yet recycled — a cursor is one event for its
+	// whole run of keys); peak is its high-water mark since the last
+	// Reset. Together they are the shrink watermark: a pool that
 	// served a million-event cell and is then reused for a hundred-event
 	// cell trims back to what the recent workload actually needed
 	// instead of pinning the largest cell's memory for the whole sweep.
@@ -163,6 +180,12 @@ type Kernel struct {
 	// NewKernelPooled substitutes an externally owned pool so the free
 	// list survives the kernel and warms the next run.
 	pool *EventPool
+
+	// firing is the cursor event whose callback Step is running (nil
+	// otherwise) and rekeyed whether that callback has moved it to a
+	// later key rather than letting it end.
+	firing  *Event
+	rekeyed bool
 }
 
 // NewKernel returns a kernel whose clock starts at 0 and whose random
@@ -209,33 +232,22 @@ func (k *Kernel) Pending() int { return len(k.events) }
 // break ties differently on the very next same-time scheduling race.
 func (k *Kernel) Seq() uint64 { return k.seq }
 
-// EventKey is one pending event's position in the execution order.
-type EventKey struct {
-	At  Time
-	Seq uint64
-}
-
 // PendingKeys returns the (at, seq) key of every pending event in
 // ascending execution order. The heap's internal layout is shape-
 // dependent, but the sorted key sequence is not, so this is the
-// canonical form snapshot fingerprints hash. It allocates; not for hot
-// paths.
+// canonical form snapshot fingerprints hash. A cursor contributes the
+// one key it is queued under; the rest of its run is its owner's state
+// to digest. It allocates; not for hot paths.
 func (k *Kernel) PendingKeys() []EventKey {
 	keys := make([]EventKey, len(k.events))
 	for i, hn := range k.events {
-		keys[i] = EventKey{At: hn.at, Seq: hn.seq}
+		keys[i] = hn.EventKey
 	}
 	slices.SortFunc(keys, func(a, b EventKey) int {
-		if a.At < b.At {
+		if a.Before(b) {
 			return -1
 		}
-		if a.At > b.At {
-			return 1
-		}
-		if a.Seq < b.Seq {
-			return -1
-		}
-		if a.Seq > b.Seq {
+		if b.Before(a) {
 			return 1
 		}
 		return 0
@@ -260,8 +272,68 @@ func (k *Kernel) Schedule(delay Time, fn func()) *Event {
 // At queues fn to run at absolute time t (which must not precede the
 // current time) and returns the event handle.
 func (k *Kernel) At(t Time, fn func()) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
+	seq := k.seq
+	k.seq++
+	return k.push(EventKey{At: t, Seq: seq}, fn)
+}
+
+// ReserveSeq sets aside the next n sequence numbers and returns the
+// first: exactly the numbers n consecutive At calls would have taken,
+// for keys that will be queued later through a cursor. Reserving moves
+// Seq like scheduling does, so everything scheduled afterwards breaks
+// ties against the reserved keys as it would against real events.
+func (k *Kernel) ReserveSeq(n int) uint64 {
+	first := k.seq
+	k.seq += uint64(n)
+	return first
+}
+
+// AtCursor queues fn under a key whose sequence number was reserved
+// earlier, as a cursor event: one event that stands for a whole
+// ascending run of reserved keys, of which the heap holds only the
+// next. Each time it fires, fn handles the key it fired under and
+// either calls Rekey with the run's next key or returns without doing
+// so, which ends the cursor. Step keeps a cursor queued while fn runs so
+// that Rekey is a single in-place sift instead of a pop and a push.
+// Cursors are never tagged.
+func (k *Kernel) AtCursor(key EventKey, fn func()) *Event {
+	if key.Seq >= k.seq {
+		panic(fmt.Sprintf("sim: cursor sequence number %d was never reserved (next is %d)", key.Seq, k.seq))
+	}
+	e := k.push(key, fn)
+	e.cursor = true
+	return e
+}
+
+// Rekey moves the cursor event whose callback is running to key, the
+// next of its run, which must come after the key it fired under. It
+// panics outside a cursor's callback.
+//
+// The firing cursor is still queued, and still the heap's minimum:
+// whatever its callback has scheduled so far carries a time ≥ now and a
+// sequence number taken or reserved after the cursor's own, so nothing
+// sifted above it. Overwriting its key and sifting it down from the
+// root therefore leaves the heap exactly as popping it and pushing the
+// new key would, in half the work.
+func (k *Kernel) Rekey(key EventKey) {
+	e := k.firing
+	if e == nil {
+		panic("sim: Rekey outside a cursor event's callback")
+	}
+	i := e.index
+	if !k.events[i].Before(key) {
+		panic(fmt.Sprintf("sim: Rekey to %v, not after %v", key, k.events[i].EventKey))
+	}
+	e.at = key.At
+	k.events[i].EventKey = key
+	k.siftDown(i)
+	k.rekeyed = true
+}
+
+// push queues fn under key on a pooled event.
+func (k *Kernel) push(key EventKey, fn func()) *Event {
+	if key.At < k.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", key.At, k.now))
 	}
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -277,13 +349,13 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	if k.pool.live > k.pool.peak {
 		k.pool.peak = k.pool.live
 	}
-	e.at = t
+	e.at = key.At
 	e.fn = fn
 	e.kernel = k
 	e.index = len(k.events)
 	e.tagIndex = -1
-	k.events = append(k.events, heapNode{at: t, seq: k.seq, e: e})
-	k.seq++
+	e.cursor = false
+	k.events = append(k.events, heapNode{EventKey: key, e: e})
 	k.siftUp(len(k.events) - 1)
 	return e
 }
@@ -318,7 +390,7 @@ func (k *Kernel) PeekTime() Time {
 	if len(k.events) == 0 {
 		return Infinity
 	}
-	return k.events[0].at
+	return k.events[0].At
 }
 
 // PeekTagged returns the timestamp of the earliest pending tagged
@@ -397,14 +469,25 @@ func (k *Kernel) tagRemove(e *Event) {
 
 // Cancel removes a pending event. Cancelling a nil, already-fired or
 // already-cancelled event is a no-op, so callers can cancel
-// unconditionally.
+// unconditionally. Cancelling a cursor from inside its own callback ends
+// it: any Rekey that callback made is void.
 func (k *Kernel) Cancel(e *Event) {
 	if e == nil || e.index < 0 || e.kernel != k {
+		return
+	}
+	if e == k.firing {
+		k.rekeyed = false // Step removes it when the callback returns
 		return
 	}
 	if e.tagIndex >= 0 {
 		k.tagRemove(e)
 	}
+	k.remove(e)
+	k.recycle(e)
+}
+
+// remove takes a queued event out of the heap.
+func (k *Kernel) remove(e *Event) {
 	i := e.index
 	n := len(k.events) - 1
 	last := k.events[n]
@@ -420,7 +503,6 @@ func (k *Kernel) Cancel(e *Event) {
 			k.siftUp(i)
 		}
 	}
-	k.recycle(e)
 }
 
 func (k *Kernel) recycle(e *Event) {
@@ -449,35 +531,40 @@ const yieldEvery = 1024
 
 // Step executes the earliest pending event. It returns false when the
 // queue is empty or the next event lies beyond the horizon.
+//
+// An ordinary event is popped and recycled before its callback runs. A
+// cursor event (AtCursor) stays at the root while its callback runs, and
+// leaves the heap afterwards only if the callback did not Rekey it.
 func (k *Kernel) Step() bool {
 	if len(k.events) == 0 {
 		return false
 	}
 	root := k.events[0]
-	if root.at > k.horizon {
+	if root.At > k.horizon {
 		return false
 	}
 	e := root.e
-	n := len(k.events) - 1
-	last := k.events[n]
-	k.events[n] = heapNode{}
-	k.events = k.events[:n]
-	if n > 0 {
-		k.events[0] = last
-		last.e.index = 0
-		k.siftDown(0)
-	}
-	e.index = -1
-	if e.tagIndex >= 0 {
-		k.tagRemove(e)
-	}
-	k.now = root.at
-	fn := e.fn
-	k.recycle(e)
+	k.now = root.At
 	k.processed++
 	if k.processed%yieldEvery == 0 {
 		runtime.Gosched()
 	}
+	if e.cursor {
+		k.firing, k.rekeyed = e, false
+		e.fn()
+		k.firing = nil
+		if !k.rekeyed {
+			k.remove(e)
+			k.recycle(e)
+		}
+		return true
+	}
+	k.remove(e)
+	if e.tagIndex >= 0 {
+		k.tagRemove(e)
+	}
+	fn := e.fn
+	k.recycle(e)
 	fn()
 	return true
 }
@@ -515,7 +602,7 @@ func (k *Kernel) RunUntilBarrier(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: RunUntilBarrier(%v) before now %v", t, k.now))
 	}
-	for len(k.events) > 0 && k.events[0].at < t {
+	for len(k.events) > 0 && k.events[0].At < t {
 		k.Step()
 	}
 	k.now = t
@@ -542,7 +629,7 @@ func (k *Kernel) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) >> 2
 		p := h[parent]
-		if !nd.before(p) {
+		if !nd.Before(p.EventKey) {
 			break
 		}
 		h[i] = p
@@ -571,11 +658,11 @@ func (k *Kernel) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if cn := h[c]; cn.before(bn) {
+			if cn := h[c]; cn.Before(bn.EventKey) {
 				best, bn = c, cn
 			}
 		}
-		if !bn.before(nd) {
+		if !bn.Before(nd.EventKey) {
 			break
 		}
 		h[i] = bn

@@ -43,11 +43,13 @@ import (
 const Magic = "RLSNAP1\n"
 
 // Version is the current snapshot format version. Version 1 hashed
-// (labels, draw count) per stream of a different generator, and
-// version 2 folded tile indices and per-tile UID namespaces into the
-// state word; neither can match a replay, so such a file is refused up
-// front.
-const Version = 3
+// (labels, draw count) per stream of a different generator, version 2
+// folded tile indices and per-tile UID namespaces into the state word,
+// and version 3 had every unfired signal edge among the pending event
+// keys, where a transmission now has only its two cursors (the rest
+// moved into the state word); none can match a replay, so such a file
+// is refused up front.
+const Version = 4
 
 // maxScenarioLen bounds the embedded document so a corrupt length field
 // cannot drive a huge allocation before the CRC check runs.

@@ -329,8 +329,9 @@ func TestVersionMismatch(t *testing.T) {
 	// A well-formed older file (checksum and all) must be refused as a
 	// version, not replayed into a misleading state mismatch: version 1
 	// predates the single generator ("rng streams"), version 2 hashed
-	// tile indices into the state word ("node state").
-	for _, ver := range []uint32{1, 2} {
+	// tile indices into the state word ("node state"), version 3 kept
+	// every signal edge in the heap ("pending events").
+	for _, ver := range []uint32{1, 2, 3} {
 		old := append([]byte(nil), doc[:len(doc)-4]...)
 		binary.LittleEndian.PutUint32(old[8:], ver)
 		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))

@@ -9,9 +9,10 @@
 // including 1.
 //
 // Each worker owns a reusable run context (Context): a kernel event
-// free list, the phy signal/delivery pools, and a cross-model range
-// cache, threaded into networks via node.Config.Runtime. Shared caches
-// are therefore never touched concurrently, and steady-state
+// free list, the phy transmission pool and radio arena, and a
+// cross-model range cache, threaded into networks via
+// node.Config.Runtime. Shared caches are therefore never touched
+// concurrently, and steady-state
 // allocations per cell drop as a worker's pools warm up instead of
 // multiplying with cores. The simlint `sharedcap` rule enforces the
 // ownership discipline at the boundary: cell functions must not capture
