@@ -42,6 +42,11 @@ func BenchmarkFig1(b *testing.B) {
 		b.ReportMetric(last.Counter1.Delivery.Mean(), "c1-delivery")
 		b.ReportMetric(last.SSAF.Hops.Mean(), "ssaf-hops")
 		b.ReportMetric(last.Counter1.Hops.Mean(), "c1-hops")
+		var events uint64
+		for _, r := range rows {
+			events += r.Events
+		}
+		b.ReportMetric(float64(events), "events/op")
 	}
 }
 

@@ -9,7 +9,7 @@
 //	wmansim -exp fig3            # Figure 3 (Routeless vs AODV)
 //	wmansim -exp fig4            # Figure 4 (… under node failures)
 //	wmansim -exp abl1|abl2|abl3|abl4
-//	wmansim -exp churn           # fault-plane churn study (-churn shorthand)
+//	wmansim -exp churn           # fault-plane churn study
 //	wmansim -exp mega            # million-node arena ladder (SSAF at Figure-1 density)
 //	wmansim -mega                # shorthand: the single N=1,000,000 mega run
 //	wmansim -exp all             # every figure except mega (it is a scale proof, not a figure)
@@ -146,7 +146,6 @@ func runScenario(scenarioPath, restorePath string, snapAt float64, snapOut strin
 func run() int {
 	var (
 		exp      = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|abl1|abl2|abl3|abl4|abl5|abl6|churn|mega|all")
-		churn    = flag.Bool("churn", false, "shorthand for -exp churn")
 		mega     = flag.Bool("mega", false, "shorthand for -exp mega at N=1,000,000 only")
 		scale    = flag.String("scale", "small", "full (paper scale) or small (same density, faster)")
 		seeds    = flag.Int("seeds", 3, "independent replications per point")
@@ -162,9 +161,6 @@ func run() int {
 		snapOut   = flag.String("snapshot-out", "", "snapshot output file for -snapshot-at")
 	)
 	flag.Parse()
-	if *churn {
-		*exp = "churn"
-	}
 	if *mega {
 		*exp = "mega"
 	}
@@ -245,9 +241,14 @@ func run() int {
 		//lint:ignore wallclock wall-time of a whole experiment, measured outside the event loop
 		start := time.Now()
 		var tbl *stats.Table
+		var events uint64 // kernel events, for the studies whose rows carry them
 		switch name {
 		case "fig1":
-			tbl = experiments.Fig1Table(experiments.RunFig1(fig1))
+			rows := experiments.RunFig1(fig1)
+			for _, r := range rows {
+				events += r.Events
+			}
+			tbl = experiments.Fig1Table(rows)
 		case "fig2":
 			res := experiments.RunFig2(fig2)
 			tbl = experiments.Fig2Table(res)
@@ -274,7 +275,11 @@ func run() int {
 		case "churn":
 			tbl = experiments.ChurnTable(experiments.RunChurn(churnCfg))
 		case "mega":
-			tbl = experiments.MegaTable(experiments.RunMega(megaCfg))
+			rows := experiments.RunMega(megaCfg)
+			for _, r := range rows {
+				events += r.Events
+			}
+			tbl = experiments.MegaTable(rows)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			return false
@@ -297,7 +302,12 @@ func run() int {
 		}
 		if !*csv {
 			//lint:ignore wallclock reports elapsed wall time after the run's kernel has drained
-			fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+			wall := time.Since(start)
+			fmt.Printf("[%s done in %v", name, wall.Round(time.Millisecond))
+			if events > 0 {
+				fmt.Printf(", %d events, %.0f events/sec", events, float64(events)/wall.Seconds())
+			}
+			fmt.Print("]\n\n")
 		}
 		return true
 	}

@@ -184,7 +184,6 @@ func runElectionOnce(ctx *sweep.Context, n, si, trial int, lambda sim.Time, seed
 	cl.AttachArbiter(arb)
 	arb.Trigger()
 	k.Run()
-	processed.Add(k.Processed())
 	var out abl3Out
 	winners := 0
 	for _, e := range electors {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"routeless/internal/parallel"
 )
 
 // The runtime counterpart of cmd/simlint's static checks: the paper's
@@ -49,5 +51,47 @@ func TestFig1WorkerCountInvariant(t *testing.T) {
 	b := RunFig1(parallel)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("worker count changed results:\nserial:   %+v\nparallel: %+v", a, b)
+	}
+}
+
+// A study's event total is a value its rows return, folded in cell
+// order: non-zero, the same at any worker count, and — unlike a
+// package-level accumulator — untouched by another study running in
+// the same process at the same time.
+func TestEventTotalsAreReturnedValues(t *testing.T) {
+	fig1Events := func(cfg Fig1Config) (total uint64) {
+		for _, r := range RunFig1(cfg) {
+			total += r.Events
+		}
+		return total
+	}
+	megaEvents := func(cfg MegaConfig) (total uint64) {
+		for _, r := range RunMega(cfg) {
+			total += r.Events
+		}
+		return total
+	}
+	fig1, mega := tinyFig1(), tinyMega()
+	fig1.Workers, mega.Workers = 1, 1
+	f1, m1 := fig1Events(fig1), megaEvents(mega)
+	fig1.Workers, mega.Workers = 8, 8
+	f8, m8 := fig1Events(fig1), megaEvents(mega)
+	if f1 == 0 || f1 != f8 {
+		t.Errorf("fig1 events: %d at 1 worker, %d at 8; want equal and non-zero", f1, f8)
+	}
+	if m1 == 0 || m1 != m8 {
+		t.Errorf("mega events: %d at 1 worker, %d at 8; want equal and non-zero", m1, m8)
+	}
+
+	other := tinyFig1()
+	other.Seeds = []int64{2}
+	wantOther := fig1Events(other)
+	if wantOther == f1 {
+		t.Fatalf("seeds 1 and 2 both ran %d events; the concurrent check below would prove nothing", f1)
+	}
+	cfgs := []Fig1Config{fig1, other}
+	got := parallel.Map(2, len(cfgs), func(i int) uint64 { return fig1Events(cfgs[i]) })
+	if got[0] != f1 || got[1] != wantOther {
+		t.Errorf("concurrent RunFig1 totals = %v, want %d and %d", got, f1, wantOther)
 	}
 }

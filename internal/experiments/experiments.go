@@ -40,11 +40,13 @@ func (a *Agg) Add(m RunMetrics) {
 }
 
 // runOut is one run's result as it crosses the sweep boundary: the
-// paper-unit metrics, plus the final registry snapshot when the sweep
-// needs it (nil otherwise — snapshots are not free).
+// paper-unit metrics, the kernel events the run executed, plus the
+// final registry snapshot when the sweep needs it (nil otherwise —
+// snapshots are not free).
 type runOut struct {
 	RunMetrics
-	snap *metrics.Snapshot
+	events uint64
+	snap   *metrics.Snapshot
 }
 
 // assemble builds the cell's run on the sweep worker's runtime. A
@@ -59,17 +61,15 @@ func assemble(ctx *sweep.Context, sp scenario.Spec) *scenario.Run {
 	return run
 }
 
-// finish runs the cell to its end and counts its events into the
-// package throughput accumulator. A conservation-law violation panics:
-// in a figure it is a simulator bug, not a measurement.
+// finish runs the cell to its end. A conservation-law violation
+// panics: in a figure it is a simulator bug, not a measurement.
 func finish(run *scenario.Run, snap bool) runOut {
 	rm, err := run.Finish()
 	if err != nil {
 		panic(err)
 	}
 	nw := run.Network()
-	processed.Add(nw.Processed())
-	out := runOut{RunMetrics: rm}
+	out := runOut{RunMetrics: rm, events: nw.Processed()}
 	if snap {
 		out.snap = nw.Metrics.Snapshot()
 	}

@@ -72,6 +72,7 @@ type Fig1Row struct {
 	Interval float64
 	Counter1 Agg
 	SSAF     Agg
+	Events   uint64 // kernel events executed by the point's runs, both variants
 }
 
 // fig1Spec is one Figure 1 cell: `Connections` random one-way flows of
@@ -108,6 +109,10 @@ func RunFig1(cfg Fig1Config) []Fig1Row {
 	rows := make([]Fig1Row, len(cfg.Intervals))
 	for i, iv := range cfg.Intervals {
 		rows[i] = Fig1Row{Interval: iv, Counter1: c1[i], SSAF: ssaf[i]}
+	}
+	for i, c := range cells {
+		idx, _ := versusPoint(c.Point)
+		rows[idx].Events += results[i].events
 	}
 	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
 		proto, interval := variant(point)

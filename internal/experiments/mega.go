@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"routeless/internal/flood"
 	"routeless/internal/geo"
@@ -44,16 +43,6 @@ type MegaConfig struct {
 	// else; bytes are deterministic for a fixed config at any worker
 	// or link-cache setting.
 	Journal *metrics.Journal `json:"-"`
-
-	// MemProbe, when non-nil, receives each run's arena memory cost:
-	// the post-GC heap bytes retained by building the network and
-	// installing the protocol stack, before any traffic is scheduled.
-	// That is the per-node state the SoA arena layout controls — link
-	// caches, the event pool, and floating garbage show up in a
-	// footprint measurement (simbench's peak heap), not here. The
-	// probe runs two stop-the-world GCs per run; use Workers=1 so no
-	// concurrent run's allocations leak into the window.
-	MemProbe func(n int, retainedBytes uint64) `json:"-"`
 }
 
 func (c MegaConfig) withDefaults() MegaConfig {
@@ -111,6 +100,7 @@ type MegaRow struct {
 	N        int
 	SSAF     Agg
 	Election stats.Welford // Delay.Mean()/Hops.Mean() per run, seconds
+	Events   uint64        // kernel events executed by the point's runs
 }
 
 // RunMega sweeps the node counts across seeds through the sweep engine.
@@ -120,7 +110,7 @@ func RunMega(cfg MegaConfig) []MegaRow {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("fig_mega", len(cfg.Ns), cfg.Seeds)
 	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		return runMegaOnce(ctx, cfg, cfg.Ns[c.Point], c.Seed)
+		return finish(assemble(ctx, megaSpec(cfg, cfg.Ns[c.Point], c.Seed)), cfg.Journal != nil)
 	})
 	rows := make([]MegaRow, len(cfg.Ns))
 	for i, n := range cfg.Ns {
@@ -130,6 +120,7 @@ func RunMega(cfg MegaConfig) []MegaRow {
 		row := &rows[c.Point]
 		m := results[i].RunMetrics
 		row.SSAF.Add(m)
+		row.Events += results[i].events
 		if m.Hops > 0 {
 			row.Election.Add(m.Delay / m.Hops)
 		}
@@ -140,11 +131,9 @@ func RunMega(cfg MegaConfig) []MegaRow {
 	return rows
 }
 
-func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
-	var baseline uint64
-	if cfg.MemProbe != nil {
-		baseline = retainedHeap()
-	}
+// megaSpec is one arena cell: n nodes at the configured density, one
+// staggered SSAF flood per flow.
+func megaSpec(cfg MegaConfig, n int, seed int64) scenario.Spec {
 	side := megaSide(n, cfg.Density)
 	dur := megaDuration(cfg, side)
 	fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
@@ -153,7 +142,7 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 	// roughly half the calibrated range), so the brake scales with the
 	// geometry instead of silently amputating the flood mid-arena.
 	fcfg.TTL = int(4*side*math.Sqrt2/cfg.Range) + 16
-	return finish(assemble(ctx, scenario.Spec{
+	return scenario.Spec{
 		Net: node.Config{
 			N:     n,
 			Rect:  geo.NewRect(side, side),
@@ -173,9 +162,6 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 				flood.Init(f, &fcfg)
 				return f
 			})
-			if cfg.MemProbe != nil {
-				cfg.MemProbe(n, retainedHeap()-baseline)
-			}
 		},
 		Flows: func(*node.Network) []scenario.CBRFlow {
 			pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, cfg.Flows)
@@ -192,16 +178,7 @@ func runMegaOnce(ctx *sweep.Context, cfg MegaConfig, n int, seed int64) runOut {
 			return flows
 		},
 		Duration: sim.Time(dur),
-	}), cfg.Journal != nil)
-}
-
-// retainedHeap forces a collection and returns the live heap bytes —
-// the MemProbe measurement primitive.
-func retainedHeap() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	}
 }
 
 // MegaTable renders the study: delivery and election latency against N.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"routeless/internal/metrics"
+	"routeless/internal/scenario"
 )
 
 // tinyMega shrinks fig_mega to golden scale: same density and flow
@@ -78,5 +80,33 @@ func TestMegaJournalMatchesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fig_mega journal drifted from golden (rerun with -update-golden if intentional):\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
+// TestMegaArenaRetainedBytesPerNode gates the memory constant of the
+// mega arena (DESIGN.md §14): post-GC heap growth across Assemble of
+// the 100 000-node cell's Spec — node, radio, MAC and protocol arenas,
+// the app tap, the scheduled flows, no traffic yet — must stay within
+// 1 KiB a node. It builds and never runs, so it takes a fraction of a
+// second; the logged figure reads 900–1 000 while the gate measures
+// what it claims to.
+func TestMegaArenaRetainedBytesPerNode(t *testing.T) {
+	const n, limit = 100_000, 1024
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	run, err := scenario.Assemble(megaSpec(MegaConfig{}.withDefaults(), n, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(heap()-before) / n
+	runtime.KeepAlive(run)
+	t.Logf("retained %.1f B/node over %d nodes", perNode, n)
+	if perNode > limit {
+		t.Fatalf("the assembled mega arena retains %.1f B/node, limit %d", perNode, limit)
 	}
 }

@@ -312,8 +312,8 @@ func TestModuleCorpus(t *testing.T) {
 	for _, s := range res.Stale {
 		t.Errorf("stale directive: %s", s)
 	}
-	if res.Suppressed != 13 {
-		t.Errorf("suppressed findings = %d, want 13; if a suppression was added or removed deliberately, update this pin", res.Suppressed)
+	if res.Suppressed != 8 {
+		t.Errorf("suppressed findings = %d, want 8; if a suppression was added or removed deliberately, update this pin", res.Suppressed)
 	}
 
 	rep := BuildShardReport(prog)

@@ -17,9 +17,9 @@ import (
 //     "benignly" racy the fold order becomes schedule-dependent, which
 //     breaks the bit-identical-for-any-worker-count guarantee;
 //   - variables of the known single-owner types (*sim.EventPool,
-//     *phy.Pools, *propagation.RangeCache, *propagation.SharedRangeCache,
-//     *node.Runtime, *metrics.Registry, *metrics.Journal) captured from
-//     the enclosing scope. None of these are concurrency-safe: reusable
+//     *phy.Pools, *propagation.SharedRangeCache, *node.Runtime,
+//     *metrics.Registry, *metrics.Journal) captured from the enclosing
+//     scope. None of these are concurrency-safe: reusable
 //     pools must come in through the sweep.Context (ctx.Runtime()) so
 //     each worker owns its own copy, and registries/journals must be
 //     filled after the merge, in cell order, or record order becomes
@@ -48,7 +48,7 @@ var sharedCapEntryPoints = map[string]map[string]bool{
 var sharedCapPoolTypes = map[string]map[string]bool{
 	"routeless/internal/sim":         {"EventPool": true},
 	"routeless/internal/phy":         {"Pools": true},
-	"routeless/internal/propagation": {"RangeCache": true, "SharedRangeCache": true},
+	"routeless/internal/propagation": {"SharedRangeCache": true},
 	"routeless/internal/node":        {"Runtime": true},
 	"routeless/internal/metrics":     {"Registry": true, "Journal": true},
 }

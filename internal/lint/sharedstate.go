@@ -38,7 +38,6 @@ var sharedSingletonTypes = []string{
 	"internal/sim.(EventPool)",
 	"internal/phy.(Channel)",
 	"internal/phy.(Pools)",
-	"internal/propagation.(RangeCache)",
 	"internal/propagation.(SharedRangeCache)",
 	"internal/node.(Runtime)",
 	"internal/metrics.(Registry)",

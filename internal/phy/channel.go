@@ -23,10 +23,9 @@ type link struct {
 	// that the slab comes out in firing order. It lives in the padding
 	// after idx, so caching the order costs no memory.
 	ord     int32
-	dist    float64  // transmitter→receiver distance, meters
 	meanDBm float64  // deterministic (unfaded) receive power
 	meanMW  float64  // meanDBm in milliwatts; computed only for a channel without fading, the one reader
-	delay   sim.Time // propagation delay over dist
+	delay   sim.Time // propagation delay over the transmitter→receiver distance
 }
 
 // Channel is the shared broadcast medium. It knows every radio's
@@ -394,7 +393,6 @@ func (c *Channel) buildLinks(src int) []link {
 		d := pos.Dist(c.grid.At(idx))
 		l := link{
 			idx:     int32(idx),
-			dist:    d,
 			meanDBm: c.linkGain(src, idx, c.model.ReceivedPower(tx, d)),
 			delay:   sim.Time(propagation.Delay(d)),
 		}

@@ -1,53 +1,5 @@
 package propagation
 
-// rangeKey identifies one RangeFor query. The fields are stored
-// verbatim from the caller's arguments and compared as a unit, so the
-// struct equality below is a tag check on assigned values, never a
-// comparison of recomputed floats.
-type rangeKey struct {
-	txDBm, thresholdDBm, lo, hi float64
-}
-
-type rangeEntry struct {
-	key    rangeKey
-	rangeM float64
-}
-
-// RangeCache memoizes RangeFor for a fixed model. The bisection runs
-// ~100 log/pow evaluations per query; topology checks (DecodeRange,
-// NeighborCount, Connected) issue the same query once per node, so
-// fields where radios share a parameter set pay for exactly one
-// bisection instead of N.
-//
-// The cache is append-only and expected to stay tiny (one entry per
-// distinct radio parameter set); lookups are a linear scan, which for
-// one or two entries beats any map.
-type RangeCache struct {
-	model   Model
-	entries []rangeEntry
-}
-
-// NewRangeCache returns an empty cache bound to m. Results are only
-// valid while m's parameters are not mutated — models in this
-// repository are configured once at construction.
-func NewRangeCache(m Model) *RangeCache {
-	return &RangeCache{model: m}
-}
-
-// RangeFor returns the memoized equivalent of
-// propagation.RangeFor(model, txDBm, thresholdDBm, lo, hi).
-func (c *RangeCache) RangeFor(txDBm, thresholdDBm, lo, hi float64) float64 {
-	k := rangeKey{txDBm, thresholdDBm, lo, hi}
-	for i := range c.entries {
-		if c.entries[i].key == k {
-			return c.entries[i].rangeM
-		}
-	}
-	r := RangeFor(c.model, txDBm, thresholdDBm, lo, hi)
-	c.entries = append(c.entries, rangeEntry{key: k, rangeM: r})
-	return r
-}
-
 // RangeKeyer is implemented by models whose full parameter set can be
 // captured as a comparable value. SharedRangeCache uses the key to
 // memoize bisections across model *instances*: two simulation runs
@@ -69,10 +21,10 @@ type sharedRangeKey struct {
 }
 
 // SharedRangeCache memoizes RangeFor across models, keyed on each
-// model's RangeKey. Unlike RangeCache it is not bound to a single
-// model instance, so one cache can serve every run a sweep worker
-// executes — the bisection for a radio parameter set is paid once per
-// worker, not once per replication.
+// model's RangeKey. It is not bound to a single model instance, so one
+// cache can serve every run a sweep worker executes — the bisection
+// for a radio parameter set is paid once per worker, not once per
+// replication.
 //
 // The cache only ever grows and is read with point lookups (never
 // iterated), so reuse cannot perturb results. It is NOT safe for
