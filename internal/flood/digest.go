@@ -47,12 +47,10 @@ func (f *Flooding) DigestState(h *digest.Hash) {
 		pf := f.pending[k]
 		k.DigestTo(h)
 		h.Bool(pf.queued)
-		if pf.fwd != nil {
-			h.Bool(true)
-			h.Uint64(pf.fwd.UID)
-			h.Int(pf.fwd.HopCount)
-		} else {
-			h.Bool(false)
-		}
+		// Always true, since the rebroadcast is held by value; the flag
+		// stays because it is part of the snapshot digest's layout.
+		h.Bool(true)
+		h.Uint64(pf.fwd.UID)
+		h.Int(pf.fwd.HopCount)
 	}
 }

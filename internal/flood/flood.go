@@ -117,13 +117,14 @@ type Flooding struct {
 	stats [numSeries]metrics.Counter32
 }
 
-// pendingForward is one armed rebroadcast. The backoff timer is held by
-// value (sim.InitTimer), so arming costs one object, not a Timer and a
-// closure beside it; pendingForwards are never copied.
+// pendingForward is one armed rebroadcast. The backoff timer and the
+// rebroadcast itself are held by value (sim.InitTimer; the MAC queues
+// &pf.fwd), so arming costs one object, not a Timer, a closure and a
+// packet beside it; pendingForwards are never copied.
 type pendingForward struct {
 	f       *Flooding
 	timer   sim.Timer
-	fwd     *packet.Packet
+	fwd     packet.Packet
 	backoff sim.Time
 	queued  bool
 }
@@ -134,7 +135,7 @@ func (pf *pendingForward) fire() {
 	if !pf.f.cfg.Cancel {
 		delete(pf.f.pending, pf.fwd.Key())
 	}
-	pf.f.transmit(pf.fwd, float64(pf.backoff))
+	pf.f.transmit(&pf.fwd, float64(pf.backoff))
 }
 
 // New builds a flooding instance; install it with Network.Install. cfg
@@ -209,7 +210,7 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 			if pf, ok := f.pending[key]; ok {
 				cancelled := false
 				if pf.queued {
-					cancelled = f.n.MAC.Dequeue(pf.fwd)
+					cancelled = f.n.MAC.Dequeue(&pf.fwd)
 				} else {
 					pf.timer.Stop()
 					cancelled = true
@@ -245,8 +246,8 @@ func (f *Flooding) handleBlind(pkt *packet.Packet, rssiDBm float64) {
 		return
 	}
 	backoff := sim.Time(f.n.Rng.Float64()) * 5e-3
-	fwd := f.prepareForward(pkt)
-	f.n.Kernel.Schedule(backoff, func() { f.transmit(fwd, float64(backoff)) })
+	fwd := forwardOf(pkt)
+	f.n.Kernel.Schedule(backoff, func() { f.transmit(&fwd, float64(backoff)) })
 }
 
 // armForward schedules the §2 election step: backoff from the policy,
@@ -265,7 +266,7 @@ func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	if !ok {
 		return
 	}
-	pf := &pendingForward{f: f, fwd: f.prepareForward(pkt), backoff: backoff}
+	pf := &pendingForward{f: f, fwd: forwardOf(pkt), backoff: backoff}
 	sim.InitTimer(&pf.timer, f.n.Kernel, pf.fire)
 	if f.pending == nil {
 		f.pending = make(map[packet.FlowKey]*pendingForward)
@@ -274,8 +275,10 @@ func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	pf.timer.Reset(backoff)
 }
 
-func (f *Flooding) prepareForward(pkt *packet.Packet) *packet.Packet {
-	fwd := pkt.Clone()
+// forwardOf returns the rebroadcast of a received pkt: one hop further,
+// one TTL less.
+func forwardOf(pkt *packet.Packet) packet.Packet {
+	fwd := *pkt
 	fwd.To = packet.Broadcast
 	fwd.HopCount++
 	fwd.TTL--
@@ -297,7 +300,7 @@ func (f *Flooding) OnSent(pkt *packet.Packet) {
 	if pkt.Kind != packet.KindFlood || !f.cfg.Cancel {
 		return
 	}
-	if pf, ok := f.pending[pkt.Key()]; ok && pf.fwd == pkt {
+	if pf, ok := f.pending[pkt.Key()]; ok && &pf.fwd == pkt {
 		delete(f.pending, pkt.Key())
 	}
 }

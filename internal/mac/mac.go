@@ -50,7 +50,9 @@ func DefaultConfig() Config {
 // "by passively listening to all packets" (§4.1), so protocols filter
 // on pkt.To themselves.
 type Handler interface {
-	// OnDeliver reports a decoded frame with its receive power.
+	// OnDeliver reports a decoded frame with its receive power. pkt is
+	// the radio's lent copy, valid for the call: read or mutate it, and
+	// keep pkt.Clone() if it must outlive the call.
 	OnDeliver(pkt *packet.Packet, rssiDBm float64)
 	// OnSent reports that a frame handed to Enqueue left the air
 	// (broadcast) or was acknowledged (unicast).

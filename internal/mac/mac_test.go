@@ -14,16 +14,17 @@ import (
 	"routeless/internal/sim"
 )
 
-// netRecorder is a test Handler.
+// netRecorder is a test Handler. A delivered packet is lent for the
+// OnDeliver call only, so it records a copy.
 type netRecorder struct {
-	delivered []*packet.Packet
+	delivered []packet.Packet
 	rssi      []float64
 	sent      []*packet.Packet
 	failed    []*packet.Packet
 }
 
 func (n *netRecorder) OnDeliver(p *packet.Packet, r float64) {
-	n.delivered = append(n.delivered, p)
+	n.delivered = append(n.delivered, *p)
 	n.rssi = append(n.rssi, r)
 }
 func (n *netRecorder) OnSent(p *packet.Packet)          { n.sent = append(n.sent, p) }

@@ -22,7 +22,8 @@ type Protocol interface {
 	// traffic, with the node fully assembled.
 	Start(n *Node)
 	// OnDeliver sees every frame the MAC decodes (promiscuous), with
-	// its receive power.
+	// its receive power. pkt is valid for the call: read or mutate it,
+	// and keep pkt.Clone() — never pkt — past the call.
 	OnDeliver(pkt *packet.Packet, rssiDBm float64)
 	// OnSent reports a frame this node transmitted (broadcast done or
 	// unicast acknowledged).
@@ -45,7 +46,9 @@ type Node struct {
 	Rng    *rand.Rand // network-layer random stream
 
 	// OnAppReceive, if set, is invoked when the protocol delivers an
-	// application packet addressed to this node.
+	// application packet addressed to this node. pkt is valid for the
+	// call (it may be the radio's lent copy): read it, and keep
+	// pkt.Clone() if it must outlive the call.
 	OnAppReceive func(pkt *packet.Packet)
 
 	failing bool

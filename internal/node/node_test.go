@@ -79,8 +79,8 @@ func TestEnsureConnected(t *testing.T) {
 func TestInstallAndTraffic(t *testing.T) {
 	nw := Must(New(Config{Positions: []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, Seed: 4}))
 	nw.Install(func(n *Node) Protocol { return &echoProto{} })
-	var got []*packet.Packet
-	nw.Nodes[1].OnAppReceive = func(p *packet.Packet) { got = append(got, p) }
+	var got []packet.Packet // a delivered packet is lent for the call: keep a copy
+	nw.Nodes[1].OnAppReceive = func(p *packet.Packet) { got = append(got, *p) }
 	nw.Nodes[0].Net.Send(1, packet.SizeData)
 	nw.Run(1)
 	if len(got) != 1 {

@@ -3,8 +3,9 @@
 // plain structs, never serialized, and airtime is derived from the
 // declared size. A transmission freezes the packet as it is when
 // phy.Radio.Transmit is called: the sender may mutate or reuse its own
-// afterwards, each receiver that decodes the frame is handed a private
-// copy to mutate or keep, and the frame on the air never leaves phy.
+// afterwards, each receiver that decodes the frame is lent a fresh copy
+// for the length of one call (read or mutate it, Clone to keep), and the
+// frame on the air never leaves phy.
 package packet
 
 import (
@@ -73,9 +74,9 @@ func (k Kind) String() string {
 func NumKinds() int { return int(numKinds) }
 
 // Packet carries MAC- and network-layer headers plus an opaque payload.
-// Every decoding receiver gets its own copy (see the package comment),
-// so mutating a received packet never affects other receivers or the
-// sender.
+// Every decoding receiver is lent its own copy (see the package
+// comment), so mutating a received packet never affects other receivers
+// or the sender; keeping one past the receive call takes a Clone.
 type Packet struct {
 	// MAC layer addressing.
 	From NodeID // transmitter of this hop

@@ -34,8 +34,8 @@ type link struct {
 // its own event at the true propagation delay (see transmission).
 //
 // The hot path — transmit — runs off a per-node link cache: the
-// id-sorted receivers within the cutoff, with distance, mean power,
-// propagation delay and firing order precomputed. Caches build lazily
+// id-sorted receivers within the cutoff, with mean power, propagation
+// delay and firing order precomputed. Caches build lazily
 // on a node's first transmission and are invalidated per node by MoveTo
 // and SetTxPower, so static topologies (the paper's scenarios) pay the
 // grid query, sorts, and log/pow propagation math exactly once per
@@ -87,6 +87,12 @@ type Channel struct {
 	// uid counts frames born on this channel, transmissions and jammer
 	// bursts alike (UIDs are only ever compared for equality and zero).
 	uid uint64
+
+	// rxBuf is the one packet a decode is lent in: Radio.signalEnd copies
+	// the frame into it for the listener call and zeroes it afterwards.
+	// Decodes never nest (each is one trailing-edge event), so one buffer
+	// per channel serves every receiver.
+	rxBuf packet.Packet
 
 	stats chanCounters
 
@@ -379,15 +385,21 @@ func (c *Channel) linkGain(from, to int, p float64) float64 {
 
 // buildLinks computes node src's outgoing edges: receivers within the
 // cutoff in ascending id order (so fading draws stay reproducible),
-// with the same distance and power expressions transmit used before the
+// with the same power and delay expressions transmit used before the
 // cache existed — the cache must be bit-for-bit equivalent, not merely
-// approximately right — and each link's place in firing order.
+// approximately right — and each link's place in firing order. The
+// receiver count is known before the first link is written, so the list
+// is sized once: a cold build allocates it in one piece, and a rebuild
+// that fits the old list allocates nothing.
 func (c *Channel) buildLinks(src int) []link {
 	pos := c.grid.At(src)
 	c.scratch = c.grid.WithinRadius(c.scratch[:0], pos, c.cutoff, src)
 	slices.Sort(c.scratch)
 	ls := c.links[src][:0]
-	order := c.order[:0]
+	if cap(ls) < len(c.scratch) {
+		ls = make([]link, 0, len(c.scratch))
+	}
+	order := slices.Grow(c.order[:0], len(c.scratch))
 	tx := c.txPow[src]
 	for i, idx := range c.scratch {
 		d := pos.Dist(c.grid.At(idx))
@@ -452,8 +464,8 @@ func (c *Channel) boundCache(src int) {
 //
 // pkt is copied once per transmission, not once per receiver: launch
 // freezes it into a frame every signal of the transmission shares, and
-// only a receiver that decodes the frame pays for a copy of its own
-// (Radio.signalEnd).
+// only a receiver that decodes the frame copies it again, into the
+// channel's receive buffer (Radio.signalEnd) — no allocation either way.
 func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) *transmission {
 	srcIdx := int(src.id)
 	c.stats.transmissions.Inc()

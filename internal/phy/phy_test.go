@@ -13,9 +13,10 @@ import (
 	"routeless/internal/sim"
 )
 
-// recorder is a test Listener capturing all PHY indications.
+// recorder is a test Listener capturing all PHY indications. A decoded
+// packet is lent for the OnReceive call only, so it records a copy.
 type recorder struct {
-	rx      []*packet.Packet
+	rx      []packet.Packet
 	rssi    []float64
 	rxTimes []sim.Time
 	busy    int
@@ -25,7 +26,7 @@ type recorder struct {
 }
 
 func (r *recorder) OnReceive(p *packet.Packet, rssiDBm float64) {
-	r.rx = append(r.rx, p)
+	r.rx = append(r.rx, *p)
 	r.rssi = append(r.rssi, rssiDBm)
 	if r.kernel != nil {
 		r.rxTimes = append(r.rxTimes, r.kernel.Now())
@@ -294,9 +295,10 @@ func garbagePacket() packet.Packet {
 
 func TestReceiverCopiesAreIndependent(t *testing.T) {
 	// Receivers at 100, 141 and 200 m hear the trailing edge in that
-	// order; the nearest rewrites every field of what it is handed.
-	// Neither the later receivers nor the sender's own packet (the MAC's
-	// ARQ copy) may see any of it.
+	// order; the nearest rewrites every field of what it is lent. Each
+	// receiver is handed a fresh copy of the frozen frame, so neither the
+	// later receivers nor the sender's own packet (the MAC's ARQ copy)
+	// may see any of the scribble.
 	k, ch, recs := testChannel(t, pts(0, 0, 100, 0, 100, 100, 200, 0), 250)
 	scrib := &scribbler{}
 	ch.Radio(1).SetListener(scrib)
@@ -311,7 +313,10 @@ func TestReceiverCopiesAreIndependent(t *testing.T) {
 	if len(scrib.got) != 1 || len(recs[2].rx) != 1 || len(recs[3].rx) != 1 {
 		t.Fatal("expected all three receivers to decode")
 	}
-	for i, got := range []packet.Packet{scrib.got[0], *recs[2].rx[0], *recs[3].rx[0]} {
+	if scrib.rx[0] != garbagePacket() {
+		t.Fatalf("the scribble did not land: receiver 1 holds %+v", scrib.rx[0])
+	}
+	for i, got := range []packet.Packet{scrib.got[0], recs[2].rx[0], recs[3].rx[0]} {
 		if got != onAir {
 			t.Fatalf("receiver %d decoded %+v, want %+v", i+1, got, onAir)
 		}
@@ -319,8 +324,53 @@ func TestReceiverCopiesAreIndependent(t *testing.T) {
 	if *sent != onAir {
 		t.Fatalf("sender's packet changed to %+v", *sent)
 	}
-	if recs[2].rx[0] == recs[3].rx[0] {
-		t.Fatal("receivers share a packet instance")
+}
+
+// keeper is a Listener that breaks the receive contract on purpose: it
+// keeps the lent pointer past the call.
+type keeper struct {
+	nullListener
+	kept   *packet.Packet
+	inCall packet.Packet
+}
+
+func (k *keeper) OnReceive(p *packet.Packet, _ float64) { k.kept, k.inCall = p, *p }
+
+func TestDecodedFrameIsLentForOneCall(t *testing.T) {
+	// A listener sees the frame during the call; a pointer it keeps
+	// reads as a zero packet afterwards, not as the next decode.
+	k, ch, _ := testChannel(t, pts(0, 0, 100, 0), 250)
+	kp := &keeper{}
+	ch.Radio(1).SetListener(kp)
+	sent := pkt(100)
+	sent.Seq = 9
+	ch.Radio(0).Transmit(sent)
+	k.Run()
+	if kp.kept == nil || kp.inCall != *sent {
+		t.Fatalf("during the call the listener saw %+v, want %+v", kp.inCall, *sent)
+	}
+	if *kp.kept != (packet.Packet{}) {
+		t.Fatalf("a kept pointer reads %+v after the call, want the zero packet", *kp.kept)
+	}
+
+	// Lending allocates nothing: one decode on a warm radio — the
+	// leading edge locks it, the trailing edge hands the frame over.
+	r := ch.Radio(1)
+	f := &frame{pkt: *sent}
+	power := ch.MeanPowerAt(0, 1)
+	s := &signal{}
+	before := r.Count(RxFrames)
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		*s = signal{rcv: 1, powerDBm: power, powerMW: propagation.DBmToMilliwatt(power)}
+		r.signalStart(s)
+		r.signalEnd(s, f)
+	})
+	if got := r.Count(RxFrames) - before; got != runs+1 { // AllocsPerRun warms up once
+		t.Fatalf("%d of %d measured edges decoded", got, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm decode allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -15,7 +15,8 @@ package phy
 //
 // A frame needs no pool of its own: it lives by value in its
 // transmission, whose last trailing edge is the frame's last reader
-// (receivers that decode it take a copy).
+// (a receiver that decodes it is lent a copy in the channel's receive
+// buffer for the length of one listener call).
 type Pools struct {
 	// tx is the transmission free list. A recycled transmission keeps
 	// its signal slab, which is what it costs to retain, so the list is
@@ -86,7 +87,16 @@ func (p *Pools) releaseTransmission(t *transmission) {
 // structs keep their inAir backing across reuse (warm capacity); every
 // other field is zeroed, so a recycled arena is indistinguishable from a
 // fresh one.
+//
+// The last run's radios are cleared first — all of them, including any
+// this run does not reuse — with every inAir slot nilled, so an arena
+// between runs pins none of that run's signal slabs or its channel.
 func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
+	for i := range p.radios {
+		r := &p.radios[i]
+		clear(r.inAir)
+		*r = Radio{inAir: r.inAir[:0]}
+	}
 	if cap(p.radios) < n {
 		p.radios = make([]Radio, n)
 		p.states = make([]State, n)
@@ -97,9 +107,5 @@ func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
 	p.states = p.states[:n]
 	p.txPow = p.txPow[:n]
 	p.energies = p.energies[:n]
-	for i := range p.radios {
-		r := &p.radios[i]
-		*r = Radio{inAir: r.inAir[:0]}
-	}
 	return p.radios, p.states, p.txPow, p.energies
 }

@@ -82,7 +82,9 @@ func (p Params) AirTime(bytes int) sim.Time {
 type Listener interface {
 	// OnReceive delivers a successfully decoded frame with its receive
 	// power — the signal strength SSAF derives its backoff from (§3).
-	// pkt is this receiver's own copy, to mutate or keep.
+	// pkt is lent for the call: a fresh copy of the frame that the
+	// listener may read or mutate, zeroed when the call returns. A
+	// listener that keeps the packet keeps pkt.Clone().
 	OnReceive(pkt *packet.Packet, rssiDBm float64)
 	// OnMediumBusy and OnMediumIdle report carrier-sense transitions.
 	OnMediumBusy()
@@ -130,13 +132,11 @@ var radioTable = metrics.Table{Counters: []string{
 // frame is one transmission's packet as it exists on the air: the
 // snapshot Channel.launch takes of the sender's packet, shared
 // read-only by every signal of that transmission — all receivers.
-// Nothing mutates it and it never leaves this package;
-// a receiver that decodes it gets a private copy (decode), so listeners
-// may rewrite or keep theirs and the sender may reuse its own.
+// Nothing mutates it and it never leaves this package: a receiver that
+// decodes it is lent a copy in the channel's receive buffer
+// (Radio.signalEnd), so listeners may rewrite theirs and the sender may
+// reuse its own.
 type frame struct{ pkt packet.Packet }
-
-// decode returns a private copy of the frame for one receiver.
-func (f *frame) decode() *packet.Packet { return f.pkt.Clone() }
 
 // signal is one frame in flight at a particular receiver: one element
 // of its transmission's slab. It holds no pointers, so the collector
@@ -363,7 +363,10 @@ func (r *Radio) signalStart(s *signal) {
 }
 
 // signalEnd is called by the channel when the trailing edge of frame f
-// passes this radio.
+// passes this radio. A decoded frame is copied into the channel's one
+// receive buffer and lent to the listener for the call; the buffer is
+// zeroed afterwards, so a listener that wrongly kept the pointer reads
+// a zero packet rather than the next decode.
 func (r *Radio) signalEnd(s *signal, f *frame) {
 	if !s.tracked {
 		return // arrived while off/asleep, or flushed by our power-down
@@ -371,8 +374,10 @@ func (r *Radio) signalEnd(s *signal, f *frame) {
 	r.stats[SignalEnds].Inc()
 	for i, in := range r.inAir {
 		if in == s {
-			r.inAir[i] = r.inAir[len(r.inAir)-1]
-			r.inAir = r.inAir[:len(r.inAir)-1]
+			last := len(r.inAir) - 1
+			r.inAir[i] = r.inAir[last]
+			r.inAir[last] = nil // the backing array must not pin the slab
+			r.inAir = r.inAir[:last]
 			break
 		}
 	}
@@ -391,7 +396,10 @@ func (r *Radio) signalEnd(s *signal, f *frame) {
 			} else {
 				r.stats[RxFrames].Inc()
 				if r.listener != nil {
-					r.listener.OnReceive(f.decode(), s.powerDBm)
+					buf := &r.channel.rxBuf
+					*buf = f.pkt
+					r.listener.OnReceive(buf, s.powerDBm)
+					*buf = packet.Packet{}
 				}
 			}
 		}
@@ -452,6 +460,7 @@ func (r *Radio) powerDown(s State) {
 		in.tracked = false
 		r.stats[FlushedByOff].Inc()
 	}
+	clear(r.inAir)
 	r.inAir = r.inAir[:0]
 	r.setState(s)
 	r.busy = false

@@ -614,9 +614,12 @@ func (a *AODV) salvageData(pkt *packet.Packet) {
 		a.repairStart[pkt.Target] = a.n.Kernel.Now()
 	}
 	a.salvage[pkt.Target] = append(list, pkt.Clone())
-	d, started := a.discovering.ensure(pkt.Target, a.n.Kernel, func() { a.discoveryTimeout(pkt.Target) })
+	// The timeout closure captures the target, not pkt: a delivered
+	// packet is lent for the OnDeliver call only.
+	target := pkt.Target
+	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
 	if started {
-		a.floodRREQRing(pkt.Target, a.ringTTL(0))
+		a.floodRREQRing(target, a.ringTTL(0))
 		d.timer.Reset(a.cfg.DiscoveryTimeout)
 	}
 }

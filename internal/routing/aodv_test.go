@@ -168,6 +168,26 @@ func TestAODVNoRouteGivesUp(t *testing.T) {
 	}
 }
 
+func TestAODVSalvageOutlivesTheDeliveredPacket(t *testing.T) {
+	// A relay with no route salvages the data frame behind a discovery
+	// for its target. The frame is lent for the OnDeliver call only and
+	// zeroed afterwards, as phy does; the discovery must still retry
+	// toward the packet's target and then give the salvage up.
+	positions := []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 2500, Y: 0}}
+	cfg := AODVConfig{DiscoveryTimeout: 0.2, MaxDiscoveryRetries: 2, NoHello: true}
+	nw, as := buildAODV(t, cfg, 7, positions)
+	lent := packet.Packet{Kind: packet.KindData, From: 0, To: 1, Origin: 0, Target: 2, Seq: 1, HopCount: 1, TTL: 8, Size: 64}
+	as[1].OnDeliver(&lent, -50)
+	lent = packet.Packet{}
+	nw.Run(10)
+	if got := as[1].Count(AODVRediscoveries); got != 2 {
+		t.Fatalf("Rediscoveries = %d, want 2", got)
+	}
+	if got := as[1].Count(AODVDroppedNoRoute); got != 1 {
+		t.Fatalf("DroppedNoRoute = %d, want 1 (the salvaged packet)", got)
+	}
+}
+
 func TestAODVBidirectional(t *testing.T) {
 	nw, as := buildAODV(t, AODVConfig{}, 8, line(4, 200))
 	got := map[packet.NodeID]int{}

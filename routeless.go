@@ -89,7 +89,9 @@ type (
 	Rect = geo.Rect
 	// NodeID identifies a node.
 	NodeID = packet.NodeID
-	// Packet is the in-simulation packet model.
+	// Packet is the in-simulation packet model. A packet handed to a
+	// receive hook (Node.OnAppReceive, Protocol.OnDeliver) is valid for
+	// the call only: read or mutate it, and Clone it to keep it.
 	Packet = packet.Packet
 	// Kind classifies packets.
 	Kind = packet.Kind
