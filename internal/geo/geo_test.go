@@ -152,6 +152,32 @@ func TestGridExclude(t *testing.T) {
 	}
 }
 
+// TestWithinRadiusAcrossTileBoundary pins that neighbor queries are
+// oblivious to the cell lattice: points straddling a cell edge or corner
+// see each other symmetrically.
+func TestWithinRadiusAcrossTileBoundary(t *testing.T) {
+	rect := NewRect(100, 100)
+	pts := []Point{{49, 50}, {51, 50}, {50, 49}, {50, 51}, {49.5, 49.5}}
+	g := NewGrid(rect, 25, pts)
+	if a, b := g.cellOf(pts[0]), g.cellOf(pts[1]); a == b {
+		t.Fatalf("fixture broken: points 0,1 share cell %d", a)
+	}
+	for i := range pts {
+		for j := range pts {
+			if i == j {
+				continue
+			}
+			near := g.WithinRadius(nil, pts[i], 5, i)
+			if slices.Contains(near, j) != slices.Contains(g.WithinRadius(nil, pts[j], 5, j), i) {
+				t.Errorf("asymmetric neighborhood between %d and %d", i, j)
+			}
+			if !slices.Contains(near, j) {
+				t.Errorf("point %d should see point %d across the cell edge", i, j)
+			}
+		}
+	}
+}
+
 func TestGridQueryOutsideBounds(t *testing.T) {
 	rect := NewRect(100, 100)
 	pts := []Point{{5, 5}, {95, 95}}

@@ -124,57 +124,3 @@ func TestHierGridBulkAppendHappens(t *testing.T) {
 		t.Fatal("no interior cell classified inside a 300 m disk over 50 m cells")
 	}
 }
-
-func TestAutoTiling(t *testing.T) {
-	cases := []struct {
-		w, h, minSide float64
-		cols, rows    int
-	}{
-		// 1M nodes at Figure-1 density: 100 km arena, 550 m cutoff →
-		// min side 1100 m → 90×90 tiles.
-		{100_000, 100_000, 1100, 90, 90},
-		// 100k nodes: 31.6 km arena.
-		{31_623, 31_623, 1100, 28, 28},
-		// Paper-scale 1 km arena is smaller than the minimum side in
-		// both dimensions: degenerate single tile.
-		{1000, 1000, 1100, 1, 1},
-		// Elongated arena tiles per dimension independently.
-		{10_000, 2500, 1100, 9, 2},
-		{5000, 800, 1100, 4, 1},
-	}
-	for _, c := range cases {
-		tl := AutoTiling(NewRect(c.w, c.h), c.minSide)
-		if tl.Cols() != c.cols || tl.Rows() != c.rows {
-			t.Errorf("AutoTiling(%gx%g, %g) = %dx%d, want %dx%d",
-				c.w, c.h, c.minSide, tl.Cols(), tl.Rows(), c.cols, c.rows)
-		}
-		if tl.Tiles() != c.cols*c.rows {
-			t.Errorf("Tiles() = %d, want %d", tl.Tiles(), c.cols*c.rows)
-		}
-		// Every tile side must be at least minSide (up to the degenerate
-		// single-tile case where the arena itself is smaller).
-		b := tl.Bounds(0)
-		if tl.Cols() > 1 && b.Width() < c.minSide {
-			t.Errorf("tile width %g below min side %g", b.Width(), c.minSide)
-		}
-		if tl.Rows() > 1 && b.Height() < c.minSide {
-			t.Errorf("tile height %g below min side %g", b.Height(), c.minSide)
-		}
-	}
-}
-
-func TestNewTilingXY(t *testing.T) {
-	tl := NewTilingXY(NewRect(300, 200), 3, 2)
-	if tl.Cols() != 3 || tl.Rows() != 2 || tl.Tiles() != 6 {
-		t.Fatalf("NewTilingXY: %dx%d", tl.Cols(), tl.Rows())
-	}
-	if got := tl.TileOf(Point{150, 50}); got != 1 {
-		t.Fatalf("TileOf(150,50) = %d, want 1", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTilingXY(0 cols) should panic")
-		}
-	}()
-	NewTilingXY(NewRect(1, 1), 0, 1)
-}

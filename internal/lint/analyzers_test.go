@@ -373,10 +373,6 @@ func bad() {
 			path: "routeless/internal/parallel", filename: "parallel.go", src: concSrc,
 		},
 		{
-			name: "clean: internal/pdes tile engine owns concurrency", analyzer: Goroutine,
-			path: "routeless/internal/pdes", filename: "pdes.go", src: concSrc,
-		},
-		{
 			name: "clean: cmd may use goroutines", analyzer: Goroutine,
 			path: "routeless/cmd/fix", filename: "main.go", src: concSrc,
 		},
@@ -638,37 +634,18 @@ func bad(w io.Writer) {
 			want: []string{"captures *metrics.Journal j"},
 		},
 		{
-			name: "catches package-level var in pdes.Run exchange closure", analyzer: SharedCap,
+			name: "catches package-level var in a closure nested in a sweep.Run argument", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
-import (
-	"routeless/internal/pdes"
-	"routeless/internal/sim"
-)
+import "routeless/internal/sweep"
 var moved int
-func bad(tiles []*sim.Kernel, g *sim.Kernel) {
-	pdes.Run(pdes.Config{
-		Tiles: tiles, Global: g, MinArm: 1e-6, CrossDelay: []sim.Time{1e-6},
-		Exchange: func() int { moved++; return moved },
-	}, 1)
+func each(f func(i int) int) func(*sweep.Context, int, sweep.Cell) int {
+	return func(ctx *sweep.Context, i int, c sweep.Cell) int { return f(i) }
+}
+func bad() {
+	sweep.Run(4, sweep.Cells("f", 1, []int64{1}), each(func(i int) int { moved++; return moved }))
 }`,
 			want: []string{"package-level var moved"},
-		},
-		{
-			name: "clean: pdes.Run exchange over locals only", analyzer: SharedCap,
-			path: "routeless/internal/fix", filename: "fix.go",
-			src: `package fix
-import (
-	"routeless/internal/pdes"
-	"routeless/internal/sim"
-)
-func good(tiles []*sim.Kernel, g *sim.Kernel) {
-	moved := 0
-	pdes.Run(pdes.Config{
-		Tiles: tiles, Global: g, MinArm: 1e-6, CrossDelay: []sim.Time{1e-6},
-		Exchange: func() int { moved++; return moved },
-	}, 1)
-}`,
 		},
 		{
 			name: "clean: per-worker runtime from the context", analyzer: SharedCap,

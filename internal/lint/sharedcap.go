@@ -7,9 +7,9 @@ import (
 )
 
 // SharedCap guards the worker-pool ownership contract: a closure
-// handed to parallel.Map/ForEach, sweep.Run, or pdes.Run (directly or
-// through a config field such as pdes.Config.Exchange) executes inside
-// a concurrent engine, so it must not capture shared mutable state.
+// handed to parallel.Map/ForEach or sweep.Run (directly, or nested in an
+// argument expression such as a wrapper call) executes on a worker
+// goroutine, so it must not capture shared mutable state.
 // Two capture classes are flagged inside such closures:
 //
 //   - package-level mutable variables (any package's), which every
@@ -39,7 +39,6 @@ var SharedCap = &Analyzer{
 var sharedCapEntryPoints = map[string]map[string]bool{
 	"routeless/internal/parallel": {"Map": true, "ForEach": true},
 	"routeless/internal/sweep":    {"Run": true},
-	"routeless/internal/pdes":     {"Run": true},
 }
 
 // sharedCapPoolTypes are the single-owner types that must never cross
@@ -70,8 +69,9 @@ func runSharedCap(p *Pass) {
 				return true
 			}
 			// Func literals may arrive as direct arguments (sweep.Run's
-			// body closure) or inside a config struct (pdes.Config.Exchange);
-			// both run on worker goroutines, so walk the whole argument.
+			// body closure) or nested inside one (a closure handed to a
+			// wrapper whose result is the body); both run on worker
+			// goroutines, so walk the whole argument.
 			for _, arg := range call.Args {
 				ast.Inspect(arg, func(m ast.Node) bool {
 					if lit, ok := m.(*ast.FuncLit); ok {

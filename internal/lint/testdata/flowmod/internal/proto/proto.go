@@ -97,7 +97,7 @@ func (b *Beacon) emit() {}
 
 // SpawnBad launches a goroutine outside the sanctioned engines; the
 // goroutine rule must flag it even though the identical shape in
-// internal/pdes is exempt.
+// internal/sweep is exempt.
 func SpawnBad(done chan struct{}) {
 	go func() { close(done) }()
 }

@@ -40,26 +40,27 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseTypedErrors: every malformed or invalid document fails with
-// the documented sentinel before any simulator code can panic. These
-// are the regression tests for the API error contract: serve and
-// wmansim map ErrParse/ErrInvalid to client errors, anything else to
-// server errors.
-func TestParseTypedErrors(t *testing.T) {
+// parseCase is one row of the rejection table: a document and the
+// sentinel Parse must wrap (nil: the document is valid).
+type parseCase struct {
+	name string
+	data []byte
+	want error
+}
+
+// parseCases is the rejection table TestParseTypedErrors checks and
+// FuzzParse starts from.
+func parseCases(tb testing.TB) []parseCase {
 	mutate := func(f func(*scenario.Scenario)) []byte {
 		sc := validDoc()
 		f(&sc)
 		data, err := json.Marshal(sc)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return data
 	}
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
+	return []parseCase{
 		{"garbage", []byte("{not json"), scenario.ErrParse},
 		{"empty", []byte(""), scenario.ErrParse},
 		{"unknown-field", []byte(`{"seed":1,"bogus":true}`), scenario.ErrParse},
@@ -80,7 +81,15 @@ func TestParseTypedErrors(t *testing.T) {
 			sc.Faults = []scenario.FaultSpec{{Kind: "jam", Exclude: []int{0}}}
 		}), scenario.ErrInvalid},
 	}
-	for _, tc := range cases {
+}
+
+// TestParseTypedErrors: every malformed or invalid document fails with
+// the documented sentinel before any simulator code can panic. These
+// are the regression tests for the API error contract: serve and
+// wmansim map ErrParse/ErrInvalid to client errors, anything else to
+// server errors.
+func TestParseTypedErrors(t *testing.T) {
+	for _, tc := range parseCases(t) {
 		_, err := scenario.Parse(tc.data)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want errors.Is(%v)", tc.name, err, tc.want)

@@ -3,11 +3,13 @@
 // cancellable timers. It is the substrate every other package in this
 // repository runs on.
 //
-// The kernel is deliberately single-threaded: wireless protocol
-// simulations are causally ordered by the event heap, and determinism
-// (same seed, same schedule, same results) matters more than intra-run
-// parallelism. Parallelism belongs one level up, across runs (see
-// internal/sweep).
+// The kernel is deliberately single-threaded, and it is the only
+// engine: every run, batch or served, executes on one Kernel from build
+// to finish. Wireless protocol simulations are causally ordered by the
+// event heap, and determinism (same seed, same schedule, same results)
+// matters more than intra-run parallelism. Parallelism belongs one level
+// up, across runs (see internal/sweep), which is why Step offers its
+// processor to other goroutines every 1024 events.
 //
 // Execution order is the total order of (time, sequence number) keys.
 // Most events take the next sequence number when they are scheduled. A
@@ -48,12 +50,11 @@ func (t Time) Seconds() float64 { return float64(t) }
 // Event is a scheduled callback. Events are owned by the Kernel; user
 // code holds *Event only to cancel or inspect it.
 type Event struct {
-	at       Time
-	fn       func()
-	index    int // position in the heap, -1 when not queued
-	tagIndex int // position in the tagged index, -1 when untagged
-	kernel   *Kernel
-	cursor   bool // scheduled by AtCursor: stays queued while fn runs
+	at     Time
+	fn     func()
+	index  int // position in the heap, -1 when not queued
+	kernel *Kernel
+	cursor bool // scheduled by AtCursor: stays queued while fn runs
 }
 
 // At returns the time the event is (or was) scheduled to fire.
@@ -166,15 +167,6 @@ type Kernel struct {
 	rng       *rand.Rand
 	processed uint64
 	horizon   Time
-
-	// Tagged-event index: a secondary min-heap (by time only) over the
-	// subset of pending events registered via AtTagged/ScheduleTagged.
-	// PDES uses it to lower-bound the next transmission-capable event
-	// without scanning the main heap. Off by default: until
-	// EnableTagTracking is called, tagging is a no-op and AtTagged is
-	// exactly At — same seq numbers, same pop order, zero overhead.
-	trackTags bool
-	tagged    []*Event
 
 	// pool recycles Event structs. Private to the kernel by default;
 	// NewKernelPooled substitutes an externally owned pool so the free
@@ -295,7 +287,6 @@ func (k *Kernel) ReserveSeq(n int) uint64 {
 // either calls Rekey with the run's next key or returns without doing
 // so, which ends the cursor. Step keeps a cursor queued while fn runs so
 // that Rekey is a single in-place sift instead of a pop and a push.
-// Cursors are never tagged.
 func (k *Kernel) AtCursor(key EventKey, fn func()) *Event {
 	if key.Seq >= k.seq {
 		panic(fmt.Sprintf("sim: cursor sequence number %d was never reserved (next is %d)", key.Seq, k.seq))
@@ -353,118 +344,10 @@ func (k *Kernel) push(key EventKey, fn func()) *Event {
 	e.fn = fn
 	e.kernel = k
 	e.index = len(k.events)
-	e.tagIndex = -1
 	e.cursor = false
 	k.events = append(k.events, heapNode{EventKey: key, e: e})
 	k.siftUp(len(k.events) - 1)
 	return e
-}
-
-// EnableTagTracking turns on the tagged-event index. Call before any
-// AtTagged/ScheduleTagged whose tag should be tracked; kernels that
-// never enable it pay nothing for tagging.
-func (k *Kernel) EnableTagTracking() { k.trackTags = true }
-
-// AtTagged is At plus membership in the tagged-event index (when
-// tracking is enabled). Tagging is scheduling-neutral: the event gets
-// the same seq number and fires in the same order as an At event.
-func (k *Kernel) AtTagged(t Time, fn func()) *Event {
-	e := k.At(t, fn)
-	if k.trackTags {
-		k.tagPush(e)
-	}
-	return e
-}
-
-// ScheduleTagged is Schedule plus membership in the tagged-event index.
-func (k *Kernel) ScheduleTagged(delay Time, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v at t=%v", delay, k.now))
-	}
-	return k.AtTagged(k.now+delay, fn)
-}
-
-// PeekTime returns the timestamp of the earliest pending event, or
-// Infinity when the queue is empty.
-func (k *Kernel) PeekTime() Time {
-	if len(k.events) == 0 {
-		return Infinity
-	}
-	return k.events[0].At
-}
-
-// PeekTagged returns the timestamp of the earliest pending tagged
-// event, or Infinity when none is pending.
-func (k *Kernel) PeekTagged() Time {
-	if len(k.tagged) == 0 {
-		return Infinity
-	}
-	return k.tagged[0].at
-}
-
-// tagPush inserts e into the tagged index (binary min-heap by time;
-// ties in arbitrary order — only the minimum timestamp is ever read).
-func (k *Kernel) tagPush(e *Event) {
-	i := len(k.tagged)
-	k.tagged = append(k.tagged, e)
-	e.tagIndex = i
-	for i > 0 {
-		parent := (i - 1) >> 1
-		p := k.tagged[parent]
-		if p.at <= e.at {
-			break
-		}
-		k.tagged[i] = p
-		p.tagIndex = i
-		i = parent
-	}
-	k.tagged[i] = e
-	e.tagIndex = i
-}
-
-// tagRemove deletes e from the tagged index.
-func (k *Kernel) tagRemove(e *Event) {
-	i := e.tagIndex
-	e.tagIndex = -1
-	n := len(k.tagged) - 1
-	last := k.tagged[n]
-	k.tagged[n] = nil
-	k.tagged = k.tagged[:n]
-	if i == n {
-		return
-	}
-	k.tagged[i] = last
-	last.tagIndex = i
-	// The displaced event can be out of order in either direction.
-	for {
-		child := i<<1 + 1
-		if child >= n {
-			break
-		}
-		if c2 := child + 1; c2 < n && k.tagged[c2].at < k.tagged[child].at {
-			child = c2
-		}
-		if k.tagged[child].at >= last.at {
-			break
-		}
-		k.tagged[i] = k.tagged[child]
-		k.tagged[i].tagIndex = i
-		i = child
-	}
-	k.tagged[i] = last
-	last.tagIndex = i
-	for i > 0 {
-		parent := (i - 1) >> 1
-		p := k.tagged[parent]
-		if p.at <= last.at {
-			break
-		}
-		k.tagged[i] = p
-		p.tagIndex = i
-		i = parent
-	}
-	k.tagged[i] = last
-	last.tagIndex = i
 }
 
 // Cancel removes a pending event. Cancelling a nil, already-fired or
@@ -478,9 +361,6 @@ func (k *Kernel) Cancel(e *Event) {
 	if e == k.firing {
 		k.rekeyed = false // Step removes it when the callback returns
 		return
-	}
-	if e.tagIndex >= 0 {
-		k.tagRemove(e)
 	}
 	k.remove(e)
 	k.recycle(e)
@@ -560,9 +440,6 @@ func (k *Kernel) Step() bool {
 		return true
 	}
 	k.remove(e)
-	if e.tagIndex >= 0 {
-		k.tagRemove(e)
-	}
 	fn := e.fn
 	k.recycle(e)
 	fn()
@@ -590,21 +467,6 @@ func (k *Kernel) RunUntil(t Time) {
 	for k.Step() {
 	}
 	k.horizon = old
-	k.now = t
-}
-
-// RunUntilBarrier executes events with timestamps strictly before t,
-// then advances the clock to t. Unlike RunUntil, events at exactly t
-// stay pending: t is a PDES epoch barrier, and events on the barrier
-// belong to the next window (after cross-tile deliveries at t have
-// been merged in).
-func (k *Kernel) RunUntilBarrier(t Time) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: RunUntilBarrier(%v) before now %v", t, k.now))
-	}
-	for len(k.events) > 0 && k.events[0].At < t {
-		k.Step()
-	}
 	k.now = t
 }
 

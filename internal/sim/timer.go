@@ -13,7 +13,6 @@ type Timer struct {
 	fireFn func() // t.fire bound once; rebinding per Reset would allocate
 	ev     *Event
 	fires  uint64
-	tagged bool
 }
 
 // NewTimer returns a stopped timer that runs fn on expiry.
@@ -35,31 +34,17 @@ func InitTimer(t *Timer, k *Kernel, fn func()) {
 	t.fireFn = t.fire
 }
 
-// MarkTagged makes every subsequent schedule of this timer a tagged
-// event (see Kernel.AtTagged). PDES tags timers whose expiry can start
-// a radio transmission; on kernels without tag tracking the mark is
-// inert.
-func (t *Timer) MarkTagged() { t.tagged = true }
-
 // Reset (re)schedules the timer to fire after delay, cancelling any
 // pending expiry.
 func (t *Timer) Reset(delay Time) {
 	t.Stop()
-	if t.tagged {
-		t.ev = t.kernel.ScheduleTagged(delay, t.fireFn)
-	} else {
-		t.ev = t.kernel.Schedule(delay, t.fireFn)
-	}
+	t.ev = t.kernel.Schedule(delay, t.fireFn)
 }
 
 // ResetAt (re)schedules the timer to fire at absolute time at.
 func (t *Timer) ResetAt(at Time) {
 	t.Stop()
-	if t.tagged {
-		t.ev = t.kernel.AtTagged(at, t.fireFn)
-	} else {
-		t.ev = t.kernel.At(at, t.fireFn)
-	}
+	t.ev = t.kernel.At(at, t.fireFn)
 }
 
 func (t *Timer) fire() {

@@ -92,7 +92,7 @@ func finalSnap(t *testing.T, run *scenario.Run) []byte {
 
 // saveAt builds sc, journals it, advances to time at, and returns the
 // snapshot document plus the journal prefix written so far.
-func saveAt(t *testing.T, sc scenario.Scenario, at float64) (doc, prefix []byte) {
+func saveAt(t testing.TB, sc scenario.Scenario, at float64) (doc, prefix []byte) {
 	t.Helper()
 	run, err := scenario.Build(sc)
 	if err != nil {
