@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"routeless/internal/parallel"
+	"routeless/internal/sweep"
 )
 
 // The runtime counterpart of cmd/simlint's static checks: the paper's
@@ -45,12 +45,12 @@ func TestFig1DifferentSeedDiverges(t *testing.T) {
 func TestFig1WorkerCountInvariant(t *testing.T) {
 	serial := tinyFig1()
 	serial.Workers = 1
-	parallel := tinyFig1()
-	parallel.Workers = 8
+	pooled := tinyFig1()
+	pooled.Workers = 8
 	a := RunFig1(serial)
-	b := RunFig1(parallel)
+	b := RunFig1(pooled)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("worker count changed results:\nserial:   %+v\nparallel: %+v", a, b)
+		t.Fatalf("worker count changed results:\nserial: %+v\npooled: %+v", a, b)
 	}
 }
 
@@ -90,7 +90,9 @@ func TestEventTotalsAreReturnedValues(t *testing.T) {
 		t.Fatalf("seeds 1 and 2 both ran %d events; the concurrent check below would prove nothing", f1)
 	}
 	cfgs := []Fig1Config{fig1, other}
-	got := parallel.Map(2, len(cfgs), func(i int) uint64 { return fig1Events(cfgs[i]) })
+	got := sweep.Run(2, sweep.Cells("events", len(cfgs), []int64{0}), func(_ *sweep.Context, i int, _ sweep.Cell) uint64 {
+		return fig1Events(cfgs[i])
+	})
 	if got[0] != f1 || got[1] != wantOther {
 		t.Errorf("concurrent RunFig1 totals = %v, want %d and %d", got, f1, wantOther)
 	}

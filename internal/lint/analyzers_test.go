@@ -369,8 +369,8 @@ func bad() {
 			want: []string{`import "sync"`, "go statement"},
 		},
 		{
-			name: "clean: internal/parallel owns concurrency", analyzer: Goroutine,
-			path: "routeless/internal/parallel", filename: "parallel.go", src: concSrc,
+			name: "clean: internal/sweep owns concurrency", analyzer: Goroutine,
+			path: "routeless/internal/sweep", filename: "pool.go", src: concSrc,
 		},
 		{
 			name: "clean: cmd may use goroutines", analyzer: Goroutine,
@@ -506,75 +506,30 @@ func bad(a, b float64) bool {
 	})
 }
 
-func TestStatsMut(t *testing.T) {
-	const statsSrc = `package fix
-type FloodStats struct{ Forwards, Duplicates uint64 }
-type proto struct{ stats FloodStats }
-func bad(p *proto) {
-	p.stats.Forwards++
-	p.stats.Duplicates += 2
-}`
-	runFixtures(t, []fixtureCase{
-		{
-			name: "catches increment and compound assign in internal", analyzer: StatsMut,
-			path: "routeless/internal/fix", filename: "fix.go", src: statsSrc,
-			want: []string{"FloodStats.Forwards", "FloodStats.Duplicates"},
-		},
-		{
-			name: "catches mutation through a pointer in cmd", analyzer: StatsMut,
-			path: "routeless/cmd/fix", filename: "main.go",
-			src: `package main
-type RadioStats struct{ TxFrames uint64 }
-func bad(s *RadioStats) { s.TxFrames-- }
-func main() {}`,
-			want: []string{"RadioStats.TxFrames"},
-		},
-		{
-			name: "test files may build Stats fixtures freely", analyzer: StatsMut,
-			path: "routeless/internal/fix", filename: "fix_test.go", src: statsSrc,
-		},
-		{
-			name: "clean: plain assignment to a local view copy", analyzer: StatsMut,
-			path: "routeless/internal/fix", filename: "fix.go",
-			src: `package fix
-type MACStats struct{ Enqueued uint64 }
-func good() uint64 {
-	var v MACStats
-	v.Enqueued = 7
-	return v.Enqueued
-}`,
-		},
-		{
-			name: "clean: non-Stats struct counters are out of scope", analyzer: StatsMut,
-			path: "routeless/internal/fix", filename: "fix.go",
-			src: `package fix
-type tally struct{ hits uint64 }
-func good(t *tally) { t.hits++ }`,
-		},
-	})
-}
-
 func TestSharedCap(t *testing.T) {
 	runFixtures(t, []fixtureCase{
 		{
-			name: "catches package-level var in parallel.ForEach closure", analyzer: SharedCap,
+			name: "catches package-level var in sweep.Run closure", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 var total int
 func bad() {
-	parallel.ForEach(4, 10, func(i int) { total += i })
+	sweep.Run(4, sweep.Cells("f", 10, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
+		total += i
+		return i
+	})
 }`,
 			want: []string{"package-level var total"},
 		},
 		{
-			name: "catches package-level var in parallel.Map closure, once per var", analyzer: SharedCap,
+			name: "catches package-level var in sweep.Run, once per var", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 var hits [8]int
 func bad() {
-	parallel.Map(4, 8, func(i int) int {
+	sweep.Run(4, sweep.Cells("f", 8, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
 		hits[i]++
 		return hits[i]
 	})
@@ -666,30 +621,37 @@ func good() {
 			src: `package fix
 import (
 	"sync/atomic"
-	"routeless/internal/parallel"
+	"routeless/internal/sweep"
 )
 var counter atomic.Uint64
 func good() {
-	parallel.ForEach(4, 10, func(i int) { counter.Add(1) })
+	sweep.Run(4, sweep.Cells("f", 10, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) uint64 {
+		return counter.Add(1)
+	})
 }`,
 		},
 		{
 			name: "clean: locals and parameters are worker-scoped work", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 func good(inputs []int) []int {
-	return parallel.Map(4, len(inputs), func(i int) int { return inputs[i] * 2 })
+	return sweep.Run(4, sweep.Cells("f", len(inputs), []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
+		return inputs[i] * 2
+	})
 }`,
 		},
 		{
 			name: "test files may capture freely", analyzer: SharedCap,
 			path: "routeless/internal/fix", filename: "fix_test.go",
 			src: `package fix
-import "routeless/internal/parallel"
+import "routeless/internal/sweep"
 var total int
 func helper() {
-	parallel.ForEach(4, 10, func(i int) { total += i })
+	sweep.Run(4, sweep.Cells("f", 10, []int64{1}), func(ctx *sweep.Context, i int, c sweep.Cell) int {
+		total += i
+		return i
+	})
 }`,
 		},
 	})

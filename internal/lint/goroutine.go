@@ -7,20 +7,19 @@ import (
 )
 
 // Goroutine forbids `go` statements and sync / sync/atomic imports in
-// every internal/ package except the worker-pool engines. The DES
+// every internal/ package except the worker-pool engine. The DES
 // kernel is sequential by design: causality is the event heap's total
 // order, and determinism depends on it. Concurrency belongs one level
-// up, across runs, in the engines built to contain it:
-// internal/parallel (the goroutine pool) and internal/sweep (the cell
-// scheduler and run-server pool on top of it), each of which hands a
-// whole run to one worker. internal/serve is also exempt — for sync
+// up, across runs, in the engine built to contain it: internal/sweep,
+// whose one pool serves both cell sweeps and the run server and hands
+// a whole run to one worker. internal/serve is also exempt — for sync
 // imports only, not go statements: its mutexes guard the HTTP-facing
 // journal buffer and run registry, provably off the simulation path
 // (each run is owned by one sweep worker from build to finish, and
 // handlers never touch a live run).
 var Goroutine = &Analyzer{
 	Name: "goroutine",
-	Doc:  "forbid go statements and sync primitives in internal/ (except internal/parallel and internal/sweep); every run is sequential on one kernel",
+	Doc:  "forbid go statements and sync primitives in internal/ (except internal/sweep); every run is sequential on one kernel",
 	Run:  runGoroutine,
 }
 
@@ -40,12 +39,12 @@ func runGoroutine(p *Pass) {
 					// buffers; runs still execute on sweep workers.
 					continue
 				}
-				p.Reportf(imp.Pos(), "import %q: sync primitives imply shared-state concurrency; every run is sequential on one kernel (only internal/parallel and internal/sweep may coordinate goroutines, across runs)", path)
+				p.Reportf(imp.Pos(), "import %q: sync primitives imply shared-state concurrency; every run is sequential on one kernel (only internal/sweep may coordinate goroutines, across runs)", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(), "go statement: simulation code must stay sequential; parallelize across runs with internal/parallel")
+				p.Reportf(g.Pos(), "go statement: simulation code must stay sequential; parallelize across runs with internal/sweep")
 			}
 			return true
 		})
@@ -53,8 +52,7 @@ func runGoroutine(p *Pass) {
 }
 
 func isWorkerPoolPkg(path string) bool {
-	return strings.HasSuffix(path, "/internal/parallel") || path == "internal/parallel" ||
-		strings.HasSuffix(path, "/internal/sweep") || path == "internal/sweep"
+	return strings.HasSuffix(path, "/internal/sweep") || path == "internal/sweep"
 }
 
 func isServePkg(path string) bool {

@@ -342,7 +342,6 @@ func All() []*Analyzer {
 		Goroutine,
 		FloatEq,
 		SortPkg,
-		StatsMut,
 		SharedCap,
 		FaultRand,
 		SharedState,

@@ -7,9 +7,9 @@ import (
 )
 
 // SharedCap guards the worker-pool ownership contract: a closure
-// handed to parallel.Map/ForEach or sweep.Run (directly, or nested in an
-// argument expression such as a wrapper call) executes on a worker
-// goroutine, so it must not capture shared mutable state.
+// handed to sweep.Run (directly, or nested in an argument expression
+// such as a wrapper call) executes on a worker goroutine, so it must
+// not capture shared mutable state.
 // Two capture classes are flagged inside such closures:
 //
 //   - package-level mutable variables (any package's), which every
@@ -30,15 +30,14 @@ import (
 // capture counters to assert scheduling properties.
 var SharedCap = &Analyzer{
 	Name: "sharedcap",
-	Doc:  "forbid closures passed to parallel.Map/ForEach/sweep.Run from capturing shared mutable state",
+	Doc:  "forbid closures passed to sweep.Run from capturing shared mutable state",
 	Run:  runSharedCap,
 }
 
 // sharedCapEntryPoints maps importPath → function names whose func-lit
 // arguments run concurrently on a worker pool.
 var sharedCapEntryPoints = map[string]map[string]bool{
-	"routeless/internal/parallel": {"Map": true, "ForEach": true},
-	"routeless/internal/sweep":    {"Run": true},
+	"routeless/internal/sweep": {"Run": true},
 }
 
 // sharedCapPoolTypes are the single-owner types that must never cross

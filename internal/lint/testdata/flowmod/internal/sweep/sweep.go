@@ -1,6 +1,5 @@
-// Package sweep mirrors the real cell engine's shape: alongside
-// internal/parallel, it is the only internal package allowed to own
-// goroutines and sync primitives. The goroutine rule's worker-pool
+// Package sweep mirrors the real cell engine's shape: it is the only
+// internal package allowed to own goroutines and sync primitives. The goroutine rule's worker-pool
 // exemption matches by path suffix, so this fixture pins that a `go`
 // statement and a sync import stay clean here while the identical shape
 // in proto.SpawnBad is flagged.

@@ -1,18 +1,18 @@
 package sweep
 
 import (
+	"runtime"
 	"sync"
 
 	"routeless/internal/node"
-	"routeless/internal/parallel"
 )
 
-// Pool is the persistent form of the sweep engine: long-lived workers,
-// each owning a reusable Context, executing jobs submitted over time
-// rather than a pre-flattened cell list. It exists for serving
-// workloads (cmd/simserve) where runs arrive one at a time but the
+// Pool is the sweep engine's one scheduler: long-lived workers, each
+// owning a reusable Context, executing jobs in the order they are
+// submitted. Run submits a sweep's cells to one; a run server
+// (cmd/simserve) keeps one open and submits runs as they arrive, so the
 // worker-private pooling discipline — and the sharedcap ownership rule
-// that comes with it — should hold exactly as it does in a batch sweep.
+// that comes with it — holds the same way for both.
 //
 // Determinism note: the pool schedules, it never simulates. A job owns
 // its run from build to finish on one worker goroutine, so which worker
@@ -26,7 +26,9 @@ type Pool struct {
 // NewPool starts a pool of the given size; workers <= 0 sizes it from
 // GOMAXPROCS.
 func NewPool(workers int) *Pool {
-	workers = parallel.Workers(workers, 1<<30)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	p := &Pool{jobs: make(chan func(*Context))}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)

@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"sync"
 	"testing"
 
 	"routeless/internal/flood"
 	"routeless/internal/geo"
 	"routeless/internal/node"
+	"routeless/internal/rng"
 	"routeless/internal/sim"
 	"routeless/internal/traffic"
 )
@@ -60,9 +62,10 @@ func TestRaceHammer(t *testing.T) {
 	}
 }
 
-// TestRaceHammerSharedQueue hammers the queue itself: cheap cells, many
-// workers, forced stealing. Under -race this exercises claim()'s mutex
-// discipline; the assertion is exactly-once execution.
+// TestRaceHammerSharedQueue hammers the pool's job channel: cheap cells,
+// many workers, so hand-offs dominate. Under -race this exercises the
+// channel and the Close barrier; the assertion is exactly-once
+// execution.
 func TestRaceHammerSharedQueue(t *testing.T) {
 	const n = 2000
 	cells := Cells("q", n, []int64{0})
@@ -74,6 +77,82 @@ func TestRaceHammerSharedQueue(t *testing.T) {
 	for i, ct := range counts {
 		if ct != 1 {
 			t.Fatalf("cell %d ran %d times", i, ct)
+		}
+	}
+}
+
+// point is a stand-in for one parameter point: a deterministic
+// rng-driven computation heavy enough to interleave workers.
+func point(seed int64, i int) float64 {
+	r := rng.ForNode(seed, rng.StreamTraffic, i)
+	sum := 0.0
+	for k := 0; k < 200; k++ {
+		sum += r.Float64()
+	}
+	return sum
+}
+
+// Many sweeps at once, the way a batch of experiment drivers in one
+// process would run them: each has its own pool and must match the
+// serial reference.
+func TestMapHammerConcurrentSweeps(t *testing.T) {
+	const (
+		drivers = 8  // concurrent "experiment harnesses"
+		points  = 64 // parameter points per sweep
+		workers = 4  // Run workers per sweep
+	)
+	want := make([]float64, points)
+	for i := range want {
+		want[i] = point(1, i)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, drivers)
+	for d := 0; d < drivers; d++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := mapN(workers, points, func(i int) float64 { return point(1, i) })
+			for i := range got {
+				if got[i] != want[i] {
+					errs <- "concurrent sweep diverged from serial reference"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// Nested use: a sweep whose per-point function itself fans out, as a
+// figure harness running per-seed replications inside per-interval
+// points would.
+func TestMapHammerNested(t *testing.T) {
+	outer := mapN(4, 16, func(i int) []float64 {
+		return mapN(3, 8, func(j int) float64 { return point(int64(i+1), j) })
+	})
+	for i, inner := range outer {
+		for j, v := range inner {
+			if v != point(int64(i+1), j) {
+				t.Fatalf("outer %d inner %d diverged", i, j)
+			}
+		}
+	}
+}
+
+// Cells writing disjoint indices from many workers must be clean under
+// -race and leave every slot filled exactly once.
+func TestForEachHammerDisjointWrites(t *testing.T) {
+	const n = 512
+	hits := make([]int, n)
+	mapN(8, n, func(i int) struct{} { hits[i]++; return struct{}{} })
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("index %d written %d times", i, h)
 		}
 	}
 }

@@ -62,14 +62,14 @@ func TestRunOrderPreserved(t *testing.T) {
 	}
 }
 
-// Every cell must run exactly once even under heavy stealing pressure
-// (uneven cell costs force idle workers to raid busy spans).
+// Every cell must run exactly once even when cell costs are uneven
+// (early cells are slow, so the other workers drain the rest).
 func TestRunEachCellOnce(t *testing.T) {
 	const n = 500
 	cells := Cells("f", n, []int64{0})
 	var counts [n]int32
 	Run(8, cells, func(ctx *Context, i int, c Cell) struct{} {
-		// Make early cells expensive so later spans get stolen.
+		// Make early cells expensive so the cheap ones pile up behind.
 		if i < 8 {
 			x := int64(1)
 			for j := 0; j < 200000; j++ {
@@ -141,7 +141,7 @@ func TestRunContextOwnership(t *testing.T) {
 }
 
 // A panicking cell must surface on the caller's goroutine after the
-// remaining cells finish (parallel.ForEach's contract, inherited).
+// remaining cells finish.
 func TestRunPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cells := Cells("f", 40, []int64{0})
@@ -163,51 +163,39 @@ func TestRunPanicPropagates(t *testing.T) {
 		if s, ok := recovered.(string); !ok || s != "cell boom" {
 			t.Fatalf("workers=%d: re-raised %v, want \"cell boom\"", workers, recovered)
 		}
-		if workers > 1 && atomic.LoadInt32(&ran) != 39 {
+		if atomic.LoadInt32(&ran) != 39 {
 			t.Fatalf("workers=%d: %d cells ran after panic, want 39", workers, ran)
 		}
 	}
 }
 
-// Directly exercise the steal path: a queue with all the work on one
-// span must still hand every index out exactly once.
-func TestQueueStealing(t *testing.T) {
-	const n, workers = 37, 5
-	q := newQueue(n, workers)
-	// Exhaust workers 1..4's own spans into worker 0's tally first, to
-	// force them onto the steal path. Simpler: drain everything from
-	// worker 4 only — every claim after its own span empties must steal.
-	seen := make([]int, n)
-	for {
-		i, ok := q.claim(4)
-		if !ok {
-			break
+// Which panic Run re-raises, and which cells ran before it does, must
+// not depend on the worker count: every cell runs, and the
+// lowest-indexed failure wins even when a later one is recovered first.
+func TestRunPanicIsWorkerCountInvariant(t *testing.T) {
+	cells := Cells("f", 40, []int64{0})
+	for _, workers := range []int{1, 2, 8} {
+		var ran int32
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			Run(workers, cells, func(ctx *Context, i int, c Cell) int {
+				switch i {
+				case 5:
+					panic("a")
+				case 30:
+					panic("b")
+				}
+				atomic.AddInt32(&ran, 1)
+				return i
+			})
+		}()
+		if s, ok := recovered.(string); !ok || s != "a" {
+			t.Errorf("workers=%d: re-raised %v, want \"a\"", workers, recovered)
 		}
-		if i < 0 || i >= n {
-			t.Fatalf("claimed out-of-range index %d", i)
+		if got := atomic.LoadInt32(&ran); got != 38 {
+			t.Errorf("workers=%d: %d cells ran, want 38", workers, got)
 		}
-		seen[i]++
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d claimed %d times", i, c)
-		}
-	}
-}
-
-// rem=1 is the classic infinite-steal trap: stealing "half" of a
-// single-cell span must hand over that cell, not loop forever.
-func TestQueueStealSingleCell(t *testing.T) {
-	q := newQueue(1, 2) // worker 0 owns [0,1), worker 1 owns nothing
-	i, ok := q.claim(1)
-	if !ok || i != 0 {
-		t.Fatalf("claim(1) = (%d, %v), want (0, true)", i, ok)
-	}
-	if _, ok := q.claim(0); ok {
-		t.Fatal("claim(0) succeeded after the only cell was stolen")
-	}
-	if _, ok := q.claim(1); ok {
-		t.Fatal("claim(1) succeeded on an empty queue")
 	}
 }
 
