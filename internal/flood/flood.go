@@ -40,15 +40,16 @@ type Config struct {
 	// Blind disables duplicate suppression entirely; TTL is the only
 	// brake. For the strawman variant and tests.
 	Blind bool
-	// TTL bounds forwarding; default 32.
+	// TTL bounds forwarding; default packet.HopLimit.
 	TTL int
-	// DedupCap bounds the sequence-number memory; default 4096.
-	DedupCap int
 	// Locator, when set, supplies true node positions so policies can
 	// use Context.DistanceToSender (location-based flooding). Without
 	// it the distance is reported as unavailable (-1).
 	Locator func(id packet.NodeID) geo.Point
 }
+
+// dedupCap bounds each node's sequence-number memory.
+const dedupCap = 4096
 
 // Counter1Config returns the paper's baseline: dedup flooding with a
 // uniformly random backoff over [0, maxBackoff).
@@ -140,7 +141,7 @@ func (pf *pendingForward) fire() {
 
 // New builds a flooding instance; install it with Network.Install. cfg
 // is retained, not copied — every node's instance reads the same Config,
-// which is 48 bytes of identical bytes per node otherwise — and New
+// which is 40 bytes of identical bytes per node otherwise — and New
 // fills in zero-valued defaults in place, so callers must not mutate
 // it after the first New.
 func New(cfg *Config) *Flooding {
@@ -157,16 +158,13 @@ func Init(f *Flooding, cfg *Config) {
 		panic("flood: Config.Policy required")
 	}
 	if cfg.TTL == 0 {
-		cfg.TTL = 32
-	}
-	if cfg.DedupCap == 0 {
-		cfg.DedupCap = 4096
+		cfg.TTL = packet.HopLimit
 	}
 	// pending is lazily allocated by armForward: only the Cancel
 	// variant ever reads it, and at mega scale an eager empty map per
 	// node is measurable arena weight.
 	*f = Flooding{cfg: cfg}
-	f.dedup.Init(cfg.DedupCap)
+	f.dedup.Init(dedupCap)
 }
 
 // Start implements node.Protocol.

@@ -44,38 +44,6 @@ var sharedSingletonTypes = []string{
 	"internal/metrics.(Journal)",
 }
 
-// tileStateFields curates the struct fields on shared simulator objects
-// that the million-node SoA refactor hoisted onto the channel: mutable
-// state that event handlers write without locks, yet that is confined
-// to one run (the name and the "per-tile" class predate the removal of
-// the tiled engine; a run is the one tile left). The report
-// classifies them explicitly so the shard-safety gate documents WHY the
-// unguarded writes are sound instead of staying silent about them.
-// Every entry is existence-checked against the type-checker in
-// BuildShardReport; a field that no longer exists surfaces as a
-// "stale" row and a Violations() line, so this list cannot rot.
-var tileStateFields = []tileStateSpec{
-	{
-		Type: "internal/phy.(Channel)",
-		Fields: []string{
-			"radios", "states", "txPow", "energies",
-			"links", "linkValid",
-			"uid", "stats", "pendingStarts", "scratch", "order",
-			"inFlight",
-			"cached", "cachedHead",
-		},
-		Rationale: "one channel per run; sweep workers never share one, and a run's handlers execute on its single sequential kernel",
-	},
-}
-
-// tileStateSpec is one curated entry: a sharedSingletonTypes-style type
-// pattern plus the fields on it that are tile-confined.
-type tileStateSpec struct {
-	Type      string
-	Fields    []string
-	Rationale string
-}
-
 // globalInfo is the inventory record of one package-level variable.
 type globalInfo struct {
 	key  string // pkgpath.name
@@ -195,12 +163,11 @@ type ShardReport struct {
 	EntryPoints []ShardEntry     `json:"entryPoints"`
 	Globals     []ShardGlobal    `json:"globals"`
 	Singletons  []ShardSingleton `json:"singletons"`
-	TileState   []ShardTileField `json:"tileState,omitempty"`
 }
 
 // Violations returns one line per global that is classified mutable
-// AND written from event-handler context — the combination that makes
-// a tile decomposition unsound. Unlike the sharedstate diagnostics,
+// AND written from event-handler context — the combination that
+// couples concurrent sweep workers. Unlike the sharedstate diagnostics,
 // this reads the raw inventory, so //lint:ignore suppressions cannot
 // hide a hazard from callers that treat the report as a hard gate
 // (cmd/simlint -audit).
@@ -209,11 +176,6 @@ func (r *ShardReport) Violations() []string {
 	for _, g := range r.Globals {
 		if g.Class == "mutable" && g.HandlerWrites {
 			out = append(out, fmt.Sprintf("%s: %s (%s) is mutable and handler-written", g.Pos, g.Var, g.Type))
-		}
-	}
-	for _, f := range r.TileState {
-		if f.Class == "stale" {
-			out = append(out, fmt.Sprintf("tileStateFields entry %s.%s no longer matches the code; update the curated list", f.Type, f.Field))
 		}
 	}
 	return out
@@ -248,20 +210,6 @@ type ShardGlobal struct {
 type ShardSingleton struct {
 	Type    string   `json:"type"`
 	Methods []string `json:"methods"`
-}
-
-// ShardTileField classifies one struct field of a shared simulator
-// object as tile-confined mutable state. Class is "per-tile" (the field
-// exists and the curated rationale applies) or "stale" (the curated
-// entry names a field the type no longer has — a hard Violations()
-// failure so the list tracks the code).
-type ShardTileField struct {
-	Type      string `json:"type"`
-	Field     string `json:"field"`
-	FieldType string `json:"fieldType,omitempty"`
-	Class     string `json:"class"`
-	Rationale string `json:"rationale,omitempty"`
-	Pos       string `json:"pos,omitempty"`
 }
 
 // BuildShardReport computes the full inventory over prog.
@@ -365,63 +313,5 @@ func BuildShardReport(prog *Program) *ShardReport {
 		rep.Singletons = append(rep.Singletons, ShardSingleton{Type: t, Methods: slices.Compact(ms)})
 	}
 
-	rep.TileState = buildTileState(prog)
 	return rep
-}
-
-// lookupStruct resolves a sharedSingletonTypes-style pattern like
-// "internal/phy.(Channel)" to the struct type it names, searching the
-// program's units. Returns nil when the package is not part of this run
-// (a partial invocation must not fail entries it cannot see).
-func (p *Program) lookupStruct(pattern string) *types.Struct {
-	open := strings.LastIndex(pattern, ".(")
-	if open < 0 || !strings.HasSuffix(pattern, ")") {
-		return nil
-	}
-	pkgSuffix := pattern[:open]
-	typeName := pattern[open+2 : len(pattern)-1]
-	for _, u := range p.Units {
-		if u.Pkg == nil || !idHasSuffix(FuncID(u.Pkg.Path()), pkgSuffix) {
-			continue
-		}
-		obj := u.Pkg.Scope().Lookup(typeName)
-		if obj == nil {
-			continue
-		}
-		st, _ := obj.Type().Underlying().(*types.Struct)
-		return st
-	}
-	return nil
-}
-
-// buildTileState materializes the curated tileStateFields list against
-// the type-checked program: each entry whose field exists is emitted as
-// "per-tile" with its resolved field type and position; a field the
-// struct no longer has is emitted as "stale" (which Violations turns
-// into a gate failure). Types whose package is outside this run are
-// skipped entirely.
-func buildTileState(prog *Program) []ShardTileField {
-	var out []ShardTileField
-	for _, spec := range tileStateFields {
-		st := prog.lookupStruct(spec.Type)
-		if st == nil {
-			continue
-		}
-		for _, name := range spec.Fields {
-			row := ShardTileField{Type: spec.Type, Field: name, Class: "stale"}
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if f.Name() != name {
-					continue
-				}
-				row.Class = "per-tile"
-				row.FieldType = typeString(f.Type())
-				row.Rationale = spec.Rationale
-				row.Pos = prog.Fset.Position(f.Pos()).String()
-				break
-			}
-			out = append(out, row)
-		}
-	}
-	return out
 }

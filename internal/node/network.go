@@ -31,10 +31,6 @@ type Config struct {
 	Model propagation.Model
 	// Fader adds small-scale fading; default none.
 	Fader propagation.Fader
-	// FadeMarginDB widens the channel cutoff under fading; default 12.
-	FadeMarginDB float64
-	// MAC holds medium-access parameters; default mac.DefaultConfig.
-	MAC *mac.Config
 	// Seed drives every random stream in the network.
 	Seed int64
 	// EnsureConnected regenerates random placements (up to 100 draws)
@@ -53,6 +49,10 @@ type Config struct {
 	// mega-scale runs set a cap to keep link memory O(active).
 	LinkCacheCap int
 }
+
+// fadeMarginDB widens the channel's interference cutoff to admit fading
+// upswings; it has no effect without a Fader.
+const fadeMarginDB = 12
 
 // Runtime is the reusable allocation state one sweep worker owns: the
 // kernel event free list, the phy transmission pool and radio arena,
@@ -118,13 +118,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Model == nil {
 		cfg.Model = propagation.NewFreeSpace()
 	}
-	if cfg.FadeMarginDB == 0 {
-		cfg.FadeMarginDB = 12
-	}
 	macCfg := mac.DefaultConfig()
-	if cfg.MAC != nil {
-		macCfg = *cfg.MAC
-	}
 
 	streams := rng.NewTracker()
 
@@ -164,7 +158,7 @@ func New(cfg Config) (*Network, error) {
 	chCfg := phy.ChannelConfig{
 		Model:        cfg.Model,
 		Fader:        cfg.Fader,
-		FadeMarginDB: cfg.FadeMarginDB,
+		FadeMarginDB: fadeMarginDB,
 		Rng:          streams.New(cfg.Seed, rng.StreamChannel),
 		Pools:        rt.Phy,
 		Ranges:       rt.Ranges,

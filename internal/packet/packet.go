@@ -156,6 +156,11 @@ const (
 	SizeHello   = 32
 )
 
+// HopLimit is the TTL every routing protocol stamps on the packets it
+// originates (Routeless Routing tightens it to the path budget), and
+// flooding's default.
+const HopLimit = 32
+
 // DedupCache remembers recently seen FlowKeys with bounded memory: the
 // classic sequence-number list every counter-1 flooding node keeps
 // (§3: "every node must also keep a list of sequence numbers of

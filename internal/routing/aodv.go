@@ -9,26 +9,9 @@ import (
 	"routeless/internal/sim"
 )
 
-// AODVConfig parameterizes the baseline. Zero fields take the noted
-// defaults.
+// AODVConfig selects the baseline's variant; the zero value is plain
+// AODV with hello beaconing.
 type AODVConfig struct {
-	// HelloInterval is the beacon period; default 1 s.
-	HelloInterval sim.Time
-	// HelloLoss is how many missed intervals declare a neighbor dead;
-	// default 2.
-	HelloLoss int
-	// RREQBackoff is the flood rebroadcast backoff; default 10 ms.
-	RREQBackoff sim.Time
-	// DiscoveryTimeout is the RREP wait before re-flooding; default 2 s.
-	DiscoveryTimeout sim.Time
-	// MaxDiscoveryRetries bounds re-floods; default 3.
-	MaxDiscoveryRetries int
-	// RouteLifetime expires unused routes; default 30 s.
-	RouteLifetime sim.Time
-	// TTL bounds flood travel; default 32.
-	TTL int
-	// DataSize is the payload bytes of data packets; default 512.
-	DataSize int
 	// NoHello disables beaconing: link failures are then detected only
 	// through link-layer ARQ feedback. The paper's packet counts
 	// (Figures 3–4) scale with traffic rather than time, implying its
@@ -42,33 +25,16 @@ type AODVConfig struct {
 	ExpandingRing bool
 }
 
-func (c AODVConfig) withDefaults() AODVConfig {
-	if c.HelloInterval == 0 {
-		c.HelloInterval = 1
-	}
-	if c.HelloLoss == 0 {
-		c.HelloLoss = 2
-	}
-	if c.RREQBackoff == 0 {
-		c.RREQBackoff = 10e-3
-	}
-	if c.DiscoveryTimeout == 0 {
-		c.DiscoveryTimeout = 2
-	}
-	if c.MaxDiscoveryRetries == 0 {
-		c.MaxDiscoveryRetries = 3
-	}
-	if c.RouteLifetime == 0 {
-		c.RouteLifetime = 30
-	}
-	if c.TTL == 0 {
-		c.TTL = 32
-	}
-	if c.DataSize == 0 {
-		c.DataSize = packet.SizeData
-	}
-	return c
-}
+// AODV's fixed parameters. Route requests share the discovery retry
+// policy and rebroadcast backoff with the other two protocols.
+const (
+	// helloInterval is the beacon period.
+	helloInterval sim.Time = 1
+	// helloLoss is how many missed intervals declare a neighbor dead.
+	helloLoss = 2
+	// routeLifetime expires unused routes.
+	routeLifetime sim.Time = 30
+)
 
 // AODVSeries indexes one cell of a node's AODV counter block.
 type AODVSeries uint8
@@ -178,7 +144,6 @@ type AODV struct {
 
 // NewAODV builds an instance; install with Network.Install.
 func NewAODV(cfg AODVConfig) *AODV {
-	cfg = cfg.withDefaults()
 	return &AODV{
 		cfg:         cfg,
 		salvage:     make(map[packet.NodeID][]*packet.Packet),
@@ -197,11 +162,11 @@ func (a *AODV) Start(n *node.Node) {
 	if a.cfg.NoHello {
 		return
 	}
-	a.hello = sim.NewTicker(n.Kernel, a.cfg.HelloInterval, a.sendHello)
+	a.hello = sim.NewTicker(n.Kernel, helloInterval, a.sendHello)
 	// De-phase beacons across nodes.
-	a.hello.StartAfter(sim.Time(n.Rng.Float64()) * a.cfg.HelloInterval)
-	a.monitor = sim.NewTicker(n.Kernel, a.cfg.HelloInterval, a.checkNeighbors)
-	a.monitor.StartAfter(sim.Time(1+n.Rng.Float64()) * a.cfg.HelloInterval)
+	a.hello.StartAfter(sim.Time(n.Rng.Float64()) * helloInterval)
+	a.monitor = sim.NewTicker(n.Kernel, helloInterval, a.checkNeighbors)
+	a.monitor.StartAfter(sim.Time(1+n.Rng.Float64()) * helloInterval)
 }
 
 // Count returns the current value of one of the node's counters.
@@ -250,7 +215,7 @@ func (a *AODV) nextSeq() uint32 {
 // Send implements node.Protocol.
 func (a *AODV) Send(target packet.NodeID, size int) {
 	if size == 0 {
-		size = a.cfg.DataSize
+		size = packet.SizeData
 	}
 	now := a.n.Kernel.Now()
 	a.stats[AODVDataSent].Inc()
@@ -272,39 +237,35 @@ func (a *AODV) routeOrDiscover(target packet.NodeID, size int, created sim.Time)
 	}
 	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
 	if started {
-		a.floodRREQRing(target, a.ringTTL(0))
-		d.timer.Reset(a.cfg.DiscoveryTimeout)
+		a.floodRREQ(target, a.ringTTL(0))
+		d.timer.Reset(discoveryTimeout)
 	}
 	d.queue = append(d.queue, pendingData{size: size, created: created})
 }
 
 func (a *AODV) sendDataVia(r *route, target packet.NodeID, size int, created sim.Time) {
-	r.expiry = a.n.Kernel.Now() + a.cfg.RouteLifetime
+	r.expiry = a.n.Kernel.Now() + routeLifetime
 	a.n.MAC.Enqueue(&packet.Packet{
 		Kind: packet.KindData, To: r.nextHop,
 		Origin: a.n.ID, Target: target, Seq: a.nextSeq(),
-		HopCount: 1, TTL: a.cfg.TTL, Size: size, CreatedAt: created,
+		HopCount: 1, TTL: packet.HopLimit, Size: size, CreatedAt: created,
 	}, 0)
-}
-
-func (a *AODV) floodRREQ(target packet.NodeID) {
-	a.floodRREQRing(target, a.cfg.TTL)
 }
 
 // ringTTL returns the RREQ TTL for the attempt-th discovery try under
 // expanding-ring search: 1, 3, 7, then the full TTL.
 func (a *AODV) ringTTL(attempt int) int {
 	if !a.cfg.ExpandingRing {
-		return a.cfg.TTL
+		return packet.HopLimit
 	}
 	rings := []int{1, 3, 7}
-	if attempt < len(rings) && rings[attempt] < a.cfg.TTL {
+	if attempt < len(rings) {
 		return rings[attempt]
 	}
-	return a.cfg.TTL
+	return packet.HopLimit
 }
 
-func (a *AODV) floodRREQRing(target packet.NodeID, ttl int) {
+func (a *AODV) floodRREQ(target packet.NodeID, ttl int) {
 	a.rreqID++
 	a.stats[AODVRREQSent].Inc()
 	pkt := &packet.Packet{
@@ -330,7 +291,7 @@ func (a *AODV) discoveryTimeout(target packet.NodeID) {
 		a.flushSalvage(target)
 		return
 	}
-	d, retry := a.discovering.step(target, a.cfg.MaxDiscoveryRetries)
+	d, retry := a.discovering.step(target)
 	if d == nil {
 		return
 	}
@@ -343,8 +304,8 @@ func (a *AODV) discoveryTimeout(target packet.NodeID) {
 		return
 	}
 	a.stats[AODVRediscoveries].Inc()
-	a.floodRREQRing(target, a.ringTTL(d.retries))
-	d.timer.Reset(a.cfg.DiscoveryTimeout)
+	a.floodRREQ(target, a.ringTTL(d.retries))
+	d.timer.Reset(discoveryTimeout)
 }
 
 func (a *AODV) sendHello() {
@@ -359,7 +320,7 @@ func (a *AODV) sendHello() {
 // them.
 func (a *AODV) checkNeighbors() {
 	now := a.n.Kernel.Now()
-	deadline := sim.Time(float64(a.cfg.HelloLoss)) * a.cfg.HelloInterval
+	deadline := sim.Time(helloLoss) * helloInterval
 	var dead []packet.NodeID
 	for id, last := range a.neighbors {
 		if now-last > deadline {
@@ -437,7 +398,7 @@ func (a *AODV) installRoute(dest, nextHop packet.NodeID, hops int, seq uint32) {
 			return
 		}
 	}
-	a.routes[dest] = &route{nextHop: nextHop, hops: hops, seq: seq, expiry: now + a.cfg.RouteLifetime}
+	a.routes[dest] = &route{nextHop: nextHop, hops: hops, seq: seq, expiry: now + routeLifetime}
 }
 
 func (a *AODV) handleRREQ(pkt *packet.Packet) {
@@ -457,7 +418,7 @@ func (a *AODV) handleRREQ(pkt *packet.Packet) {
 		a.n.MAC.Enqueue(&packet.Packet{
 			Kind: packet.KindRREP, To: rev.nextHop,
 			Origin: a.n.ID, Target: pkt.Origin, Seq: pkt.Seq,
-			HopCount: 1, TTL: a.cfg.TTL, Size: packet.SizeControl,
+			HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
 			Payload: rrepInfo{destSeq: a.nextSeq()},
 		}, 0)
 		return
@@ -472,7 +433,7 @@ func (a *AODV) handleRREQ(pkt *packet.Packet) {
 	fwd.To = packet.Broadcast
 	fwd.HopCount++
 	fwd.TTL--
-	backoff := sim.Time(a.n.Rng.Float64()) * a.cfg.RREQBackoff
+	backoff := sim.Time(a.n.Rng.Float64()) * discoveryBackoff
 	a.n.Kernel.Schedule(backoff, func() {
 		a.stats[AODVRREQForwarded].Inc()
 		a.n.MAC.Enqueue(fwd, 0)
@@ -557,7 +518,7 @@ func (a *AODV) handleData(pkt *packet.Packet) {
 		a.stats[AODVDataDropped].Inc()
 		return
 	}
-	r.expiry = a.n.Kernel.Now() + a.cfg.RouteLifetime
+	r.expiry = a.n.Kernel.Now() + routeLifetime
 	a.stats[AODVDataForwarded].Inc()
 	a.n.MAC.Enqueue(fwd, 0)
 }
@@ -619,7 +580,7 @@ func (a *AODV) salvageData(pkt *packet.Packet) {
 	target := pkt.Target
 	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
 	if started {
-		a.floodRREQRing(target, a.ringTTL(0))
-		d.timer.Reset(a.cfg.DiscoveryTimeout)
+		a.floodRREQ(target, a.ringTTL(0))
+		d.timer.Reset(discoveryTimeout)
 	}
 }

@@ -159,8 +159,7 @@ func TestAODVRERRPropagates(t *testing.T) {
 
 func TestAODVNoRouteGivesUp(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 2500, Y: 0}}
-	cfg := AODVConfig{DiscoveryTimeout: 0.2, MaxDiscoveryRetries: 2}
-	nw, as := buildAODV(t, cfg, 7, positions)
+	nw, as := buildAODV(t, AODVConfig{}, 7, positions)
 	as[0].Send(2, 0)
 	nw.Run(10)
 	if as[0].Count(AODVDroppedNoRoute) != 1 {
@@ -174,14 +173,13 @@ func TestAODVSalvageOutlivesTheDeliveredPacket(t *testing.T) {
 	// zeroed afterwards, as phy does; the discovery must still retry
 	// toward the packet's target and then give the salvage up.
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 2500, Y: 0}}
-	cfg := AODVConfig{DiscoveryTimeout: 0.2, MaxDiscoveryRetries: 2, NoHello: true}
-	nw, as := buildAODV(t, cfg, 7, positions)
+	nw, as := buildAODV(t, AODVConfig{NoHello: true}, 7, positions)
 	lent := packet.Packet{Kind: packet.KindData, From: 0, To: 1, Origin: 0, Target: 2, Seq: 1, HopCount: 1, TTL: 8, Size: 64}
 	as[1].OnDeliver(&lent, -50)
 	lent = packet.Packet{}
 	nw.Run(10)
-	if got := as[1].Count(AODVRediscoveries); got != 2 {
-		t.Fatalf("Rediscoveries = %d, want 2", got)
+	if got := as[1].Count(AODVRediscoveries); got != maxDiscoveryRetries {
+		t.Fatalf("Rediscoveries = %d, want %d", got, maxDiscoveryRetries)
 	}
 	if got := as[1].Count(AODVDroppedNoRoute); got != 1 {
 		t.Fatalf("DroppedNoRoute = %d, want 1 (the salvaged packet)", got)
@@ -213,18 +211,17 @@ func TestAODVSendToSelf(t *testing.T) {
 }
 
 func TestAODVRouteExpiry(t *testing.T) {
-	cfg := AODVConfig{RouteLifetime: 2}
-	nw, as := buildAODV(t, cfg, 10, line(3, 200))
+	nw, as := buildAODV(t, AODVConfig{}, 10, line(3, 200))
 	count := 0
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(2, 0)
-	nw.Run(5)
+	nw.Run(routeLifetime + 3)
 	if _, ok := as[0].RouteTo(2); ok {
-		t.Fatal("route should have expired after 2s idle")
+		t.Fatalf("route should have expired after %vs idle", routeLifetime)
 	}
 	// Traffic still works — it just re-discovers.
 	as[0].Send(2, 0)
-	nw.Run(15)
+	nw.Run(routeLifetime + 13)
 	if count != 2 {
 		t.Fatalf("delivered %d, want 2", count)
 	}
@@ -303,7 +300,7 @@ func TestAODVExpandingRingFindsNearTargetCheaply(t *testing.T) {
 func TestAODVExpandingRingEventuallyReachesFarTarget(t *testing.T) {
 	// A distant destination needs ring escalation 1→3→7→full; the
 	// discovery must still succeed within the retry budget.
-	nw, as := buildAODV(t, AODVConfig{NoHello: true, ExpandingRing: true, DiscoveryTimeout: 0.5}, 15, line(6, 200))
+	nw, as := buildAODV(t, AODVConfig{NoHello: true, ExpandingRing: true}, 15, line(6, 200))
 	count := 0
 	nw.Nodes[5].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(5, 64)

@@ -8,33 +8,9 @@ import (
 	"routeless/internal/sim"
 )
 
-// The sorted-key helpers below are the deterministic iteration surface
-// for every map in this package's digests: FlowKey maps sort by
-// (Origin, Kind, Seq), NodeID maps numerically.
-
-func sortedFlowKeys[V any](m map[packet.FlowKey]V) []packet.FlowKey {
-	keys := make([]packet.FlowKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b packet.FlowKey) int {
-		if a.Origin != b.Origin {
-			return int(a.Origin) - int(b.Origin)
-		}
-		if a.Kind != b.Kind {
-			return int(a.Kind) - int(b.Kind)
-		}
-		if a.Seq != b.Seq {
-			if a.Seq < b.Seq {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	return keys
-}
-
+// sortedNodeKeys is the deterministic iteration surface for the
+// NodeID-keyed maps in this package's digests; FlowKey maps go through
+// packet.SortedFlowKeys.
 func sortedNodeKeys[V any](m map[packet.NodeID]V) []packet.NodeID {
 	keys := make([]packet.NodeID, 0, len(m))
 	for k := range m {
@@ -108,7 +84,7 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 	r.consumed.DigestState(h)
 
 	h.Int(len(r.relays))
-	for _, k := range sortedFlowKeys(r.relays) {
+	for _, k := range packet.SortedFlowKeys(r.relays) {
 		rs := r.relays[k]
 		k.DigestTo(h)
 		h.Byte(byte(rs.phase))
@@ -124,7 +100,7 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 	}
 
 	h.Int(len(r.discPending))
-	for _, k := range sortedFlowKeys(r.discPending) {
+	for _, k := range packet.SortedFlowKeys(r.discPending) {
 		df := r.discPending[k]
 		k.DigestTo(h)
 		h.Bool(df.queued)

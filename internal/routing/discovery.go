@@ -22,6 +22,21 @@ type discovery struct {
 	queue   []pendingData
 }
 
+// The three discovery floods — Routeless Routing's path discovery,
+// AODV's RREQ flood and Gradient Routing's setup flood — share one
+// retry policy and one rebroadcast backoff.
+const (
+	// discoveryTimeout is how long a source waits for a reply before
+	// re-flooding.
+	discoveryTimeout sim.Time = 2
+	// maxDiscoveryRetries bounds re-floods; the data queued behind a
+	// discovery is dropped once they are spent.
+	maxDiscoveryRetries = 3
+	// discoveryBackoff is the upper bound of the uniform delay before a
+	// node rebroadcasts a discovery packet.
+	discoveryBackoff sim.Time = 10e-3
+)
+
 // discoverySet is the shared per-target discovery bookkeeping used by
 // all three routing protocols. The three implementations used to drift
 // on exactly the life-cycle corners this type centralizes: stopping the
@@ -69,13 +84,13 @@ func (s discoverySet) succeed(target packet.NodeID) []pendingData {
 // stopped) and d.queue holds the never-sent data for drop accounting.
 // d == nil means no discovery was pending — a stale firing with nothing
 // to do.
-func (s discoverySet) step(target packet.NodeID, maxRetries int) (d *discovery, retry bool) {
+func (s discoverySet) step(target packet.NodeID) (d *discovery, retry bool) {
 	d, ok := s[target]
 	if !ok {
 		return nil, false
 	}
 	d.retries++
-	if d.retries > maxRetries {
+	if d.retries > maxDiscoveryRetries {
 		d.timer.Stop()
 		delete(s, target)
 		return d, false

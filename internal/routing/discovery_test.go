@@ -15,7 +15,7 @@ import (
 // teaches the source the way back before the timeout.
 
 func TestRRTimeoutFlushesPassivelyLearnedGradient(t *testing.T) {
-	nw, rrs := buildRR(t, RoutelessConfig{DiscoveryTimeout: 1}, 5, line(3, 200))
+	nw, rrs := buildRR(t, RoutelessConfig{}, 5, line(3, 200))
 	got := 0
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { got++ }
 	nw.Nodes[2].Radio.TurnOff()
@@ -40,7 +40,7 @@ func TestRRTimeoutFlushesPassivelyLearnedGradient(t *testing.T) {
 }
 
 func TestAODVTimeoutFlushesPassivelyLearnedRoute(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{NoHello: true, DiscoveryTimeout: 1}, 7, line(2, 150))
+	nw, as := buildAODV(t, AODVConfig{NoHello: true}, 7, line(2, 150))
 	got := 0
 	nw.Nodes[1].OnAppReceive = func(*packet.Packet) { got++ }
 	nw.Nodes[1].Radio.TurnOff()
@@ -65,7 +65,7 @@ func TestAODVTimeoutFlushesPassivelyLearnedRoute(t *testing.T) {
 }
 
 func TestGradientTimeoutFlushesPassivelyLearnedGradient(t *testing.T) {
-	nw, gs := buildGrad(t, GradientConfig{DiscoveryTimeout: 1}, 9, line(3, 200))
+	nw, gs := buildGrad(t, 9, line(3, 200))
 	got := 0
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { got++ }
 	nw.Nodes[2].Radio.TurnOff()

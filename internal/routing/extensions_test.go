@@ -90,7 +90,7 @@ func TestRRSurvivesUnidirectionalLink(t *testing.T) {
 func TestSSAFUnderRayleighFading(t *testing.T) {
 	nw := node.Must(node.New(node.Config{
 		N: 80, Rect: geo.NewRect(900, 900), Seed: 23, EnsureConnected: true,
-		Fader: propagation.Rayleigh{}, FadeMarginDB: 15,
+		Fader: propagation.Rayleigh{},
 	}))
 	delivered := 0
 	nw.Nodes[60].OnAppReceive = func(*packet.Packet) { delivered++ }

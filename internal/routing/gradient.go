@@ -1,50 +1,16 @@
 package routing
 
 import (
-	"routeless/internal/core"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
 )
 
-// GradientConfig parameterizes the simplified Gradient Routing
-// comparator. Zero fields take the noted defaults.
-type GradientConfig struct {
-	// Backoff is the forwarding jitter; default 5 ms.
-	Backoff sim.Time
-	// DiscoveryBackoff is the gradient-setup flood backoff; default 10 ms.
-	DiscoveryBackoff sim.Time
-	// DiscoveryTimeout and MaxDiscoveryRetries mirror Routeless Routing.
-	DiscoveryTimeout    sim.Time
-	MaxDiscoveryRetries int
-	// TTL bounds packet travel; default 32.
-	TTL int
-	// DataSize is the payload bytes; default 512.
-	DataSize int
-}
-
-func (c GradientConfig) withDefaults() GradientConfig {
-	if c.Backoff == 0 {
-		c.Backoff = 5e-3
-	}
-	if c.DiscoveryBackoff == 0 {
-		c.DiscoveryBackoff = 10e-3
-	}
-	if c.DiscoveryTimeout == 0 {
-		c.DiscoveryTimeout = 2
-	}
-	if c.MaxDiscoveryRetries == 0 {
-		c.MaxDiscoveryRetries = 3
-	}
-	if c.TTL == 0 {
-		c.TTL = 32
-	}
-	if c.DataSize == 0 {
-		c.DataSize = packet.SizeData
-	}
-	return c
-}
+// gradientBackoff bounds the uniform jitter before a gradient-qualified
+// node retransmits a reply or data packet. Gradient Routing's discovery
+// flood shares the retry policy and backoff of the other two protocols.
+const gradientBackoff sim.Time = 5e-3
 
 // GradientSeries indexes one cell of a node's Gradient counter block.
 type GradientSeries uint8
@@ -89,8 +55,7 @@ var gradientTable = metrics.Table{
 // criticism — "it makes the network more congested" — is exactly what
 // the ABL4 ablation measures against Routeless Routing.
 type Gradient struct {
-	cfg GradientConfig
-	n   *node.Node
+	n *node.Node
 
 	table       *ActiveTable
 	seq         uint32
@@ -98,7 +63,6 @@ type Gradient struct {
 	fwdDedup    *packet.DedupCache
 	consumed    *packet.DedupCache
 	discovering discoverySet
-	discPolicy  core.BackoffPolicy
 
 	// repairStart records when a discovery first re-flooded for a
 	// target; cleared when the discovery succeeds or gives up.
@@ -114,16 +78,13 @@ type Gradient struct {
 }
 
 // NewGradient builds an instance; install with Network.Install.
-func NewGradient(cfg GradientConfig) *Gradient {
-	cfg = cfg.withDefaults()
+func NewGradient() *Gradient {
 	return &Gradient{
-		cfg:         cfg,
 		table:       NewActiveTable(),
 		floodDedup:  packet.NewDedupCache(8192),
 		fwdDedup:    packet.NewDedupCache(8192),
 		consumed:    packet.NewDedupCache(8192),
 		discovering: make(discoverySet),
-		discPolicy:  core.Uniform{Max: cfg.DiscoveryBackoff},
 		repairStart: make(map[packet.NodeID]sim.Time),
 	}
 }
@@ -158,7 +119,7 @@ func (g *Gradient) Table() *ActiveTable { return g.table }
 // Send implements node.Protocol.
 func (g *Gradient) Send(target packet.NodeID, size int) {
 	if size == 0 {
-		size = g.cfg.DataSize
+		size = packet.SizeData
 	}
 	now := g.n.Kernel.Now()
 	g.stats[GradDataSent].Inc()
@@ -174,7 +135,7 @@ func (g *Gradient) Send(target packet.NodeID, size int) {
 	d, started := g.discovering.ensure(target, g.n.Kernel, func() { g.discoveryTimeout(target) })
 	if started {
 		g.floodDiscovery(target)
-		d.timer.Reset(g.cfg.DiscoveryTimeout)
+		d.timer.Reset(discoveryTimeout)
 	}
 	d.queue = append(d.queue, pendingData{size: size, created: now})
 }
@@ -186,7 +147,7 @@ func (g *Gradient) sendData(target packet.NodeID, size int, created sim.Time) {
 		Kind: packet.KindData, To: packet.Broadcast,
 		Origin: g.n.ID, Target: target, Seq: g.nextSeq(),
 		HopCount: 1, ExpectedHops: g.table.Hops(target),
-		TTL: g.cfg.TTL, Size: size, CreatedAt: created,
+		TTL: packet.HopLimit, Size: size, CreatedAt: created,
 	}, 0)
 }
 
@@ -194,7 +155,7 @@ func (g *Gradient) floodDiscovery(target packet.NodeID) {
 	pkt := &packet.Packet{
 		Kind: packet.KindDiscovery, To: packet.Broadcast,
 		Origin: g.n.ID, Target: target, Seq: g.nextSeq(),
-		HopCount: 1, TTL: g.cfg.TTL, Size: packet.SizeControl,
+		HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
 		CreatedAt: g.n.Kernel.Now(),
 	}
 	g.floodDedup.Seen(pkt.Key())
@@ -214,7 +175,7 @@ func (g *Gradient) discoveryTimeout(target packet.NodeID) {
 		}
 		return
 	}
-	d, retry := g.discovering.step(target, g.cfg.MaxDiscoveryRetries)
+	d, retry := g.discovering.step(target)
 	if d == nil {
 		return
 	}
@@ -229,7 +190,7 @@ func (g *Gradient) discoveryTimeout(target packet.NodeID) {
 		g.repairStart[target] = g.n.Kernel.Now()
 	}
 	g.floodDiscovery(target)
-	d.timer.Reset(g.cfg.DiscoveryTimeout)
+	d.timer.Reset(discoveryTimeout)
 }
 
 // OnDeliver implements node.Protocol.
@@ -249,7 +210,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 				Kind: packet.KindReply, To: packet.Broadcast,
 				Origin: g.n.ID, Target: pkt.Origin, Seq: g.nextSeq(),
 				HopCount: 1, ExpectedHops: g.table.Hops(pkt.Origin),
-				TTL: g.cfg.TTL, Size: packet.SizeControl, CreatedAt: now,
+				TTL: packet.HopLimit, Size: packet.SizeControl, CreatedAt: now,
 			}, 0)
 			return
 		}
@@ -257,7 +218,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 			g.stats[GradTTLDrops].Inc()
 			return
 		}
-		backoff, _ := g.discPolicy.Backoff(core.Context{Rand: g.n.Rng})
+		backoff := sim.Time(g.n.Rng.Float64()) * discoveryBackoff
 		fwd := pkt.Clone()
 		fwd.To = packet.Broadcast
 		fwd.HopCount++
@@ -300,7 +261,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 		fwd.HopCount++
 		fwd.TTL--
 		fwd.ExpectedHops = h
-		backoff := sim.Time(g.n.Rng.Float64()) * g.cfg.Backoff
+		backoff := sim.Time(g.n.Rng.Float64()) * gradientBackoff
 		g.n.Kernel.Schedule(backoff, func() {
 			g.stats[GradForwards].Inc()
 			g.n.MAC.Enqueue(fwd, float64(backoff))

@@ -9,13 +9,13 @@ import (
 	"routeless/internal/sim"
 )
 
-func buildGrad(t *testing.T, cfg GradientConfig, seed int64, positions []geo.Point) (*node.Network, []*Gradient) {
+func buildGrad(t *testing.T, seed int64, positions []geo.Point) (*node.Network, []*Gradient) {
 	t.Helper()
 	nw := node.Must(node.New(node.Config{Positions: positions, Seed: seed}))
 	gs := make([]*Gradient, len(positions))
 	i := 0
 	nw.Install(func(n *node.Node) node.Protocol {
-		g := NewGradient(cfg)
+		g := NewGradient()
 		gs[i] = g
 		i++
 		return g
@@ -24,7 +24,7 @@ func buildGrad(t *testing.T, cfg GradientConfig, seed int64, positions []geo.Poi
 }
 
 func TestGradientDelivers(t *testing.T) {
-	nw, gs := buildGrad(t, GradientConfig{}, 1, line(4, 200))
+	nw, gs := buildGrad(t, 1, line(4, 200))
 	count := 0
 	nw.Nodes[3].OnAppReceive = func(*packet.Packet) { count++ }
 	gs[0].Send(3, 0)
@@ -43,7 +43,7 @@ func TestGradientOnlyCloserNodesForward(t *testing.T) {
 		{X: 400, Y: 0}, // relay (node 2)
 		{X: 600, Y: 0}, // destination (node 3)
 	}
-	nw, gs := buildGrad(t, GradientConfig{}, 2, positions)
+	nw, gs := buildGrad(t, 2, positions)
 	count := 0
 	nw.Nodes[3].OnAppReceive = func(*packet.Packet) { count++ }
 	gs[1].Send(3, 0)
@@ -71,7 +71,7 @@ func TestGradientRedundantForwarders(t *testing.T) {
 		{X: 200, Y: 0}, {X: 200, Y: 40}, {X: 200, Y: -40},
 		{X: 400, Y: 0},
 	}
-	nw, gs := buildGrad(t, GradientConfig{}, 3, positions)
+	nw, gs := buildGrad(t, 3, positions)
 	count := 0
 	nw.Nodes[4].OnAppReceive = func(*packet.Packet) { count++ }
 	gs[0].Send(4, 0)
@@ -102,7 +102,7 @@ func TestGradientVsRoutelessTransmissions(t *testing.T) {
 		{X: 600, Y: 0},
 	}
 	gradFrames := func() uint64 {
-		nw, gs := buildGrad(t, GradientConfig{}, 4, positions)
+		nw, gs := buildGrad(t, 4, positions)
 		for i := 0; i < 5; i++ {
 			at := 1 + float64(i)
 			nw.Kernel.At(sim.Time(at), func() { gs[0].Send(9, 0) })
@@ -126,10 +126,9 @@ func TestGradientVsRoutelessTransmissions(t *testing.T) {
 
 func TestGradientNoRouteGivesUp(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 2500, Y: 0}}
-	cfg := GradientConfig{DiscoveryTimeout: 0.2, MaxDiscoveryRetries: 1}
-	nw, gs := buildGrad(t, cfg, 5, positions)
+	nw, gs := buildGrad(t, 5, positions)
 	gs[0].Send(1, 0)
-	nw.Run(5)
+	nw.Run(10)
 	if gs[0].Count(GradDroppedNoRoute) != 1 {
 		t.Fatalf("DroppedNoRoute = %d, want 1", gs[0].Count(GradDroppedNoRoute))
 	}

@@ -9,45 +9,12 @@ import (
 )
 
 // RoutelessConfig parameterizes the protocol. Zero fields take the
-// noted defaults.
+// noted defaults. Every field is either set by an experiment (Lambda,
+// SignalTieBreak, PathMargin) or one of DESIGN §4's reproduction
+// decisions; the fixed parameters are the constants below.
 type RoutelessConfig struct {
-	// Lambda is the backoff quantum λ of the §4.1 equation; default 10 ms.
+	// Lambda is the backoff quantum λ of the §4.1 equation; default 50 ms.
 	Lambda sim.Time
-	// RelayTimeout is how long a relayer (acting as arbiter) waits to
-	// overhear the next hop before retransmitting; default 200 ms.
-	RelayTimeout sim.Time
-	// MaxRelayRetries bounds arbiter retransmissions; default 2.
-	MaxRelayRetries int
-	// DiscoveryBackoff is the counter-1 flood backoff used for path
-	// discovery packets; default 10 ms.
-	DiscoveryBackoff sim.Time
-	// DiscoveryTimeout is how long a source waits for a path reply
-	// before re-flooding; default 2 s.
-	DiscoveryTimeout sim.Time
-	// MaxDiscoveryRetries bounds re-floods; default 3.
-	MaxDiscoveryRetries int
-	// TTL bounds every packet's hop travel; default 32.
-	TTL int
-	// DataSize is the payload bytes of data packets; default 512.
-	DataSize int
-	// StateTTL is the relay-state garbage-collection age; default 10 s.
-	StateTTL sim.Time
-	// SignalTieBreak makes the within-band tie-break signal-strength
-	// aware (core.GradientSignal) — the metric combination the paper's
-	// conclusion proposes — using the SignalMinDBm/SignalMaxDBm span
-	// below. Off by default: deterministic far-preference clusters all
-	// range-edge candidates at near-zero delay, which *causes* the
-	// simultaneous-announcement collisions §2 warns about (measured in
-	// the ABL2/ABL4 ablations); the paper's uniform draw spreads them.
-	SignalTieBreak bool
-	// SignalMinDBm/SignalMaxDBm span the receive powers mapped onto the
-	// within-band delay; defaults match the free-space 250 m
-	// calibration (decode threshold … power at 25 m).
-	SignalMinDBm, SignalMaxDBm float64
-	// RedundantAcks sends each acknowledgement twice; more robust to
-	// ACK loss but measurably more traffic. With the path budget and
-	// gradient damping in place, single ACKs suffice (ablation knob).
-	RedundantAcks bool
 	// PathMargin bounds every data/reply packet's TTL to the known
 	// distance to its target plus this margin. The budget confines
 	// election-failure debris to the source–target ellipse: any copy
@@ -60,6 +27,18 @@ type RoutelessConfig struct {
 	// values tolerate longer detours around failed nodes at the cost
 	// of slower suppression of election-failure cascades.
 	HopSlack int
+	// SignalTieBreak makes the within-band tie-break signal-strength
+	// aware (core.GradientSignal) — the metric combination the paper's
+	// conclusion proposes — over the signalMinDBm…signalMaxDBm span.
+	// Off by default: deterministic far-preference clusters all
+	// range-edge candidates at near-zero delay, which *causes* the
+	// simultaneous-announcement collisions §2 warns about (measured in
+	// the ABL2/ABL4 ablations); the paper's uniform draw spreads them.
+	SignalTieBreak bool
+	// RedundantAcks sends each acknowledgement twice; more robust to
+	// ACK loss but measurably more traffic. With the path budget and
+	// gradient damping in place, single ACKs suffice (ablation knob).
+	RedundantAcks bool
 	// PlainDiscovery disables duplicate-cancellation on discovery
 	// forwards. By default a node whose discovery rebroadcast is still
 	// pending (or queued) drops it upon overhearing a duplicate — the
@@ -77,47 +56,32 @@ func (c RoutelessConfig) withDefaults() RoutelessConfig {
 		// are reliably cancelled before their timers fire (§4.1).
 		c.Lambda = 50e-3
 	}
-	if c.RelayTimeout == 0 {
-		// Must exceed worst-case backoff plus MAC queueing under load;
-		// a short timeout makes arbiters retransmit into congestion,
-		// amplifying it.
-		c.RelayTimeout = 200e-3
-	}
-	if c.MaxRelayRetries == 0 {
-		c.MaxRelayRetries = 2
-	}
-	if c.DiscoveryBackoff == 0 {
-		c.DiscoveryBackoff = 10e-3
-	}
-	if c.DiscoveryTimeout == 0 {
-		c.DiscoveryTimeout = 2
-	}
-	if c.MaxDiscoveryRetries == 0 {
-		c.MaxDiscoveryRetries = 3
-	}
-	if c.TTL == 0 {
-		c.TTL = 32
-	}
-	if c.DataSize == 0 {
-		c.DataSize = packet.SizeData
-	}
-	if c.StateTTL == 0 {
-		c.StateTTL = 10
-	}
 	if c.HopSlack == 0 {
 		c.HopSlack = 1
 	}
 	if c.PathMargin == 0 {
 		c.PathMargin = 2
 	}
-	if c.SignalMinDBm == 0 {
-		c.SignalMinDBm = -55.1 // free-space decode threshold at 250 m
-	}
-	if c.SignalMaxDBm == 0 {
-		c.SignalMaxDBm = -33.2 // free-space receive power at 25 m
-	}
 	return c
 }
+
+// Routeless Routing's fixed parameters.
+const (
+	// relayTimeout is how long a relayer (acting as arbiter) waits to
+	// overhear the next hop before retransmitting. It must exceed
+	// worst-case backoff plus MAC queueing under load; a short timeout
+	// makes arbiters retransmit into congestion, amplifying it.
+	relayTimeout sim.Time = 200e-3
+	// maxRelayRetries bounds arbiter retransmissions.
+	maxRelayRetries = 2
+	// stateTTL is the relay-state garbage-collection age.
+	stateTTL sim.Time = 10
+	// signalMinDBm/signalMaxDBm span the receive powers SignalTieBreak
+	// maps onto the within-band delay: the free-space decode threshold
+	// at 250 m and the free-space receive power at 25 m.
+	signalMinDBm = -55.1
+	signalMaxDBm = -33.2
+)
 
 // RoutelessSeries indexes one cell of a node's Routeless Routing counter block.
 type RoutelessSeries uint8
@@ -231,8 +195,7 @@ type Routeless struct {
 	discPending map[packet.FlowKey]*discForward
 	discovering discoverySet
 
-	policy     core.BackoffPolicy // hop gradient for reply/data
-	discPolicy core.BackoffPolicy // uniform for discovery floods
+	policy core.BackoffPolicy // hop gradient for reply/data
 
 	sweep *sim.Ticker
 
@@ -240,12 +203,6 @@ type Routeless struct {
 	// (origination, election win, or retransmission) — the Figure 2
 	// trace hook.
 	OnRelay func(pkt *packet.Packet)
-
-	// OnEvent, if set, observes the election state machine: "arm",
-	// "abstain", "stale", "win", "cancel-oh", "cancel-ack", "dequeue",
-	// "retransmit", "giveup", "ack-tx", "consume". For debugging and
-	// protocol studies.
-	OnEvent func(ev string, key packet.FlowKey, hop int)
 
 	stats [numRoutelessSeries]metrics.Counter32
 	// repairLatency spans a relay's first arbiter retransmission to the
@@ -261,7 +218,7 @@ func NewRouteless(cfg RoutelessConfig) *Routeless {
 	if cfg.SignalTieBreak {
 		policy = core.GradientSignal{
 			Lambda: cfg.Lambda,
-			MinDBm: cfg.SignalMinDBm, MaxDBm: cfg.SignalMaxDBm,
+			MinDBm: signalMinDBm, MaxDBm: signalMaxDBm,
 			JitterFrac: 0.25,
 		}
 	} else {
@@ -276,7 +233,6 @@ func NewRouteless(cfg RoutelessConfig) *Routeless {
 		discPending: make(map[packet.FlowKey]*discForward),
 		discovering: make(discoverySet),
 		policy:      policy,
-		discPolicy:  core.Uniform{Max: cfg.DiscoveryBackoff},
 	}
 }
 
@@ -307,12 +263,6 @@ func (r *Routeless) repairDone(st *relayState) {
 	st.repairStart = 0
 }
 
-func (r *Routeless) event(ev string, key packet.FlowKey, hop int) {
-	if r.OnEvent != nil {
-		r.OnEvent(ev, key, hop)
-	}
-}
-
 // Table exposes the active node table (read-mostly; used by tests and
 // experiment instrumentation).
 func (r *Routeless) Table() *ActiveTable { return r.table }
@@ -321,7 +271,7 @@ func (r *Routeless) Table() *ActiveTable { return r.table }
 // discovering a gradient first when none exists.
 func (r *Routeless) Send(target packet.NodeID, size int) {
 	if size == 0 {
-		size = r.cfg.DataSize
+		size = packet.SizeData
 	}
 	now := r.n.Kernel.Now()
 	if target == r.n.ID {
@@ -337,7 +287,7 @@ func (r *Routeless) Send(target packet.NodeID, size int) {
 	d, started := r.discovering.ensure(target, r.n.Kernel, func() { r.discoveryTimeout(target) })
 	if started {
 		r.floodDiscovery(target)
-		d.timer.Reset(r.cfg.DiscoveryTimeout)
+		d.timer.Reset(discoveryTimeout)
 	}
 	d.queue = append(d.queue, pendingData{size: size, created: now})
 }
@@ -345,8 +295,8 @@ func (r *Routeless) Send(target packet.NodeID, size int) {
 // pathBudget converts a known target distance into a TTL.
 func (r *Routeless) pathBudget(h int) int {
 	b := h + r.cfg.PathMargin
-	if b > r.cfg.TTL {
-		b = r.cfg.TTL
+	if b > packet.HopLimit {
+		b = packet.HopLimit
 	}
 	return b
 }
@@ -417,7 +367,7 @@ func (r *Routeless) floodDiscovery(target packet.NodeID) {
 	pkt := &packet.Packet{
 		Kind: packet.KindDiscovery, To: packet.Broadcast,
 		Origin: r.n.ID, Target: target, Seq: r.nextSeq(),
-		HopCount: 1, TTL: r.cfg.TTL,
+		HopCount: 1, TTL: packet.HopLimit,
 		Size: packet.SizeControl, CreatedAt: r.n.Kernel.Now(),
 	}
 	r.floodDedup.Seen(pkt.Key())
@@ -437,7 +387,7 @@ func (r *Routeless) discoveryTimeout(target packet.NodeID) {
 		}
 		return
 	}
-	d, retry := r.discovering.step(target, r.cfg.MaxDiscoveryRetries)
+	d, retry := r.discovering.step(target)
 	if d == nil {
 		return
 	}
@@ -446,7 +396,7 @@ func (r *Routeless) discoveryTimeout(target packet.NodeID) {
 		return
 	}
 	r.floodDiscovery(target)
-	d.timer.Reset(r.cfg.DiscoveryTimeout)
+	d.timer.Reset(discoveryTimeout)
 }
 
 // OnDeliver implements node.Protocol.
@@ -494,7 +444,7 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		r.stats[RRTTLDrops].Inc()
 		return
 	}
-	backoff, _ := r.discPolicy.Backoff(core.Context{Rand: r.n.Rng})
+	backoff := sim.Time(r.n.Rng.Float64()) * discoveryBackoff
 	fwd := pkt.Clone()
 	fwd.To = packet.Broadcast
 	fwd.HopCount++
@@ -524,7 +474,6 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 	if r.relays[key] == nil && pkt.Target != r.n.ID {
 		if ho := r.table.Hops(pkt.Origin); ho >= 0 && pkt.HopCount > ho+r.cfg.HopSlack {
 			r.stats[RRStaleDrops].Inc()
-			r.event("stale", key, pkt.HopCount)
 			return
 		}
 	}
@@ -535,7 +484,6 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			switch pkt.Kind {
 			case packet.KindData:
 				r.stats[RRDataDelivered].Inc()
-				r.event("consume", key, pkt.HopCount)
 				r.n.Deliver(pkt)
 			case packet.KindReply:
 				r.stats[RRRepliesReceived].Inc()
@@ -566,7 +514,6 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			st.timer.Stop()
 			st.phase = phaseDone
 			r.stats[RRCancelledByOverhear].Inc()
-			r.event("cancel-oh", key, pkt.HopCount)
 		}
 	case phaseQueued:
 		if pkt.HopCount >= st.txHop ||
@@ -577,7 +524,6 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			if r.n.MAC.Dequeue(st.inflight) {
 				st.phase = phaseDone
 				r.stats[RRCancelledByOverhear].Inc()
-				r.event("dequeue", key, pkt.HopCount)
 				if pkt.HopCount > st.txHop {
 					// Only possible for a queued retransmission: our
 					// earlier copy did get relayed downstream — finish
@@ -598,7 +544,6 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			st.phase = phaseDone
 			r.repairDone(st)
 			r.stats[RRArbiterAcks].Inc()
-			r.event("ack-tx", key, pkt.HopCount)
 			r.sendAck(key)
 		}
 	case phaseDone:
@@ -619,7 +564,6 @@ func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.Flo
 	// reached within the packet's remaining hop budget.
 	if hops >= 0 && hops >= pkt.TTL {
 		r.stats[RRTTLDrops].Inc()
-		r.event("budget", key, pkt.HopCount)
 		return
 	}
 	backoff, ok := r.policy.Backoff(core.Context{
@@ -631,10 +575,8 @@ func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.Flo
 	})
 	if !ok {
 		r.stats[RRAbstains].Inc()
-		r.event("abstain", key, pkt.HopCount)
 		return
 	}
-	r.event("arm", key, pkt.HopCount)
 	fwd := pkt.Clone()
 	fwd.To = packet.Broadcast
 	fwd.HopCount++
@@ -664,7 +606,6 @@ func (r *Routeless) relayWon(key packet.FlowKey, priority float64) {
 	st.txHop = st.fwd.HopCount
 	st.timer = sim.NewTimer(r.n.Kernel, func() { r.relayTimeout(key) })
 	r.stats[RRRelays].Inc()
-	r.event("win", key, st.txHop)
 	r.enqueueRelay(st, priority)
 }
 
@@ -679,7 +620,7 @@ func (r *Routeless) OnSent(pkt *packet.Packet) {
 		return
 	}
 	st.phase = phaseRelayed
-	st.timer.Reset(r.cfg.RelayTimeout)
+	st.timer.Reset(relayTimeout)
 }
 
 // relayTimeout is the arbiter's "rebroadcast not overheard" path: §4.1
@@ -691,14 +632,12 @@ func (r *Routeless) relayTimeout(key packet.FlowKey) {
 		return
 	}
 	st.retries++
-	if st.retries > r.cfg.MaxRelayRetries {
+	if st.retries > maxRelayRetries {
 		st.phase = phaseDone
 		r.stats[RRRelayGiveUps].Inc()
-		r.event("giveup", key, st.txHop)
 		return
 	}
 	r.stats[RRRetransmissions].Inc()
-	r.event("retransmit", key, st.txHop)
 	if st.repairStart == 0 {
 		st.repairStart = r.n.Kernel.Now()
 	}
@@ -731,7 +670,6 @@ func (r *Routeless) handleAck(pkt *packet.Packet) {
 		st.timer.Stop()
 		st.phase = phaseDone
 		r.stats[RRCancelledByAck].Inc()
-		r.event("cancel-ack", key, st.armedHop)
 	case phaseQueued:
 		if r.n.MAC.Dequeue(st.inflight) {
 			st.phase = phaseDone
@@ -789,13 +727,13 @@ func (r *Routeless) gc() {
 	now := r.n.Kernel.Now()
 	for key, st := range r.relays {
 		age := now - st.created
-		if (st.phase == phaseDone && age > 2) || age > r.cfg.StateTTL {
+		if (st.phase == phaseDone && age > 2) || age > stateTTL {
 			st.timer.Stop()
 			delete(r.relays, key)
 		}
 	}
 	for key, df := range r.discPending {
-		if now-df.created > r.cfg.StateTTL {
+		if now-df.created > stateTTL {
 			df.timer.Stop()
 			delete(r.discPending, key)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"routeless/internal/geo"
+	"routeless/internal/mac"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
@@ -222,15 +223,14 @@ func TestRRNoRouteGivesUp(t *testing.T) {
 	// Destination unreachable (out of range): discovery retries then
 	// drops the queued data.
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 2500, Y: 0}}
-	cfg := RoutelessConfig{DiscoveryTimeout: 0.2, MaxDiscoveryRetries: 2}
-	nw, rrs := buildRR(t, cfg, 9, positions)
+	nw, rrs := buildRR(t, RoutelessConfig{}, 9, positions)
 	rrs[0].Send(2, 0)
 	nw.Run(10)
 	if rrs[0].Count(RRDroppedNoRoute) != 1 {
 		t.Fatalf("DroppedNoRoute = %d, want 1", rrs[0].Count(RRDroppedNoRoute))
 	}
-	if rrs[0].Count(RRDiscoveriesSent) != 3 { // initial + 2 retries
-		t.Fatalf("DiscoveriesSent = %d, want 3", rrs[0].Count(RRDiscoveriesSent))
+	if rrs[0].Count(RRDiscoveriesSent) != 1+maxDiscoveryRetries {
+		t.Fatalf("DiscoveriesSent = %d, want %d", rrs[0].Count(RRDiscoveriesSent), 1+maxDiscoveryRetries)
 	}
 }
 
@@ -274,14 +274,27 @@ func TestRRStateGC(t *testing.T) {
 }
 
 func TestRRTTLBoundsRelaying(t *testing.T) {
-	cfg := RoutelessConfig{TTL: 2}
-	nw, rrs := buildRR(t, cfg, 13, line(4, 200))
+	// The target sits one hop beyond the hop limit: the discovery flood
+	// dies at the node HopLimit hops out and never reaches it.
+	n := packet.HopLimit + 2
+	nw := node.Must(node.New(node.Config{Positions: line(n, 200), Rect: geo.NewRect(float64(n)*200, 100), Seed: 13}))
+	rrs := make([]*Routeless, n)
+	nw.Install(func(nd *node.Node) node.Protocol {
+		rrs[nd.ID] = NewRouteless(RoutelessConfig{})
+		return rrs[nd.ID]
+	})
 	count := 0
-	nw.Nodes[3].OnAppReceive = func(*packet.Packet) { count++ }
-	rrs[0].Send(3, 0)
+	nw.Nodes[n-1].OnAppReceive = func(*packet.Packet) { count++ }
+	rrs[0].Send(packet.NodeID(n-1), 0)
 	nw.Run(10)
 	if count != 0 {
-		t.Fatal("packet crossed 3 hops with TTL 2")
+		t.Fatalf("packet crossed %d hops with TTL %d", n-1, packet.HopLimit)
+	}
+	if rrs[n-2].Count(RRTTLDrops) == 0 {
+		t.Fatalf("node %d hops out never dropped the exhausted discovery", n-2)
+	}
+	if rrs[n-1].Count(RRRepliesSent) != 0 {
+		t.Fatal("the target beyond the hop limit answered a discovery")
 	}
 }
 
@@ -328,6 +341,95 @@ func TestRRConcurrentFlowsShareGradients(t *testing.T) {
 	}
 	if rrs[1].Count(RRDiscoveriesSent) != 0 {
 		t.Fatal("second source re-discovered despite passive gradient")
+	}
+}
+
+// TestRRRedundantAcksDoubleEveryAck: with RedundantAcks every
+// acknowledgement a node decides to send reaches its MAC queue twice;
+// by default once. The ACK frames are what a node enqueued beyond its
+// counted discoveries, replies, data, relays and retransmissions.
+func TestRRRedundantAcksDoubleEveryAck(t *testing.T) {
+	for _, tc := range []struct {
+		cfg    RoutelessConfig
+		copies uint64
+	}{{RoutelessConfig{}, 1}, {RoutelessConfig{RedundantAcks: true}, 2}} {
+		nw, rrs := buildRR(t, tc.cfg, 16, line(4, 200))
+		for i := 0; i < 3; i++ {
+			nw.Kernel.At(sim.Time(1+i), func() { rrs[0].Send(3, 64) })
+		}
+		nw.Run(10)
+		var acks uint64
+		for i, r := range rrs {
+			other := r.Count(RRDiscoveriesSent) + r.Count(RRDiscoveryForwards) + r.Count(RRRepliesSent) +
+				r.Count(RRDataSent) + r.Count(RRRelays) + r.Count(RRRetransmissions)
+			decided := r.Count(RRArbiterAcks) + r.Count(RRTargetAcks)
+			if frames := nw.Nodes[i].MAC.Count(mac.Enqueued) - other; frames != tc.copies*decided {
+				t.Errorf("RedundantAcks=%v: node %d enqueued %d ACK frames for %d acknowledgements, want %d each",
+					tc.cfg.RedundantAcks, i, frames, decided, tc.copies)
+			}
+			acks += decided
+		}
+		if acks == 0 {
+			t.Fatalf("RedundantAcks=%v: no acknowledgements sent", tc.cfg.RedundantAcks)
+		}
+	}
+}
+
+// TestRRPlainDiscoveryNeverCancels: on a dense field the default
+// counter-1 discovery cancels rebroadcasts that overhear a duplicate;
+// PlainDiscovery turns that suppression off.
+func TestRRPlainDiscoveryNeverCancels(t *testing.T) {
+	cancelled := func(cfg RoutelessConfig) uint64 {
+		nw := node.Must(node.New(node.Config{N: 80, Rect: geo.NewRect(900, 900), Seed: 17, EnsureConnected: true}))
+		rrs := make([]*Routeless, 0, 80)
+		nw.Install(func(*node.Node) node.Protocol {
+			r := NewRouteless(cfg)
+			rrs = append(rrs, r)
+			return r
+		})
+		rrs[0].Send(79, 64)
+		nw.Run(5)
+		var sum uint64
+		for _, r := range rrs {
+			sum += r.Count(RRDiscoveryCancelled)
+		}
+		return sum
+	}
+	if got := cancelled(RoutelessConfig{}); got == 0 {
+		t.Fatal("default discovery cancelled no rebroadcast on a dense field")
+	}
+	if got := cancelled(RoutelessConfig{PlainDiscovery: true}); got != 0 {
+		t.Fatalf("PlainDiscovery cancelled %d rebroadcasts, want 0", got)
+	}
+}
+
+// TestRRHopSlackAdmitsLongerDetours: a fresh copy that has traveled two
+// hops more than the receiver's table distance to its origin is refused
+// by the default detour check, and relayed at HopSlack 2.
+func TestRRHopSlackAdmitsLongerDetours(t *testing.T) {
+	for _, tc := range []struct {
+		cfg     RoutelessConfig
+		relayed bool
+	}{{RoutelessConfig{}, false}, {RoutelessConfig{HopSlack: 2}, true}} {
+		nw, rrs := buildRR(t, tc.cfg, 18, line(4, 200))
+		rrs[0].Send(3, 64) // node 1 learns both gradients: 1 hop to 0, 2 to 3
+		nw.Run(5)
+		r := rrs[1]
+		if r.Table().Hops(0) != 1 || r.Table().Hops(3) != 2 {
+			t.Fatalf("node 1 gradients = (%d, %d), want (1, 2)", r.Table().Hops(0), r.Table().Hops(3))
+		}
+		relays, stale := r.Count(RRRelays), r.Count(RRStaleDrops)
+		detour := packet.Packet{Kind: packet.KindData, From: 0, To: packet.Broadcast,
+			Origin: 0, Target: 3, Seq: 1000, HopCount: 1 + 2, ExpectedHops: 2, TTL: 8, Size: 64}
+		r.OnDeliver(&detour, -50)
+		nw.Run(6)
+		gotRelay, gotStale := r.Count(RRRelays)-relays, r.Count(RRStaleDrops)-stale
+		if tc.relayed && (gotRelay != 1 || gotStale != 0) {
+			t.Errorf("HopSlack 2: relays +%d, stale drops +%d; want the detour relayed", gotRelay, gotStale)
+		}
+		if !tc.relayed && (gotRelay != 0 || gotStale != 1) {
+			t.Errorf("default HopSlack: relays +%d, stale drops +%d; want the detour counted stale", gotRelay, gotStale)
+		}
 	}
 }
 

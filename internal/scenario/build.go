@@ -97,7 +97,7 @@ func Installer(proto string, lambda sim.Time, rangeM float64) func(nw *node.Netw
 		acfg := routing.AODVConfig{NoHello: true}
 		factory = func(*node.Node) node.Protocol { return routing.NewAODV(acfg) }
 	case ProtoGradient:
-		factory = func(*node.Node) node.Protocol { return routing.NewGradient(routing.GradientConfig{}) }
+		factory = func(*node.Node) node.Protocol { return routing.NewGradient() }
 	default:
 		// Validate rejects unknown protocols before Build gets here.
 		panic("scenario: unknown protocol " + proto)

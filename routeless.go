@@ -18,11 +18,9 @@
 //
 // # Quickstart
 //
-//	nw := routeless.Must(routeless.NewNetwork(
-//		routeless.WithN(100),
-//		routeless.WithSeed(42),
-//		routeless.WithEnsureConnected(),
-//	))
+//	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
+//		N: 100, Seed: 42, EnsureConnected: true,
+//	}))
 //	nw.Install(func(n *routeless.Node) routeless.Protocol {
 //		return routeless.NewRouteless(routeless.RoutelessConfig{})
 //	})
@@ -30,23 +28,14 @@
 //	nw.Nodes[0].Net.Send(7, 256)
 //	nw.Run(10) // simulated seconds
 //
-// NewNetwork also accepts a full NetworkConfig struct literal — the
-// struct is itself an Option — so both call forms are supported:
-//
-//	nw, err := routeless.NewNetwork(routeless.NetworkConfig{
-//		N: 100, Seed: 42, EnsureConnected: true,
-//	})
-//
 // Deterministic fault injection (crashes, battery drain, link
-// shadowing, jamming) rides along as an option:
+// shadowing, jamming) is installed on the built network, before the
+// protocols:
 //
-//	nw, err := routeless.NewNetwork(
-//		routeless.WithN(100), routeless.WithSeed(42),
-//		routeless.WithFaults(routeless.FaultPlan{
-//			routeless.Crash(0.05),
-//			routeless.Jam(24.5),
-//		}),
-//	)
+//	inj, err := routeless.InstallFaults(nw, routeless.FaultPlan{
+//		routeless.Crash(0.05),
+//		routeless.Jam(24.5),
+//	})
 //
 // See examples/ for runnable programs and DESIGN.md for the system
 // inventory.
@@ -129,87 +118,16 @@ type (
 	FailureProcess = node.FailureProcess
 )
 
-// NetworkConfig describes a network to build. It doubles as an Option:
-// passing a whole struct literal to NewNetwork replaces the accumulated
-// field options, so the original call form keeps working unchanged.
-type NetworkConfig node.Config
+// NetworkConfig describes a network to build; zero fields take the
+// defaults noted on each field.
+type NetworkConfig = node.Config
 
-func (c NetworkConfig) apply(s *netSetup) { s.cfg = node.Config(c) }
-
-// Option configures NewNetwork. Options are applied in order; a
-// NetworkConfig struct literal is itself an Option.
-type Option interface{ apply(s *netSetup) }
-
-// netSetup accumulates NewNetwork options before construction.
-type netSetup struct {
-	cfg    node.Config
-	faults fault.Plan
-}
-
-// optionFunc adapts a function to the Option interface.
-type optionFunc func(*netSetup)
-
-func (f optionFunc) apply(s *netSetup) { f(s) }
-
-// WithN sets the node count (ignored when positions are set).
-func WithN(n int) Option { return optionFunc(func(s *netSetup) { s.cfg.N = n }) }
-
-// WithSeed sets the seed driving every random stream in the network.
-func WithSeed(seed int64) Option { return optionFunc(func(s *netSetup) { s.cfg.Seed = seed }) }
-
-// WithRect sets the terrain.
-func WithRect(r Rect) Option { return optionFunc(func(s *netSetup) { s.cfg.Rect = r }) }
-
-// WithRange sets the calibrated transmission range in meters.
-func WithRange(m float64) Option { return optionFunc(func(s *netSetup) { s.cfg.Range = m }) }
-
-// WithPositions places nodes explicitly instead of uniformly at random.
-func WithPositions(pts []Point) Option {
-	return optionFunc(func(s *netSetup) { s.cfg.Positions = pts })
-}
-
-// WithModel sets the propagation model (default free space).
-func WithModel(m PropagationModel) Option {
-	return optionFunc(func(s *netSetup) { s.cfg.Model = m })
-}
-
-// WithEnsureConnected regenerates random placements until the
-// unit-disk graph is connected.
-func WithEnsureConnected() Option {
-	return optionFunc(func(s *netSetup) { s.cfg.EnsureConnected = true })
-}
-
-// WithFaults installs the fault plan against the network after
-// construction. An empty plan is inert. For access to the injector
-// handle (crash processes, for instance), build the network first and
-// call InstallFaults directly.
-func WithFaults(plan FaultPlan) Option {
-	return optionFunc(func(s *netSetup) { s.faults = plan })
-}
-
-// NewNetwork builds a network from the options. Both call forms work:
-// a single NetworkConfig struct literal, or field options like WithN.
-// It returns an error when construction cannot succeed: non-positive
-// N, no connected placement found under WithEnsureConnected, or an
-// invalid fault plan.
-// Hand-written experiments whose options are literals wrap the call in
-// Must.
-func NewNetwork(opts ...Option) (*Network, error) {
-	var s netSetup
-	for _, o := range opts {
-		o.apply(&s)
-	}
-	nw, err := node.New(s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.faults) > 0 {
-		if _, err := fault.Install(nw, s.faults); err != nil {
-			return nil, err
-		}
-	}
-	return nw, nil
-}
+// NewNetwork builds a network from the config. It returns an error
+// when construction cannot succeed: non-positive N without explicit
+// positions, or no connected placement found under EnsureConnected.
+// Hand-written experiments whose configs are literals wrap the call in
+// Must; a fault plan is installed afterwards with InstallFaults.
+func NewNetwork(cfg NetworkConfig) (*Network, error) { return node.New(cfg) }
 
 // Must unwraps a constructor's result, panicking on its error.
 func Must[T any](v T, err error) T { return node.Must(v, err) }
@@ -248,8 +166,8 @@ var Degrade = fault.Degrade
 var Jam = fault.Jam
 
 // InstallFaults wires a fault plan into a built network and returns
-// the injector handle, or an error for an invalid plan. WithFaults is
-// the option-form equivalent.
+// the injector handle, or an error for an invalid plan. An empty plan
+// is inert.
 var InstallFaults = fault.Install
 
 // Local leader election (§2).
@@ -323,8 +241,6 @@ type (
 	AODVConfig = routing.AODVConfig
 	// Gradient is the simplified §4.4 comparator.
 	Gradient = routing.Gradient
-	// GradientConfig parameterizes it.
-	GradientConfig = routing.GradientConfig
 	// ActiveTable is Routeless Routing's only data structure.
 	ActiveTable = routing.ActiveTable
 )
@@ -336,7 +252,7 @@ func NewRouteless(cfg RoutelessConfig) *Routeless { return routing.NewRouteless(
 func NewAODV(cfg AODVConfig) *AODV { return routing.NewAODV(cfg) }
 
 // NewGradient builds a Gradient Routing instance.
-func NewGradient(cfg GradientConfig) *Gradient { return routing.NewGradient(cfg) }
+func NewGradient() *Gradient { return routing.NewGradient() }
 
 // Propagation models.
 type (

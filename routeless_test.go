@@ -147,43 +147,23 @@ func TestPropagationAPI(t *testing.T) {
 	}
 }
 
-// TestFunctionalOptions pins the façade redesign: the options form and
-// the struct-literal form build identical networks, and WithFaults
-// installs the fault plane.
-func TestFunctionalOptions(t *testing.T) {
-	run := func(nw *routeless.Network) uint64 {
-		nw.Install(func(n *routeless.Node) routeless.Protocol {
-			return routeless.NewRouteless(routeless.RoutelessConfig{})
-		})
-		nw.Nodes[0].Net.Send(20, 64)
-		nw.Run(5)
-		return nw.Kernel.Processed()
-	}
-	literal := run(routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
+// TestInstallFaultsAPI installs the fault plane through the façade on
+// a built network: the plan crashes nodes and the run still satisfies
+// every conservation law.
+func TestInstallFaultsAPI(t *testing.T) {
+	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 40, Rect: routeless.NewRect(700, 700), Seed: 9, EnsureConnected: true,
-	})))
-	options := run(routeless.Must(routeless.NewNetwork(
-		routeless.WithN(40),
-		routeless.WithRect(routeless.NewRect(700, 700)),
-		routeless.WithSeed(9),
-		routeless.WithEnsureConnected(),
-	)))
-	if literal != options {
-		t.Fatalf("options form diverged from struct literal: %d vs %d events", literal, options)
-	}
-
-	nw := routeless.Must(routeless.NewNetwork(
-		routeless.WithN(40),
-		routeless.WithRect(routeless.NewRect(700, 700)),
-		routeless.WithSeed(9),
-		routeless.WithEnsureConnected(),
-		routeless.WithFaults(routeless.FaultPlan{routeless.Crash(0.3)}),
-	))
-	run(nw)
+	}))
+	routeless.Must(routeless.InstallFaults(nw, routeless.FaultPlan{routeless.Crash(0.3)}))
+	nw.Install(func(n *routeless.Node) routeless.Protocol {
+		return routeless.NewRouteless(routeless.RoutelessConfig{})
+	})
+	nw.Nodes[0].Net.Send(20, 64)
+	nw.Run(5)
 	if nw.Metrics.Snapshot().Count("fault.crashes") == 0 {
-		t.Fatal("WithFaults never crashed a node")
+		t.Fatal("InstallFaults never crashed a node")
 	}
 	if err := nw.CheckInvariants(); err != nil {
-		t.Fatalf("invariants violated under WithFaults plan: %v", err)
+		t.Fatalf("invariants violated under the fault plan: %v", err)
 	}
 }
