@@ -37,7 +37,7 @@ type Elector struct {
 	medium Medium
 	policy BackoffPolicy
 
-	backoff *sim.Timer
+	bid     Contender
 	round   uint32
 	ctx     Context
 	decided bool
@@ -66,7 +66,8 @@ const (
 // NewElector builds an elector for node id using the given policy.
 func NewElector(k *sim.Kernel, id packet.NodeID, medium Medium, policy BackoffPolicy) *Elector {
 	e := &Elector{id: id, kernel: k, medium: medium, policy: policy}
-	e.backoff = sim.NewTimer(k, e.announce)
+	e.bid.Init(k, e.announce)
+	e.bid.Phase = Done // no round yet: nothing to cancel
 	return e
 }
 
@@ -106,14 +107,15 @@ func (e *Elector) beginRound(round uint32, ctx Context) {
 	d, ok := e.policy.Backoff(e.ctx)
 	if !ok {
 		e.stats[Abstained].Inc()
-		e.backoff.Stop()
+		e.bid.Stop()
 		return
 	}
-	e.backoff.Reset(d)
+	e.bid.Arm(d)
 }
 
 // announce fires when the backoff expires uncancelled: claim leadership.
 func (e *Elector) announce() {
+	e.bid.Phase = Done
 	e.decided = true
 	e.stats[Announces].Inc()
 	e.outcome = Outcome{Round: e.round, Leader: e.id, Won: true}
@@ -133,8 +135,7 @@ func (e *Elector) Handle(from packet.NodeID, msg Message) {
 		if msg.Round != e.round || e.decided {
 			return
 		}
-		if e.backoff.Pending() {
-			e.backoff.Stop()
+		if e.bid.Withdraw(nil, nil) {
 			e.stats[Cancels].Inc()
 		}
 		e.decided = true
@@ -144,8 +145,7 @@ func (e *Elector) Handle(from packet.NodeID, msg Message) {
 		if msg.Round != e.round {
 			return
 		}
-		if e.backoff.Pending() {
-			e.backoff.Stop()
+		if e.bid.Withdraw(nil, nil) {
 			e.stats[AckCancels].Inc()
 		}
 		if !e.decided {
@@ -162,7 +162,7 @@ func (e *Elector) report() {
 	}
 }
 
-// Outcome returns the node's view of the current round.
+// Current returns the node's view of the current round.
 func (e *Elector) Current() Outcome { return e.outcome }
 
 // Arbiter implements §2's reliability extension: a node within range of

@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"routeless/internal/core"
 	"routeless/internal/digest"
 	"routeless/internal/packet"
 )
@@ -16,7 +17,7 @@ func (f *Flooding) DigestState(h *digest.Hash) {
 	for _, k := range packet.SortedFlowKeys(f.pending) {
 		pf := f.pending[k]
 		k.DigestTo(h)
-		h.Bool(pf.queued)
+		h.Bool(pf.Phase == core.Queued)
 		// Always true, since the rebroadcast is held by value; the flag
 		// stays because it is part of the snapshot digest's layout.
 		h.Bool(true)

@@ -109,7 +109,8 @@ type Flooding struct {
 	dedup packet.DedupCache
 	// pending maps logical packets to their armed rebroadcasts, used
 	// by the Cancel variant: cancellation can strike while the backoff
-	// timer runs or while the frame waits in the MAC queue.
+	// timer runs or while the frame waits in the MAC queue
+	// (core.Contender.Withdraw).
 	pending map[packet.FlowKey]*pendingForward
 
 	// OnForward, if set, observes every rebroadcast (for tracing).
@@ -118,25 +119,23 @@ type Flooding struct {
 	stats [numSeries]metrics.Counter32
 }
 
-// pendingForward is one armed rebroadcast. The backoff timer and the
-// rebroadcast itself are held by value (sim.InitTimer; the MAC queues
-// &pf.fwd), so arming costs one object, not a Timer, a closure and a
-// packet beside it; pendingForwards are never copied.
+// pendingForward is one armed rebroadcast: the node's election bid and
+// the rebroadcast itself, both held by value (the MAC queues &pf.fwd),
+// so arming costs one object, not a Timer, a closure and a packet
+// beside it; pendingForwards are never copied.
 type pendingForward struct {
-	f       *Flooding
-	timer   sim.Timer
-	fwd     packet.Packet
-	backoff sim.Time
-	queued  bool
+	core.Contender
+	f   *Flooding
+	fwd packet.Packet
 }
 
 // fire is the backoff expiry: hand the rebroadcast to the MAC.
 func (pf *pendingForward) fire() {
-	pf.queued = true
+	pf.Phase = core.Queued
 	if !pf.f.cfg.Cancel {
 		delete(pf.f.pending, pf.fwd.Key())
 	}
-	pf.f.transmit(&pf.fwd, float64(pf.backoff))
+	pf.f.transmit(&pf.fwd, float64(pf.Backoff))
 }
 
 // New builds a flooding instance; install it with Network.Install. cfg
@@ -205,18 +204,9 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	if f.dedup.Seen(key) {
 		f.stats[Duplicates].Inc()
 		if f.cfg.Cancel {
-			if pf, ok := f.pending[key]; ok {
-				cancelled := false
-				if pf.queued {
-					cancelled = f.n.MAC.Dequeue(&pf.fwd)
-				} else {
-					pf.timer.Stop()
-					cancelled = true
-				}
-				if cancelled {
-					delete(f.pending, key)
-					f.stats[Cancelled].Inc()
-				}
+			if pf, ok := f.pending[key]; ok && pf.Withdraw(f.n.MAC, &pf.fwd) {
+				delete(f.pending, key)
+				f.stats[Cancelled].Inc()
 			}
 		}
 		return
@@ -264,13 +254,13 @@ func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	if !ok {
 		return
 	}
-	pf := &pendingForward{f: f, fwd: forwardOf(pkt), backoff: backoff}
-	sim.InitTimer(&pf.timer, f.n.Kernel, pf.fire)
+	pf := &pendingForward{f: f, fwd: forwardOf(pkt)}
+	pf.Init(f.n.Kernel, pf.fire)
 	if f.pending == nil {
 		f.pending = make(map[packet.FlowKey]*pendingForward)
 	}
 	f.pending[pkt.Key()] = pf
-	pf.timer.Reset(backoff)
+	pf.Arm(backoff)
 }
 
 // forwardOf returns the rebroadcast of a received pkt: one hop further,

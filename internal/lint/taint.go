@@ -71,7 +71,6 @@ var baseSinks = []struct {
 	{"internal/sim.(Kernel).At", sinkSchedule},
 	{"internal/sim.NewTimer", sinkSchedule},
 	{"internal/sim.(Timer).Reset", sinkSchedule},
-	{"internal/sim.(Timer).ResetAt", sinkSchedule},
 	{"internal/metrics.(Journal).Write", sinkJournal},
 	// Counter.Inc/Add are deliberately absent: uint64 addition is
 	// commutative, so the final count is identical under any iteration

@@ -3,6 +3,7 @@ package routing
 import (
 	"slices"
 
+	"routeless/internal/core"
 	"routeless/internal/digest"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
@@ -87,12 +88,14 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 	for _, k := range packet.SortedFlowKeys(r.relays) {
 		rs := r.relays[k]
 		k.DigestTo(h)
-		h.Byte(byte(rs.phase))
+		h.Byte(byte(rs.Phase))
 		h.Int(rs.armedHop)
 		h.Int64(int64(rs.armedFrom))
 		h.Int(rs.txHop)
 		h.Int(rs.retries)
-		h.Int(rs.reAcks)
+		// Always zero: nothing re-acknowledges since the detour check;
+		// the word stays because it is part of the snapshot digest's layout.
+		h.Int(0)
 		h.Float64(float64(rs.created))
 		h.Float64(float64(rs.repairStart))
 		digestPkt(h, rs.fwd)
@@ -103,7 +106,7 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 	for _, k := range packet.SortedFlowKeys(r.discPending) {
 		df := r.discPending[k]
 		k.DigestTo(h)
-		h.Bool(df.queued)
+		h.Bool(df.Phase == core.Queued)
 		h.Float64(float64(df.created))
 		digestPkt(h, df.fwd)
 	}

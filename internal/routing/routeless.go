@@ -140,29 +140,21 @@ var routelessTable = metrics.Table{
 	Hists: []string{"rr.repair_latency_s"},
 }
 
-type relayPhase uint8
-
-const (
-	phasePending relayPhase = iota // backoff armed, may be cancelled
-	phaseQueued                    // won the election; frame in the MAC queue
-	phaseRelayed                   // frame left the air; arbiter duty active
-	phaseDone                      // acked, superseded, or given up
-)
-
-// relayState is the per-logical-packet election state machine:
-// Pending → Queued → Relayed → Done. Cancellation can strike in
-// Pending (stop the timer) and in Queued (withdraw the frame from the
-// MAC queue) — §2's backoff cancellation covers the whole pre-air path.
+// relayState is the per-logical-packet election state machine, a
+// core.Contender's Pending → Queued → OnAir → Done. Cancellation can
+// strike in Pending (stop the timer) and in Queued (withdraw the frame
+// from the MAC queue) — §2's backoff cancellation covers the whole
+// pre-air path. Once the frame is OnAir the same timer runs the
+// arbiter's retransmission timeout.
 type relayState struct {
-	phase     relayPhase
+	core.Contender
+	r         *Routeless
 	armedHop  int            // hop count of the copy that armed our backoff
 	armedFrom packet.NodeID  // transmitter of that copy (our arbiter)
 	txHop     int            // hop count we (will) transmit with
 	fwd       *packet.Packet // master copy for (re)transmission
 	inflight  *packet.Packet // the exact frame handed to the MAC
-	timer     *sim.Timer
 	retries   int
-	reAcks    int
 	created   sim.Time
 
 	// repairStart is when the first retransmission for this relay fired;
@@ -170,12 +162,21 @@ type relayState struct {
 	repairStart sim.Time
 }
 
+// fire is the relay's one timer: in Pending the backoff expired and we
+// won; OnAir it is the arbiter's retransmission timeout.
+func (st *relayState) fire() {
+	if st.Phase == core.Pending {
+		st.r.relayWon(st)
+	} else {
+		st.r.relayTimeout(st)
+	}
+}
+
 // discForward tracks one pending discovery rebroadcast so that a
 // duplicate overheard in time can cancel it (counter-1 suppression).
 type discForward struct {
-	timer   *sim.Timer
+	core.Contender
 	fwd     *packet.Packet
-	queued  bool
 	created sim.Time
 }
 
@@ -341,15 +342,15 @@ func (r *Routeless) sendReply(source packet.NodeID) {
 // for the first hop starts when the frame actually leaves the air
 // (OnSent).
 func (r *Routeless) originate(pkt *packet.Packet) {
-	key := pkt.Key()
 	st := &relayState{
-		phase:   phaseQueued,
+		r:       r,
 		txHop:   pkt.HopCount,
 		fwd:     pkt.Clone(),
 		created: r.n.Kernel.Now(),
 	}
-	st.timer = sim.NewTimer(r.n.Kernel, func() { r.relayTimeout(key) })
-	r.relays[key] = st
+	st.Init(r.n.Kernel, st.fire)
+	st.Phase = core.Queued
+	r.relays[pkt.Key()] = st
 	r.enqueueRelay(st, 0)
 }
 
@@ -420,18 +421,9 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		if !r.cfg.PlainDiscovery {
 			// Counter-1 suppression: a duplicate overheard before our
 			// rebroadcast reaches the air cancels it.
-			if df, ok := r.discPending[key]; ok {
-				cancelled := false
-				if df.queued {
-					cancelled = r.n.MAC.Dequeue(df.fwd)
-				} else {
-					df.timer.Stop()
-					cancelled = true
-				}
-				if cancelled {
-					delete(r.discPending, key)
-					r.stats[RRDiscoveryCancelled].Inc()
-				}
+			if df, ok := r.discPending[key]; ok && df.Withdraw(r.n.MAC, df.fwd) {
+				delete(r.discPending, key)
+				r.stats[RRDiscoveryCancelled].Inc()
 			}
 		}
 		return
@@ -444,19 +436,19 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		r.stats[RRTTLDrops].Inc()
 		return
 	}
-	backoff := sim.Time(r.n.Rng.Float64()) * discoveryBackoff
+	backoff, _ := core.Uniform{Max: discoveryBackoff}.Backoff(core.Context{Rand: r.n.Rng})
 	fwd := pkt.Clone()
 	fwd.To = packet.Broadcast
 	fwd.HopCount++
 	fwd.TTL--
 	df := &discForward{fwd: fwd, created: now}
-	df.timer = sim.NewTimer(r.n.Kernel, func() {
-		df.queued = true
+	df.Init(r.n.Kernel, func() {
+		df.Phase = core.Queued
 		r.stats[RRDiscoveryForwards].Inc()
-		r.n.MAC.Enqueue(fwd, float64(backoff))
+		r.n.MAC.Enqueue(df.fwd, float64(df.Backoff))
 	})
 	r.discPending[key] = df
-	df.timer.Reset(backoff)
+	df.Arm(backoff)
 }
 
 func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
@@ -502,8 +494,8 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 		r.armRelay(pkt, rssiDBm, key, now)
 		return
 	}
-	switch st.phase {
-	case phasePending:
+	switch st.Phase {
+	case core.Pending:
 		if pkt.HopCount > st.armedHop ||
 			(pkt.HopCount == st.armedHop && pkt.From != st.armedFrom) {
 			// Someone at or ahead of our ring relayed this packet: we
@@ -511,18 +503,16 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			// equal-hop copy from the node we armed from is the arbiter
 			// retransmitting — then we keep competing; from anyone else
 			// it is a sibling's relay carrying the packet onward.
-			st.timer.Stop()
-			st.phase = phaseDone
+			st.Stop()
 			r.stats[RRCancelledByOverhear].Inc()
 		}
-	case phaseQueued:
+	case core.Queued:
 		if pkt.HopCount >= st.txHop ||
 			(pkt.HopCount == st.armedHop && pkt.From != st.armedFrom) {
 			// A node at or beyond our level transmitted while our frame
 			// sat in the MAC queue: withdraw it if it has not reached
 			// the air yet.
-			if r.n.MAC.Dequeue(st.inflight) {
-				st.phase = phaseDone
+			if st.Withdraw(r.n.MAC, st.inflight) {
 				r.stats[RRCancelledByOverhear].Inc()
 				if pkt.HopCount > st.txHop {
 					// Only possible for a queued retransmission: our
@@ -533,20 +523,19 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 					r.sendAck(key)
 				}
 			}
-			// Dequeue failure means the frame is on the air; OnSent
-			// will promote us to Relayed and the usual rules apply.
+			// Withdraw failure means the frame is on the air; OnSent
+			// will promote us to OnAir and the usual rules apply.
 		}
-	case phaseRelayed:
+	case core.OnAir:
 		if pkt.HopCount > st.txHop {
 			// Our transmission was relayed onward: arbiter duty —
 			// acknowledge so nodes that missed the relay stand down.
-			st.timer.Stop()
-			st.phase = phaseDone
+			st.Stop()
 			r.repairDone(st)
 			r.stats[RRArbiterAcks].Inc()
 			r.sendAck(key)
 		}
-	case phaseDone:
+	case core.Done:
 		// Stale traffic for a settled packet; nothing to do. (Nodes
 		// that never saw the packet are protected from joining a
 		// runaway copy by the detour check in armRelay.)
@@ -583,30 +572,25 @@ func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.Flo
 	fwd.TTL--
 	fwd.ExpectedHops = hops - 1
 	st := &relayState{
-		phase:     phasePending,
+		r:         r,
 		armedHop:  pkt.HopCount,
 		armedFrom: pkt.From,
 		fwd:       fwd,
 		created:   now,
 	}
-	st.timer = sim.NewTimer(r.n.Kernel, func() { r.relayWon(key, float64(backoff)) })
+	st.Init(r.n.Kernel, st.fire)
 	r.relays[key] = st
-	st.timer.Reset(backoff)
+	st.Arm(backoff)
 }
 
 // relayWon fires when our backoff expired uncancelled: we are the local
 // leader for this hop. Queue the frame; arbiter duty begins when it
 // leaves the air.
-func (r *Routeless) relayWon(key packet.FlowKey, priority float64) {
-	st := r.relays[key]
-	if st == nil || st.phase != phasePending {
-		return
-	}
-	st.phase = phaseQueued
+func (r *Routeless) relayWon(st *relayState) {
+	st.Phase = core.Queued
 	st.txHop = st.fwd.HopCount
-	st.timer = sim.NewTimer(r.n.Kernel, func() { r.relayTimeout(key) })
 	r.stats[RRRelays].Inc()
-	r.enqueueRelay(st, priority)
+	r.enqueueRelay(st, float64(st.Backoff))
 }
 
 // OnSent implements node.Protocol: when a queued relay frame leaves the
@@ -616,24 +600,20 @@ func (r *Routeless) OnSent(pkt *packet.Packet) {
 		return
 	}
 	st := r.relays[pkt.Key()]
-	if st == nil || st.phase != phaseQueued || st.inflight != pkt {
+	if st == nil || st.Phase != core.Queued || st.inflight != pkt {
 		return
 	}
-	st.phase = phaseRelayed
-	st.timer.Reset(relayTimeout)
+	st.Phase = core.OnAir
+	st.Timer.Reset(relayTimeout)
 }
 
 // relayTimeout is the arbiter's "rebroadcast not overheard" path: §4.1
 // "If the rebroadcast is not overheard within a certain time, the
 // destination node will retransmit the same packet."
-func (r *Routeless) relayTimeout(key packet.FlowKey) {
-	st := r.relays[key]
-	if st == nil || st.phase != phaseRelayed {
-		return
-	}
+func (r *Routeless) relayTimeout(st *relayState) {
 	st.retries++
 	if st.retries > maxRelayRetries {
-		st.phase = phaseDone
+		st.Phase = core.Done
 		r.stats[RRRelayGiveUps].Inc()
 		return
 	}
@@ -641,7 +621,7 @@ func (r *Routeless) relayTimeout(key packet.FlowKey) {
 	if st.repairStart == 0 {
 		st.repairStart = r.n.Kernel.Now()
 	}
-	st.phase = phaseQueued
+	st.Phase = core.Queued
 	r.enqueueRelay(st, 0)
 }
 
@@ -655,30 +635,25 @@ func (r *Routeless) handleAck(pkt *packet.Packet) {
 	if st == nil {
 		// Immunization: we heard the packet was settled before ever
 		// seeing a copy of it. Remember that, so a late (possibly
-		// circuitous) copy arriving afterwards cannot recruit us.
+		// circuitous) copy arriving afterwards cannot recruit us. Its
+		// contender is never armed: nothing to stop, and the zero
+		// Phase is Pending, so Done is set here.
 		r.relays[key] = &relayState{
-			phase:   phaseDone,
-			created: r.n.Kernel.Now(),
-			timer:   sim.NewTimer(r.n.Kernel, func() {}),
+			Contender: core.Contender{Phase: core.Done},
+			created:   r.n.Kernel.Now(),
 		}
 		return
 	}
-	switch st.phase {
-	case phasePending:
+	switch st.Phase {
+	case core.Pending, core.Queued:
 		// §4.1 cancellation case (ii): an ACK means the packet was
 		// relayed (or arrived); stand down.
-		st.timer.Stop()
-		st.phase = phaseDone
-		r.stats[RRCancelledByAck].Inc()
-	case phaseQueued:
-		if r.n.MAC.Dequeue(st.inflight) {
-			st.phase = phaseDone
+		if st.Withdraw(r.n.MAC, st.inflight) {
 			r.repairDone(st)
 			r.stats[RRCancelledByAck].Inc()
 		}
-	case phaseRelayed:
-		st.timer.Stop()
-		st.phase = phaseDone
+	case core.OnAir:
+		st.Stop()
 		r.repairDone(st)
 	}
 }
@@ -727,14 +702,14 @@ func (r *Routeless) gc() {
 	now := r.n.Kernel.Now()
 	for key, st := range r.relays {
 		age := now - st.created
-		if (st.phase == phaseDone && age > 2) || age > stateTTL {
-			st.timer.Stop()
+		if (st.Phase == core.Done && age > 2) || age > stateTTL {
+			st.Stop()
 			delete(r.relays, key)
 		}
 	}
 	for key, df := range r.discPending {
 		if now-df.created > stateTTL {
-			df.timer.Stop()
+			df.Stop()
 			delete(r.discPending, key)
 		}
 	}

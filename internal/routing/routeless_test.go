@@ -456,3 +456,48 @@ func TestTableIsTheSchema(t *testing.T) {
 		}
 	}
 }
+
+func TestRRAckImmunizesAgainstLateCopies(t *testing.T) {
+	// Node 1 knows the target, so a data copy recruits it — unless it
+	// heard the packet's ACK first. The control leg shows the copy
+	// would otherwise win the election.
+	for _, immunized := range []bool{false, true} {
+		nw, rrs := buildRR(t, RoutelessConfig{}, 14, line(3, 200))
+		r := rrs[1]
+		r.table.Observe(2, 1, 1, 0)
+		if immunized {
+			r.OnDeliver(&packet.Packet{
+				Kind: packet.KindAck, To: packet.Broadcast,
+				Origin: 0, Seq: 7, Payload: packet.KindData, Size: packet.SizeAck,
+			}, -50)
+		}
+		r.OnDeliver(&packet.Packet{
+			Kind: packet.KindData, To: packet.Broadcast, From: 0,
+			Origin: 0, Target: 2, Seq: 7, HopCount: 1, ExpectedHops: 1,
+			TTL: 4, Size: packet.SizeData,
+		}, -50)
+		nw.Run(1)
+		relays, enqueued := r.Count(RRRelays), nw.Nodes[1].MAC.Count(mac.Enqueued)
+		if !immunized {
+			if relays != 1 || enqueued == 0 {
+				t.Fatalf("control: %d relays, %d enqueued; the copy should have won", relays, enqueued)
+			}
+			continue
+		}
+		if relays != 0 || enqueued != 0 {
+			t.Fatalf("immunized node relayed %d times and enqueued %d frames, want 0 and 0", relays, enqueued)
+		}
+		if len(r.relays) != 1 {
+			t.Fatalf("%d relay entries, want the one immunized entry", len(r.relays))
+		}
+		r.gc() // age 1 s: a settled entry is kept for 2 s
+		if len(r.relays) != 1 {
+			t.Fatal("gc dropped the immunized entry before it was 2 s old")
+		}
+		nw.Run(3) // before the first periodic sweep at 5–6 s
+		r.gc()
+		if len(r.relays) != 0 {
+			t.Fatal("gc kept the immunized entry past 2 s")
+		}
+	}
+}

@@ -50,15 +50,11 @@ func (t Time) Seconds() float64 { return float64(t) }
 // Event is a scheduled callback. Events are owned by the Kernel; user
 // code holds *Event only to cancel or inspect it.
 type Event struct {
-	at     Time
 	fn     func()
 	index  int // position in the heap, -1 when not queued
 	kernel *Kernel
 	cursor bool // scheduled by AtCursor: stays queued while fn runs
 }
-
-// At returns the time the event is (or was) scheduled to fire.
-func (e *Event) At() Time { return e.at }
 
 // Pending reports whether the event is still queued to fire.
 func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
@@ -322,7 +318,6 @@ func (k *Kernel) Rekey(key EventKey) {
 	if !k.events[i].Before(key) {
 		panic(fmt.Sprintf("sim: Rekey to %v, not after %v", key, k.events[i].EventKey))
 	}
-	e.at = key.At
 	k.events[i].EventKey = key
 	k.siftDown(i)
 	k.rekeyed = true
@@ -347,7 +342,6 @@ func (k *Kernel) push(key EventKey, fn func()) *Event {
 	if k.pool.live > k.pool.peak {
 		k.pool.peak = k.pool.live
 	}
-	e.at = key.At
 	e.fn = fn
 	e.kernel = k
 	e.index = len(k.events)

@@ -12,7 +12,6 @@ type Timer struct {
 	fn     func()
 	fireFn func() // t.fire bound once; rebinding per Reset would allocate
 	ev     *Event
-	fires  uint64
 }
 
 // NewTimer returns a stopped timer that runs fn on expiry.
@@ -41,15 +40,8 @@ func (t *Timer) Reset(delay Time) {
 	t.ev = t.kernel.Schedule(delay, t.fireFn)
 }
 
-// ResetAt (re)schedules the timer to fire at absolute time at.
-func (t *Timer) ResetAt(at Time) {
-	t.Stop()
-	t.ev = t.kernel.At(at, t.fireFn)
-}
-
 func (t *Timer) fire() {
 	t.ev = nil
-	t.fires++
 	t.fn()
 }
 
@@ -60,22 +52,6 @@ func (t *Timer) Stop() {
 		t.ev = nil
 	}
 }
-
-// Pending reports whether the timer is scheduled to fire.
-func (t *Timer) Pending() bool { return t.ev.Pending() }
-
-// Deadline returns the time of the pending expiry; it is only
-// meaningful when Pending is true.
-func (t *Timer) Deadline() Time {
-	if t.ev == nil {
-		return Infinity
-	}
-	return t.ev.At()
-}
-
-// Fires returns how many times the timer has expired (not counting
-// stopped or reset schedules). Useful in tests and retry counters.
-func (t *Timer) Fires() uint64 { return t.fires }
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
 // Protocol beacons (AODV hello messages, CBR sources) are tickers.
@@ -110,14 +86,3 @@ func (t *Ticker) StartAfter(delay Time) { t.timer.Reset(delay) }
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() { t.timer.Stop() }
-
-// Pending reports whether a tick is scheduled.
-func (t *Ticker) Pending() bool { return t.timer.Pending() }
-
-// SetPeriod changes the period used for ticks scheduled after the call.
-func (t *Ticker) SetPeriod(p Time) {
-	if p <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t.period = p
-}
