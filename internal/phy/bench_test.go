@@ -114,6 +114,9 @@ func TestFanoutAllocBudget(t *testing.T) {
 // build knows its receiver count before it writes a link, so it sizes
 // the list in one allocation instead of growing it by doubling, and a
 // rebuild after a MoveTo that still fits the list allocates nothing.
+// The id bitset and the firing-order buffers are the channel's Pools'
+// reused scratch, so neither order costs an allocation per build, and
+// the bitset is left clear for the next grid query.
 func TestLinkBuildAllocatesOnce(t *testing.T) {
 	const side = 20
 	k := sim.NewKernel(1)
@@ -147,5 +150,49 @@ func TestLinkBuildAllocatesOnce(t *testing.T) {
 	})
 	if rebuild != 0 || len(ch.links[src]) != n {
 		t.Fatalf("a rebuild of %d links after MoveTo allocates %.0f objects, want 0", len(ch.links[src]), rebuild)
+	}
+	if cap(ch.pools.ranks.out) < n {
+		t.Fatalf("the firing-order scratch holds %d keys after ranking %d links", cap(ch.pools.ranks.out), n)
+	}
+	if !ch.pools.ids.clear() {
+		t.Fatal("the id bitset is not all zero after a build")
+	}
+}
+
+// BenchmarkBuildLinks times the link-cache miss path alone — grid
+// query, id order, propagation math and firing rank — per build, on two
+// shapes the benchmark's workloads rebuild links in: a Figure-1-density
+// lattice without fading, and churn_mobile's 200 nodes on 1 200 m under
+// Rayleigh fading with its 12 dB margin, which puts all the others
+// inside the cutoff.
+func BenchmarkBuildLinks(b *testing.B) {
+	model := propagation.NewFreeSpace()
+	params := DefaultParams(model, 250)
+	latticeRect, latticePts := lattice(20)
+	churnRect := geo.NewRect(1200, 1200)
+	for _, bc := range []struct {
+		name string
+		rect geo.Rect
+		pts  []geo.Point
+		cfg  ChannelConfig
+	}{
+		{"lattice", latticeRect, latticePts, ChannelConfig{Model: model}},
+		{"all_in_range_fading", churnRect, geo.UniformPoints(rng.New(1, rng.StreamTopology), churnRect, 200),
+			ChannelConfig{Model: model, Fader: propagation.Rayleigh{}, FadeMarginDB: 12, Rng: rng.New(1, rng.StreamChannel)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ch := NewChannel(sim.NewKernel(1), bc.rect, bc.pts, params, bc.cfg)
+			n := len(bc.pts)
+			links := 0
+			for i := range n {
+				links += len(ch.buildLinks(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch.buildLinks(i % n)
+			}
+			b.ReportMetric(float64(links)/float64(n), "links/build")
+		})
 	}
 }

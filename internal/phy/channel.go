@@ -34,12 +34,12 @@ type link struct {
 // its own event at the true propagation delay (see transmission).
 //
 // The hot path — transmit — runs off a per-node link cache: the
-// id-sorted receivers within the cutoff, with mean power, propagation
+// id-ordered receivers within the cutoff, with mean power, propagation
 // delay and firing order precomputed. Caches build lazily
 // on a node's first transmission and are invalidated per node by MoveTo
 // and SetTxPower, so static topologies (the paper's scenarios) pay the
-// grid query, sorts, and log/pow propagation math exactly once per
-// transmitter.
+// grid query, the id and firing-order passes, and the log/pow
+// propagation math exactly once per transmitter.
 type Channel struct {
 	model  propagation.Model
 	fader  propagation.Fader
@@ -102,7 +102,6 @@ type Channel struct {
 	pendingStarts int
 
 	scratch []int
-	order   []uint64 // buildLinks' sort keys
 
 	// links[i] caches node i's outgoing edges; linkValid[i] marks the
 	// entry current. noCache forces a rebuild on every transmission —
@@ -237,6 +236,7 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 	ch.csThreshMW = propagation.DBmToMilliwatt(params.CSThreshDBm)
 	ch.captureRatio = propagation.DBmToMilliwatt(params.CaptureDB)
 	ch.radios, ch.states, ch.txPow, ch.energies = pools.radioArena(len(positions))
+	pools.orderScratch(len(positions))
 	for i := range positions {
 		r := &ch.radios[i]
 		r.id = packet.NodeID(i)
@@ -375,16 +375,18 @@ func (c *Channel) linkGain(from, to int, p float64) float64 {
 // approximately right — and each link's place in firing order. The
 // receiver count is known before the first link is written, so the list
 // is sized once: a cold build allocates it in one piece, and a rebuild
-// that fits the old list allocates nothing.
+// that fits the old list allocates nothing. Neither order takes a
+// comparison sort: ids come back from a bitset, ranks from a counting
+// pass (idBits, keySorter, both in the channel's Pools).
 func (c *Channel) buildLinks(src int) []link {
 	pos := c.grid.At(src)
 	c.scratch = c.grid.WithinRadius(c.scratch[:0], pos, c.cutoff, src)
-	slices.Sort(c.scratch)
+	c.pools.ids.sort(c.scratch)
 	ls := c.links[src][:0]
 	if cap(ls) < len(c.scratch) {
 		ls = make([]link, 0, len(c.scratch))
 	}
-	order := slices.Grow(c.order[:0], len(c.scratch))
+	order := slices.Grow(c.pools.keys[:0], len(c.scratch))
 	tx := c.txPow[src]
 	for i, idx := range c.scratch {
 		d := pos.Dist(c.grid.At(idx))
@@ -403,11 +405,10 @@ func (c *Channel) buildLinks(src int) []link {
 		// idx order; launch's pass on the exact keys corrects those.
 		order = append(order, uint64(math.Float32bits(float32(l.delay)))<<32|uint64(i))
 	}
-	slices.Sort(order)
-	for rank, key := range order {
+	for rank, key := range c.pools.ranks.sort(order) {
 		ls[uint32(key)].ord = int32(rank)
 	}
-	c.order = order
+	c.pools.keys = order
 	c.links[src] = ls
 	c.linkValid[src] = true
 	if c.linkCap > 0 && !c.noCache {
@@ -470,16 +471,19 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) *transm
 	sigs := t.signals
 	for i := range ls {
 		l := &ls[i]
-		var pDBm, pMW float64
-		if c.noFade {
-			pDBm, pMW = l.meanDBm, l.meanMW
-		} else {
+		// Every in-cutoff receiver takes its fading draw, sensed or not,
+		// so the stream advances the same whatever the draws were; only
+		// the milliwatt conversion waits until the signal is scheduled.
+		pDBm, pMW := l.meanDBm, l.meanMW
+		if !c.noFade {
 			pDBm = c.fader.Fade(c.frng, l.meanDBm)
-			pMW = propagation.DBmToMilliwatt(pDBm)
 		}
 		if pDBm < c.params.CSThreshDBm {
 			sigs[l.ord].rcv = -1 // too weak to sense or corrupt: not scheduled
 			continue
+		}
+		if !c.noFade {
+			pMW = propagation.DBmToMilliwatt(pDBm)
 		}
 		start := now + l.delay
 		sigs[l.ord] = signal{
@@ -615,7 +619,7 @@ func (t *transmission) fireTrail() {
 // cutoff. Returns how many radios the burst was scheduled at.
 func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time) int {
 	c.scratch = c.grid.WithinRadius(c.scratch[:0], pos, c.cutoff, -1)
-	slices.Sort(c.scratch)
+	c.pools.ids.sort(c.scratch)
 	c.uid++
 	now := c.kernel.Now()
 	seq := c.kernel.Seq()
@@ -660,7 +664,7 @@ func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time)
 // topology, not the currently faulted one.
 func (c *Channel) NeighborIDs(dst []int, i int) []int {
 	ids := c.grid.WithinRadius(dst[:0], c.grid.At(i), c.DecodeRange(i), i)
-	slices.Sort(ids)
+	c.pools.ids.sort(ids)
 	return ids
 }
 

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -208,4 +209,134 @@ func TestTransmissionFreeListBoundedBySignalCapacity(t *testing.T) {
 	if tx := p.newTransmission(slab / 2); len(tx.signals) != slab/2 || cap(tx.signals) < slab || p.txSignals != pinned-cap(tx.signals) {
 		t.Fatalf("reuse: len %d cap %d, %d of %d signals still pinned", len(tx.signals), cap(tx.signals), p.txSignals, pinned)
 	}
+}
+
+// TestSortedIDsMatchesSort checks the channel's one id order against a
+// comparison sort: random distinct id sets over field sizes on both
+// sides of a word and of a summary word — with the edge ids 0, 63, 64,
+// 4095, 4096 and n−1 forced in, and the empty, singleton and full sets —
+// and after every call the bitset must be all zero, or the next query
+// would inherit stale ids.
+func TestSortedIDsMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 63, 64, 65, 128, 129, 1000, 4096, 4097, 20000} {
+		b := newIDBits(n)
+		sizes := []int{0, 1, n}
+		for range 20 {
+			sizes = append(sizes, r.Intn(n+1))
+		}
+		for _, size := range sizes {
+			ids := r.Perm(n)[:size]
+			for _, edge := range []int{0, 63, 64, 4095, 4096, n - 1} {
+				if size > 1 && edge < n && !slices.Contains(ids, edge) {
+					ids[r.Intn(size)] = edge
+				}
+			}
+			want := slices.Clone(ids)
+			slices.Sort(want)
+			b.sort(ids)
+			if !slices.Equal(ids, want) {
+				t.Fatalf("n=%d, %d ids: the order differs from slices.Sort", n, size)
+			}
+			if !b.clear() {
+				t.Fatalf("n=%d, %d ids: the bitset is not all zero after the call", n, size)
+			}
+		}
+	}
+}
+
+// clear reports whether every word of b is zero.
+func (b idBits) clear() bool {
+	return !slices.ContainsFunc(b.words, func(w uint64) bool { return w != 0 }) &&
+		!slices.ContainsFunc(b.summary, func(w uint64) bool { return w != 0 })
+}
+
+// TestFiringRankMatchesSort checks buildLinks' firing-order sorter
+// against a comparison sort of the same delay<<32|i keys: stacked
+// receivers whose delays share one float32 half, delays spanning
+// several binades, uniform delays and one delay shared by all, for
+// every link count from 1 to 300. The coherence tests cannot catch a slip here — the cached and
+// reference channels both rank through it.
+func TestFiringRankMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	shapes := []struct {
+		name  string
+		delay func() float32
+	}{
+		{"stacked", func() float32 { return float32(1+r.Intn(3)) * 3.3e-7 }},
+		{"binades", func() float32 { return float32(math.Ldexp(1+r.Float64(), -10-r.Intn(12))) }},
+		{"uniform", func() float32 { return float32(r.Float64() * 1e-6) }},
+		{"one_half", func() float32 { return 5e-7 }},
+	}
+	var s keySorter
+	for _, shape := range shapes {
+		for k := 1; k <= 300; k++ {
+			keys := make([]uint64, k)
+			for i := range keys {
+				keys[i] = uint64(math.Float32bits(shape.delay()))<<32 | uint64(i)
+			}
+			orig, want := slices.Clone(keys), slices.Clone(keys)
+			slices.Sort(want)
+			if got := s.sort(keys); !slices.Equal(got, want) {
+				t.Fatalf("%s, k=%d: sorted keys differ from slices.Sort", shape.name, k)
+			}
+			if !slices.Equal(keys, orig) {
+				t.Fatalf("%s, k=%d: the input keys were modified", shape.name, k)
+			}
+		}
+	}
+}
+
+// TestFadingDrawsEveryInCutoffReceiver pins transmit's rule under
+// fading: skip the milliwatt conversion for a signal below carrier
+// sense, never its draw. One transmission on a Rayleigh-faded lattice
+// where some in-cutoff receivers fade below the threshold must advance
+// the fading stream by exactly one ExpFloat64 per link, and every
+// signal it schedules must carry the faded power its twin stream
+// predicts and that power's exact milliwatt image.
+func TestFadingDrawsEveryInCutoffReceiver(t *testing.T) {
+	const side, seed = 20, 11
+	k := sim.NewKernel(1)
+	model := propagation.NewFreeSpace()
+	rect, positions := lattice(side)
+	params := DefaultParams(model, 250)
+	ch := NewChannel(k, rect, positions, params, ChannelConfig{
+		Model:        model,
+		Fader:        propagation.Rayleigh{},
+		FadeMarginDB: 12,
+		Rng:          rand.New(rand.NewSource(seed)),
+	})
+	for i := range positions {
+		ch.Radio(i).SetListener(nullListener{})
+	}
+	src := ch.Radio(side*side/2 + side/2)
+	src.Transmit(pkt(100))
+	tx, links := src.txLive, ch.links[src.id]
+	if tx == nil || len(tx.signals) == len(links) {
+		t.Fatalf("%d in-cutoff receivers, all or none scheduled: the field must put some, not all, below carrier sense", len(links))
+	}
+
+	twin := rand.New(rand.NewSource(seed))
+	want := make(map[int32]float64, len(links))
+	for _, l := range links { // id order: the order the stream is drawn in
+		if p := (propagation.Rayleigh{}).Fade(twin, l.meanDBm); p >= params.CSThreshDBm {
+			want[l.idx] = p
+		}
+	}
+	if got, next := ch.frng.Int63(), twin.Int63(); got != next {
+		t.Fatalf("after %d links the fading stream is not %d ExpFloat64 draws ahead", len(links), len(links))
+	}
+	if len(want) != len(tx.signals) {
+		t.Fatalf("%d signals scheduled, the twin stream predicts %d", len(tx.signals), len(want))
+	}
+	for _, s := range tx.signals {
+		p, ok := want[s.rcv]
+		if !ok || math.Float64bits(s.powerDBm) != math.Float64bits(p) {
+			t.Fatalf("receiver %d: scheduled at %v dBm, the twin stream predicts %v (scheduled %v)", s.rcv, s.powerDBm, p, ok)
+		}
+		if math.Float64bits(s.powerMW) != math.Float64bits(propagation.DBmToMilliwatt(s.powerDBm)) {
+			t.Fatalf("receiver %d: powerMW %v is not DBmToMilliwatt(%v)", s.rcv, s.powerMW, s.powerDBm)
+		}
+	}
+	k.Run()
 }

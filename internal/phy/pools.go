@@ -1,7 +1,8 @@
 package phy
 
 // Pools holds the channel's recyclable objects — the transmission free
-// list the transmit hot path draws from, and the radio arena.
+// list the transmit hot path draws from, the radio arena, and the
+// scratch link builds order ids and firing ranks in.
 // Every channel has one; by default it is private (NewChannel allocates
 // it), but a sweep worker can pass one Pools through ChannelConfig so
 // consecutive runs on that worker reuse the same memory instead of
@@ -35,6 +36,14 @@ type Pools struct {
 	states   []State
 	txPow    []float64
 	energies []Energy
+
+	// Ordering scratch (order.go): the id bitset every grid query's ids
+	// are ordered through, sized by orderScratch and all zero between
+	// calls, and buildLinks' firing-order keys and their sorter. Held
+	// here rather than per channel so a worker's runs allocate them once.
+	ids   idBits
+	keys  []uint64
+	ranks keySorter
 }
 
 // NewPools returns an empty pool set, ready to hand to ChannelConfig.
@@ -108,4 +117,16 @@ func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
 	p.txPow = p.txPow[:n]
 	p.energies = p.energies[:n]
 	return p.radios, p.states, p.txPow, p.energies
+}
+
+// orderScratch readies the ordering scratch for a channel of n nodes:
+// the id bitset grows to cover them and is cleared, so a recycled one is
+// indistinguishable from a fresh one even after a run that panicked
+// mid-query.
+func (p *Pools) orderScratch(n int) {
+	if len(p.ids.words) < (n+63)/64 {
+		p.ids = newIDBits(n)
+	}
+	clear(p.ids.words)
+	clear(p.ids.summary)
 }
