@@ -26,7 +26,7 @@ func fixtureLoader(t *testing.T) *Loader {
 // analyze type-checks one fixture file and runs a single analyzer over
 // it. filename controls the _test.go exemptions, path the package-scope
 // ones.
-func analyze(t *testing.T, a *Analyzer, path, filename, src string) []Diagnostic {
+func analyze(t *testing.T, a *Analyzer, path, filename, src string) *Result {
 	t.Helper()
 	l := fixtureLoader(t)
 	f, err := parser.ParseFile(l.Fset, t.Name()+"/"+filename, src, parser.ParseComments|parser.SkipObjectResolution)
@@ -36,7 +36,7 @@ func analyze(t *testing.T, a *Analyzer, path, filename, src string) []Diagnostic
 	info := newInfo()
 	pkg := l.typeCheck(path, []*ast.File{f}, info)
 	u := &Unit{Fset: l.Fset, Files: []*ast.File{f}, Pkg: pkg, Info: info, Path: path}
-	return Run(u, []*Analyzer{a})
+	return Analyze(BuildProgram([]*Unit{u}), []*Analyzer{a})
 }
 
 type fixtureCase struct {
@@ -52,7 +52,15 @@ func runFixtures(t *testing.T, cases []fixtureCase) {
 	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := analyze(t, tc.analyzer, tc.path, tc.filename, tc.src)
+			res := analyze(t, tc.analyzer, tc.path, tc.filename, tc.src)
+			// A directive for the rule under test (or "*") that silences
+			// nothing would let a suppression case pass vacuously.
+			for _, s := range res.Stale {
+				if s.Rule == tc.analyzer.Name || s.Rule == "*" {
+					t.Errorf("directive silences nothing: %s", s)
+				}
+			}
+			got := res.Diags
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %d diagnostics, want %d:\n%v", len(got), len(tc.want), got)
 			}
@@ -96,13 +104,42 @@ func helper() int { return rand.Intn(10) }`,
 		},
 		{
 			name: "clean: seeded constructor and methods", analyzer: GlobalRand,
-			path: "routeless/internal/fix", filename: "fix.go",
-			src: `package fix
+			path: "routeless/internal/rng", filename: "rng.go",
+			src: `package rng
 import "math/rand"
 func good(seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
 	return r.Float64()
 }`,
+		},
+		{
+			name: "clean: examples may build their own streams", analyzer: GlobalRand,
+			path: "routeless/examples/demo", filename: "main.go",
+			src: `package main
+import "math/rand"
+func main() { _ = rand.New(rand.NewSource(1)).Float64() }`,
+		},
+		{
+			name: "catches a seeded constructor outside internal/rng", analyzer: GlobalRand,
+			path: "routeless/internal/sim", filename: "kernel.go",
+			src: `package sim
+import "math/rand"
+func good(seed int64) float64 {
+	r := rand.New(rand.NewSource(seed))
+	return r.Float64()
+}`,
+			want: []string{"raw rand.New builds a stream outside internal/rng"},
+		},
+		{
+			name: "catches math/rand/v2 constructors", analyzer: GlobalRand,
+			path: "routeless/cmd/fix", filename: "main.go",
+			src: `package main
+import "math/rand/v2"
+func main() {
+	_ = rand.NewPCG(1, 2)
+	_ = rand.NewChaCha8([32]byte{})
+}`,
+			want: []string{"raw rand.NewPCG", "raw rand.NewChaCha8"},
 		},
 		{
 			name: "flow: catches fixed seed laundered through a helper", analyzer: GlobalRand,
@@ -111,7 +148,7 @@ func good(seed int64) float64 {
 import "math/rand"
 func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func bad() float64 { return mk(42).Float64() }`,
-			want: []string{"supplies a fixed seed"},
+			want: []string{"raw rand.New builds a stream outside internal/rng"},
 		},
 		{
 			name: "flow: catches raw constructor over a literal seed", analyzer: GlobalRand,
@@ -119,7 +156,7 @@ func bad() float64 { return mk(42).Float64() }`,
 			src: `package fix
 import "math/rand"
 func bad() float64 { return rand.New(rand.NewSource(7)).Float64() }`,
-			want: []string{"constructed from a fixed seed"},
+			want: []string{"raw rand.New builds a stream outside internal/rng"},
 		},
 		{
 			name: "flow: catches package-level stream and draws from it", analyzer: GlobalRand,
@@ -128,10 +165,10 @@ func bad() float64 { return rand.New(rand.NewSource(7)).Float64() }`,
 import "math/rand"
 var stream *rand.Rand
 func bad() float64 { return stream.Float64() }`,
-			want: []string{"process-shared stream", "draws from package-level stream"},
+			want: []string{"process-shared stream"},
 		},
 		{
-			name: "flow: clean, helper fed a derived seed", analyzer: GlobalRand,
+			name: "flow: catches helper fed a derived seed", analyzer: GlobalRand,
 			path: "routeless/internal/fix", filename: "fix.go",
 			src: `package fix
 import (
@@ -139,7 +176,17 @@ import (
 	"routeless/internal/rng"
 )
 func mk(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-func good(seed int64) float64 { return mk(rng.Derive(seed, "fix")).Float64() }`,
+func good(seed int64) float64 { return mk(rng.Derive(seed, 1)).Float64() }`,
+			want: []string{"raw rand.New builds a stream outside internal/rng"},
+		},
+		{
+			name: "clean: streams built by internal/rng", analyzer: GlobalRand,
+			path: "routeless/internal/fix", filename: "fix.go",
+			src: `package fix
+import "routeless/internal/rng"
+func good(seed int64, t *rng.Tracker) float64 {
+	return rng.New(seed, 1).Float64() + t.New(seed, 2).Float64()
+}`,
 		},
 		{
 			name: "flow: suppressed with a reasoned directive", analyzer: GlobalRand,
@@ -673,8 +720,11 @@ func helper(n int, r *rand.Rand) {}`,
 			name: "clean: returning a derived stream is the sanctioned doorway", analyzer: FaultRand,
 			path: "routeless/internal/fault", filename: "fix.go",
 			src: `package fault
-import "math/rand"
-func stream(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }`,
+import (
+	"math/rand"
+	"routeless/internal/rng"
+)
+func stream(t *rng.Tracker, seed int64) *rand.Rand { return t.New(seed, rng.StreamFault) }`,
 		},
 		{
 			name: "other packages may plumb generators", analyzer: FaultRand,
@@ -684,44 +734,55 @@ import "math/rand"
 func NewFailureProcess(r *rand.Rand) { _ = r }`,
 		},
 		{
-			name: "flow: catches a draw from a fixed-seed stream laundered through a helper", analyzer: FaultRand,
+			name: "flow: catches a draw from a fixed-seed stream laundered through a helper", analyzer: GlobalRand,
 			path: "routeless/internal/fault", filename: "fix.go",
 			src: `package fault
 import "math/rand"
 func stream() *rand.Rand { return rand.New(rand.NewSource(7)) }
 func jitter() float64 { return stream().Float64() }`,
-			want: []string{"fixed-seed stream"},
+			want: []string{"raw rand.New builds a stream outside internal/rng"},
 		},
 		{
-			name: "flow: catches a draw from a package-level stream", analyzer: FaultRand,
+			name: "flow: catches a draw from a package-level stream", analyzer: GlobalRand,
 			path: "routeless/internal/fault", filename: "fix.go",
 			src: `package fault
 import "math/rand"
 var shared *rand.Rand
 func jitter() float64 { return shared.Float64() }`,
-			want: []string{"package-level stream"},
+			want: []string{"process-shared stream"},
 		},
 		{
-			name: "flow: clean, stream derived from the network seed", analyzer: FaultRand,
+			name: "flow: clean, stream derived from the network seed", analyzer: GlobalRand,
 			path: "routeless/internal/fault", filename: "fix.go",
 			src: `package fault
 import (
 	"math/rand"
 	"routeless/internal/rng"
 )
-func stream(seed int64) *rand.Rand { return rand.New(rand.NewSource(rng.Derive(seed, "fault"))) }
-func jitter(seed int64) float64 { return stream(seed).Float64() }`,
+func stream(t *rng.Tracker, seed int64) *rand.Rand { return t.New(seed, rng.StreamFault) }
+func jitter(t *rng.Tracker, seed int64) float64 { return stream(t, seed).Float64() }`,
 		},
 		{
-			name: "flow: suppressed fixed-seed draw", analyzer: FaultRand,
+			name: "catches a stream over a derived seed in the fault plane", analyzer: GlobalRand,
+			path: "routeless/internal/fault", filename: "fix.go",
+			src: `package fault
+import (
+	"math/rand"
+	"routeless/internal/rng"
+)
+func stream(seed int64) *rand.Rand { return rand.New(rand.NewSource(rng.Derive(seed, rng.StreamFault))) }`,
+			want: []string{"raw rand.New builds a stream outside internal/rng"},
+		},
+		{
+			name: "flow: suppressed fixed-seed draw", analyzer: GlobalRand,
 			path: "routeless/internal/fault", filename: "fix.go",
 			src: `package fault
 import "math/rand"
-func stream() *rand.Rand { return rand.New(rand.NewSource(7)) }
-func jitter() float64 {
-	//lint:ignore faultrand self-test of the injector math, never reaches a run
-	return stream().Float64()
-}`,
+func stream() *rand.Rand {
+	//lint:ignore globalrand self-test of the injector math, never reaches a run
+	return rand.New(rand.NewSource(7))
+}
+func jitter() float64 { return stream().Float64() }`,
 		},
 	})
 }
@@ -767,15 +828,43 @@ type listener struct{}
 func (listener) OnReceive(rssi float64) {}`,
 		},
 		{
-			name: "suppressed with a reasoned directive", analyzer: SharedState,
-			path: "routeless/internal/fix", filename: "fix.go",
+			name: "catches handler writes in test files too", analyzer: SharedState,
+			path: "routeless/internal/fix", filename: "fix_test.go",
 			src: `package fix
 var hits int
+type listener struct{}
+func (listener) OnReceive(rssi float64) { hits++ }`,
+			want: []string{"writes package-level var routeless/internal/fix.hits"},
+		},
+	})
+}
+
+// TestSharedStateUnwaivable: sharedstate is the shard-safety gate, so
+// neither a directive naming it nor a wildcard hides a handler-written
+// global; both directives silence nothing and are stale.
+func TestSharedStateUnwaivable(t *testing.T) {
+	res := analyze(t, SharedState, "routeless/internal/fix", "fix.go", `package fix
+var hits, count int
 type listener struct{}
 func (listener) OnReceive(rssi float64) {
 	//lint:ignore sharedstate run-scoped counter, merged after the run
 	hits++
-}`,
-		},
-	})
+	//lint:ignore * run-scoped counter, merged after the run
+	count++
+}`)
+	want := []string{"routeless/internal/fix.hits", "routeless/internal/fix.count"}
+	if len(res.Diags) != len(want) {
+		t.Fatalf("got %d diagnostics, want %d:\n%v", len(res.Diags), len(want), res.Diags)
+	}
+	for i, w := range want {
+		if d := res.Diags[i]; d.Rule != "sharedstate" || !strings.Contains(d.Message, w) {
+			t.Errorf("diagnostic %d = %s, want a sharedstate finding for %s", i, d, w)
+		}
+	}
+	if res.Suppressed != 0 {
+		t.Errorf("suppressed = %d, want 0", res.Suppressed)
+	}
+	if len(res.Stale) != 2 || res.Stale[0].Rule != "sharedstate" || res.Stale[1].Rule != "*" {
+		t.Errorf("stale = %v, want both directives", res.Stale)
+	}
 }

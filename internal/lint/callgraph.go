@@ -48,12 +48,12 @@ type Call struct {
 	FuncArgs []FuncID
 }
 
-// globalRef is one reference to a package-level variable from inside a
-// function body.
-type globalRef struct {
-	Key   string // pkgpath.varname
-	Pos   token.Pos
-	Write bool
+// globalWrite is one assignment to a package-level variable from inside
+// a function body.
+type globalWrite struct {
+	Key     string // pkgpath.varname
+	Pos     token.Pos
+	Guarded bool // a sync or sync/atomic type: shared but race-free
 }
 
 // FuncNode is one analyzed function body.
@@ -64,8 +64,8 @@ type FuncNode struct {
 	Lit  *ast.FuncLit  // nil for declared functions
 	Pos  token.Pos
 
-	Calls   []Call
-	Globals []globalRef
+	Calls  []Call
+	Writes []globalWrite
 	// passed lists function values this body hands to other calls or
 	// stores; conservatively treated as reachable once this node is.
 	passed []FuncID
@@ -102,24 +102,15 @@ type Program struct {
 
 	nodeOf map[ast.Node]*FuncNode // FuncDecl/FuncLit → node
 
-	// global variable index: key → positions that write it, and the
-	// functions containing any reference.
-	globalWriters map[string][]FuncID
-
 	// lazy analysis memos (see taint.go).
 	sinkMemo    map[FuncID]sinkSet
 	sinkActive  map[FuncID]bool
-	randMemo    map[FuncID]provSummary
-	randActive  map[FuncID]bool
-	seedMemo    map[FuncID]provSummary
-	seedActive  map[FuncID]bool
 	mapRetMemo  map[FuncID]int8
 	mapRetBusy  map[FuncID]bool
 	callersMemo map[FuncID][]FuncID
 
-	// lazy shard-safety memos (see sharedstate.go).
+	// lazy handler-reachable closure (see sharedstate.go).
 	handlerReachMemo map[FuncID]bool
-	globalInvMemo    map[string]*globalInfo
 }
 
 // schedulerEntryPoints maps call-target ID suffixes to the argument
@@ -162,18 +153,13 @@ func idHasSuffix(id FuncID, pattern string) bool {
 // static call graph between them.
 func BuildProgram(units []*Unit) *Program {
 	p := &Program{
-		Units:         units,
-		Funcs:         map[FuncID]*FuncNode{},
-		nodeOf:        map[ast.Node]*FuncNode{},
-		globalWriters: map[string][]FuncID{},
-		sinkMemo:      map[FuncID]sinkSet{},
-		sinkActive:    map[FuncID]bool{},
-		randMemo:      map[FuncID]provSummary{},
-		randActive:    map[FuncID]bool{},
-		seedMemo:      map[FuncID]provSummary{},
-		seedActive:    map[FuncID]bool{},
-		mapRetMemo:    map[FuncID]int8{},
-		mapRetBusy:    map[FuncID]bool{},
+		Units:      units,
+		Funcs:      map[FuncID]*FuncNode{},
+		nodeOf:     map[ast.Node]*FuncNode{},
+		sinkMemo:   map[FuncID]sinkSet{},
+		sinkActive: map[FuncID]bool{},
+		mapRetMemo: map[FuncID]int8{},
+		mapRetBusy: map[FuncID]bool{},
 	}
 	if len(units) > 0 {
 		p.Fset = units[0].Fset
@@ -283,8 +269,8 @@ func exprText(e ast.Expr) string {
 
 // scanBody walks one function body (stopping at nested function
 // literals, which become their own nodes) and records calls, function
-// values passed around, channel sends, and package-level variable
-// references.
+// values passed around, channel sends, and writes to package-level
+// variables.
 func (p *Program) scanBody(n *FuncNode, body *ast.BlockStmt) {
 	u := n.Unit
 	var walk func(node ast.Node) bool
@@ -313,7 +299,7 @@ func (p *Program) scanBody(n *FuncNode, body *ast.BlockStmt) {
 			n.Calls = append(n.Calls, call)
 		case *ast.AssignStmt:
 			for _, lhs := range e.Lhs {
-				p.recordGlobalWrite(n, u, lhs)
+				recordGlobalWrite(n, u, lhs)
 			}
 			// Function values stored into variables/fields stay
 			// invocable from this node's future.
@@ -323,9 +309,7 @@ func (p *Program) scanBody(n *FuncNode, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.IncDecStmt:
-			p.recordGlobalWrite(n, u, e.X)
-		case *ast.Ident:
-			p.recordGlobalRead(n, u, e)
+			recordGlobalWrite(n, u, e.X)
 		}
 		return true
 	}
@@ -397,30 +381,9 @@ func globalVarKey(obj types.Object) string {
 	return v.Pkg().Path() + "." + v.Name()
 }
 
-// rootIdent digs to the base identifier of an assignable expression:
-// x, x.f, x[i], *x all root at x.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch t := e.(type) {
-		case *ast.Ident:
-			return t
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		default:
-			return nil
-		}
-	}
-}
-
 // writeTarget digs to the identifier naming the variable an assignable
-// expression mutates. Unlike rootIdent it resolves qualified references:
-// otherpkg.Var roots at Var, not at the package name.
+// expression mutates (x, x.f, x[i], *x all root at x). A qualified
+// reference otherpkg.Var roots at Var, not at the package name.
 func writeTarget(u *Unit, e ast.Expr) *ast.Ident {
 	for {
 		switch t := e.(type) {
@@ -445,7 +408,7 @@ func writeTarget(u *Unit, e ast.Expr) *ast.Ident {
 	}
 }
 
-func (p *Program) recordGlobalWrite(n *FuncNode, u *Unit, lhs ast.Expr) {
+func recordGlobalWrite(n *FuncNode, u *Unit, lhs ast.Expr) {
 	if u.Info == nil {
 		return
 	}
@@ -453,23 +416,12 @@ func (p *Program) recordGlobalWrite(n *FuncNode, u *Unit, lhs ast.Expr) {
 	if id == nil {
 		return
 	}
-	key := globalVarKey(u.Info.Uses[id])
+	obj := u.Info.Uses[id]
+	key := globalVarKey(obj)
 	if key == "" {
 		return
 	}
-	n.Globals = append(n.Globals, globalRef{Key: key, Pos: id.Pos(), Write: true})
-	p.globalWriters[key] = append(p.globalWriters[key], n.ID)
-}
-
-func (p *Program) recordGlobalRead(n *FuncNode, u *Unit, id *ast.Ident) {
-	if u.Info == nil {
-		return
-	}
-	key := globalVarKey(u.Info.Uses[id])
-	if key == "" {
-		return
-	}
-	n.Globals = append(n.Globals, globalRef{Key: key, Pos: id.Pos()})
+	n.Writes = append(n.Writes, globalWrite{Key: key, Pos: id.Pos(), Guarded: isSyncGuarded(obj.Type())})
 }
 
 // findEntryPoints collects every event-handler root: callbacks handed

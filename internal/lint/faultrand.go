@@ -6,23 +6,16 @@ import (
 	"strings"
 )
 
-// FaultRand enforces the fault plane's determinism contract in two
-// layers. The syntactic core forbids fault-plane functions from
-// accepting a raw *math/rand.Rand parameter: every fault stream derives
-// from the network seed through internal/rng labels (Injector.stream),
-// and a constructor or installer that takes a caller-supplied generator
-// reopens the door to call-order-dependent, seed-unstable fault
-// schedules.
-//
-// The flow-aware layer (when whole-module context is available) checks
-// the streams the fault plane actually draws from: a draw whose
-// receiver's provenance roots in a package-level variable or a
-// fixed-seed constructor — through any chain of helpers — is flagged at
-// the draw site, even though no *rand.Rand ever crossed a parameter
-// list.
+// FaultRand keeps the fault plane's one doorway to randomness: fault
+// functions may not accept a raw *math/rand.Rand parameter. Every fault
+// stream comes from the network's tracker through internal/rng labels
+// (Injector.stream), and a constructor or installer that takes a
+// caller-supplied generator reopens the door to call-order-dependent,
+// seed-unstable fault schedules. Streams built inside the fault plane
+// are globalrand's to judge.
 var FaultRand = &Analyzer{
 	Name: "faultrand",
-	Doc:  "fault-plane streams must derive from the network seed (Injector.stream); no raw *rand.Rand parameters, no global or fixed-seed streams",
+	Doc:  "fault-plane functions may not take a raw *rand.Rand; fault streams come from Injector.stream",
 	Run:  runFaultRand,
 }
 
@@ -49,43 +42,8 @@ func runFaultRand(p *Pass) {
 						fd.Name.Name)
 				}
 			}
-			if p.Prog != nil && !p.IsTestFile(fd.Pos()) {
-				if node := p.Prog.NodeFor(fd); node != nil {
-					checkFaultDraws(p, node)
-				}
-			}
 		}
 	}
-}
-
-// checkFaultDraws flags draws from streams whose provenance does not
-// trace to the seed, recursing into closures.
-func checkFaultDraws(p *Pass, n *FuncNode) {
-	prog := p.Prog
-	env := prog.buildProvEnv(n)
-	ast.Inspect(n.body(), func(node ast.Node) bool {
-		if lit, ok := node.(*ast.FuncLit); ok {
-			if child := prog.NodeFor(lit); child != nil {
-				checkFaultDraws(p, child)
-			}
-			return false
-		}
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !isRandValueType(p.TypeOf(sel.X)) {
-			return true
-		}
-		switch sum := prog.classifyRand(n, sel.X, env); sum.kind {
-		case provGlobal:
-			p.Reportf(call.Pos(), "fault draw from package-level stream %s: fault schedules must be a pure function of the network seed; derive the stream from Injector.stream labels", sum.key)
-		case provRaw:
-			p.Reportf(call.Pos(), "fault draw from a fixed-seed stream: fault schedules must derive from the network seed via rng.Derive (Injector.stream), not a literal seed")
-		}
-		return true
-	})
 }
 
 // isRandPointer reports whether t is *math/rand.Rand (either flavor).

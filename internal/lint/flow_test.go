@@ -130,16 +130,16 @@ func TestCallGraphTopology(t *testing.T) {
 		t.Error("ReturnsMapOrdered(sortedKeys) = true, want false")
 	}
 
-	// The global write index feeds the shard-safety inventory.
-	writers := prog.globalWriters["flowmod/internal/proto.hits"]
+	// The write index sharedstate judges: OnReceive's hits++ is recorded
+	// as an unguarded write.
 	found := false
-	for _, w := range writers {
-		if w == "flowmod/internal/proto.(Listener).OnReceive" {
+	for _, w := range prog.Funcs["flowmod/internal/proto.(Listener).OnReceive"].Writes {
+		if w.Key == "flowmod/internal/proto.hits" && !w.Guarded {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("globalWriters[proto.hits] = %v, want to include (Listener).OnReceive", writers)
+		t.Error("(Listener).OnReceive should record an unguarded write to proto.hits")
 	}
 }
 
@@ -169,8 +169,8 @@ func TestIDHasSuffix(t *testing.T) {
 }
 
 // TestFlowmodFindings runs the full rule set over the fixture module
-// and pins every finding: each one is a violation the syntactic
-// predecessors could not see, and each clean shape stays clean.
+// and pins every finding, so each clean shape stays clean and each
+// violation is caught by the rule that owns it.
 func TestFlowmodFindings(t *testing.T) {
 	prog := flowmodProgram(t)
 	res := Analyze(prog, All())
@@ -179,14 +179,14 @@ func TestFlowmodFindings(t *testing.T) {
 		rule string
 		sub  string
 	}{
-		{"globalrand", "constructed from a fixed seed"},                     // fault.stream's raw ctor
-		{"faultrand", "fixed-seed stream"},                                  // fault.Jitter's laundered draw
-		{"maporder", "map-iteration order by proto.mapKeys"},                // FlushBad's slice range
-		{"maporder", "calls relay, which reaches"},                          // JournalBad, two hops to the journal
-		{"globalrand", "supplies a fixed seed"},                             // BadJitter through mkStream
-		{"sharedstate", "package-level var flowmod/internal/proto.hits"},    // OnReceive write
-		{"sharedstate", "package-level var flowmod/internal/proto.pending"}, // scheduled-closure write
-		{"goroutine", "go statement"},                                       // SpawnBad, outside the exempt engines
+		{"globalrand", "raw rand.New builds a stream outside internal/rng"},    // fault.stream's fixed-seed ctor
+		{"maporder", "map-iteration order by proto.mapKeys"},                   // FlushBad's slice range
+		{"maporder", "calls relay, which reaches"},                             // JournalBad, two hops to the journal
+		{"globalrand", "raw rand.New builds a stream outside internal/rng"},    // mkStream, whatever its callers feed it
+		{"sharedstate", "package-level var flowmod/internal/proto.hits"},       // OnReceive write
+		{"sharedstate", "package-level var flowmod/internal/proto.pending"},    // scheduled-closure write
+		{"sharedstate", "package-level var flowmod/internal/proto.deliveries"}, // OnSent write, not waived
+		{"goroutine", "go statement"},                                          // SpawnBad, outside the exempt engines
 	}
 
 	if len(res.Diags) != len(want) {
@@ -201,83 +201,13 @@ func TestFlowmodFindings(t *testing.T) {
 			t.Errorf("finding %d = %s: %s: %s\n  want rule %s containing %q", i, d.Pos, d.Rule, d.Message, w.rule, w.sub)
 		}
 	}
-	if res.Suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1 (the deliveries counter)", res.Suppressed)
+	if res.Suppressed != 0 {
+		t.Errorf("suppressed = %d, want 0 (sharedstate cannot be waived)", res.Suppressed)
 	}
-	if len(res.Stale) != 0 {
-		t.Errorf("stale directives = %v, want none", res.Stale)
-	}
-}
-
-// TestShardReportFlowmod pins the machine-readable shard-safety report
-// over the fixture module.
-func TestShardReportFlowmod(t *testing.T) {
-	prog := flowmodProgram(t)
-	rep := BuildShardReport(prog)
-
-	if rep.Schema != "shardsafety/v1" {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	if len(rep.EntryPoints) == 0 {
-		t.Fatal("report has no entry points")
-	}
-
-	globals := map[string]ShardGlobal{}
-	for _, g := range rep.Globals {
-		globals[g.Var] = g
-	}
-	hits, ok := globals["flowmod/internal/proto.hits"]
-	if !ok {
-		t.Fatal("report is missing global proto.hits")
-	}
-	if hits.Class != "mutable" || !hits.HandlerWrites {
-		t.Errorf("proto.hits: class=%q handlerWrites=%v, want mutable/true", hits.Class, hits.HandlerWrites)
-	}
-	if len(hits.Via) == 0 || !strings.Contains(hits.Via[0], "OnReceive") {
-		t.Errorf("proto.hits via = %v, want a chain from OnReceive", hits.Via)
-	}
-	// A suppressed diagnostic is still inventory: the report must not
-	// hide state the directive merely excused.
-	deliveries, ok := globals["flowmod/internal/proto.deliveries"]
-	if !ok {
-		t.Fatal("report is missing global proto.deliveries (suppressed writes still inventory)")
-	}
-	if deliveries.Class != "mutable" || !deliveries.HandlerWrites {
-		t.Errorf("proto.deliveries: class=%q handlerWrites=%v, want mutable/true", deliveries.Class, deliveries.HandlerWrites)
-	}
-
-	// The hard-gate view sees through suppressions: both hits (diagnosed)
-	// and deliveries (its write excused by //lint:ignore) must surface.
-	violations := rep.Violations()
-	for _, want := range []string{"proto.hits", "proto.deliveries"} {
-		found := false
-		for _, v := range violations {
-			if strings.Contains(v, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("Violations() = %v, want an entry for %s", violations, want)
-		}
-	}
-
-	var kernel *ShardSingleton
-	for i := range rep.Singletons {
-		if rep.Singletons[i].Type == "flowmod/internal/sim.(Kernel)" {
-			kernel = &rep.Singletons[i]
-		}
-	}
-	if kernel == nil {
-		t.Fatal("report is missing singleton flowmod/internal/sim.(Kernel)")
-	}
-	found := false
-	for _, m := range kernel.Methods {
-		if m == "Schedule" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Kernel singleton methods = %v, want to include Schedule", kernel.Methods)
+	// The directive above deliveries++ cannot waive sharedstate, so it
+	// silences nothing.
+	if len(res.Stale) != 1 || res.Stale[0].Rule != "sharedstate" {
+		t.Errorf("stale directives = %v, want the one above deliveries++", res.Stale)
 	}
 }
 
@@ -316,32 +246,9 @@ func TestModuleCorpus(t *testing.T) {
 		t.Errorf("suppressed findings = %d, want 8; if a suppression was added or removed deliberately, update this pin", res.Suppressed)
 	}
 
-	rep := BuildShardReport(prog)
-	if rep.Schema != "shardsafety/v1" {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	if len(rep.EntryPoints) == 0 {
-		t.Error("shard report has no entry points; entry-point detection regressed")
-	}
-	haveKernel := false
-	for _, s := range rep.Singletons {
-		if s.Type == "routeless/internal/sim.(Kernel)" {
-			haveKernel = true
-		}
-	}
-	if !haveKernel {
-		t.Error("shard report is missing the sim.Kernel singleton")
-	}
-	for _, g := range rep.Globals {
-		// Concurrent sweep workers share the process: no package-level
-		// mutable state may be written from handler context anywhere in
-		// the module.
-		if g.Class == "mutable" && g.HandlerWrites {
-			t.Errorf("shard blocker: %s is mutable and handler-written (via %v)", g.Var, g.Via)
-		}
-	}
-	// Same gate through the method cmd/simlint -audit calls.
-	if v := rep.Violations(); len(v) != 0 {
-		t.Errorf("ShardReport.Violations() = %v, want none", v)
+	// sharedstate, the shard-safety gate, is silent only if it has
+	// entry points to start from.
+	if len(prog.EntryPoints) == 0 {
+		t.Error("no event-handler entry points; entry-point detection regressed")
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // randPackages are the math/rand flavors whose package-level
@@ -13,53 +14,36 @@ var randPackages = map[string]bool{
 	"math/rand/v2": true,
 }
 
-// randConstructors are the package-level functions that build an
-// explicitly seeded generator; they are the sanctioned doorway (via
-// internal/rng or Kernel.Rand).
-var randConstructors = map[string]bool{
+// rawRandCtors are the package-level functions that build a generator
+// from a caller-chosen seed (both flavors). NewZipf is absent: it
+// wraps a *rand.Rand it is handed and builds no stream of its own.
+var rawRandCtors = map[string]bool{
 	"New":        true,
 	"NewSource":  true,
-	"NewZipf":    true,
 	"NewPCG":     true,
 	"NewChaCha8": true,
 }
 
-// GlobalRand enforces seed-derived randomness in two layers.
+// GlobalRand enforces that every random stream is built by
+// internal/rng, so every draw is a function of the master seed and
+// every stream a run draws from can be tracked (nw.RNG, whose states
+// the snapshot's rng word hashes in creation order). It is syntactic
+// and has three parts:
 //
-// The syntactic core forbids package-level math/rand functions
-// (rand.Float64, rand.Intn, rand.Seed, ...) everywhere in the
-// repository: draws from the global source depend on process-wide call
-// order — one extra consumer anywhere perturbs every later draw — and
-// rand.Seed mutates shared state.
-//
-// The flow-aware layer tracks *rand.Rand provenance through helpers,
-// assignments, and returns (see taint.go), so a stream laundered
-// through any number of functions is still checked against its root:
-//
-//   - a package-level *rand.Rand variable is itself a process-shared
-//     stream (same call-order hazard as the global source) and is
-//     flagged at its declaration; drawing from one through any helper
-//     chain is flagged at the draw;
-//   - a raw rand.New/rand.NewSource whose seed does not trace to
-//     rng.Derive (or to a parameter, making it the caller's
-//     obligation) is flagged at the constructor — and when a helper
-//     forwards its seed parameter into the constructor, at the call
-//     site that supplies a fixed seed.
-//
-// Accepted roots, no matter how many helpers they pass through:
-// rng.New, rng.ForNode, Kernel.Rand(), and rand.New(rand.NewSource(s))
-// where s derives from rng.Derive or arrives as a parameter.
+//   - everywhere: no package-level math/rand functions (rand.Float64,
+//     rand.Intn, rand.Seed, ...) — draws from the global source depend
+//     on process-wide call order, and rand.Seed mutates shared state;
+//   - constructor home: outside internal/rng, non-test code under
+//     internal/ and cmd/ may not call a raw constructor (rand.New,
+//     rand.NewSource, v2 New/NewPCG/NewChaCha8), whatever the seed — a
+//     stream built over rng.Derive is still one the tracker never sees;
+//   - in the same scope, no package-level *rand.Rand or Source
+//     variable: a process-shared stream couples every consumer's draw
+//     order.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "forbid process-global math/rand and streams not rooted in seed derivation; use internal/rng streams or Kernel.Rand()",
+	Doc:  "forbid process-global math/rand, and raw stream constructors or package-level streams outside internal/rng; build streams with internal/rng (nw.RNG in a run)",
 	Run:  runGlobalRand,
-}
-
-// randCtorHomePkgs returns whether the unit is a sanctioned home for
-// raw rand constructors: the stream-derivation package itself and the
-// kernel (whose master stream is the seed's first consumer).
-func inRandCtorHome(p *Pass) bool {
-	return pathHasSuffix(p.Path, "internal/rng") || pathHasSuffix(p.Path, "internal/sim")
 }
 
 func pathHasSuffix(path, suffix string) bool {
@@ -72,48 +56,54 @@ func pathHasSuffix(path, suffix string) bool {
 }
 
 func runGlobalRand(p *Pass) {
+	homeless := (p.InInternal() || p.InCmd()) && !pathHasSuffix(p.Path, "internal/rng")
 	for _, f := range p.Files {
-		runGlobalRandSyntactic(p, f)
-		if p.Prog != nil && (p.InInternal() || p.InCmd()) && !p.IsTestFile(f.Pos()) {
-			runGlobalRandFlow(p, f)
+		ctorBanned := homeless && !p.IsTestFile(f.Pos())
+		if ctorBanned {
+			checkStreamDecls(p, f)
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && ctorBanned {
+				sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if name := randFunc(p, sel); rawRandCtors[name] {
+					// Outermost constructor only: rand.New(rand.NewSource(s))
+					// is one stream.
+					p.Reportf(call.Pos(), "raw rand.%s builds a stream outside internal/rng, whatever its seed: nothing tracks it, so the snapshot cannot see its draws; build streams with internal/rng (nw.RNG in a run)", name)
+					return false
+				}
+				return true
+			}
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			name := randFunc(p, sel)
+			if name == "" || rawRandCtors[name] || name == "NewZipf" {
+				return true // types, vars, and constructors are fine here
+			}
+			p.Reportf(sel.Pos(), "package-level rand.%s draws from the process-global source; draw from a stream built by internal/rng (nw.RNG in a run)", name)
+			return true
+		})
 	}
 }
 
-// runGlobalRandSyntactic is the original per-file rule: no
-// package-level math/rand functions anywhere.
-func runGlobalRandSyntactic(p *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkgPath := p.PkgNameOf(sel)
-		if !randPackages[pkgPath] {
-			return true
-		}
-		obj, ok := p.Info.Uses[sel.Sel]
-		if !ok {
-			return true
-		}
-		fn, ok := obj.(*types.Func)
-		if !ok || randConstructors[fn.Name()] {
-			return true // types, vars, and seeded constructors are fine
-		}
-		p.Reportf(sel.Pos(), "package-level %s.%s draws from the process-global source; derive a stream with internal/rng or use Kernel.Rand()",
-			pathBase(pkgPath), fn.Name())
-		return true
-	})
+// randFunc returns the name of the package-level math/rand function
+// (either flavor) sel denotes, or "" when sel is anything else.
+func randFunc(p *Pass, sel *ast.SelectorExpr) string {
+	if sel == nil || !randPackages[p.PkgNameOf(sel)] {
+		return ""
+	}
+	if _, ok := p.Info.Uses[sel.Sel].(*types.Func); !ok {
+		return ""
+	}
+	return sel.Sel.Name
 }
 
-// runGlobalRandFlow is the interprocedural layer: package-level stream
-// declarations, draws from globally rooted streams, and constructors
-// fed underived seeds.
-func runGlobalRandFlow(p *Pass, f *ast.File) {
+// checkStreamDecls flags package-level *rand.Rand / Source variables.
+func checkStreamDecls(p *Pass, f *ast.File) {
 	if p.Info == nil {
 		return
 	}
-	// Package-level *rand.Rand / rand.Source declarations.
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok {
@@ -125,89 +115,28 @@ func runGlobalRandFlow(p *Pass, f *ast.File) {
 				continue
 			}
 			for _, name := range vs.Names {
-				if obj := p.Info.Defs[name]; obj != nil && globalVarKey(obj) != "" &&
-					isRandValueType(obj.Type()) {
-					p.Reportf(name.Pos(), "package-level %s %s is a process-shared stream: draw order couples every consumer; derive per-consumer streams with internal/rng instead",
+				if obj := p.Info.Defs[name]; obj != nil && globalVarKey(obj) != "" && isRandValueType(obj.Type()) {
+					p.Reportf(name.Pos(), "package-level %s %s is a process-shared stream: draw order couples every consumer; build per-consumer streams with internal/rng",
 						typeString(obj.Type()), name.Name)
 				}
 			}
 		}
 	}
-
-	// Walk every function body of this file with provenance context.
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		if node := p.Prog.NodeFor(fd); node != nil {
-			checkRandFlowBody(p, node)
-		}
-	}
 }
 
-// checkRandFlowBody reports flow violations in one function body and
-// recurses into its closures.
-func checkRandFlowBody(p *Pass, n *FuncNode) {
-	prog := p.Prog
-	env := prog.buildProvEnv(n)
-	body := n.body()
-	inCtorHome := inRandCtorHome(p)
-	ast.Inspect(body, func(node ast.Node) bool {
-		if lit, ok := node.(*ast.FuncLit); ok {
-			if child := prog.NodeFor(lit); child != nil {
-				checkRandFlowBody(p, child)
-			}
-			return false
-		}
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee, _ := prog.resolveCallee(n, n.Unit, call.Fun)
-
-		// Raw constructor with an underived seed. The rng and sim
-		// packages are the sanctioned homes of raw construction.
-		if callee != "" && matchesAny(callee, rawRandCtors) && !inCtorHome {
-			// Report only the outermost constructor of a
-			// rand.New(rand.NewSource(s)) nest.
-			if sum := prog.classifyCtorSeed(n, call, env); sum.kind == provRaw {
-				p.Reportf(call.Pos(), "stream constructed from a fixed seed, not derived from the master seed; use rng.New/rng.ForNode or derive the seed with rng.Derive")
-				return false
-			}
-			return false
-		}
-
-		// A helper that forwards its seed parameter into a raw
-		// constructor shifts the obligation here: feeding it a fixed
-		// literal builds an underived stream through the helper.
-		if callee != "" {
-			if _, inProg := prog.Funcs[callee]; inProg && !matchesAny(callee, sanctionedRandCtors) {
-				sum := prog.RandSummary(callee)
-				if sum.kind == provParam {
-					if arg := argAt(call, sum.index); arg != nil {
-						argT := typeOf(n.Unit, arg)
-						if argT != nil && !isRandValueType(argT) {
-							if s := prog.classifySeed(n, arg, env); s.kind == provRaw {
-								p.Reportf(call.Pos(), "%s turns its seed argument into a random stream, and this call supplies a fixed seed; derive it with rng.Derive so the stream is a function of the master seed",
-									shortID(callee))
-							}
-						}
-					}
-				}
-			}
-		}
-
-		// Draws from a globally rooted stream, through any helper
-		// chain.
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if t := p.TypeOf(sel.X); isRandValueType(t) {
-				if sum := prog.classifyRand(n, sel.X, env); sum.kind == provGlobal {
-					p.Reportf(call.Pos(), "draws from package-level stream %s: shared streams make draw order load-bearing across consumers; derive a local stream with internal/rng",
-						sum.key)
-				}
-			}
-		}
+// isRandValueType reports whether t is *rand.Rand or a rand Source.
+func isRandValueType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if isRandPointer(t) {
 		return true
-	})
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	o := named.Obj()
+	return o.Pkg() != nil && randPackages[o.Pkg().Path()] &&
+		strings.HasPrefix(o.Name(), "Source")
 }

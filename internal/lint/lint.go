@@ -16,6 +16,8 @@
 //
 // placed on the offending line or the line directly above it. The
 // reason is mandatory: an unexplained suppression is itself reported.
+// The sharedstate rule cannot be waived: no directive, named or "*",
+// silences it, so one placed for it is stale.
 package lint
 
 import (
@@ -58,10 +60,10 @@ type Pass struct {
 	Info  *types.Info
 	Path  string // import path of the unit, e.g. "routeless/internal/sim"
 
-	// Prog is the whole-module view backing the flow-aware rules:
-	// call graph, taint summaries, entry points. May be nil (a bare
-	// Run on one unit), in which case flow-aware rules degrade to
-	// their syntactic core and the sharedstate analyzer is silent.
+	// Prog is the whole-program view backing the flow-aware rules
+	// (maporder, sharedstate): call graph, taint summaries, entry
+	// points. Analyze passes the loaded program; Run builds one from
+	// its single unit, so cross-package facts are missing there.
 	Prog *Program
 
 	unit  *Unit
@@ -128,6 +130,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 type ignoreDirective struct {
 	file   string
 	line   int
+	col    int
 	rule   string // "*" matches every rule
 	reason string
 	used   bool
@@ -160,6 +163,7 @@ func parseIgnores(fset *token.FileSet, files []*ast.File, diags *[]Diagnostic) [
 				out = append(out, &ignoreDirective{
 					file:   pos.Filename,
 					line:   fset.Position(c.End()).Line,
+					col:    pos.Column,
 					rule:   fields[0],
 					reason: strings.Join(fields[1:], " "),
 				})
@@ -170,8 +174,12 @@ func parseIgnores(fset *token.FileSet, files []*ast.File, diags *[]Diagnostic) [
 }
 
 // suppressed reports whether d is covered by a directive on its line or
-// the line above, and marks the directive used.
+// the line above, and marks the directive used. A sharedstate finding
+// never is: it is the shard-safety gate.
 func suppressed(d Diagnostic, dirs []*ignoreDirective) bool {
+	if d.Rule == SharedState.Name {
+		return false
+	}
 	for _, dir := range dirs {
 		if dir.file != d.Pos.Filename {
 			continue
@@ -240,7 +248,7 @@ func filterUnit(u *Unit, raw []Diagnostic, out *[]Diagnostic) ([]*ignoreDirectiv
 		if dir.rule != "*" && !known[dir.rule] {
 			dir.used = true // already reported as unknown; not also stale
 			*out = append(*out, Diagnostic{
-				Pos:     token.Position{Filename: dir.file, Line: dir.line},
+				Pos:     token.Position{Filename: dir.file, Line: dir.line, Column: dir.col},
 				Rule:    "ignore",
 				Message: fmt.Sprintf("directive suppresses unknown rule %q", dir.rule),
 			})
@@ -262,24 +270,12 @@ func sortDiagnostics(out []Diagnostic) {
 	})
 }
 
-// RunUnit applies every analyzer to one unit with prog supplying the
-// flow-aware context, returning surviving diagnostics sorted by
-// position.
-func RunUnit(prog *Program, u *Unit, analyzers []*Analyzer) []Diagnostic {
-	var raw []Diagnostic
-	runRaw(prog, u, analyzers, &raw)
-	var out []Diagnostic
-	_, _ = filterUnit(u, raw, &out)
-	sortDiagnostics(out)
-	return out
-}
-
-// Run applies every analyzer to the unit in isolation: the flow-aware
-// context is built from this one unit, so intraprocedural and
-// intra-package interprocedural facts are available, cross-package ones
-// are not.
+// Run applies every analyzer to the unit in isolation, returning the
+// surviving diagnostics sorted by position: the flow-aware context is
+// built from this one unit, so intraprocedural and intra-package
+// interprocedural facts are available, cross-package ones are not.
 func Run(u *Unit, analyzers []*Analyzer) []Diagnostic {
-	return RunUnit(BuildProgram([]*Unit{u}), u, analyzers)
+	return Analyze(BuildProgram([]*Unit{u}), analyzers).Diags
 }
 
 // StaleDirective is a //lint:ignore comment that suppressed nothing in

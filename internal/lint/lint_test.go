@@ -1,8 +1,12 @@
 package lint
 
 import (
+	"encoding/json"
 	"go/token"
+	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -48,7 +52,7 @@ func TestLoaderModuleImports(t *testing.T) {
 func TestRunOrdersDiagnostics(t *testing.T) {
 	got := analyze(t, FloatEq, "routeless/internal/fix", "fix.go", `package fix
 func f(a, b float64) bool { return a == b }
-func g(a, b float64) bool { return a != b }`)
+func g(a, b float64) bool { return a != b }`).Diags
 	if len(got) != 2 {
 		t.Fatalf("got %d diagnostics: %v", len(got), got)
 	}
@@ -102,5 +106,85 @@ func TestSuppressedSameLine(t *testing.T) {
 	other := Diagnostic{Pos: token.Position{Filename: "y.go", Line: 7}, Rule: "floateq"}
 	if suppressed(other, dirs) {
 		t.Error("directive leaked across files")
+	}
+}
+
+// TestProblemMatcherCoversEveryLine loads the CI problem matcher and
+// checks that each kind of line simlint prints — finding, malformed
+// directive, unknown-rule directive, stale directive, sharedstate —
+// matches one of its patterns with file and line captured, so every one
+// becomes a PR annotation.
+func TestProblemMatcherCoversEveryLine(t *testing.T) {
+	data, err := os.ReadFile("../../.github/simlint-problem-matcher.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp string `json:"regexp"`
+				File   int    `json:"file"`
+				Line   int    `json:"line"`
+			} `json:"pattern"`
+		} `json:"problemMatcher"`
+	}
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	type pattern struct {
+		re         *regexp.Regexp
+		file, line int
+	}
+	var pats []pattern
+	for _, m := range cfg.ProblemMatcher {
+		for _, p := range m.Pattern {
+			pats = append(pats, pattern{regexp.MustCompile(p.Regexp), p.File, p.Line})
+		}
+	}
+
+	res := analyze(t, SharedState, "routeless/internal/fix", "fix.go", `package fix
+var hits int
+type listener struct{}
+func (listener) OnReceive(rssi float64) {
+	hits++
+	//lint:ignore sharedstate
+	//lint:ignore notarule stale suppression
+	//lint:ignore sharedstate run-scoped counter
+	_ = rssi
+}`)
+	eq := analyze(t, FloatEq, "routeless/internal/fix", "fix.go", `package fix
+func eq(a, b float64) bool { return a == b }`)
+	if len(eq.Diags) != 1 {
+		t.Fatalf("floateq fixture: got %v, want one finding", eq.Diags)
+	}
+	lines := map[string]string{"finding": eq.Diags[0].String()}
+	for _, d := range res.Diags {
+		kind := d.Rule
+		if strings.Contains(d.Message, "malformed") {
+			kind = "malformed"
+		} else if strings.Contains(d.Message, "unknown rule") {
+			kind = "unknown"
+		}
+		lines[kind] = d.String()
+	}
+	for _, s := range res.Stale {
+		lines["stale"] = s.String()
+	}
+	for _, kind := range []string{"finding", "sharedstate", "malformed", "unknown", "stale"} {
+		line, ok := lines[kind]
+		if !ok {
+			t.Errorf("fixture printed no %s line: %v", kind, lines)
+			continue
+		}
+		matched := false
+		for _, p := range pats {
+			if m := p.re.FindStringSubmatch(line); m != nil && strings.HasSuffix(m[p.file], "fix.go") && m[p.line] != "" {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			t.Errorf("%s line matches no problem-matcher pattern: %s", kind, line)
+		}
 	}
 }

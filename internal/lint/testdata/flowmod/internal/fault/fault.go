@@ -1,12 +1,11 @@
-// Package fault mirrors the fault plane: the flow-aware faultrand rule
-// must catch streams laundered through helpers even though no
-// *rand.Rand ever crosses a parameter list.
+// Package fault mirrors the fault plane: a stream built inside a helper
+// crosses no parameter list, so faultrand cannot see it, but globalrand
+// flags its raw constructor.
 package fault
 
 import "math/rand"
 
-// stream launders a fixed-seed generator through a helper; the
-// syntactic parameter ban cannot see it.
+// stream builds a fixed-seed generator outside internal/rng.
 func stream() *rand.Rand { return rand.New(rand.NewSource(7)) }
 
 // Jitter draws from the laundered stream.

@@ -40,16 +40,21 @@ func JournalBad(j *metrics.Journal, m map[string]int) {
 	}
 }
 
-// mkStream forwards its seed argument into a raw constructor, so its
-// output is only as derived as what callers feed it.
+// mkStream forwards its seed argument into a raw constructor outside
+// internal/rng: flagged at the constructor whatever its callers feed
+// it, because no tracker sees the stream it builds.
 func mkStream(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// BadJitter supplies a fixed seed through the helper: the stream is not
-// a function of the master seed.
+// BadJitter supplies a fixed seed through the helper.
 func BadJitter() float64 { return mkStream(42).Float64() }
 
-// GoodJitter derives the seed first; the same helper chain is fine.
-func GoodJitter(seed int64) float64 { return mkStream(rng.Derive(seed, "jitter")).Float64() }
+// DerivedJitter derives the seed first; the stream is a function of the
+// master seed but still untracked, so the helper's constructor stays
+// the one finding.
+func DerivedJitter(seed int64) float64 { return mkStream(rng.Derive(seed, "jitter")).Float64() }
+
+// TrackedJitter draws from a stream rng builds: clean.
+func TrackedJitter(seed int64) float64 { return rng.New(seed, "jitter").Float64() }
 
 // hits is package-level mutable state written from handler context.
 var hits int
@@ -71,8 +76,8 @@ func Arm(k *sim.Kernel) {
 	k.Schedule(1, func() { pending++ })
 }
 
-// deliveries is handler-written too, but the write carries a reasoned
-// suppression.
+// deliveries is handler-written too; its directive cannot waive the
+// finding, so it is stale.
 var deliveries int
 
 // Meter is a send-report handler.

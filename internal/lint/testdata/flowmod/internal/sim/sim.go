@@ -3,7 +3,11 @@
 // recognize entry points and sinks by ID suffix.
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"flowmod/internal/rng"
+)
 
 // Time mirrors the real simulated-time scalar.
 type Time float64
@@ -14,10 +18,10 @@ type Kernel struct {
 	rng   *rand.Rand
 }
 
-// NewKernel seeds the master stream; this package is a sanctioned home
-// for raw constructors, like the real internal/sim.
+// NewKernel seeds the master stream through rng, like the real
+// internal/sim: only internal/rng may call a raw constructor.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rng.New(seed, "kernel")}
 }
 
 // Schedule enqueues f after d.

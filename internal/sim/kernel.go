@@ -184,9 +184,9 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel whose clock starts at 0 and whose random
-// stream is seeded with seed. All randomness used by simulation
-// components should derive from Rand() (directly or via rng.Split) so a
-// run is reproducible from its seed.
+// stream is rng.New(seed). Simulation components should draw from
+// streams built through the network's rng.Tracker (nw.RNG), whose
+// states the snapshot hashes; Rand() is outside that tracker.
 func NewKernel(seed int64) *Kernel {
 	return NewKernelPooled(seed, NewEventPool())
 }
