@@ -159,7 +159,7 @@ func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out
 			nw.Install(func(n *node.Node) node.Protocol {
 				r := routing.NewRouteless(rcfg)
 				id := n.ID
-				r.OnRelay = func(pkt *packet.Packet) { out.paths.Record(id, pkt, n.Kernel.Now()) }
+				r.OnRelay = func(pkt *packet.Packet) { out.paths.Record(id, pkt) }
 				return r
 			})
 		},

@@ -103,11 +103,10 @@ type Program struct {
 	nodeOf map[ast.Node]*FuncNode // FuncDecl/FuncLit → node
 
 	// lazy analysis memos (see taint.go).
-	sinkMemo    map[FuncID]sinkSet
-	sinkActive  map[FuncID]bool
-	mapRetMemo  map[FuncID]int8
-	mapRetBusy  map[FuncID]bool
-	callersMemo map[FuncID][]FuncID
+	sinkMemo   map[FuncID]sinkSet
+	sinkActive map[FuncID]bool
+	mapRetMemo map[FuncID]int8
+	mapRetBusy map[FuncID]bool
 
 	// lazy handler-reachable closure (see sharedstate.go).
 	handlerReachMemo map[FuncID]bool
@@ -500,26 +499,6 @@ func (p *Program) HandlerReachable() map[FuncID]bool {
 		roots = append(roots, ep.Fn)
 	}
 	return p.Reachable(roots)
-}
-
-// Callers returns the IDs of nodes with a resolved call edge to id, in
-// sorted order. The reverse index is built lazily once.
-func (p *Program) Callers(id FuncID) []FuncID {
-	if p.callersMemo == nil {
-		p.callersMemo = map[FuncID][]FuncID{}
-		for _, fid := range p.IDs {
-			n := p.Funcs[fid]
-			for _, c := range n.Calls {
-				if c.Callee != "" {
-					p.callersMemo[c.Callee] = append(p.callersMemo[c.Callee], fid)
-				}
-			}
-		}
-		for _, ids := range p.callersMemo {
-			slices.Sort(ids)
-		}
-	}
-	return p.callersMemo[id]
 }
 
 // EntryPathTo returns one example call chain (entry point → … → id)

@@ -63,9 +63,16 @@ func TestCallGraphTopology(t *testing.T) {
 	}
 
 	// One resolved caller edge: relay → write.
-	callers := prog.Callers("flowmod/internal/proto.write")
+	var callers []FuncID
+	for _, id := range prog.IDs {
+		for _, c := range prog.Funcs[id].Calls {
+			if c.Callee == "flowmod/internal/proto.write" {
+				callers = append(callers, id)
+			}
+		}
+	}
 	if len(callers) != 1 || callers[0] != "flowmod/internal/proto.relay" {
-		t.Errorf("Callers(proto.write) = %v, want [flowmod/internal/proto.relay]", callers)
+		t.Errorf("callers of proto.write = %v, want [flowmod/internal/proto.relay]", callers)
 	}
 
 	// Dispatch entry points: every handler-named concrete method.

@@ -51,7 +51,6 @@ const (
 	KindRREQ                  // AODV route request
 	KindRREP                  // AODV route reply
 	KindRERR                  // AODV route error
-	KindHello                 // AODV hello beacon
 	KindMACAck                // link-layer acknowledgement for unicast
 	KindJam                   // fault-plane jammer burst; interferes, never decodes
 	numKinds
@@ -59,7 +58,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"DATA", "FLOOD", "DISC", "REPLY", "ACK", "ANN", "SYNC",
-	"RREQ", "RREP", "RERR", "HELLO", "MACK", "JAM",
+	"RREQ", "RREP", "RERR", "MACK", "JAM",
 }
 
 // String implements fmt.Stringer.
@@ -153,7 +152,6 @@ const (
 	SizeData    = 512
 	SizeControl = 48
 	SizeAck     = 24
-	SizeHello   = 32
 )
 
 // HopLimit is the TTL every routing protocol stamps on the packets it

@@ -9,32 +9,10 @@ import (
 	"routeless/internal/sim"
 )
 
-// AODVConfig selects the baseline's variant; the zero value is plain
-// AODV with hello beaconing.
-type AODVConfig struct {
-	// NoHello disables beaconing: link failures are then detected only
-	// through link-layer ARQ feedback. The paper's packet counts
-	// (Figures 3–4) scale with traffic rather than time, implying its
-	// AODV ran without periodic hellos; experiments use this mode.
-	NoHello bool
-	// ExpandingRing enables AODV's expanding-ring search: route
-	// requests start with a small TTL and widen on each retry
-	// (1, 3, 7, then full TTL), trading discovery latency for far
-	// fewer flood transmissions when destinations are close. Off by
-	// default to match the paper's "original flooding" description.
-	ExpandingRing bool
-}
-
-// AODV's fixed parameters. Route requests share the discovery retry
-// policy and rebroadcast backoff with the other two protocols.
-const (
-	// helloInterval is the beacon period.
-	helloInterval sim.Time = 1
-	// helloLoss is how many missed intervals declare a neighbor dead.
-	helloLoss = 2
-	// routeLifetime expires unused routes.
-	routeLifetime sim.Time = 30
-)
+// routeLifetime expires unused routes. Route requests share the
+// discovery retry policy and rebroadcast backoff with the other two
+// protocols.
+const routeLifetime sim.Time = 30
 
 // AODVSeries indexes one cell of a node's AODV counter block.
 type AODVSeries uint8
@@ -50,8 +28,8 @@ const (
 	AODVRREPSent
 	AODVRREPForwarded
 	AODVRERRSent
-	AODVHellos
-	AODVLinkBreaks // ARQ failures + hello losses
+	AODVHellos     // never counted since hellos went; aodv.hellos stays a journal column
+	AODVLinkBreaks // link-layer ARQ failures
 	AODVRoutesInvalided
 	AODVRediscoveries
 	AODVDroppedNoRoute // source-side, discovery gave up
@@ -106,12 +84,12 @@ type rerrInfo struct {
 }
 
 // AODV is the reactive-routing baseline of §4.3: explicit routes
-// discovered by flooding RREQs, maintained with hello beacons and
-// link-layer feedback, and repaired through RERR + re-discovery. Its
-// per-packet forwarding is unicast with MAC acknowledgements.
+// discovered by flooding RREQs, broken by link-layer ARQ failures, and
+// repaired through RERR + re-discovery. It sends no hello beacons: the
+// paper's packet counts (Figures 3–4) scale with traffic rather than
+// time. Its per-packet forwarding is unicast with MAC acknowledgements.
 type AODV struct {
-	cfg AODVConfig
-	n   *node.Node
+	n *node.Node
 
 	// salvage holds in-flight data packets parked behind a route
 	// re-discovery, keyed by their final target.
@@ -123,15 +101,11 @@ type AODV struct {
 	seqNo  uint32 // own destination sequence number
 	rreqID uint32
 
-	routes    map[packet.NodeID]*route
-	rreqSeen  *packet.DedupCache
-	consumed  *packet.DedupCache         // end-to-end dedup of salvaged copies
-	neighbors map[packet.NodeID]sim.Time // last heard
+	routes   map[packet.NodeID]*route
+	rreqSeen *packet.DedupCache
+	consumed *packet.DedupCache // end-to-end dedup of salvaged copies
 
 	discovering discoverySet
-
-	hello   *sim.Ticker
-	monitor *sim.Ticker
 
 	stats [numAODVSeries]metrics.Counter32
 	// repairLatency spans a data packet's parking behind a re-discovery
@@ -143,31 +117,19 @@ type AODV struct {
 }
 
 // NewAODV builds an instance; install with Network.Install.
-func NewAODV(cfg AODVConfig) *AODV {
+func NewAODV() *AODV {
 	return &AODV{
-		cfg:         cfg,
 		salvage:     make(map[packet.NodeID][]*packet.Packet),
 		repairStart: make(map[packet.NodeID]sim.Time),
 		routes:      make(map[packet.NodeID]*route),
 		rreqSeen:    packet.NewDedupCache(8192),
 		consumed:    packet.NewDedupCache(8192),
-		neighbors:   make(map[packet.NodeID]sim.Time),
 		discovering: make(discoverySet),
 	}
 }
 
 // Start implements node.Protocol.
-func (a *AODV) Start(n *node.Node) {
-	a.n = n
-	if a.cfg.NoHello {
-		return
-	}
-	a.hello = sim.NewTicker(n.Kernel, helloInterval, a.sendHello)
-	// De-phase beacons across nodes.
-	a.hello.StartAfter(sim.Time(n.Rng.Float64()) * helloInterval)
-	a.monitor = sim.NewTicker(n.Kernel, helloInterval, a.checkNeighbors)
-	a.monitor.StartAfter(sim.Time(1+n.Rng.Float64()) * helloInterval)
-}
+func (a *AODV) Start(n *node.Node) { a.n = n }
 
 // Count returns the current value of one of the node's counters.
 func (a *AODV) Count(s AODVSeries) uint64 { return a.stats[s].Value() }
@@ -237,7 +199,7 @@ func (a *AODV) routeOrDiscover(target packet.NodeID, size int, created sim.Time)
 	}
 	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
 	if started {
-		a.floodRREQ(target, a.ringTTL(0))
+		a.floodRREQ(target)
 		d.timer.Reset(discoveryTimeout)
 	}
 	d.queue = append(d.queue, pendingData{size: size, created: created})
@@ -252,26 +214,13 @@ func (a *AODV) sendDataVia(r *route, target packet.NodeID, size int, created sim
 	}, 0)
 }
 
-// ringTTL returns the RREQ TTL for the attempt-th discovery try under
-// expanding-ring search: 1, 3, 7, then the full TTL.
-func (a *AODV) ringTTL(attempt int) int {
-	if !a.cfg.ExpandingRing {
-		return packet.HopLimit
-	}
-	rings := []int{1, 3, 7}
-	if attempt < len(rings) {
-		return rings[attempt]
-	}
-	return packet.HopLimit
-}
-
-func (a *AODV) floodRREQ(target packet.NodeID, ttl int) {
+func (a *AODV) floodRREQ(target packet.NodeID) {
 	a.rreqID++
 	a.stats[AODVRREQSent].Inc()
 	pkt := &packet.Packet{
 		Kind: packet.KindRREQ, To: packet.Broadcast,
 		Origin: a.n.ID, Target: target, Seq: a.rreqID,
-		HopCount: 1, TTL: ttl, Size: packet.SizeControl,
+		HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
 		CreatedAt: a.n.Kernel.Now(),
 		Payload:   rreqInfo{originSeq: a.nextSeq()},
 	}
@@ -304,35 +253,8 @@ func (a *AODV) discoveryTimeout(target packet.NodeID) {
 		return
 	}
 	a.stats[AODVRediscoveries].Inc()
-	a.floodRREQ(target, a.ringTTL(d.retries))
+	a.floodRREQ(target)
 	d.timer.Reset(discoveryTimeout)
-}
-
-func (a *AODV) sendHello() {
-	a.stats[AODVHellos].Inc()
-	a.n.MAC.Enqueue(&packet.Packet{
-		Kind: packet.KindHello, To: packet.Broadcast,
-		Origin: a.n.ID, Seq: a.nextSeq(), Size: packet.SizeHello,
-	}, 0)
-}
-
-// checkNeighbors expires silent neighbors and tears down routes through
-// them.
-func (a *AODV) checkNeighbors() {
-	now := a.n.Kernel.Now()
-	deadline := sim.Time(helloLoss) * helloInterval
-	var dead []packet.NodeID
-	for id, last := range a.neighbors {
-		if now-last > deadline {
-			dead = append(dead, id)
-		}
-	}
-	slices.Sort(dead)
-	for _, id := range dead {
-		delete(a.neighbors, id)
-		a.stats[AODVLinkBreaks].Inc()
-		a.invalidateVia(id)
-	}
 }
 
 // invalidateVia drops every route whose next hop is gone and advertises
@@ -368,11 +290,7 @@ func (a *AODV) invalidateVia(hop packet.NodeID) {
 
 // OnDeliver implements node.Protocol.
 func (a *AODV) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
-	// Any frame doubles as a hello from its transmitter.
-	a.neighbors[pkt.From] = a.n.Kernel.Now()
 	switch pkt.Kind {
-	case packet.KindHello:
-		// Liveness only, handled above.
 	case packet.KindRREQ:
 		a.handleRREQ(pkt)
 	case packet.KindRREP:
@@ -539,11 +457,9 @@ func (a *AODV) flushSalvage(target packet.NodeID) {
 func (a *AODV) OnSent(pkt *packet.Packet) {}
 
 // OnUnicastFailed implements node.Protocol: the MAC exhausted its
-// retries toward pkt.To — treat the link as broken immediately (faster
-// than waiting for hello loss).
+// retries toward pkt.To — treat the link as broken.
 func (a *AODV) OnUnicastFailed(pkt *packet.Packet) {
 	a.stats[AODVLinkBreaks].Inc()
-	delete(a.neighbors, pkt.To)
 	a.invalidateVia(pkt.To)
 	// Salvage data packets — originated here or being forwarded — by
 	// re-routing them through a fresh route (or discovery), keeping
@@ -580,7 +496,7 @@ func (a *AODV) salvageData(pkt *packet.Packet) {
 	target := pkt.Target
 	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
 	if started {
-		a.floodRREQ(target, a.ringTTL(0))
+		a.floodRREQ(target)
 		d.timer.Reset(discoveryTimeout)
 	}
 }

@@ -6,16 +6,15 @@ import (
 	"routeless/internal/geo"
 	"routeless/internal/node"
 	"routeless/internal/packet"
-	"routeless/internal/sim"
 )
 
-func buildAODV(t *testing.T, cfg AODVConfig, seed int64, positions []geo.Point) (*node.Network, []*AODV) {
+func buildAODV(t *testing.T, seed int64, positions []geo.Point) (*node.Network, []*AODV) {
 	t.Helper()
 	nw := node.Must(node.New(node.Config{Positions: positions, Seed: seed}))
 	as := make([]*AODV, len(positions))
 	i := 0
 	nw.Install(func(n *node.Node) node.Protocol {
-		a := NewAODV(cfg)
+		a := NewAODV()
 		as[i] = a
 		i++
 		return a
@@ -24,7 +23,7 @@ func buildAODV(t *testing.T, cfg AODVConfig, seed int64, positions []geo.Point) 
 }
 
 func TestAODVDirectNeighbor(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{}, 1, line(2, 150))
+	nw, as := buildAODV(t, 1, line(2, 150))
 	var got []*packet.Packet
 	nw.Nodes[1].OnAppReceive = func(p *packet.Packet) { got = append(got, p.Clone()) }
 	as[0].Send(1, 0)
@@ -41,7 +40,7 @@ func TestAODVDirectNeighbor(t *testing.T) {
 }
 
 func TestAODVMultiHop(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{}, 2, line(5, 200))
+	nw, as := buildAODV(t, 2, line(5, 200))
 	var got []*packet.Packet
 	nw.Nodes[4].OnAppReceive = func(p *packet.Packet) { got = append(got, p.Clone()) }
 	as[0].Send(4, 0)
@@ -63,7 +62,7 @@ func TestAODVMultiHop(t *testing.T) {
 }
 
 func TestAODVRouteReuse(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{}, 3, line(3, 200))
+	nw, as := buildAODV(t, 3, line(3, 200))
 	count := 0
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(2, 0)
@@ -89,7 +88,7 @@ func TestAODVLinkBreakTriggersRediscovery(t *testing.T) {
 		{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}, {X: 600, Y: 0},
 		{X: 150, Y: 150}, {X: 380, Y: 150},
 	}
-	nw, as := buildAODV(t, AODVConfig{}, 4, positions)
+	nw, as := buildAODV(t, 4, positions)
 	count := 0
 	nw.Nodes[3].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(3, 0)
@@ -112,30 +111,10 @@ func TestAODVLinkBreakTriggersRediscovery(t *testing.T) {
 	}
 }
 
-func TestAODVHelloMaintainsNeighbors(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{}, 5, line(2, 150))
-	nw.Run(5)
-	if as[0].Count(AODVHellos) == 0 {
-		t.Fatal("no hello beacons sent")
-	}
-	if _, ok := as[0].neighbors[1]; !ok {
-		t.Fatal("neighbor not learned from hellos")
-	}
-	// Silence the neighbor: entry must expire.
-	nw.Nodes[1].Fail()
-	nw.Run(15)
-	if _, ok := as[0].neighbors[1]; ok {
-		t.Fatal("dead neighbor never expired")
-	}
-	if as[0].Count(AODVLinkBreaks) == 0 {
-		t.Fatal("hello loss not counted as link break")
-	}
-}
-
 func TestAODVRERRPropagates(t *testing.T) {
-	// 0-1-2-3 route; when 2 dies, 1 invalidates and sends RERR; 0
-	// must drop its route to 3.
-	nw, as := buildAODV(t, AODVConfig{}, 6, line(4, 200))
+	// 0-1-2-3 route; when 2 dies, the next data packet fails its ARQ at
+	// 1, which invalidates and sends RERR; 0 must drop its route to 3.
+	nw, as := buildAODV(t, 6, line(4, 200))
 	count := 0
 	nw.Nodes[3].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(3, 0)
@@ -144,7 +123,8 @@ func TestAODVRERRPropagates(t *testing.T) {
 		t.Fatalf("setup failed: delivered %d", count)
 	}
 	nw.Nodes[2].Fail()
-	nw.Run(20) // hello timeout at node 1 → RERR broadcast
+	as[0].Send(3, 0)
+	nw.Run(20) // ARQ failure at node 1 → RERR broadcast
 	if _, ok := as[0].RouteTo(3); ok {
 		t.Fatal("source still holds a route through the dead node")
 	}
@@ -159,7 +139,7 @@ func TestAODVRERRPropagates(t *testing.T) {
 
 func TestAODVNoRouteGivesUp(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 2500, Y: 0}}
-	nw, as := buildAODV(t, AODVConfig{}, 7, positions)
+	nw, as := buildAODV(t, 7, positions)
 	as[0].Send(2, 0)
 	nw.Run(10)
 	if as[0].Count(AODVDroppedNoRoute) != 1 {
@@ -173,7 +153,7 @@ func TestAODVSalvageOutlivesTheDeliveredPacket(t *testing.T) {
 	// zeroed afterwards, as phy does; the discovery must still retry
 	// toward the packet's target and then give the salvage up.
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 2500, Y: 0}}
-	nw, as := buildAODV(t, AODVConfig{NoHello: true}, 7, positions)
+	nw, as := buildAODV(t, 7, positions)
 	lent := packet.Packet{Kind: packet.KindData, From: 0, To: 1, Origin: 0, Target: 2, Seq: 1, HopCount: 1, TTL: 8, Size: 64}
 	as[1].OnDeliver(&lent, -50)
 	lent = packet.Packet{}
@@ -187,7 +167,7 @@ func TestAODVSalvageOutlivesTheDeliveredPacket(t *testing.T) {
 }
 
 func TestAODVBidirectional(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{}, 8, line(4, 200))
+	nw, as := buildAODV(t, 8, line(4, 200))
 	got := map[packet.NodeID]int{}
 	nw.Nodes[0].OnAppReceive = func(*packet.Packet) { got[0]++ }
 	nw.Nodes[3].OnAppReceive = func(*packet.Packet) { got[3]++ }
@@ -200,7 +180,7 @@ func TestAODVBidirectional(t *testing.T) {
 }
 
 func TestAODVSendToSelf(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{}, 9, line(2, 150))
+	nw, as := buildAODV(t, 9, line(2, 150))
 	count := 0
 	nw.Nodes[0].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(0, 0)
@@ -211,7 +191,7 @@ func TestAODVSendToSelf(t *testing.T) {
 }
 
 func TestAODVRouteExpiry(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{}, 10, line(3, 200))
+	nw, as := buildAODV(t, 10, line(3, 200))
 	count := 0
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { count++ }
 	as[0].Send(2, 0)
@@ -230,99 +210,19 @@ func TestAODVRouteExpiry(t *testing.T) {
 	}
 }
 
-func TestAODVHelloOverheadGrowsWithTime(t *testing.T) {
-	// The cost AODV pays even when idle (and Routeless does not): MAC
-	// frames accumulate linearly from beacons.
-	nw, _ := buildAODV(t, AODVConfig{}, 11, line(4, 200))
-	nw.Run(10)
-	atTen := nw.MACPackets()
-	nw.Kernel.SetHorizon(sim.Infinity)
-	nw.Run(20)
-	atTwenty := nw.MACPackets()
-	if atTen == 0 {
-		t.Fatal("no hello traffic at all")
-	}
-	if atTwenty < atTen+uint64(float64(atTen)*0.7) {
-		t.Fatalf("hello overhead not roughly linear: %d → %d", atTen, atTwenty)
-	}
-}
-
 func TestRRIdleHasNoControlTraffic(t *testing.T) {
-	// Contrast with the previous test: an idle Routeless network is
-	// silent (§4.2 "without incurring any overhead of control packets").
-	nw, _ := buildRR(t, RoutelessConfig{}, 12, line(4, 200))
-	nw.Run(30)
-	if nw.MACPackets() != 0 {
-		t.Fatalf("idle Routeless network transmitted %d frames", nw.MACPackets())
-	}
-}
-
-func TestAODVExpandingRingFindsNearTargetCheaply(t *testing.T) {
-	// With a close destination, ring TTL 1 suffices: the RREQ must not
-	// flood the whole field.
-	nw1 := node.Must(node.New(node.Config{N: 80, Rect: geo.NewRect(900, 900), Seed: 14, EnsureConnected: true}))
-	plain := make([]*AODV, 0, 80)
-	nw1.Install(func(n *node.Node) node.Protocol {
-		a := NewAODV(AODVConfig{NoHello: true})
-		plain = append(plain, a)
-		return a
-	})
-	dst1 := nearestNeighborOf(nw1, 0)
-	done := false
-	nw1.Nodes[dst1].OnAppReceive = func(*packet.Packet) { done = true }
-	plain[0].Send(packet.NodeID(dst1), 64)
-	nw1.Run(10)
-	plainPkts := nw1.MACPackets()
-	if !done {
-		t.Fatal("plain AODV failed to deliver")
-	}
-
-	nw2 := node.Must(node.New(node.Config{N: 80, Rect: geo.NewRect(900, 900), Seed: 14, EnsureConnected: true}))
-	ring := make([]*AODV, 0, 80)
-	nw2.Install(func(n *node.Node) node.Protocol {
-		a := NewAODV(AODVConfig{NoHello: true, ExpandingRing: true})
-		ring = append(ring, a)
-		return a
-	})
-	done2 := false
-	nw2.Nodes[dst1].OnAppReceive = func(*packet.Packet) { done2 = true }
-	ring[0].Send(packet.NodeID(dst1), 64)
-	nw2.Run(10)
-	if !done2 {
-		t.Fatal("expanding-ring AODV failed to deliver")
-	}
-	if nw2.MACPackets() >= plainPkts {
-		t.Fatalf("expanding ring used %d frames, plain %d — no savings for a 1-hop target",
-			nw2.MACPackets(), plainPkts)
-	}
-}
-
-func TestAODVExpandingRingEventuallyReachesFarTarget(t *testing.T) {
-	// A distant destination needs ring escalation 1→3→7→full; the
-	// discovery must still succeed within the retry budget.
-	nw, as := buildAODV(t, AODVConfig{NoHello: true, ExpandingRing: true}, 15, line(6, 200))
-	count := 0
-	nw.Nodes[5].OnAppReceive = func(*packet.Packet) { count++ }
-	as[0].Send(5, 64)
-	nw.Run(20)
-	if count != 1 {
-		t.Fatalf("delivered %d, want 1 after ring escalation", count)
-	}
-	if as[0].Count(AODVRREQSent) < 2 {
-		t.Fatal("far target should need more than one ring")
-	}
-}
-
-// nearestNeighborOf returns the index of the node closest to node i.
-func nearestNeighborOf(nw *node.Network, i int) int {
-	best, bestD := -1, 1e18
-	for j, n := range nw.Nodes {
-		if j == i {
-			continue
-		}
-		if d := n.Pos.Dist(nw.Nodes[i].Pos); d < bestD {
-			best, bestD = j, d
+	// An idle Routeless network is silent (§4.2 "without incurring any
+	// overhead of control packets"); so is the on-demand AODV baseline,
+	// which sends no hello beacons.
+	rr, _ := buildRR(t, RoutelessConfig{}, 12, line(4, 200))
+	aodv, _ := buildAODV(t, 12, line(4, 200))
+	for _, c := range []struct {
+		name string
+		nw   *node.Network
+	}{{"Routeless", rr}, {"AODV", aodv}} {
+		c.nw.Run(30)
+		if c.nw.MACPackets() != 0 {
+			t.Errorf("idle %s network transmitted %d frames", c.name, c.nw.MACPackets())
 		}
 	}
-	return best
 }

@@ -47,7 +47,7 @@ func BenchmarkRoutelessSteadyState(b *testing.B) {
 func BenchmarkAODVSteadyState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := benchNetwork(b, func(n *node.Node) node.Protocol {
-			return NewAODV(AODVConfig{NoHello: true})
+			return NewAODV()
 		}, 10)
 		b.ReportMetric(float64(d), "delivered")
 	}

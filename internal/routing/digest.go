@@ -115,9 +115,9 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 }
 
 // DigestState folds one node's AODV state into h: sequence and RREQ-id
-// counters, the routing table (sorted by destination), neighbor
-// last-heard times, both dedup caches, the salvage queues, repair
-// timestamps, and discovery bookkeeping.
+// counters, the routing table (sorted by destination), both dedup
+// caches, the salvage queues, repair timestamps, and discovery
+// bookkeeping.
 func (a *AODV) DigestState(h *digest.Hash) {
 	h.Uint64(uint64(a.seqNo))
 	h.Uint64(uint64(a.rreqID))
@@ -130,12 +130,6 @@ func (a *AODV) DigestState(h *digest.Hash) {
 		h.Int(rt.hops)
 		h.Uint64(uint64(rt.seq))
 		h.Float64(float64(rt.expiry))
-	}
-
-	h.Int(len(a.neighbors))
-	for _, id := range sortedNodeKeys(a.neighbors) {
-		h.Int64(int64(id))
-		h.Float64(float64(a.neighbors[id]))
 	}
 
 	a.rreqSeen.DigestState(h)

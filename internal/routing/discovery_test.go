@@ -40,7 +40,7 @@ func TestRRTimeoutFlushesPassivelyLearnedGradient(t *testing.T) {
 }
 
 func TestAODVTimeoutFlushesPassivelyLearnedRoute(t *testing.T) {
-	nw, as := buildAODV(t, AODVConfig{NoHello: true}, 7, line(2, 150))
+	nw, as := buildAODV(t, 7, line(2, 150))
 	got := 0
 	nw.Nodes[1].OnAppReceive = func(*packet.Packet) { got++ }
 	nw.Nodes[1].Radio.TurnOff()

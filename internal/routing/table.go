@@ -1,8 +1,8 @@
 // Package routing implements the paper's §4 protocols: Routeless
 // Routing (the contribution — next-hop election by hop-count gradient,
-// no stored routes) and an AODV baseline (explicit routes, hello-based
-// link maintenance, route error recovery), plus a simplified Gradient
-// Routing for the §4.4 comparison.
+// no stored routes) and an AODV baseline (explicit routes, link breaks
+// from link-layer feedback, route error recovery), plus a simplified
+// Gradient Routing for the §4.4 comparison.
 package routing
 
 import (
@@ -86,34 +86,4 @@ func (t *ActiveTable) Hops(target packet.NodeID) int {
 		return e.hops
 	}
 	return -1
-}
-
-// Age returns seconds since the entry for target was refreshed, or -1
-// when there is no entry.
-func (t *ActiveTable) Age(target packet.NodeID, now sim.Time) float64 {
-	if e, ok := t.entries[target]; ok {
-		return float64(now - e.updated)
-	}
-	return -1
-}
-
-// Len returns the number of known targets.
-func (t *ActiveTable) Len() int { return len(t.entries) }
-
-// Forget removes the entry for target (used by tests and by the
-// staleness sweep).
-func (t *ActiveTable) Forget(target packet.NodeID) { delete(t.entries, target) }
-
-// Sweep drops entries older than maxAge. Routeless Routing does not
-// need this for correctness — stale gradients self-correct — but it
-// bounds memory in long simulations.
-func (t *ActiveTable) Sweep(now sim.Time, maxAge float64) int {
-	removed := 0
-	for id, e := range t.entries {
-		if float64(now-e.updated) > maxAge {
-			delete(t.entries, id)
-			removed++
-		}
-	}
-	return removed
 }

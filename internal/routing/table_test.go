@@ -17,8 +17,8 @@ func TestTableObserveAndHops(t *testing.T) {
 	if tb.Hops(1) != 3 {
 		t.Fatalf("hops = %d, want 3", tb.Hops(1))
 	}
-	if tb.Len() != 1 {
-		t.Fatalf("len = %d", tb.Len())
+	if len(tb.entries) != 1 {
+		t.Fatalf("len = %d", len(tb.entries))
 	}
 }
 
@@ -85,38 +85,8 @@ func TestTableRejectsNonPositiveHops(t *testing.T) {
 	tb := NewActiveTable()
 	tb.Observe(1, 0, 10, 0)
 	tb.Observe(1, -2, 11, 0)
-	if tb.Len() != 0 {
+	if len(tb.entries) != 0 {
 		t.Fatal("non-positive hop counts must be ignored")
-	}
-}
-
-func TestTableAge(t *testing.T) {
-	tb := NewActiveTable()
-	if tb.Age(1, 100) != -1 {
-		t.Fatal("unknown target age should be -1")
-	}
-	tb.Observe(1, 3, 10, 40)
-	if got := tb.Age(1, 100); got != 60 {
-		t.Fatalf("age = %v, want 60", got)
-	}
-	tb.Observe(1, 3, 10, 90) // same seq+hops still refreshes
-	if got := tb.Age(1, 100); got != 10 {
-		t.Fatalf("age = %v, want 10 after refresh", got)
-	}
-}
-
-func TestTableForgetAndSweep(t *testing.T) {
-	tb := NewActiveTable()
-	tb.Observe(1, 3, 10, 0)
-	tb.Observe(2, 4, 10, 50)
-	tb.Forget(1)
-	if tb.Hops(1) != -1 || tb.Hops(2) != 4 {
-		t.Fatal("Forget removed wrong entry")
-	}
-	tb.Observe(1, 3, 11, 0)
-	removed := tb.Sweep(100, 60)
-	if removed != 1 || tb.Hops(1) != -1 || tb.Hops(2) != 4 {
-		t.Fatalf("Sweep removed %d; hops(1)=%d hops(2)=%d", removed, tb.Hops(1), tb.Hops(2))
 	}
 }
 

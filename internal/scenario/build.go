@@ -94,8 +94,7 @@ func Installer(proto string, lambda sim.Time, rangeM float64) func(nw *node.Netw
 		rcfg := routing.RoutelessConfig{Lambda: lambda}
 		factory = func(*node.Node) node.Protocol { return routing.NewRouteless(rcfg) }
 	case ProtoAODV:
-		acfg := routing.AODVConfig{NoHello: true}
-		factory = func(*node.Node) node.Protocol { return routing.NewAODV(acfg) }
+		factory = func(*node.Node) node.Protocol { return routing.NewAODV() }
 	case ProtoGradient:
 		factory = func(*node.Node) node.Protocol { return routing.NewGradient() }
 	default:

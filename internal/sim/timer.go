@@ -2,7 +2,7 @@ package sim
 
 // Timer is a restartable, cancellable one-shot timer bound to a kernel.
 // It is the building block for protocol timeouts: backoff timers,
-// arbiter retransmission timers, hello intervals.
+// arbiter retransmission timers, discovery timeouts.
 //
 // Unlike scheduling raw events, a Timer guarantees that at most one
 // firing is pending at a time: Reset implicitly cancels the previous
@@ -54,7 +54,7 @@ func (t *Timer) Stop() {
 }
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
-// Protocol beacons (AODV hello messages, CBR sources) are tickers.
+// CBR sources and fault processes are tickers.
 type Ticker struct {
 	timer  *Timer
 	period Time

@@ -1,92 +1,50 @@
-// Package trace records which nodes relayed which packets and renders
-// the Figure 2 visualization: "the actual paths taken by different
-// packets", showing Routeless Routing steering traffic around congested
-// areas.
+// Package trace records which nodes relayed each flow's packets and
+// renders the Figure 2 visualization: "the actual paths taken by
+// different packets", showing Routeless Routing steering traffic around
+// congested areas.
 package trace
 
 import (
-	"cmp"
-	"fmt"
-	"slices"
 	"strings"
 
 	"routeless/internal/geo"
 	"routeless/internal/packet"
-	"routeless/internal/sim"
 )
 
-// Hop is one relay event for a logical packet.
-type Hop struct {
-	Node     packet.NodeID
-	At       sim.Time
-	HopCount int
+// flowClass is one flow's packets of one kind: every logical packet
+// origin sent of that kind, whatever its sequence number.
+type flowClass struct {
+	origin packet.NodeID
+	kind   packet.Kind
 }
 
-// PathCollector accumulates relay events keyed by logical packet. Wire
-// its Record method into a protocol's OnRelay hook.
+// PathCollector counts relay transmissions per flow. Wire its Record
+// method into a protocol's OnRelay hook.
 type PathCollector struct {
-	paths map[packet.FlowKey][]Hop
-	relay map[packet.NodeID]int // per-node relay load
+	used map[flowClass]map[packet.NodeID]int
 }
 
 // NewPathCollector returns an empty collector.
 func NewPathCollector() *PathCollector {
-	return &PathCollector{
-		paths: make(map[packet.FlowKey][]Hop),
-		relay: make(map[packet.NodeID]int),
+	return &PathCollector{used: make(map[flowClass]map[packet.NodeID]int)}
+}
+
+// Record logs that node transmitted pkt.
+func (c *PathCollector) Record(node packet.NodeID, pkt *packet.Packet) {
+	k := flowClass{pkt.Origin, pkt.Kind}
+	m := c.used[k]
+	if m == nil {
+		m = make(map[packet.NodeID]int)
+		c.used[k] = m
 	}
+	m[node]++
 }
 
-// Record logs that node transmitted pkt at time at.
-func (c *PathCollector) Record(node packet.NodeID, pkt *packet.Packet, at sim.Time) {
-	key := pkt.Key()
-	c.paths[key] = append(c.paths[key], Hop{Node: node, At: at, HopCount: pkt.HopCount})
-	c.relay[node]++
-}
-
-// Path returns the relay sequence for a logical packet in transmission
-// order.
-func (c *PathCollector) Path(key packet.FlowKey) []Hop {
-	hops := append([]Hop(nil), c.paths[key]...)
-	slices.SortStableFunc(hops, func(a, b Hop) int { return cmp.Compare(a.At, b.At) })
-	return hops
-}
-
-// Keys returns every recorded logical packet, ordered by origin, kind,
-// then sequence number.
-func (c *PathCollector) Keys() []packet.FlowKey {
-	keys := make([]packet.FlowKey, 0, len(c.paths))
-	for k := range c.paths {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b packet.FlowKey) int {
-		if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	return keys
-}
-
-// RelayLoad returns how many transmissions node made.
-func (c *PathCollector) RelayLoad(node packet.NodeID) int { return c.relay[node] }
-
-// NodesUsed returns the distinct relays of all packets from origin to
-// target of the given kind — the union of route nodes for one flow.
+// NodesUsed returns the distinct relays of all packets from origin of
+// the given kind, each with its transmission count — the union of route
+// nodes for one flow. The map is the collector's own: read it only.
 func (c *PathCollector) NodesUsed(origin packet.NodeID, kind packet.Kind) map[packet.NodeID]int {
-	used := make(map[packet.NodeID]int)
-	for key, hops := range c.paths {
-		if key.Origin != origin || key.Kind != kind {
-			continue
-		}
-		for _, h := range hops {
-			used[h.Node]++
-		}
-	}
-	return used
+	return c.used[flowClass{origin, kind}]
 }
 
 // Canvas renders node positions and per-flow relay sets as ASCII art.
@@ -153,28 +111,4 @@ func (c *Canvas) String() string {
 	}
 	b.WriteString("+" + strings.Repeat("-", c.width) + "+\n")
 	return b.String()
-}
-
-// FlowSummary formats one flow's relay usage for reports: node ids with
-// their relay counts, ordered by count descending.
-func FlowSummary(used map[packet.NodeID]int) string {
-	type nc struct {
-		id packet.NodeID
-		n  int
-	}
-	list := make([]nc, 0, len(used))
-	for id, n := range used {
-		list = append(list, nc{id, n})
-	}
-	slices.SortFunc(list, func(a, b nc) int {
-		if c := cmp.Compare(b.n, a.n); c != 0 {
-			return c // busiest first
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	parts := make([]string, len(list))
-	for i, x := range list {
-		parts[i] = fmt.Sprintf("%v×%d", x.id, x.n)
-	}
-	return strings.Join(parts, " ")
 }

@@ -6,75 +6,21 @@ import (
 
 	"routeless/internal/geo"
 	"routeless/internal/packet"
-	"routeless/internal/sim"
 )
-
-func TestPathCollectorOrdering(t *testing.T) {
-	c := NewPathCollector()
-	pkt := &packet.Packet{Kind: packet.KindData, Origin: 1, Seq: 5}
-	// Record out of order; Path must sort by time.
-	p2 := pkt.Clone()
-	p2.HopCount = 2
-	c.Record(7, p2, 0.2)
-	p1 := pkt.Clone()
-	p1.HopCount = 1
-	c.Record(1, p1, 0.1)
-	p3 := pkt.Clone()
-	p3.HopCount = 3
-	c.Record(9, p3, 0.3)
-	hops := c.Path(pkt.Key())
-	if len(hops) != 3 {
-		t.Fatalf("got %d hops", len(hops))
-	}
-	want := []packet.NodeID{1, 7, 9}
-	for i, h := range hops {
-		if h.Node != want[i] {
-			t.Fatalf("path %v, want nodes %v", hops, want)
-		}
-	}
-	if hops[2].HopCount != 3 {
-		t.Fatal("hop count not preserved")
-	}
-}
-
-func TestPathCollectorKeysSorted(t *testing.T) {
-	c := NewPathCollector()
-	for _, k := range []packet.FlowKey{
-		{Origin: 2, Kind: packet.KindData, Seq: 1},
-		{Origin: 1, Kind: packet.KindReply, Seq: 9},
-		{Origin: 1, Kind: packet.KindData, Seq: 2},
-		{Origin: 1, Kind: packet.KindData, Seq: 1},
-	} {
-		c.Record(0, &packet.Packet{Kind: k.Kind, Origin: k.Origin, Seq: k.Seq}, 0)
-	}
-	keys := c.Keys()
-	if len(keys) != 4 {
-		t.Fatalf("got %d keys", len(keys))
-	}
-	for i := 1; i < len(keys); i++ {
-		a, b := keys[i-1], keys[i]
-		if a.Origin > b.Origin {
-			t.Fatalf("keys not sorted: %v", keys)
-		}
-	}
-	if keys[0] != (packet.FlowKey{Origin: 1, Kind: packet.KindData, Seq: 1}) {
-		t.Fatalf("first key %v", keys[0])
-	}
-}
 
 func TestRelayLoadAndNodesUsed(t *testing.T) {
 	c := NewPathCollector()
 	for seq := uint32(1); seq <= 3; seq++ {
-		c.Record(5, &packet.Packet{Kind: packet.KindData, Origin: 1, Seq: seq}, sim.Time(seq))
-		c.Record(6, &packet.Packet{Kind: packet.KindData, Origin: 1, Seq: seq}, sim.Time(seq)+0.1)
+		c.Record(5, &packet.Packet{Kind: packet.KindData, Origin: 1, Seq: seq})
+		c.Record(6, &packet.Packet{Kind: packet.KindData, Origin: 1, Seq: seq})
 	}
-	c.Record(5, &packet.Packet{Kind: packet.KindReply, Origin: 2, Seq: 1}, 9)
-	if c.RelayLoad(5) != 4 {
-		t.Fatalf("RelayLoad(5) = %d, want 4", c.RelayLoad(5))
-	}
+	c.Record(5, &packet.Packet{Kind: packet.KindReply, Origin: 2, Seq: 1})
 	used := c.NodesUsed(1, packet.KindData)
 	if used[5] != 3 || used[6] != 3 || len(used) != 2 {
 		t.Fatalf("NodesUsed = %v", used)
+	}
+	if used := c.NodesUsed(2, packet.KindData); len(used) != 0 {
+		t.Fatalf("NodesUsed of an unrecorded flow = %v", used)
 	}
 }
 
@@ -117,17 +63,6 @@ func TestCanvasIgnoresOutside(t *testing.T) {
 	}
 }
 
-func TestFlowSummary(t *testing.T) {
-	s := FlowSummary(map[packet.NodeID]int{3: 5, 1: 9, 2: 5})
-	// Ordered by count desc, then id.
-	if s != "n1×9 n2×5 n3×5" {
-		t.Fatalf("summary = %q", s)
-	}
-	if FlowSummary(nil) != "" {
-		t.Fatal("empty summary should be empty string")
-	}
-}
-
 func TestSVGRendering(t *testing.T) {
 	rect := geo.NewRect(1000, 500)
 	s := NewSVG(rect, 400)
@@ -150,7 +85,7 @@ func TestRenderSVGFlows(t *testing.T) {
 	rect := geo.NewRect(100, 100)
 	positions := []geo.Point{{X: 10, Y: 10}, {X: 50, Y: 50}, {X: 90, Y: 90}}
 	c := NewPathCollector()
-	c.Record(1, &packet.Packet{Kind: packet.KindData, Origin: 0, Seq: 1}, 0.1)
+	c.Record(1, &packet.Packet{Kind: packet.KindData, Origin: 0, Seq: 1})
 	out := RenderSVG(rect, positions, c,
 		[]FlowSpec{{Origin: 0, Kind: packet.KindData, Color: "#0072b2"}},
 		map[packet.NodeID]string{0: "A", 2: "B"}, 300)

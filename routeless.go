@@ -237,8 +237,6 @@ type (
 	RoutelessConfig = routing.RoutelessConfig
 	// AODV is the explicit-route baseline.
 	AODV = routing.AODV
-	// AODVConfig parameterizes it.
-	AODVConfig = routing.AODVConfig
 	// Gradient is the simplified §4.4 comparator.
 	Gradient = routing.Gradient
 	// ActiveTable is Routeless Routing's only data structure.
@@ -249,7 +247,7 @@ type (
 func NewRouteless(cfg RoutelessConfig) *Routeless { return routing.NewRouteless(cfg) }
 
 // NewAODV builds an AODV instance.
-func NewAODV(cfg AODVConfig) *AODV { return routing.NewAODV(cfg) }
+func NewAODV() *AODV { return routing.NewAODV() }
 
 // NewGradient builds a Gradient Routing instance.
 func NewGradient() *Gradient { return routing.NewGradient() }

@@ -72,7 +72,7 @@ func TestAODVAPI(t *testing.T) {
 		N: 60, Rect: routeless.NewRect(900, 900), Seed: 4, EnsureConnected: true,
 	}))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
-		return routeless.NewAODV(routeless.AODVConfig{})
+		return routeless.NewAODV()
 	})
 	got := false
 	nw.Nodes[30].OnAppReceive = func(*routeless.Packet) { got = true }
