@@ -36,8 +36,6 @@ func (p waitPolicy) Backoff(ctx routeless.PolicyContext) (routeless.Time, bool) 
 		routeless.Time(ctx.Rand.Float64()*0.1)*p.Lambda, true
 }
 
-func (p waitPolicy) Name() string { return "wait-time" }
-
 func main() {
 	const (
 		nodes    = 6

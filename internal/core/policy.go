@@ -13,7 +13,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -49,7 +48,6 @@ type Context struct {
 // useful metric (e.g. no active-table entry) can abstain.
 type BackoffPolicy interface {
 	Backoff(ctx Context) (sim.Time, bool)
-	Name() string
 }
 
 // Uniform is the classic CSMA choice: a delay uniform over [0, Max).
@@ -63,9 +61,6 @@ type Uniform struct {
 func (u Uniform) Backoff(ctx Context) (sim.Time, bool) {
 	return sim.Time(ctx.Rand.Float64()) * u.Max, true
 }
-
-// Name implements BackoffPolicy.
-func (u Uniform) Name() string { return fmt.Sprintf("uniform(%v)", u.Max) }
 
 // SignalStrength is SSAF's policy (§3): the stronger the received
 // signal — hence the closer the node to the previous sender — the
@@ -98,9 +93,6 @@ func (s SignalStrength) Backoff(ctx Context) (sim.Time, bool) {
 	d := sim.Time(norm)*s.Lambda + sim.Time(ctx.Rand.Float64()*s.JitterFrac)*s.Lambda
 	return d, true
 }
-
-// Name implements BackoffPolicy.
-func (s SignalStrength) Name() string { return "signal-strength" }
 
 // HopGradient is Routeless Routing's policy (§4.1): the delay is
 // derived from the node's known hop distance to the target (h_table)
@@ -135,9 +127,6 @@ func (h HopGradient) Backoff(ctx Context) (sim.Time, bool) {
 	return h.Lambda * (sim.Time(excess) + u), true
 }
 
-// Name implements BackoffPolicy.
-func (h HopGradient) Name() string { return "hop-gradient" }
-
 // LocationAware is the location-based flooding policy SSAF
 // approximates (§3: "nodes furthest from the previous sender of the
 // packet should be given higher priorities. This is the main idea of
@@ -164,9 +153,6 @@ func (l LocationAware) Backoff(ctx Context) (sim.Time, bool) {
 	frac = math.Min(math.Max(frac, 0), 1)
 	return sim.Time(frac)*l.Lambda + sim.Time(ctx.Rand.Float64()*l.JitterFrac)*l.Lambda, true
 }
-
-// Name implements BackoffPolicy.
-func (l LocationAware) Name() string { return "location-aware" }
 
 // GradientSignal is the hop-gradient policy with signal-strength
 // tie-breaking inside each band — the metric combination the paper's
@@ -207,44 +193,4 @@ func (g GradientSignal) Backoff(ctx Context) (sim.Time, bool) {
 		return within, true
 	}
 	return g.Lambda*sim.Time(excess) + within, true
-}
-
-// Name implements BackoffPolicy.
-func (g GradientSignal) Name() string { return "gradient+signal" }
-
-// Weighted combines policies as a weighted sum of their delays — the
-// paper's conclusion invites "an appropriately chosen metric or a
-// combination of several metrics". A node participates only if every
-// component participates.
-type Weighted struct {
-	Policies []BackoffPolicy
-	Weights  []float64
-}
-
-// Backoff implements BackoffPolicy.
-func (w Weighted) Backoff(ctx Context) (sim.Time, bool) {
-	if len(w.Policies) != len(w.Weights) {
-		panic("core: Weighted policies/weights length mismatch")
-	}
-	var sum sim.Time
-	for i, p := range w.Policies {
-		d, ok := p.Backoff(ctx)
-		if !ok {
-			return 0, false
-		}
-		sum += sim.Time(w.Weights[i]) * d
-	}
-	return sum, true
-}
-
-// Name implements BackoffPolicy.
-func (w Weighted) Name() string {
-	s := "weighted("
-	for i, p := range w.Policies {
-		if i > 0 {
-			s += "+"
-		}
-		s += fmt.Sprintf("%.2g·%s", w.Weights[i], p.Name())
-	}
-	return s + ")"
 }

@@ -132,56 +132,3 @@ func TestQuickHopGradientMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWeightedCombination(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	w := Weighted{
-		Policies: []BackoffPolicy{
-			SignalStrength{Lambda: 0.01, MinDBm: -55, MaxDBm: -25, JitterFrac: 0},
-			HopGradient{Lambda: 0.005},
-		},
-		Weights: []float64{0.5, 0.5},
-	}
-	d, ok := w.Backoff(Context{RSSIdBm: -25, HopsToTarget: 2, ExpectedHops: 2, Rand: r})
-	if !ok {
-		t.Fatal("should participate")
-	}
-	// 0.5·λ_ss + 0.5·(hop draw < λ_hg) ∈ [0.005, 0.005+0.0025)
-	if d < 0.005 || d >= 0.0075 {
-		t.Fatalf("weighted delay %v outside expected band", d)
-	}
-}
-
-func TestWeightedAbstainsIfComponentAbstains(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	w := Weighted{
-		Policies: []BackoffPolicy{Uniform{Max: 0.01}, HopGradient{Lambda: 0.005}},
-		Weights:  []float64{1, 1},
-	}
-	if _, ok := w.Backoff(Context{HopsToTarget: -1, Rand: r}); ok {
-		t.Fatal("weighted policy must abstain when a component abstains")
-	}
-}
-
-func TestWeightedMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	w := Weighted{Policies: []BackoffPolicy{Uniform{Max: 1}}, Weights: nil}
-	w.Backoff(testCtx(rand.New(rand.NewSource(1))))
-}
-
-func TestPolicyNames(t *testing.T) {
-	for _, p := range []BackoffPolicy{
-		Uniform{Max: 0.01},
-		SignalStrength{},
-		HopGradient{},
-		Weighted{Policies: []BackoffPolicy{Uniform{Max: 1}}, Weights: []float64{1}},
-	} {
-		if p.Name() == "" {
-			t.Fatal("empty policy name")
-		}
-	}
-}

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"routeless/internal/geo"
+	"routeless/internal/packet"
 	"routeless/internal/sim"
+	"routeless/internal/trace"
 )
 
 // Scaled-down configs keep the suite fast while preserving density and
@@ -142,6 +147,37 @@ func TestFig2Avoidance(t *testing.T) {
 	}
 	if Fig2Table(res).NumRows() != 2 {
 		t.Fatal("table should have two scenario rows")
+	}
+}
+
+// TestCenterUsageIsOrderIndependent: centerUsage folds a relay map into
+// a float sum, so its result must not depend on the map's iteration
+// order. Over one collector of ~300 relays, every call must return the
+// same bits.
+func TestCenterUsageIsOrderIndependent(t *testing.T) {
+	const nodes = 320
+	r := rand.New(rand.NewSource(11))
+	pos := make([]geo.Point, nodes)
+	for i := range pos {
+		pos[i] = geo.Point{X: r.Float64() * 1500, Y: r.Float64() * 1500}
+	}
+	c := trace.NewPathCollector()
+	origin := packet.NodeID(0)
+	for range 2000 {
+		relay := packet.NodeID(r.Intn(nodes))
+		c.Record(relay, &packet.Packet{Origin: origin, Kind: packet.KindData})
+	}
+	if n := len(c.NodesUsed(origin, packet.KindData)); n < 290 {
+		t.Fatalf("collector has %d relays, want ~300", n)
+	}
+	center := geo.Point{X: 750, Y: 750}
+	share, dist := centerUsage(c, origin, pos, center, 375)
+	for i := range 200 {
+		s, d := centerUsage(c, origin, pos, center, 375)
+		if math.Float64bits(s) != math.Float64bits(share) || math.Float64bits(d) != math.Float64bits(dist) {
+			t.Fatalf("call %d: (%#x, %#x), first call (%#x, %#x)", i,
+				math.Float64bits(s), math.Float64bits(d), math.Float64bits(share), math.Float64bits(dist))
+		}
 	}
 }
 

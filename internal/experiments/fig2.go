@@ -118,14 +118,17 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 }
 
 // centerUsage computes what share of origin's data relays happened
-// inside the central disk and their mean distance from the center.
+// inside the central disk and their mean distance from the center. The
+// distance sum runs over ascending node ids, so its rounding does not
+// follow the relay map's iteration order.
 func centerUsage(c *trace.PathCollector, origin packet.NodeID, pos []geo.Point, center geo.Point, radius float64) (share, meanDist float64) {
 	used := c.NodesUsed(origin, packet.KindData)
 	var total, inside int
 	var distSum float64
-	for id, n := range used {
-		if id == origin {
-			continue // the source itself is pinned in place
+	for id := range pos {
+		n := used[packet.NodeID(id)]
+		if n == 0 || packet.NodeID(id) == origin {
+			continue // not a relay, or the source itself, pinned in place
 		}
 		total += n
 		d := pos[id].Dist(center)

@@ -27,10 +27,9 @@ type Config struct {
 	// Range is the calibrated transmission range in meters; default 250
 	// (the paper's §4.3 value).
 	Range float64
-	// Model is the propagation model; default free space (§3).
-	Model propagation.Model
-	// Fader adds small-scale fading; default none.
-	Fader propagation.Fader
+	// Fading scales every frame's per-link power by a Rayleigh draw;
+	// default off, leaving free-space path loss alone (§3).
+	Fading bool
 	// Seed drives every random stream in the network.
 	Seed int64
 	// EnsureConnected regenerates random placements (up to 100 draws)
@@ -50,7 +49,7 @@ type Config struct {
 }
 
 // fadeMarginDB widens the channel's interference cutoff to admit fading
-// upswings; it has no effect without a Fader.
+// upswings; it has no effect without Fading.
 const fadeMarginDB = 12
 
 // Runtime is the reusable allocation state one sweep worker owns: the
@@ -112,9 +111,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Range == 0 {
 		cfg.Range = 250
 	}
-	if cfg.Model == nil {
-		cfg.Model = propagation.NewFreeSpace()
-	}
 	macCfg := mac.DefaultConfig()
 
 	streams := rng.NewTracker()
@@ -123,7 +119,8 @@ func New(cfg Config) (*Network, error) {
 	if rt == nil {
 		rt = NewRuntime()
 	}
-	params := phy.DefaultParams(cfg.Model, cfg.Range)
+	model := propagation.NewFreeSpace()
+	params := phy.DefaultParams(model, cfg.Range)
 	kernel := sim.NewKernelPooled(rng.Derive(cfg.Seed, 0xC0FFEE), rt.Events)
 
 	positions := cfg.Positions
@@ -136,7 +133,7 @@ func New(cfg Config) (*Network, error) {
 		if cfg.EnsureConnected {
 			for try := 0; try < 100; try++ {
 				probe := phy.NewChannel(kernel, cfg.Rect, positions, params,
-					phy.ChannelConfig{Model: cfg.Model})
+					phy.ChannelConfig{Model: model})
 				if probe.Connected() {
 					break
 				}
@@ -150,8 +147,8 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	chCfg := phy.ChannelConfig{
-		Model:        cfg.Model,
-		Fader:        cfg.Fader,
+		Model:        model,
+		Fading:       cfg.Fading,
 		FadeMarginDB: fadeMarginDB,
 		Rng:          streams.New(cfg.Seed, rng.StreamChannel),
 		Pools:        rt.Phy,

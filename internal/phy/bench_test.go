@@ -178,7 +178,7 @@ func BenchmarkBuildLinks(b *testing.B) {
 	}{
 		{"lattice", latticeRect, latticePts, ChannelConfig{Model: model}},
 		{"all_in_range_fading", churnRect, geo.UniformPoints(rng.New(1, rng.StreamTopology), churnRect, 200),
-			ChannelConfig{Model: model, Fader: propagation.Rayleigh{}, FadeMarginDB: 12, Rng: rng.New(1, rng.StreamChannel)}},
+			ChannelConfig{Model: model, Fading: true, FadeMarginDB: 12, Rng: rng.New(1, rng.StreamChannel)}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ch := NewChannel(sim.NewKernel(1), bc.rect, bc.pts, params, bc.cfg)

@@ -29,33 +29,32 @@ type link struct {
 }
 
 // Channel is the shared broadcast medium. It knows every radio's
-// position, computes per-receiver power through a propagation model and
-// an optional fader, and fires each receiver's signal start and end as
-// its own event at the true propagation delay (see transmission).
+// position, computes per-receiver power through free-space path loss
+// and, when fading is on, a Rayleigh draw, and fires each receiver's
+// signal start and end as its own event at the true propagation delay
+// (see transmission).
 //
 // The hot path — transmit — runs off a per-node link cache: the
 // id-ordered receivers within the cutoff, with mean power, propagation
-// delay and firing order precomputed. Caches build lazily
-// on a node's first transmission and are invalidated per node by MoveTo
-// and SetTxPower, so static topologies (the paper's scenarios) pay the
+// delay and firing order precomputed. Caches build lazily on a node's
+// first transmission and are invalidated per node by MoveTo and
+// SetLinkOffset, so static topologies (the paper's scenarios) pay the
 // grid query, the id and firing-order passes, and the log/pow
 // propagation math exactly once per transmitter.
 type Channel struct {
-	model  propagation.Model
-	fader  propagation.Fader
-	noFade bool       // fader is propagation.NoFade: skip draws and reuse meanMW
+	model  *propagation.FreeSpace
+	fading bool       // draw a Rayleigh factor per link; without it, reuse meanMW
 	frng   *rand.Rand // fading draws
 	grid   *geo.Grid
 
-	// radios is the contiguous radio arena, and states/txPow/energies
-	// are the struct-of-arrays hot per-node scalars hoisted out of the
-	// Radio struct: transceiver phase (up/down, rx/tx), live transmit
-	// power, and the energy meter, all indexed by node id. The four
-	// slices come from one Pools.radioArena call, so a sweep worker's
-	// consecutive runs reuse the same backing memory.
+	// radios is the contiguous radio arena, and states/energies are the
+	// struct-of-arrays hot per-node scalars hoisted out of the Radio
+	// struct: transceiver phase (up/down, rx/tx) and the energy meter,
+	// both indexed by node id. The three slices come from one
+	// Pools.radioArena call, so a sweep worker's consecutive runs reuse
+	// the same backing memory.
 	radios   []Radio
 	states   []State
-	txPow    []float64
 	energies []Energy
 
 	// params is the single shared radio configuration every Radio points
@@ -149,12 +148,14 @@ type chanCounters struct {
 
 // ChannelConfig configures the medium.
 type ChannelConfig struct {
-	Model propagation.Model
-	Fader propagation.Fader
+	// Model is the path-loss model; nil means propagation.NewFreeSpace().
+	Model *propagation.FreeSpace
+	// Fading scales every link's power by a Rayleigh draw per frame.
+	Fading bool
 	// FadeMarginDB widens the interference cutoff to admit fading
-	// upswings; ignored with a nil/NoFade fader.
+	// upswings; ignored without Fading.
 	FadeMarginDB float64
-	// Rng drives fading; may be nil when Fader is nil/NoFade.
+	// Rng drives fading; may be nil without Fading.
 	Rng *rand.Rand
 	// noLinkCache disables the per-node link cache: every transmission
 	// re-queries the spatial grid and recomputes propagation math. This
@@ -181,7 +182,7 @@ type ChannelConfig struct {
 // transmission cannot affect a receiver, against the carrier-sense
 // threshold widened by fadeMarginDB (pass 0 without fading). Exposed so
 // the benchmark's geo probe queries at the radius the channel uses.
-func CutoffFor(model propagation.Model, params Params, fadeMarginDB float64, rect geo.Rect) float64 {
+func CutoffFor(model *propagation.FreeSpace, params Params, fadeMarginDB float64, rect geo.Rect) float64 {
 	cutoff := propagation.RangeFor(model, params.TxPowerDBm, params.CSThreshDBm-fadeMarginDB, 1,
 		rect.Width()+rect.Height()+1)
 	if cutoff <= 0 {
@@ -198,13 +199,8 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 	if model == nil {
 		model = propagation.NewFreeSpace()
 	}
-	fader := cfg.Fader
-	if fader == nil {
-		fader = propagation.NoFade{}
-	}
-	_, noFade := fader.(propagation.NoFade)
 	margin := cfg.FadeMarginDB
-	if noFade {
+	if !cfg.Fading {
 		margin = 0
 	}
 	cutoff := CutoffFor(model, params, margin, rect)
@@ -220,8 +216,7 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 		kernel:    k,
 		pools:     pools,
 		model:     model,
-		fader:     fader,
-		noFade:    noFade,
+		fading:    cfg.Fading,
 		frng:      cfg.Rng,
 		grid:      geo.NewGrid(rect, cell, positions),
 		cutoff:    cutoff,
@@ -235,7 +230,7 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 	ch.noiseMW = propagation.DBmToMilliwatt(params.NoiseFloorDBm)
 	ch.csThreshMW = propagation.DBmToMilliwatt(params.CSThreshDBm)
 	ch.captureRatio = propagation.DBmToMilliwatt(params.CaptureDB)
-	ch.radios, ch.states, ch.txPow, ch.energies = pools.radioArena(len(positions))
+	ch.radios, ch.states, ch.energies = pools.radioArena(len(positions))
 	pools.orderScratch(len(positions))
 	for i := range positions {
 		r := &ch.radios[i]
@@ -244,7 +239,6 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 		r.kernel = k
 		r.channel = ch
 		ch.states[i] = StateIdle
-		ch.txPow[i] = params.TxPowerDBm
 		ch.energies[i] = Energy{power: &ch.power, state: StateIdle}
 	}
 	return ch
@@ -286,14 +280,6 @@ func (c *Channel) MoveTo(i int, p geo.Point) {
 	c.linkValid[i] = false
 }
 
-// invalidateLinks drops node i's cached outgoing links; called by the
-// radio when its transmit power changes (receiver set is distance-based
-// and unaffected, but every cached mean power becomes stale).
-func (c *Channel) invalidateLinks(i int) { c.linkValid[i] = false }
-
-// Model returns the propagation model in use.
-func (c *Channel) Model() propagation.Model { return c.model }
-
 // Cutoff returns the interference cutoff distance in meters.
 func (c *Channel) Cutoff() float64 { return c.cutoff }
 
@@ -329,7 +315,7 @@ func (c *Channel) RegisterMetrics(reg *metrics.Registry) {
 // between two node indices — used by tests and by range queries.
 func (c *Channel) MeanPowerAt(from, to int) float64 {
 	d := c.grid.At(from).Dist(c.grid.At(to))
-	return c.linkGain(from, to, c.model.ReceivedPower(c.txPow[from], d))
+	return c.linkGain(from, to, c.model.ReceivedPower(c.params.TxPowerDBm, d))
 }
 
 // SetLinkOffset applies an extra deterministic gain of db decibels to
@@ -387,7 +373,7 @@ func (c *Channel) buildLinks(src int) []link {
 		ls = make([]link, 0, len(c.scratch))
 	}
 	order := slices.Grow(c.pools.keys[:0], len(c.scratch))
-	tx := c.txPow[src]
+	tx := c.params.TxPowerDBm
 	for i, idx := range c.scratch {
 		d := pos.Dist(c.grid.At(idx))
 		l := link{
@@ -395,7 +381,7 @@ func (c *Channel) buildLinks(src int) []link {
 			meanDBm: c.linkGain(src, idx, c.model.ReceivedPower(tx, d)),
 			delay:   sim.Time(propagation.Delay(d)),
 		}
-		if c.noFade {
+		if !c.fading {
 			l.meanMW = propagation.DBmToMilliwatt(l.meanDBm)
 		}
 		ls = append(ls, l)
@@ -421,7 +407,7 @@ func (c *Channel) buildLinks(src int) []link {
 // oldest entries past the channel's cap. An evicted node's next
 // transmission rebuilds its links bit-identically, so the bound trades
 // rebuild time for O(linkCap) cache memory. Entries can be stale
-// (invalidated by MoveTo/SetTxPower, or re-cached later in the FIFO);
+// (invalidated by MoveTo/SetLinkOffset, or re-cached later in the FIFO);
 // evicting a stale entry is a cheap no-op.
 func (c *Channel) boundCache(src int) {
 	c.cached = append(c.cached, int32(src))
@@ -475,14 +461,14 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) *transm
 		// so the stream advances the same whatever the draws were; only
 		// the milliwatt conversion waits until the signal is scheduled.
 		pDBm, pMW := l.meanDBm, l.meanMW
-		if !c.noFade {
-			pDBm = c.fader.Fade(c.frng, l.meanDBm)
+		if c.fading {
+			pDBm = propagation.Rayleigh{}.Fade(c.frng, l.meanDBm)
 		}
 		if pDBm < c.params.CSThreshDBm {
 			sigs[l.ord].rcv = -1 // too weak to sense or corrupt: not scheduled
 			continue
 		}
-		if !c.noFade {
+		if c.fading {
 			pMW = propagation.DBmToMilliwatt(pDBm)
 		}
 		start := now + l.delay
@@ -663,17 +649,15 @@ func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time)
 // SetLinkOffset do not shrink this view: it describes the underlying
 // topology, not the currently faulted one.
 func (c *Channel) NeighborIDs(dst []int, i int) []int {
-	ids := c.grid.WithinRadius(dst[:0], c.grid.At(i), c.DecodeRange(i), i)
+	ids := c.grid.WithinRadius(dst[:0], c.grid.At(i), c.DecodeRange(), i)
 	c.pools.ids.sort(ids)
 	return ids
 }
 
-// DecodeRange returns the deterministic decode range of node i's
-// transmitter, at its live transmit power, against its own receive
-// threshold.
-func (c *Channel) DecodeRange(i int) float64 {
-	r := &c.radios[i]
-	return propagation.RangeFor(c.model, c.txPow[i], r.params.RxThreshDBm, 1, c.cutoff+1)
+// DecodeRange returns the deterministic decode range every radio's
+// transmitter reaches against the receive threshold.
+func (c *Channel) DecodeRange() float64 {
+	return propagation.RangeFor(c.model, c.params.TxPowerDBm, c.params.RxThreshDBm, 1, c.cutoff+1)
 }
 
 // Connected reports whether the deterministic unit-disk graph induced
@@ -685,7 +669,7 @@ func (c *Channel) Connected() bool {
 	if n == 0 {
 		return true
 	}
-	rangeM := c.DecodeRange(0)
+	rangeM := c.DecodeRange()
 	visited := make([]bool, n)
 	stack := []int{0}
 	visited[0] = true

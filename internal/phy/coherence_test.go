@@ -15,7 +15,7 @@ import (
 // The link cache is a pure optimization: a cached channel must produce
 // byte-for-byte the same simulation as the recompute-every-time
 // reference path (ChannelConfig.noLinkCache). These tests run the same
-// scripted scenario — traffic interleaved with MoveTo and SetTxPower —
+// scripted scenario — traffic interleaved with MoveTo and SetLinkOffset —
 // through both channels and require every observable to match exactly:
 // channel counters, per-radio counters, and each delivered frame's
 // source, UID, receive power (bitwise float64), and delivery time.
@@ -37,7 +37,7 @@ type coherenceSnapshot struct {
 
 // runCoherenceScenario drives a deterministic script over a fresh
 // channel: round-robin broadcasts, periodic node moves, and periodic
-// transmit power changes, all from fixed seeds.
+// link offset changes, all from fixed seeds.
 func runCoherenceScenario(fade bool, noCache bool) coherenceSnapshot {
 	const (
 		n       = 24
@@ -60,7 +60,7 @@ func runCoherenceScenario(fade bool, noCache bool) coherenceSnapshot {
 	params := DefaultParams(model, rangeM)
 	cfg := ChannelConfig{Model: model, noLinkCache: noCache}
 	if fade {
-		cfg.Fader = propagation.LogNormalShadow{SigmaDB: 6}
+		cfg.Fading = true
 		cfg.FadeMarginDB = 12
 		cfg.Rng = rand.New(rand.NewSource(99))
 	}
@@ -105,9 +105,7 @@ func runCoherenceScenario(fade bool, noCache bool) coherenceSnapshot {
 		if step%11 == 5 {
 			tuned := (step * 3) % n
 			delta := scriptRng.Float64()*4 - 2
-			k.At(at+spacing/4, func() {
-				ch.Radio(tuned).SetTxPower(params.TxPowerDBm + delta)
-			})
+			k.At(at+spacing/4, func() { ch.SetLinkOffset(tuned, (tuned+1)%n, delta) })
 		}
 	}
 	k.Run()

@@ -65,18 +65,17 @@ func (r *Radio) DigestState(h *digest.Hash) {
 }
 
 // DigestState folds the channel's mutable run state into h: the
-// struct-of-arrays per-node scalars (transceiver state, live transmit
-// power, energy meters), the lazily built link-cache validity bits, the
-// fault plane's link offsets, the scheduling counters (UID cursor,
-// pending delivery count, cache-residency size), and every transmission
-// in flight, in launch order.
+// struct-of-arrays per-node scalars (transceiver state, energy meters),
+// the lazily built link-cache validity bits, the fault plane's link
+// offsets, the scheduling counters (UID cursor, pending delivery count,
+// cache-residency size), and every transmission in flight, in launch
+// order.
 // The offsets map is iterated in sorted key order; everything else is
 // slice-indexed. Radios are digested separately by the per-node walk.
 func (c *Channel) DigestState(h *digest.Hash) {
 	h.Int(len(c.radios))
 	for i := range c.radios {
 		h.Byte(byte(c.states[i]))
-		h.Float64(c.txPow[i])
 		e := &c.energies[i]
 		h.Float64(float64(e.last))
 		h.Byte(byte(e.state))

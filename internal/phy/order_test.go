@@ -67,11 +67,12 @@ func TestEqualArrivalTimesFireInIdOrder(t *testing.T) {
 
 // edgeOrderGolden is the hash TestEdgeOrderGolden printed on the
 // per-receiver-event channel (one delivery object and two kernel events
-// per receiver) that the transmission cursors replaced.
-const edgeOrderGolden = 0x1d1c5bade2919f0b
+// per receiver) that the transmission cursors replaced; the channel that
+// still had per-radio transmit power prints it for this script too.
+const edgeOrderGolden = 0x79c827dee35c5cef
 
 // TestEdgeOrderGolden hashes every indication of a busy fading channel —
-// overlapping frames, a move and a power change between frames, a jam
+// overlapping frames, a move and a link offset between frames, a jam
 // burst, a sender switched off mid-air — together with the kernel's
 // clock and sequence counter at that instant. Any change to which edge
 // fires when, to the order of equal-time edges, to a fading draw, or to
@@ -93,7 +94,7 @@ func TestEdgeOrderGolden(t *testing.T) {
 	params := DefaultParams(model, 250)
 	ch := NewChannel(k, geo.NewRect(terrain, terrain), positions, params, ChannelConfig{
 		Model:        model,
-		Fader:        propagation.Rayleigh{},
+		Fading:       true,
 		FadeMarginDB: 10,
 		Rng:          rand.New(rand.NewSource(6)),
 	})
@@ -127,7 +128,7 @@ func TestEdgeOrderGolden(t *testing.T) {
 			k.At(at+spacing/2, func() { ch.MoveTo(mover, dest) })
 		case 35:
 			tuned := script.Intn(n)
-			k.At(at+spacing/2, func() { ch.Radio(tuned).SetTxPower(params.TxPowerDBm - 6) })
+			k.At(at+spacing/2, func() { ch.SetLinkOffset(tuned, (tuned+1)%n, -6) })
 		case 50:
 			k.At(at+spacing/3, func() {
 				ch.InjectInterference(geo.Point{X: terrain / 2, Y: terrain / 2}, 30, 1.1e-3)
@@ -302,7 +303,7 @@ func TestFadingDrawsEveryInCutoffReceiver(t *testing.T) {
 	params := DefaultParams(model, 250)
 	ch := NewChannel(k, rect, positions, params, ChannelConfig{
 		Model:        model,
-		Fader:        propagation.Rayleigh{},
+		Fading:       true,
 		FadeMarginDB: 12,
 		Rng:          rand.New(rand.NewSource(seed)),
 	})

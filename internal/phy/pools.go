@@ -27,14 +27,13 @@ type Pools struct {
 	txSignals int
 
 	// Radio arena: the channel's per-node state — the Radio structs and
-	// the struct-of-arrays hot scalars (phase, transmit power, energy
-	// meter) — lives in these contiguous slices, handed out by
-	// radioArena. A sweep worker's consecutive runs reuse the same
-	// backing arrays (including each radio's warmed inAir capacity)
-	// instead of allocating N small objects per cell.
+	// the struct-of-arrays hot scalars (phase, energy meter) — lives in
+	// these contiguous slices, handed out by radioArena. A sweep
+	// worker's consecutive runs reuse the same backing arrays (including
+	// each radio's warmed inAir capacity) instead of allocating N small
+	// objects per cell.
 	radios   []Radio
 	states   []State
-	txPow    []float64
 	energies []Energy
 
 	// Ordering scratch (order.go): the id bitset every grid query's ids
@@ -100,7 +99,7 @@ func (p *Pools) releaseTransmission(t *transmission) {
 // The last run's radios are cleared first — all of them, including any
 // this run does not reuse — with every inAir slot nilled, so an arena
 // between runs pins none of that run's signal slabs or its channel.
-func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
+func (p *Pools) radioArena(n int) ([]Radio, []State, []Energy) {
 	for i := range p.radios {
 		r := &p.radios[i]
 		clear(r.inAir)
@@ -109,14 +108,12 @@ func (p *Pools) radioArena(n int) ([]Radio, []State, []float64, []Energy) {
 	if cap(p.radios) < n {
 		p.radios = make([]Radio, n)
 		p.states = make([]State, n)
-		p.txPow = make([]float64, n)
 		p.energies = make([]Energy, n)
 	}
 	p.radios = p.radios[:n]
 	p.states = p.states[:n]
-	p.txPow = p.txPow[:n]
 	p.energies = p.energies[:n]
-	return p.radios, p.states, p.txPow, p.energies
+	return p.radios, p.states, p.energies
 }
 
 // orderScratch readies the ordering scratch for a channel of n nodes:

@@ -1,7 +1,7 @@
 // Package phy implements the physical layer of the simulated wireless
 // network: half-duplex radios with carrier sensing and an SINR-based
 // collision/capture model, the shared broadcast channel that couples
-// them through a propagation model, and per-radio energy accounting.
+// them through free-space path loss, and per-radio energy accounting.
 //
 // The model follows the usual ns-2/SENSE conventions: a frame locks the
 // receiver when it arrives above the receive threshold while the radio
@@ -59,7 +59,7 @@ type Params struct {
 // propagation model yields the requested transmission range, with a
 // carrier-sense range about twice that — the classic 250 m / 550 m
 // WaveLAN ratio the paper's testbed conventions imply.
-func DefaultParams(m propagation.Model, rangeMeters float64) Params {
+func DefaultParams(m *propagation.FreeSpace, rangeMeters float64) Params {
 	const tx = 24.5 // dBm ≈ 280 mW, the ns-2 WaveLAN default
 	rxThresh := propagation.ThresholdFor(m, tx, rangeMeters)
 	csThresh := propagation.ThresholdFor(m, tx, rangeMeters*2.2)
@@ -158,18 +158,17 @@ type signal struct {
 // Radio is a half-duplex transceiver attached to a Channel.
 //
 // The hottest per-node scalars do not live here: the transceiver phase
-// (up/down and rx/tx state), the live transmit power, and the energy
-// meter are struct-of-arrays state owned by the Channel — contiguous
-// slices indexed by node id, allocated arena-style from the channel's
-// Pools (see Pools.radioArena). The Radio holds its id and channel
-// pointer and reads/writes those arrays through accessors, so a
-// million-radio network touches dense arrays instead of a million
-// heap objects.
+// (up/down and rx/tx state) and the energy meter are struct-of-arrays
+// state owned by the Channel — contiguous slices indexed by node id,
+// allocated arena-style from the channel's Pools (see
+// Pools.radioArena). The Radio holds its id and channel pointer and
+// reads/writes those arrays through accessors, so a million-radio
+// network touches dense arrays instead of a million heap objects.
 type Radio struct {
 	id packet.NodeID
 	// params points at the Channel's single shared copy: every radio on
-	// a channel runs the same receive-side configuration, and an inline
-	// 48-byte duplicate per node is real arena weight at mega scale.
+	// a channel runs the same configuration, and an inline 48-byte
+	// duplicate per node is real arena weight at mega scale.
 	// The linear-domain threshold cache lives on the Channel too (see
 	// Channel.noiseMW and friends).
 	params   *Params
@@ -203,13 +202,8 @@ func (r *Radio) ID() packet.NodeID { return r.id }
 // struct-of-arrays phase slot).
 func (r *Radio) State() State { return r.channel.states[r.id] }
 
-// Params returns the radio's configuration, with the live transmit
-// power (which SetTxPower may have changed since construction).
-func (r *Radio) Params() Params {
-	p := *r.params
-	p.TxPowerDBm = r.channel.txPow[r.id]
-	return p
-}
+// Params returns the radio's configuration.
+func (r *Radio) Params() Params { return *r.params }
 
 // Count returns the current value of one of the radio's counters.
 func (r *Radio) Count(s RadioSeries) uint64 { return r.stats[s].Value() }
@@ -220,15 +214,6 @@ func (r *Radio) Energy() *Energy { return &r.channel.energies[r.id] }
 
 // SetListener installs the MAC; it must be called before any traffic.
 func (r *Radio) SetListener(l Listener) { r.listener = l }
-
-// SetTxPower changes this radio's transmit power. Asymmetric powers
-// create the unidirectional links whose effect on Routeless Routing §4
-// discusses ("may negatively affect the efficiency, but not the
-// correctness").
-func (r *Radio) SetTxPower(dbm float64) {
-	r.channel.txPow[r.id] = dbm
-	r.channel.invalidateLinks(int(r.id))
-}
 
 // On reports whether the radio can currently send or receive.
 func (r *Radio) On() bool {

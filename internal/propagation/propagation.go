@@ -1,16 +1,15 @@
-// Package propagation implements the large- and small-scale radio
-// propagation models the paper relies on (§3 cites Rappaport: free
-// space, two-ray ground, Rayleigh), plus log-normal shadowing, and the
+// Package propagation implements the radio propagation the paper
+// relies on — free-space path loss, which every one of its simulations
+// uses (§3), and the Rayleigh fading it argues SSAF survives — and the
 // calibration helpers that turn "transmission range of roughly 250
 // meters" (§4.3) into concrete power thresholds.
 //
-// Power bookkeeping convention: transmit power is given in dBm, models
-// return received power in dBm. Conversions to/from milliwatts are
+// Power bookkeeping convention: transmit power is given in dBm, the
+// model returns received power in dBm. Conversions to/from milliwatts are
 // provided for the SINR arithmetic in internal/phy.
 package propagation
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -28,16 +27,6 @@ func MilliwattToDBm(mw float64) float64 {
 		return math.Inf(-1)
 	}
 	return 10 * math.Log10(mw)
-}
-
-// Model computes deterministic large-scale path loss.
-type Model interface {
-	// ReceivedPower returns the power (dBm) observed at distance d
-	// meters from a transmitter emitting txDBm. d is clamped to the
-	// model's near-field reference distance.
-	ReceivedPower(txDBm, d float64) float64
-	// Name identifies the model in experiment configs and reports.
-	Name() string
 }
 
 // FreeSpace is the Friis free-space model used for all of the paper's
@@ -68,10 +57,8 @@ func NewFreeSpace() *FreeSpace {
 // Wavelength returns λ in meters.
 func (m *FreeSpace) Wavelength() float64 { return SpeedOfLight / m.FrequencyHz }
 
-// Name implements Model.
-func (m *FreeSpace) Name() string { return "free-space" }
-
-// ReceivedPower implements Model.
+// ReceivedPower returns the power (dBm) observed at distance d meters
+// from a transmitter emitting txDBm. d is clamped to RefDistance.
 func (m *FreeSpace) ReceivedPower(txDBm, d float64) float64 {
 	if d < m.RefDistance {
 		d = m.RefDistance
@@ -82,108 +69,6 @@ func (m *FreeSpace) ReceivedPower(txDBm, d float64) float64 {
 	return txDBm + 10*math.Log10(gain)
 }
 
-// TwoRay is the two-ray ground-reflection model. Below the crossover
-// distance it reduces to free space; beyond it, power falls with d⁴:
-//
-//	Pr = Pt · Gt · Gr · ht² · hr² / (d⁴ · L)
-type TwoRay struct {
-	FreeSpace
-	// HeightTx, HeightRx are antenna heights above ground in meters
-	// (1.5 m default, matching ns-2).
-	HeightTx, HeightRx float64
-}
-
-// NewTwoRay returns the default two-ray model (1.5 m antennas, 914 MHz).
-func NewTwoRay() *TwoRay {
-	return &TwoRay{FreeSpace: *NewFreeSpace(), HeightTx: 1.5, HeightRx: 1.5}
-}
-
-// Name implements Model.
-func (m *TwoRay) Name() string { return "two-ray" }
-
-// Crossover returns the distance (meters) at which the two-ray ground
-// term takes over from free space: d_c = 4π·ht·hr/λ.
-func (m *TwoRay) Crossover() float64 {
-	return 4 * math.Pi * m.HeightTx * m.HeightRx / m.Wavelength()
-}
-
-// ReceivedPower implements Model.
-func (m *TwoRay) ReceivedPower(txDBm, d float64) float64 {
-	if d < m.RefDistance {
-		d = m.RefDistance
-	}
-	if d < m.Crossover() {
-		return m.FreeSpace.ReceivedPower(txDBm, d)
-	}
-	gain := m.GainTx * m.GainRx * m.HeightTx * m.HeightTx * m.HeightRx * m.HeightRx /
-		(d * d * d * d * m.SystemLoss)
-	return txDBm + 10*math.Log10(gain)
-}
-
-// LogDistance is the log-distance path-loss model with configurable
-// exponent, the standard generalization used for indoor/obstructed
-// environments.
-type LogDistance struct {
-	// Base provides the reference-distance power.
-	Base Model
-	// RefDistance d0 (meters) where Base is evaluated.
-	RefDistance float64
-	// Exponent n; 2 = free space, 4 ≈ obstructed.
-	Exponent float64
-}
-
-// NewLogDistance wraps base with a path-loss exponent beyond d0.
-func NewLogDistance(base Model, d0, n float64) *LogDistance {
-	return &LogDistance{Base: base, RefDistance: d0, Exponent: n}
-}
-
-// Name implements Model.
-func (m *LogDistance) Name() string { return fmt.Sprintf("log-distance(n=%.1f)", m.Exponent) }
-
-// ReceivedPower implements Model.
-func (m *LogDistance) ReceivedPower(txDBm, d float64) float64 {
-	if d < m.RefDistance {
-		d = m.RefDistance
-	}
-	p0 := m.Base.ReceivedPower(txDBm, m.RefDistance)
-	return p0 - 10*m.Exponent*math.Log10(d/m.RefDistance)
-}
-
-// Fader adds a stochastic small-scale component on top of a
-// deterministic model. Faders consume randomness, so they take the
-// channel's random stream explicitly; the deterministic Model interface
-// stays pure.
-type Fader interface {
-	// Fade returns the faded received power (dBm) given the
-	// deterministic mean power.
-	Fade(r *rand.Rand, meanDBm float64) float64
-	Name() string
-}
-
-// NoFade is the identity fader.
-type NoFade struct{}
-
-// Fade implements Fader.
-func (NoFade) Fade(_ *rand.Rand, meanDBm float64) float64 { return meanDBm }
-
-// Name implements Fader.
-func (NoFade) Name() string { return "none" }
-
-// LogNormalShadow adds a zero-mean Gaussian (in dB) with the given
-// standard deviation — the classic shadowing model.
-type LogNormalShadow struct {
-	// SigmaDB is the dB standard deviation (4–12 dB typical).
-	SigmaDB float64
-}
-
-// Fade implements Fader.
-func (s LogNormalShadow) Fade(r *rand.Rand, meanDBm float64) float64 {
-	return meanDBm + r.NormFloat64()*s.SigmaDB
-}
-
-// Name implements Fader.
-func (s LogNormalShadow) Name() string { return fmt.Sprintf("shadow(σ=%.1fdB)", s.SigmaDB) }
-
 // Rayleigh models small-scale multipath fading: received power is the
 // mean scaled by an exponentially distributed factor (unit mean). The
 // paper notes (§3) that under Rayleigh "the signal strength may vary
@@ -192,7 +77,8 @@ func (s LogNormalShadow) Name() string { return fmt.Sprintf("shadow(σ=%.1fdB)",
 // exercised in the ablation tests.
 type Rayleigh struct{}
 
-// Fade implements Fader.
+// Fade returns the faded received power (dBm) given the deterministic
+// mean power, drawing the fading factor from r.
 func (Rayleigh) Fade(r *rand.Rand, meanDBm float64) float64 {
 	// Exponential with unit mean in the power (linear) domain.
 	f := r.ExpFloat64()
@@ -202,14 +88,11 @@ func (Rayleigh) Fade(r *rand.Rand, meanDBm float64) float64 {
 	return meanDBm + 10*math.Log10(f)
 }
 
-// Name implements Fader.
-func (Rayleigh) Name() string { return "rayleigh" }
-
 // RangeFor returns the maximum distance at which the model delivers at
 // least thresholdDBm for a transmitter at txDBm, found by bisection
 // over [lo, hi]. It returns 0 when even lo is below threshold and hi
 // when hi is still above threshold.
-func RangeFor(m Model, txDBm, thresholdDBm, lo, hi float64) float64 {
+func RangeFor(m *FreeSpace, txDBm, thresholdDBm, lo, hi float64) float64 {
 	if m.ReceivedPower(txDBm, lo) < thresholdDBm {
 		return 0
 	}
@@ -231,7 +114,7 @@ func RangeFor(m Model, txDBm, thresholdDBm, lo, hi float64) float64 {
 // desired range for the model and transmit power: the inverse of
 // RangeFor. This is how experiments realize "transmission range of
 // roughly 250 meters".
-func ThresholdFor(m Model, txDBm, rangeMeters float64) float64 {
+func ThresholdFor(m *FreeSpace, txDBm, rangeMeters float64) float64 {
 	return m.ReceivedPower(txDBm, rangeMeters)
 }
 

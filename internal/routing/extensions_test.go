@@ -7,7 +7,6 @@ import (
 	"routeless/internal/geo"
 	"routeless/internal/node"
 	"routeless/internal/packet"
-	"routeless/internal/propagation"
 	"routeless/internal/rng"
 	"routeless/internal/sim"
 )
@@ -53,13 +52,13 @@ func TestRRUnderMobility(t *testing.T) {
 
 // TestRRSurvivesUnidirectionalLink: §4 — "The existence of
 // unidirectional links may negatively affect the efficiency, but not
-// the correctness of the protocol." A low-power node can hear but not
-// be heard at range; the protocol must route around it.
+// the correctness of the protocol." A node whose outgoing links are
+// muted can hear but not be heard; the protocol must route around it.
 func TestRRSurvivesUnidirectionalLink(t *testing.T) {
-	// Chain 0-1-2 with a parallel relay 3. Node 1 has its power cut so
-	// its transmissions reach nobody (decode range collapses), while it
-	// still hears everyone: every link *through node 1* is
-	// unidirectional. Traffic must flow via node 3.
+	// Chain 0-1-2 with a parallel relay 3. Node 1's outgoing links are
+	// muted so its transmissions reach nobody, while it still hears
+	// everyone: every link *through node 1* is unidirectional. Traffic
+	// must flow via node 3.
 	positions := []geo.Point{
 		{X: 0, Y: 0}, {X: 200, Y: 40}, {X: 400, Y: 0}, {X: 200, Y: -60},
 	}
@@ -70,7 +69,9 @@ func TestRRSurvivesUnidirectionalLink(t *testing.T) {
 		rrs = append(rrs, r)
 		return r
 	})
-	nw.Nodes[1].Radio.SetTxPower(-40) // whisper: heard by nobody at 200 m
+	for _, to := range []int{0, 2, 3} {
+		nw.Channel.SetLinkOffset(1, to, -60) // whisper: heard by nobody at 200 m
+	}
 	count := 0
 	nw.Nodes[2].OnAppReceive = func(*packet.Packet) { count++ }
 	rrs[0].Send(2, 64)
@@ -90,7 +91,7 @@ func TestRRSurvivesUnidirectionalLink(t *testing.T) {
 func TestSSAFUnderRayleighFading(t *testing.T) {
 	nw := node.Must(node.New(node.Config{
 		N: 80, Rect: geo.NewRect(900, 900), Seed: 23, EnsureConnected: true,
-		Fader: propagation.Rayleigh{},
+		Fading: true,
 	}))
 	delivered := 0
 	nw.Nodes[60].OnAppReceive = func(*packet.Packet) { delivered++ }

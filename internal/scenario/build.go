@@ -43,6 +43,7 @@ func BuildWith(sc Scenario, opts BuildOptions) (*Run, error) {
 			Positions: positions(sc),
 			Range:     sc.Range,
 			Seed:      sc.Seed,
+			Fading:    sc.Fading,
 			Runtime:   opts.Runtime,
 		},
 		Install: Installer(sc.Protocol, sim.Time(sc.Lambda), sc.Range),
@@ -62,9 +63,6 @@ func BuildWith(sc Scenario, opts BuildOptions) (*Run, error) {
 	}
 	if sc.Placement == PlaceUniform {
 		sp.Net.EnsureConnected = sc.Connected
-	}
-	if sc.Fading {
-		sp.Net.Fader = propagation.Rayleigh{}
 	}
 	r, err := Assemble(sp)
 	if err != nil {

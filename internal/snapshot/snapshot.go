@@ -47,11 +47,12 @@ const Magic = "RLSNAP1\n"
 // folded tile indices and per-tile UID namespaces into the state word,
 // and version 3 had every unfired signal edge among the pending event
 // keys, where a transmission now has only its two cursors (the rest
-// moved into the state word), and version 4 hashed AODV's neighbour
+// moved into the state word), version 4 hashed AODV's neighbour
 // last-heard table and numbered the packet kinds after RERR from a
-// hello kind on; none can match a replay, so such a file is refused up
+// hello kind on, and version 5 hashed a per-radio transmit power into
+// the state word; none can match a replay, so such a file is refused up
 // front.
-const Version = 5
+const Version = 6
 
 // maxScenarioLen bounds the embedded document so a corrupt length field
 // cannot drive a huge allocation before the CRC check runs.

@@ -330,8 +330,9 @@ func TestVersionMismatch(t *testing.T) {
 	// predates the single generator ("rng streams"), version 2 hashed
 	// tile indices into the state word ("node state"), version 3 kept
 	// every signal edge in the heap ("pending events"), version 4
-	// hashed AODV's neighbour table ("node state").
-	for _, ver := range []uint32{1, 2, 3, 4} {
+	// hashed AODV's neighbour table and version 5 each radio's transmit
+	// power ("node state").
+	for _, ver := range []uint32{1, 2, 3, 4, 5} {
 		old := append([]byte(nil), doc[:len(doc)-4]...)
 		binary.LittleEndian.PutUint32(old[8:], ver)
 		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))

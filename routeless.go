@@ -11,7 +11,7 @@
 //   - Routeless Routing (§4) with an AODV baseline and a simplified
 //     Gradient Routing comparator;
 //   - the substrate they run on: a deterministic DES kernel, free-space
-//     /two-ray/shadowing/Rayleigh propagation, an SINR radio model, and
+//     path loss with optional Rayleigh fading, an SINR radio model, and
 //     a CSMA/CA MAC with a priority queue between NET and MAC;
 //   - the experiment harness regenerating every figure of the paper's
 //     evaluation (see internal/experiments and cmd/wmansim).
@@ -192,8 +192,6 @@ type (
 	SignalStrengthPolicy = core.SignalStrength
 	// HopGradientPolicy is Routeless Routing's metric (§4.1).
 	HopGradientPolicy = core.HopGradient
-	// WeightedPolicy combines metrics.
-	WeightedPolicy = core.Weighted
 	// GradientSignalPolicy is the hop gradient with SSAF-style
 	// tie-breaking inside each band (the conclusion's combination).
 	GradientSignalPolicy = core.GradientSignal
@@ -252,21 +250,11 @@ func NewAODV() *AODV { return routing.NewAODV() }
 // NewGradient builds a Gradient Routing instance.
 func NewGradient() *Gradient { return routing.NewGradient() }
 
-// Propagation models.
-type (
-	// PropagationModel computes deterministic path loss.
-	PropagationModel = propagation.Model
-	// FreeSpace is the Friis model used throughout the paper.
-	FreeSpace = propagation.FreeSpace
-	// TwoRay is the two-ray ground-reflection model.
-	TwoRay = propagation.TwoRay
-)
+// FreeSpace is the Friis path-loss model used throughout the paper.
+type FreeSpace = propagation.FreeSpace
 
 // NewFreeSpace returns the default free-space model at 914 MHz.
 var NewFreeSpace = propagation.NewFreeSpace
-
-// NewTwoRay returns the default two-ray model.
-var NewTwoRay = propagation.NewTwoRay
 
 // Traffic and measurement.
 type (

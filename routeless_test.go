@@ -61,7 +61,7 @@ func TestFloodingAPI(t *testing.T) {
 		nw.Nodes[0].Net.Send(20, 64)
 		nw.Run(3)
 		if !got {
-			t.Fatalf("flood (%v) did not deliver", cfg.Policy.Name())
+			t.Fatalf("flood (%T) did not deliver", cfg.Policy)
 		}
 	}
 }
@@ -135,15 +135,14 @@ func TestTrafficAndStatsAPI(t *testing.T) {
 	}
 }
 
-// TestPropagationAPI checks the exported models.
+// TestPropagationAPI checks the exported free-space model.
 func TestPropagationAPI(t *testing.T) {
-	var m routeless.PropagationModel = routeless.NewFreeSpace()
+	m := routeless.NewFreeSpace()
 	if m.ReceivedPower(20, 100) <= m.ReceivedPower(20, 200) {
 		t.Fatal("free space not monotone through the façade")
 	}
-	tr := routeless.NewTwoRay()
-	if tr.Crossover() <= 0 {
-		t.Fatal("two-ray crossover")
+	if m.Wavelength() <= 0 {
+		t.Fatal("free-space wavelength")
 	}
 }
 
