@@ -32,7 +32,7 @@ func main() {
 	res := experiments.RunFig2(experiments.Fig2Config{
 		Nodes: *nodes, Terrain: *terrain, Seed: *seed,
 		Duration: *duration, CrossInterval: *crossIv,
-	})
+	}, 0)
 	fmt.Println(experiments.Fig2Table(res))
 	fmt.Println(experiments.Fig2Render(res, *width))
 	if *svgOut != "" {

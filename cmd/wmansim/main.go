@@ -8,7 +8,7 @@
 //	wmansim -exp fig2            # Figure 2 (congestion avoidance, + map)
 //	wmansim -exp fig3            # Figure 3 (Routeless vs AODV)
 //	wmansim -exp fig4            # Figure 4 (… under node failures)
-//	wmansim -exp abl1|abl2|abl3|abl4
+//	wmansim -exp abl1|abl2|abl3|abl4|abl5|abl6
 //	wmansim -exp churn           # fault-plane churn study
 //	wmansim -exp mega            # million-node arena ladder (SSAF at Figure-1 density)
 //	wmansim -mega                # shorthand: the single N=1,000,000 mega run
@@ -19,11 +19,11 @@
 //	-scale full    paper scale (500 nodes / 2000 m for routing; slow)
 //	-scale small   reduced scale with the same density (default)
 //
-// Other flags: -seeds N (replications), -duration S, -workers N,
-// -csv (machine-readable output), -width (fig2 map width), -journal F
-// (append a JSONL run journal: per-run metric snapshots for the
-// journaled figures plus one summary record per experiment with the
-// table CSV, git revision, and wall time).
+// Other flags: -seeds N (replications, at least 1), -duration S,
+// -workers N, -csv (machine-readable output), -journal F (append a
+// JSONL run journal: one metric-snapshot record per cell of every grid
+// study — all but fig2 and abl3 — plus one summary record per
+// experiment with the table CSV, git revision, and wall time).
 //
 // Unified scenario documents (the same format simserve accepts):
 //
@@ -39,6 +39,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,7 +53,6 @@ import (
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/snapshot"
-	"routeless/internal/stats"
 )
 
 // gitRev stamps journal records with the checkout's short commit hash;
@@ -65,8 +65,11 @@ func gitRev() string {
 	return strings.TrimSpace(string(out))
 }
 
+// mapWidth is the width in characters of fig2's ASCII maps.
+const mapWidth = 76
+
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // runScenario is the unified-document entry point: build a run from a
@@ -143,24 +146,33 @@ func runScenario(scenarioPath, restorePath string, snapAt float64, snapOut strin
 	return 0
 }
 
-func run() int {
+func run(args []string) int {
+	var names []string
+	for _, st := range (experiments.Suite{}).Studies() {
+		names = append(names, st.Name)
+	}
+	fs := flag.NewFlagSet("wmansim", flag.ContinueOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|abl1|abl2|abl3|abl4|abl5|abl6|churn|mega|all")
-		mega     = flag.Bool("mega", false, "shorthand for -exp mega at N=1,000,000 only")
-		scale    = flag.String("scale", "small", "full (paper scale) or small (same density, faster)")
-		seeds    = flag.Int("seeds", 3, "independent replications per point")
-		duration = flag.Float64("duration", 0, "traffic seconds per run (0 = scale default)")
-		workers  = flag.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		width    = flag.Int("width", 76, "figure 2 map width in characters")
-		journalF = flag.String("journal", "", "append a JSONL run journal to this file")
+		exp      = fs.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all (every study but mega)")
+		mega     = fs.Bool("mega", false, "shorthand for -exp mega at N=1,000,000 only")
+		scale    = fs.String("scale", "small", "full (paper scale) or small (same density, faster)")
+		seeds    = fs.Int("seeds", 3, "independent replications per point")
+		duration = fs.Float64("duration", 0, "traffic seconds per run (0 = scale default)")
+		workers  = fs.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		journalF = fs.String("journal", "", "append a JSONL run journal to this file")
 
-		scenarioF = flag.String("scenario", "", "run a single scenario document (JSON file) instead of an experiment")
-		restoreF  = flag.String("restore", "", "resume a run from this snapshot document instead of building -scenario")
-		snapAt    = flag.Float64("snapshot-at", 0, "with -scenario/-restore: pause at this sim time, write -snapshot-out, and exit")
-		snapOut   = flag.String("snapshot-out", "", "snapshot output file for -snapshot-at")
+		scenarioF = fs.String("scenario", "", "run a single scenario document (JSON file) instead of an experiment")
+		restoreF  = fs.String("restore", "", "resume a run from this snapshot document instead of building -scenario")
+		snapAt    = fs.Float64("snapshot-at", 0, "with -scenario/-restore: pause at this sim time, write -snapshot-out, and exit")
+		snapOut   = fs.String("snapshot-out", "", "snapshot output file for -snapshot-at")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *mega {
 		*exp = "mega"
 	}
@@ -180,6 +192,10 @@ func run() int {
 		return runScenario(*scenarioF, *restoreF, *snapAt, *snapOut, journal)
 	}
 
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "-seeds must be at least 1, got %d\n", *seeds)
+		return 2
+	}
 	seedList := make([]int64, *seeds)
 	for i := range seedList {
 		seedList[i] = int64(i + 1)
@@ -191,22 +207,26 @@ func run() int {
 		return 2
 	}
 
-	fig1 := experiments.Fig1Config{Seeds: seedList, Workers: *workers, Duration: *duration, Journal: journal}
-	fig34 := experiments.Fig34Config{Seeds: seedList, Workers: *workers, Duration: *duration, Journal: journal}
-	fig2 := experiments.Fig2Config{Seed: seedList[0], Workers: *workers}
-	churnCfg := experiments.ChurnConfig{Seeds: seedList, Workers: *workers, Duration: *duration, Journal: journal}
-	// Mega replications default to one — each x-axis point is a whole
-	// arena, not a noisy sample.
-	megaCfg := experiments.MegaConfig{Seeds: seedList[:1], Workers: *workers, Duration: *duration, Journal: journal}
+	suite := experiments.Suite{
+		Fig1:  experiments.Fig1Config{Seeds: seedList, Duration: *duration},
+		Fig2:  experiments.Fig2Config{Seed: seedList[0]},
+		Fig34: experiments.Fig34Config{Seeds: seedList, Duration: *duration},
+		Abl3:  experiments.Abl3Config{Seed: seedList[0]},
+		Churn: experiments.ChurnConfig{Seeds: seedList, Duration: *duration},
+		// Mega replications default to one — each x-axis point is a
+		// whole arena, not a noisy sample.
+		Mega: experiments.MegaConfig{Seeds: seedList[:1], Duration: *duration},
+	}
 	if *mega {
-		megaCfg.Ns = []int{1_000_000}
+		suite.Mega.Ns = []int{1_000_000}
 	} else if full {
-		megaCfg.Ns = []int{10_000, 100_000, 1_000_000}
+		suite.Mega.Ns = []int{10_000, 100_000, 1_000_000}
 	} else {
-		megaCfg.Ns = []int{1_000, 10_000, 100_000}
+		suite.Mega.Ns = []int{1_000, 10_000, 100_000}
 	}
 	if !full {
 		// Same node density as the paper, quarter the area.
+		fig1, fig34, fig2, churn := &suite.Fig1, &suite.Fig34, &suite.Fig2, &suite.Churn
 		fig1.Nodes, fig1.Terrain = 60, 800
 		fig1.Connections = 20
 		fig34.Nodes, fig34.Terrain = 200, 1265
@@ -218,17 +238,9 @@ func run() int {
 		}
 		fig2.Nodes, fig2.Terrain = 300, 1500
 		fig2.Duration = 30
-		churnCfg.Nodes, churnCfg.Terrain = 150, 1100
-		if churnCfg.Duration == 0 {
-			churnCfg.Duration = 20
-		}
-	}
-
-	show := func(t *stats.Table) {
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t)
+		churn.Nodes, churn.Terrain = 150, 1100
+		if churn.Duration == 0 {
+			churn.Duration = 20
 		}
 	}
 
@@ -237,63 +249,30 @@ func run() int {
 		rev = gitRev()
 	}
 
-	runExp := func(name string) bool {
+	ran := false
+	for _, st := range suite.Studies() {
+		if st.Name != *exp && (*exp != "all" || st.Name == "mega") {
+			continue
+		}
+		ran = true
 		//lint:ignore wallclock wall-time of a whole experiment, measured outside the event loop
 		start := time.Now()
-		var tbl *stats.Table
-		var events uint64 // kernel events, for the studies whose rows carry them
-		switch name {
-		case "fig1":
-			rows := experiments.RunFig1(fig1)
-			for _, r := range rows {
-				events += r.Events
+		res := st.Run(*workers, journal)
+		if *csv {
+			fmt.Print(res.Table.CSV())
+		} else {
+			fmt.Println(res.Table)
+			if res.Fig2 != nil {
+				fmt.Println(experiments.Fig2Render(*res.Fig2, mapWidth))
 			}
-			tbl = experiments.Fig1Table(rows)
-		case "fig2":
-			res := experiments.RunFig2(fig2)
-			tbl = experiments.Fig2Table(res)
-			show(tbl)
-			if !*csv {
-				fmt.Println(experiments.Fig2Render(res, *width))
-			}
-		case "fig3":
-			tbl = experiments.Fig3Table(experiments.RunFig3(fig34))
-		case "fig4":
-			tbl = experiments.Fig4Table(experiments.RunFig4(fig34))
-		case "abl1":
-			tbl = experiments.Abl1Table(experiments.RunAbl1(fig1))
-		case "abl2":
-			tbl = experiments.Abl2Table(experiments.RunAbl2(fig34, nil, 5))
-		case "abl3":
-			tbl = experiments.Abl3Table(experiments.RunAbl3(*workers, nil, 0, 10e-3, seedList[0]))
-		case "abl4":
-			tbl = experiments.Abl4Table(experiments.RunAbl4(fig34))
-		case "abl5":
-			tbl = experiments.Abl5Table(experiments.RunAbl5(fig34, nil, 5))
-		case "abl6":
-			tbl = experiments.Abl6Table(experiments.RunAbl6(fig34))
-		case "churn":
-			tbl = experiments.ChurnTable(experiments.RunChurn(churnCfg))
-		case "mega":
-			rows := experiments.RunMega(megaCfg)
-			for _, r := range rows {
-				events += r.Events
-			}
-			tbl = experiments.MegaTable(rows)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			return false
-		}
-		if name != "fig2" { // fig2 already printed (it adds the map render)
-			show(tbl)
 		}
 		if journal != nil {
 			// The summary record carries the environment stamps; the
-			// deterministic per-run records were written by the Run funcs.
+			// deterministic per-cell records were written by the study.
 			_ = journal.Write(metrics.Record{
-				Experiment: name,
+				Experiment: st.Name,
 				Label:      "summary",
-				TableCSV:   tbl.CSV(),
+				TableCSV:   res.Table.CSV(),
 				GitRev:     rev,
 				GoVersion:  runtime.Version(),
 				//lint:ignore wallclock environment stamp on the journal, excluded from golden comparisons
@@ -303,22 +282,15 @@ func run() int {
 		if !*csv {
 			//lint:ignore wallclock reports elapsed wall time after the run's kernel has drained
 			wall := time.Since(start)
-			fmt.Printf("[%s done in %v", name, wall.Round(time.Millisecond))
-			if events > 0 {
-				fmt.Printf(", %d events, %.0f events/sec", events, float64(events)/wall.Seconds())
+			fmt.Printf("[%s done in %v", st.Name, wall.Round(time.Millisecond))
+			if res.Events > 0 {
+				fmt.Printf(", %d events, %.0f events/sec", res.Events, float64(res.Events)/wall.Seconds())
 			}
 			fmt.Print("]\n\n")
 		}
-		return true
 	}
-
-	if *exp == "all" {
-		for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "abl1", "abl2", "abl3", "abl4", "abl5", "abl6", "churn"} {
-			if !runExp(name) {
-				return 2
-			}
-		}
-	} else if !runExp(*exp) {
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		return 2
 	}
 	if journal != nil {

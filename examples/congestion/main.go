@@ -16,7 +16,7 @@ import (
 func main() {
 	res := experiments.RunFig2(experiments.Fig2Config{
 		Nodes: 300, Terrain: 1500, Seed: 3, Duration: 30,
-	})
+	}, 0)
 	fmt.Println(experiments.Fig2Table(res))
 	fmt.Println(experiments.Fig2Render(res, 72))
 }

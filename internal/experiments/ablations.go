@@ -13,173 +13,137 @@ import (
 	"routeless/internal/sweep"
 )
 
-// --- ABL1: SSAF with and without duplicate cancellation ---------------
-
-// Abl1Row compares SSAF and SSAF-C at one traffic level.
-type Abl1Row struct {
-	Interval float64
-	SSAF     Agg // forwards counted in MACPackets
-	SSAFC    Agg
-}
-
-// RunAbl1 reuses the Figure 1 rig with the cancellation flag toggled.
-func RunAbl1(cfg Fig1Config) []Abl1Row {
+// abl1Grid reuses the Figure 1 rig — with the full data packet size —
+// for SSAF without and with duplicate cancellation.
+func abl1Grid(cfg Fig1Config) grid {
 	cfg = cfg.withDefaults()
-	cells := sweep.Cells("abl1", len(cfg.Intervals)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		pi, cancel := versusPoint(c.Point)
-		fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
-		fcfg.Cancel = cancel
-		install := func(nw *node.Network) {
-			nw.Install(func(*node.Node) node.Protocol { return flood.New(&fcfg) })
-		}
-		return finish(assemble(ctx, fig1Spec(cfg, install, cfg.Intervals[pi], packet.SizeData, c.Seed)), false)
-	})
-	ssaf, ssafc := foldVersus(len(cfg.Intervals), cells, results)
-	rows := make([]Abl1Row, len(cfg.Intervals))
-	for i, iv := range cfg.Intervals {
-		rows[i] = Abl1Row{Interval: iv, SSAF: ssaf[i], SSAFC: ssafc[i]}
+	return grid{
+		name:     "abl1",
+		title:    "ABL1 — SSAF vs SSAF-C (duplicate cancellation)",
+		config:   cfg,
+		xcol:     "interval_s",
+		xname:    "interval",
+		xs:       anys(cfg.Intervals),
+		variants: []variant{{"ssaf", "ssaf"}, {"ssafc", "ssaf-c"}},
+		seeds:    cfg.Seeds,
+		cols:     []col{macCol, deliveryCol, delayCol},
+		spec: func(x, v int, seed int64) scenario.Spec {
+			fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
+			fcfg.Cancel = v == 1
+			install := func(nw *node.Network) {
+				nw.Install(func(*node.Node) node.Protocol { return flood.New(&fcfg) })
+			}
+			return fig1Spec(cfg, install, cfg.Intervals[x], packet.SizeData, seed)
+		},
 	}
-	return rows
 }
 
-// Abl1Table renders the comparison.
-func Abl1Table(rows []Abl1Row) *stats.Table {
-	t := stats.NewTable(
-		"ABL1 — SSAF vs SSAF-C (duplicate cancellation)",
-		"interval_s",
-		"ssaf_mac_pkts", "ssafc_mac_pkts",
-		"ssaf_delivery", "ssafc_delivery",
-		"ssaf_delay_s", "ssafc_delay_s",
-	)
-	for _, r := range rows {
-		t.AddRow(r.Interval,
-			r.SSAF.MACPackets.Mean(), r.SSAFC.MACPackets.Mean(),
-			r.SSAF.Delivery.Mean(), r.SSAFC.Delivery.Mean(),
-			r.SSAF.Delay.Mean(), r.SSAFC.Delay.Mean(),
-		)
-	}
-	return t
-}
-
-// --- ABL2: Routeless λ sweep ------------------------------------------
-
-// Abl2Row captures the λ tradeoff (§4.1: small λ collides, large λ
-// delays).
-type Abl2Row struct {
-	Lambda sim.Time
-	RR     Agg
-}
-
-// RunAbl2 sweeps λ on the Figure 3 rig at a fixed pair count.
-func RunAbl2(cfg Fig34Config, lambdas []sim.Time, pairs int) []Abl2Row {
+// abl2Grid sweeps Routeless λ on the Figure 3 rig at AblPairs pairs:
+// the §4.1 tradeoff (small λ collides, large λ delays).
+func abl2Grid(cfg Fig34Config) grid {
 	cfg = cfg.withDefaults()
-	if len(lambdas) == 0 {
-		lambdas = []sim.Time{1e-3, 2e-3, 5e-3, 10e-3, 20e-3, 50e-3, 100e-3}
+	ms := make([]float64, len(cfg.Lambdas))
+	for i, l := range cfg.Lambdas {
+		ms[i] = l.Millis()
 	}
-	if pairs == 0 {
-		pairs = 5
+	return grid{
+		name:     "abl2",
+		title:    "ABL2 — Routeless Routing λ sweep (§4.1 tradeoff)",
+		config:   cfg,
+		xcol:     "lambda_ms",
+		xname:    "lambda_ms",
+		xs:       anys(ms),
+		variants: []variant{{"rr", scenario.ProtoRouteless}},
+		seeds:    cfg.Seeds,
+		cols:     []col{delayCol, deliveryCol, macCol},
+		spec: func(x, _ int, seed int64) scenario.Spec {
+			run := cfg
+			run.Lambda = cfg.Lambdas[x]
+			return routingCell(run, scenario.ProtoRouteless, cfg.AblPairs, 0, seed)
+		},
 	}
-	cells := sweep.Cells("abl2", len(lambdas), cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
-		run := cfg
-		run.Lambda = lambdas[c.Point]
-		return runRouting(ctx, run, ProtoRouteless, pairs, 0, c.Seed).RunMetrics
-	})
-	rows := make([]Abl2Row, len(lambdas))
-	for i, l := range lambdas {
-		rows[i].Lambda = l
-	}
-	for i, c := range cells {
-		rows[c.Point].RR.Add(results[i])
-	}
-	return rows
-}
-
-// Abl2Table renders the λ sweep.
-func Abl2Table(rows []Abl2Row) *stats.Table {
-	t := stats.NewTable(
-		"ABL2 — Routeless Routing λ sweep (§4.1 tradeoff)",
-		"lambda_ms", "delay_s", "delivery", "mac_pkts",
-	)
-	for _, r := range rows {
-		t.AddRow(r.Lambda.Millis(), r.RR.Delay.Mean(), r.RR.Delivery.Mean(), r.RR.MACPackets.Mean())
-	}
-	return t
 }
 
 // --- ABL3: election outcome probabilities ------------------------------
 
-// Abl3Row measures leader-election outcomes on the abstract medium as
-// neighborhood size grows: probability of a clean single leader, of
-// collisions (no leader), and mean rounds with an arbiter.
-type Abl3Row struct {
-	Nodes          int
-	SingleLeader   float64 // share of trials electing exactly one leader
-	NoLeader       float64 // share where collisions destroyed the round
-	MeanRounds     float64 // arbiter rounds until success
-	MeanBroadcasts float64 // announcements + acks + syncs per success
+// Abl3Config measures leader-election outcomes on the abstract medium
+// as neighborhood size grows: Trials independent cliques per size.
+type Abl3Config struct {
+	Sizes  []int // x-axis clique sizes; default {2, 5, 10, 20, 50}
+	Trials int   // cliques per size; default 200
+	Seed   int64 // master seed every trial derives its streams from
 }
 
-// abl3Out is one trial's outcome as it crosses the sweep boundary.
+// abl3Lambda is the election backoff bound every trial uses.
+const abl3Lambda sim.Time = 10e-3
+
+func (c Abl3Config) withDefaults() Abl3Config {
+	if len(c.Sizes) == 0 {
+		c.Sizes = []int{2, 5, 10, 20, 50}
+	}
+	if c.Trials == 0 {
+		c.Trials = 200
+	}
+	return c
+}
+
+// abl3Out is one trial's election outcome — 1 for a clean single
+// leader in round 1, 1 for a collision that left no leader, the
+// arbiter rounds until success and the broadcasts (announcements, acks
+// and syncs) spent — and, folded by runAbl3, their mean over a clique
+// size's trials.
 type abl3Out struct {
 	single, none, rounds, bcasts float64
 }
 
-// RunAbl3 measures election behavior over `trials` independent cliques
-// per size, one sweep cell per (size, trial).
-func RunAbl3(workers int, sizes []int, trials int, lambda sim.Time, seed int64) []Abl3Row {
-	if len(sizes) == 0 {
-		sizes = []int{2, 5, 10, 20, 50}
-	}
-	if trials == 0 {
-		trials = 200
-	}
+// runAbl3 runs one sweep cell per (size, trial) and returns the mean
+// outcome per size.
+func runAbl3(cfg Abl3Config, workers int) []abl3Out {
+	cfg = cfg.withDefaults()
 	// Each trial derives its own streams from (seed, size index, trial),
 	// so the cell seed is just the trial index; determinism rides on the
 	// derivation, exactly as the serial loop did.
-	trialSeeds := make([]int64, trials)
+	trialSeeds := make([]int64, cfg.Trials)
 	for i := range trialSeeds {
 		trialSeeds[i] = int64(i)
 	}
-	cells := sweep.Cells("abl3", len(sizes), trialSeeds)
+	cells := sweep.Cells("abl3", len(cfg.Sizes), trialSeeds)
 	results := sweep.Run(workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) abl3Out {
-		return runElectionOnce(ctx, sizes[c.Point], c.Point, c.Rep, lambda, seed)
+		return runElectionOnce(ctx, cfg.Sizes[c.Point], c.Point, c.Rep, cfg.Seed)
 	})
-	rows := make([]Abl3Row, len(sizes))
-	for si, n := range sizes {
-		rows[si].Nodes = n
-	}
+	means := make([]abl3Out, len(cfg.Sizes))
 	for i, c := range cells {
-		r := &rows[c.Point]
-		r.SingleLeader += results[i].single
-		r.NoLeader += results[i].none
-		r.MeanRounds += results[i].rounds
-		r.MeanBroadcasts += results[i].bcasts
+		m, r := &means[c.Point], &results[i]
+		m.single += r.single
+		m.none += r.none
+		m.rounds += r.rounds
+		m.bcasts += r.bcasts
 	}
-	for si := range rows {
-		rows[si].SingleLeader /= float64(trials)
-		rows[si].NoLeader /= float64(trials)
-		rows[si].MeanRounds /= float64(trials)
-		rows[si].MeanBroadcasts /= float64(trials)
+	trials := float64(cfg.Trials)
+	for i := range means {
+		m := &means[i]
+		m.single /= trials
+		m.none /= trials
+		m.rounds /= trials
+		m.bcasts /= trials
 	}
-	return rows
+	return means
 }
 
 // runElectionOnce runs one clique trial on the abstract medium.
-func runElectionOnce(ctx *sweep.Context, n, si, trial int, lambda sim.Time, seed int64) abl3Out {
+func runElectionOnce(ctx *sweep.Context, n, si, trial int, seed int64) abl3Out {
 	k := sim.NewKernelPooled(rng.Derive(seed, uint64(si), uint64(trial)), ctx.Runtime().Events)
 	// Message latency comparable to λ/4 makes near-ties collide,
 	// like real airtime does.
-	cl := core.NewCluster(k, n+1, lambda/4, lambda/20, 0,
+	cl := core.NewCluster(k, n+1, abl3Lambda/4, abl3Lambda/20, 0,
 		rng.New(seed, rng.StreamElection, uint64(si), uint64(trial)))
 	cl.ConnectAll()
 	electors := make([]*core.Elector, n)
 	for i := 0; i < n; i++ {
-		electors[i] = core.NewElector(k, packet.NodeID(i), cl, core.Uniform{Max: lambda})
+		electors[i] = core.NewElector(k, packet.NodeID(i), cl, core.Uniform{Max: abl3Lambda})
 		cl.AttachElector(electors[i])
 	}
-	arb := core.NewArbiter(k, packet.NodeID(n), cl, lambda*4)
+	arb := core.NewArbiter(k, packet.NodeID(n), cl, abl3Lambda*4)
 	arb.MaxRetries = 20
 	cl.AttachArbiter(arb)
 	arb.Trigger()
@@ -204,164 +168,86 @@ func runElectionOnce(ctx *sweep.Context, n, si, trial int, lambda sim.Time, seed
 	return out
 }
 
-// Abl3Table renders the election study.
-func Abl3Table(rows []Abl3Row) *stats.Table {
+// abl3Table renders the election study, one row per clique size.
+func abl3Table(sizes []int, means []abl3Out) *stats.Table {
 	t := stats.NewTable(
 		"ABL3 — local leader election outcomes vs neighborhood size (uniform metric, arbiter on)",
 		"nodes", "p_single_leader_r1", "p_collision_r1", "mean_rounds", "mean_broadcasts",
 	)
-	for _, r := range rows {
-		t.AddRow(r.Nodes, r.SingleLeader, r.NoLeader, r.MeanRounds, r.MeanBroadcasts)
+	for i, m := range means {
+		t.AddRow(sizes[i], m.single, m.none, m.rounds, m.bcasts)
 	}
 	return t
 }
 
-// --- ABL4: Routeless vs Gradient Routing -------------------------------
-
-// Abl4Row compares the two gradient-followers at one pair count.
-type Abl4Row struct {
-	Pairs     int
-	Routeless Agg
-	Gradient  Agg
-}
-
-// RunAbl4 reuses the Figure 3 rig with Gradient Routing in AODV's seat.
-func RunAbl4(cfg Fig34Config) []Abl4Row {
+// abl4Grid reuses the Figure 3 rig with Gradient Routing in AODV's
+// seat (§4.4 congestion claim).
+func abl4Grid(cfg Fig34Config) grid {
 	cfg = cfg.withDefaults()
-	cells := sweep.Cells("abl4", len(cfg.Pairs)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		pi, grad := versusPoint(c.Point)
-		proto := ProtoRouteless
-		if grad {
-			proto = ProtoGradient
-		}
-		return runRouting(ctx, cfg, proto, cfg.Pairs[pi], 0, c.Seed)
-	})
-	rr, grad := foldVersus(len(cfg.Pairs), cells, results)
-	rows := make([]Abl4Row, len(cfg.Pairs))
-	for i, p := range cfg.Pairs {
-		rows[i] = Abl4Row{Pairs: p, Routeless: rr[i], Gradient: grad[i]}
+	variants := []variant{{"rr", scenario.ProtoRouteless}, {"grad", scenario.ProtoGradient}}
+	return grid{
+		name:     "abl4",
+		title:    "ABL4 — Routeless Routing vs Gradient Routing (§4.4 congestion claim)",
+		config:   cfg,
+		xcol:     "pairs",
+		xname:    "pairs",
+		xs:       anys(cfg.Pairs),
+		variants: variants,
+		seeds:    cfg.Seeds,
+		cols:     []col{macCol, deliveryCol, delayCol},
+		spec: func(x, v int, seed int64) scenario.Spec {
+			return routingCell(cfg, variants[v].name, cfg.Pairs[x], 0, seed)
+		},
 	}
-	return rows
 }
 
-// Abl4Table renders the §4.4 comparison.
-func Abl4Table(rows []Abl4Row) *stats.Table {
-	t := stats.NewTable(
-		"ABL4 — Routeless Routing vs Gradient Routing (§4.4 congestion claim)",
-		"pairs",
-		"rr_mac_pkts", "grad_mac_pkts",
-		"rr_delivery", "grad_delivery",
-		"rr_delay_s", "grad_delay_s",
-	)
-	for _, r := range rows {
-		t.AddRow(r.Pairs,
-			r.Routeless.MACPackets.Mean(), r.Gradient.MACPackets.Mean(),
-			r.Routeless.Delivery.Mean(), r.Gradient.Delivery.Mean(),
-			r.Routeless.Delay.Mean(), r.Gradient.Delay.Mean(),
-		)
-	}
-	return t
-}
-
-// --- ABL5: duty-cycled sleeping under Routeless Routing ----------------
-
-// Abl5Row quantifies §4.2's claim that "any node, even if it is on the
-// route, can freely switch to a sleep or a standby mode to save
-// energy": delivery and per-node energy as the sleep fraction grows.
-type Abl5Row struct {
-	SleepFraction float64
-	RR            Agg
-}
-
-// RunAbl5 runs the Figure 3 rig with non-endpoint nodes duty-cycle
-// sleeping instead of failing.
-func RunAbl5(cfg Fig34Config, fractions []float64, pairs int) []Abl5Row {
+// abl5Grid runs the Figure 3 rig at AblPairs pairs with non-endpoint
+// nodes duty-cycle sleeping instead of failing: §4.2's claim that "any
+// node, even if it is on the route, can freely switch to a sleep or a
+// standby mode to save energy".
+func abl5Grid(cfg Fig34Config) grid {
 	cfg = cfg.withDefaults()
-	if len(fractions) == 0 {
-		fractions = []float64{0, 0.1, 0.2, 0.3, 0.5}
-	}
-	if pairs == 0 {
-		pairs = 5
-	}
-	cells := sweep.Cells("abl5", len(fractions), cfg.Seeds)
 	install := scenario.Installer(scenario.ProtoRouteless, cfg.Lambda, cfg.Range)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) RunMetrics {
-		sp, endpoints := routingSpec(cfg, c.Seed, pairs, install)
-		sp.Plan = dutyCycle(fractions[c.Point], true, endpoints)
-		return finish(assemble(ctx, sp), false).RunMetrics
-	})
-	rows := make([]Abl5Row, len(fractions))
-	for i, f := range fractions {
-		rows[i].SleepFraction = f
+	return grid{
+		name:     "abl5",
+		title:    "ABL5 — duty-cycled sleeping under Routeless Routing (§4.2 energy claim)",
+		config:   cfg,
+		xcol:     "sleep_frac",
+		xname:    "sleep",
+		xs:       anys(cfg.SleepFractions),
+		variants: []variant{{"rr", scenario.ProtoRouteless}},
+		seeds:    cfg.Seeds,
+		cols:     []col{deliveryCol, delayCol, energyCol, macCol},
+		spec: func(x, _ int, seed int64) scenario.Spec {
+			sp, endpoints := routingSpec(cfg, seed, cfg.AblPairs, install)
+			sp.Plan = dutyCycle(cfg.SleepFractions[x], true, endpoints)
+			return sp
+		},
 	}
-	for i, c := range cells {
-		rows[c.Point].RR.Add(results[i])
-	}
-	return rows
 }
 
-// Abl5Table renders the sleep study.
-func Abl5Table(rows []Abl5Row) *stats.Table {
-	t := stats.NewTable(
-		"ABL5 — duty-cycled sleeping under Routeless Routing (§4.2 energy claim)",
-		"sleep_frac", "delivery", "delay_s", "energy_J", "mac_pkts",
-	)
-	for _, r := range rows {
-		t.AddRow(r.SleepFraction, r.RR.Delivery.Mean(), r.RR.Delay.Mean(),
-			r.RR.EnergyJ.Mean(), r.RR.MACPackets.Mean())
-	}
-	return t
-}
-
-// --- ABL6: signal-strength tie-breaking inside Routeless's bands -------
-
-// Abl6Row compares Routeless Routing with the paper's pure §4.1
-// equation against the GradientSignal variant (signal-strength
-// tie-break inside each gradient band — the metric combination the
-// conclusion proposes).
-type Abl6Row struct {
-	Pairs     int
-	Pure      Agg
-	SignalTie Agg
-}
-
-// RunAbl6 runs both variants on the Figure 3 rig.
-func RunAbl6(cfg Fig34Config) []Abl6Row {
+// abl6Grid compares Routeless Routing with the paper's pure §4.1
+// equation against the signal-strength tie-break inside each gradient
+// band — the metric combination the conclusion proposes.
+func abl6Grid(cfg Fig34Config) grid {
 	cfg = cfg.withDefaults()
-	cells := sweep.Cells("abl6", len(cfg.Pairs)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		pi, signal := versusPoint(c.Point)
-		rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, SignalTieBreak: signal}
-		install := func(nw *node.Network) {
-			nw.Install(func(*node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
-		}
-		sp, _ := routingSpec(cfg, c.Seed, cfg.Pairs[pi], install)
-		return finish(assemble(ctx, sp), false)
-	})
-	pure, tie := foldVersus(len(cfg.Pairs), cells, results)
-	rows := make([]Abl6Row, len(cfg.Pairs))
-	for i, p := range cfg.Pairs {
-		rows[i] = Abl6Row{Pairs: p, Pure: pure[i], SignalTie: tie[i]}
+	return grid{
+		name:     "abl6",
+		title:    "ABL6 — Routeless backoff tie-break: pure §4.1 equation vs signal-strength (conclusion's metric combination)",
+		config:   cfg,
+		xcol:     "pairs",
+		xname:    "pairs",
+		xs:       anys(cfg.Pairs),
+		variants: []variant{{"pure", "pure"}, {"sig", "signal"}},
+		seeds:    cfg.Seeds,
+		cols:     []col{macCol, hopsCol, deliveryCol},
+		spec: func(x, v int, seed int64) scenario.Spec {
+			rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, SignalTieBreak: v == 1}
+			install := func(nw *node.Network) {
+				nw.Install(func(*node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
+			}
+			sp, _ := routingSpec(cfg, seed, cfg.Pairs[x], install)
+			return sp
+		},
 	}
-	return rows
-}
-
-// Abl6Table renders the tie-break comparison.
-func Abl6Table(rows []Abl6Row) *stats.Table {
-	t := stats.NewTable(
-		"ABL6 — Routeless backoff tie-break: pure §4.1 equation vs signal-strength (conclusion's metric combination)",
-		"pairs",
-		"pure_mac_pkts", "sig_mac_pkts",
-		"pure_hops", "sig_hops",
-		"pure_delivery", "sig_delivery",
-	)
-	for _, r := range rows {
-		t.AddRow(r.Pairs,
-			r.Pure.MACPackets.Mean(), r.SignalTie.MACPackets.Mean(),
-			r.Pure.Hops.Mean(), r.SignalTie.Hops.Mean(),
-			r.Pure.Delivery.Mean(), r.SignalTie.Delivery.Mean(),
-		)
-	}
-	return t
 }

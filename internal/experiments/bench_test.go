@@ -1,34 +1,36 @@
+package experiments
+
 // Benchmarks regenerating every figure of the paper's evaluation plus
 // the DESIGN.md ablations, at a reduced scale chosen so a full
-// `go test -bench=.` finishes in minutes. Full paper scale is available
-// through cmd/wmansim (see EXPERIMENTS.md for recorded results).
+// `go test -bench . ./internal/experiments` finishes in seconds. Full
+// paper scale is available through cmd/wmansim (see EXPERIMENTS.md for
+// recorded results).
 //
 // Each benchmark iteration runs the complete experiment sweep; custom
 // metrics expose the headline numbers (delivery ratio, delay, MAC
 // packets) so regressions in protocol behavior — not just speed — show
 // up in benchmark diffs.
-package routeless_test
 
 import (
 	"testing"
 
-	"routeless/internal/experiments"
 	"routeless/internal/sim"
 )
 
-func benchFig1Config() experiments.Fig1Config {
-	return experiments.Fig1Config{
+func benchFig1Config() Fig1Config {
+	return Fig1Config{
 		Nodes: 60, Terrain: 800, Connections: 15,
 		Intervals: []float64{1, 5, 10},
 		Duration:  10, Seeds: []int64{1},
 	}
 }
 
-func benchFig34Config() experiments.Fig34Config {
-	return experiments.Fig34Config{
+func benchFig34Config() Fig34Config {
+	return Fig34Config{
 		Nodes: 150, Terrain: 1100, Duration: 20,
 		Pairs: []int{2, 6}, Seeds: []int64{1},
 		FailurePcts: []float64{0, 0.10}, Fig4Pairs: 6,
+		AblPairs: 4,
 	}
 }
 
@@ -36,17 +38,17 @@ func benchFig34Config() experiments.Fig34Config {
 // packet generation intervals (delay, hops, delivery panels).
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig1(benchFig1Config())
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.SSAF.Delivery.Mean(), "ssaf-delivery")
-		b.ReportMetric(last.Counter1.Delivery.Mean(), "c1-delivery")
-		b.ReportMetric(last.SSAF.Hops.Mean(), "ssaf-hops")
-		b.ReportMetric(last.Counter1.Hops.Mean(), "c1-hops")
-		var events uint64
-		for _, r := range rows {
-			events += r.Events
+		rows, events := fig1Grid(benchFig1Config()).run(0, nil)
+		c1, ssaf := &rows[len(rows)-1][0], &rows[len(rows)-1][1]
+		b.ReportMetric(ssaf.Delivery.Mean(), "ssaf-delivery")
+		b.ReportMetric(c1.Delivery.Mean(), "c1-delivery")
+		b.ReportMetric(ssaf.Hops.Mean(), "ssaf-hops")
+		b.ReportMetric(c1.Hops.Mean(), "c1-hops")
+		var total uint64
+		for _, e := range events {
+			total += e
 		}
-		b.ReportMetric(float64(events), "events/op")
+		b.ReportMetric(float64(total), "events/op")
 	}
 }
 
@@ -54,9 +56,7 @@ func BenchmarkFig1(b *testing.B) {
 // congestion avoidance (relay displacement away from the hot center).
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig2(experiments.Fig2Config{
-			Seed: 3, Nodes: 300, Terrain: 1500, Duration: 30,
-		})
+		res := RunFig2(Fig2Config{Seed: 3, Nodes: 300, Terrain: 1500, Duration: 30}, 0)
 		b.ReportMetric(res.CenterShareAlone, "center-share-alone")
 		b.ReportMetric(res.CenterShareWithCross, "center-share-congested")
 	}
@@ -66,24 +66,25 @@ func BenchmarkFig2(b *testing.B) {
 // failures (delay, delivery, MAC packets, hops vs pair count).
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig3(benchFig34Config())
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.Routeless.MACPackets.Mean(), "rr-mac-pkts")
-		b.ReportMetric(last.AODV.MACPackets.Mean(), "aodv-mac-pkts")
-		b.ReportMetric(last.Routeless.Delay.Mean()*1e3, "rr-delay-ms")
-		b.ReportMetric(last.AODV.Delay.Mean()*1e3, "aodv-delay-ms")
+		rows, _ := fig3Grid(benchFig34Config()).run(0, nil)
+		aodv, rr := &rows[len(rows)-1][0], &rows[len(rows)-1][1]
+		b.ReportMetric(rr.MACPackets.Mean(), "rr-mac-pkts")
+		b.ReportMetric(aodv.MACPackets.Mean(), "aodv-mac-pkts")
+		b.ReportMetric(rr.Delay.Mean()*1e3, "rr-delay-ms")
+		b.ReportMetric(aodv.Delay.Mean()*1e3, "aodv-delay-ms")
 	}
 }
 
 // BenchmarkFig4 regenerates Figure 4: the same comparison under §4.3
 // duty-cycle node failures (Routeless stays flat; AODV pays).
 func BenchmarkFig4(b *testing.B) {
+	const aodv, rr = 0, 1
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig4(benchFig34Config())
+		rows, _ := fig4Grid(benchFig34Config()).run(0, nil)
 		clean, failing := rows[0], rows[len(rows)-1]
-		b.ReportMetric(failing.AODV.MACPackets.Mean()/clean.AODV.MACPackets.Mean(), "aodv-pkt-growth")
-		b.ReportMetric(failing.Routeless.MACPackets.Mean()/clean.Routeless.MACPackets.Mean(), "rr-pkt-growth")
-		b.ReportMetric(failing.Routeless.Delivery.Mean(), "rr-delivery@10%")
+		b.ReportMetric(failing[aodv].MACPackets.Mean()/clean[aodv].MACPackets.Mean(), "aodv-pkt-growth")
+		b.ReportMetric(failing[rr].MACPackets.Mean()/clean[rr].MACPackets.Mean(), "rr-pkt-growth")
+		b.ReportMetric(failing[rr].Delivery.Mean(), "rr-delivery@10%")
 	}
 }
 
@@ -93,20 +94,20 @@ func BenchmarkAblationSSAFCancel(b *testing.B) {
 	cfg := benchFig1Config()
 	cfg.Intervals = []float64{2}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunAbl1(cfg)
-		b.ReportMetric(rows[0].SSAF.MACPackets.Mean(), "ssaf-mac-pkts")
-		b.ReportMetric(rows[0].SSAFC.MACPackets.Mean(), "ssafc-mac-pkts")
+		rows, _ := abl1Grid(cfg).run(0, nil)
+		b.ReportMetric(rows[0][0].MACPackets.Mean(), "ssaf-mac-pkts")
+		b.ReportMetric(rows[0][1].MACPackets.Mean(), "ssafc-mac-pkts")
 	}
 }
 
 // BenchmarkAblationLambda regenerates ABL2: the §4.1 λ tradeoff.
 func BenchmarkAblationLambda(b *testing.B) {
 	cfg := benchFig34Config()
-	lambdas := []sim.Time{5e-3, 50e-3}
+	cfg.Lambdas = []sim.Time{5e-3, 50e-3}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunAbl2(cfg, lambdas, 4)
-		b.ReportMetric(rows[0].RR.Delay.Mean()*1e3, "delay-ms@5ms")
-		b.ReportMetric(rows[len(rows)-1].RR.Delay.Mean()*1e3, "delay-ms@50ms")
+		rows, _ := abl2Grid(cfg).run(0, nil)
+		b.ReportMetric(rows[0][0].Delay.Mean()*1e3, "delay-ms@5ms")
+		b.ReportMetric(rows[len(rows)-1][0].Delay.Mean()*1e3, "delay-ms@50ms")
 	}
 }
 
@@ -114,9 +115,9 @@ func BenchmarkAblationLambda(b *testing.B) {
 // probabilities on the abstract medium.
 func BenchmarkElection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunAbl3(0, []int{2, 10, 50}, 100, 10e-3, 7)
-		b.ReportMetric(rows[0].SingleLeader, "p-single@2")
-		b.ReportMetric(rows[len(rows)-1].SingleLeader, "p-single@50")
+		means := runAbl3(Abl3Config{Sizes: []int{2, 10, 50}, Trials: 100, Seed: 7}, 0)
+		b.ReportMetric(means[0].single, "p-single@2")
+		b.ReportMetric(means[len(means)-1].single, "p-single@50")
 	}
 }
 
@@ -126,9 +127,9 @@ func BenchmarkAblationGradient(b *testing.B) {
 	cfg := benchFig34Config()
 	cfg.Pairs = []int{4}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunAbl4(cfg)
-		b.ReportMetric(rows[0].Routeless.MACPackets.Mean(), "rr-mac-pkts")
-		b.ReportMetric(rows[0].Gradient.MACPackets.Mean(), "grad-mac-pkts")
+		rows, _ := abl4Grid(cfg).run(0, nil)
+		b.ReportMetric(rows[0][0].MACPackets.Mean(), "rr-mac-pkts")
+		b.ReportMetric(rows[0][1].MACPackets.Mean(), "grad-mac-pkts")
 	}
 }
 
@@ -136,10 +137,11 @@ func BenchmarkAblationGradient(b *testing.B) {
 // Routeless Routing (§4.2 energy claim).
 func BenchmarkAblationSleep(b *testing.B) {
 	cfg := benchFig34Config()
+	cfg.SleepFractions = []float64{0, 0.3}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunAbl5(cfg, []float64{0, 0.3}, 4)
-		b.ReportMetric(rows[0].RR.EnergyJ.Mean(), "energy-J-awake")
-		b.ReportMetric(rows[1].RR.EnergyJ.Mean(), "energy-J-30%sleep")
-		b.ReportMetric(rows[1].RR.Delivery.Mean(), "delivery-30%sleep")
+		rows, _ := abl5Grid(cfg).run(0, nil)
+		b.ReportMetric(rows[0][0].EnergyJ.Mean(), "energy-J-awake")
+		b.ReportMetric(rows[1][0].EnergyJ.Mean(), "energy-J-30%sleep")
+		b.ReportMetric(rows[1][0].Delivery.Mean(), "delivery-30%sleep")
 	}
 }

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"routeless/internal/fault"
-	"routeless/internal/metrics"
 	"routeless/internal/packet"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
-	"routeless/internal/stats"
-	"routeless/internal/sweep"
 )
 
 // ChurnConfig is the fault-plane churn study: fixed bidirectional CBR
@@ -25,7 +20,6 @@ type ChurnConfig struct {
 	Interval float64  // CBR interval per direction, default 1 s
 	Duration float64  // traffic seconds, default 30
 	Seeds    []int64  // default {1,2,3}
-	Workers  int      `json:"-"` // default GOMAXPROCS
 	Lambda   sim.Time // Routeless λ, default 10 ms
 	DataSize int      // CBR payload bytes; default 64
 	Pairs    int      // communicating pairs; default 5
@@ -34,9 +28,6 @@ type ChurnConfig struct {
 	// degradation and jamming rates scaling linearly alongside it.
 	// Intensity 0 runs with no fault plan at all (the clean baseline).
 	Intensities []float64 // default {0, 0.05, 0.1, 0.2}
-
-	// Journal, when non-nil, receives one Record per run in cell order.
-	Journal *metrics.Journal `json:"-"`
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
@@ -73,33 +64,6 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	return c
 }
 
-// numChurnProtos is the protocol count inside each intensity point.
-const numChurnProtos = 3
-
-// churnProto fixes the protocol order inside each intensity point.
-func churnProto(i int) RoutingProto {
-	switch i {
-	case 0:
-		return ProtoRouteless
-	case 1:
-		return ProtoAODV
-	default:
-		return ProtoGradient
-	}
-}
-
-// repairSeries maps a protocol to its repair-latency histogram name.
-func repairSeries(proto RoutingProto) string {
-	switch proto {
-	case ProtoRouteless:
-		return "rr.repair_latency_s"
-	case ProtoAODV:
-		return "aodv.repair_latency_s"
-	default:
-		return "gradient.repair_latency_s"
-	}
-}
-
 // churnPlan scales the three network-level fault shapes with one
 // intensity knob: crash duty cycles at the intensity itself (Figure 4's
 // axis), plus one link shadowed and one jam burst per 0.05/intensity
@@ -118,84 +82,39 @@ func churnPlan(intensity float64, exclude []packet.NodeID) fault.Plan {
 	return fault.Plan{crash, deg, jam}
 }
 
-// ChurnRow is one intensity point of the churn study.
-type ChurnRow struct {
-	Intensity float64
-
-	RR, AODV, Gradient Agg
-
-	// Per-protocol mean repair latency (seconds) and repair counts,
-	// aggregated across seeds from the recovery histograms.
-	RRRepairS, AODVRepairS, GradientRepairS stats.Welford
-	RRRepairs, AODVRepairs, GradientRepairs stats.Welford
-}
-
-// RunChurn sweeps fault intensity × protocol across seeds on the
+// churnGrid sweeps fault intensity × protocol across seeds on the
 // routing rig, with the composite fault plan in place of Figure 4's
-// crash-only one. Every cell's snapshot is captured: the repair-latency
-// histograms are the study's output, journaled or not.
-func RunChurn(cfg ChurnConfig) []ChurnRow {
+// crash-only one. The repair-latency histograms are the study's
+// output, so every cell's snapshot is taken, journaled or not.
+func churnGrid(cfg ChurnConfig) grid {
 	cfg = cfg.withDefaults()
 	rig := Fig34Config{
 		Nodes: cfg.Nodes, Terrain: cfg.Terrain, Range: cfg.Range,
 		Interval: cfg.Interval, DataSize: cfg.DataSize, Duration: cfg.Duration,
 	}
-	cells := sweep.Cells("churn", len(cfg.Intensities)*numChurnProtos, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		ii, pi := c.Point/numChurnProtos, c.Point%numChurnProtos
-		install := scenario.Installer(string(churnProto(pi)), cfg.Lambda, cfg.Range)
-		sp, endpoints := routingSpec(rig, c.Seed, cfg.Pairs, install)
-		sp.Plan = churnPlan(cfg.Intensities[ii], endpoints)
-		return finish(assemble(ctx, sp), true)
-	})
-	rows := make([]ChurnRow, len(cfg.Intensities))
-	for i, x := range cfg.Intensities {
-		rows[i].Intensity = x
+	variants := []variant{{"rr", scenario.ProtoRouteless}, {"aodv", scenario.ProtoAODV}, {"grad", scenario.ProtoGradient}}
+	repairSeries := []string{"rr.repair_latency_s", "aodv.repair_latency_s", "gradient.repair_latency_s"}
+	return grid{
+		name:     "churn",
+		title:    "Churn — RR vs AODV vs Gradient under composite faults (crash + link shadowing + jammer)",
+		config:   cfg,
+		xcol:     "intensity",
+		xname:    "intensity",
+		xs:       anys(cfg.Intensities),
+		variants: variants,
+		seeds:    cfg.Seeds,
+		cols: []col{
+			deliveryCol,
+			{"repair_s", func(a *Agg) float64 { return a.RepairS.Mean() }},
+			{"repairs", func(a *Agg) float64 { return a.Repairs.Mean() }},
+			delayCol,
+		},
+		spec: func(x, v int, seed int64) scenario.Spec {
+			install := scenario.Installer(variants[v].name, cfg.Lambda, cfg.Range)
+			sp, endpoints := routingSpec(rig, seed, cfg.Pairs, install)
+			sp.Plan = churnPlan(cfg.Intensities[x], endpoints)
+			return sp
+		},
+		repair: func(v int) string { return repairSeries[v] },
 	}
-	for i, c := range cells {
-		ii, pi := c.Point/numChurnProtos, c.Point%numChurnProtos
-		row := &rows[ii]
-		proto := churnProto(pi)
-		rep, _ := results[i].snap.Get(repairSeries(proto))
-		switch proto {
-		case ProtoRouteless:
-			row.RR.Add(results[i].RunMetrics)
-			row.RRRepairS.Add(rep.Value)
-			row.RRRepairs.Add(float64(rep.Count))
-		case ProtoAODV:
-			row.AODV.Add(results[i].RunMetrics)
-			row.AODVRepairS.Add(rep.Value)
-			row.AODVRepairs.Add(float64(rep.Count))
-		case ProtoGradient:
-			row.Gradient.Add(results[i].RunMetrics)
-			row.GradientRepairS.Add(rep.Value)
-			row.GradientRepairs.Add(float64(rep.Count))
-		}
-	}
-	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
-		return fmt.Sprintf("%s intensity=%g", churnProto(point%numChurnProtos), cfg.Intensities[point/numChurnProtos])
-	})
-	return rows
-}
-
-// ChurnTable renders the churn study: delivery, repair latency, and
-// delay per protocol against fault intensity.
-func ChurnTable(rows []ChurnRow) *stats.Table {
-	t := stats.NewTable(
-		"Churn — RR vs AODV vs Gradient under composite faults (crash + link shadowing + jammer)",
-		"intensity",
-		"rr_delivery", "aodv_delivery", "grad_delivery",
-		"rr_repair_s", "aodv_repair_s", "grad_repair_s",
-		"rr_repairs", "aodv_repairs", "grad_repairs",
-		"rr_delay_s", "aodv_delay_s", "grad_delay_s",
-	)
-	for _, r := range rows {
-		t.AddRow(r.Intensity,
-			r.RR.Delivery.Mean(), r.AODV.Delivery.Mean(), r.Gradient.Delivery.Mean(),
-			r.RRRepairS.Mean(), r.AODVRepairS.Mean(), r.GradientRepairS.Mean(),
-			r.RRRepairs.Mean(), r.AODVRepairs.Mean(), r.GradientRepairs.Mean(),
-			r.RR.Delay.Mean(), r.AODV.Delay.Mean(), r.Gradient.Delay.Mean(),
-		)
-	}
-	return t
 }

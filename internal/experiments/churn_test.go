@@ -26,11 +26,9 @@ func tinyChurn() ChurnConfig {
 func runTinyChurnJournal(t *testing.T, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg := tinyChurn()
-	cfg.Workers = workers
-	cfg.Journal = metrics.NewJournal(&buf)
-	RunChurn(cfg)
-	if err := cfg.Journal.Err(); err != nil {
+	j := metrics.NewJournal(&buf)
+	churnGrid(tinyChurn()).run(workers, j)
+	if err := j.Err(); err != nil {
 		t.Fatalf("journal write failed: %v", err)
 	}
 	return buf.Bytes()

@@ -17,14 +17,27 @@ func tinyFig1() Fig1Config {
 		Nodes: 30, Terrain: 565, Connections: 8,
 		Intervals: []float64{2},
 		Duration:  5, Seeds: []int64{1},
-		Workers: 4, // exercise the parallel sweep path, not just serial
 	}
 }
 
+// tinyWorkers exercises the parallel sweep path, not just serial.
+const tinyWorkers = 4
+
+// gridRun is one grid run's whole output, for exact comparison.
+type gridRun struct {
+	Aggs   [][]Agg
+	Events []uint64
+}
+
+func runGrid(g grid, workers int) gridRun {
+	aggs, events := g.run(workers, nil)
+	return gridRun{aggs, events}
+}
+
 func TestFig1SameSeedBitwiseIdentical(t *testing.T) {
-	cfg := tinyFig1()
-	a := RunFig1(cfg)
-	b := RunFig1(cfg)
+	g := fig1Grid(tinyFig1())
+	a := runGrid(g, tinyWorkers)
+	b := runGrid(g, tinyWorkers)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\nrun1: %+v\nrun2: %+v", a, b)
 	}
@@ -32,9 +45,9 @@ func TestFig1SameSeedBitwiseIdentical(t *testing.T) {
 
 func TestFig1DifferentSeedDiverges(t *testing.T) {
 	cfg := tinyFig1()
-	a := RunFig1(cfg)
+	a := runGrid(fig1Grid(cfg), tinyWorkers)
 	cfg.Seeds = []int64{2}
-	c := RunFig1(cfg)
+	c := runGrid(fig1Grid(cfg), tinyWorkers)
 	if reflect.DeepEqual(a, c) {
 		t.Fatalf("seed 1 and seed 2 produced identical metrics %+v; the seed is not reaching the simulation", a)
 	}
@@ -43,39 +56,25 @@ func TestFig1DifferentSeedDiverges(t *testing.T) {
 // Serial and parallel sweeps must print the same table: workers change
 // wall time, never results.
 func TestFig1WorkerCountInvariant(t *testing.T) {
-	serial := tinyFig1()
-	serial.Workers = 1
-	pooled := tinyFig1()
-	pooled.Workers = 8
-	a := RunFig1(serial)
-	b := RunFig1(pooled)
+	g := fig1Grid(tinyFig1())
+	a := runGrid(g, 1)
+	b := runGrid(g, 8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("worker count changed results:\nserial: %+v\npooled: %+v", a, b)
 	}
 }
 
-// A study's event total is a value its rows return, folded in cell
+// A study's event total is a value its run returns, folded in cell
 // order: non-zero, the same at any worker count, and — unlike a
 // package-level accumulator — untouched by another study running in
 // the same process at the same time.
 func TestEventTotalsAreReturnedValues(t *testing.T) {
-	fig1Events := func(cfg Fig1Config) (total uint64) {
-		for _, r := range RunFig1(cfg) {
-			total += r.Events
-		}
-		return total
+	events := func(g grid, workers int) uint64 {
+		return g.study().Run(workers, nil).Events
 	}
-	megaEvents := func(cfg MegaConfig) (total uint64) {
-		for _, r := range RunMega(cfg) {
-			total += r.Events
-		}
-		return total
-	}
-	fig1, mega := tinyFig1(), tinyMega()
-	fig1.Workers, mega.Workers = 1, 1
-	f1, m1 := fig1Events(fig1), megaEvents(mega)
-	fig1.Workers, mega.Workers = 8, 8
-	f8, m8 := fig1Events(fig1), megaEvents(mega)
+	fig1, mega := fig1Grid(tinyFig1()), megaGrid(tinyMega())
+	f1, m1 := events(fig1, 1), events(mega, 1)
+	f8, m8 := events(fig1, 8), events(mega, 8)
 	if f1 == 0 || f1 != f8 {
 		t.Errorf("fig1 events: %d at 1 worker, %d at 8; want equal and non-zero", f1, f8)
 	}
@@ -85,15 +84,15 @@ func TestEventTotalsAreReturnedValues(t *testing.T) {
 
 	other := tinyFig1()
 	other.Seeds = []int64{2}
-	wantOther := fig1Events(other)
+	wantOther := events(fig1Grid(other), tinyWorkers)
 	if wantOther == f1 {
 		t.Fatalf("seeds 1 and 2 both ran %d events; the concurrent check below would prove nothing", f1)
 	}
-	cfgs := []Fig1Config{fig1, other}
-	got := sweep.Run(2, sweep.Cells("events", len(cfgs), []int64{0}), func(_ *sweep.Context, i int, _ sweep.Cell) uint64 {
-		return fig1Events(cfgs[i])
+	grids := []grid{fig1, fig1Grid(other)}
+	got := sweep.Run(2, sweep.Cells("events", len(grids), []int64{0}), func(_ *sweep.Context, i int, _ sweep.Cell) uint64 {
+		return events(grids[i], tinyWorkers)
 	})
 	if got[0] != f1 || got[1] != wantOther {
-		t.Errorf("concurrent RunFig1 totals = %v, want %d and %d", got, f1, wantOther)
+		t.Errorf("concurrent fig1 totals = %v, want %d and %d", got, f1, wantOther)
 	}
 }

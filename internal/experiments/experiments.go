@@ -1,10 +1,11 @@
 // Package experiments reproduces every figure of the paper's
-// evaluation plus the ablations listed in DESIGN.md. Each figure has a
-// Config (defaults reproduce the paper's scale; tests and benches scale
-// down), a Run function that sweeps the figure's x-axis across seeds in
-// parallel, and a Table formatter that prints the series the paper
-// plots. A figure is a list of scenario.Spec values plus a fold: every
-// cell is wired, advanced, drained and judged by scenario.Run.
+// evaluation plus the ablations listed in DESIGN.md. Suite.Studies is
+// the one list of them: each Study runs its cells across seeds in
+// parallel and returns the table the paper plots. All but fig2 and
+// abl3 are a grid — an x-axis crossed with one to three protocol
+// variants, one scenario.Spec per (point, variant, seed) cell, folded
+// per point — run by one runner and rendered by one table renderer.
+// Every cell is wired, advanced, drained and judged by scenario.Run.
 package experiments
 
 import (
@@ -16,7 +17,6 @@ import (
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
-	"routeless/internal/sweep"
 	"routeless/internal/traffic"
 )
 
@@ -28,6 +28,14 @@ type RunMetrics = scenario.RunMetrics
 // Agg aggregates RunMetrics across seeds.
 type Agg struct {
 	Delay, Hops, Delivery, MACPackets, EnergyJ stats.Welford
+
+	// Election is the per-hop local election latency, Delay/Hops per
+	// run that delivered anything (fig_mega).
+	Election stats.Welford
+	// RepairS and Repairs are the mean repair latency in seconds and
+	// the repair count, read from the run's repair-latency histogram
+	// (churn only).
+	RepairS, Repairs stats.Welford
 }
 
 // Add folds one run into the aggregate.
@@ -37,43 +45,62 @@ func (a *Agg) Add(m RunMetrics) {
 	a.Delivery.Add(m.Delivery)
 	a.MACPackets.Add(m.MACPackets)
 	a.EnergyJ.Add(m.EnergyJ)
+	if m.Hops > 0 {
+		a.Election.Add(m.Delay / m.Hops)
+	}
 }
 
-// runOut is one run's result as it crosses the sweep boundary: the
-// paper-unit metrics, the kernel events the run executed, plus the
-// final registry snapshot when the sweep needs it (nil otherwise —
-// snapshots are not free).
-type runOut struct {
-	RunMetrics
-	events uint64
-	snap   *metrics.Snapshot
+// Study is one figure or ablation as the CLI runs it.
+type Study struct {
+	Name string
+	// Run executes the study on workers sweep workers (0 = GOMAXPROCS).
+	// A non-nil journal receives one record per cell, in cell order.
+	Run func(workers int, j *metrics.Journal) Result
 }
 
-// assemble builds the cell's run on the sweep worker's runtime. A
-// figure's specs are fixed by its config, so a build failure is a
-// programming error in experiment setup and panics.
-func assemble(ctx *sweep.Context, sp scenario.Spec) *scenario.Run {
-	sp.Net.Runtime = ctx.Runtime()
-	run, err := scenario.Assemble(sp)
-	if err != nil {
-		panic(err)
-	}
-	return run
+// Result is what a study prints.
+type Result struct {
+	Table  *stats.Table
+	Events uint64      // kernel events its runs executed; 0 for fig2 and abl3
+	Fig2   *Fig2Result // fig2's relay traces, for its maps; nil for every other study
 }
 
-// finish runs the cell to its end. A conservation-law violation
-// panics: in a figure it is a simulator bug, not a measurement.
-func finish(run *scenario.Run, snap bool) runOut {
-	rm, err := run.Finish()
-	if err != nil {
-		panic(err)
+// Suite holds every study's configuration; zero fields take the
+// paper-scale defaults.
+type Suite struct {
+	Fig1  Fig1Config
+	Fig2  Fig2Config
+	Fig34 Fig34Config
+	Abl3  Abl3Config
+	Churn ChurnConfig
+	Mega  MegaConfig
+}
+
+// Studies returns the twelve studies in the order the CLI runs them:
+// fig1–4, abl1–6, churn, mega.
+func (s Suite) Studies() []Study {
+	fig2, abl3 := s.Fig2.withDefaults(), s.Abl3.withDefaults()
+	mega := megaGrid(s.Mega).study()
+	mega.Name = "mega" // its cells and journal records keep fig_mega
+	return []Study{
+		fig1Grid(s.Fig1).study(),
+		{Name: "fig2", Run: func(workers int, _ *metrics.Journal) Result {
+			res := RunFig2(fig2, workers)
+			return Result{Table: Fig2Table(res), Fig2: &res}
+		}},
+		fig3Grid(s.Fig34).study(),
+		fig4Grid(s.Fig34).study(),
+		abl1Grid(s.Fig1).study(),
+		abl2Grid(s.Fig34).study(),
+		{Name: "abl3", Run: func(workers int, _ *metrics.Journal) Result {
+			return Result{Table: abl3Table(abl3.Sizes, runAbl3(abl3, workers))}
+		}},
+		abl4Grid(s.Fig34).study(),
+		abl5Grid(s.Fig34).study(),
+		abl6Grid(s.Fig34).study(),
+		churnGrid(s.Churn).study(),
+		mega,
 	}
-	nw := run.Network()
-	out := runOut{RunMetrics: rm, events: nw.Processed()}
-	if snap {
-		out.snap = nw.Metrics.Snapshot()
-	}
-	return out
 }
 
 // field is the paper's arena: n nodes placed uniformly on a square of
@@ -103,44 +130,4 @@ func randomFlows(seed int64, n, count int, interval float64, size int, bidir boo
 		}
 	}
 	return func(*node.Network) []scenario.CBRFlow { return flows }, endpoints
-}
-
-// versusPoint decodes the two-variant x-axis flattening shared by
-// Figures 1, 3 and 4 and ablations 1, 4 and 6: even points are the
-// baseline variant, odd points the challenger.
-func versusPoint(point int) (idx int, challenger bool) { return point / 2, point%2 == 1 }
-
-// foldVersus aggregates a two-variant sweep's results per x-axis index,
-// in cell order (point-major, seeds ascending), so the Welford fold
-// sequence — and every table value — is the same at any worker count.
-func foldVersus(n int, cells []sweep.Cell, results []runOut) (base, challenger []Agg) {
-	base, challenger = make([]Agg, n), make([]Agg, n)
-	for i, c := range cells {
-		if idx, chal := versusPoint(c.Point); chal {
-			challenger[idx].Add(results[i].RunMetrics)
-		} else {
-			base[idx].Add(results[i].RunMetrics)
-		}
-	}
-	return base, challenger
-}
-
-// journalCells writes one Record per cell — config, seed, and the
-// final metric snapshot — after the sweep, in cell order, so the
-// journal bytes are deterministic for a fixed config at any worker
-// count. A nil journal writes nothing.
-func journalCells(j *metrics.Journal, cfg any, cells []sweep.Cell, results []runOut, label func(point int) string) {
-	if j == nil {
-		return
-	}
-	for i, c := range cells {
-		// A write failure sticks on the journal; callers check Err once.
-		_ = j.Write(metrics.Record{
-			Experiment: c.Figure,
-			Label:      label(c.Point),
-			Seed:       c.Seed,
-			Config:     cfg,
-			Metrics:    results[i].snap,
-		})
-	}
 }

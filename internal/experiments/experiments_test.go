@@ -35,28 +35,30 @@ func TestFig1Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	rows := RunFig1(smallFig1())
+	cfg := smallFig1()
+	rows, _ := fig1Grid(cfg).run(0, nil)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		c1, ssaf := &r[0], &r[1]
 		// Sanity: both protocols actually deliver.
-		if r.Counter1.Delivery.Mean() < 0.5 || r.SSAF.Delivery.Mean() < 0.5 {
+		if c1.Delivery.Mean() < 0.5 || ssaf.Delivery.Mean() < 0.5 {
 			t.Fatalf("interval %v: implausible delivery c1=%v ssaf=%v",
-				r.Interval, r.Counter1.Delivery.Mean(), r.SSAF.Delivery.Mean())
+				cfg.Intervals[i], c1.Delivery.Mean(), ssaf.Delivery.Mean())
 		}
-		if r.Counter1.Hops.Mean() <= 0 || r.SSAF.Hops.Mean() <= 0 {
-			t.Fatalf("interval %v: zero hops", r.Interval)
+		if c1.Hops.Mean() <= 0 || ssaf.Hops.Mean() <= 0 {
+			t.Fatalf("interval %v: zero hops", cfg.Intervals[i])
 		}
 	}
 	// Congestion effect: lighter traffic delivers at least as well.
 	light, heavy := rows[1], rows[0]
-	if light.Counter1.Delivery.Mean() < heavy.Counter1.Delivery.Mean()-0.05 {
+	if light[0].Delivery.Mean() < heavy[0].Delivery.Mean()-0.05 {
 		t.Fatalf("delivery should not degrade with lighter traffic: %v vs %v",
-			light.Counter1.Delivery.Mean(), heavy.Counter1.Delivery.Mean())
+			light[0].Delivery.Mean(), heavy[0].Delivery.Mean())
 	}
 	// SSAF's headline: no worse hop counts at light load (paper §3).
-	if ssaf, c1 := light.SSAF.Hops.Mean(), light.Counter1.Hops.Mean(); ssaf > c1*1.08 {
+	if ssaf, c1 := light[1].Hops.Mean(), light[0].Hops.Mean(); ssaf > c1*1.08 {
 		t.Fatalf("SSAF hops %v should not exceed counter-1 hops %v", ssaf, c1)
 	}
 }
@@ -65,28 +67,29 @@ func TestFig3Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	rows := RunFig3(smallFig34())
-	for _, r := range rows {
-		aodv, rr := &r.AODV, &r.Routeless
+	cfg := smallFig34()
+	rows, _ := fig3Grid(cfg).run(0, nil)
+	for i, r := range rows {
+		pairs, aodv, rr := cfg.Pairs[i], &r[0], &r[1]
 		if aodv.Delivery.Mean() < 0.93 || rr.Delivery.Mean() < 0.93 {
-			t.Fatalf("pairs %d: delivery aodv=%v rr=%v", r.Pairs,
+			t.Fatalf("pairs %d: delivery aodv=%v rr=%v", pairs,
 				aodv.Delivery.Mean(), rr.Delivery.Mean())
 		}
 		// "Routeless Routing … incurring larger end-to-end delays" (§4.3).
 		if rr.Delay.Mean() < aodv.Delay.Mean()*0.8 {
 			t.Fatalf("pairs %d: RR delay %v unexpectedly below AODV %v",
-				r.Pairs, rr.Delay.Mean(), aodv.Delay.Mean())
+				pairs, rr.Delay.Mean(), aodv.Delay.Mean())
 		}
 		// "packets in Routeless Routing take on average fewer hops".
 		if rr.Hops.Mean() > aodv.Hops.Mean()*1.1 {
 			t.Fatalf("pairs %d: RR hops %v exceed AODV %v",
-				r.Pairs, rr.Hops.Mean(), aodv.Hops.Mean())
+				pairs, rr.Hops.Mean(), aodv.Hops.Mean())
 		}
 		// "Routeless Routing requires fewer packet transmissions in the
 		// MAC layer" — allow parity noise at tiny scale.
 		if rr.MACPackets.Mean() > aodv.MACPackets.Mean()*1.35 {
 			t.Fatalf("pairs %d: RR MAC packets %v far exceed AODV %v",
-				r.Pairs, rr.MACPackets.Mean(), aodv.MACPackets.Mean())
+				pairs, rr.MACPackets.Mean(), aodv.MACPackets.Mean())
 		}
 	}
 }
@@ -95,25 +98,26 @@ func TestFig4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	rows := RunFig4(smallFig34())
+	rows, _ := fig4Grid(smallFig34()).run(0, nil)
+	const aodv, rr = 0, 1
 	clean, failing := rows[0], rows[len(rows)-1]
 	// Routeless stays flat under failures: MAC packets and delay grow
 	// by at most a small factor (paper: "they remain constant").
-	if grow := failing.Routeless.MACPackets.Mean() / clean.Routeless.MACPackets.Mean(); grow > 1.4 {
+	if grow := failing[rr].MACPackets.Mean() / clean[rr].MACPackets.Mean(); grow > 1.4 {
 		t.Fatalf("RR MAC packets grew %.2fx under failures", grow)
 	}
 	// AODV pays: its packet count must grow strictly faster than RR's.
-	aodvGrow := failing.AODV.MACPackets.Mean() / clean.AODV.MACPackets.Mean()
-	rrGrow := failing.Routeless.MACPackets.Mean() / clean.Routeless.MACPackets.Mean()
+	aodvGrow := failing[aodv].MACPackets.Mean() / clean[aodv].MACPackets.Mean()
+	rrGrow := failing[rr].MACPackets.Mean() / clean[rr].MACPackets.Mean()
 	if aodvGrow <= rrGrow {
 		t.Fatalf("AODV packet growth %.2fx should exceed RR's %.2fx", aodvGrow, rrGrow)
 	}
 	// Both keep delivering (AODV by spending packets, RR by rerouting).
-	if failing.Routeless.Delivery.Mean() < 0.9 {
-		t.Fatalf("RR delivery %v under 10%% failures", failing.Routeless.Delivery.Mean())
+	if failing[rr].Delivery.Mean() < 0.9 {
+		t.Fatalf("RR delivery %v under 10%% failures", failing[rr].Delivery.Mean())
 	}
-	if failing.AODV.Delivery.Mean() < 0.9 {
-		t.Fatalf("AODV delivery %v under 10%% failures", failing.AODV.Delivery.Mean())
+	if failing[aodv].Delivery.Mean() < 0.9 {
+		t.Fatalf("AODV delivery %v under 10%% failures", failing[aodv].Delivery.Mean())
 	}
 }
 
@@ -121,7 +125,7 @@ func TestFig2Avoidance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	res := RunFig2(Fig2Config{Seed: 3, Nodes: 300, Terrain: 1500, Duration: 30})
+	res := RunFig2(Fig2Config{Seed: 3, Nodes: 300, Terrain: 1500, Duration: 30}, 0)
 	if res.DeliveredAlone == 0 {
 		t.Fatal("baseline scenario delivered nothing")
 	}
@@ -200,11 +204,11 @@ func TestAbl1CancellationReducesTransmissions(t *testing.T) {
 	}
 	cfg := smallFig1()
 	cfg.Intervals = []float64{2}
-	rows := RunAbl1(cfg)
-	r := rows[0]
-	if r.SSAFC.MACPackets.Mean() >= r.SSAF.MACPackets.Mean() {
+	rows, _ := abl1Grid(cfg).run(0, nil)
+	ssaf, ssafc := &rows[0][0], &rows[0][1]
+	if ssafc.MACPackets.Mean() >= ssaf.MACPackets.Mean() {
 		t.Fatalf("SSAF-C packets %v should undercut SSAF %v",
-			r.SSAFC.MACPackets.Mean(), r.SSAF.MACPackets.Mean())
+			ssafc.MACPackets.Mean(), ssaf.MACPackets.Mean())
 	}
 }
 
@@ -213,26 +217,28 @@ func TestAbl2LambdaTradeoff(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	cfg := smallFig34()
-	rows := RunAbl2(cfg, []sim.Time{2e-3, 100e-3}, 4)
-	small, large := rows[0], rows[1]
+	cfg.Lambdas, cfg.AblPairs = []sim.Time{2e-3, 100e-3}, 4
+	rows, _ := abl2Grid(cfg).run(0, nil)
+	small, large := &rows[0][0], &rows[1][0]
 	// §4.1: "A large λ would increase the end-to-end delay".
-	if large.RR.Delay.Mean() <= small.RR.Delay.Mean() {
+	if large.Delay.Mean() <= small.Delay.Mean() {
 		t.Fatalf("λ=100ms delay %v should exceed λ=2ms delay %v",
-			large.RR.Delay.Mean(), small.RR.Delay.Mean())
+			large.Delay.Mean(), small.Delay.Mean())
 	}
 }
 
 func TestAbl3ElectionScaling(t *testing.T) {
-	rows := RunAbl3(0, []int{2, 20}, 120, 10e-3, 7)
-	small, big := rows[0], rows[1]
-	if small.SingleLeader <= big.SingleLeader {
+	cfg := Abl3Config{Sizes: []int{2, 20}, Trials: 120, Seed: 7}
+	means := runAbl3(cfg, 0)
+	small, big := means[0], means[1]
+	if small.single <= big.single {
 		t.Fatalf("single-leader probability should fall with crowd size: %v vs %v",
-			small.SingleLeader, big.SingleLeader)
+			small.single, big.single)
 	}
-	if big.MeanRounds < 1 {
-		t.Fatalf("mean rounds %v below 1", big.MeanRounds)
+	if big.rounds < 1 {
+		t.Fatalf("mean rounds %v below 1", big.rounds)
 	}
-	if Abl3Table(rows).NumRows() != 2 {
+	if abl3Table(cfg.Sizes, means).NumRows() != 2 {
 		t.Fatal("bad table")
 	}
 }
@@ -243,12 +249,12 @@ func TestAbl4GradientCongestion(t *testing.T) {
 	}
 	cfg := smallFig34()
 	cfg.Pairs = []int{4}
-	rows := RunAbl4(cfg)
-	r := rows[0]
+	rows, _ := abl4Grid(cfg).run(0, nil)
+	rr, grad := &rows[0][0], &rows[0][1]
 	// §4.4: Gradient Routing "makes the network more congested".
-	if r.Gradient.MACPackets.Mean() <= r.Routeless.MACPackets.Mean() {
+	if grad.MACPackets.Mean() <= rr.MACPackets.Mean() {
 		t.Fatalf("gradient MAC packets %v should exceed routeless %v",
-			r.Gradient.MACPackets.Mean(), r.Routeless.MACPackets.Mean())
+			grad.MACPackets.Mean(), rr.MACPackets.Mean())
 	}
 }
 
@@ -259,8 +265,7 @@ func TestTablesRender(t *testing.T) {
 	cfg := smallFig1()
 	cfg.Intervals = []float64{5}
 	cfg.Seeds = []int64{1}
-	rows := RunFig1(cfg)
-	tb := Fig1Table(rows)
+	tb := fig1Grid(cfg).study().Run(0, nil).Table
 	if tb.NumRows() != 1 || tb.String() == "" || tb.CSV() == "" {
 		t.Fatal("fig1 table broken")
 	}
@@ -271,16 +276,17 @@ func TestAbl5SleepSavesEnergyKeepsDelivery(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	cfg := smallFig34()
-	rows := RunAbl5(cfg, []float64{0, 0.3}, 4)
-	awake, dozing := rows[0], rows[1]
+	cfg.SleepFractions, cfg.AblPairs = []float64{0, 0.3}, 4
+	rows, _ := abl5Grid(cfg).run(0, nil)
+	awake, dozing := &rows[0][0], &rows[1][0]
 	// §4.2: sleeping route nodes must not break delivery...
-	if dozing.RR.Delivery.Mean() < 0.88 {
-		t.Fatalf("delivery %v with 30%% sleepers", dozing.RR.Delivery.Mean())
+	if dozing.Delivery.Mean() < 0.88 {
+		t.Fatalf("delivery %v with 30%% sleepers", dozing.Delivery.Mean())
 	}
 	// ...and must save real energy.
-	if dozing.RR.EnergyJ.Mean() >= awake.RR.EnergyJ.Mean()*0.9 {
+	if dozing.EnergyJ.Mean() >= awake.EnergyJ.Mean()*0.9 {
 		t.Fatalf("energy %v with sleepers vs %v awake — no savings",
-			dozing.RR.EnergyJ.Mean(), awake.RR.EnergyJ.Mean())
+			dozing.EnergyJ.Mean(), awake.EnergyJ.Mean())
 	}
 }
 
@@ -288,7 +294,7 @@ func TestFig2SVGAndAbl6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	res := RunFig2(Fig2Config{Seed: 3, Nodes: 120, Terrain: 1000, Duration: 15})
+	res := RunFig2(Fig2Config{Seed: 3, Nodes: 120, Terrain: 1000, Duration: 15}, 0)
 	svg := Fig2SVG(res, 400)
 	for _, want := range []string{"<svg", "</svg>", ">A<", ">B<", ">C<", ">D<", "#0072b2"} {
 		if !containsRune(svg, want) {
@@ -297,12 +303,13 @@ func TestFig2SVGAndAbl6(t *testing.T) {
 	}
 	cfg := smallFig34()
 	cfg.Pairs = []int{3}
-	rows := RunAbl6(cfg)
-	if len(rows) != 1 || rows[0].Pure.Delivery.Mean() < 0.9 || rows[0].SignalTie.Delivery.Mean() < 0.9 {
+	g := abl6Grid(cfg)
+	rows, _ := g.run(0, nil)
+	if len(rows) != 1 || rows[0][0].Delivery.Mean() < 0.9 || rows[0][1].Delivery.Mean() < 0.9 {
 		t.Fatalf("abl6 deliveries pure=%v sig=%v",
-			rows[0].Pure.Delivery.Mean(), rows[0].SignalTie.Delivery.Mean())
+			rows[0][0].Delivery.Mean(), rows[0][1].Delivery.Mean())
 	}
-	if Abl6Table(rows).NumRows() != 1 {
+	if g.table(rows).NumRows() != 1 {
 		t.Fatal("abl6 table broken")
 	}
 }

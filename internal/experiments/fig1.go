@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
-	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
-	"routeless/internal/stats"
-	"routeless/internal/sweep"
 )
 
 // Fig1Config reproduces Figure 1: SSAF versus counter-1 flooding over
@@ -22,14 +17,8 @@ type Fig1Config struct {
 	Intervals   []float64 // x-axis, seconds; default 0.5..10
 	Duration    float64   // traffic seconds per run; default 30
 	Seeds       []int64   // replications; default {1,2,3}
-	Workers     int       `json:"-"` // parallelism; default GOMAXPROCS
 	Lambda      sim.Time  // SSAF λ and counter-1 max backoff; default 10 ms
 	DataSize    int       // flooded payload bytes; default 64
-
-	// Journal, when non-nil, receives one Record per run — config, seed,
-	// and the final metric snapshot — written after the sweep in job
-	// order, so the journal bytes are deterministic for a fixed config.
-	Journal *metrics.Journal `json:"-"`
 }
 
 func (c Fig1Config) withDefaults() Fig1Config {
@@ -67,14 +56,6 @@ func (c Fig1Config) withDefaults() Fig1Config {
 	return c
 }
 
-// Fig1Row is one x-axis point of the three Figure 1 panels.
-type Fig1Row struct {
-	Interval float64
-	Counter1 Agg
-	SSAF     Agg
-	Events   uint64 // kernel events executed by the point's runs, both variants
-}
-
 // fig1Spec is one Figure 1 cell: `Connections` random one-way flows of
 // packetSize bytes flooded over a connected field.
 func fig1Spec(cfg Fig1Config, install func(*node.Network), interval float64, packetSize int, seed int64) scenario.Spec {
@@ -87,55 +68,24 @@ func fig1Spec(cfg Fig1Config, install func(*node.Network), interval float64, pac
 	}
 }
 
-// RunFig1 sweeps the packet generation interval for both flooding
-// variants — counter-1 the baseline, SSAF the challenger — across all
-// seeds through the sweep engine.
-func RunFig1(cfg Fig1Config) []Fig1Row {
+// fig1Grid sweeps the packet generation interval for both flooding
+// variants: counter-1 the baseline, SSAF the challenger.
+func fig1Grid(cfg Fig1Config) grid {
 	cfg = cfg.withDefaults()
-	cells := sweep.Cells("fig1", len(cfg.Intervals)*2, cfg.Seeds)
-	variant := func(point int) (proto string, interval float64) {
-		idx, ssaf := versusPoint(point)
-		if ssaf {
-			return scenario.ProtoSSAF, cfg.Intervals[idx]
-		}
-		return scenario.ProtoCounter1, cfg.Intervals[idx]
+	variants := []variant{{"c1", scenario.ProtoCounter1}, {"ssaf", scenario.ProtoSSAF}}
+	return grid{
+		name:     "fig1",
+		title:    "Figure 1 — SSAF vs counter-1 flooding (free-space field, random connections)",
+		config:   cfg,
+		xcol:     "interval_s",
+		xname:    "interval",
+		xs:       anys(cfg.Intervals),
+		variants: variants,
+		seeds:    cfg.Seeds,
+		cols:     []col{delayCol, hopsCol, deliveryCol},
+		spec: func(x, v int, seed int64) scenario.Spec {
+			install := scenario.Installer(variants[v].name, cfg.Lambda, cfg.Range)
+			return fig1Spec(cfg, install, cfg.Intervals[x], cfg.DataSize, seed)
+		},
 	}
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		proto, interval := variant(c.Point)
-		install := scenario.Installer(proto, cfg.Lambda, cfg.Range)
-		return finish(assemble(ctx, fig1Spec(cfg, install, interval, cfg.DataSize, c.Seed)), cfg.Journal != nil)
-	})
-	c1, ssaf := foldVersus(len(cfg.Intervals), cells, results)
-	rows := make([]Fig1Row, len(cfg.Intervals))
-	for i, iv := range cfg.Intervals {
-		rows[i] = Fig1Row{Interval: iv, Counter1: c1[i], SSAF: ssaf[i]}
-	}
-	for i, c := range cells {
-		idx, _ := versusPoint(c.Point)
-		rows[idx].Events += results[i].events
-	}
-	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
-		proto, interval := variant(point)
-		return fmt.Sprintf("%s interval=%g", proto, interval)
-	})
-	return rows
-}
-
-// Fig1Table renders the three panels as one table.
-func Fig1Table(rows []Fig1Row) *stats.Table {
-	t := stats.NewTable(
-		"Figure 1 — SSAF vs counter-1 flooding (free-space field, random connections)",
-		"interval_s",
-		"c1_delay_s", "ssaf_delay_s",
-		"c1_hops", "ssaf_hops",
-		"c1_delivery", "ssaf_delivery",
-	)
-	for _, r := range rows {
-		t.AddRow(r.Interval,
-			r.Counter1.Delay.Mean(), r.SSAF.Delay.Mean(),
-			r.Counter1.Hops.Mean(), r.SSAF.Hops.Mean(),
-			r.Counter1.Delivery.Mean(), r.SSAF.Delivery.Mean(),
-		)
-	}
-	return t
 }

@@ -30,7 +30,6 @@ type Fig2Config struct {
 	CrossInterval float64  // C→D CBR interval, default 0.08 s (saturating)
 	CrossSize     int      // C→D payload bytes, default 512 (long airtime)
 	Lambda        sim.Time // Routeless λ, default 10 ms
-	Workers       int      `json:"-"` // parallelism across the two scenarios; default GOMAXPROCS
 }
 
 func (c Fig2Config) withDefaults() Fig2Config {
@@ -89,11 +88,11 @@ type Fig2Result struct {
 }
 
 // RunFig2 runs both scenarios — two sweep cells over the same seed, so
-// they execute concurrently when workers allow.
-func RunFig2(cfg Fig2Config) Fig2Result {
+// they execute concurrently when workers allow (0 = GOMAXPROCS).
+func RunFig2(cfg Fig2Config, workers int) Fig2Result {
 	cfg = cfg.withDefaults()
 	cells := sweep.Cells("fig2", 2, []int64{cfg.Seed})
-	outs := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) fig2Out {
+	outs := sweep.Run(workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) fig2Out {
 		return runFig2Scenario(ctx, cfg, c.Point == 1)
 	})
 	alone, cross := outs[0], outs[1]
@@ -156,8 +155,10 @@ func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out
 	// A generous path budget lets packets swing wide around the
 	// congested middle — the behavior this figure demonstrates.
 	rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, PathMargin: 5}
-	run := assemble(ctx, scenario.Spec{
-		Net: field(cfg.Nodes, cfg.Terrain, cfg.Range, cfg.Seed),
+	net := field(cfg.Nodes, cfg.Terrain, cfg.Range, cfg.Seed)
+	net.Runtime = ctx.Runtime()
+	run, err := scenario.Assemble(scenario.Spec{
+		Net: net,
 		Install: func(nw *node.Network) {
 			nw.Install(func(n *node.Node) node.Protocol {
 				r := routing.NewRouteless(rcfg)
@@ -186,6 +187,9 @@ func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out
 		},
 		Duration: sim.Time(cfg.Duration),
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	nw := run.Network()
 	out.positions = make([]geo.Point, len(nw.Nodes))
@@ -201,7 +205,10 @@ func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out
 			out.delivered++
 		}
 	}
-	finish(run, false)
+	// A conservation-law violation is a simulator bug, not a measurement.
+	if _, err := run.Finish(); err != nil {
+		panic(err)
+	}
 	return out
 }
 

@@ -1,32 +1,19 @@
 package experiments
 
 import (
-	"fmt"
-
 	"routeless/internal/fault"
-	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
-	"routeless/internal/stats"
-	"routeless/internal/sweep"
 )
 
-// RoutingProto selects the protocol under test in Figures 3 and 4.
-type RoutingProto string
-
-// Protocols the routing experiments can run.
-const (
-	ProtoRouteless RoutingProto = scenario.ProtoRouteless
-	ProtoAODV      RoutingProto = scenario.ProtoAODV
-	ProtoGradient  RoutingProto = scenario.ProtoGradient
-)
-
-// Fig34Config covers both routing figures: Figure 3 sweeps the number
-// of communicating pairs with no failures; Figure 4 fixes the pairs and
-// sweeps the node-failure percentage. Paper scale: 500 nodes in
-// 2000×2000 m, range ≈250 m, bidirectional CBR.
+// Fig34Config covers both routing figures and the ablations on their
+// rig: Figure 3 sweeps the number of communicating pairs with no
+// failures; Figure 4 fixes the pairs and sweeps the node-failure
+// percentage; ABL2 sweeps λ and ABL5 the sleep fraction at AblPairs
+// pairs. Paper scale: 500 nodes in 2000×2000 m, range ≈250 m,
+// bidirectional CBR.
 type Fig34Config struct {
 	Nodes    int      // default 500
 	Terrain  float64  // default 2000
@@ -34,7 +21,6 @@ type Fig34Config struct {
 	Interval float64  // CBR interval per direction, default 1 s
 	Duration float64  // traffic seconds, default 60
 	Seeds    []int64  // default {1,2,3}
-	Workers  int      `json:"-"` // default GOMAXPROCS
 	Lambda   sim.Time // Routeless λ, default 10 ms
 	DataSize int      // CBR payload bytes; default 64
 
@@ -45,10 +31,12 @@ type Fig34Config struct {
 	// Fig4Pairs is the fixed pair count for Figure 4; default 10.
 	Fig4Pairs int
 
-	// Journal, when non-nil, receives one Record per run — config, seed,
-	// and the final metric snapshot — written after each sweep in job
-	// order, so the journal bytes are deterministic for a fixed config.
-	Journal *metrics.Journal `json:"-"`
+	// Lambdas is ABL2's x-axis (Routeless λ); default 1..100 ms.
+	Lambdas []sim.Time
+	// SleepFractions is ABL5's x-axis; default {0, 0.1, 0.2, 0.3, 0.5}.
+	SleepFractions []float64
+	// AblPairs is the fixed pair count for ABL2 and ABL5; default 5.
+	AblPairs int
 }
 
 func (c Fig34Config) withDefaults() Fig34Config {
@@ -87,6 +75,15 @@ func (c Fig34Config) withDefaults() Fig34Config {
 	if c.Fig4Pairs == 0 {
 		c.Fig4Pairs = 10
 	}
+	if len(c.Lambdas) == 0 {
+		c.Lambdas = []sim.Time{1e-3, 2e-3, 5e-3, 10e-3, 20e-3, 50e-3, 100e-3}
+	}
+	if len(c.SleepFractions) == 0 {
+		c.SleepFractions = []float64{0, 0.1, 0.2, 0.3, 0.5}
+	}
+	if c.AblPairs == 0 {
+		c.AblPairs = 5
+	}
 	return c
 }
 
@@ -116,102 +113,55 @@ func dutyCycle(offFraction float64, sleep bool, endpoints []packet.NodeID) fault
 	return fault.Plan{fault.CrashSpec{OffFraction: offFraction, Sleep: sleep, Exclude: endpoints}}
 }
 
-// runRouting runs one routing-rig cell of proto at its document-level
-// settings.
-func runRouting(ctx *sweep.Context, cfg Fig34Config, proto RoutingProto, pairs int, failurePct float64, seed int64) runOut {
-	sp, endpoints := routingSpec(cfg, seed, pairs, scenario.Installer(string(proto), cfg.Lambda, cfg.Range))
+// fig34Variants are Figures 3 and 4's protocols: AODV the baseline,
+// Routeless Routing the challenger.
+var fig34Variants = []variant{{"aodv", scenario.ProtoAODV}, {"rr", scenario.ProtoRouteless}}
+
+// fig34Cols are the four panels Figures 3 and 4 share.
+var fig34Cols = []col{delayCol, deliveryCol, macCol, hopsCol}
+
+// routingCell is one routing-rig cell of the named protocol at the
+// config's λ, with a duty-cycle failure plan when failurePct > 0.
+func routingCell(cfg Fig34Config, proto string, pairs int, failurePct float64, seed int64) scenario.Spec {
+	sp, endpoints := routingSpec(cfg, seed, pairs, scenario.Installer(proto, cfg.Lambda, cfg.Range))
 	sp.Plan = dutyCycle(failurePct, false, endpoints)
-	return finish(assemble(ctx, sp), cfg.Journal != nil)
+	return sp
 }
 
-// Fig3Row is one x-axis point of the four Figure 3 panels.
-type Fig3Row struct {
-	Pairs     int
-	AODV      Agg
-	Routeless Agg
-}
-
-// versusProto names the protocol at a Figure 3/4 point: AODV is the
-// baseline, Routeless Routing the challenger.
-func versusProto(point int) RoutingProto {
-	if _, rr := versusPoint(point); rr {
-		return ProtoRouteless
-	}
-	return ProtoAODV
-}
-
-// RunFig3 sweeps the number of communicating pairs with no failures.
-func RunFig3(cfg Fig34Config) []Fig3Row {
+// fig3Grid sweeps the number of communicating pairs with no failures.
+func fig3Grid(cfg Fig34Config) grid {
 	cfg = cfg.withDefaults()
-	cells := sweep.Cells("fig3", len(cfg.Pairs)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		return runRouting(ctx, cfg, versusProto(c.Point), cfg.Pairs[c.Point/2], 0, c.Seed)
-	})
-	aodv, rr := foldVersus(len(cfg.Pairs), cells, results)
-	rows := make([]Fig3Row, len(cfg.Pairs))
-	for i, p := range cfg.Pairs {
-		rows[i] = Fig3Row{Pairs: p, AODV: aodv[i], Routeless: rr[i]}
+	return grid{
+		name:     "fig3",
+		title:    "Figure 3 — Routeless Routing vs AODV, no failures (bidirectional CBR)",
+		config:   cfg,
+		xcol:     "pairs",
+		xname:    "pairs",
+		xs:       anys(cfg.Pairs),
+		variants: fig34Variants,
+		seeds:    cfg.Seeds,
+		cols:     fig34Cols,
+		spec: func(x, v int, seed int64) scenario.Spec {
+			return routingCell(cfg, fig34Variants[v].name, cfg.Pairs[x], 0, seed)
+		},
 	}
-	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
-		return fmt.Sprintf("%s pairs=%d", versusProto(point), cfg.Pairs[point/2])
-	})
-	return rows
 }
 
-// routingTable renders the four panels Figures 3 and 4 share, one row
-// per x-axis value.
-func routingTable(title, xcol string, n int, row func(i int) (x any, aodv, rr *Agg)) *stats.Table {
-	t := stats.NewTable(title, xcol,
-		"aodv_delay_s", "rr_delay_s",
-		"aodv_delivery", "rr_delivery",
-		"aodv_mac_pkts", "rr_mac_pkts",
-		"aodv_hops", "rr_hops",
-	)
-	for i := 0; i < n; i++ {
-		x, aodv, rr := row(i)
-		t.AddRow(x,
-			aodv.Delay.Mean(), rr.Delay.Mean(),
-			aodv.Delivery.Mean(), rr.Delivery.Mean(),
-			aodv.MACPackets.Mean(), rr.MACPackets.Mean(),
-			aodv.Hops.Mean(), rr.Hops.Mean(),
-		)
-	}
-	return t
-}
-
-// Fig3Table renders the four panels as one table.
-func Fig3Table(rows []Fig3Row) *stats.Table {
-	return routingTable("Figure 3 — Routeless Routing vs AODV, no failures (bidirectional CBR)", "pairs",
-		len(rows), func(i int) (any, *Agg, *Agg) { return rows[i].Pairs, &rows[i].AODV, &rows[i].Routeless })
-}
-
-// Fig4Row is one x-axis point of the four Figure 4 panels.
-type Fig4Row struct {
-	FailurePct float64
-	AODV       Agg
-	Routeless  Agg
-}
-
-// RunFig4 sweeps the node-failure percentage at a fixed pair count.
-func RunFig4(cfg Fig34Config) []Fig4Row {
+// fig4Grid sweeps the node-failure percentage at a fixed pair count.
+func fig4Grid(cfg Fig34Config) grid {
 	cfg = cfg.withDefaults()
-	cells := sweep.Cells("fig4", len(cfg.FailurePcts)*2, cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		return runRouting(ctx, cfg, versusProto(c.Point), cfg.Fig4Pairs, cfg.FailurePcts[c.Point/2], c.Seed)
-	})
-	aodv, rr := foldVersus(len(cfg.FailurePcts), cells, results)
-	rows := make([]Fig4Row, len(cfg.FailurePcts))
-	for i, pct := range cfg.FailurePcts {
-		rows[i] = Fig4Row{FailurePct: pct, AODV: aodv[i], Routeless: rr[i]}
+	return grid{
+		name:     "fig4",
+		title:    "Figure 4 — Routeless Routing vs AODV under duty-cycle node failures",
+		config:   cfg,
+		xcol:     "failure_pct",
+		xname:    "failure",
+		xs:       anys(cfg.FailurePcts),
+		variants: fig34Variants,
+		seeds:    cfg.Seeds,
+		cols:     fig34Cols,
+		spec: func(x, v int, seed int64) scenario.Spec {
+			return routingCell(cfg, fig34Variants[v].name, cfg.Fig4Pairs, cfg.FailurePcts[x], seed)
+		},
 	}
-	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
-		return fmt.Sprintf("%s failure=%g", versusProto(point), cfg.FailurePcts[point/2])
-	})
-	return rows
-}
-
-// Fig4Table renders the four panels as one table.
-func Fig4Table(rows []Fig4Row) *stats.Table {
-	return routingTable("Figure 4 — Routeless Routing vs AODV under duty-cycle node failures", "failure_pct",
-		len(rows), func(i int) (any, *Agg, *Agg) { return rows[i].FailurePct, &rows[i].AODV, &rows[i].Routeless })
 }

@@ -21,10 +21,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 func runTinyFig1Journal(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg := tinyFig1()
-	cfg.Journal = metrics.NewJournal(&buf)
-	RunFig1(cfg)
-	if err := cfg.Journal.Err(); err != nil {
+	j := metrics.NewJournal(&buf)
+	fig1Grid(tinyFig1()).run(tinyWorkers, j)
+	if err := j.Err(); err != nil {
 		t.Fatalf("journal write failed: %v", err)
 	}
 	return buf.Bytes()
@@ -44,14 +43,12 @@ func TestFig1JournalSameSeedBitwiseIdentical(t *testing.T) {
 func TestFig1JournalWorkerCountInvariant(t *testing.T) {
 	run := func(workers int) (journal []byte, csv string) {
 		var buf bytes.Buffer
-		cfg := tinyFig1()
-		cfg.Workers = workers
-		cfg.Journal = metrics.NewJournal(&buf)
-		rows := RunFig1(cfg)
-		if err := cfg.Journal.Err(); err != nil {
+		j := metrics.NewJournal(&buf)
+		res := fig1Grid(tinyFig1()).study().Run(workers, j)
+		if err := j.Err(); err != nil {
 			t.Fatalf("journal write failed: %v", err)
 		}
-		return buf.Bytes(), Fig1Table(rows).CSV()
+		return buf.Bytes(), res.Table.CSV()
 	}
 	j1, csv1 := run(1)
 	j8, csv8 := run(8)

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"routeless/internal/flood"
 	"routeless/internal/geo"
-	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/rng"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
-	"routeless/internal/stats"
-	"routeless/internal/sweep"
 	"routeless/internal/traffic"
 )
 
@@ -34,15 +30,9 @@ type MegaConfig struct {
 	// before the drain starts.
 	Duration     float64
 	Seeds        []int64  // replications; default {1}
-	Workers      int      `json:"-"` // sweep parallelism; default GOMAXPROCS
 	LinkCacheCap int      `json:"-"` // per-run link-cache residency bound; default 4096
 	Lambda       sim.Time // SSAF λ; default 10 ms
 	DataSize     int      // flooded payload bytes; default 64
-
-	// Journal, when non-nil, receives one Record per run plus nothing
-	// else; bytes are deterministic for a fixed config at any worker
-	// or link-cache setting.
-	Journal *metrics.Journal `json:"-"`
 }
 
 func (c MegaConfig) withDefaults() MegaConfig {
@@ -94,41 +84,28 @@ func megaDuration(cfg MegaConfig, side float64) float64 {
 // megaLastStart is when the final staggered flow fires its one packet.
 func megaLastStart(flows int) float64 { return 0.5 + float64(flows-1) }
 
-// MegaRow is one x-axis point: the aggregate paper-unit metrics plus
-// the derived per-hop election latency (one sample per seed).
-type MegaRow struct {
-	N        int
-	SSAF     Agg
-	Election stats.Welford // Delay.Mean()/Hops.Mean() per run, seconds
-	Events   uint64        // kernel events executed by the point's runs
-}
-
-// RunMega sweeps the node counts across seeds through the sweep engine.
-// Its draws come from the same generator as every other study's and
-// are pinned by the fig_mega_tiny journal golden.
-func RunMega(cfg MegaConfig) []MegaRow {
+// megaGrid sweeps the node counts across seeds: one SSAF variant, and
+// the per-hop election latency beside the paper-unit metrics.
+func megaGrid(cfg MegaConfig) grid {
 	cfg = cfg.withDefaults()
-	cells := sweep.Cells("fig_mega", len(cfg.Ns), cfg.Seeds)
-	results := sweep.Run(cfg.Workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) runOut {
-		return finish(assemble(ctx, megaSpec(cfg, cfg.Ns[c.Point], c.Seed)), cfg.Journal != nil)
-	})
-	rows := make([]MegaRow, len(cfg.Ns))
-	for i, n := range cfg.Ns {
-		rows[i].N = n
+	return grid{
+		name:     "fig_mega",
+		title:    "Figure M — million-node arena: SSAF flooding at Figure-1 density (100 nodes/km²)",
+		config:   cfg,
+		xcol:     "nodes",
+		xname:    "n",
+		xs:       anys(cfg.Ns),
+		variants: []variant{{"ssaf", scenario.ProtoSSAF}},
+		seeds:    cfg.Seeds,
+		cols: []col{
+			deliveryCol,
+			{"election_latency_s", func(a *Agg) float64 { return a.Election.Mean() }},
+			delayCol,
+			hopsCol,
+			{"mac_packets", func(a *Agg) float64 { return a.MACPackets.Mean() }},
+		},
+		spec: func(x, _ int, seed int64) scenario.Spec { return megaSpec(cfg, cfg.Ns[x], seed) },
 	}
-	for i, c := range cells {
-		row := &rows[c.Point]
-		m := results[i].RunMetrics
-		row.SSAF.Add(m)
-		row.Events += results[i].events
-		if m.Hops > 0 {
-			row.Election.Add(m.Delay / m.Hops)
-		}
-	}
-	journalCells(cfg.Journal, cfg, cells, results, func(point int) string {
-		return fmt.Sprintf("ssaf n=%d", cfg.Ns[point])
-	})
-	return rows
 }
 
 // megaSpec is one arena cell: n nodes at the configured density, one
@@ -179,19 +156,4 @@ func megaSpec(cfg MegaConfig, n int, seed int64) scenario.Spec {
 		},
 		Duration: sim.Time(dur),
 	}
-}
-
-// MegaTable renders the study: delivery and election latency against N.
-func MegaTable(rows []MegaRow) *stats.Table {
-	t := stats.NewTable(
-		"Figure M — million-node arena: SSAF flooding at Figure-1 density (100 nodes/km²)",
-		"nodes", "delivery", "election_latency_s", "delay_s", "hops", "mac_packets",
-	)
-	for _, r := range rows {
-		t.AddRow(r.N,
-			r.SSAF.Delivery.Mean(), r.Election.Mean(),
-			r.SSAF.Delay.Mean(), r.SSAF.Hops.Mean(), r.SSAF.MACPackets.Mean(),
-		)
-	}
-	return t
 }

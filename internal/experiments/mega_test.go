@@ -22,24 +22,24 @@ func tinyMega() MegaConfig {
 	}
 }
 
-func runTinyMegaJournal(t *testing.T, mutate func(*MegaConfig)) []byte {
+func runTinyMegaJournal(t *testing.T, workers int, mutate func(*MegaConfig)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cfg := tinyMega()
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	cfg.Journal = metrics.NewJournal(&buf)
-	RunMega(cfg)
-	if err := cfg.Journal.Err(); err != nil {
+	j := metrics.NewJournal(&buf)
+	megaGrid(cfg).run(workers, j)
+	if err := j.Err(); err != nil {
 		t.Fatalf("journal write failed: %v", err)
 	}
 	return buf.Bytes()
 }
 
 func TestMegaJournalSameSeedBitwiseIdentical(t *testing.T) {
-	a := runTinyMegaJournal(t, nil)
-	b := runTinyMegaJournal(t, nil)
+	a := runTinyMegaJournal(t, 0, nil)
+	b := runTinyMegaJournal(t, 0, nil)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed produced different journals:\nrun1: %s\nrun2: %s", a, b)
 	}
@@ -48,8 +48,8 @@ func TestMegaJournalSameSeedBitwiseIdentical(t *testing.T) {
 // TestMegaJournalWorkerCountInvariant: the sweep's cross-run
 // parallelism changes wall time, never bytes.
 func TestMegaJournalWorkerCountInvariant(t *testing.T) {
-	j1 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers = 1 })
-	j8 := runTinyMegaJournal(t, func(c *MegaConfig) { c.Workers = 8 })
+	j1 := runTinyMegaJournal(t, 1, nil)
+	j8 := runTinyMegaJournal(t, 8, nil)
 	if !bytes.Equal(j1, j8) {
 		t.Fatalf("worker counts changed journal bytes:\nworkers=1: %s\nworkers=8: %s", j1, j8)
 	}
@@ -59,15 +59,15 @@ func TestMegaJournalWorkerCountInvariant(t *testing.T) {
 // contract end to end: eviction changes memory and rebuild counts,
 // never results. Cap 1 forces a rebuild on nearly every transmission.
 func TestMegaJournalLinkCacheCapInvariant(t *testing.T) {
-	unbounded := runTinyMegaJournal(t, func(c *MegaConfig) { c.LinkCacheCap = -1 })
-	capped := runTinyMegaJournal(t, func(c *MegaConfig) { c.LinkCacheCap = 1 })
+	unbounded := runTinyMegaJournal(t, 0, func(c *MegaConfig) { c.LinkCacheCap = -1 })
+	capped := runTinyMegaJournal(t, 0, func(c *MegaConfig) { c.LinkCacheCap = 1 })
 	if !bytes.Equal(unbounded, capped) {
 		t.Fatalf("link-cache cap changed journal bytes:\nunbounded: %s\ncap=1: %s", unbounded, capped)
 	}
 }
 
 func TestMegaJournalMatchesGolden(t *testing.T) {
-	got := runTinyMegaJournal(t, nil)
+	got := runTinyMegaJournal(t, 0, nil)
 	golden := filepath.Join("testdata", "fig_mega_tiny.journal.jsonl")
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"routeless/internal/metrics"
 	"routeless/internal/sim"
 )
 
@@ -20,24 +24,88 @@ func tinyFig34() Fig34Config {
 		Nodes: 100, Terrain: 900, Duration: 8,
 		Pairs: []int{2, 4}, Seeds: []int64{1},
 		FailurePcts: []float64{0, 0.10}, Fig4Pairs: 3,
+		Lambdas: []sim.Time{5e-3, 50e-3}, SleepFractions: []float64{0, 0.3}, AblPairs: 3,
 	}
 }
 
+func tinySuite() Suite {
+	return Suite{
+		Fig1:  tinyFig1(),
+		Fig2:  Fig2Config{Seed: 1, Nodes: 150, Terrain: 1060, Duration: 8},
+		Fig34: tinyFig34(),
+		Abl3:  Abl3Config{Sizes: []int{2, 10}, Trials: 20, Seed: 1},
+		Churn: tinyChurn(),
+		Mega:  tinyMega(),
+	}
+}
+
+// tinyTablesCSV is every study's CSV but mega's — the studies the
+// CLI's -exp all prints.
 func tinyTablesCSV() string {
-	fig1, fig34 := tinyFig1(), tinyFig34()
 	var b strings.Builder
-	b.WriteString(Fig1Table(RunFig1(fig1)).CSV())
-	b.WriteString(Fig2Table(RunFig2(Fig2Config{Seed: 1, Nodes: 150, Terrain: 1060, Duration: 8})).CSV())
-	b.WriteString(Fig3Table(RunFig3(fig34)).CSV())
-	b.WriteString(Fig4Table(RunFig4(fig34)).CSV())
-	b.WriteString(Abl1Table(RunAbl1(fig1)).CSV())
-	b.WriteString(Abl2Table(RunAbl2(fig34, []sim.Time{5e-3, 50e-3}, 3)).CSV())
-	b.WriteString(Abl3Table(RunAbl3(0, []int{2, 10}, 20, 10e-3, 1)).CSV())
-	b.WriteString(Abl4Table(RunAbl4(fig34)).CSV())
-	b.WriteString(Abl5Table(RunAbl5(fig34, []float64{0, 0.3}, 3)).CSV())
-	b.WriteString(Abl6Table(RunAbl6(fig34)).CSV())
-	b.WriteString(ChurnTable(RunChurn(tinyChurn())).CSV())
+	for _, st := range tinySuite().Studies() {
+		if st.Name != "mega" {
+			b.WriteString(st.Run(0, nil).Table.CSV())
+		}
+	}
 	return b.String()
+}
+
+// TestStudiesWorkerCountInvariant journals the grid studies of the
+// tiny suite that no worker-count test of their own journals — fig3,
+// fig4 and the grid ablations — at 1 and 8 workers: the journal and
+// table bytes must not move, and each cell must write exactly one
+// record, its label unique among the records of its seed.
+func TestStudiesWorkerCountInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	s := tinySuite()
+	grids := []grid{
+		fig3Grid(s.Fig34), fig4Grid(s.Fig34), abl1Grid(s.Fig1), abl2Grid(s.Fig34),
+		abl4Grid(s.Fig34), abl5Grid(s.Fig34), abl6Grid(s.Fig34),
+	}
+	// All but fig2 and abl3 (not grids) and fig1, churn and fig_mega
+	// (their own *JournalWorkerCountInvariant tests).
+	if want := len(s.Studies()) - 5; len(grids) != want {
+		t.Fatalf("%d grids under test, want %d", len(grids), want)
+	}
+	run := func(g grid, workers int) ([]byte, string) {
+		var buf bytes.Buffer
+		j := metrics.NewJournal(&buf)
+		res := g.study().Run(workers, j)
+		if err := j.Err(); err != nil {
+			t.Fatalf("%s: journal write failed: %v", g.name, err)
+		}
+		return buf.Bytes(), res.Table.CSV()
+	}
+	for _, g := range grids {
+		j1, csv1 := run(g, 1)
+		j8, csv8 := run(g, 8)
+		if !bytes.Equal(j1, j8) {
+			t.Errorf("%s: worker count changed journal bytes", g.name)
+		}
+		if csv1 != csv8 {
+			t.Errorf("%s: worker count changed table CSV:\nworkers=1:\n%s\nworkers=8:\n%s", g.name, csv1, csv8)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(j1, []byte("\n")), []byte("\n"))
+		if want := len(g.xs) * len(g.variants) * len(g.seeds); len(lines) != want {
+			t.Errorf("%s: %d journal records, want one per cell (%d)", g.name, len(lines), want)
+		}
+		seen := map[string]bool{}
+		for _, line := range lines {
+			var r metrics.Record
+			if err := json.Unmarshal(line, &r); err != nil {
+				t.Fatalf("%s: %v", g.name, err)
+			}
+			key := fmt.Sprint(r.Seed, " ", r.Label)
+			if r.Experiment != g.name || r.Metrics == nil || seen[key] {
+				t.Errorf("%s: record %q seed %d: experiment %q, metrics %v, label seen before: %v",
+					g.name, r.Label, r.Seed, r.Experiment, r.Metrics != nil, seen[key])
+			}
+			seen[key] = true
+		}
+	}
 }
 
 func TestTablesTinyMatchGolden(t *testing.T) {
