@@ -42,6 +42,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -194,6 +195,10 @@ func run(args []string) int {
 
 	if *seeds < 1 {
 		fmt.Fprintf(os.Stderr, "-seeds must be at least 1, got %d\n", *seeds)
+		return 2
+	}
+	if !(*duration >= 0) || math.IsInf(*duration, 1) {
+		fmt.Fprintf(os.Stderr, "-duration must be a finite number of seconds, at least 0, got %v\n", *duration)
 		return 2
 	}
 	seedList := make([]int64, *seeds)

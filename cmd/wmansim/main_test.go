@@ -12,3 +12,14 @@ func TestSeedsBelowOneRejected(t *testing.T) {
 		}
 	}
 }
+
+// A negative, NaN or infinite traffic window is rejected with exit
+// status 2 before any study is built: -1 used to panic in the kernel,
+// NaN printed tables of zeros, and +Inf never finished.
+func TestDurationOutOfRangeRejected(t *testing.T) {
+	for _, d := range []string{"-1", "NaN", "+Inf", "-Inf"} {
+		if code := run([]string{"-exp", "fig1", "-seeds", "1", "-duration", d}); code != 2 {
+			t.Errorf("-duration %s: exit status %d, want 2", d, code)
+		}
+	}
+}

@@ -11,50 +11,38 @@ import (
 	"fmt"
 
 	"routeless"
-	"routeless/internal/node"
-	"routeless/internal/rng"
 )
 
-func run(maxSpeed float64) (delivery float64, hops float64) {
-	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
-		N: 150, Rect: routeless.NewRect(1100, 1100), Seed: 13, EnsureConnected: true,
-	}))
-	nw.Install(func(n *routeless.Node) routeless.Protocol {
-		return routeless.NewRouteless(routeless.RoutelessConfig{})
-	})
-	var meter routeless.Meter
-	for _, n := range nw.Nodes {
-		n := n
-		n.OnAppReceive = func(p *routeless.Packet) {
-			meter.PacketReceived(float64(nw.Kernel.Now()-p.CreatedAt), p.HopCount)
-		}
+// movers is how many nodes walk; the five flows run between the ten
+// nodes after them, which stay put so flows stay defined. Placement is
+// uniform, so those ten ids are ten random points of the field.
+const movers = 140
+
+func run(maxSpeed float64) routeless.RunMetrics {
+	var flows []routeless.CBRFlow
+	for i := routeless.NodeID(0); i < 5; i++ {
+		flows = append(flows, routeless.CBRFlow{Src: movers + i, Dst: movers + 5 + i, Interval: 1, Size: 64})
 	}
-	pairs := routeless.RandomPairs(rng.New(13, rng.StreamTraffic), 150, 5)
-	endpoint := map[routeless.NodeID]bool{}
-	var flows []*routeless.CBR
-	for _, p := range pairs {
-		endpoint[p.Src], endpoint[p.Dst] = true, true
-		c := routeless.NewCBR(nw.Nodes[p.Src], p.Dst, 1.0, 64)
-		c.OnSend = meter.PacketSent
-		c.Start()
-		flows = append(flows, c)
+	sp := routeless.Spec{
+		Net: routeless.NetworkConfig{
+			N: 150, Rect: routeless.NewRect(1100, 1100), Seed: 13, EnsureConnected: true,
+		},
+		Install: func(nw *routeless.Network) {
+			nw.Install(func(n *routeless.Node) routeless.Protocol {
+				return routeless.NewRouteless(routeless.RoutelessConfig{})
+			})
+		},
+		Flows:    func(*routeless.Network) []routeless.CBRFlow { return flows },
+		Duration: 40, // then a 5 s drain
 	}
 	if maxSpeed > 0 {
-		for i, n := range nw.Nodes {
-			if endpoint[n.ID] {
-				continue // endpoints stay put so flows stay defined
-			}
-			w := node.NewWaypoint(nw, n, rng.ForNode(13, rng.StreamTopology, i))
-			w.MinSpeed, w.MaxSpeed = maxSpeed/4, maxSpeed
-			w.Start()
-		}
+		sp.Mobility = &routeless.Mobility{Movers: movers, MinSpeed: maxSpeed / 4, MaxSpeed: maxSpeed}
 	}
-	nw.Run(40)
-	for _, c := range flows {
-		c.Stop()
+	m, err := routeless.Must(routeless.Assemble(sp)).Finish()
+	if err != nil {
+		panic(err)
 	}
-	nw.Run(45)
-	return meter.DeliveryRatio(), meter.Hops.Mean()
+	return m
 }
 
 func main() {
@@ -62,8 +50,8 @@ func main() {
 		"Routeless Routing under random-waypoint mobility (150 nodes, 5 CBR flows, 40 s)",
 		"max_speed_mps", "delivery", "avg_hops")
 	for _, speed := range []float64{0, 2, 5, 10, 20} {
-		d, h := run(speed)
-		t.AddRow(speed, d, h)
+		m := run(speed)
+		t.AddRow(speed, m.Delivery, m.Hops)
 	}
 	fmt.Println(t)
 	fmt.Println("No route maintenance, no handoff signaling: the hop-count gradient is")

@@ -77,9 +77,6 @@ func (e *Elector) ID() packet.NodeID { return e.id }
 // Count returns the current value of one of the elector's counters.
 func (e *Elector) Count(s ElectorSeries) uint64 { return e.stats[s].Value() }
 
-// Round returns the current round number.
-func (e *Elector) Round() uint32 { return e.round }
-
 // ObserveSync is called when the node observes the implicit
 // synchronization point for a round (e.g. the end of a packet
 // transmission, or a SYNC message). ctx supplies the metric inputs.

@@ -52,15 +52,6 @@ func (h *Hash) Bool(b bool) {
 	}
 }
 
-// String folds s length-prefixed, so that ("ab","c") and ("a","bc")
-// hash differently.
-func (h *Hash) String(s string) {
-	h.Int(len(s))
-	for i := 0; i < len(s); i++ {
-		h.Byte(s[i])
-	}
-}
-
 // Bytes folds b length-prefixed.
 func (h *Hash) Bytes(b []byte) {
 	h.Int(len(b))

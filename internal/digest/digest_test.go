@@ -10,7 +10,7 @@ func TestDeterministic(t *testing.T) {
 		h.Int64(-7)
 		h.Float64(3.5)
 		h.Bool(true)
-		h.String("leader")
+		h.Bytes([]byte("leader"))
 		h.Bytes([]byte{1, 2, 3})
 		return h.Sum()
 	}
@@ -39,11 +39,11 @@ func TestOrderSensitive(t *testing.T) {
 // length-prefixed.
 func TestFramingDistinct(t *testing.T) {
 	a := New()
-	a.String("ab")
-	a.String("c")
+	a.Bytes([]byte("ab"))
+	a.Bytes([]byte("c"))
 	b := New()
-	b.String("a")
-	b.String("bc")
+	b.Bytes([]byte("a"))
+	b.Bytes([]byte("bc"))
 	if a.Sum() == b.Sum() {
 		t.Fatal("length framing failed: split point did not affect the sum")
 	}

@@ -78,11 +78,9 @@ func megaDuration(cfg MegaConfig, side float64) float64 {
 		return cfg.Duration
 	}
 	hops := side * math.Sqrt2 / cfg.Range
-	return megaLastStart(cfg.Flows) + 3 + 2.5*hops*(float64(cfg.Lambda)+0.002)
+	lastStart := 0.5 + float64(cfg.Flows-1) // the final staggered flow fires its one packet
+	return lastStart + 3 + 2.5*hops*(float64(cfg.Lambda)+0.002)
 }
-
-// megaLastStart is when the final staggered flow fires its one packet.
-func megaLastStart(flows int) float64 { return 0.5 + float64(flows-1) }
 
 // megaGrid sweeps the node counts across seeds: one SSAF variant, and
 // the per-hop election latency beside the paper-unit metrics.

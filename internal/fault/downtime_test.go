@@ -44,7 +44,7 @@ func TestDowntimeAccrualWithDrainInterference(t *testing.T) {
 	crash := fault.Crash(0.08)
 	crash.Cycle = 2.3
 	crash.Sleep = true
-	drain := fault.Drain(0.13)
+	drain := fault.DrainSpec{CapacityJ: 0.13}
 	drain.Period = sim.Time(0.26)
 	nw := scenario(t, 76, 12, func(nw *node.Network) {
 		node.Must(fault.Install(nw, fault.Plan{crash, drain}))

@@ -174,7 +174,7 @@ func TestMidTXPowerDownUnderChurn(t *testing.T) {
 func TestDrainKillsPermanently(t *testing.T) {
 	victims := []packet.NodeID{3, 4, 5}
 	nw := scenario(t, 19, 20, func(nw *node.Network) {
-		drain := fault.Drain(0.2) // idle draw alone crosses this in ~6 s
+		drain := fault.DrainSpec{CapacityJ: 0.2} // idle draw alone crosses this in ~6 s
 		drain.Nodes = victims
 		crash := fault.Crash(0.3)
 		crash.Nodes = victims

@@ -103,10 +103,6 @@ type DrainSpec struct {
 	Exclude []packet.NodeID
 }
 
-// Drain returns a battery-depletion fault with the given per-node
-// energy budget.
-func Drain(capacityJ float64) DrainSpec { return DrainSpec{CapacityJ: capacityJ} }
-
 // validate rejects non-positive or non-finite capacities and negative
 // or NaN poll periods as values, before install's panic backstop.
 func (s DrainSpec) validate() error {

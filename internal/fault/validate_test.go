@@ -35,10 +35,10 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"crash off fraction negative", fault.Plan{fault.Crash(-0.1)}, "OffFraction"},
 		{"crash off fraction NaN", fault.Plan{fault.Crash(nan)}, "OffFraction"},
 		{"crash negative cycle", fault.Plan{fault.CrashSpec{OffFraction: 0.1, Cycle: -1}}, "Cycle"},
-		{"drain zero capacity", fault.Plan{fault.Drain(0)}, "CapacityJ"},
-		{"drain negative capacity", fault.Plan{fault.Drain(-5)}, "CapacityJ"},
-		{"drain NaN capacity", fault.Plan{fault.Drain(nan)}, "CapacityJ"},
-		{"drain infinite capacity", fault.Plan{fault.Drain(math.Inf(1))}, "CapacityJ"},
+		{"drain zero capacity", fault.Plan{fault.DrainSpec{CapacityJ: 0}}, "CapacityJ"},
+		{"drain negative capacity", fault.Plan{fault.DrainSpec{CapacityJ: -5}}, "CapacityJ"},
+		{"drain NaN capacity", fault.Plan{fault.DrainSpec{CapacityJ: nan}}, "CapacityJ"},
+		{"drain infinite capacity", fault.Plan{fault.DrainSpec{CapacityJ: math.Inf(1)}}, "CapacityJ"},
 		{"drain negative period", fault.Plan{fault.DrainSpec{CapacityJ: 1, Period: -1}}, "Period"},
 		{"drain NaN period", fault.Plan{fault.DrainSpec{CapacityJ: 1, Period: sim.Time(nan)}}, "Period"},
 		{"degrade NaN offset", fault.Plan{fault.Degrade(nan)}, "OffsetDB"},
@@ -70,7 +70,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	plan := fault.Plan{
 		fault.Crash(0.1),
 		fault.Crash(0), // inert but legal
-		fault.Drain(2.5),
+		fault.DrainSpec{CapacityJ: 2.5},
 		fault.Degrade(-25),
 		fault.Degrade(0), // zero offset means default
 		fault.Jam(24.5),

@@ -97,7 +97,7 @@ func TestRunImpossiblePlacementIsInvalid(t *testing.T) {
 // structured violation verdict.
 func TestRunVerdictViolation(t *testing.T) {
 	r := Runner{Sabotage: func(run int, nw *node.Network) {
-		nw.Metrics.Counter("mac.enqueued").Inc()
+		nw.Metrics.Func("mac.enqueued", func() uint64 { return 1 })
 	}}
 	res := r.Run(tiny())
 	if res.Verdict != VerdictViolation {
@@ -116,7 +116,7 @@ func TestRunVerdictViolation(t *testing.T) {
 func TestRunVerdictDivergence(t *testing.T) {
 	r := Runner{Sabotage: func(run int, nw *node.Network) {
 		if run == 1 {
-			nw.Metrics.Gauge("fuzztest.poison").Set(1)
+			nw.Metrics.GaugeFunc("fuzztest.poison", func() float64 { return 1 })
 		}
 	}}
 	res := r.Run(tiny())

@@ -114,7 +114,7 @@ func TestShrinkWithRunner(t *testing.T) {
 	}
 	r := Runner{Sabotage: func(run int, nw *node.Network) {
 		if len(nw.Nodes) >= 4 {
-			nw.Metrics.Counter("mac.enqueued").Inc()
+			nw.Metrics.Func("mac.enqueued", func() uint64 { return 1 })
 		}
 	}}
 	start := scenario.Scenario{

@@ -4,7 +4,6 @@
 package geo
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -28,9 +27,6 @@ func (p Point) Dist2(q Point) float64 {
 
 // Add returns p translated by (dx, dy).
 func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
-
-// String implements fmt.Stringer.
-func (p Point) String() string { return fmt.Sprintf("(%.1f, %.1f)", p.X, p.Y) }
 
 // Rect is an axis-aligned rectangle; Min is inclusive, Max exclusive
 // for containment purposes.

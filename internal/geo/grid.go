@@ -76,9 +76,6 @@ func (g *Grid) cellOf(p Point) int {
 	return cy*g.cols + cx
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.pts) }
-
 // At returns the position of point id.
 func (g *Grid) At(id int) Point { return g.pts[id] }
 

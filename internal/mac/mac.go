@@ -200,12 +200,6 @@ func RegisterMetrics(reg *metrics.Registry, macs []MAC) {
 	})
 }
 
-// QueueLen returns the number of frames waiting behind the current one.
-func (m *MAC) QueueLen() int { return m.queue.len() }
-
-// ID returns the node id of the underlying radio.
-func (m *MAC) ID() packet.NodeID { return m.radio.ID() }
-
 // Enqueue hands a frame to the MAC with a queue priority (lower is
 // served first — network layers pass their backoff delay). It reports
 // false when the queue is full and the frame was dropped.

@@ -345,7 +345,7 @@ func TestQueuePanicsOnBadCap(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	newPrioQueue(0)
+	new(prioQueue).init(0)
 }
 
 // TestTableIsTheSchema pins the series table to the index constants:

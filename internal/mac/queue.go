@@ -24,12 +24,6 @@ type prioQueue struct {
 	cap   int
 }
 
-func newPrioQueue(capacity int) *prioQueue {
-	q := &prioQueue{}
-	q.init(capacity)
-	return q
-}
-
 // init prepares an embedded queue in place (see MAC.queue).
 func (q *prioQueue) init(capacity int) {
 	if capacity <= 0 {

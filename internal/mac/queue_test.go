@@ -10,7 +10,8 @@ import (
 )
 
 func TestPrioQueueOrdering(t *testing.T) {
-	q := newPrioQueue(16)
+	var q prioQueue
+	q.init(16)
 	for _, p := range []float64{3, 1, 2, 1, 0} {
 		q.push(&packet.Packet{Payload: p}, p)
 	}
@@ -24,7 +25,8 @@ func TestPrioQueueOrdering(t *testing.T) {
 }
 
 func TestPrioQueueFIFOWithinPriority(t *testing.T) {
-	q := newPrioQueue(16)
+	var q prioQueue
+	q.init(16)
 	pkts := make([]*packet.Packet, 6)
 	for i := range pkts {
 		pkts[i] = &packet.Packet{Seq: uint32(i)}
@@ -38,7 +40,8 @@ func TestPrioQueueFIFOWithinPriority(t *testing.T) {
 }
 
 func TestPrioQueueCapacity(t *testing.T) {
-	q := newPrioQueue(2)
+	var q prioQueue
+	q.init(2)
 	if !q.push(&packet.Packet{}, 0) || !q.push(&packet.Packet{}, 0) {
 		t.Fatal("pushes under capacity must succeed")
 	}
@@ -51,7 +54,8 @@ func TestPrioQueueCapacity(t *testing.T) {
 }
 
 func TestPrioQueueRemove(t *testing.T) {
-	q := newPrioQueue(16)
+	var q prioQueue
+	q.init(16)
 	a := &packet.Packet{Seq: 1}
 	b := &packet.Packet{Seq: 2}
 	c := &packet.Packet{Seq: 3}
@@ -73,7 +77,8 @@ func TestPrioQueueRemove(t *testing.T) {
 }
 
 func TestPrioQueueEmptyPop(t *testing.T) {
-	q := newPrioQueue(4)
+	var q prioQueue
+	q.init(4)
 	if q.pop() != nil {
 		t.Fatal("pop on empty should be nil")
 	}
@@ -87,7 +92,8 @@ func TestQuickPrioQueueSemantics(t *testing.T) {
 		Remove bool
 	}
 	f := func(ops []op) bool {
-		q := newPrioQueue(1024)
+		var q prioQueue
+		q.init(1024)
 		type rec struct {
 			pkt  *packet.Packet
 			prio float64

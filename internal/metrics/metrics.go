@@ -1,7 +1,7 @@
 // Package metrics is the simulator's unified observability layer: a
-// deterministic, allocation-light registry of counters, gauges, and
-// Welford-backed histograms, with snapshot/diff support and
-// conservation-law assertions.
+// deterministic, allocation-light registry of counters, gauge
+// functions, and Welford-backed per-entity histograms, with snapshots
+// and conservation-law assertions.
 //
 // Design constraints, in order:
 //
@@ -18,7 +18,7 @@
 //     Registry.Population registers every entity's Block under those
 //     names as one summing source, so the registry stays O(series) at
 //     any node count.
-//   - Mutation discipline. Counter/Gauge values are unexported; the only
+//   - Mutation discipline. Counter values are unexported; the only
 //     way to change them is through the typed methods.
 //
 // Conservation laws make drop/abort accounting self-checking: a law
@@ -69,43 +69,12 @@ func (c *Counter32) Add(n uint32) { c.v += n }
 // Value returns the current count, widened.
 func (c *Counter32) Value() uint64 { return uint64(c.v) }
 
-// Gauge is a point-in-time float value. The zero value is ready to use.
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(x float64) { g.v = x }
-
-// Add adjusts the gauge by x (may be negative).
-func (g *Gauge) Add(x float64) { g.v += x }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Histogram accumulates a sample distribution with streaming moments
 // (mean/var/min/max) via stats.Welford. The zero value is ready to use.
 type Histogram struct{ w stats.Welford }
 
 // Observe folds one sample in.
 func (h *Histogram) Observe(x float64) { h.w.Add(x) }
-
-// N returns the sample count.
-func (h *Histogram) N() uint64 { return h.w.N() }
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 { return h.w.Mean() }
-
-// Std returns the sample standard deviation.
-func (h *Histogram) Std() float64 { return h.w.Std() }
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() float64 { return h.w.Min() }
-
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() float64 { return h.w.Max() }
-
-// Welford returns a copy of the underlying accumulator, for merging
-// into cross-run aggregates.
-func (h *Histogram) Welford() stats.Welford { return h.w }
 
 // Kind discriminates registry entries.
 type Kind uint8
@@ -137,9 +106,7 @@ type entry struct {
 	kind     Kind
 	counters []*Counter
 	cfuncs   []func() uint64
-	gauges   []*Gauge
 	gfuncs   []func() float64
-	hists    []*Histogram
 	// popSums and popHists point at the column of each registered
 	// population that carries this name; Registry.refresh fills them.
 	popSums  []*uint64
@@ -162,9 +129,6 @@ func (e *entry) total() uint64 {
 
 func (e *entry) gaugeValue() float64 {
 	var t float64
-	for _, g := range e.gauges {
-		t += g.v
-	}
 	for _, f := range e.gfuncs {
 		t += f()
 	}
@@ -173,9 +137,6 @@ func (e *entry) gaugeValue() float64 {
 
 func (e *entry) welford() stats.Welford {
 	var w stats.Welford
-	for _, h := range e.hists {
-		w.Merge(h.w)
-	}
 	for _, p := range e.popHists {
 		w.Merge(*p)
 	}
@@ -269,13 +230,6 @@ func (r *Registry) lookup(name string, k Kind) *entry {
 	return e
 }
 
-// Counter allocates and registers a fresh counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.Observe(name, c)
-	return c
-}
-
 // Observe registers an existing counter under name. Multiple sources
 // registered under one name are summed (per-node counters roll up into
 // one network series).
@@ -336,29 +290,11 @@ func (r *Registry) Func(name string, fn func() uint64) {
 	e.cfuncs = append(e.cfuncs, fn)
 }
 
-// Gauge allocates and registers a fresh gauge under name (summed with
-// any other source of the same name).
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	e := r.lookup(name, KindGauge)
-	e.gauges = append(e.gauges, g)
-	return g
-}
-
 // GaugeFunc registers a float-valued function under name (summed with
-// gauges of the same name).
+// any other function of the same name).
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	e := r.lookup(name, KindGauge)
 	e.gfuncs = append(e.gfuncs, fn)
-}
-
-// Histogram allocates and registers a fresh histogram under name;
-// multiple sources are Welford-merged at snapshot time.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := &Histogram{}
-	e := r.lookup(name, KindHistogram)
-	e.hists = append(e.hists, h)
-	return h
 }
 
 // Law registers the conservation assertion sum(left) == sum(right).
@@ -474,9 +410,6 @@ func (r *Registry) Check() error {
 	return fmt.Errorf("metrics: %s", strings.Join(msgs, "; "))
 }
 
-// NumLaws returns how many conservation laws are registered.
-func (r *Registry) NumLaws() int { return len(r.laws) }
-
 // Sample is one metric's value in a snapshot. For counters, Count holds
 // the total; for gauges, Value holds the sum; for histograms, Count is
 // the sample count and Value/Std/Min/Max the merged moments.
@@ -536,32 +469,4 @@ func (s *Snapshot) Get(name string) (Sample, bool) {
 func (s *Snapshot) Count(name string) uint64 {
 	smp, _ := s.Get(name)
 	return smp.Count
-}
-
-// Sub returns the difference snapshot s - prev: counter totals and
-// histogram sample counts subtract; gauge values and histogram moments
-// are taken from s (a point-in-time value has no meaningful delta).
-// Entries absent from prev pass through unchanged.
-func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
-	out := &Snapshot{Samples: make([]Sample, len(s.Samples))}
-	copy(out.Samples, s.Samples)
-	for i := range out.Samples {
-		p, ok := prev.Get(out.Samples[i].Name)
-		if !ok || p.Kind != out.Samples[i].Kind {
-			continue
-		}
-		if out.Samples[i].Count >= p.Count {
-			out.Samples[i].Count -= p.Count
-		}
-	}
-	return out
-}
-
-// Table renders the snapshot as an aligned stats.Table.
-func (s *Snapshot) Table(title string) *stats.Table {
-	t := stats.NewTable(title, "name", "kind", "count", "value", "std", "min", "max")
-	for _, smp := range s.Samples {
-		t.AddRow(smp.Name, smp.Kind, smp.Count, smp.Value, smp.Std, smp.Min, smp.Max)
-	}
-	return t
 }

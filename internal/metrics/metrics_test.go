@@ -9,33 +9,45 @@ import (
 	"testing"
 )
 
+// TestCounterGaugeHistogram reads one source of each kind back through
+// a snapshot: an observed counter, a gauge function and a one-entity
+// histogram population.
 func TestCounterGaugeHistogram(t *testing.T) {
+	r := NewRegistry()
 	var c Counter
+	r.Observe("c", &c)
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", g.Value())
-	}
-	var h Histogram
+	g := 2.5
+	r.GaugeFunc("g", func() float64 { return g })
+	g--
+	var h [1]Histogram
+	table := &Table{Hists: []string{"h"}}
+	r.Population(table, 1, func(int) Block { return Block{Table: table, Hists: h[:]} })
 	for _, x := range []float64{1, 2, 3} {
-		h.Observe(x)
+		h[0].Observe(x)
 	}
-	if h.N() != 3 || h.Mean() != 2 || h.Min() != 1 || h.Max() != 3 {
-		t.Fatalf("histogram n=%d mean=%v min=%v max=%v", h.N(), h.Mean(), h.Min(), h.Max())
+	s := r.Snapshot()
+	if n := s.Count("c"); n != 5 {
+		t.Fatalf("counter sample = %d, want 5", n)
+	}
+	if smp, _ := s.Get("g"); smp.Kind != "gauge" || smp.Value != 1.5 {
+		t.Fatalf("gauge sample = %+v, want value 1.5", smp)
+	}
+	if smp, _ := s.Get("h"); smp.Kind != "histogram" || smp.Count != 3 || smp.Value != 2 || smp.Min != 1 || smp.Max != 3 {
+		t.Fatalf("histogram sample = %+v", smp)
 	}
 }
 
 func TestRegistrySummedRegistration(t *testing.T) {
 	r := NewRegistry()
 	// Two "nodes" register the same counter name; totals sum.
-	a := r.Counter("phy.tx")
-	b := r.Counter("phy.tx")
+	var a, b Counter
+	r.Observe("phy.tx", &a)
+	r.Observe("phy.tx", &b)
 	a.Add(3)
 	b.Add(4)
 	var inflight uint64 = 2
@@ -45,8 +57,8 @@ func TestRegistrySummedRegistration(t *testing.T) {
 		t.Fatalf("summed counter = %d, want 9", got)
 	}
 	// Registration order is first-appearance order.
-	r.Counter("z.second")
-	r.Counter("a.third")
+	r.Observe("z.second", &Counter{})
+	r.Observe("a.third", &Counter{})
 	s = r.Snapshot()
 	want := []string{"phy.tx", "z.second", "a.third"}
 	for i, n := range want {
@@ -58,7 +70,7 @@ func TestRegistrySummedRegistration(t *testing.T) {
 
 // TestPopulationMatchesPerCellRegistration pins block registration to
 // the reference it replaced: the same cells registered one at a time (a
-// Func per counter cell, a Histogram per entity fed the same samples)
+// Func per counter cell, a one-entity population per histogram cell)
 // snapshot to identical bytes — summed counters, a histogram merged
 // across entities in index order, a func-counter registered after the
 // block, and an entity of another table skipped.
@@ -72,6 +84,7 @@ func TestPopulationMatchesPerCellRegistration(t *testing.T) {
 		lat   [1]Histogram
 	}
 	ents := make([]entity, 5)
+	latTable := &Table{Hists: table.Hists}
 	ref := NewRegistry()
 	for _, name := range table.Counters {
 		ref.Func(name, func() uint64 { return 0 }) // fix the series order first
@@ -80,11 +93,9 @@ func TestPopulationMatchesPerCellRegistration(t *testing.T) {
 		e := &ents[i]
 		e.cells[0].Add(uint32(10 * (i + 1)))
 		e.cells[1].Add(uint32(i))
-		h := ref.Histogram("x.latency_s")
+		ref.Population(latTable, 1, func(int) Block { return Block{Table: latTable, Hists: e.lat[:]} })
 		for k := 0; k <= i; k++ { // entity 0 keeps one sample, entity 4 five
-			x := 0.1*float64(i) + 0.03*float64(k)
-			e.lat[0].Observe(x)
-			h.Observe(x)
+			e.lat[0].Observe(0.1*float64(i) + 0.03*float64(k))
 		}
 		for c, name := range table.Counters {
 			cell := &e.cells[c]
@@ -142,15 +153,16 @@ func TestRegistryKindClashPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x")
-	r.Gauge("x")
+	r.Func("x", func() uint64 { return 0 })
+	r.GaugeFunc("x", func() float64 { return 0 })
 }
 
 func TestConservationLaw(t *testing.T) {
 	r := NewRegistry()
-	sent := r.Counter("sent")
-	delivered := r.Counter("delivered")
-	dropped := r.Counter("dropped")
+	var sent, delivered, dropped Counter
+	r.Observe("sent", &sent)
+	r.Observe("delivered", &delivered)
+	r.Observe("dropped", &dropped)
 	var inflight uint64
 	r.Func("inflight", func() uint64 { return inflight })
 	r.Law("conservation", []string{"sent"}, []string{"delivered", "dropped", "inflight"})
@@ -179,43 +191,22 @@ func TestConservationLaw(t *testing.T) {
 	}
 }
 
-func TestSnapshotSubAndGet(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events")
-	g := r.Gauge("depth")
-	c.Add(5)
-	g.Set(2)
-	before := r.Snapshot()
-	c.Add(7)
-	g.Set(9)
-	after := r.Snapshot()
-	d := after.Sub(before)
-	if got := d.Count("events"); got != 7 {
-		t.Fatalf("diff counter = %d, want 7", got)
-	}
-	smp, ok := d.Get("depth")
-	if !ok || smp.Value != 9 {
-		t.Fatalf("diff gauge = %+v ok=%v, want value 9", smp, ok)
-	}
-	if _, ok := d.Get("missing"); ok {
-		t.Fatal("Get found a metric that does not exist")
-	}
-}
-
 // buildTwin builds one of two identical registries with identical
 // activity, for byte-level determinism comparison.
 func buildTwin() *Registry {
 	r := NewRegistry()
 	for _, name := range []string{"phy.tx", "phy.rx", "mac.enqueued"} {
-		c := r.Counter(name)
+		c := &Counter{}
+		r.Observe(name, c)
 		c.Add(uint64(len(name)))
 	}
-	h := r.Histogram("delay")
+	h := make([]Histogram, 1)
+	table := &Table{Hists: []string{"delay"}}
+	r.Population(table, 1, func(int) Block { return Block{Table: table, Hists: h} })
 	for i := 0; i < 8; i++ {
-		h.Observe(float64(i) * 0.125)
+		h[0].Observe(float64(i) * 0.125)
 	}
-	g := r.Gauge("load")
-	g.Set(0.625)
+	r.GaugeFunc("load", func() float64 { return 0.625 })
 	return r
 }
 
@@ -260,16 +251,6 @@ func TestJournalWritesJSONL(t *testing.T) {
 	}
 }
 
-func TestSnapshotTable(t *testing.T) {
-	tab := buildTwin().Snapshot().Table("metrics")
-	out := tab.String()
-	for _, want := range []string{"phy.tx", "delay", "histogram", "gauge"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestInvariant(t *testing.T) {
 	r := NewRegistry()
 	bound := errors.New("downtime exceeds sim time")
@@ -296,8 +277,9 @@ func TestInvariant(t *testing.T) {
 // genuine imbalance apart from a law-declaration bug.
 func TestViolationsStructured(t *testing.T) {
 	r := NewRegistry()
-	sent := r.Counter("sent")
-	delivered := r.Counter("delivered")
+	var sent, delivered Counter
+	r.Observe("sent", &sent)
+	r.Observe("delivered", &delivered)
 	r.Law("conservation", []string{"sent"}, []string{"delivered"})
 	broken := false
 	r.Invariant("sanity", func() error {

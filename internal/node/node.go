@@ -97,9 +97,6 @@ func (n *Node) Sleep() {
 	n.MAC.Pause()
 }
 
-// Wake resumes from Sleep.
-func (n *Node) Wake() { n.Recover() }
-
 // macAdapter forwards MAC events to the node's protocol; it keeps the
 // Protocol interface free of the mac.Handler names.
 type macAdapter struct{ n *Node }

@@ -69,9 +69,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("KIND(%d)", uint8(k))
 }
 
-// NumKinds reports how many packet kinds exist, for stats arrays.
-func NumKinds() int { return int(numKinds) }
-
 // Packet carries MAC- and network-layer headers plus an opaque payload.
 // Every decoding receiver is lent its own copy (see the package
 // comment), so mutating a received packet never affects other receivers

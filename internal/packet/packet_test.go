@@ -19,7 +19,7 @@ func TestNodeIDString(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	seen := map[string]bool{}
-	for k := Kind(0); int(k) < NumKinds(); k++ {
+	for k := Kind(0); k < numKinds; k++ {
 		s := k.String()
 		if s == "" {
 			t.Fatalf("kind %d has empty name", k)

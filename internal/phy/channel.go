@@ -280,9 +280,6 @@ func (c *Channel) MoveTo(i int, p geo.Point) {
 	c.linkValid[i] = false
 }
 
-// Cutoff returns the interference cutoff distance in meters.
-func (c *Channel) Cutoff() float64 { return c.cutoff }
-
 // Stats returns medium-wide counters (jammer bursts count as
 // deliveries).
 func (c *Channel) Stats() ChannelStats {

@@ -48,12 +48,6 @@ type Energy struct {
 	byState [5]float64
 }
 
-// NewEnergy returns a meter starting at t=0 in the idle state. The
-// profile is retained, not copied; callers must not mutate it.
-func NewEnergy(p *Power) *Energy {
-	return &Energy{power: p, state: StateIdle}
-}
-
 // Transition charges the elapsed interval at the old state's draw and
 // switches to the new state.
 func (e *Energy) Transition(now sim.Time, from, to State) {

@@ -58,12 +58,6 @@ func (s discoverySet) ensure(target packet.NodeID, k *sim.Kernel, onTimeout func
 	return d, true
 }
 
-// pending reports whether a discovery for target is in progress.
-func (s discoverySet) pending(target packet.NodeID) bool {
-	_, ok := s[target]
-	return ok
-}
-
 // succeed completes target's discovery: the timer is stopped — a stale
 // timeout firing after success was one of the audited accounting bugs —
 // the entry is removed, and the data queued behind the discovery is

@@ -112,10 +112,6 @@ func (g *Gradient) endRepair(target packet.NodeID) {
 	g.repairLatency[0].Observe(float64(g.n.Kernel.Now() - t0))
 }
 
-// Table exposes the gradient table (read-mostly; used by tests and
-// experiment instrumentation).
-func (g *Gradient) Table() *ActiveTable { return g.table }
-
 // Send implements node.Protocol.
 func (g *Gradient) Send(target packet.NodeID, size int) {
 	if size == 0 {

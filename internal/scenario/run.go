@@ -259,11 +259,10 @@ func (r *Run) Finish() (RunMetrics, error) {
 	}
 	r.tap.fold(r.cbrs)
 	r.ferr, r.done = r.nw.CheckInvariants(), true
-	m := &r.tap.m
 	r.rm = RunMetrics{
-		Delay:      m.Delay.Mean(),
-		Hops:       m.Hops.Mean(),
-		Delivery:   m.DeliveryRatio(),
+		Delay:      r.tap.delay.Mean(),
+		Hops:       r.tap.hops.Mean(),
+		Delivery:   r.tap.delivery(),
 		MACPackets: float64(r.nw.MACPackets()),
 		EnergyJ:    r.nw.TotalEnergy(),
 	}

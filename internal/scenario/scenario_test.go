@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"routeless/internal/geo"
 	"routeless/internal/metrics"
+	"routeless/internal/node"
 	"routeless/internal/scenario"
 	"routeless/internal/sweep"
 )
@@ -225,5 +229,65 @@ func TestBuildRetainedBytesPerNode(t *testing.T) {
 	t.Logf("retained %.0f B/node over %d nodes", perNode, n)
 	if perNode > limit {
 		t.Fatalf("Parse+Build retains %.0f B/node, limit %d", perNode, limit)
+	}
+}
+
+// TestRunMetricsMatchAppSeries pins the one delivery ledger: the
+// RunMetrics Finish returns are the final journal record's app.*
+// series bit for bit, and a run with no flows reports a delivery ratio
+// of 0, not NaN.
+func TestRunMetricsMatchAppSeries(t *testing.T) {
+	sc := validDoc()
+	sc.Flows = []scenario.Flow{{Src: 0, Dst: 11}, {Src: 3, Dst: 8}, {Src: 9, Dst: 2}}
+	sc.Duration = 5
+	run, err := scenario.Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	run.SetJournal(metrics.NewJournal(&buf))
+	rm, err := run.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var final metrics.Record
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.Label != "final" {
+		t.Fatalf("last record %q, want final", final.Label)
+	}
+	snap := final.Metrics
+	sent, received := snap.Count("app.sent"), snap.Count("app.received")
+	if received == 0 {
+		t.Fatalf("nothing delivered (%d sent): the comparison below would be vacuous", sent)
+	}
+	delay, _ := snap.Get("app.delay_mean_s")
+	hops, _ := snap.Get("app.hops_mean")
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Delivery", rm.Delivery, float64(received) / float64(sent)},
+		{"Delay", rm.Delay, delay.Value},
+		{"Hops", rm.Hops, hops.Value},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("RunMetrics.%s = %v, final app.* series give %v", c.name, c.got, c.want)
+		}
+	}
+
+	idle, err := scenario.Assemble(scenario.Spec{
+		Net:      node.Config{N: 4, Rect: geo.NewRect(300, 300), Seed: 1},
+		Install:  scenario.Installer(scenario.ProtoSSAF, 10e-3, 250),
+		Flows:    func(*node.Network) []scenario.CBRFlow { return nil },
+		Duration: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm, err := idle.Finish(); err != nil || math.Float64bits(rm.Delivery) != 0 {
+		t.Fatalf("no flows: Delivery = %v (err %v), want 0", rm.Delivery, err)
 	}
 }

@@ -17,30 +17,33 @@ type RunMetrics struct {
 }
 
 // appSample is one application delivery as buffered by the tap: the
-// delay and hops the meter scores.
+// delay and hops the tap scores.
 type appSample struct {
 	delay float64
 	hops  int
 }
 
-// appTap meters application traffic across all nodes without touching
-// the shared Meter from inside event handlers. Deliveries append to a
-// buffer; fold replays them into the Meter after the run in append
+// appTap is the run's one delivery ledger: the paper's delivery ratio
+// ("packets received by all the destinations divided by packets sent
+// by all the sources"), end-to-end delay and hop count, across all
+// nodes. Deliveries append to a buffer from inside event handlers;
+// fold replays them into the accumulators after the run in append
 // order — the run's event order — so the Welford fold sequence, and
-// hence every journaled app.* value, is the same as metering inline,
+// hence every journaled app.* value, is the same as scoring inline,
 // while epoch records taken mid-run see no partial app.* figures.
 // Sends are counted from each CBR's own counter instead of a
 // shared-callback increment.
 type appTap struct {
-	m      stats.Meter
-	buf    []appSample
-	folded bool
+	sent, received uint64
+	delay, hops    stats.Welford
+	buf            []appSample
+	folded         bool
 }
 
-// newAppTap attaches the tap to every node and exposes the (folded)
-// meter on the network registry as the app.* series. Final snapshots
-// are taken after Finish, which folds first, so journaled values see
-// the complete run.
+// newAppTap attaches the tap to every node and exposes its (folded)
+// figures on the network registry as the app.* series. Final
+// snapshots are taken after Finish, which folds first, so journaled
+// values see the complete run.
 func newAppTap(nw *node.Network) *appTap {
 	t := &appTap{}
 	for _, n := range nw.Nodes {
@@ -52,25 +55,34 @@ func newAppTap(nw *node.Network) *appTap {
 			})
 		}
 	}
-	m := &t.m
-	nw.Metrics.Func("app.sent", func() uint64 { return m.Sent })
-	nw.Metrics.Func("app.received", func() uint64 { return m.Received })
-	nw.Metrics.GaugeFunc("app.delay_mean_s", func() float64 { return m.Delay.Mean() })
-	nw.Metrics.GaugeFunc("app.hops_mean", func() float64 { return m.Hops.Mean() })
+	nw.Metrics.Func("app.sent", func() uint64 { return t.sent })
+	nw.Metrics.Func("app.received", func() uint64 { return t.received })
+	nw.Metrics.GaugeFunc("app.delay_mean_s", t.delay.Mean)
+	nw.Metrics.GaugeFunc("app.hops_mean", t.hops.Mean)
 	return t
 }
 
-// fold replays the buffered deliveries into the meter and adds the
-// flows' generation counts to Sent. Idempotent.
+// fold replays the buffered deliveries into the accumulators and adds
+// the flows' generation counts to sent. Idempotent.
 func (t *appTap) fold(cbrs []*traffic.CBR) {
 	if t.folded {
 		return
 	}
 	t.folded = true
 	for _, c := range cbrs {
-		t.m.Sent += c.Sent()
+		t.sent += c.Sent()
 	}
+	t.received = uint64(len(t.buf))
 	for _, s := range t.buf {
-		t.m.PacketReceived(s.delay, s.hops)
+		t.delay.Add(s.delay)
+		t.hops.Add(float64(s.hops))
 	}
+}
+
+// delivery returns received/sent, or 0 when nothing was sent.
+func (t *appTap) delivery() float64 {
+	if t.sent == 0 {
+		return 0
+	}
+	return float64(t.received) / float64(t.sent)
 }

@@ -41,12 +41,6 @@ const Infinity Time = Time(math.MaxFloat64)
 // Millis returns t expressed in milliseconds.
 func (t Time) Millis() float64 { return float64(t) * 1e3 }
 
-// Micros returns t expressed in microseconds.
-func (t Time) Micros() float64 { return float64(t) * 1e6 }
-
-// Seconds returns t as a plain float64 number of seconds.
-func (t Time) Seconds() float64 { return float64(t) }
-
 // Event is a scheduled callback. Events are owned by the Kernel; user
 // code holds *Event only to cancel or inspect it.
 type Event struct {

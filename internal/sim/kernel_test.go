@@ -290,12 +290,6 @@ func TestTimeHelpers(t *testing.T) {
 	if tm.Millis() != 500 {
 		t.Fatalf("Millis = %v", tm.Millis())
 	}
-	if tm.Micros() != 500000 {
-		t.Fatalf("Micros = %v", tm.Micros())
-	}
-	if tm.Seconds() != 0.5 {
-		t.Fatalf("Seconds = %v", tm.Seconds())
-	}
 }
 
 // TestHeapStress drives the 4-ary heap through a large randomized

@@ -1,7 +1,6 @@
 // Package stats provides the measurement plumbing for experiments:
-// streaming moments (Welford), end-to-end delivery meters matching the
-// paper's three headline metrics (delivery ratio, end-to-end delay,
-// average hops), and table/CSV formatting for reproducing the figures.
+// streaming moments (Welford) and table/CSV formatting for reproducing
+// the figures.
 package stats
 
 import (
@@ -100,43 +99,6 @@ func (w *Welford) CI95() float64 {
 		return 0
 	}
 	return 1.96 * w.Std() / math.Sqrt(float64(w.n))
-}
-
-// Meter tracks one protocol run's end-to-end performance: the paper's
-// delivery ratio ("packets received by all the destinations divided by
-// packets sent by all the sources"), end-to-end delay, and hop count.
-type Meter struct {
-	Sent     uint64
-	Received uint64
-	Delay    Welford
-	Hops     Welford
-}
-
-// PacketSent records a source emission.
-func (m *Meter) PacketSent() { m.Sent++ }
-
-// PacketReceived records a destination arrival with its measured
-// end-to-end delay (seconds) and traversed hop count.
-func (m *Meter) PacketReceived(delay float64, hops int) {
-	m.Received++
-	m.Delay.Add(delay)
-	m.Hops.Add(float64(hops))
-}
-
-// DeliveryRatio returns received/sent, or 0 when nothing was sent.
-func (m *Meter) DeliveryRatio() float64 {
-	if m.Sent == 0 {
-		return 0
-	}
-	return float64(m.Received) / float64(m.Sent)
-}
-
-// Merge combines another meter into this one.
-func (m *Meter) Merge(o Meter) {
-	m.Sent += o.Sent
-	m.Received += o.Received
-	m.Delay.Merge(o.Delay)
-	m.Hops.Merge(o.Hops)
 }
 
 // Table renders aligned experiment output and CSV, one row per

@@ -114,43 +114,6 @@ func TestCI95Shrinks(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	var m Meter
-	if m.DeliveryRatio() != 0 {
-		t.Fatal("empty meter ratio should be 0")
-	}
-	for i := 0; i < 10; i++ {
-		m.PacketSent()
-	}
-	m.PacketReceived(0.5, 3)
-	m.PacketReceived(1.5, 5)
-	if m.DeliveryRatio() != 0.2 {
-		t.Fatalf("ratio %v, want 0.2", m.DeliveryRatio())
-	}
-	if m.Delay.Mean() != 1.0 {
-		t.Fatalf("delay mean %v, want 1", m.Delay.Mean())
-	}
-	if m.Hops.Mean() != 4 {
-		t.Fatalf("hops mean %v, want 4", m.Hops.Mean())
-	}
-}
-
-func TestMeterMerge(t *testing.T) {
-	var a, b Meter
-	a.PacketSent()
-	a.PacketReceived(1, 2)
-	b.PacketSent()
-	b.PacketSent()
-	b.PacketReceived(3, 4)
-	a.Merge(b)
-	if a.Sent != 3 || a.Received != 2 {
-		t.Fatalf("sent=%d received=%d", a.Sent, a.Received)
-	}
-	if a.Delay.Mean() != 2 {
-		t.Fatalf("delay mean %v", a.Delay.Mean())
-	}
-}
-
 func TestTableFormatting(t *testing.T) {
 	tb := NewTable("Figure X", "interval", "delivery", "note")
 	tb.AddRow(1.0, 0.987654, "ok")

@@ -54,20 +54,6 @@ func (s *SVG) Label(p geo.Point, text, fill string, size float64) {
 		s.x(p), s.y(p)+size/3, fill, size, text)
 }
 
-// Path draws a polyline through the points.
-func (s *SVG) Path(ps []geo.Point, stroke string, width float64) {
-	if len(ps) < 2 {
-		return
-	}
-	var coords []string
-	for _, p := range ps {
-		coords = append(coords, fmt.Sprintf("%.1f,%.1f", s.x(p), s.y(p)))
-	}
-	fmt.Fprintf(&s.body,
-		`<polyline points="%s" fill="none" stroke="%s" stroke-width="%.1f" stroke-opacity="0.6"/>`+"\n",
-		strings.Join(coords, " "), stroke, width)
-}
-
 // String emits the complete SVG document.
 func (s *SVG) String() string {
 	return fmt.Sprintf(

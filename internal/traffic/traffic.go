@@ -52,8 +52,6 @@ type CBR struct {
 	Interval sim.Time
 	// Size of each packet in bytes; 0 lets the protocol choose.
 	Size int
-	// OnSend, if set, observes each generation (metering hook).
-	OnSend func()
 
 	n      *node.Node
 	target packet.NodeID
@@ -78,9 +76,6 @@ func (c *CBR) emit() {
 		return
 	}
 	c.sent++
-	if c.OnSend != nil {
-		c.OnSend()
-	}
 	c.n.Net.Send(c.target, c.Size)
 }
 
@@ -98,6 +93,3 @@ func (c *CBR) Stop() { c.ticker.Stop() }
 
 // Sent returns how many packets were generated.
 func (c *CBR) Sent() uint64 { return c.sent }
-
-// Target returns the flow's destination.
-func (c *CBR) Target() packet.NodeID { return c.target }

@@ -50,6 +50,7 @@ import (
 	"routeless/internal/packet"
 	"routeless/internal/propagation"
 	"routeless/internal/routing"
+	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
 	"routeless/internal/traffic"
@@ -156,9 +157,6 @@ type (
 // Crash returns a duty-cycle crash fault with the given off fraction.
 var Crash = fault.Crash
 
-// Drain returns a battery-depletion fault with the given budget.
-var Drain = fault.Drain
-
 // Degrade returns a per-link shadowing fault with the given offset.
 var Degrade = fault.Degrade
 
@@ -262,13 +260,30 @@ type (
 	CBR = traffic.CBR
 	// TrafficPair is a source→destination connection.
 	TrafficPair = traffic.Pair
-	// Meter tracks delivery ratio, delay and hops.
-	Meter = stats.Meter
 	// Welford accumulates streaming statistics.
 	Welford = stats.Welford
 	// Table renders experiment output.
 	Table = stats.Table
 )
+
+// Wired runs: the one way every figure, document and example builds,
+// drives and scores a run.
+type (
+	// Spec describes one run: network, protocol, flows, mobility,
+	// faults and traffic window.
+	Spec = scenario.Spec
+	// CBRFlow is one constant-bit-rate source of a Spec.
+	CBRFlow = scenario.CBRFlow
+	// Mobility moves a Spec's first Movers nodes by random waypoint.
+	Mobility = scenario.Mobility
+	// RunMetrics is a finished run's delay, hops, delivery ratio, MAC
+	// transmissions and energy.
+	RunMetrics = scenario.RunMetrics
+)
+
+// Assemble wires a Spec into a run; its Finish drains the run, checks
+// the conservation laws and returns the RunMetrics.
+var Assemble = scenario.Assemble
 
 // NewCBR builds a stopped CBR flow from n toward target.
 var NewCBR = traffic.NewCBR

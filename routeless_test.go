@@ -93,12 +93,9 @@ func TestFailureProcessAPI(t *testing.T) {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})
 	src, dst := 0, 100
-	var meter routeless.Meter
-	nw.Nodes[dst].OnAppReceive = func(p *routeless.Packet) {
-		meter.PacketReceived(float64(nw.Kernel.Now()-p.CreatedAt), p.HopCount)
-	}
+	delivered := 0
+	nw.Nodes[dst].OnAppReceive = func(p *routeless.Packet) { delivered++ }
 	cbr := routeless.NewCBR(nw.Nodes[src], routeless.NodeID(dst), 0.5, 64)
-	cbr.OnSend = meter.PacketSent
 	cbr.Start()
 	for i, n := range nw.Nodes {
 		if i == src || i == dst {
@@ -111,12 +108,12 @@ func TestFailureProcessAPI(t *testing.T) {
 	nw.Run(30)
 	cbr.Stop()
 	nw.Run(35)
-	if meter.DeliveryRatio() < 0.85 {
-		t.Fatalf("delivery %v under 10%% failures", meter.DeliveryRatio())
+	if r := float64(delivered) / float64(cbr.Sent()); r < 0.85 {
+		t.Fatalf("delivery %v under 10%% failures", r)
 	}
 }
 
-// TestTrafficAndStatsAPI exercises RandomPairs, CBR, Meter and Table.
+// TestTrafficAndStatsAPI exercises RandomPairs, Welford and Table.
 func TestTrafficAndStatsAPI(t *testing.T) {
 	pairs := routeless.RandomPairs(routeless.NewKernel(3).Rand(), 50, 10)
 	if len(pairs) != 10 {
