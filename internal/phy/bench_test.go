@@ -2,6 +2,7 @@ package phy
 
 import (
 	"testing"
+	"unsafe"
 
 	"routeless/internal/geo"
 	"routeless/internal/packet"
@@ -156,6 +157,20 @@ func TestLinkBuildAllocatesOnce(t *testing.T) {
 	}
 	if !ch.pools.ids.clear() {
 		t.Fatal("the id bitset is not all zero after a build")
+	}
+}
+
+// TestLinkAndSignalSizes pins the two per-receiver records at their
+// milliwatt-only sizes: a link is an id, a firing rank, a mean power and
+// a delay; a signal is a receiver, two flags, two edge keys and a
+// power. A field added to either grows every link cache or every
+// transmission slab.
+func TestLinkAndSignalSizes(t *testing.T) {
+	if got := unsafe.Sizeof(link{}); got != 24 {
+		t.Fatalf("link is %d B, want 24", got)
+	}
+	if got := unsafe.Sizeof(signal{}); got != 48 {
+		t.Fatalf("signal is %d B, want 48", got)
 	}
 }
 

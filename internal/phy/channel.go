@@ -22,10 +22,9 @@ type link struct {
 	// by (delay, idx): where its signal goes in a transmission's slab so
 	// that the slab comes out in firing order. It lives in the padding
 	// after idx, so caching the order costs no memory.
-	ord     int32
-	meanDBm float64  // deterministic (unfaded) receive power
-	meanMW  float64  // meanDBm in milliwatts; computed only for a channel without fading, the one reader
-	delay   sim.Time // propagation delay over the transmitter→receiver distance
+	ord    int32
+	meanMW float64  // deterministic (unfaded) receive power, mW
+	delay  sim.Time // propagation delay over the transmitter→receiver distance
 }
 
 // Channel is the shared broadcast medium. It knows every radio's
@@ -39,11 +38,11 @@ type link struct {
 // delay and firing order precomputed. Caches build lazily on a node's
 // first transmission and are invalidated per node by MoveTo and
 // SetLinkOffset, so static topologies (the paper's scenarios) pay the
-// grid query, the id and firing-order passes, and the log/pow
-// propagation math exactly once per transmitter.
+// grid query, the id and firing-order passes, and the path-loss math
+// (in milliwatts, like every power on the run path) once per transmitter.
 type Channel struct {
 	model  *propagation.FreeSpace
-	fading bool       // draw a Rayleigh factor per link; without it, reuse meanMW
+	fading bool       // multiply each link's meanMW by a Rayleigh draw per frame
 	frng   *rand.Rand // fading draws
 	grid   *geo.Grid
 
@@ -59,12 +58,14 @@ type Channel struct {
 
 	// params is the single shared radio configuration every Radio points
 	// at, and power the single shared draw profile every Energy points
-	// at; noiseMW/csThreshMW/captureRatio are the linear-domain images of
-	// the dB thresholds, converted once here so the per-signal hot paths
-	// (carrier sensing, SINR) compare milliwatts without per-node cached
-	// copies. All frozen after NewChannel.
+	// at; txMW and the thresholds below are the linear-domain images of
+	// the dB parameters, converted once here so link building, fan-out,
+	// decode and SINR compare milliwatts without per-node cached copies.
+	// All frozen after NewChannel.
 	params       Params
 	power        Power
+	txMW         float64 // params.TxPowerDBm in mW
+	rxThreshMW   float64 // params.RxThreshDBm in mW
 	noiseMW      float64 // params.NoiseFloorDBm in mW
 	csThreshMW   float64 // params.CSThreshDBm in mW
 	captureRatio float64 // params.CaptureDB as a linear power ratio
@@ -121,8 +122,8 @@ type Channel struct {
 	cached     []int32
 	cachedHead int
 
-	// offsets holds the fault plane's per-link shadowing: extra gain in
-	// dB applied on top of the propagation model for specific directed
+	// offsets holds the fault plane's per-link shadowing: the linear
+	// factor SetLinkOffset's dB offset becomes, for specific directed
 	// links. Nil (the common case) means the power math runs exactly the
 	// pre-offset expressions, preserving float bit-identity.
 	offsets map[linkKey]float64
@@ -227,6 +228,8 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 	}
 	ch.params = params
 	ch.power = DefaultPower()
+	ch.txMW = propagation.DBmToMilliwatt(params.TxPowerDBm)
+	ch.rxThreshMW = propagation.DBmToMilliwatt(params.RxThreshDBm)
 	ch.noiseMW = propagation.DBmToMilliwatt(params.NoiseFloorDBm)
 	ch.csThreshMW = propagation.DBmToMilliwatt(params.CSThreshDBm)
 	ch.captureRatio = propagation.DBmToMilliwatt(params.CaptureDB)
@@ -312,7 +315,7 @@ func (c *Channel) RegisterMetrics(reg *metrics.Registry) {
 // between two node indices — used by tests and by range queries.
 func (c *Channel) MeanPowerAt(from, to int) float64 {
 	d := c.grid.At(from).Dist(c.grid.At(to))
-	return c.linkGain(from, to, c.model.ReceivedPower(c.params.TxPowerDBm, d))
+	return propagation.MilliwattToDBm(c.linkGain(from, to, c.txMW*c.model.Gain(d)))
 }
 
 // SetLinkOffset applies an extra deterministic gain of db decibels to
@@ -327,34 +330,37 @@ func (c *Channel) SetLinkOffset(from, to int, db float64) {
 		if c.offsets == nil {
 			c.offsets = make(map[linkKey]float64)
 		}
-		c.offsets[linkKey{int32(from), int32(to)}] = db
+		c.offsets[linkKey{int32(from), int32(to)}] = propagation.DBmToMilliwatt(db)
 	}
 	c.linkValid[from] = false
 }
 
-// LinkOffset returns the current extra gain on from→to (0 when none).
+// LinkOffset returns the current extra gain on from→to in dB (0 if none).
 func (c *Channel) LinkOffset(from, to int) float64 {
-	return c.offsets[linkKey{int32(from), int32(to)}]
+	if f, ok := c.offsets[linkKey{int32(from), int32(to)}]; ok {
+		return propagation.MilliwattToDBm(f)
+	}
+	return 0
 }
 
 // linkGain folds any fault-plane offset into the deterministic receive
-// power p. The nil-map fast path returns p untouched — not even p+0 is
-// computed — so runs without link faults stay float-bit-identical to
-// the pre-offset code.
+// power p (mW). The nil-map fast path returns p untouched — not even
+// p·1 is computed — so runs without link faults stay float-bit-identical
+// to the pre-offset code.
 func (c *Channel) linkGain(from, to int, p float64) float64 {
 	if c.offsets == nil {
 		return p
 	}
-	if o, ok := c.offsets[linkKey{int32(from), int32(to)}]; ok {
-		return p + o
+	if f, ok := c.offsets[linkKey{int32(from), int32(to)}]; ok {
+		return p * f
 	}
 	return p
 }
 
 // buildLinks computes node src's outgoing edges: receivers within the
 // cutoff in ascending id order (so fading draws stay reproducible),
-// with the same power and delay expressions transmit used before the
-// cache existed — the cache must be bit-for-bit equivalent, not merely
+// with the same power (txMW·Gain(d)) and delay expressions the uncached
+// path evaluates — the cache must be bit-for-bit equivalent, not merely
 // approximately right — and each link's place in firing order. The
 // receiver count is known before the first link is written, so the list
 // is sized once: a cold build allocates it in one piece, and a rebuild
@@ -370,16 +376,12 @@ func (c *Channel) buildLinks(src int) []link {
 		ls = make([]link, 0, len(c.scratch))
 	}
 	order := slices.Grow(c.pools.keys[:0], len(c.scratch))
-	tx := c.params.TxPowerDBm
 	for i, idx := range c.scratch {
 		d := pos.Dist(c.grid.At(idx))
 		l := link{
-			idx:     int32(idx),
-			meanDBm: c.linkGain(src, idx, c.model.ReceivedPower(tx, d)),
-			delay:   sim.Time(propagation.Delay(d)),
-		}
-		if !c.fading {
-			l.meanMW = propagation.DBmToMilliwatt(l.meanDBm)
+			idx:    int32(idx),
+			meanMW: c.linkGain(src, idx, c.txMW*c.model.Gain(d)),
+			delay:  sim.Time(propagation.Delay(d)),
 		}
 		ls = append(ls, l)
 		// A non-negative float32's bits order as the float does, so one
@@ -455,26 +457,22 @@ func (c *Channel) transmit(src *Radio, pkt *packet.Packet, dur sim.Time) *transm
 	for i := range ls {
 		l := &ls[i]
 		// Every in-cutoff receiver takes its fading draw, sensed or not,
-		// so the stream advances the same whatever the draws were; only
-		// the milliwatt conversion waits until the signal is scheduled.
-		pDBm, pMW := l.meanDBm, l.meanMW
+		// so the stream advances the same whatever the draws were; the
+		// unit-mean power factor needs no guard, as 0·meanMW is unsensed.
+		pMW := l.meanMW
 		if c.fading {
-			pDBm = propagation.Rayleigh{}.Fade(c.frng, l.meanDBm)
+			pMW *= c.frng.ExpFloat64()
 		}
-		if pDBm < c.params.CSThreshDBm {
+		if pMW < c.csThreshMW {
 			sigs[l.ord].rcv = -1 // too weak to sense or corrupt: not scheduled
 			continue
 		}
-		if c.fading {
-			pMW = propagation.DBmToMilliwatt(pDBm)
-		}
 		start := now + l.delay
 		sigs[l.ord] = signal{
-			rcv:      l.idx,
-			lead:     sim.EventKey{At: start, Seq: seq},
-			trail:    sim.EventKey{At: start + dur},
-			powerDBm: pDBm,
-			powerMW:  pMW,
+			rcv:     l.idx,
+			lead:    sim.EventKey{At: start, Seq: seq},
+			trail:   sim.EventKey{At: start + dur},
+			powerMW: pMW,
 		}
 		seq++
 	}
@@ -608,20 +606,20 @@ func (c *Channel) InjectInterference(pos geo.Point, txDBm float64, dur sim.Time)
 	seq := c.kernel.Seq()
 	t := c.pools.newTransmission(len(c.scratch))
 	sigs := t.signals[:0]
+	txMW := propagation.DBmToMilliwatt(txDBm)
 	for _, idx := range c.scratch {
 		d := pos.Dist(c.grid.At(idx))
-		pDBm := c.model.ReceivedPower(txDBm, d)
-		if pDBm < c.params.CSThreshDBm {
+		pMW := txMW * c.model.Gain(d)
+		if pMW < c.csThreshMW {
 			continue
 		}
 		start := now + sim.Time(propagation.Delay(d))
 		sigs = append(sigs, signal{
-			rcv:      int32(idx),
-			aborted:  true,
-			lead:     sim.EventKey{At: start, Seq: seq},
-			trail:    sim.EventKey{At: start + dur},
-			powerDBm: pDBm,
-			powerMW:  propagation.DBmToMilliwatt(pDBm),
+			rcv:     int32(idx),
+			aborted: true,
+			lead:    sim.EventKey{At: start, Seq: seq},
+			trail:   sim.EventKey{At: start + dur},
+			powerMW: pMW,
 		})
 		seq++
 	}

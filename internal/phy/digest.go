@@ -21,7 +21,7 @@ func digestSignal(h *digest.Hash, s *signal) {
 	h.Uint64(s.lead.Seq)
 	h.Float64(float64(s.trail.At))
 	h.Uint64(s.trail.Seq)
-	h.Float64(s.powerDBm)
+	h.Float64(s.powerMW)
 	h.Bool(s.tracked)
 	h.Bool(s.aborted)
 }

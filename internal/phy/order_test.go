@@ -65,11 +65,11 @@ func TestEqualArrivalTimesFireInIdOrder(t *testing.T) {
 	}
 }
 
-// edgeOrderGolden is the hash TestEdgeOrderGolden printed on the
-// per-receiver-event channel (one delivery object and two kernel events
-// per receiver) that the transmission cursors replaced; the channel that
-// still had per-radio transmit power prints it for this script too.
-const edgeOrderGolden = 0x79c827dee35c5cef
+// edgeOrderGolden is the hash TestEdgeOrderGolden prints on the
+// milliwatt channel. Only the RSSI words moved when link and signal
+// power left dBm: with RSSI left out, the dBm channel and this one both
+// hash the 5 797 indications to 0x3a3eff1a34eb74b5.
+const edgeOrderGolden = 0xc2048f7b91e1690
 
 // TestEdgeOrderGolden hashes every indication of a busy fading channel —
 // overlapping frames, a move and a link offset between frames, a jam
@@ -289,12 +289,13 @@ func TestFiringRankMatchesSort(t *testing.T) {
 }
 
 // TestFadingDrawsEveryInCutoffReceiver pins transmit's rule under
-// fading: skip the milliwatt conversion for a signal below carrier
-// sense, never its draw. One transmission on a Rayleigh-faded lattice
-// where some in-cutoff receivers fade below the threshold must advance
-// the fading stream by exactly one ExpFloat64 per link, and every
-// signal it schedules must carry the faded power its twin stream
-// predicts and that power's exact milliwatt image.
+// fading: every in-cutoff link takes one unit-mean power factor f, a
+// signal is scheduled iff meanMW·f reaches carrier sense, and it carries
+// exactly meanMW·f. One transmission on a Rayleigh-faded lattice where
+// some in-cutoff receivers fade below the threshold must advance the
+// fading stream by exactly one ExpFloat64 per link, drawn in id order,
+// and every signal it schedules must carry the bits its twin stream
+// predicts.
 func TestFadingDrawsEveryInCutoffReceiver(t *testing.T) {
 	const side, seed = 20, 11
 	k := sim.NewKernel(1)
@@ -319,8 +320,15 @@ func TestFadingDrawsEveryInCutoffReceiver(t *testing.T) {
 
 	twin := rand.New(rand.NewSource(seed))
 	want := make(map[int32]float64, len(links))
-	for _, l := range links { // id order: the order the stream is drawn in
-		if p := (propagation.Rayleigh{}).Fade(twin, l.meanDBm); p >= params.CSThreshDBm {
+	for i, l := range links {
+		if i > 0 && l.idx <= links[i-1].idx {
+			t.Fatalf("link %d (receiver %d) follows receiver %d: links are not in id order", i, l.idx, links[i-1].idx)
+		}
+		d := ch.Position(int(src.id)).Dist(ch.Position(int(l.idx)))
+		if mean := ch.txMW * model.Gain(d); math.Float64bits(l.meanMW) != math.Float64bits(mean) {
+			t.Fatalf("receiver %d: cached mean %v mW, want txMW·Gain(d) = %v", l.idx, l.meanMW, mean)
+		}
+		if p := l.meanMW * twin.ExpFloat64(); p >= ch.csThreshMW {
 			want[l.idx] = p
 		}
 	}
@@ -332,11 +340,8 @@ func TestFadingDrawsEveryInCutoffReceiver(t *testing.T) {
 	}
 	for _, s := range tx.signals {
 		p, ok := want[s.rcv]
-		if !ok || math.Float64bits(s.powerDBm) != math.Float64bits(p) {
-			t.Fatalf("receiver %d: scheduled at %v dBm, the twin stream predicts %v (scheduled %v)", s.rcv, s.powerDBm, p, ok)
-		}
-		if math.Float64bits(s.powerMW) != math.Float64bits(propagation.DBmToMilliwatt(s.powerDBm)) {
-			t.Fatalf("receiver %d: powerMW %v is not DBmToMilliwatt(%v)", s.rcv, s.powerMW, s.powerDBm)
+		if !ok || math.Float64bits(s.powerMW) != math.Float64bits(p) {
+			t.Fatalf("receiver %d: scheduled at %v mW, the twin stream predicts meanMW·f = %v (scheduled %v)", s.rcv, s.powerMW, p, ok)
 		}
 	}
 	k.Run()

@@ -89,6 +89,44 @@ func TestDeliveryInRange(t *testing.T) {
 	}
 }
 
+// TestMilliwattThresholdMatchesDB pins decode in the linear domain: on
+// a distance sweep that straddles the calibrated 250 m range, and takes
+// it exactly, a frame is decoded iff its dB receive power reaches
+// RxThreshDBm, and the listener gets MilliwattToDBm of the signal's
+// power as RSSI.
+func TestMilliwattThresholdMatchesDB(t *testing.T) {
+	model := propagation.NewFreeSpace()
+	params := DefaultParams(model, 250)
+	dists := []float64{250}
+	for d := 1.0; d < 600; d += 0.5 {
+		dists = append(dists, d)
+	}
+	for d := 249.99; d < 250.01; d += 1e-4 {
+		dists = append(dists, d)
+	}
+	decoded := 0
+	for _, d := range dists {
+		k, ch, recs := testChannel(t, pts(0, 0, d, 0), 250)
+		ch.Radio(0).Transmit(pkt(100))
+		k.Run()
+		want := model.ReceivedPower(params.TxPowerDBm, d) >= params.RxThreshDBm
+		if got := len(recs[1].rx) == 1; got != want {
+			t.Fatalf("d=%v m: decoded=%v, the dB threshold says %v", d, got, want)
+		}
+		if !want {
+			continue
+		}
+		decoded++
+		rssi := propagation.MilliwattToDBm(ch.links[0][0].meanMW)
+		if math.Float64bits(recs[1].rssi[0]) != math.Float64bits(rssi) {
+			t.Fatalf("d=%v m: rssi %v, want MilliwattToDBm(powerMW) = %v", d, recs[1].rssi[0], rssi)
+		}
+	}
+	if decoded == 0 || decoded == len(dists) {
+		t.Fatalf("%d of %d distances decoded: the sweep must straddle the threshold", decoded, len(dists))
+	}
+}
+
 func TestNoDeliveryOutOfRange(t *testing.T) {
 	k, ch, recs := testChannel(t, pts(0, 0, 2000, 0), 250)
 	ch.Radio(0).Transmit(pkt(100))
@@ -362,7 +400,7 @@ func TestDecodedFrameIsLentForOneCall(t *testing.T) {
 	before := r.Count(RxFrames)
 	const runs = 20
 	allocs := testing.AllocsPerRun(runs, func() {
-		*s = signal{rcv: 1, powerDBm: power, powerMW: propagation.DBmToMilliwatt(power)}
+		*s = signal{rcv: 1, powerMW: propagation.DBmToMilliwatt(power)}
 		r.signalStart(s)
 		r.signalEnd(s, f)
 	})

@@ -151,8 +151,7 @@ type signal struct {
 	// lead's sequence number is taken at transmit, in receiver-id order;
 	// trail's when the leading edge fires.
 	lead, trail sim.EventKey
-	powerDBm    float64
-	powerMW     float64
+	powerMW     float64 // receive power; RSSI is its dBm image, taken on decode
 }
 
 // Radio is a half-duplex transceiver attached to a Channel.
@@ -319,7 +318,7 @@ func (r *Radio) signalStart(s *signal) {
 	r.inAir = append(r.inAir, s)
 	switch r.State() {
 	case StateIdle:
-		if s.powerDBm >= r.params.RxThreshDBm {
+		if s.powerMW >= r.channel.rxThreshMW {
 			switch {
 			case !r.sinrOK(s):
 				r.stats[MissedWeak].Inc()
@@ -383,7 +382,7 @@ func (r *Radio) signalEnd(s *signal, f *frame) {
 				if r.listener != nil {
 					buf := &r.channel.rxBuf
 					*buf = f.pkt
-					r.listener.OnReceive(buf, s.powerDBm)
+					r.listener.OnReceive(buf, propagation.MilliwattToDBm(s.powerMW))
 					*buf = packet.Packet{}
 				}
 			}

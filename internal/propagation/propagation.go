@@ -4,9 +4,10 @@
 // calibration helpers that turn "transmission range of roughly 250
 // meters" (§4.3) into concrete power thresholds.
 //
-// Power bookkeeping convention: transmit power is given in dBm, the
-// model returns received power in dBm. Conversions to/from milliwatts are
-// provided for the SINR arithmetic in internal/phy.
+// Power bookkeeping convention: the channel works in milliwatts (transmit
+// power times the linear path Gain, times a unit-mean Rayleigh factor);
+// dBm is for calibration (ReceivedPower, RangeFor, ThresholdFor) and for
+// the RSSI a decoded frame reports.
 package propagation
 
 import (
@@ -22,12 +23,7 @@ const SpeedOfLight = 299792458.0
 func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
 // MilliwattToDBm converts mW to dBm.
-func MilliwattToDBm(mw float64) float64 {
-	if mw <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(mw)
-}
+func MilliwattToDBm(mw float64) float64 { return 10 * math.Log10(mw) }
 
 // FreeSpace is the Friis free-space model used for all of the paper's
 // simulations ("In all the simulations, the free space propagation
@@ -57,16 +53,22 @@ func NewFreeSpace() *FreeSpace {
 // Wavelength returns λ in meters.
 func (m *FreeSpace) Wavelength() float64 { return SpeedOfLight / m.FrequencyHz }
 
-// ReceivedPower returns the power (dBm) observed at distance d meters
-// from a transmitter emitting txDBm. d is clamped to RefDistance.
-func (m *FreeSpace) ReceivedPower(txDBm, d float64) float64 {
+// Gain returns the linear path gain Pr/Pt at distance d meters, d
+// clamped to RefDistance.
+func (m *FreeSpace) Gain(d float64) float64 {
 	if d < m.RefDistance {
 		d = m.RefDistance
 	}
 	lambda := m.Wavelength()
-	gain := m.GainTx * m.GainRx * lambda * lambda /
+	return m.GainTx * m.GainRx * lambda * lambda /
 		((4 * math.Pi) * (4 * math.Pi) * d * d * m.SystemLoss)
-	return txDBm + 10*math.Log10(gain)
+}
+
+// ReceivedPower returns the power (dBm) observed at distance d meters
+// from a transmitter emitting txDBm: the calibration-side image of
+// Gain. d is clamped to RefDistance.
+func (m *FreeSpace) ReceivedPower(txDBm, d float64) float64 {
+	return txDBm + 10*math.Log10(m.Gain(d))
 }
 
 // Rayleigh models small-scale multipath fading: received power is the

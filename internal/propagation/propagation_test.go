@@ -20,6 +20,33 @@ func TestDBmConversionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGainIsReceivedPowerInMilliwatts pins the channel's linear power
+// rule against the calibration in dB: txMW·Gain(d) is
+// DBmToMilliwatt(ReceivedPower(tx, d)) to 1e-12 relative, from 1 m to
+// the fading cutoff (the carrier-sense range of a 250 m calibration,
+// widened by a 12 dB fade margin), and ReceivedPower is Friis's
+// tx + 20·log10(λ/4πd). A wrong constant would move every power by the
+// same ratio and pass any byte gate.
+func TestGainIsReceivedPowerInMilliwatts(t *testing.T) {
+	m := NewFreeSpace()
+	const tx, fadeMarginDB = 24.5, 12
+	cutoff := RangeFor(m, tx, ThresholdFor(m, tx, 250*2.2)-fadeMarginDB, 1, 1e5)
+	if cutoff < 2000 {
+		t.Fatalf("fading cutoff %v m, want the 12 dB margin to reach past 2 km", cutoff)
+	}
+	txMW := DBmToMilliwatt(tx)
+	for d := 1.0; d <= cutoff; d += 0.37 {
+		lin, db := txMW*m.Gain(d), DBmToMilliwatt(m.ReceivedPower(tx, d))
+		if rel := math.Abs(lin-db) / db; rel > 1e-12 {
+			t.Fatalf("d=%v m: txMW·Gain = %v mW, DBmToMilliwatt(ReceivedPower) = %v mW (relative %v)", d, lin, db, rel)
+		}
+		friis := tx + 20*math.Log10(m.Wavelength()/(4*math.Pi*d))
+		if got := m.ReceivedPower(tx, d); math.Abs(got-friis) > 1e-9 {
+			t.Fatalf("d=%v m: ReceivedPower = %v dBm, Friis gives %v", d, got, friis)
+		}
+	}
+}
+
 func TestFreeSpaceMonotone(t *testing.T) {
 	m := NewFreeSpace()
 	prev := m.ReceivedPower(20, 1)

@@ -28,7 +28,6 @@ const (
 	AODVRREPSent
 	AODVRREPForwarded
 	AODVRERRSent
-	AODVHellos     // never counted since hellos went; aodv.hellos stays a journal column
 	AODVLinkBreaks // link-layer ARQ failures
 	AODVRoutesInvalided
 	AODVRediscoveries
@@ -49,7 +48,6 @@ var aodvTable = metrics.Table{
 		AODVRREPSent:        "aodv.rrep_sent",
 		AODVRREPForwarded:   "aodv.rrep_forwarded",
 		AODVRERRSent:        "aodv.rerr_sent",
-		AODVHellos:          "aodv.hellos",
 		AODVLinkBreaks:      "aodv.link_breaks",
 		AODVRoutesInvalided: "aodv.routes_invalided",
 		AODVRediscoveries:   "aodv.rediscoveries",

@@ -93,9 +93,6 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 		h.Int64(int64(rs.armedFrom))
 		h.Int(rs.txHop)
 		h.Int(rs.retries)
-		// Always zero: nothing re-acknowledges since the detour check;
-		// the word stays because it is part of the snapshot digest's layout.
-		h.Int(0)
 		h.Float64(float64(rs.created))
 		h.Float64(float64(rs.repairStart))
 		digestPkt(h, rs.fwd)

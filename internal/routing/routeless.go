@@ -103,7 +103,6 @@ const (
 	RRCancelledByAck      // backoffs cancelled by an ACK
 	RRArbiterAcks         // ACKs sent after overhearing the next hop
 	RRTargetAcks          // ACKs sent as the packet's target
-	RRReAcks              // never counted since the detour check; rr.re_acks stays a journal column
 	RRStaleDrops          // copies refused by the detour check
 	RRAbstains            // elections skipped for lack of a gradient
 	RRTTLDrops
@@ -130,7 +129,6 @@ var routelessTable = metrics.Table{
 		RRCancelledByAck:      "rr.cancelled_by_ack",
 		RRArbiterAcks:         "rr.arbiter_acks",
 		RRTargetAcks:          "rr.target_acks",
-		RRReAcks:              "rr.re_acks",
 		RRStaleDrops:          "rr.stale_drops",
 		RRAbstains:            "rr.abstains",
 		RRTTLDrops:            "rr.ttl_drops",

@@ -49,10 +49,12 @@ const Magic = "RLSNAP1\n"
 // keys, where a transmission now has only its two cursors (the rest
 // moved into the state word), version 4 hashed AODV's neighbour
 // last-heard table and numbered the packet kinds after RERR from a
-// hello kind on, and version 5 hashed a per-radio transmit power into
-// the state word; none can match a replay, so such a file is refused up
-// front.
-const Version = 6
+// hello kind on, version 5 hashed a per-radio transmit power into the
+// state word, and version 6 hashed each signal's power in dBm, a
+// Routeless relay's always-zero re-ack word and the never-counted
+// aodv.hellos and rr.re_acks series; none can match a replay, so such a
+// file is refused up front.
+const Version = 7
 
 // maxScenarioLen bounds the embedded document so a corrupt length field
 // cannot drive a huge allocation before the CRC check runs.
