@@ -56,8 +56,8 @@ type Channel struct {
 	states   []State
 	energies []Energy
 
-	// params is the single shared radio configuration every Radio points
-	// at, and power the single shared draw profile every Energy points
+	// params is the single shared radio configuration every Radio reads
+	// through its channel, and power the single shared draw profile every Energy points
 	// at; txMW and the thresholds below are the linear-domain images of
 	// the dB parameters, converted once here so link building, fan-out,
 	// decode and SINR compare milliwatts without per-node cached copies.
@@ -238,8 +238,6 @@ func NewChannel(k *sim.Kernel, rect geo.Rect, positions []geo.Point, params Para
 	for i := range positions {
 		r := &ch.radios[i]
 		r.id = packet.NodeID(i)
-		r.params = &ch.params
-		r.kernel = k
 		r.channel = ch
 		ch.states[i] = StateIdle
 		ch.energies[i] = Energy{power: &ch.power, state: StateIdle}

@@ -2,9 +2,11 @@ package phy
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"routeless/internal/geo"
 	"routeless/internal/metrics"
@@ -306,6 +308,62 @@ func TestCarrierBusyDuringOwnTx(t *testing.T) {
 	k.Run()
 	if ch.Radio(0).CarrierBusy() {
 		t.Fatal("idle radio senses busy")
+	}
+}
+
+// Property: the running in-air sum is the fold it replaces. After every
+// event of a random script of overlapping frames, power-downs and
+// power-ups among radios at scattered distances, each radio's airMW is
+// bit-equal to a fresh fold over its in-air set in storage order.
+func TestQuickAirSumEqualsFold(t *testing.T) {
+	deepest := 0
+	f := func(seed int64) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		k := sim.NewKernel(1)
+		model := propagation.NewFreeSpace()
+		const n = 8
+		positions := make([]geo.Point, n)
+		for i := range positions {
+			positions[i] = geo.Point{X: 400 * rnd.Float64(), Y: 400 * rnd.Float64()}
+		}
+		ch := NewChannel(k, geo.NewRect(400, 400), positions, DefaultParams(model, 250), ChannelConfig{Model: model})
+		for i := range n {
+			ch.Radio(i).SetListener(nullListener{})
+		}
+		for range 60 {
+			r, op := ch.Radio(rnd.Intn(n)), rnd.Intn(8)
+			k.At(sim.Time(0.02*rnd.Float64()), func() {
+				switch {
+				case op < 5:
+					if r.On() && r.State() != StateTx {
+						r.Transmit(pkt(64 + rnd.Intn(448)))
+					}
+				case op == 5:
+					r.TurnOff()
+				case op == 6:
+					r.Sleep()
+				default:
+					r.TurnOn()
+				}
+			})
+		}
+		for k.Step() {
+			for i := range n {
+				r := ch.Radio(i)
+				deepest = max(deepest, len(r.inAir))
+				if got, want := r.airMW, r.foldAirMW(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("seed %d at %v: radio %d holds %v mW, its %d signals fold to %v", seed, k.Now(), i, got, len(r.inAir), want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if deepest < 3 {
+		t.Fatalf("no radio held more than %d signals: removal order never mattered", deepest)
 	}
 }
 

@@ -163,19 +163,21 @@ type signal struct {
 // Pools.radioArena). The Radio holds its id and channel pointer and
 // reads/writes those arrays through accessors, so a million-radio
 // network touches dense arrays instead of a million heap objects.
+//
+// The configuration and the kernel are the channel's too: every radio on
+// a channel runs the same Params, read through r.channel, as are the
+// linear-domain thresholds (Channel.noiseMW and friends).
 type Radio struct {
-	id packet.NodeID
-	// params points at the Channel's single shared copy: every radio on
-	// a channel runs the same configuration, and an inline 48-byte
-	// duplicate per node is real arena weight at mega scale.
-	// The linear-domain threshold cache lives on the Channel too (see
-	// Channel.noiseMW and friends).
-	params   *Params
-	kernel   *sim.Kernel
+	id       packet.NodeID
 	channel  *Channel
 	listener Listener
 
-	inAir     []*signal
+	inAir []*signal
+	// airMW is the sum of inAir's powers folded in storage order — the
+	// fold CarrierBusy compares with the carrier-sense threshold, kept
+	// bit-identical to a fresh one: an append adds to it, a removal
+	// re-folds the reordered set, a power-down zeroes it.
+	airMW     float64
 	rx        *signal
 	rxCorrupt bool
 	busy      bool // last carrier-sense state reported
@@ -190,6 +192,10 @@ type Radio struct {
 	// txDone against a stale completion event from a transmission that a
 	// power-down already truncated.
 	txEnd sim.Time
+	// txDoneFn is txDone bound once, on the radio's first Transmit: a
+	// method value passed to Schedule escapes, so binding it per frame
+	// would allocate on every transmission.
+	txDoneFn func()
 
 	stats [numRadioSeries]metrics.Counter32
 }
@@ -202,7 +208,7 @@ func (r *Radio) ID() packet.NodeID { return r.id }
 func (r *Radio) State() State { return r.channel.states[r.id] }
 
 // Params returns the radio's configuration.
-func (r *Radio) Params() Params { return *r.params }
+func (r *Radio) Params() Params { return r.channel.params }
 
 // Count returns the current value of one of the radio's counters.
 func (r *Radio) Count(s RadioSeries) uint64 { return r.stats[s].Value() }
@@ -229,10 +235,11 @@ func (r *Radio) CarrierBusy() bool {
 	if s := r.channel.states[r.id]; s == StateTx || s == StateRx {
 		return true
 	}
-	return r.inAirMW() >= r.channel.csThreshMW
+	return r.airMW >= r.channel.csThreshMW
 }
 
-func (r *Radio) inAirMW() float64 {
+// foldAirMW sums inAir's powers in storage order: what airMW holds.
+func (r *Radio) foldAirMW() float64 {
 	var sum float64
 	for _, s := range r.inAir {
 		sum += s.powerMW
@@ -285,17 +292,20 @@ func (r *Radio) Transmit(pkt *packet.Packet) {
 	r.updateCarrier() // our own transmission makes the medium busy
 	r.stats[TxFrames].Inc()
 	pkt.From = r.id
-	dur := r.params.AirTime(pkt.Size)
-	r.txEnd = r.kernel.Now() + dur
+	dur := r.channel.params.AirTime(pkt.Size)
+	r.txEnd = r.channel.kernel.Now() + dur
 	r.txLive = r.channel.transmit(r, pkt, dur)
-	r.kernel.Schedule(dur, r.txDone)
+	if r.txDoneFn == nil {
+		r.txDoneFn = r.txDone
+	}
+	r.channel.kernel.Schedule(dur, r.txDoneFn)
 }
 
 func (r *Radio) txDone() {
 	if r.State() != StateTx { // turned off mid-transmission
 		return
 	}
-	if r.kernel.Now() < r.txEnd { // stale event from a truncated transmission
+	if r.channel.kernel.Now() < r.txEnd { // stale event from a truncated transmission
 		return
 	}
 	r.txLive = nil
@@ -316,6 +326,7 @@ func (r *Radio) signalStart(s *signal) {
 	s.tracked = true
 	r.stats[SignalStarts].Inc()
 	r.inAir = append(r.inAir, s)
+	r.airMW += s.powerMW
 	switch r.State() {
 	case StateIdle:
 		if s.powerMW >= r.channel.rxThreshMW {
@@ -365,6 +376,7 @@ func (r *Radio) signalEnd(s *signal, f *frame) {
 			break
 		}
 	}
+	r.airMW = r.foldAirMW()
 	if r.rx == s {
 		ok := !r.rxCorrupt && r.State() == StateRx
 		r.rx = nil
@@ -446,6 +458,7 @@ func (r *Radio) powerDown(s State) {
 	}
 	clear(r.inAir)
 	r.inAir = r.inAir[:0]
+	r.airMW = 0
 	r.setState(s)
 	r.busy = false
 }
@@ -462,6 +475,6 @@ func (r *Radio) TurnOn() {
 
 func (r *Radio) setState(s State) {
 	st := &r.channel.states[r.id]
-	r.channel.energies[r.id].Transition(r.kernel.Now(), *st, s)
+	r.channel.energies[r.id].Transition(r.channel.kernel.Now(), *st, s)
 	*st = s
 }

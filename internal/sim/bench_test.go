@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduleRun measures raw event throughput: schedule-and-fire
 // of independent events.
@@ -57,5 +60,38 @@ func BenchmarkHeapMixed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Cancel(evs[i%depth])
 		evs[i%depth] = k.Schedule(Time(i%depth)+1e6, func() {})
+	}
+}
+
+// BenchmarkCursorWalk measures the signal-edge path: one cursor walks a
+// run of 74 keys 1 ns apart, re-keying itself at every edge, over a heap
+// of far-future ordinary events as deep as flood_dense's mean (27) and
+// route_unicast's (400). It reports ns per edge.
+func BenchmarkCursorWalk(b *testing.B) {
+	const edges = 74
+	for _, depth := range []int{27, 400} {
+		b.Run(fmt.Sprintf("heap_%d", depth), func(b *testing.B) {
+			k := NewKernel(1)
+			for i := 0; i < depth; i++ {
+				k.At(1e9+Time(i), func() {})
+			}
+			var first uint64
+			left := 0
+			walk := func() {
+				if left--; left > 0 {
+					k.Rekey(EventKey{At: k.Now() + 1e-9, Seq: first + uint64(edges-left)})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				first, left = k.ReserveSeq(edges), edges
+				k.AtCursor(EventKey{At: k.Now() + 1e-9, Seq: first}, walk)
+				for left > 0 {
+					k.Step()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*edges), "ns/edge")
+		})
 	}
 }

@@ -24,6 +24,12 @@ type cursorWorld struct {
 	timers   []*Timer
 	launches int // runs still to start
 	maxHeap  int
+
+	runs   []*cursorRun // every run, heads and tails, in creation order
+	firing *cursorRun   // the run whose key is firing, nil in other callbacks
+	// cutInHeap and cutInRegister count runs cut short by another
+	// callback, by where the cursor play's event sat when it was cancelled.
+	cutInHeap, cutInRegister int
 }
 
 func (w *cursorWorld) note(what string) {
@@ -34,14 +40,16 @@ func (w *cursorWorld) note(what string) {
 // cursorRun is one ascending run of reserved keys. A head run knows all
 // its keys at launch (a transmission's leading edges); its tail run, if
 // any, gains one key each time a head key fires (the trailing edges) and
-// may be caught up by, and re-armed behind, its own producer.
+// may be caught up by, and re-armed behind, its own producer. Another
+// callback may cut a run short, as a power-down flushes a receiver: the
+// keys it has queued never fire, and a tail run re-arms on its next key.
 type cursorRun struct {
 	w      *cursorWorld
 	id     int
 	keys   []EventKey
 	next   int
 	stop   int      // the run ends after this key fires; len(keys) means never
-	events []*Event // perEvent: one per key, so an early end can cancel the rest
+	events []*Event // perEvent: one per key, so an early end can cancel the rest; nil once cancelled
 	self   *Event   // cursor: the one event standing for the run, nil when not armed
 	tail   *cursorRun
 	lag    Time // tail key = head firing time + lag
@@ -50,6 +58,7 @@ type cursorRun struct {
 func (w *cursorWorld) launch() {
 	w.launches--
 	r := &cursorRun{w: w, id: w.launches, lag: Time(w.rng.Intn(3)) / 2}
+	w.runs = append(w.runs, r)
 	n := 1 + w.rng.Intn(12)
 	first := w.k.ReserveSeq(n)
 	for i := 0; i < n; i++ {
@@ -69,6 +78,7 @@ func (w *cursorWorld) launch() {
 	}
 	if w.rng.Intn(3) > 0 {
 		r.tail = &cursorRun{w: w, id: 1000 + r.id}
+		w.runs = append(w.runs, r.tail)
 	}
 	w.note(fmt.Sprintf("launch %d: %d keys", r.id, n))
 	if w.perEvent {
@@ -86,7 +96,7 @@ func (r *cursorRun) push(key EventKey) {
 	r.keys = append(r.keys, key)
 	r.stop = len(r.keys)
 	if r.w.perEvent {
-		r.w.k.AtCursor(key, r.fire)
+		r.events = append(r.events, r.w.k.AtCursor(key, r.fire))
 	} else if r.self == nil {
 		r.self = r.w.k.AtCursor(key, r.fire)
 	}
@@ -97,6 +107,8 @@ func (r *cursorRun) push(key EventKey) {
 func (r *cursorRun) fire() {
 	w, i := r.w, r.next
 	r.next++
+	w.firing = r
+	defer func() { w.firing = nil }()
 	w.note(fmt.Sprintf("run %d key %d", r.id, i))
 	rekeyFirst := r.id%2 == 0
 	more := i < r.stop && i+1 < len(r.keys)
@@ -110,9 +122,7 @@ func (r *cursorRun) fire() {
 	switch {
 	case w.perEvent:
 		if i == r.stop {
-			for _, e := range r.events[i+1:] {
-				w.k.Cancel(e)
-			}
+			r.cancelQueued()
 		}
 	case more:
 		if !rekeyFirst {
@@ -126,6 +136,35 @@ func (r *cursorRun) fire() {
 		}
 		r.self = nil
 	}
+}
+
+// queued reports whether the run has a key queued to fire.
+func (r *cursorRun) queued() bool { return r.next < len(r.keys) && r.next <= r.stop }
+
+// cancelQueued cancels the per-event play's unfired keys.
+func (r *cursorRun) cancelQueued() {
+	for j := r.next; j < len(r.events); j++ {
+		r.w.k.Cancel(r.events[j])
+		r.events[j] = nil
+	}
+}
+
+// cut ends the run from another callback: its queued keys never fire.
+func (r *cursorRun) cut() {
+	w := r.w
+	w.note(fmt.Sprintf("cut %d", r.id))
+	if w.perEvent {
+		r.cancelQueued()
+	} else {
+		if r.self.index == inRegister {
+			w.cutInRegister++
+		} else {
+			w.cutInHeap++
+		}
+		w.k.Cancel(r.self)
+		r.self = nil
+	}
+	r.next = len(r.keys)
 }
 
 // act is what a protocol does on an indication: schedule at this very
@@ -156,6 +195,17 @@ func (w *cursorWorld) act() {
 	case 2:
 		t.Stop()
 	}
+	if w.rng.Intn(6) == 0 {
+		var live []*cursorRun
+		for _, r := range w.runs {
+			if r != w.firing && r.queued() {
+				live = append(live, r)
+			}
+		}
+		if len(live) > 0 {
+			live[w.rng.Intn(len(live))].cut()
+		}
+	}
 	if w.launches > 0 && w.rng.Intn(4) == 0 {
 		w.launch()
 	}
@@ -181,8 +231,11 @@ func playCursorScript(seed int64, perEvent bool) *cursorWorld {
 
 // Property: cursors are an encoding of the heap, not a change to it.
 func TestQuickCursorOrderEqualsPerEventOrder(t *testing.T) {
+	var inHeap, inRegister int
 	f := func(seed int64) bool {
 		ref, cur := playCursorScript(seed, true), playCursorScript(seed, false)
+		inHeap += cur.cutInHeap
+		inRegister += cur.cutInRegister
 		for i := range ref.log {
 			if i >= len(cur.log) || ref.log[i] != cur.log[i] {
 				t.Errorf("seed %d entry %d: per-event %q, cursor %q", seed, i, ref.log[i], cur.log[min(i, len(cur.log)-1)])
@@ -203,6 +256,10 @@ func TestQuickCursorOrderEqualsPerEventOrder(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	if inHeap == 0 || inRegister == 0 {
+		t.Fatalf("scripts cut %d cursors in the heap and %d in the register; want both", inHeap, inRegister)
+	}
+	t.Logf("cut %d cursors in the heap, %d in the register", inHeap, inRegister)
 }
 
 func TestCursorContracts(t *testing.T) {
@@ -219,12 +276,83 @@ func TestCursorContracts(t *testing.T) {
 	mustPanic("AtCursor under an unreserved number", func() { k.AtCursor(EventKey{At: 1, Seq: k.Seq()}, func() {}) })
 	mustPanic("Rekey outside a callback", func() { k.Rekey(EventKey{At: 1}) })
 	k.Schedule(1, func() { mustPanic("Rekey from an ordinary event", func() { k.Rekey(EventKey{At: 2}) }) })
-	first := k.ReserveSeq(2)
+	first := k.ReserveSeq(3)
+	fired := 0
 	k.AtCursor(EventKey{At: 2, Seq: first + 1}, func() {
-		mustPanic("Rekey backwards", func() { k.Rekey(EventKey{At: 2, Seq: first}) })
+		if fired++; fired == 1 {
+			mustPanic("Rekey backwards", func() { k.Rekey(EventKey{At: 2, Seq: first}) })
+			k.Rekey(EventKey{At: 4, Seq: first + 2})
+		}
 	})
+	// The cursor now waits in the register, under (4, first+2), until it
+	// fires again: only its own callback may move it.
+	k.Schedule(3, func() {
+		mustPanic("Rekey from an ordinary event while a cursor waits in the register", func() { k.Rekey(EventKey{At: 5, Seq: first + 2}) })
+	})
+	k.RunUntil(3.5)
+	mustPanic("Rekey between events while a cursor waits in the register", func() { k.Rekey(EventKey{At: 5, Seq: first + 2}) })
 	k.Run()
-	if k.Processed() != 2 || k.Pending() != 0 {
-		t.Fatalf("processed %d, pending %d; want 2, 0", k.Processed(), k.Pending())
+	if k.Processed() != 4 || k.Pending() != 0 || fired != 2 {
+		t.Fatalf("processed %d, pending %d, cursor fired %d times; want 4, 0, 2", k.Processed(), k.Pending(), fired)
+	}
+}
+
+// TestRegisterIsQueued checks that a cursor waiting in the kernel's
+// register is queued to every observer — Pending, PendingKeys,
+// Event.Pending and Cancel — and that a cursor reaching the heap's root
+// trades places with it.
+func TestRegisterIsQueued(t *testing.T) {
+	k := NewKernel(1)
+	first := k.ReserveSeq(4)
+	key := func(at Time, i int) EventKey { return EventKey{At: at, Seq: first + uint64(i)} }
+	walk := func(keys ...EventKey) func() {
+		return func() {
+			if len(keys) > 0 {
+				k.Rekey(keys[0])
+				keys = keys[1:]
+			}
+		}
+	}
+	// a fires at 1 and 3, b at 2 and 4: each edge hands the register over.
+	a := k.AtCursor(key(1, 0), walk(key(3, 2)))
+	b := k.AtCursor(key(2, 1), walk(key(4, 3)))
+	far := k.At(10, func() {})
+	farKey := EventKey{At: 10, Seq: first + 4}
+	check := func(step string, want ...EventKey) {
+		t.Helper()
+		if got := k.PendingKeys(); !slices.Equal(got, want) {
+			t.Errorf("%s: pending keys %v, want %v", step, got, want)
+		}
+		if k.Pending() != len(want) {
+			t.Errorf("%s: Pending() = %d, want %d", step, k.Pending(), len(want))
+		}
+	}
+	check("before any step", key(1, 0), key(2, 1), farKey)
+	k.Step()
+	if a.index != inRegister || !a.Pending() {
+		t.Fatalf("a rekeyed but is not queued in the register (index %d)", a.index)
+	}
+	check("a in the register", key(2, 1), key(3, 2), farKey)
+	k.Step()
+	if b.index != inRegister || !b.Pending() || a.index == inRegister || !a.Pending() {
+		t.Fatalf("b did not take the register from a (indexes %d, %d)", a.index, b.index)
+	}
+	check("b in the register, a in the heap", key(3, 2), key(4, 3), farKey)
+	k.Cancel(b)
+	if b.Pending() || k.reg.e != nil {
+		t.Fatal("Cancel left b in the register")
+	}
+	check("b cancelled", key(3, 2), farKey)
+	k.Step() // a's last edge: it takes the empty register, fires and leaves it
+	if a.Pending() || k.reg.e != nil {
+		t.Fatal("a ended but is still queued")
+	}
+	check("a ended", farKey)
+	if !far.Pending() {
+		t.Fatal("the ordinary event left the queue")
+	}
+	k.Run()
+	if k.Processed() != 4 || k.Pool().Live() != 0 {
+		t.Fatalf("processed %d, %d live; want 4, 0", k.Processed(), k.Pool().Live())
 	}
 }

@@ -16,8 +16,11 @@
 // producer that knows a whole run of future keys at once — the channel
 // knows every edge of a transmission when it starts — may instead
 // reserve the numbers (ReserveSeq) and walk the run with one cursor
-// event (AtCursor, Rekey): the heap then holds the run's next key only,
+// event (AtCursor, Rekey): the queue then holds the run's next key only,
 // and the pop sequence is exactly what one event per key would give.
+// The cursor that fired last waits in a one-slot register beside the
+// heap, so a run whose next key is again the earliest — most of them —
+// fires again without touching the heap.
 package sim
 
 import (
@@ -45,13 +48,17 @@ func (t Time) Millis() float64 { return float64(t) * 1e3 }
 // code holds *Event only to cancel or inspect it.
 type Event struct {
 	fn     func()
-	index  int // position in the heap, -1 when not queued
+	index  int // position in the heap, inRegister, or -1 when not queued
 	kernel *Kernel
 	cursor bool // scheduled by AtCursor: stays queued while fn runs
 }
 
 // Pending reports whether the event is still queued to fire.
 func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
+
+// inRegister is the index of an event held in the kernel's cursor
+// register rather than in the heap: queued, so ≥ 0, and no heap slot.
+const inRegister = math.MaxInt
 
 // EventKey is one event's position in the execution order: its time,
 // then the sequence number that breaks ties deterministically — the
@@ -170,10 +177,15 @@ type Kernel struct {
 	// list survives the kernel and warms the next run.
 	pool *EventPool
 
-	// firing is the cursor event whose callback Step is running (nil
-	// otherwise) and rekeyed whether that callback has moved it to a
-	// later key rather than letting it end.
-	firing  *Event
+	// reg is the cursor register: the cursor that fired last, queued
+	// under its next key outside the heap (reg.e is nil when empty).
+	// Step fires whichever of reg and the heap's root comes first.
+	reg heapNode
+
+	// firing is whether Step is running the register's callback, and
+	// rekeyed whether that callback has moved it to a later key rather
+	// than letting it end.
+	firing  bool
 	rekeyed bool
 }
 
@@ -211,8 +223,14 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// Pending returns the number of events currently queued.
-func (k *Kernel) Pending() int { return len(k.events) }
+// Pending returns the number of events currently queued, the
+// register's cursor included.
+func (k *Kernel) Pending() int {
+	if k.reg.e != nil {
+		return len(k.events) + 1
+	}
+	return len(k.events)
+}
 
 // Seq returns the scheduling sequence counter: the total number of
 // events ever queued on this kernel. Together with Now, Processed, and
@@ -228,9 +246,12 @@ func (k *Kernel) Seq() uint64 { return k.seq }
 // one key it is queued under; the rest of its run is its owner's state
 // to digest. It allocates; not for hot paths.
 func (k *Kernel) PendingKeys() []EventKey {
-	keys := make([]EventKey, len(k.events))
+	keys := make([]EventKey, len(k.events), k.Pending())
 	for i, hn := range k.events {
 		keys[i] = hn.EventKey
+	}
+	if k.reg.e != nil {
+		keys = append(keys, k.reg.EventKey)
 	}
 	slices.SortFunc(keys, func(a, b EventKey) int {
 		if a.Before(b) {
@@ -282,8 +303,9 @@ func (k *Kernel) ReserveSeq(n int) uint64 {
 // ascending run of reserved keys, of which the heap holds only the
 // next. Each time it fires, fn handles the key it fired under and
 // either calls Rekey with the run's next key or returns without doing
-// so, which ends the cursor. Step keeps a cursor queued while fn runs so
-// that Rekey is a single in-place sift instead of a pop and a push.
+// so, which ends the cursor. Step moves a firing cursor into the
+// kernel's register and keeps it queued there while fn runs, so Rekey
+// only overwrites the register's key.
 func (k *Kernel) AtCursor(key EventKey, fn func()) *Event {
 	if key.Seq >= k.seq {
 		panic(fmt.Sprintf("sim: cursor sequence number %d was never reserved (next is %d)", key.Seq, k.seq))
@@ -297,23 +319,18 @@ func (k *Kernel) AtCursor(key EventKey, fn func()) *Event {
 // next of its run, which must come after the key it fired under. It
 // panics outside a cursor's callback.
 //
-// The firing cursor is still queued, and still the heap's minimum:
-// whatever its callback has scheduled so far carries a time ≥ now and a
-// sequence number taken or reserved after the cursor's own, so nothing
-// sifted above it. Overwriting its key and sifting it down from the
-// root therefore leaves the heap exactly as popping it and pushing the
-// new key would, in half the work.
+// The firing cursor sits in the register, outside the heap, so this
+// only overwrites the register's key: Step compares it with the heap's
+// root before every event, and the cursor enters the heap only when
+// another cursor fires ahead of it and takes the register.
 func (k *Kernel) Rekey(key EventKey) {
-	e := k.firing
-	if e == nil {
+	if !k.firing {
 		panic("sim: Rekey outside a cursor event's callback")
 	}
-	i := e.index
-	if !k.events[i].Before(key) {
-		panic(fmt.Sprintf("sim: Rekey to %v, not after %v", key, k.events[i].EventKey))
+	if !k.reg.Before(key) {
+		panic(fmt.Sprintf("sim: Rekey to %v, not after %v", key, k.reg.EventKey))
 	}
-	k.events[i].EventKey = key
-	k.siftDown(i)
+	k.reg.EventKey = key
 	k.rekeyed = true
 }
 
@@ -353,12 +370,15 @@ func (k *Kernel) Cancel(e *Event) {
 	if e == nil || e.index < 0 || e.kernel != k {
 		return
 	}
-	if e == k.firing {
-		k.rekeyed = false // Step removes it when the callback returns
-		return
+	switch {
+	case e.index != inRegister:
+		k.remove(e)
+		k.recycle(e)
+	case k.firing:
+		k.rekeyed = false // Step empties the register when the callback returns
+	default:
+		k.dropRegister()
 	}
-	k.remove(e)
-	k.recycle(e)
 }
 
 // remove takes a queued event out of the heap.
@@ -407,38 +427,69 @@ const yieldEvery = 1024
 // Step executes the earliest pending event. It returns false when the
 // queue is empty or the next event lies beyond the horizon.
 //
-// An ordinary event is popped and recycled before its callback runs. A
-// cursor event (AtCursor) stays at the root while its callback runs, and
-// leaves the heap afterwards only if the callback did not Rekey it.
+// The earliest event is the register's cursor or the heap's root,
+// whichever comes first. An ordinary event is popped and recycled before
+// its callback runs. A cursor event (AtCursor) fires from the register —
+// a cursor at the root first trades places with the register's, in one
+// siftDown — and leaves it afterwards only if the callback did not
+// Rekey it.
 func (k *Kernel) Step() bool {
-	if len(k.events) == 0 {
+	next := k.reg
+	if len(k.events) > 0 && (next.e == nil || k.events[0].Before(next.EventKey)) {
+		next = k.events[0]
+	} else if next.e == nil {
 		return false
 	}
-	root := k.events[0]
-	if root.At > k.horizon {
+	if next.At > k.horizon {
 		return false
 	}
-	e := root.e
-	k.now = root.At
+	e := next.e
+	k.now = next.At
 	k.processed++
 	if k.processed%yieldEvery == 0 {
 		runtime.Gosched()
 	}
-	if e.cursor {
-		k.firing, k.rekeyed = e, false
-		e.fn()
-		k.firing = nil
-		if !k.rekeyed {
-			k.remove(e)
-			k.recycle(e)
-		}
+	if !e.cursor {
+		k.remove(e)
+		fn := e.fn
+		k.recycle(e)
+		fn()
 		return true
 	}
-	k.remove(e)
-	fn := e.fn
-	k.recycle(e)
-	fn()
+	if e.index != inRegister {
+		k.takeRegister()
+	}
+	k.firing, k.rekeyed = true, false
+	e.fn()
+	k.firing = false
+	if !k.rekeyed {
+		k.dropRegister()
+	}
 	return true
+}
+
+// takeRegister moves the cursor at the heap's root into the register.
+// The register's previous cursor, queued under a later key, takes the
+// root's place and sifts down: the heap pays one siftDown when the
+// firing cursor changes, none while the same cursor keeps firing.
+func (k *Kernel) takeRegister() {
+	root := k.events[0]
+	if k.reg.e == nil {
+		k.remove(root.e)
+	} else {
+		k.events[0] = k.reg
+		k.siftDown(0)
+	}
+	k.reg = root
+	root.e.index = inRegister
+}
+
+// dropRegister ends the register's cursor and empties the register.
+func (k *Kernel) dropRegister() {
+	e := k.reg.e
+	k.reg = heapNode{}
+	e.index = -1
+	k.recycle(e)
 }
 
 // Run executes events until the queue drains or the horizon passes.

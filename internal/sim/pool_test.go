@@ -86,6 +86,15 @@ func TestEventPoolOwnsItsCacheLines(t *testing.T) {
 	}
 }
 
+// TestKernelSize pins the kernel at 104 bytes: the clock, counters,
+// heap and pool, the cursor register (a heap slot: key and event) and
+// the two flags of a cursor callback. Step writes it on every event.
+func TestKernelSize(t *testing.T) {
+	if got := unsafe.Sizeof(Kernel{}); got != 104 {
+		t.Fatalf("Kernel is %d bytes, want 104", got)
+	}
+}
+
 func capOf(p *EventPool) int { return cap(p.free) }
 
 func min(a, b int) int {
