@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"routeless"
+	"routeless/internal/rng"
 )
 
 // ExampleNewNetwork shows the minimal end-to-end flow: build a field,
@@ -26,8 +27,8 @@ func ExampleNewNetwork() {
 // ExampleNewElector runs one §2 local leader election on the abstract
 // medium: five contenders, one arbiter, uniform backoff metric.
 func ExampleNewElector() {
-	k := routeless.NewKernel(1)
-	cluster := routeless.NewCluster(k, 6, 1e-4, 1e-6, 0, k.Rand())
+	k := routeless.NewKernel()
+	cluster := routeless.NewCluster(k, 6, 1e-4, 1e-6, 0, rng.New(1))
 	cluster.ConnectAll()
 	for i := 0; i < 5; i++ {
 		e := routeless.NewElector(k, routeless.NodeID(i), cluster,
@@ -47,12 +48,12 @@ func ExampleNewElector() {
 // beyond it draws in the [2λ, 3λ) band.
 func ExampleHopGradientPolicy() {
 	policy := routeless.HopGradientPolicy{Lambda: 0.010}
-	k := routeless.NewKernel(5)
+	r := rng.New(5)
 	near, _ := policy.Backoff(routeless.PolicyContext{
-		HopsToTarget: 2, ExpectedHops: 3, Rand: k.Rand(),
+		HopsToTarget: 2, ExpectedHops: 3, Rand: r,
 	})
 	far, _ := policy.Backoff(routeless.PolicyContext{
-		HopsToTarget: 5, ExpectedHops: 3, Rand: k.Rand(),
+		HopsToTarget: 5, ExpectedHops: 3, Rand: r,
 	})
 	fmt.Println("near below lambda:", near < 0.010)
 	fmt.Println("far above 2*lambda:", far >= 0.020)

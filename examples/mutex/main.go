@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"routeless"
+	"routeless/internal/rng"
 )
 
 // waitPolicy maps accumulated waiting time onto the backoff: a node
@@ -42,8 +43,10 @@ func main() {
 		rounds   = 12
 		holdTime = 5e-3 // seconds in the critical section
 	)
-	kernel := routeless.NewKernel(7)
-	cluster := routeless.NewCluster(kernel, nodes, 50e-6, 2e-6, 0.05, kernel.Rand())
+	kernel := routeless.NewKernel()
+	// One stream draws the medium's losses and every backoff.
+	stream := rng.New(7)
+	cluster := routeless.NewCluster(kernel, nodes, 50e-6, 2e-6, 0.05, stream)
 	cluster.ConnectAll()
 
 	lastHeld := make([]float64, nodes) // when each node last left the CS
@@ -64,7 +67,7 @@ func main() {
 	// critical section is the implicit synchronization point.
 	release := func(holder routeless.NodeID) {
 		round++
-		ctx := routeless.PolicyContext{Rand: kernel.Rand()}
+		ctx := routeless.PolicyContext{Rand: stream}
 		for _, e := range electors {
 			if e.ID() == holder {
 				continue // the departing holder does not compete

@@ -27,10 +27,10 @@ type Cluster struct {
 	loss   float64
 	rng    *rand.Rand
 
-	electors map[packet.NodeID]*Elector
-	arbiters map[packet.NodeID]*Arbiter
-
-	inflight map[packet.NodeID][]*delivery
+	// Indexed by node id, like adj; nil where none is attached.
+	electors []*Elector
+	arbiters []*Arbiter
+	inflight [][]*delivery
 
 	stats [numClusterSeries]metrics.Counter32
 }
@@ -57,7 +57,8 @@ type delivery struct {
 // NewCluster builds a medium over n isolated nodes. delay is the
 // message latency, window the collision window (two arrivals at one
 // receiver closer than window destroy each other), loss the independent
-// per-link drop probability.
+// per-link drop probability. r is the medium's stream: it draws the
+// losses and every backoff an attached elector's context leaves to it.
 func NewCluster(k *sim.Kernel, n int, delay, window sim.Time, loss float64, r *rand.Rand) *Cluster {
 	adj := make([][]bool, n)
 	for i := range adj {
@@ -70,9 +71,9 @@ func NewCluster(k *sim.Kernel, n int, delay, window sim.Time, loss float64, r *r
 		window:   window,
 		loss:     loss,
 		rng:      r,
-		electors: make(map[packet.NodeID]*Elector),
-		arbiters: make(map[packet.NodeID]*Arbiter),
-		inflight: make(map[packet.NodeID][]*delivery),
+		electors: make([]*Elector, n),
+		arbiters: make([]*Arbiter, n),
+		inflight: make([][]*delivery, n),
 	}
 }
 
@@ -98,8 +99,12 @@ func (c *Cluster) ConnectAll() {
 	}
 }
 
-// AttachElector registers an elector to receive deliveries at its id.
-func (c *Cluster) AttachElector(e *Elector) { c.electors[e.ID()] = e }
+// AttachElector registers an elector to receive deliveries at its id
+// and hands it the medium's stream.
+func (c *Cluster) AttachElector(e *Elector) {
+	e.stream = c.rng
+	c.electors[e.ID()] = e
+}
 
 // AttachArbiter registers an arbiter to receive deliveries at its id.
 func (c *Cluster) AttachArbiter(a *Arbiter) { c.arbiters[a.ID()] = a }
@@ -122,17 +127,11 @@ func (c *Cluster) Broadcast(from packet.NodeID, msg Message) {
 		rcv := packet.NodeID(to)
 		d := &delivery{at: at, from: from, msg: msg}
 		// Any in-flight delivery to the same receiver within the
-		// collision window destroys both.
+		// collision window destroys both. Every message takes the same
+		// latency, so one sent earlier arrives no later than d.
 		for _, other := range c.inflight[rcv] {
-			if !other.collided || !d.collided {
-				dt := other.at - d.at
-				if dt < 0 {
-					dt = -dt
-				}
-				if dt < c.window {
-					other.collided = true
-					d.collided = true
-				}
+			if d.at-other.at < c.window {
+				other.collided, d.collided = true, true
 			}
 		}
 		c.inflight[rcv] = append(c.inflight[rcv], d)
@@ -141,24 +140,16 @@ func (c *Cluster) Broadcast(from packet.NodeID, msg Message) {
 }
 
 func (c *Cluster) deliver(to packet.NodeID, d *delivery) {
-	// Drop d from the in-flight list.
-	list := c.inflight[to]
-	for i, x := range list {
-		if x == d {
-			list[i] = list[len(list)-1]
-			c.inflight[to] = list[:len(list)-1]
-			break
-		}
-	}
+	c.inflight[to] = slices.DeleteFunc(c.inflight[to], func(x *delivery) bool { return x == d })
 	if d.collided {
 		c.stats[Collided].Inc()
 		return
 	}
 	c.stats[Delivered].Inc()
-	if e, ok := c.electors[to]; ok {
+	if e := c.electors[to]; e != nil {
 		e.Handle(d.from, d.msg)
 	}
-	if a, ok := c.arbiters[to]; ok {
+	if a := c.arbiters[to]; a != nil {
 		a.Handle(d.from, d.msg)
 	}
 }
@@ -167,17 +158,12 @@ func (c *Cluster) deliver(to packet.NodeID, d *delivery) {
 // attached elector with the supplied per-node contexts — modeling an
 // implicit synchronization point such as a commonly observed event
 // rather than an arbiter's SYNC packet. Contexts are looked up by node
-// id; electors without a context entry observe a zero Context.
+// id; electors without a context entry observe a zero Context. Electors
+// observe, and draw from the medium's stream, in id order.
 func (c *Cluster) TriggerAll(round uint32, ctxs map[packet.NodeID]Context) {
-	ids := make([]int, 0, len(c.electors))
-	for id := range c.electors {
-		ids = append(ids, int(id))
-	}
-	slices.Sort(ids) // deterministic draw order from the shared stream
-	for _, id := range ids {
-		e := c.electors[packet.NodeID(id)]
-		ctx := ctxs[packet.NodeID(id)]
-		ctx.Rand = c.rng
-		e.ObserveSync(round, ctx)
+	for id, e := range c.electors {
+		if e != nil {
+			e.ObserveSync(round, ctxs[packet.NodeID(id)])
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+
 	"routeless/internal/metrics"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
@@ -33,9 +35,9 @@ type Outcome struct {
 // Handle (messages from the medium), and reports via OnOutcome.
 type Elector struct {
 	id     packet.NodeID
-	kernel *sim.Kernel
 	medium Medium
 	policy BackoffPolicy
+	stream *rand.Rand // the attached Cluster's stream; see beginRound
 
 	bid     Contender
 	round   uint32
@@ -63,9 +65,11 @@ const (
 	numElectorSeries
 )
 
-// NewElector builds an elector for node id using the given policy.
+// NewElector builds an elector for node id using the given policy. A
+// round whose Context has no Rand draws from the stream of the Cluster
+// the elector is attached to (AttachElector).
 func NewElector(k *sim.Kernel, id packet.NodeID, medium Medium, policy BackoffPolicy) *Elector {
-	e := &Elector{id: id, kernel: k, medium: medium, policy: policy}
+	e := &Elector{id: id, medium: medium, policy: policy}
 	e.bid.Init(k, e.announce)
 	e.bid.Phase = Done // no round yet: nothing to cancel
 	return e
@@ -95,8 +99,8 @@ func (e *Elector) beginRound(round uint32, ctx Context) {
 	e.ctx.Self = e.id
 	if e.ctx.Rand == nil {
 		// Rounds started by a SYNC message reuse the previous context,
-		// which may be empty; fall back to the kernel's master stream.
-		e.ctx.Rand = e.kernel.Rand()
+		// which may be empty; fall back to the medium's stream.
+		e.ctx.Rand = e.stream
 	}
 	e.decided = false
 	e.outcome = Outcome{Round: round, Leader: packet.None}
@@ -169,7 +173,6 @@ func (e *Elector) Current() Outcome { return e.outcome }
 // at least one local leader elected."
 type Arbiter struct {
 	id     packet.NodeID
-	kernel *sim.Kernel
 	medium Medium
 
 	// Timeout is how long the arbiter waits for an announcement before
@@ -178,12 +181,11 @@ type Arbiter struct {
 	// MaxRetries bounds re-triggers; 0 means unbounded.
 	MaxRetries int
 
-	timer      *sim.Timer
-	round      uint32
-	leader     packet.NodeID
-	done       bool
-	retries    int
-	roundStart sim.Time // when the logical election began (first Trigger, not retriggers)
+	timer   *sim.Timer
+	round   uint32
+	leader  packet.NodeID
+	done    bool
+	retries int
 
 	// OnElected fires when the arbiter acknowledges a leader.
 	OnElected func(leader packet.NodeID, round uint32)
@@ -205,7 +207,7 @@ const (
 
 // NewArbiter builds an arbiter for node id.
 func NewArbiter(k *sim.Kernel, id packet.NodeID, medium Medium, timeout sim.Time) *Arbiter {
-	a := &Arbiter{id: id, kernel: k, medium: medium, Timeout: timeout}
+	a := &Arbiter{id: id, medium: medium, Timeout: timeout}
 	a.timer = sim.NewTimer(k, a.onTimeout)
 	return a
 }
@@ -231,7 +233,6 @@ func (a *Arbiter) Trigger() {
 	a.done = false
 	a.retries = 0
 	a.leader = packet.None
-	a.roundStart = a.kernel.Now()
 	a.broadcastSync()
 }
 

@@ -374,3 +374,43 @@ func TestQuickElectionAlwaysResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// drawRecorder is a Uniform policy that keeps the last backoff drawn.
+type drawRecorder struct {
+	Uniform
+	got sim.Time
+}
+
+func (p *drawRecorder) Backoff(ctx Context) (sim.Time, bool) {
+	d, ok := p.Uniform.Backoff(ctx)
+	p.got = d
+	return d, ok
+}
+
+// A round started by the arbiter's SYNC has no stream in its context:
+// the elector draws from the stream of the cluster it is attached to,
+// the run's one stream, rather than from anything the kernel owns. The
+// drawn backoff is the first draw of a copy of that stream, and the
+// draw advances the cluster's own stream.
+func TestSyncRoundDrawsFromMediumStream(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := NewCluster(k, 2, 1e-3, 1e-6, 0, rng.New(21, rng.StreamElection))
+	c.ConnectAll()
+	policy := &drawRecorder{Uniform: Uniform{Max: 1}}
+	e := NewElector(k, 0, c, policy)
+	c.AttachElector(e)
+	arb := NewArbiter(k, 1, c, 5)
+	c.AttachArbiter(arb)
+	arb.Trigger()
+	k.Run()
+	if e.Count(Syncs) != 1 || arb.Leader() != 0 {
+		t.Fatalf("syncs %d, leader %v: want one SYNC-started round won by node 0", e.Count(Syncs), arb.Leader())
+	}
+	cp := rng.New(21, rng.StreamElection)
+	if want := sim.Time(cp.Float64()); policy.got != want {
+		t.Fatalf("backoff %v, want the medium stream's first draw %v", policy.got, want)
+	}
+	if got, want := c.rng.Float64(), cp.Float64(); got != want {
+		t.Fatalf("medium stream's next draw %v, want its second draw %v", got, want)
+	}
+}

@@ -87,11 +87,10 @@ func (c Abl3Config) withDefaults() Abl3Config {
 	return c
 }
 
-// abl3Out is one trial's election outcome — 1 for a clean single
-// leader in round 1, 1 for a collision that left no leader, the
-// arbiter rounds until success and the broadcasts (announcements, acks
-// and syncs) spent — and, folded by runAbl3, their mean over a clique
-// size's trials.
+// abl3Out is one clique size's mean outcome over its trials: the share
+// with a single round-1 leader, the share left with none by a
+// collision, and the arbiter rounds and broadcasts (announcements, acks
+// and syncs) spent.
 type abl3Out struct {
 	single, none, rounds, bcasts float64
 }
@@ -100,72 +99,88 @@ type abl3Out struct {
 // outcome per size.
 func runAbl3(cfg Abl3Config, workers int) []abl3Out {
 	cfg = cfg.withDefaults()
-	// Each trial derives its own streams from (seed, size index, trial),
-	// so the cell seed is just the trial index; determinism rides on the
-	// derivation, exactly as the serial loop did.
-	trialSeeds := make([]int64, cfg.Trials)
-	for i := range trialSeeds {
-		trialSeeds[i] = int64(i)
-	}
-	cells := sweep.Cells("abl3", len(cfg.Sizes), trialSeeds)
-	results := sweep.Run(workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) abl3Out {
-		return runElectionOnce(ctx, cfg.Sizes[c.Point], c.Point, c.Rep, cfg.Seed)
+	// The cells' seeds go unused: each trial derives its stream from
+	// (seed, size index, trial index).
+	cells := sweep.Cells("abl3", len(cfg.Sizes), make([]int64, cfg.Trials))
+	results := sweep.Run(workers, cells, func(ctx *sweep.Context, _ int, c sweep.Cell) ElectionResult {
+		t := ElectionTrial{N: cfg.Sizes[c.Point], Policy: core.Uniform{Max: abl3Lambda}, Lambda: abl3Lambda, MaxRetries: 20}
+		return t.Run(rng.Derive(cfg.Seed, uint64(c.Point), uint64(c.Rep)), ctx.Runtime().Events)
 	})
 	means := make([]abl3Out, len(cfg.Sizes))
 	for i, c := range cells {
-		m, r := &means[c.Point], &results[i]
-		m.single += r.single
-		m.none += r.none
-		m.rounds += r.rounds
-		m.bcasts += r.bcasts
+		m, r := &means[c.Point], results[i]
+		switch {
+		case r.Winners == 1:
+			m.single++
+		case r.Winners == 0 || !r.Elected:
+			m.none++
+		}
+		if r.Elected {
+			m.rounds += float64(r.Rounds)
+		}
+		m.bcasts += float64(r.Broadcasts)
 	}
 	trials := float64(cfg.Trials)
 	for i := range means {
 		m := &means[i]
-		m.single /= trials
-		m.none /= trials
-		m.rounds /= trials
-		m.bcasts /= trials
+		m.single, m.none, m.rounds, m.bcasts = m.single/trials, m.none/trials, m.rounds/trials, m.bcasts/trials
 	}
 	return means
 }
 
-// runElectionOnce runs one clique trial on the abstract medium.
-func runElectionOnce(ctx *sweep.Context, n, si, trial int, seed int64) abl3Out {
-	k := sim.NewKernelPooled(rng.Derive(seed, uint64(si), uint64(trial)), ctx.Runtime().Events)
-	// Message latency comparable to λ/4 makes near-ties collide,
-	// like real airtime does.
-	cl := core.NewCluster(k, n+1, abl3Lambda/4, abl3Lambda/20, 0,
-		rng.New(seed, rng.StreamElection, uint64(si), uint64(trial)))
+// ElectionTrial is one §2 election on the abstract medium: contenders
+// 0..N-1 and arbiter N in one clique. Latency λ/4 makes near-ties
+// collide, as real airtime does; the collision window is λ/20, and the
+// arbiter re-triggers after 4λ of silence, at most MaxRetries times.
+type ElectionTrial struct {
+	N          int
+	Policy     core.BackoffPolicy
+	Lambda     sim.Time
+	Loss       float64 // per-link drop probability
+	MaxRetries int
+	First      map[packet.NodeID]core.Context // if set, starts round 1; later rounds reuse it
+}
+
+// ElectionResult is what one trial observed.
+type ElectionResult struct {
+	Winners    int      // contenders whose final outcome is a round-1 win
+	Elected    bool     // the arbiter acknowledged a leader
+	Rounds     int      // SYNC broadcasts, the first and every re-trigger
+	Broadcasts int      // every message sent on the medium
+	ElectedAt  sim.Time // when the arbiter acknowledged, if Elected
+}
+
+// Run runs the trial to quiescence on a kernel drawing events from pool
+// (nil: a private one). Every loss and backoff is drawn from the
+// medium's stream, rng.New(seed).
+func (t ElectionTrial) Run(seed int64, pool *sim.EventPool) ElectionResult {
+	k := sim.NewKernelPooled(pool)
+	cl := core.NewCluster(k, t.N+1, t.Lambda/4, t.Lambda/20, t.Loss, rng.New(seed))
 	cl.ConnectAll()
-	electors := make([]*core.Elector, n)
-	for i := 0; i < n; i++ {
-		electors[i] = core.NewElector(k, packet.NodeID(i), cl, core.Uniform{Max: abl3Lambda})
+	electors := make([]*core.Elector, t.N)
+	for i := range electors {
+		electors[i] = core.NewElector(k, packet.NodeID(i), cl, t.Policy)
 		cl.AttachElector(electors[i])
 	}
-	arb := core.NewArbiter(k, packet.NodeID(n), cl, abl3Lambda*4)
-	arb.MaxRetries = 20
+	arb := core.NewArbiter(k, packet.NodeID(t.N), cl, t.Lambda*4)
+	arb.MaxRetries = t.MaxRetries
 	cl.AttachArbiter(arb)
+	var res ElectionResult
+	arb.OnElected = func(packet.NodeID, uint32) { res.ElectedAt = k.Now() }
+	if t.First != nil {
+		cl.TriggerAll(1, t.First)
+	}
 	arb.Trigger()
 	k.Run()
-	var out abl3Out
-	winners := 0
 	for _, e := range electors {
 		if o := e.Current(); o.Won && o.Round == 1 {
-			winners++
+			res.Winners++
 		}
 	}
-	switch {
-	case winners == 1:
-		out.single = 1
-	case winners == 0 || arb.Leader() == packet.None:
-		out.none = 1
-	}
-	if arb.Leader() != packet.None {
-		out.rounds = float64(arb.Count(core.Triggers))
-	}
-	out.bcasts = float64(cl.Count(core.Broadcasts))
-	return out
+	res.Elected = arb.Leader() != packet.None
+	res.Rounds = int(arb.Count(core.Triggers))
+	res.Broadcasts = int(cl.Count(core.Broadcasts))
+	return res
 }
 
 // abl3Table renders the election study, one row per clique size.

@@ -121,7 +121,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	model := propagation.NewFreeSpace()
 	params := phy.DefaultParams(model, cfg.Range)
-	kernel := sim.NewKernelPooled(rng.Derive(cfg.Seed, 0xC0FFEE), rt.Events)
+	kernel := sim.NewKernelPooled(rt.Events)
 
 	positions := cfg.Positions
 	if positions == nil {

@@ -12,6 +12,7 @@ import (
 	"routeless/internal/metrics"
 	"routeless/internal/packet"
 	"routeless/internal/propagation"
+	"routeless/internal/rng"
 	"routeless/internal/sim"
 )
 
@@ -558,7 +559,7 @@ func TestFadingChangesRSSI(t *testing.T) {
 		Model:        model,
 		Fading:       true,
 		FadeMarginDB: 20,
-		Rng:          sim.NewKernel(7).Rand(),
+		Rng:          rng.New(7),
 	})
 	rec := &recorder{}
 	ch.Radio(1).SetListener(rec)

@@ -9,7 +9,8 @@
 // event heap, and determinism (same seed, same schedule, same results)
 // matters more than intra-run parallelism. Parallelism belongs one level
 // up, across runs (see internal/sweep), which is why Step offers its
-// processor to other goroutines every 1024 events.
+// processor to other goroutines every 1024 events. The kernel owns no
+// random stream: a run draws from streams of internal/rng.
 //
 // Execution order is the total order of (time, sequence number) keys.
 // Most events take the next sequence number when they are scheduled. A
@@ -26,11 +27,8 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
-
-	"routeless/internal/rng"
 )
 
 // Time is simulation time in seconds since the start of the run.
@@ -168,7 +166,6 @@ type Kernel struct {
 	now       Time
 	seq       uint64
 	events    []heapNode // 4-ary min-heap ordered by (at, seq)
-	rng       *rand.Rand
 	processed uint64
 	horizon   Time
 
@@ -189,12 +186,12 @@ type Kernel struct {
 	rekeyed bool
 }
 
-// NewKernel returns a kernel whose clock starts at 0 and whose random
-// stream is rng.New(seed). Simulation components should draw from
-// streams built through the network's rng.Tracker (nw.RNG), whose
-// states the snapshot hashes; Rand() is outside that tracker.
-func NewKernel(seed int64) *Kernel {
-	return NewKernelPooled(seed, NewEventPool())
+// NewKernel returns a kernel whose clock starts at 0, with a private
+// event pool. The argument is unused: the kernel owns no random stream,
+// and simulation components draw from streams built through the
+// network's rng.Tracker (nw.RNG), whose states the snapshot hashes.
+func NewKernel(int64) *Kernel {
+	return NewKernelPooled(NewEventPool())
 }
 
 // NewKernelPooled is NewKernel drawing recycled Event structs from an
@@ -203,12 +200,11 @@ func NewKernel(seed int64) *Kernel {
 // bit-for-bit equivalent to a fresh one; only the allocation count
 // differs. The caller must ensure no two concurrently running kernels
 // share one pool.
-func NewKernelPooled(seed int64, pool *EventPool) *Kernel {
+func NewKernelPooled(pool *EventPool) *Kernel {
 	if pool == nil {
 		pool = NewEventPool()
 	}
 	return &Kernel{
-		rng:     rng.New(seed),
 		horizon: Infinity,
 		pool:    pool,
 	}
@@ -216,9 +212,6 @@ func NewKernelPooled(seed int64, pool *EventPool) *Kernel {
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand returns the kernel's master random stream.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }

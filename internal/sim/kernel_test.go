@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"routeless/internal/rng"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -260,14 +262,15 @@ func TestQuickCancelSubset(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []float64 {
 		k := NewKernel(99)
+		r := rng.New(99)
 		var out []float64
 		var step func()
 		n := 0
 		step = func() {
-			out = append(out, k.Rand().Float64())
+			out = append(out, r.Float64())
 			if n < 100 {
 				n++
-				k.Schedule(Time(k.Rand().Float64()), step)
+				k.Schedule(Time(r.Float64()), step)
 			}
 		}
 		k.Schedule(0, step)
@@ -396,7 +399,7 @@ func TestFreeListSurvivesDrainBetweenBursts(t *testing.T) {
 // run schedules out of recycled Event structs.
 func TestEventPoolSurvivesKernel(t *testing.T) {
 	pool := NewEventPool()
-	k1 := NewKernelPooled(1, pool)
+	k1 := NewKernelPooled(pool)
 	const depth = 2000
 	for i := 0; i < depth; i++ {
 		k1.Schedule(Time(i), func() {})
@@ -406,7 +409,7 @@ func TestEventPoolSurvivesKernel(t *testing.T) {
 	if warm == 0 {
 		t.Fatal("pool is empty after the first kernel drained")
 	}
-	k2 := NewKernelPooled(2, pool)
+	k2 := NewKernelPooled(pool)
 	allocs := testing.AllocsPerRun(10, func() {
 		e := k2.Schedule(1, func() {})
 		k2.Cancel(e)

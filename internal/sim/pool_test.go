@@ -10,7 +10,7 @@ import (
 // lifecycle shape of a simulation run.
 func runCell(t *testing.T, pool *EventPool, depth, rounds int) {
 	t.Helper()
-	k := NewKernelPooled(1, pool)
+	k := NewKernelPooled(pool)
 	var fired int
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < depth; i++ {
@@ -86,12 +86,13 @@ func TestEventPoolOwnsItsCacheLines(t *testing.T) {
 	}
 }
 
-// TestKernelSize pins the kernel at 104 bytes: the clock, counters,
+// TestKernelSize pins the kernel at 96 bytes: the clock, counters,
 // heap and pool, the cursor register (a heap slot: key and event) and
-// the two flags of a cursor callback. Step writes it on every event.
+// the two flags of a cursor callback, and no random stream. Step writes
+// it on every event.
 func TestKernelSize(t *testing.T) {
-	if got := unsafe.Sizeof(Kernel{}); got != 104 {
-		t.Fatalf("Kernel is %d bytes, want 104", got)
+	if got := unsafe.Sizeof(Kernel{}); got != 96 {
+		t.Fatalf("Kernel is %d bytes, want 96", got)
 	}
 }
 

@@ -68,8 +68,9 @@ type (
 	Ticker = sim.Ticker
 )
 
-// NewKernel returns a kernel seeded for reproducible runs.
-func NewKernel(seed int64) *Kernel { return sim.NewKernel(seed) }
+// NewKernel returns a kernel whose clock starts at 0. It owns no random
+// stream: a run draws from the streams its components are handed.
+func NewKernel() *Kernel { return sim.NewKernelPooled(nil) }
 
 // Topology and packets.
 type (

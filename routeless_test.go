@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"routeless"
+	"routeless/internal/rng"
 )
 
 // TestQuickstartFlow exercises the façade end to end the way the README
@@ -26,8 +27,8 @@ func TestQuickstartFlow(t *testing.T) {
 
 // TestElectionAPI runs the §2 election through the façade.
 func TestElectionAPI(t *testing.T) {
-	k := routeless.NewKernel(1)
-	cl := routeless.NewCluster(k, 6, 1e-4, 1e-6, 0, k.Rand())
+	k := routeless.NewKernel()
+	cl := routeless.NewCluster(k, 6, 1e-4, 1e-6, 0, rng.New(1))
 	cl.ConnectAll()
 	es := make([]*routeless.Elector, 5)
 	for i := range es {
@@ -101,7 +102,7 @@ func TestFailureProcessAPI(t *testing.T) {
 		if i == src || i == dst {
 			continue
 		}
-		fp := routeless.NewFailureProcess(n, nw.Kernel.Rand())
+		fp := routeless.NewFailureProcess(n, nw.RNG.ForNode(5, rng.StreamFailure, i))
 		fp.OffFraction = 0.10
 		fp.Start()
 	}
@@ -115,7 +116,7 @@ func TestFailureProcessAPI(t *testing.T) {
 
 // TestTrafficAndStatsAPI exercises RandomPairs, Welford and Table.
 func TestTrafficAndStatsAPI(t *testing.T) {
-	pairs := routeless.RandomPairs(routeless.NewKernel(3).Rand(), 50, 10)
+	pairs := routeless.RandomPairs(rng.New(3), 50, 10)
 	if len(pairs) != 10 {
 		t.Fatalf("pairs = %d", len(pairs))
 	}
