@@ -67,7 +67,8 @@ func abl2Grid(cfg Fig34Config) grid {
 // --- ABL3: election outcome probabilities ------------------------------
 
 // Abl3Config measures leader-election outcomes on the abstract medium
-// as neighborhood size grows: Trials independent cliques per size.
+// as neighborhood size grows: Trials independent cliques per size, each
+// run under every variant in abl3Variants.
 type Abl3Config struct {
 	Sizes  []int // x-axis clique sizes; default {2, 5, 10, 20, 50}
 	Trials int   // cliques per size; default 200
@@ -87,28 +88,66 @@ func (c Abl3Config) withDefaults() Abl3Config {
 	return c
 }
 
-// abl3Out is one clique size's mean outcome over its trials: the share
-// with a single round-1 leader, the share left with none by a
-// collision, and the arbiter rounds and broadcasts (announcements, acks
-// and syncs) spent.
-type abl3Out struct {
-	single, none, rounds, bcasts float64
+// abl3Variant is one backoff metric and per-link loss every clique runs
+// under. The uniform metric is the classic random backoff on [0, λ);
+// the gradient metric puts contender i i+1 hops out with 1 expected,
+// disjoint priority bands that model an ideal prioritized election.
+type abl3Variant struct {
+	metric string // "uniform" or "gradient"
+	loss   float64
 }
 
-// runAbl3 runs one sweep cell per (size, trial) and returns the mean
-// outcome per size.
-func runAbl3(cfg Abl3Config, workers int) []abl3Out {
+// abl3Variants returns the variants abl3 tabulates, in table order.
+func abl3Variants() []abl3Variant {
+	return []abl3Variant{{"uniform", 0}, {"gradient", 0}, {"uniform", 0.1}, {"gradient", 0.1}}
+}
+
+// trial is the variant's election among n contenders.
+func (v abl3Variant) trial(n int) ElectionTrial {
+	t := ElectionTrial{N: n, Policy: core.Uniform{Max: abl3Lambda}, Lambda: abl3Lambda, Loss: v.loss, MaxRetries: 20}
+	if v.metric == "gradient" {
+		t.Policy = core.HopGradient{Lambda: abl3Lambda}
+		t.First = make(map[packet.NodeID]core.Context, n)
+		for i := 0; i < n; i++ {
+			t.First[packet.NodeID(i)] = core.Context{HopsToTarget: i + 1, ExpectedHops: 1}
+		}
+	}
+	return t
+}
+
+// abl3Out is one (variant, clique size) mean outcome: the share of
+// trials with a single round-1 leader, the share left with none by a
+// collision or never resolved, the arbiter rounds and the milliseconds
+// to the acknowledged leader over the elected trials, the broadcasts
+// (announcements, acks and syncs) per trial, and the elected trials.
+type abl3Out struct {
+	single, none, rounds, latencyMS, bcasts, elected float64
+}
+
+// runAbl3 runs one sweep cell per (size, variant, trial) and returns
+// the mean outcome per variant and size, and the kernel events the
+// trials executed. Every variant of a trial draws from the same
+// stream, so the variants are paired draws.
+func runAbl3(cfg Abl3Config, workers int) ([][]abl3Out, uint64) {
 	cfg = cfg.withDefaults()
+	variants := abl3Variants()
+	nv := len(variants)
 	// The cells' seeds go unused: each trial derives its stream from
 	// (seed, size index, trial index).
-	cells := sweep.Cells("abl3", len(cfg.Sizes), make([]int64, cfg.Trials))
+	cells := sweep.Cells("abl3", len(cfg.Sizes)*nv, make([]int64, cfg.Trials))
 	results := sweep.Run(workers, cells, func(ctx *sweep.Context, _ int, c sweep.Cell) ElectionResult {
-		t := ElectionTrial{N: cfg.Sizes[c.Point], Policy: core.Uniform{Max: abl3Lambda}, Lambda: abl3Lambda, MaxRetries: 20}
-		return t.Run(rng.Derive(cfg.Seed, uint64(c.Point), uint64(c.Rep)), ctx.Runtime().Events)
+		size := c.Point / nv
+		t := variants[c.Point%nv].trial(cfg.Sizes[size])
+		return t.Run(rng.Derive(cfg.Seed, uint64(size), uint64(c.Rep)), ctx.Runtime().Events)
 	})
-	means := make([]abl3Out, len(cfg.Sizes))
+	means := make([][]abl3Out, nv)
+	for v := range means {
+		means[v] = make([]abl3Out, len(cfg.Sizes))
+	}
+	var events uint64
 	for i, c := range cells {
-		m, r := &means[c.Point], results[i]
+		v, size, r := c.Point%nv, c.Point/nv, results[i]
+		m := &means[v][size]
 		switch {
 		case r.Winners == 1:
 			m.single++
@@ -116,16 +155,23 @@ func runAbl3(cfg Abl3Config, workers int) []abl3Out {
 			m.none++
 		}
 		if r.Elected {
+			m.elected++
 			m.rounds += float64(r.Rounds)
+			m.latencyMS += float64(r.ElectedAt) * 1e3
 		}
 		m.bcasts += float64(r.Broadcasts)
+		events += r.Events
 	}
 	trials := float64(cfg.Trials)
-	for i := range means {
-		m := &means[i]
-		m.single, m.none, m.rounds, m.bcasts = m.single/trials, m.none/trials, m.rounds/trials, m.bcasts/trials
+	for v := range means {
+		for size := range means[v] {
+			m := &means[v][size]
+			e := max(m.elected, 1) // rounds and latency are 0 when none elected
+			m.single, m.none, m.bcasts = m.single/trials, m.none/trials, m.bcasts/trials
+			m.rounds, m.latencyMS = m.rounds/e, m.latencyMS/e
+		}
 	}
-	return means
+	return means, events
 }
 
 // ElectionTrial is one §2 election on the abstract medium: contenders
@@ -148,6 +194,7 @@ type ElectionResult struct {
 	Rounds     int      // SYNC broadcasts, the first and every re-trigger
 	Broadcasts int      // every message sent on the medium
 	ElectedAt  sim.Time // when the arbiter acknowledged, if Elected
+	Events     uint64   // kernel events the trial executed
 }
 
 // Run runs the trial to quiescence on a kernel drawing events from pool
@@ -180,17 +227,21 @@ func (t ElectionTrial) Run(seed int64, pool *sim.EventPool) ElectionResult {
 	res.Elected = arb.Leader() != packet.None
 	res.Rounds = int(arb.Count(core.Triggers))
 	res.Broadcasts = int(cl.Count(core.Broadcasts))
+	res.Events = k.Processed()
 	return res
 }
 
-// abl3Table renders the election study, one row per clique size.
-func abl3Table(sizes []int, means []abl3Out) *stats.Table {
+// abl3Table renders the election study, one row per (variant, clique
+// size), variant-major.
+func abl3Table(sizes []int, means [][]abl3Out) *stats.Table {
 	t := stats.NewTable(
-		"ABL3 — local leader election outcomes vs neighborhood size (uniform metric, arbiter on)",
-		"nodes", "p_single_leader_r1", "p_collision_r1", "mean_rounds", "mean_broadcasts",
+		"ABL3 — local leader election outcomes vs neighborhood size, backoff metric and link loss (arbiter on)",
+		"metric", "loss", "nodes", "p_single_leader_r1", "p_collision_r1", "mean_rounds", "mean_broadcasts", "mean_latency_ms",
 	)
-	for i, m := range means {
-		t.AddRow(sizes[i], m.single, m.none, m.rounds, m.bcasts)
+	for v, variant := range abl3Variants() {
+		for i, m := range means[v] {
+			t.AddRow(variant.metric, variant.loss, sizes[i], m.single, m.none, m.rounds, m.bcasts, m.latencyMS)
+		}
 	}
 	return t
 }

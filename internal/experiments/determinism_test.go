@@ -81,6 +81,19 @@ func TestEventTotalsAreReturnedValues(t *testing.T) {
 	if m1 == 0 || m1 != m8 {
 		t.Errorf("mega events: %d at 1 worker, %d at 8; want equal and non-zero", m1, m8)
 	}
+	ran := 0
+	for _, st := range tinySuite().Studies() {
+		if st.Name != "abl3" && st.Name != "fig2" {
+			continue
+		}
+		ran++
+		if e1, e8 := st.Run(1, nil).Events, st.Run(8, nil).Events; e1 == 0 || e1 != e8 {
+			t.Errorf("%s events: %d at 1 worker, %d at 8; want equal and non-zero", st.Name, e1, e8)
+		}
+	}
+	if ran != 2 {
+		t.Fatalf("checked %d of the studies abl3 and fig2", ran)
+	}
 
 	other := tinyFig1()
 	other.Seeds = []int64{2}

@@ -61,7 +61,7 @@ type Study struct {
 // Result is what a study prints.
 type Result struct {
 	Table  *stats.Table
-	Events uint64      // kernel events its runs executed; 0 for fig2 and abl3
+	Events uint64      // kernel events its runs executed
 	Fig2   *Fig2Result // fig2's relay traces, for its maps; nil for every other study
 }
 
@@ -86,14 +86,15 @@ func (s Suite) Studies() []Study {
 		fig1Grid(s.Fig1).study(),
 		{Name: "fig2", Run: func(workers int, _ *metrics.Journal) Result {
 			res := RunFig2(fig2, workers)
-			return Result{Table: Fig2Table(res), Fig2: &res}
+			return Result{Table: Fig2Table(res), Events: res.Events, Fig2: &res}
 		}},
 		fig3Grid(s.Fig34).study(),
 		fig4Grid(s.Fig34).study(),
 		abl1Grid(s.Fig1).study(),
 		abl2Grid(s.Fig34).study(),
 		{Name: "abl3", Run: func(workers int, _ *metrics.Journal) Result {
-			return Result{Table: abl3Table(abl3.Sizes, runAbl3(abl3, workers))}
+			means, events := runAbl3(abl3, workers)
+			return Result{Table: abl3Table(abl3.Sizes, means), Events: events}
 		}},
 		abl4Grid(s.Fig34).study(),
 		abl5Grid(s.Fig34).study(),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"routeless/internal/geo"
@@ -229,8 +230,8 @@ func TestAbl2LambdaTradeoff(t *testing.T) {
 
 func TestAbl3ElectionScaling(t *testing.T) {
 	cfg := Abl3Config{Sizes: []int{2, 20}, Trials: 120, Seed: 7}
-	means := runAbl3(cfg, 0)
-	small, big := means[0], means[1]
+	means, _ := runAbl3(cfg, 0)
+	small, big := means[0][0], means[0][1] // uniform, loss 0
 	if small.single <= big.single {
 		t.Fatalf("single-leader probability should fall with crowd size: %v vs %v",
 			small.single, big.single)
@@ -238,8 +239,77 @@ func TestAbl3ElectionScaling(t *testing.T) {
 	if big.rounds < 1 {
 		t.Fatalf("mean rounds %v below 1", big.rounds)
 	}
-	if abl3Table(cfg.Sizes, means).NumRows() != 2 {
-		t.Fatal("bad table")
+	if got, want := abl3Table(cfg.Sizes, means).NumRows(), len(abl3Variants())*len(cfg.Sizes); got != want {
+		t.Fatalf("table has %d rows, want %d", got, want)
+	}
+}
+
+// abl3Rows runs abl3 once and returns the rows of each wanted variant,
+// one per size.
+func abl3Rows(t *testing.T, cfg Abl3Config, wants ...abl3Variant) [][]abl3Out {
+	t.Helper()
+	means, _ := runAbl3(cfg, 0)
+	rows := make([][]abl3Out, len(wants))
+	for i, want := range wants {
+		v := slices.Index(abl3Variants(), want)
+		if v < 0 {
+			t.Fatalf("abl3 runs no variant %v", want)
+		}
+		rows[i] = means[v]
+	}
+	return rows
+}
+
+// The gradient metric gives every contender its own priority band, so
+// round 1 almost always has exactly one winner and the arbiter needs
+// no re-trigger.
+func TestAbl3GradientBands(t *testing.T) {
+	cfg := Abl3Config{Sizes: []int{3, 6}, Trials: 20, Seed: 7}
+	for i, m := range abl3Rows(t, cfg, abl3Variant{"gradient", 0})[0] {
+		if m.single < 0.8 || m.none != 0 || m.rounds != 1 {
+			t.Errorf("size %d: p_single %v, p_collision %v, mean_rounds %v; want ≥ 0.8, 0, 1",
+				cfg.Sizes[i], m.single, m.none, m.rounds)
+		}
+	}
+}
+
+// Link loss reaches the trials: the lossy rows spend other broadcasts
+// and take another time to a leader than the lossless rows of the same
+// draws, and the arbiter still resolves elections (mean rounds ≥ 1).
+func TestAbl3LossReachesTrials(t *testing.T) {
+	cfg := Abl3Config{Sizes: []int{4, 8}, Trials: 20, Seed: 7}
+	for _, metric := range []string{"uniform", "gradient"} {
+		rows := abl3Rows(t, cfg, abl3Variant{metric, 0}, abl3Variant{metric, 0.1})
+		clean, lossy := rows[0], rows[1]
+		for i := range lossy {
+			if lossy[i].rounds < 1 {
+				t.Errorf("%s size %d: lossy mean_rounds %v, want ≥ 1", metric, cfg.Sizes[i], lossy[i].rounds)
+			}
+			if lossy[i].bcasts == clean[i].bcasts || lossy[i].latencyMS == clean[i].latencyMS {
+				t.Errorf("%s size %d: loss 0.1 left broadcasts %v → %v or latency %v → %v as at loss 0",
+					metric, cfg.Sizes[i], clean[i].bcasts, lossy[i].bcasts, clean[i].latencyMS, lossy[i].latencyMS)
+			}
+		}
+	}
+}
+
+// With uniform backoff on [0, λ) and latency λ/4, round 1 has a single
+// leader exactly when the two earliest of n draws lie more than λ/4
+// apart, which has probability (3/4)ⁿ. The measured share must lie in
+// its 99.9 % binomial interval at every size; at 95 % the seed would
+// decide the verdict (seed 7 at 1000 trials misses at n = 5 by chance).
+func TestAbl3SingleLeaderClosedForm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("election sweep")
+	}
+	cfg := Abl3Config{Sizes: []int{2, 5, 10, 20}, Trials: 2000, Seed: 7}
+	for i, m := range abl3Rows(t, cfg, abl3Variant{"uniform", 0})[0] {
+		n := cfg.Sizes[i]
+		p := math.Pow(0.75, float64(n))
+		half := 3.29 * math.Sqrt(p*(1-p)/float64(cfg.Trials))
+		if math.Abs(m.single-p) > half {
+			t.Errorf("n=%d: p_single_leader_r1 %v outside (3/4)^n = %.4f ± %.4f", n, m.single, p, half)
+		}
 	}
 }
 

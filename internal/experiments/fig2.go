@@ -85,6 +85,8 @@ type Fig2Result struct {
 	// Delivered counts A→B packets that arrived in each scenario.
 	DeliveredAlone     uint64
 	DeliveredWithCross uint64
+	// Events is the kernel events both scenarios executed.
+	Events uint64
 }
 
 // RunFig2 runs both scenarios — two sweep cells over the same seed, so
@@ -109,6 +111,7 @@ func RunFig2(cfg Fig2Config, workers int) Fig2Result {
 		A: alone.a, B: alone.b, C: cross.c, D: cross.d,
 		Alone: alone.paths, WithCross: cross.paths,
 		DeliveredAlone: alone.delivered, DeliveredWithCross: cross.delivered,
+		Events: alone.events + cross.events,
 	}
 	center := geo.Point{X: cfg.Terrain / 2, Y: cfg.Terrain / 2}
 	res.CenterShareAlone, res.MeanCenterDistAlone = centerUsage(alone.paths, alone.a, cross.positions, center, cfg.Terrain/4)
@@ -148,6 +151,7 @@ type fig2Out struct {
 	positions  []geo.Point
 	a, b, c, d packet.NodeID
 	delivered  uint64
+	events     uint64
 }
 
 func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out {
@@ -209,6 +213,7 @@ func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out
 	if _, err := run.Finish(); err != nil {
 		panic(err)
 	}
+	out.events = nw.Processed()
 	return out
 }
 

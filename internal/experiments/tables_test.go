@@ -51,11 +51,11 @@ func tinyTablesCSV() string {
 	return b.String()
 }
 
-// TestStudiesWorkerCountInvariant journals the grid studies of the
-// tiny suite that no worker-count test of their own journals — fig3,
-// fig4 and the grid ablations — at 1 and 8 workers: the journal and
-// table bytes must not move, and each cell must write exactly one
-// record, its label unique among the records of its seed.
+// TestStudiesWorkerCountInvariant runs the studies of the tiny suite
+// that no worker-count test of their own covers — fig2, fig3, fig4 and
+// the ablations — at 1 and 8 workers: the journal and table bytes must
+// not move, and each grid cell must write exactly one record, its label
+// unique among the records of its seed.
 func TestStudiesWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -65,29 +65,45 @@ func TestStudiesWorkerCountInvariant(t *testing.T) {
 		fig3Grid(s.Fig34), fig4Grid(s.Fig34), abl1Grid(s.Fig1), abl2Grid(s.Fig34),
 		abl4Grid(s.Fig34), abl5Grid(s.Fig34), abl6Grid(s.Fig34),
 	}
-	// All but fig2 and abl3 (not grids) and fig1, churn and fig_mega
-	// (their own *JournalWorkerCountInvariant tests).
-	if want := len(s.Studies()) - 5; len(grids) != want {
-		t.Fatalf("%d grids under test, want %d", len(grids), want)
+	// fig2 and abl3 are not grids and journal no cells.
+	var others []Study
+	for _, st := range s.Studies() {
+		if st.Name == "fig2" || st.Name == "abl3" {
+			others = append(others, st)
+		}
 	}
-	run := func(g grid, workers int) ([]byte, string) {
+	// All but fig1, churn and fig_mega (their own
+	// *JournalWorkerCountInvariant tests).
+	if want := len(s.Studies()) - 3; len(grids)+len(others) != want {
+		t.Fatalf("%d grids and %d other studies under test, want %d", len(grids), len(others), want)
+	}
+	run := func(st Study, workers int) ([]byte, string) {
 		var buf bytes.Buffer
 		j := metrics.NewJournal(&buf)
-		res := g.study().Run(workers, j)
+		res := st.Run(workers, j)
 		if err := j.Err(); err != nil {
-			t.Fatalf("%s: journal write failed: %v", g.name, err)
+			t.Fatalf("%s: journal write failed: %v", st.Name, err)
 		}
 		return buf.Bytes(), res.Table.CSV()
 	}
-	for _, g := range grids {
-		j1, csv1 := run(g, 1)
-		j8, csv8 := run(g, 8)
+	invariant := func(st Study) []byte {
+		j1, csv1 := run(st, 1)
+		j8, csv8 := run(st, 8)
 		if !bytes.Equal(j1, j8) {
-			t.Errorf("%s: worker count changed journal bytes", g.name)
+			t.Errorf("%s: worker count changed journal bytes", st.Name)
 		}
 		if csv1 != csv8 {
-			t.Errorf("%s: worker count changed table CSV:\nworkers=1:\n%s\nworkers=8:\n%s", g.name, csv1, csv8)
+			t.Errorf("%s: worker count changed table CSV:\nworkers=1:\n%s\nworkers=8:\n%s", st.Name, csv1, csv8)
 		}
+		return j1
+	}
+	for _, st := range others {
+		if j := invariant(st); len(j) != 0 {
+			t.Errorf("%s: journaled %d bytes, want none", st.Name, len(j))
+		}
+	}
+	for _, g := range grids {
+		j1 := invariant(g.study())
 		lines := bytes.Split(bytes.TrimSuffix(j1, []byte("\n")), []byte("\n"))
 		if want := len(g.xs) * len(g.variants) * len(g.seeds); len(lines) != want {
 			t.Errorf("%s: %d journal records, want one per cell (%d)", g.name, len(lines), want)

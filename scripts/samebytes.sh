@@ -3,7 +3,8 @@
 # simfuzz sweep, the wmansim CSV, and every exact count of the traced
 # benchmark on the four in-process workloads (serve_mix is left out: its
 # exact counts race between its two HTTP clients). Prints one line per
-# check and exits non-zero on any difference.
+# check and exits non-zero on any difference; where the simfuzz or
+# wmansim output differs, it prints the first lines of their diff.
 #
 #   scripts/samebytes.sh HEAD
 #
@@ -23,19 +24,21 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/rev" || exit 2
 workloads="flood_dense route_unicast churn_mobile arena_cold"
 for side in base work; do
 	bin=$tmp/$side
-	"$bin/simfuzz" -seeds 1:300 -v | md5sum >"$bin/simfuzz.md5"
-	"$bin/wmansim" -exp all -seeds 1 -duration 5 -csv | md5sum >"$bin/wmansim.md5"
+	"$bin/simfuzz" -seeds 1:300 -v >"$bin/simfuzz.txt"
+	"$bin/wmansim" -exp all -seeds 1 -duration 5 -csv >"$bin/wmansim.txt"
 	for w in $workloads; do
 		"$bin/bench" -trace 1 -workload "$w" -seconds 1 -out "$bin/$w" >/dev/null
 	done
 done
 
 status=0
+md5() { md5sum <"$1" | cut -c1-32; }
 for f in simfuzz wmansim; do
-	if cmp -s "$tmp/base/$f.md5" "$tmp/work/$f.md5"; then
-		echo "same     $f $(cut -c1-32 "$tmp/work/$f.md5")"
+	if cmp -s "$tmp/base/$f.txt" "$tmp/work/$f.txt"; then
+		echo "same     $f $(md5 "$tmp/work/$f.txt")"
 	else
-		echo "DIFFERS  $f $(cut -c1-32 "$tmp/base/$f.md5") -> $(cut -c1-32 "$tmp/work/$f.md5")"
+		echo "DIFFERS  $f $(md5 "$tmp/base/$f.txt") -> $(md5 "$tmp/work/$f.txt"):"
+		(cd "$tmp" && diff base/$f.txt work/$f.txt | head -n 20)
 		status=1
 	fi
 done

@@ -2,18 +2,17 @@
 # Lists the non-test functions that no workload runs, and fails unless
 # scripts/unrun.allow explains exactly that list.
 #
-# It builds wmansim, simfuzz, netviz, leaderlab and bench with coverage
-# and runs the scripts/samebytes.sh set (simfuzz -seeds 1:300, wmansim
-# -exp all, the four in-process bench workloads at -trace 1) plus
-# bench's serve_mix, fig2 with its map, a one-seed journaled mega
-# ladder, a scenario document checkpointed and resumed, a fixture
-# replay, simfuzz's checkpoint cross-check, netviz's SVG and a short
-# leaderlab sweep under the hop-gradient metric. It merges the profiles and prints every function
-# outside internal/lint at 0.0 % statement coverage as
-# path:Receiver.Func, then their count on the last line. A function
-# whose body is empty on its declaration line ({}) is left out: it has
-# no statement to run, and cover reports it at 0.0 % whether it was
-# called or not.
+# It builds wmansim, simfuzz, netviz and bench with coverage and runs
+# the scripts/samebytes.sh set (simfuzz -seeds 1:300, wmansim -exp all,
+# the four in-process bench workloads at -trace 1) plus bench's
+# serve_mix, fig2 with its map, a one-seed journaled mega ladder, a
+# scenario document checkpointed and resumed, a fixture replay,
+# simfuzz's checkpoint cross-check and netviz's SVG. It merges the
+# profiles and prints every function outside internal/lint at 0.0 %
+# statement coverage as path:Receiver.Func, then their count on the
+# last line. A function whose body is empty on its declaration line
+# ({}) is left out: it has no statement to run, and cover reports it at
+# 0.0 % whether it was called or not.
 #
 # Every printed function must have a line in scripts/unrun.allow, and
 # every line there must name a printed function. Otherwise the script
@@ -30,7 +29,7 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 
 cd "$root" || exit 2
 # A binary writes no profile unless its own main package is covered.
-for main in cmd/wmansim cmd/simfuzz cmd/netviz cmd/leaderlab bench; do
+for main in cmd/wmansim cmd/simfuzz cmd/netviz bench; do
 	go build -cover -coverpkg="routeless/internal/...,routeless/$main" \
 		-o "$tmp/bin/" "./$main" || exit 2
 done
@@ -52,7 +51,6 @@ run "$tmp/bin/wmansim" -restore "$tmp/doc.snap" -journal "$tmp/doc.jsonl"
 run "$tmp/bin/simfuzz" -replay internal/fuzz/testdata/crash_double_count.json
 run "$tmp/bin/simfuzz" -seeds 1:20 -snapshot
 run "$tmp/bin/netviz" -duration 5 -svg "$tmp/fig2.svg"
-run "$tmp/bin/leaderlab" -trials 50 -metric gradient
 for w in flood_dense route_unicast churn_mobile arena_cold; do
 	run "$tmp/bin/bench" -trace 1 -workload "$w" -seconds 1 -out "$tmp/out/$w"
 done
