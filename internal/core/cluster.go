@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 
 	"routeless/internal/metrics"
 	"routeless/internal/packet"
@@ -30,7 +29,10 @@ type Cluster struct {
 	// Indexed by node id, like adj; nil where none is attached.
 	electors []*Elector
 	arbiters []*Arbiter
-	inflight [][]*delivery
+	// inflight is each receiver's deliveries in flight, oldest first,
+	// and deliverTo its delivery callback, bound once per receiver.
+	inflight  []inbox
+	deliverTo []func()
 
 	stats [numClusterSeries]metrics.Counter32
 }
@@ -54,6 +56,12 @@ type delivery struct {
 	collided bool
 }
 
+// inbox is a FIFO of deliveries: q[head:] are in flight.
+type inbox struct {
+	q    []delivery
+	head int
+}
+
 // NewCluster builds a medium over n isolated nodes. delay is the
 // message latency, window the collision window (two arrivals at one
 // receiver closer than window destroy each other), loss the independent
@@ -64,17 +72,23 @@ func NewCluster(k *sim.Kernel, n int, delay, window sim.Time, loss float64, r *r
 	for i := range adj {
 		adj[i] = make([]bool, n)
 	}
-	return &Cluster{
-		kernel:   k,
-		adj:      adj,
-		delay:    delay,
-		window:   window,
-		loss:     loss,
-		rng:      r,
-		electors: make([]*Elector, n),
-		arbiters: make([]*Arbiter, n),
-		inflight: make([][]*delivery, n),
+	c := &Cluster{
+		kernel:    k,
+		adj:       adj,
+		delay:     delay,
+		window:    window,
+		loss:      loss,
+		rng:       r,
+		electors:  make([]*Elector, n),
+		arbiters:  make([]*Arbiter, n),
+		inflight:  make([]inbox, n),
+		deliverTo: make([]func(), n),
 	}
+	for i := range c.deliverTo {
+		to := packet.NodeID(i)
+		c.deliverTo[i] = func() { c.deliver(to) }
+	}
+	return c
 }
 
 // Connect adds a bidirectional link between a and b.
@@ -124,23 +138,31 @@ func (c *Cluster) Broadcast(from packet.NodeID, msg Message) {
 			c.stats[Lost].Inc()
 			continue
 		}
-		rcv := packet.NodeID(to)
-		d := &delivery{at: at, from: from, msg: msg}
+		d := delivery{at: at, from: from, msg: msg}
 		// Any in-flight delivery to the same receiver within the
 		// collision window destroys both. Every message takes the same
 		// latency, so one sent earlier arrives no later than d.
-		for _, other := range c.inflight[rcv] {
-			if d.at-other.at < c.window {
+		in := &c.inflight[to]
+		for i := in.head; i < len(in.q); i++ {
+			if other := &in.q[i]; d.at-other.at < c.window {
 				other.collided, d.collided = true, true
 			}
 		}
-		c.inflight[rcv] = append(c.inflight[rcv], d)
-		c.kernel.At(at, func() { c.deliver(rcv, d) })
+		in.q = append(in.q, d)
+		c.kernel.At(at, c.deliverTo[to])
 	}
 }
 
-func (c *Cluster) deliver(to packet.NodeID, d *delivery) {
-	c.inflight[to] = slices.DeleteFunc(c.inflight[to], func(x *delivery) bool { return x == d })
+// deliver hands receiver to the oldest of its deliveries in flight.
+// Every message takes the same latency and events fire in (time,
+// sequence) order, so that delivery is the one whose event fires now.
+func (c *Cluster) deliver(to packet.NodeID) {
+	in := &c.inflight[to]
+	d := in.q[in.head]
+	in.head++
+	if in.head == len(in.q) {
+		in.q, in.head = in.q[:0], 0
+	}
 	if d.collided {
 		c.stats[Collided].Inc()
 		return

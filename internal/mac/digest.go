@@ -29,12 +29,12 @@ func digestFrame(h *digest.Hash, p *packet.Packet) {
 // rxSeenFIFO exactly, so only the slice is hashed.
 func (m *MAC) DigestState(h *digest.Hash) {
 	h.Byte(byte(m.state))
-	h.Int(m.slotsLeft)
-	h.Int(m.cw)
-	h.Int(m.retries)
+	h.Int(int(m.slotsLeft))
+	h.Int(int(m.cw))
+	h.Int(int(m.retries))
 	h.Uint64(m.ackRef)
 	digestFrame(h, m.pendingTx)
-	if m.current != nil {
+	if m.current.pkt != nil {
 		h.Bool(true)
 		digestFrame(h, m.current.pkt)
 		h.Float64(m.current.priority)

@@ -127,12 +127,14 @@ type MAC struct {
 	// heap objects per node. Both capture m's address via methods, so a
 	// MAC must never be copied after New.
 	queue   prioQueue
-	current *entry
-	state   macState
+	current entry // the frame under contention; pkt nil when none
 
-	slotsLeft int
-	cw        int
-	retries   int
+	// The contention counters are int32 and packed beside state, which
+	// pays for current's entry: a MAC is 256 B.
+	state     macState
+	slotsLeft int32
+	cw        int32
+	retries   int32
 	access    sim.Timer // drives DIFS, backoff slots, and ACK timeout
 	pendingTx *packet.Packet
 
@@ -167,7 +169,7 @@ func Init(m *MAC, k *sim.Kernel, radio *phy.Radio, cfg *Config, rng *rand.Rand) 
 		kernel: k,
 		radio:  radio,
 		rng:    rng,
-		cw:     cfg.MinCW,
+		cw:     int32(cfg.MinCW),
 	}
 	m.queue.init(cfg.QueueCap)
 	sim.InitTimer(&m.access, k, m.onAccessTimer)
@@ -192,7 +194,7 @@ func RegisterMetrics(reg *metrics.Registry, macs []MAC) {
 		var n uint64
 		for i := range macs {
 			n += uint64(macs[i].queue.len())
-			if macs[i].current != nil {
+			if macs[i].current.pkt != nil {
 				n++
 			}
 		}
@@ -224,11 +226,11 @@ func (m *MAC) Enqueue(pkt *packet.Packet, priority float64) bool {
 // paper's backoff cancellation must also cover packets waiting in the
 // NET→MAC queue, otherwise a lost election still transmits.
 func (m *MAC) Dequeue(pkt *packet.Packet) bool {
-	if m.current != nil && m.current.pkt == pkt {
+	if pkt != nil && m.current.pkt == pkt {
 		switch m.state {
 		case stWait, stDIFS, stBackoff:
 			m.access.Stop()
-			m.current = nil
+			m.current = entry{}
 			m.state = stIdle
 			m.stats[Dequeued].Inc()
 			m.nextFrame()
@@ -243,18 +245,25 @@ func (m *MAC) Dequeue(pkt *packet.Packet) bool {
 	return false
 }
 
+// Holds reports whether pkt (pointer identity) is still the MAC's:
+// queued, contending, on the air or awaiting its link-layer ACK. A
+// network layer that reuses a frame's memory must wait until it is not.
+func (m *MAC) Holds(pkt *packet.Packet) bool {
+	return pkt != nil && (m.current.pkt == pkt || m.queue.index(pkt) >= 0)
+}
+
 // Pause halts the MAC while its radio is off or asleep. Queued frames
 // are kept; the frame in flight (if any) is abandoned without
 // link-failure indication — exactly the silent-death behavior the
 // paper's failure experiments need.
 func (m *MAC) Pause() {
 	m.access.Stop()
-	if m.current != nil {
+	if m.current.pkt != nil {
 		// Back in the queue; it will recontend after Resume.
 		if !m.queue.push(m.current.pkt, m.current.priority) {
 			m.stats[DroppedPaused].Inc()
 		}
-		m.current = nil
+		m.current = entry{}
 	}
 	m.pendingTx = nil
 	m.state = stPaused
@@ -267,7 +276,7 @@ func (m *MAC) Resume() {
 	}
 	m.state = stIdle
 	m.retries = 0
-	m.cw = m.cfg.MinCW
+	m.cw = int32(m.cfg.MinCW)
 	m.nextFrame()
 }
 
@@ -280,18 +289,18 @@ func (m *MAC) nextFrame() {
 		return
 	}
 	m.current = m.queue.pop()
-	if m.current == nil {
+	if m.current.pkt == nil {
 		return
 	}
 	m.retries = 0
-	m.cw = m.cfg.MinCW
+	m.cw = int32(m.cfg.MinCW)
 	m.beginContention()
 }
 
 // beginContention starts (or restarts) the DIFS + backoff dance for the
 // current frame.
 func (m *MAC) beginContention() {
-	m.slotsLeft = m.rng.Intn(m.cw)
+	m.slotsLeft = int32(m.rng.Intn(int(m.cw)))
 	m.resumeContention()
 }
 
@@ -367,9 +376,9 @@ func (m *MAC) OnTxDone() {
 func (m *MAC) ackTimeout() {
 	m.stats[Retries].Inc()
 	m.retries++
-	if m.retries > m.cfg.RetryLimit {
+	if int(m.retries) > m.cfg.RetryLimit {
 		pkt := m.current.pkt
-		m.current = nil
+		m.current = entry{}
 		m.state = stIdle
 		m.stats[UnicastFailed].Inc()
 		if m.handler != nil {
@@ -378,14 +387,14 @@ func (m *MAC) ackTimeout() {
 		m.nextFrame()
 		return
 	}
-	if m.cw*2 <= m.cfg.MaxCW {
+	if int(m.cw)*2 <= m.cfg.MaxCW {
 		m.cw *= 2
 	}
 	m.beginContention()
 }
 
 func (m *MAC) finishCurrent(pkt *packet.Packet, ok bool) {
-	m.current = nil
+	m.current = entry{}
 	m.state = stIdle
 	m.stats[Completed].Inc()
 	if ok && m.handler != nil {

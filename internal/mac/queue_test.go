@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"routeless/internal/packet"
 )
@@ -79,7 +80,7 @@ func TestPrioQueueRemove(t *testing.T) {
 func TestPrioQueueEmptyPop(t *testing.T) {
 	var q prioQueue
 	q.init(4)
-	if q.pop() != nil {
+	if q.pop().pkt != nil {
 		t.Fatal("pop on empty should be nil")
 	}
 }
@@ -125,14 +126,46 @@ func TestQuickPrioQueueSemantics(t *testing.T) {
 			return cmp.Compare(a.seq, b.seq)
 		})
 		for _, want := range live {
-			e := q.pop()
-			if e == nil || e.pkt != want.pkt {
+			if e := q.pop(); e.pkt == nil || e.pkt != want.pkt {
 				return false
 			}
 		}
-		return q.pop() == nil
+		return q.pop().pkt == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMACSize pins the per-node MAC at 256 B, the arena weight every
+// node of a run pays: the frame under contention is held by value, and
+// the int32 contention counters packed beside the state pay for it.
+func TestMACSize(t *testing.T) {
+	if got := unsafe.Sizeof(MAC{}); got != 256 {
+		t.Fatalf("MAC is %d B, want 256", got)
+	}
+}
+
+// TestQueueAllocatesNothing checks that once the queue's slice has
+// grown, pushing, removing and popping frames allocates nothing: the
+// entries are held by value.
+func TestQueueAllocatesNothing(t *testing.T) {
+	var q prioQueue
+	q.init(16)
+	pkts := make([]*packet.Packet, 8)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{}
+	}
+	cycle := func() {
+		for i, p := range pkts {
+			q.push(p, float64(i%3))
+		}
+		q.remove(pkts[3])
+		for q.len() > 0 {
+			q.pop()
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per fill and drain, want 0", allocs)
 	}
 }

@@ -35,6 +35,7 @@ func benchNetwork(b *testing.B, install func(n *node.Node) node.Protocol, second
 // BenchmarkRoutelessSteadyState measures the full Routeless stack under
 // 10 CBR flows for 10 simulated seconds per iteration.
 func BenchmarkRoutelessSteadyState(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d := benchNetwork(b, func(n *node.Node) node.Protocol {
 			return NewRouteless(RoutelessConfig{})
@@ -45,6 +46,7 @@ func BenchmarkRoutelessSteadyState(b *testing.B) {
 
 // BenchmarkAODVSteadyState is the same workload through AODV.
 func BenchmarkAODVSteadyState(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d := benchNetwork(b, func(n *node.Node) node.Protocol {
 			return NewAODV()

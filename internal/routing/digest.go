@@ -95,7 +95,11 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 		h.Int(rs.retries)
 		h.Float64(float64(rs.created))
 		h.Float64(float64(rs.repairStart))
-		digestPkt(h, rs.fwd)
+		if rs.mark {
+			digestPkt(h, nil)
+		} else {
+			digestPkt(h, &rs.fwd)
+		}
 		digestPkt(h, rs.inflight)
 	}
 
@@ -105,7 +109,7 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 		k.DigestTo(h)
 		h.Bool(df.Phase == core.Queued)
 		h.Float64(float64(df.created))
-		digestPkt(h, df.fwd)
+		digestPkt(h, &df.fwd)
 	}
 
 	r.discovering.digestState(h)

@@ -46,15 +46,18 @@ const (
 type discoverySet map[packet.NodeID]*discovery
 
 // ensure returns the discovery for target, creating it on first use
-// with a timer bound to onTimeout. started reports whether this call
-// created it — the caller then emits the first flood and arms the
-// timer.
-func (s discoverySet) ensure(target packet.NodeID, k *sim.Kernel, onTimeout func()) (d *discovery, started bool) {
-	if d, ok := s[target]; ok {
+// with a timer bound to onTimeout, and the set itself on first insert.
+// started reports whether this call created it — the caller then emits
+// the first flood and arms the timer.
+func (s *discoverySet) ensure(target packet.NodeID, k *sim.Kernel, onTimeout func()) (d *discovery, started bool) {
+	if d, ok := (*s)[target]; ok {
 		return d, false
 	}
+	if *s == nil {
+		*s = make(discoverySet)
+	}
 	d = &discovery{timer: sim.NewTimer(k, onTimeout)}
-	s[target] = d
+	(*s)[target] = d
 	return d, true
 }
 

@@ -1,0 +1,216 @@
+package routing
+
+import (
+	"testing"
+
+	"routeless/internal/core"
+	"routeless/internal/node"
+	"routeless/internal/packet"
+	"routeless/internal/sim"
+)
+
+// relayView is what a relay state carries besides its timer: the
+// fields the digest reads, plus the drawn backoff.
+type relayView struct {
+	key         packet.FlowKey
+	phase       core.Phase
+	backoff     sim.Time
+	armedHop    int
+	armedFrom   packet.NodeID
+	mark        bool
+	txHop       int
+	fwd         packet.Packet
+	inflight    packet.Packet
+	hasInflight bool
+	retries     int
+	created     sim.Time
+	repairStart sim.Time
+}
+
+func viewRelay(st *relayState) relayView {
+	v := relayView{
+		key: st.key, phase: st.Phase, backoff: st.Backoff,
+		armedHop: st.armedHop, armedFrom: st.armedFrom, mark: st.mark,
+		txHop: st.txHop, fwd: st.fwd, retries: st.retries,
+		created: st.created, repairStart: st.repairStart,
+	}
+	if st.inflight != nil {
+		v.inflight, v.hasInflight = *st.inflight, true
+	}
+	return v
+}
+
+// dataCopy is a data packet from node 0 toward a target node 1 knows at
+// one hop, as node 1 overhears it.
+func dataCopy(seq uint32) *packet.Packet {
+	return &packet.Packet{
+		Kind: packet.KindData, To: packet.Broadcast, From: 0,
+		Origin: 0, Target: 9, Seq: seq, HopCount: 1, ExpectedHops: 1,
+		TTL: 4, Size: packet.SizeData,
+	}
+}
+
+// TestRecycledStateStartsClean runs two identical two-node networks.
+// In both, node 1 arms a relay for a target nobody answers for, so the
+// relay retransmits until it gives up and its state is as dirty as it
+// gets. Then only network A collects it, and both arm a second relay:
+// A's comes off the free list, B's is fresh. gc draws no randomness, so
+// every field must agree.
+func TestRecycledStateStartsClean(t *testing.T) {
+	type run struct {
+		next  *relayState
+		armed relayView
+	}
+	var runs [2]run
+	for i := range runs {
+		nw, rrs := buildRR(t, RoutelessConfig{}, 21, line(2, 200))
+		r := rrs[1]
+		r.table.Observe(9, 1, 1, 0)
+		r.OnDeliver(dataCopy(7), -50)
+		first := r.relays[dataCopy(7).Key()]
+		nw.Run(3) // before the first periodic sweep at 5–6 s
+		if first.Phase != core.Done || first.retries <= maxRelayRetries ||
+			first.repairStart == 0 || first.txHop != 2 || first.inflight == nil {
+			t.Fatalf("run %d: first relay is not dirty: %+v", i, viewRelay(first))
+		}
+		if i == 0 {
+			r.gc()
+			if len(r.relays) != 0 || len(r.freeRelays) != 1 {
+				t.Fatalf("gc left %d relays and %d free states, want 0 and 1", len(r.relays), len(r.freeRelays))
+			}
+		}
+		r.OnDeliver(dataCopy(8), -50)
+		next := r.relays[dataCopy(8).Key()]
+		if (next == first) != (i == 0) {
+			t.Fatalf("run %d: second relay reused the first state: %v", i, next == first)
+		}
+		runs[i] = run{next: next, armed: viewRelay(next)}
+		nw.Run(3.5) // the second relay wins and transmits
+	}
+	if got, want := runs[0].armed, runs[1].armed; got != want {
+		t.Fatalf("recycled relay differs from a fresh one when armed:\n got  %+v\n want %+v", got, want)
+	}
+	if got, want := viewRelay(runs[0].next), viewRelay(runs[1].next); got != want || !got.hasInflight {
+		t.Fatalf("after transmitting, recycled relay differs from a fresh one:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// frameRecorder is a protocol that only keeps what it overhears.
+type frameRecorder struct{ got []packet.Packet }
+
+func (f *frameRecorder) Start(*node.Node)                      {}
+func (f *frameRecorder) OnDeliver(p *packet.Packet, _ float64) { f.got = append(f.got, *p) }
+func (f *frameRecorder) OnSent(*packet.Packet)                 {}
+func (f *frameRecorder) OnUnicastFailed(*packet.Packet)        {}
+func (f *frameRecorder) Send(packet.NodeID, int)               {}
+
+// TestPausedMACFrameNotRecycled queues a discovery forward at a failed
+// node: its paused MAC keeps &df.fwd past stateTTL, after gc has
+// dropped the state. Forwards armed afterwards must not reuse that
+// memory, or the frame the node sends on recovery is theirs.
+func TestPausedMACFrameNotRecycled(t *testing.T) {
+	nw := node.Must(node.New(node.Config{Positions: line(2, 200), Seed: 22}))
+	rec := &frameRecorder{}
+	r := NewRouteless(RoutelessConfig{})
+	nw.Install(func(n *node.Node) node.Protocol {
+		if n.ID == 0 {
+			return rec
+		}
+		return r
+	})
+	disc := func(seq uint32, hops int) *packet.Packet {
+		return &packet.Packet{
+			Kind: packet.KindDiscovery, To: packet.Broadcast, From: 0,
+			Origin: 5, Target: 9, Seq: seq, HopCount: hops, TTL: 10,
+			Size: packet.SizeControl,
+		}
+	}
+	nw.Nodes[1].Fail()
+	r.OnDeliver(disc(1, 2), -50)
+	nw.Run(1)
+	if df := r.discPending[disc(1, 2).Key()]; df == nil || df.Phase != core.Queued {
+		t.Fatal("the first forward is not queued at the failed node")
+	}
+	nw.Run(stateTTL + 6) // past stateTTL and at least one sweep
+	if len(r.discPending) != 0 {
+		t.Fatalf("%d discovery forwards survived stateTTL", len(r.discPending))
+	}
+	r.OnDeliver(disc(2, 4), -50)
+	r.OnDeliver(disc(3, 4), -50)
+	nw.Run(stateTTL + 7)
+	nw.Nodes[1].Recover()
+	nw.Run(stateTTL + 8)
+
+	want := map[uint32]packet.Packet{1: *disc(1, 3), 2: *disc(2, 5), 3: *disc(3, 5)}
+	for seq, p := range want {
+		p.From, p.TTL = 1, p.TTL-1
+		want[seq] = p
+	}
+	if len(rec.got) != len(want) {
+		t.Fatalf("node 0 heard %d frames, want %d: %+v", len(rec.got), len(want), rec.got)
+	}
+	for _, p := range rec.got {
+		w, ok := want[p.Seq]
+		if !ok {
+			t.Fatalf("node 0 heard seq %d twice or unexpectedly: %+v", p.Seq, rec.got)
+		}
+		delete(want, p.Seq)
+		p.UID = 0
+		if p != w {
+			t.Fatalf("the frame sent for seq %d was rewritten:\n got  %+v\n want %+v", p.Seq, p, w)
+		}
+	}
+}
+
+// TestElectionCyclesAllocateNothing pins the pooled per-packet state:
+// on a warmed node, a relay bid armed and cancelled by an overheard
+// downstream copy (then collected), and a discovery forward armed and
+// cancelled by a duplicate, allocate nothing.
+func TestElectionCyclesAllocateNothing(t *testing.T) {
+	nw, rrs := buildRR(t, RoutelessConfig{}, 23, line(2, 200))
+	r := rrs[1]
+	r.table.Observe(9, 1, 1, 0)
+	pkt := &packet.Packet{}
+	seq := uint32(0)
+	relay := func() {
+		seq++
+		*pkt = *dataCopy(seq)
+		r.OnDeliver(pkt, -50) // arms
+		pkt.HopCount, pkt.From = 2, 5
+		r.OnDeliver(pkt, -50) // a relay one ring on: lost the election
+		nw.Run(nw.Kernel.Now() + 2.5)
+		r.gc()
+	}
+	discovery := func() {
+		seq++
+		*pkt = packet.Packet{
+			Kind: packet.KindDiscovery, To: packet.Broadcast, From: 0,
+			Origin: 0, Target: 9, Seq: seq, HopCount: 1, TTL: 10,
+			Size: packet.SizeControl,
+		}
+		r.OnDeliver(pkt, -50) // arms
+		r.OnDeliver(pkt, -50) // the duplicate cancels
+	}
+	for _, tc := range []struct {
+		name    string
+		cycle   func()
+		warm    int
+		counter RoutelessSeries
+	}{
+		{"relay", relay, 10, RRCancelledByOverhear},
+		// Past the flood dedup cache's capacity, so it evicts as it records.
+		{"discovery", discovery, 9000, RRDiscoveryCancelled},
+	} {
+		for range tc.warm {
+			tc.cycle()
+		}
+		const runs = 100
+		before := r.Count(tc.counter)
+		if allocs := testing.AllocsPerRun(runs, tc.cycle); allocs != 0 {
+			t.Errorf("%s cycle: %v allocations per cycle, want 0", tc.name, allocs)
+		}
+		if got := r.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
+			t.Errorf("%s cycle: %d cancellations in %d cycles", tc.name, got, runs+1)
+		}
+	}
+}

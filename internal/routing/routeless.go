@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"routeless/internal/core"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
@@ -143,17 +145,22 @@ var routelessTable = metrics.Table{
 // strike in Pending (stop the timer) and in Queued (withdraw the frame
 // from the MAC queue) — §2's backoff cancellation covers the whole
 // pre-air path. Once the frame is OnAir the same timer runs the
-// arbiter's retransmission timeout.
+// arbiter's retransmission timeout. States are pooled per node (see
+// newRelay): the MAC only ever holds inflight, a clone, so a state can
+// be reused as soon as gc drops it.
 type relayState struct {
 	core.Contender
 	r         *Routeless
-	armedHop  int            // hop count of the copy that armed our backoff
-	armedFrom packet.NodeID  // transmitter of that copy (our arbiter)
-	txHop     int            // hop count we (will) transmit with
-	fwd       *packet.Packet // master copy for (re)transmission
-	inflight  *packet.Packet // the exact frame handed to the MAC
-	retries   int
-	created   sim.Time
+	key       packet.FlowKey
+	armedHop  int           // hop count of the copy that armed our backoff
+	armedFrom packet.NodeID // transmitter of that copy (our arbiter)
+	// mark is an ACK's immunization mark: never armed, no packet.
+	mark     bool
+	txHop    int            // hop count we (will) transmit with
+	fwd      packet.Packet  // master copy for (re)transmission
+	inflight *packet.Packet // the exact frame handed to the MAC
+	retries  int
+	created  sim.Time
 
 	// repairStart is when the first retransmission for this relay fired;
 	// zero while no repair is in progress.
@@ -172,10 +179,21 @@ func (st *relayState) fire() {
 
 // discForward tracks one pending discovery rebroadcast so that a
 // duplicate overheard in time can cancel it (counter-1 suppression).
+// The MAC queues &fwd itself, so a forward is reused only once its
+// frame has left the MAC (see gc).
 type discForward struct {
 	core.Contender
-	fwd     *packet.Packet
+	r       *Routeless
+	key     packet.FlowKey
+	fwd     packet.Packet
 	created sim.Time
+}
+
+// fire is the backoff expiry: hand the rebroadcast to the MAC.
+func (df *discForward) fire() {
+	df.Phase = core.Queued
+	df.r.stats[RRDiscoveryForwards].Inc()
+	df.r.n.MAC.Enqueue(&df.fwd, float64(df.Backoff))
 }
 
 // Routeless is one node's Routeless Routing instance (§4.1). It keeps
@@ -193,6 +211,14 @@ type Routeless struct {
 	relays      map[packet.FlowKey]*relayState
 	discPending map[packet.FlowKey]*discForward
 	discovering discoverySet
+
+	// relayOrder and discOrder hold the live states of relays and
+	// discPending in creation order, so gc walks them, and refills the
+	// free lists, in an order that does not depend on map iteration.
+	relayOrder []*relayState
+	discOrder  []*discForward
+	freeRelays []*relayState
+	freeDisc   []*discForward
 
 	policy core.BackoffPolicy // hop gradient for reply/data
 
@@ -223,16 +249,56 @@ func NewRouteless(cfg RoutelessConfig) *Routeless {
 	} else {
 		policy = core.HopGradient{Lambda: cfg.Lambda}
 	}
+	// The maps are made on first insert: a node no packet reaches keeps none.
 	return &Routeless{
-		cfg:         cfg,
-		table:       NewActiveTable(),
-		floodDedup:  packet.NewDedupCache(8192),
-		consumed:    packet.NewDedupCache(8192),
-		relays:      make(map[packet.FlowKey]*relayState),
-		discPending: make(map[packet.FlowKey]*discForward),
-		discovering: make(discoverySet),
-		policy:      policy,
+		cfg:        cfg,
+		table:      NewActiveTable(),
+		floodDedup: packet.NewDedupCache(8192),
+		consumed:   packet.NewDedupCache(8192),
+		policy:     policy,
 	}
+}
+
+// newRelay registers a clean relay state for key, created now, taking it
+// off the free list when one is there. The timer callback is bound only
+// when the state is first allocated.
+func (r *Routeless) newRelay(key packet.FlowKey) *relayState {
+	var st *relayState
+	if n := len(r.freeRelays); n > 0 {
+		st = r.freeRelays[n-1]
+		r.freeRelays = r.freeRelays[:n-1]
+		*st = relayState{Contender: core.Contender{Timer: st.Timer}, r: r}
+	} else {
+		st = &relayState{r: r}
+		st.Init(r.n.Kernel, st.fire)
+	}
+	st.key, st.created = key, r.n.Kernel.Now()
+	if r.relays == nil {
+		r.relays = make(map[packet.FlowKey]*relayState)
+	}
+	r.relays[key] = st
+	r.relayOrder = append(r.relayOrder, st)
+	return st
+}
+
+// newDisc is newRelay for a discovery forward.
+func (r *Routeless) newDisc(key packet.FlowKey) *discForward {
+	var df *discForward
+	if n := len(r.freeDisc); n > 0 {
+		df = r.freeDisc[n-1]
+		r.freeDisc = r.freeDisc[:n-1]
+		*df = discForward{Contender: core.Contender{Timer: df.Timer}, r: r}
+	} else {
+		df = &discForward{r: r}
+		df.Init(r.n.Kernel, df.fire)
+	}
+	df.key, df.created = key, r.n.Kernel.Now()
+	if r.discPending == nil {
+		r.discPending = make(map[packet.FlowKey]*discForward)
+	}
+	r.discPending[key] = df
+	r.discOrder = append(r.discOrder, df)
+	return df
 }
 
 // Start implements node.Protocol.
@@ -340,15 +406,9 @@ func (r *Routeless) sendReply(source packet.NodeID) {
 // for the first hop starts when the frame actually leaves the air
 // (OnSent).
 func (r *Routeless) originate(pkt *packet.Packet) {
-	st := &relayState{
-		r:       r,
-		txHop:   pkt.HopCount,
-		fwd:     pkt.Clone(),
-		created: r.n.Kernel.Now(),
-	}
-	st.Init(r.n.Kernel, st.fire)
+	st := r.newRelay(pkt.Key())
+	st.txHop, st.fwd = pkt.HopCount, *pkt
 	st.Phase = core.Queued
-	r.relays[pkt.Key()] = st
 	r.enqueueRelay(st, 0)
 }
 
@@ -419,8 +479,8 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		if !r.cfg.PlainDiscovery {
 			// Counter-1 suppression: a duplicate overheard before our
 			// rebroadcast reaches the air cancels it.
-			if df, ok := r.discPending[key]; ok && df.Withdraw(r.n.MAC, df.fwd) {
-				delete(r.discPending, key)
+			if df, ok := r.discPending[key]; ok && df.Withdraw(r.n.MAC, &df.fwd) {
+				r.dropDisc(df)
 				r.stats[RRDiscoveryCancelled].Inc()
 			}
 		}
@@ -435,17 +495,11 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		return
 	}
 	backoff, _ := core.Uniform{Max: discoveryBackoff}.Backoff(core.Context{Rand: r.n.Rng})
-	fwd := pkt.Clone()
-	fwd.To = packet.Broadcast
-	fwd.HopCount++
-	fwd.TTL--
-	df := &discForward{fwd: fwd, created: now}
-	df.Init(r.n.Kernel, func() {
-		df.Phase = core.Queued
-		r.stats[RRDiscoveryForwards].Inc()
-		r.n.MAC.Enqueue(df.fwd, float64(df.Backoff))
-	})
-	r.discPending[key] = df
+	df := r.newDisc(key)
+	df.fwd = *pkt
+	df.fwd.To = packet.Broadcast
+	df.fwd.HopCount++
+	df.fwd.TTL--
 	df.Arm(backoff)
 }
 
@@ -489,7 +543,7 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 
 	st := r.relays[key]
 	if st == nil {
-		r.armRelay(pkt, rssiDBm, key, now)
+		r.armRelay(pkt, rssiDBm, key)
 		return
 	}
 	switch st.Phase {
@@ -541,7 +595,7 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 }
 
 // armRelay enters the election for a freshly seen reply/data packet.
-func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.FlowKey, now sim.Time) {
+func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.FlowKey) {
 	if pkt.TTL <= 1 {
 		r.stats[RRTTLDrops].Inc()
 		return
@@ -564,20 +618,13 @@ func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.Flo
 		r.stats[RRAbstains].Inc()
 		return
 	}
-	fwd := pkt.Clone()
-	fwd.To = packet.Broadcast
-	fwd.HopCount++
-	fwd.TTL--
-	fwd.ExpectedHops = hops - 1
-	st := &relayState{
-		r:         r,
-		armedHop:  pkt.HopCount,
-		armedFrom: pkt.From,
-		fwd:       fwd,
-		created:   now,
-	}
-	st.Init(r.n.Kernel, st.fire)
-	r.relays[key] = st
+	st := r.newRelay(key)
+	st.armedHop, st.armedFrom = pkt.HopCount, pkt.From
+	st.fwd = *pkt
+	st.fwd.To = packet.Broadcast
+	st.fwd.HopCount++
+	st.fwd.TTL--
+	st.fwd.ExpectedHops = hops - 1
 	st.Arm(backoff)
 }
 
@@ -636,10 +683,8 @@ func (r *Routeless) handleAck(pkt *packet.Packet) {
 		// circuitous) copy arriving afterwards cannot recruit us. Its
 		// contender is never armed: nothing to stop, and the zero
 		// Phase is Pending, so Done is set here.
-		r.relays[key] = &relayState{
-			Contender: core.Contender{Phase: core.Done},
-			created:   r.n.Kernel.Now(),
-		}
+		st = r.newRelay(key)
+		st.Phase, st.mark = core.Done, true
 		return
 	}
 	switch st.Phase {
@@ -695,22 +740,50 @@ func (r *Routeless) routeEstablished(target packet.NodeID) {
 	}
 }
 
-// gc drops settled or ancient relay and discovery state.
+// gc drops settled or ancient relay and discovery state, oldest first,
+// and puts what it drops on the free lists. A discovery forward whose
+// frame still sits in the MAC (a paused MAC keeps its queue) is left to
+// the Go collector instead: reusing it would rewrite that frame.
 func (r *Routeless) gc() {
 	now := r.n.Kernel.Now()
-	for key, st := range r.relays {
+	r.relayOrder = slices.DeleteFunc(r.relayOrder, func(st *relayState) bool {
 		age := now - st.created
-		if (st.Phase == core.Done && age > 2) || age > stateTTL {
-			st.Stop()
-			delete(r.relays, key)
+		if expired := (st.Phase == core.Done && age > 2) || age > stateTTL; !expired {
+			return false
 		}
-	}
-	for key, df := range r.discPending {
-		if now-df.created > stateTTL {
-			df.Stop()
-			delete(r.discPending, key)
+		st.Stop()
+		if r.relays[st.key] == st {
+			delete(r.relays, st.key)
 		}
+		r.freeRelays = append(r.freeRelays, st)
+		return true
+	})
+	r.discOrder = slices.DeleteFunc(r.discOrder, func(df *discForward) bool {
+		if now-df.created <= stateTTL {
+			return false
+		}
+		held := df.Phase == core.Queued && r.n.MAC.Holds(&df.fwd)
+		df.Stop()
+		if r.discPending[df.key] == df {
+			delete(r.discPending, df.key)
+		}
+		if !held {
+			r.freeDisc = append(r.freeDisc, df)
+		}
+		return true
+	})
+}
+
+// dropDisc unregisters a forward Withdraw cancelled, whose frame is
+// therefore out of the MAC, and frees it. It is usually the newest.
+func (r *Routeless) dropDisc(df *discForward) {
+	delete(r.discPending, df.key)
+	i := len(r.discOrder) - 1
+	for r.discOrder[i] != df {
+		i--
 	}
+	r.discOrder = slices.Delete(r.discOrder, i, i+1)
+	r.freeDisc = append(r.freeDisc, df)
 }
 
 // OnUnicastFailed implements node.Protocol; Routeless Routing never

@@ -36,7 +36,7 @@ type tableEntry struct {
 //     dissolve. With it, entries still grow when the short path truly
 //     dies (node failures), just on the damping timescale.
 type ActiveTable struct {
-	entries map[packet.NodeID]*tableEntry
+	entries map[packet.NodeID]tableEntry // made on first Observe
 
 	// InflateAfter is the damping window in seconds; default 5.
 	InflateAfter float64
@@ -44,10 +44,7 @@ type ActiveTable struct {
 
 // NewActiveTable returns an empty table with the default damping.
 func NewActiveTable() *ActiveTable {
-	return &ActiveTable{
-		entries:      make(map[packet.NodeID]*tableEntry),
-		InflateAfter: 5,
-	}
+	return &ActiveTable{InflateAfter: 5}
 }
 
 // Observe folds in one overheard packet from origin with the given
@@ -58,7 +55,10 @@ func (t *ActiveTable) Observe(origin packet.NodeID, hops int, seq uint32, now si
 	}
 	e, ok := t.entries[origin]
 	if !ok {
-		t.entries[origin] = &tableEntry{hops: hops, seq: seq, updated: now}
+		if t.entries == nil {
+			t.entries = make(map[packet.NodeID]tableEntry)
+		}
+		t.entries[origin] = tableEntry{hops: hops, seq: seq, updated: now}
 		return
 	}
 	if seq < e.seq {
@@ -76,7 +76,10 @@ func (t *ActiveTable) Observe(origin packet.NodeID, hops int, seq uint32, now si
 		// Longer and the short distance is still fresh: keep the hops,
 		// advance the sequence horizon.
 		e.seq = seq
+	default:
+		return // a longer copy of the current sequence number
 	}
+	t.entries[origin] = e
 }
 
 // Hops returns the table distance to target, or -1 when unknown — the
