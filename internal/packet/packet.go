@@ -166,19 +166,10 @@ type DedupCache struct {
 	cap   int
 }
 
-// NewDedupCache returns a cache holding at most capacity keys. The
-// backing map is allocated on first use: a node no flood ever reaches
-// keeps an empty cache, which at mega scale keeps untouched arena
-// regions cheap.
-func NewDedupCache(capacity int) *DedupCache {
-	c := &DedupCache{}
-	c.Init(capacity)
-	return c
-}
-
-// Init initializes c in place with the given capacity — the
-// value-embedding alternative to NewDedupCache for owners that hold the
-// cache inline (one fewer heap object per node at mega scale).
+// Init empties c and sets it to hold at most capacity keys. Owners hold
+// the cache by value. The backing map is allocated on first use: a node
+// no flood ever reaches keeps an empty cache, which at mega scale keeps
+// untouched arena regions cheap.
 func (c *DedupCache) Init(capacity int) {
 	if capacity <= 0 {
 		panic("packet: dedup capacity must be positive")

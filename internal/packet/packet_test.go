@@ -57,7 +57,8 @@ func TestKeyIdentity(t *testing.T) {
 }
 
 func TestDedupBasic(t *testing.T) {
-	c := NewDedupCache(10)
+	c := &DedupCache{}
+	c.Init(10)
 	k := FlowKey{1, KindData, 1}
 	if c.Seen(k) {
 		t.Fatal("first observation should be new")
@@ -74,7 +75,8 @@ func TestDedupBasic(t *testing.T) {
 }
 
 func TestDedupEvictionFIFO(t *testing.T) {
-	c := NewDedupCache(3)
+	c := &DedupCache{}
+	c.Init(3)
 	keys := []FlowKey{{1, KindData, 1}, {1, KindData, 2}, {1, KindData, 3}, {1, KindData, 4}}
 	for _, k := range keys {
 		c.Seen(k)
@@ -93,7 +95,8 @@ func TestDedupEvictionFIFO(t *testing.T) {
 }
 
 func TestDedupDuplicateDoesNotEvict(t *testing.T) {
-	c := NewDedupCache(2)
+	c := &DedupCache{}
+	c.Init(2)
 	a, b := FlowKey{1, KindData, 1}, FlowKey{1, KindData, 2}
 	c.Seen(a)
 	c.Seen(b)
@@ -111,7 +114,7 @@ func TestDedupZeroCapPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDedupCache(0)
+	new(DedupCache).Init(0)
 }
 
 // Property: a DedupCache never reports new for a key seen within the
@@ -119,7 +122,8 @@ func TestDedupZeroCapPanics(t *testing.T) {
 func TestQuickDedupWindow(t *testing.T) {
 	f := func(seqs []uint8) bool {
 		const cap = 8
-		c := NewDedupCache(cap)
+		c := &DedupCache{}
+		c.Init(cap)
 		var window []FlowKey
 		for _, s := range seqs {
 			k := FlowKey{1, KindData, uint32(s)}

@@ -100,8 +100,8 @@ type AODV struct {
 	rreqID uint32
 
 	routes   map[packet.NodeID]*route
-	rreqSeen *packet.DedupCache
-	consumed *packet.DedupCache // end-to-end dedup of salvaged copies
+	rreqSeen packet.DedupCache
+	consumed packet.DedupCache // end-to-end dedup of salvaged copies
 
 	discovering discoverySet
 
@@ -116,14 +116,15 @@ type AODV struct {
 
 // NewAODV builds an instance; install with Network.Install.
 func NewAODV() *AODV {
-	return &AODV{
+	a := &AODV{
 		salvage:     make(map[packet.NodeID][]*packet.Packet),
 		repairStart: make(map[packet.NodeID]sim.Time),
 		routes:      make(map[packet.NodeID]*route),
-		rreqSeen:    packet.NewDedupCache(8192),
-		consumed:    packet.NewDedupCache(8192),
 		discovering: make(discoverySet),
 	}
+	a.rreqSeen.Init(8192)
+	a.consumed.Init(8192)
+	return a
 }
 
 // Start implements node.Protocol.

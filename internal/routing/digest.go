@@ -75,17 +75,22 @@ func digestRepairStarts(h *digest.Hash, m map[packet.NodeID]sim.Time) {
 
 // DigestState folds one node's Routeless Routing state into h: the
 // sequence counter, the active table, both dedup caches, every relay
-// election state machine (sorted by flow key), the pending discovery
-// rebroadcasts, and the per-target discovery bookkeeping. Timers are
-// captured by the kernel's pending-event digest.
+// election state machine and then every pending discovery rebroadcast
+// (each sorted by flow key), and the per-target discovery bookkeeping.
+// Timers are captured by the kernel's pending-event digest.
 func (r *Routeless) DigestState(h *digest.Hash) {
 	h.Uint64(uint64(r.seq))
 	r.table.DigestState(h)
 	r.floodDedup.DigestState(h)
 	r.consumed.DigestState(h)
 
-	h.Int(len(r.relays))
-	for _, k := range packet.SortedFlowKeys(r.relays) {
+	// Relays first, then discovery forwards, each in flow-key order.
+	keys := packet.SortedFlowKeys(r.relays)
+	isDisc := func(k packet.FlowKey) bool { return k.Kind == packet.KindDiscovery }
+	relays := slices.DeleteFunc(slices.Clone(keys), isDisc)
+	forwards := slices.DeleteFunc(keys, func(k packet.FlowKey) bool { return !isDisc(k) })
+	h.Int(len(relays))
+	for _, k := range relays {
 		rs := r.relays[k]
 		k.DigestTo(h)
 		h.Byte(byte(rs.Phase))
@@ -103,9 +108,9 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 		digestPkt(h, rs.inflight)
 	}
 
-	h.Int(len(r.discPending))
-	for _, k := range packet.SortedFlowKeys(r.discPending) {
-		df := r.discPending[k]
+	h.Int(len(forwards))
+	for _, k := range forwards {
+		df := r.relays[k]
 		k.DigestTo(h)
 		h.Bool(df.Phase == core.Queued)
 		h.Float64(float64(df.created))

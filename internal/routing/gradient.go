@@ -57,11 +57,11 @@ var gradientTable = metrics.Table{
 type Gradient struct {
 	n *node.Node
 
-	table       *ActiveTable
+	table       ActiveTable
 	seq         uint32
-	floodDedup  *packet.DedupCache
-	fwdDedup    *packet.DedupCache
-	consumed    *packet.DedupCache
+	floodDedup  packet.DedupCache
+	fwdDedup    packet.DedupCache
+	consumed    packet.DedupCache
 	discovering discoverySet
 
 	// repairStart records when a discovery first re-flooded for a
@@ -79,14 +79,14 @@ type Gradient struct {
 
 // NewGradient builds an instance; install with Network.Install.
 func NewGradient() *Gradient {
-	return &Gradient{
-		table:       NewActiveTable(),
-		floodDedup:  packet.NewDedupCache(8192),
-		fwdDedup:    packet.NewDedupCache(8192),
-		consumed:    packet.NewDedupCache(8192),
+	g := &Gradient{
 		discovering: make(discoverySet),
 		repairStart: make(map[packet.NodeID]sim.Time),
 	}
+	g.floodDedup.Init(8192)
+	g.fwdDedup.Init(8192)
+	g.consumed.Init(8192)
+	return g
 }
 
 // Start implements node.Protocol.

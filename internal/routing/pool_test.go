@@ -2,6 +2,7 @@ package routing
 
 import (
 	"testing"
+	"unsafe"
 
 	"routeless/internal/core"
 	"routeless/internal/node"
@@ -50,48 +51,81 @@ func dataCopy(seq uint32) *packet.Packet {
 	}
 }
 
-// TestRecycledStateStartsClean runs two identical two-node networks.
-// In both, node 1 arms a relay for a target nobody answers for, so the
-// relay retransmits until it gives up and its state is as dirty as it
-// gets. Then only network A collects it, and both arm a second relay:
-// A's comes off the free list, B's is fresh. gc draws no randomness, so
-// every field must agree.
+// discCopy is a discovery from node 5 for node 9 that node 1 overhears
+// from node 0, hops hops out.
+func discCopy(seq uint32, hops int) *packet.Packet {
+	return &packet.Packet{
+		Kind: packet.KindDiscovery, To: packet.Broadcast, From: 0,
+		Origin: 5, Target: 9, Seq: seq, HopCount: hops, TTL: 10,
+		Size: packet.SizeControl,
+	}
+}
+
+// TestRecycledStateStartsClean runs two identical two-node networks
+// with the periodic sweep stopped. In both, node 1 arms a first state:
+// a relay for a target nobody answers for, which retransmits until it
+// gives up and is as dirty as a state gets, or a discovery forward,
+// which goes on the air. Ten seconds later only network A collects it,
+// and both arm a second state, of either kind: A's comes off the free
+// list, B's is fresh. gc draws no randomness, so every field must
+// agree, whichever kind the object served before.
 func TestRecycledStateStartsClean(t *testing.T) {
-	type run struct {
-		next  *relayState
-		armed relayView
-	}
-	var runs [2]run
-	for i := range runs {
-		nw, rrs := buildRR(t, RoutelessConfig{}, 21, line(2, 200))
-		r := rrs[1]
-		r.table.Observe(9, 1, 1, 0)
-		r.OnDeliver(dataCopy(7), -50)
-		first := r.relays[dataCopy(7).Key()]
-		nw.Run(3) // before the first periodic sweep at 5–6 s
-		if first.Phase != core.Done || first.retries <= maxRelayRetries ||
-			first.repairStart == 0 || first.txHop != 2 || first.inflight == nil {
-			t.Fatalf("run %d: first relay is not dirty: %+v", i, viewRelay(first))
-		}
-		if i == 0 {
-			r.gc()
-			if len(r.relays) != 0 || len(r.freeRelays) != 1 {
-				t.Fatalf("gc left %d relays and %d free states, want 0 and 1", len(r.relays), len(r.freeRelays))
+	disc := func(seq uint32) *packet.Packet { return discCopy(seq, 2) }
+	for _, tc := range []struct {
+		name          string
+		first, second func(seq uint32) *packet.Packet
+	}{
+		{"relay-to-relay", dataCopy, dataCopy},
+		{"discovery-to-relay", disc, dataCopy},
+		{"relay-to-discovery", dataCopy, disc},
+		{"discovery-to-discovery", disc, disc},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type run struct {
+				next  *relayState
+				armed relayView
 			}
-		}
-		r.OnDeliver(dataCopy(8), -50)
-		next := r.relays[dataCopy(8).Key()]
-		if (next == first) != (i == 0) {
-			t.Fatalf("run %d: second relay reused the first state: %v", i, next == first)
-		}
-		runs[i] = run{next: next, armed: viewRelay(next)}
-		nw.Run(3.5) // the second relay wins and transmits
-	}
-	if got, want := runs[0].armed, runs[1].armed; got != want {
-		t.Fatalf("recycled relay differs from a fresh one when armed:\n got  %+v\n want %+v", got, want)
-	}
-	if got, want := viewRelay(runs[0].next), viewRelay(runs[1].next); got != want || !got.hasInflight {
-		t.Fatalf("after transmitting, recycled relay differs from a fresh one:\n got  %+v\n want %+v", got, want)
+			var runs [2]run
+			for i := range runs {
+				nw, rrs := buildRR(t, RoutelessConfig{}, 21, line(2, 200))
+				r := rrs[1]
+				r.sweep.Stop()
+				r.table.Observe(9, 1, 1, 0)
+				r.OnDeliver(tc.first(7), -50)
+				first := r.relays[tc.first(7).Key()]
+				nw.Run(stateTTL + 0.5)
+				var dirty bool
+				if first.key.Kind == packet.KindDiscovery {
+					dirty = first.Phase == core.Queued && !r.n.MAC.Holds(&first.fwd) && first.fwd.HopCount == 3
+				} else {
+					dirty = first.Phase == core.Done && first.retries > maxRelayRetries &&
+						first.repairStart != 0 && first.txHop == 2 && first.inflight != nil
+				}
+				if !dirty {
+					t.Fatalf("run %d: first state is not dirty: %+v", i, viewRelay(first))
+				}
+				if i == 0 {
+					r.gc()
+					if len(r.relays) != 0 || len(r.free) != 1 {
+						t.Fatalf("gc left %d states and %d free ones, want 0 and 1", len(r.relays), len(r.free))
+					}
+				}
+				r.OnDeliver(tc.second(8), -50)
+				next := r.relays[tc.second(8).Key()]
+				if (next == first) != (i == 0) {
+					t.Fatalf("run %d: second state reused the first: %v", i, next == first)
+				}
+				runs[i] = run{next: next, armed: viewRelay(next)}
+				nw.Run(stateTTL + 1) // the second state wins and transmits
+			}
+			if got, want := runs[0].armed, runs[1].armed; got != want {
+				t.Fatalf("recycled state differs from a fresh one when armed:\n got  %+v\n want %+v", got, want)
+			}
+			got, want := viewRelay(runs[0].next), viewRelay(runs[1].next)
+			if got != want || got.phase == core.Pending || (got.key.Kind != packet.KindDiscovery && !got.hasInflight) {
+				t.Fatalf("after transmitting, recycled state differs from a fresh one:\n got  %+v\n want %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -105,7 +139,7 @@ func (f *frameRecorder) OnUnicastFailed(*packet.Packet)        {}
 func (f *frameRecorder) Send(packet.NodeID, int)               {}
 
 // TestPausedMACFrameNotRecycled queues a discovery forward at a failed
-// node: its paused MAC keeps &df.fwd past stateTTL, after gc has
+// node: its paused MAC keeps &st.fwd past stateTTL, after gc has
 // dropped the state. Forwards armed afterwards must not reuse that
 // memory, or the frame the node sends on recovery is theirs.
 func TestPausedMACFrameNotRecycled(t *testing.T) {
@@ -118,30 +152,23 @@ func TestPausedMACFrameNotRecycled(t *testing.T) {
 		}
 		return r
 	})
-	disc := func(seq uint32, hops int) *packet.Packet {
-		return &packet.Packet{
-			Kind: packet.KindDiscovery, To: packet.Broadcast, From: 0,
-			Origin: 5, Target: 9, Seq: seq, HopCount: hops, TTL: 10,
-			Size: packet.SizeControl,
-		}
-	}
 	nw.Nodes[1].Fail()
-	r.OnDeliver(disc(1, 2), -50)
+	r.OnDeliver(discCopy(1, 2), -50)
 	nw.Run(1)
-	if df := r.discPending[disc(1, 2).Key()]; df == nil || df.Phase != core.Queued {
+	if st := r.relays[discCopy(1, 2).Key()]; st == nil || st.Phase != core.Queued {
 		t.Fatal("the first forward is not queued at the failed node")
 	}
 	nw.Run(stateTTL + 6) // past stateTTL and at least one sweep
-	if len(r.discPending) != 0 {
-		t.Fatalf("%d discovery forwards survived stateTTL", len(r.discPending))
+	if len(r.relays) != 0 {
+		t.Fatalf("%d discovery forwards survived stateTTL", len(r.relays))
 	}
-	r.OnDeliver(disc(2, 4), -50)
-	r.OnDeliver(disc(3, 4), -50)
+	r.OnDeliver(discCopy(2, 4), -50)
+	r.OnDeliver(discCopy(3, 4), -50)
 	nw.Run(stateTTL + 7)
 	nw.Nodes[1].Recover()
 	nw.Run(stateTTL + 8)
 
-	want := map[uint32]packet.Packet{1: *disc(1, 3), 2: *disc(2, 5), 3: *disc(3, 5)}
+	want := map[uint32]packet.Packet{1: *discCopy(1, 3), 2: *discCopy(2, 5), 3: *discCopy(3, 5)}
 	for seq, p := range want {
 		p.From, p.TTL = 1, p.TTL-1
 		want[seq] = p
@@ -211,6 +238,25 @@ func TestElectionCyclesAllocateNothing(t *testing.T) {
 		}
 		if got := r.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
 			t.Errorf("%s cycle: %d cancellations in %d cycles", tc.name, got, runs+1)
+		}
+	}
+}
+
+// TestProtocolSizes pins the per-node protocol structs, the arena
+// weight every node of a run pays beside mac:TestMACSize's MAC. Tables
+// and dedup caches are held by value, so their headers count here; a
+// field added to a protocol shows up in review as a changed pin.
+func TestProtocolSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Routeless", unsafe.Sizeof(Routeless{}), 352},
+		{"Gradient", unsafe.Sizeof(Gradient{}), 240},
+		{"AODV", unsafe.Sizeof(AODV{}), 224},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s is %d B, want %d", tc.name, tc.got, tc.want)
 		}
 	}
 }

@@ -140,14 +140,15 @@ var routelessTable = metrics.Table{
 	Hists: []string{"rr.repair_latency_s"},
 }
 
-// relayState is the per-logical-packet election state machine, a
-// core.Contender's Pending → Queued → OnAir → Done. Cancellation can
-// strike in Pending (stop the timer) and in Queued (withdraw the frame
-// from the MAC queue) — §2's backoff cancellation covers the whole
-// pre-air path. Once the frame is OnAir the same timer runs the
-// arbiter's retransmission timeout. States are pooled per node (see
-// newRelay): the MAC only ever holds inflight, a clone, so a state can
-// be reused as soon as gc drops it.
+// relayState is one per-packet election state, a core.Contender's
+// Pending → Queued → OnAir → Done. A reply/data relay can be cancelled
+// in Pending (stop the timer) and in Queued (withdraw the frame from the
+// MAC queue) — §2's backoff cancellation covers the whole pre-air path.
+// Once the frame is OnAir the same timer runs the arbiter's
+// retransmission timeout. A discovery rebroadcast (key.Kind is
+// KindDiscovery) is the same bid with counter-1 cancellation; it uses
+// only key, fwd and created, and the MAC queues &fwd itself. States are
+// pooled per node (see newRelay and gc).
 type relayState struct {
 	core.Contender
 	r         *Routeless
@@ -158,7 +159,7 @@ type relayState struct {
 	mark     bool
 	txHop    int            // hop count we (will) transmit with
 	fwd      packet.Packet  // master copy for (re)transmission
-	inflight *packet.Packet // the exact frame handed to the MAC
+	inflight *packet.Packet // a relay's frame handed to the MAC, a clone of fwd
 	retries  int
 	created  sim.Time
 
@@ -167,33 +168,20 @@ type relayState struct {
 	repairStart sim.Time
 }
 
-// fire is the relay's one timer: in Pending the backoff expired and we
-// won; OnAir it is the arbiter's retransmission timeout.
+// fire is the state's one timer. In Pending the backoff expired and we
+// won: a discovery forward hands its frame to the MAC, a relay becomes
+// the hop's leader. OnAir it is the arbiter's retransmission timeout.
 func (st *relayState) fire() {
-	if st.Phase == core.Pending {
-		st.r.relayWon(st)
-	} else {
+	switch {
+	case st.Phase != core.Pending:
 		st.r.relayTimeout(st)
+	case st.key.Kind == packet.KindDiscovery:
+		st.Phase = core.Queued
+		st.r.stats[RRDiscoveryForwards].Inc()
+		st.r.n.MAC.Enqueue(&st.fwd, float64(st.Backoff))
+	default:
+		st.r.relayWon(st)
 	}
-}
-
-// discForward tracks one pending discovery rebroadcast so that a
-// duplicate overheard in time can cancel it (counter-1 suppression).
-// The MAC queues &fwd itself, so a forward is reused only once its
-// frame has left the MAC (see gc).
-type discForward struct {
-	core.Contender
-	r       *Routeless
-	key     packet.FlowKey
-	fwd     packet.Packet
-	created sim.Time
-}
-
-// fire is the backoff expiry: hand the rebroadcast to the MAC.
-func (df *discForward) fire() {
-	df.Phase = core.Queued
-	df.r.stats[RRDiscoveryForwards].Inc()
-	df.r.n.MAC.Enqueue(&df.fwd, float64(df.Backoff))
 }
 
 // Routeless is one node's Routeless Routing instance (§4.1). It keeps
@@ -204,21 +192,21 @@ type Routeless struct {
 	cfg RoutelessConfig
 	n   *node.Node
 
-	table       *ActiveTable
-	seq         uint32
-	floodDedup  *packet.DedupCache
-	consumed    *packet.DedupCache
+	table      ActiveTable
+	seq        uint32
+	floodDedup packet.DedupCache
+	consumed   packet.DedupCache
+	// relays holds every live per-packet state: reply/data relays,
+	// immunization marks and discovery forwards, kept apart by the
+	// key's Kind.
 	relays      map[packet.FlowKey]*relayState
-	discPending map[packet.FlowKey]*discForward
 	discovering discoverySet
 
-	// relayOrder and discOrder hold the live states of relays and
-	// discPending in creation order, so gc walks them, and refills the
-	// free lists, in an order that does not depend on map iteration.
-	relayOrder []*relayState
-	discOrder  []*discForward
-	freeRelays []*relayState
-	freeDisc   []*discForward
+	// order holds the live states in creation order, so gc walks them,
+	// and refills free, in an order that does not depend on map
+	// iteration.
+	order []*relayState
+	free  []*relayState
 
 	policy core.BackoffPolicy // hop gradient for reply/data
 
@@ -250,23 +238,20 @@ func NewRouteless(cfg RoutelessConfig) *Routeless {
 		policy = core.HopGradient{Lambda: cfg.Lambda}
 	}
 	// The maps are made on first insert: a node no packet reaches keeps none.
-	return &Routeless{
-		cfg:        cfg,
-		table:      NewActiveTable(),
-		floodDedup: packet.NewDedupCache(8192),
-		consumed:   packet.NewDedupCache(8192),
-		policy:     policy,
-	}
+	r := &Routeless{cfg: cfg, policy: policy}
+	r.floodDedup.Init(8192)
+	r.consumed.Init(8192)
+	return r
 }
 
-// newRelay registers a clean relay state for key, created now, taking it
-// off the free list when one is there. The timer callback is bound only
-// when the state is first allocated.
+// newRelay registers a clean state for key, created now, taking it off
+// the free list when one is there. The timer callback is bound only when
+// the state is first allocated.
 func (r *Routeless) newRelay(key packet.FlowKey) *relayState {
 	var st *relayState
-	if n := len(r.freeRelays); n > 0 {
-		st = r.freeRelays[n-1]
-		r.freeRelays = r.freeRelays[:n-1]
+	if n := len(r.free); n > 0 {
+		st = r.free[n-1]
+		r.free = r.free[:n-1]
 		*st = relayState{Contender: core.Contender{Timer: st.Timer}, r: r}
 	} else {
 		st = &relayState{r: r}
@@ -277,28 +262,8 @@ func (r *Routeless) newRelay(key packet.FlowKey) *relayState {
 		r.relays = make(map[packet.FlowKey]*relayState)
 	}
 	r.relays[key] = st
-	r.relayOrder = append(r.relayOrder, st)
+	r.order = append(r.order, st)
 	return st
-}
-
-// newDisc is newRelay for a discovery forward.
-func (r *Routeless) newDisc(key packet.FlowKey) *discForward {
-	var df *discForward
-	if n := len(r.freeDisc); n > 0 {
-		df = r.freeDisc[n-1]
-		r.freeDisc = r.freeDisc[:n-1]
-		*df = discForward{Contender: core.Contender{Timer: df.Timer}, r: r}
-	} else {
-		df = &discForward{r: r}
-		df.Init(r.n.Kernel, df.fire)
-	}
-	df.key, df.created = key, r.n.Kernel.Now()
-	if r.discPending == nil {
-		r.discPending = make(map[packet.FlowKey]*discForward)
-	}
-	r.discPending[key] = df
-	r.discOrder = append(r.discOrder, df)
-	return df
 }
 
 // Start implements node.Protocol.
@@ -330,7 +295,7 @@ func (r *Routeless) repairDone(st *relayState) {
 
 // Table exposes the active node table (read-mostly; used by tests and
 // experiment instrumentation).
-func (r *Routeless) Table() *ActiveTable { return r.table }
+func (r *Routeless) Table() *ActiveTable { return &r.table }
 
 // Send implements node.Protocol: originate data toward target,
 // discovering a gradient first when none exists.
@@ -479,8 +444,8 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		if !r.cfg.PlainDiscovery {
 			// Counter-1 suppression: a duplicate overheard before our
 			// rebroadcast reaches the air cancels it.
-			if df, ok := r.discPending[key]; ok && df.Withdraw(r.n.MAC, &df.fwd) {
-				r.dropDisc(df)
+			if st, ok := r.relays[key]; ok && st.Withdraw(r.n.MAC, &st.fwd) {
+				r.drop(st)
 				r.stats[RRDiscoveryCancelled].Inc()
 			}
 		}
@@ -495,12 +460,12 @@ func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
 		return
 	}
 	backoff, _ := core.Uniform{Max: discoveryBackoff}.Backoff(core.Context{Rand: r.n.Rng})
-	df := r.newDisc(key)
-	df.fwd = *pkt
-	df.fwd.To = packet.Broadcast
-	df.fwd.HopCount++
-	df.fwd.TTL--
-	df.Arm(backoff)
+	st := r.newRelay(key)
+	st.fwd = *pkt
+	st.fwd.To = packet.Broadcast
+	st.fwd.HopCount++
+	st.fwd.TTL--
+	st.Arm(backoff)
 }
 
 func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
@@ -740,50 +705,41 @@ func (r *Routeless) routeEstablished(target packet.NodeID) {
 	}
 }
 
-// gc drops settled or ancient relay and discovery state, oldest first,
-// and puts what it drops on the free lists. A discovery forward whose
-// frame still sits in the MAC (a paused MAC keeps its queue) is left to
-// the Go collector instead: reusing it would rewrite that frame.
+// gc drops settled or ancient states, oldest first, and puts them on the
+// free list. A state whose fwd the MAC still holds (a discovery forward
+// queued at a paused MAC) is left to the Go collector instead: reusing
+// it would rewrite that frame. A relay hands the MAC a clone, so the
+// MAC never holds its fwd.
 func (r *Routeless) gc() {
 	now := r.n.Kernel.Now()
-	r.relayOrder = slices.DeleteFunc(r.relayOrder, func(st *relayState) bool {
+	r.order = slices.DeleteFunc(r.order, func(st *relayState) bool {
 		age := now - st.created
 		if expired := (st.Phase == core.Done && age > 2) || age > stateTTL; !expired {
 			return false
 		}
+		held := r.n.MAC.Holds(&st.fwd)
 		st.Stop()
 		if r.relays[st.key] == st {
 			delete(r.relays, st.key)
 		}
-		r.freeRelays = append(r.freeRelays, st)
-		return true
-	})
-	r.discOrder = slices.DeleteFunc(r.discOrder, func(df *discForward) bool {
-		if now-df.created <= stateTTL {
-			return false
-		}
-		held := df.Phase == core.Queued && r.n.MAC.Holds(&df.fwd)
-		df.Stop()
-		if r.discPending[df.key] == df {
-			delete(r.discPending, df.key)
-		}
 		if !held {
-			r.freeDisc = append(r.freeDisc, df)
+			r.free = append(r.free, st)
 		}
 		return true
 	})
 }
 
-// dropDisc unregisters a forward Withdraw cancelled, whose frame is
-// therefore out of the MAC, and frees it. It is usually the newest.
-func (r *Routeless) dropDisc(df *discForward) {
-	delete(r.discPending, df.key)
-	i := len(r.discOrder) - 1
-	for r.discOrder[i] != df {
+// drop unregisters a discovery forward Withdraw cancelled, whose frame is
+// therefore out of the MAC, and frees it. It is usually among the
+// newest.
+func (r *Routeless) drop(st *relayState) {
+	delete(r.relays, st.key)
+	i := len(r.order) - 1
+	for r.order[i] != st {
 		i--
 	}
-	r.discOrder = slices.Delete(r.discOrder, i, i+1)
-	r.freeDisc = append(r.freeDisc, df)
+	r.order = slices.Delete(r.order, i, i+1)
+	r.free = append(r.free, st)
 }
 
 // OnUnicastFailed implements node.Protocol; Routeless Routing never

@@ -68,13 +68,22 @@ func TestSoakRoutelessUnderChurn(t *testing.T) {
 		t.Fatalf("delivery %v over 120 s with churn", r)
 	}
 	// State bound: after two minutes and ~4k packets, per-node relay
-	// state must be a handful of recent entries, not thousands.
+	// state and discovery state must each be a handful of recent
+	// entries, not thousands.
 	for i, r := range rrs {
-		if len(r.relays) > 200 {
-			t.Fatalf("node %d holds %d relay states — GC leak", i, len(r.relays))
+		var relays, discs int
+		for k := range r.relays {
+			if k.Kind == packet.KindDiscovery {
+				discs++
+			} else {
+				relays++
+			}
 		}
-		if len(r.discPending) > 200 {
-			t.Fatalf("node %d holds %d discovery states — GC leak", i, len(r.discPending))
+		if relays > 200 {
+			t.Fatalf("node %d holds %d relay states — GC leak", i, relays)
+		}
+		if discs > 200 {
+			t.Fatalf("node %d holds %d discovery states — GC leak", i, discs)
 		}
 	}
 }

@@ -29,23 +29,22 @@ type tableEntry struct {
 //     numbers) — the first, shortest copy of a flood;
 //   - longer observations from newer sequence numbers are accepted only
 //     after the stored shorter distance has gone unconfirmed for
-//     InflateAfter seconds. Without this damping, every copy that took
+//     inflateAfter seconds. Without this damping, every copy that took
 //     a redundant longer path would overwrite a still-valid shorter
 //     entry (it carries a newer sequence number), the election's
 //     lowest-delay band would widen each round, and the gradient would
 //     dissolve. With it, entries still grow when the short path truly
 //     dies (node failures), just on the damping timescale.
+//
+// The zero ActiveTable is an empty table.
 type ActiveTable struct {
 	entries map[packet.NodeID]tableEntry // made on first Observe
-
-	// InflateAfter is the damping window in seconds; default 5.
-	InflateAfter float64
 }
 
-// NewActiveTable returns an empty table with the default damping.
-func NewActiveTable() *ActiveTable {
-	return &ActiveTable{InflateAfter: 5}
-}
+// inflateAfter is the damping window in seconds (DESIGN §4 decision 2):
+// a stored shorter distance must go unconfirmed this long before a
+// longer observation replaces it. No experiment varies it.
+const inflateAfter = 5
 
 // Observe folds in one overheard packet from origin with the given
 // actual hop count and origin sequence number at time now.
@@ -68,7 +67,7 @@ func (t *ActiveTable) Observe(origin packet.NodeID, hops int, seq uint32, now si
 	case hops <= e.hops:
 		// Shorter or confirming: accept and refresh.
 		e.hops, e.seq, e.updated = hops, seq, now
-	case seq > e.seq && float64(now-e.updated) > t.InflateAfter:
+	case seq > e.seq && now-e.updated > inflateAfter:
 		// Longer, but the shorter distance has not been confirmed in a
 		// while: the short path is likely gone.
 		e.hops, e.seq, e.updated = hops, seq, now

@@ -5,11 +5,10 @@ import (
 	"testing/quick"
 
 	"routeless/internal/packet"
-	"routeless/internal/sim"
 )
 
 func TestTableObserveAndHops(t *testing.T) {
-	tb := NewActiveTable()
+	tb := &ActiveTable{}
 	if tb.Hops(1) != -1 {
 		t.Fatal("unknown target should report -1")
 	}
@@ -23,7 +22,7 @@ func TestTableObserveAndHops(t *testing.T) {
 }
 
 func TestTableMinWithinSequence(t *testing.T) {
-	tb := NewActiveTable()
+	tb := &ActiveTable{}
 	tb.Observe(1, 5, 10, 0)
 	tb.Observe(1, 3, 10, 1) // shorter copy of the same flood
 	if tb.Hops(1) != 3 {
@@ -36,7 +35,7 @@ func TestTableMinWithinSequence(t *testing.T) {
 }
 
 func TestTableInflationDamped(t *testing.T) {
-	tb := NewActiveTable()
+	tb := &ActiveTable{}
 	tb.Observe(1, 3, 10, 0)
 	tb.Observe(1, 6, 11, 1) // longer path, newer seq, shorter still fresh
 	if tb.Hops(1) != 3 {
@@ -49,18 +48,18 @@ func TestTableInflationDamped(t *testing.T) {
 }
 
 func TestTableInflatesAfterWindow(t *testing.T) {
-	tb := NewActiveTable()
+	tb := &ActiveTable{}
 	tb.Observe(1, 3, 10, 0)
 	// Past the damping window with no confirmation of "3": the longer
 	// distance is believed — the short path died (§4.3 failures).
-	tb.Observe(1, 6, 11, sim.Time(tb.InflateAfter)+1)
+	tb.Observe(1, 6, 11, inflateAfter+1)
 	if tb.Hops(1) != 6 {
 		t.Fatalf("hops = %d, want 6 (short path stale)", tb.Hops(1))
 	}
 }
 
 func TestTableConfirmationRefreshesDamping(t *testing.T) {
-	tb := NewActiveTable()
+	tb := &ActiveTable{}
 	tb.Observe(1, 3, 10, 0)
 	tb.Observe(1, 3, 12, 4) // confirmation at t=4 resets the window
 	tb.Observe(1, 6, 13, 7) // only 3s since confirmation: damped
@@ -70,7 +69,7 @@ func TestTableConfirmationRefreshesDamping(t *testing.T) {
 }
 
 func TestTableSequenceHorizonAdvances(t *testing.T) {
-	tb := NewActiveTable()
+	tb := &ActiveTable{}
 	tb.Observe(1, 3, 10, 0)
 	tb.Observe(1, 6, 20, 1) // damped, but seq horizon moves to 20
 	// A copy from the stale seq 15 carries no information — even a
@@ -82,7 +81,7 @@ func TestTableSequenceHorizonAdvances(t *testing.T) {
 }
 
 func TestTableRejectsNonPositiveHops(t *testing.T) {
-	tb := NewActiveTable()
+	tb := &ActiveTable{}
 	tb.Observe(1, 0, 10, 0)
 	tb.Observe(1, -2, 11, 0)
 	if len(tb.entries) != 0 {
@@ -100,7 +99,7 @@ func TestQuickTableSemanticsInWindow(t *testing.T) {
 		Seq  uint8
 	}
 	f := func(observations []obs) bool {
-		tb := NewActiveTable()
+		tb := &ActiveTable{}
 		horizon := -1
 		want := -1
 		for _, o := range observations {
