@@ -107,14 +107,12 @@ type Flooding struct {
 	n     *node.Node
 	seq   uint32
 	dedup packet.DedupCache
-	// pending maps logical packets to their armed rebroadcasts, used
-	// by the Cancel variant: cancellation can strike while the backoff
-	// timer runs or while the frame waits in the MAC queue
-	// (core.Contender.Withdraw).
+	// pending maps logical packets to their armed rebroadcasts, from the
+	// draw of the backoff until the MAC lets go of the frame: at OnSent,
+	// at a successful Withdraw (the Cancel variant strikes while the
+	// backoff timer runs or while the frame waits in the MAC queue,
+	// core.Contender.Withdraw), or when MAC.Enqueue refuses it.
 	pending map[packet.FlowKey]*pendingForward
-
-	// OnForward, if set, observes every rebroadcast (for tracing).
-	OnForward func(pkt *packet.Packet)
 
 	stats [numSeries]metrics.Counter32
 }
@@ -129,13 +127,13 @@ type pendingForward struct {
 	fwd packet.Packet
 }
 
-// fire is the backoff expiry: hand the rebroadcast to the MAC.
+// fire is the backoff expiry: hand the rebroadcast to the MAC. A frame
+// the full queue refuses was never the MAC's, so it leaves pending here.
 func (pf *pendingForward) fire() {
 	pf.Phase = core.Queued
-	if !pf.f.cfg.Cancel {
+	if !pf.f.transmit(&pf.fwd, float64(pf.Backoff)) {
 		delete(pf.f.pending, pf.fwd.Key())
 	}
-	pf.f.transmit(&pf.fwd, float64(pf.Backoff))
 }
 
 // New builds a flooding instance; install it with Network.Install. cfg
@@ -159,9 +157,9 @@ func Init(f *Flooding, cfg *Config) {
 	if cfg.TTL == 0 {
 		cfg.TTL = packet.HopLimit
 	}
-	// pending is lazily allocated by armForward: only the Cancel
-	// variant ever reads it, and at mega scale an eager empty map per
-	// node is measurable arena weight.
+	// pending is lazily allocated by armForward: a node no packet
+	// reaches keeps none, and at mega scale an eager empty map per node
+	// is measurable arena weight.
 	*f = Flooding{cfg: cfg}
 	f.dedup.Init(dedupCap)
 }
@@ -273,19 +271,17 @@ func forwardOf(pkt *packet.Packet) packet.Packet {
 	return fwd
 }
 
-func (f *Flooding) transmit(fwd *packet.Packet, priority float64) {
+// transmit hands a rebroadcast to the MAC and reports whether the MAC
+// took it.
+func (f *Flooding) transmit(fwd *packet.Packet, priority float64) bool {
 	f.stats[Forwards].Inc()
-	if f.OnForward != nil {
-		f.OnForward(fwd)
-	}
-	f.n.MAC.Enqueue(fwd, priority)
+	return f.n.MAC.Enqueue(fwd, priority)
 }
 
-// OnSent implements node.Protocol: once a Cancel-variant frame is on
-// the air it can no longer be withdrawn, so its tracking entry is
-// released.
+// OnSent implements node.Protocol: the frame has left the air and the
+// MAC has let go of it, so its tracking entry is released.
 func (f *Flooding) OnSent(pkt *packet.Packet) {
-	if pkt.Kind != packet.KindFlood || !f.cfg.Cancel {
+	if pkt.Kind != packet.KindFlood {
 		return
 	}
 	if pf, ok := f.pending[pkt.Key()]; ok && &pf.fwd == pkt {

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"routeless/internal/core"
 	"routeless/internal/geo"
@@ -100,19 +101,30 @@ func TestFloodReachesEveryNodeInField(t *testing.T) {
 	}
 }
 
+// forwardOrder steps nw's kernel up to until and returns the nodes in
+// the order their Forwards counters moved, once per forward.
+func forwardOrder(nw *node.Network, floods []*Flooding, until sim.Time) []packet.NodeID {
+	var order []packet.NodeID
+	seen := make([]uint64, len(floods))
+	nw.Kernel.SetHorizon(until)
+	for nw.Kernel.Step() {
+		for i, f := range floods {
+			for ; seen[i] < f.Count(Forwards); seen[i]++ {
+				order = append(order, packet.NodeID(i))
+			}
+		}
+	}
+	return order
+}
+
 func TestSSAFFarNodeForwardsFirst(t *testing.T) {
 	// Source at 0; near relay at 100 m; far relay at 240 m. SSAF must
 	// have the far (weak-signal) relay rebroadcast before the near one.
 	cfg := SSAFConfig(10e-3, -55.1, -33.2) // span: RSSI at 250 m .. 25 m
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 240, Y: 0}}
 	nw, floods := build(t, cfg, 4, positions...)
-	var order []packet.NodeID
-	for i, f := range floods {
-		id := packet.NodeID(i)
-		f.OnForward = func(*packet.Packet) { order = append(order, id) }
-	}
 	floods[0].Send(packet.None, packet.SizeData)
-	nw.Run(2)
+	order := forwardOrder(nw, floods, 2)
 	if len(order) < 2 {
 		t.Fatalf("expected both relays to forward, got %v", order)
 	}
@@ -317,16 +329,13 @@ func TestLocationBasedFlooding(t *testing.T) {
 	locator := func(id packet.NodeID) geo.Point { return positions[id] }
 	cfg := LocationConfig(10e-3, 250, locator)
 	floods := make([]*Flooding, 0, 3)
-	var order []packet.NodeID
 	nw.Install(func(n *node.Node) node.Protocol {
 		f := New(&cfg)
-		id := n.ID
-		f.OnForward = func(*packet.Packet) { order = append(order, id) }
 		floods = append(floods, f)
 		return f
 	})
 	floods[0].Send(packet.None, 64)
-	nw.Run(2)
+	order := forwardOrder(nw, floods, 2)
 	if len(order) < 2 || order[0] != 2 {
 		t.Fatalf("forward order %v, want far relay first", order)
 	}
@@ -343,6 +352,75 @@ func TestLocationPolicyAbstainsWithoutLocator(t *testing.T) {
 		if f.Count(Forwards) != 0 {
 			t.Fatalf("node %d forwarded without position information", i)
 		}
+	}
+}
+
+// TestRefusedForwardLeavesPending holds a forward in pending exactly
+// while it is the MAC's, for both Cancel values. Behind a busy MAC the
+// armed forward stays until its OnSent; at a paused MAC whose queue is
+// full, MAC.Enqueue refuses it and it leaves at once.
+func TestRefusedForwardLeavesPending(t *testing.T) {
+	filler := &packet.Packet{Kind: packet.KindData, To: packet.Broadcast, Size: packet.SizeData}
+	copyFrom0 := func() *packet.Packet {
+		return &packet.Packet{
+			Kind: packet.KindFlood, To: packet.Broadcast, From: 0,
+			Origin: 0, Target: packet.None, Seq: 1, HopCount: 1, TTL: 4,
+			Size: packet.SizeData,
+		}
+	}
+	for _, cancel := range []bool{false, true} {
+		cfg := Counter1Config(5e-3)
+		cfg.Cancel = cancel
+
+		nw, floods := build(t, cfg, 12, chain(2, 200)...)
+		f, m := floods[1], nw.Nodes[1].MAC
+		for range 3 {
+			m.Enqueue(filler.Clone(), 0)
+		}
+		f.OnDeliver(copyFrom0(), -50)
+		pf := f.pending[copyFrom0().Key()]
+		if pf == nil {
+			t.Fatalf("cancel=%v: no forward armed", cancel)
+		}
+		var queued, sent bool
+		nw.Kernel.SetHorizon(1)
+		for nw.Kernel.Step() {
+			held := m.Holds(&pf.fwd)
+			queued = queued || held
+			sent = sent || (pf.Phase == core.Queued && !held)
+			if tracked := f.pending[pf.fwd.Key()] == pf; tracked != (pf.Phase == core.Pending || held) {
+				t.Fatalf("cancel=%v at %v: pending=%v, phase %d, MAC holds %v", cancel, nw.Kernel.Now(), tracked, pf.Phase, held)
+			}
+		}
+		if !queued || !sent || f.Count(Forwards) != 1 {
+			t.Fatalf("cancel=%v: queued %v, sent %v, %d forwards; want a forward that waits in the queue, then airs", cancel, queued, sent, f.Count(Forwards))
+		}
+
+		nw, floods = build(t, cfg, 12, chain(2, 200)...)
+		f, m = floods[1], nw.Nodes[1].MAC
+		m.Pause()
+		for range mac.DefaultConfig().QueueCap {
+			if !m.Enqueue(filler.Clone(), 0) {
+				t.Fatal("queue full early")
+			}
+		}
+		f.OnDeliver(copyFrom0(), -50)
+		nw.Run(1)
+		if f.Count(Forwards) != 1 || m.Count(mac.DroppedFull) != 1 {
+			t.Fatalf("cancel=%v: %d forwards, %d refused, want 1 and 1", cancel, f.Count(Forwards), m.Count(mac.DroppedFull))
+		}
+		if len(f.pending) != 0 {
+			t.Fatalf("cancel=%v: a refused forward stays in pending (%d entries)", cancel, len(f.pending))
+		}
+	}
+}
+
+// TestFloodingSize pins the per-node Flooding struct, the arena weight
+// every node of a flood run pays: 96 B, inside Go's 96-B size class. A
+// field that crosses into the 112-B class costs 16 B a node.
+func TestFloodingSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flooding{}); got != 96 {
+		t.Errorf("Flooding is %d B, want 96", got)
 	}
 }
 

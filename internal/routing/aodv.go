@@ -122,8 +122,8 @@ func NewAODV() *AODV {
 		routes:      make(map[packet.NodeID]*route),
 		discovering: make(discoverySet),
 	}
-	a.rreqSeen.Init(8192)
-	a.consumed.Init(8192)
+	a.rreqSeen.Init(dedupCap)
+	a.consumed.Init(dedupCap)
 	return a
 }
 

@@ -3,7 +3,6 @@ package routing
 import (
 	"slices"
 
-	"routeless/internal/core"
 	"routeless/internal/digest"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
@@ -22,11 +21,6 @@ func sortedNodeKeys[V any](m map[packet.NodeID]V) []packet.NodeID {
 }
 
 func digestPkt(h *digest.Hash, p *packet.Packet) {
-	if p == nil {
-		h.Bool(false)
-		return
-	}
-	h.Bool(true)
 	h.Uint64(p.UID)
 	h.Int64(int64(p.Origin))
 	h.Int64(int64(p.Target))
@@ -74,47 +68,28 @@ func digestRepairStarts(h *digest.Hash, m map[packet.NodeID]sim.Time) {
 }
 
 // DigestState folds one node's Routeless Routing state into h: the
-// sequence counter, the active table, both dedup caches, every relay
-// election state machine and then every pending discovery rebroadcast
-// (each sorted by flow key), and the per-target discovery bookkeeping.
-// Timers are captured by the kernel's pending-event digest.
+// sequence counter, the active table, both dedup caches, every
+// per-packet state (relays, immunization marks and discovery forwards,
+// in flow-key order), and the per-target discovery bookkeeping. Timers
+// are captured by the kernel's pending-event digest.
 func (r *Routeless) DigestState(h *digest.Hash) {
 	h.Uint64(uint64(r.seq))
 	r.table.DigestState(h)
 	r.floodDedup.DigestState(h)
 	r.consumed.DigestState(h)
 
-	// Relays first, then discovery forwards, each in flow-key order.
-	keys := packet.SortedFlowKeys(r.relays)
-	isDisc := func(k packet.FlowKey) bool { return k.Kind == packet.KindDiscovery }
-	relays := slices.DeleteFunc(slices.Clone(keys), isDisc)
-	forwards := slices.DeleteFunc(keys, func(k packet.FlowKey) bool { return !isDisc(k) })
-	h.Int(len(relays))
-	for _, k := range relays {
-		rs := r.relays[k]
+	h.Int(len(r.relays))
+	for _, k := range packet.SortedFlowKeys(r.relays) {
+		st := r.relays[k]
 		k.DigestTo(h)
-		h.Byte(byte(rs.Phase))
-		h.Int(rs.armedHop)
-		h.Int64(int64(rs.armedFrom))
-		h.Int(rs.txHop)
-		h.Int(rs.retries)
-		h.Float64(float64(rs.created))
-		h.Float64(float64(rs.repairStart))
-		if rs.mark {
-			digestPkt(h, nil)
-		} else {
-			digestPkt(h, &rs.fwd)
-		}
-		digestPkt(h, rs.inflight)
-	}
-
-	h.Int(len(forwards))
-	for _, k := range forwards {
-		df := r.relays[k]
-		k.DigestTo(h)
-		h.Bool(df.Phase == core.Queued)
-		h.Float64(float64(df.created))
-		digestPkt(h, &df.fwd)
+		h.Byte(byte(st.Phase))
+		h.Int(st.armedHop)
+		h.Int64(int64(st.armedFrom))
+		h.Int(st.txHop)
+		h.Int(st.retries)
+		h.Float64(float64(st.created))
+		h.Float64(float64(st.repairStart))
+		digestPkt(h, &st.fwd)
 	}
 
 	r.discovering.digestState(h)

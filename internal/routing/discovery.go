@@ -37,6 +37,12 @@ const (
 	discoveryBackoff sim.Time = 10e-3
 )
 
+// dedupCap bounds each of a node's duplicate caches in all three
+// protocols — discovery floods seen, packets forwarded and packets
+// consumed — so every node forgets a key only after this many newer
+// ones, whatever the protocol.
+const dedupCap = 8192
+
 // discoverySet is the shared per-target discovery bookkeeping used by
 // all three routing protocols. The three implementations used to drift
 // on exactly the life-cycle corners this type centralizes: stopping the

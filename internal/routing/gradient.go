@@ -83,9 +83,9 @@ func NewGradient() *Gradient {
 		discovering: make(discoverySet),
 		repairStart: make(map[packet.NodeID]sim.Time),
 	}
-	g.floodDedup.Init(8192)
-	g.fwdDedup.Init(8192)
-	g.consumed.Init(8192)
+	g.floodDedup.Init(dedupCap)
+	g.fwdDedup.Init(dedupCap)
+	g.consumed.Init(dedupCap)
 	return g
 }
 

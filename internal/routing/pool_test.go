@@ -18,27 +18,20 @@ type relayView struct {
 	backoff     sim.Time
 	armedHop    int
 	armedFrom   packet.NodeID
-	mark        bool
 	txHop       int
 	fwd         packet.Packet
-	inflight    packet.Packet
-	hasInflight bool
 	retries     int
 	created     sim.Time
 	repairStart sim.Time
 }
 
 func viewRelay(st *relayState) relayView {
-	v := relayView{
+	return relayView{
 		key: st.key, phase: st.Phase, backoff: st.Backoff,
-		armedHop: st.armedHop, armedFrom: st.armedFrom, mark: st.mark,
+		armedHop: st.armedHop, armedFrom: st.armedFrom,
 		txHop: st.txHop, fwd: st.fwd, retries: st.retries,
 		created: st.created, repairStart: st.repairStart,
 	}
-	if st.inflight != nil {
-		v.inflight, v.hasInflight = *st.inflight, true
-	}
-	return v
 }
 
 // dataCopy is a data packet from node 0 toward a target node 1 knows at
@@ -94,12 +87,12 @@ func TestRecycledStateStartsClean(t *testing.T) {
 				r.OnDeliver(tc.first(7), -50)
 				first := r.relays[tc.first(7).Key()]
 				nw.Run(stateTTL + 0.5)
-				var dirty bool
+				dirty := !r.n.MAC.Holds(&first.fwd) && first.fwd.UID != 0
 				if first.key.Kind == packet.KindDiscovery {
-					dirty = first.Phase == core.Queued && !r.n.MAC.Holds(&first.fwd) && first.fwd.HopCount == 3
+					dirty = dirty && first.Phase == core.Queued && first.fwd.HopCount == 3
 				} else {
-					dirty = first.Phase == core.Done && first.retries > maxRelayRetries &&
-						first.repairStart != 0 && first.txHop == 2 && first.inflight != nil
+					dirty = dirty && first.Phase == core.Done && first.retries > maxRelayRetries &&
+						first.repairStart != 0 && first.txHop == 2
 				}
 				if !dirty {
 					t.Fatalf("run %d: first state is not dirty: %+v", i, viewRelay(first))
@@ -122,7 +115,7 @@ func TestRecycledStateStartsClean(t *testing.T) {
 				t.Fatalf("recycled state differs from a fresh one when armed:\n got  %+v\n want %+v", got, want)
 			}
 			got, want := viewRelay(runs[0].next), viewRelay(runs[1].next)
-			if got != want || got.phase == core.Pending || (got.key.Kind != packet.KindDiscovery && !got.hasInflight) {
+			if got != want || got.phase == core.Pending || got.fwd.UID == 0 {
 				t.Fatalf("after transmitting, recycled state differs from a fresh one:\n got  %+v\n want %+v", got, want)
 			}
 		})
@@ -243,15 +236,17 @@ func TestElectionCyclesAllocateNothing(t *testing.T) {
 }
 
 // TestProtocolSizes pins the per-node protocol structs, the arena
-// weight every node of a run pays beside mac:TestMACSize's MAC. Tables
-// and dedup caches are held by value, so their headers count here; a
-// field added to a protocol shows up in review as a changed pin.
+// weight every node of a run pays beside mac:TestMACSize's MAC, and
+// Routeless's per-packet relayState, which every live election pays.
+// Tables and dedup caches are held by value, so their headers count
+// here; a field added to a protocol shows up in review as a changed pin.
 func TestProtocolSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"Routeless", unsafe.Sizeof(Routeless{}), 352},
+		{"relayState", unsafe.Sizeof(relayState{}), 208},
 		{"Gradient", unsafe.Sizeof(Gradient{}), 240},
 		{"AODV", unsafe.Sizeof(AODV{}), 224},
 	} {

@@ -147,21 +147,20 @@ var routelessTable = metrics.Table{
 // Once the frame is OnAir the same timer runs the arbiter's
 // retransmission timeout. A discovery rebroadcast (key.Kind is
 // KindDiscovery) is the same bid with counter-1 cancellation; it uses
-// only key, fwd and created, and the MAC queues &fwd itself. States are
-// pooled per node (see newRelay and gc).
+// only key, fwd and created. An ACK's immunization mark is a state that
+// is never armed and keeps a zero fwd. Every state's fwd is the frame
+// the MAC queues, withdraws and sends. States are pooled per node (see
+// newRelay and gc).
 type relayState struct {
 	core.Contender
 	r         *Routeless
 	key       packet.FlowKey
 	armedHop  int           // hop count of the copy that armed our backoff
 	armedFrom packet.NodeID // transmitter of that copy (our arbiter)
-	// mark is an ACK's immunization mark: never armed, no packet.
-	mark     bool
-	txHop    int            // hop count we (will) transmit with
-	fwd      packet.Packet  // master copy for (re)transmission
-	inflight *packet.Packet // a relay's frame handed to the MAC, a clone of fwd
-	retries  int
-	created  sim.Time
+	txHop     int           // hop count we (will) transmit with
+	fwd       packet.Packet // the frame handed to the MAC, every (re)transmission
+	retries   int
+	created   sim.Time
 
 	// repairStart is when the first retransmission for this relay fired;
 	// zero while no repair is in progress.
@@ -214,7 +213,8 @@ type Routeless struct {
 
 	// OnRelay observes every reply/data transmission this node makes
 	// (origination, election win, or retransmission) — the Figure 2
-	// trace hook.
+	// trace hook. pkt is the relay state's own frame: read it during
+	// the call, Clone it to keep it.
 	OnRelay func(pkt *packet.Packet)
 
 	stats [numRoutelessSeries]metrics.Counter32
@@ -239,8 +239,8 @@ func NewRouteless(cfg RoutelessConfig) *Routeless {
 	}
 	// The maps are made on first insert: a node no packet reaches keeps none.
 	r := &Routeless{cfg: cfg, policy: policy}
-	r.floodDedup.Init(8192)
-	r.consumed.Init(8192)
+	r.floodDedup.Init(dedupCap)
+	r.consumed.Init(dedupCap)
 	return r
 }
 
@@ -377,13 +377,14 @@ func (r *Routeless) originate(pkt *packet.Packet) {
 	r.enqueueRelay(st, 0)
 }
 
-// enqueueRelay hands the state's master copy to the MAC.
+// enqueueRelay hands the state's frame to the MAC. A retransmission
+// resends the same frame, so it keeps the UID of the first copy, as a
+// MAC ARQ retry does.
 func (r *Routeless) enqueueRelay(st *relayState, priority float64) {
-	st.inflight = st.fwd.Clone()
 	if r.OnRelay != nil {
-		r.OnRelay(st.inflight)
+		r.OnRelay(&st.fwd)
 	}
-	r.n.MAC.Enqueue(st.inflight, priority)
+	r.n.MAC.Enqueue(&st.fwd, priority)
 }
 
 // floodDiscovery starts (or retries) a counter-1 flood for target.
@@ -529,7 +530,7 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 			// A node at or beyond our level transmitted while our frame
 			// sat in the MAC queue: withdraw it if it has not reached
 			// the air yet.
-			if st.Withdraw(r.n.MAC, st.inflight) {
+			if st.Withdraw(r.n.MAC, &st.fwd) {
 				r.stats[RRCancelledByOverhear].Inc()
 				if pkt.HopCount > st.txHop {
 					// Only possible for a queued retransmission: our
@@ -610,7 +611,7 @@ func (r *Routeless) OnSent(pkt *packet.Packet) {
 		return
 	}
 	st := r.relays[pkt.Key()]
-	if st == nil || st.Phase != core.Queued || st.inflight != pkt {
+	if st == nil || st.Phase != core.Queued || &st.fwd != pkt {
 		return
 	}
 	st.Phase = core.OnAir
@@ -648,15 +649,14 @@ func (r *Routeless) handleAck(pkt *packet.Packet) {
 		// circuitous) copy arriving afterwards cannot recruit us. Its
 		// contender is never armed: nothing to stop, and the zero
 		// Phase is Pending, so Done is set here.
-		st = r.newRelay(key)
-		st.Phase, st.mark = core.Done, true
+		r.newRelay(key).Phase = core.Done
 		return
 	}
 	switch st.Phase {
 	case core.Pending, core.Queued:
 		// §4.1 cancellation case (ii): an ACK means the packet was
 		// relayed (or arrived); stand down.
-		if st.Withdraw(r.n.MAC, st.inflight) {
+		if st.Withdraw(r.n.MAC, &st.fwd) {
 			r.repairDone(st)
 			r.stats[RRCancelledByAck].Inc()
 		}
@@ -667,13 +667,14 @@ func (r *Routeless) handleAck(pkt *packet.Packet) {
 }
 
 func (r *Routeless) sendAck(key packet.FlowKey) {
-	// The acknowledgement is sent twice with independent jitter: a
-	// single ACK lost to a collision leaves election losers armed, and
-	// each escaped loser re-floods the packet — far costlier than one
-	// redundant 24-byte frame. Jitter de-synchronizes acknowledgements
-	// from neighboring arbiters (they tend to fire on the same
-	// overheard relay); negative priority then makes them pre-empt
-	// queued relays — suppression must outrun competing backoff timers.
+	// One acknowledgement per window of ackWindows: one by default, two
+	// with independent jitter under RedundantAcks, since a single ACK
+	// lost to a collision leaves election losers armed and each escaped
+	// loser re-floods the packet. Jitter de-synchronizes
+	// acknowledgements from neighboring arbiters (they tend to fire on
+	// the same overheard relay); negative priority then makes them
+	// pre-empt queued relays — suppression must outrun competing
+	// backoff timers.
 	for _, window := range r.ackWindows() {
 		jitter := sim.Time(r.n.Rng.Float64() * window)
 		r.n.Kernel.Schedule(jitter, func() {
@@ -706,10 +707,9 @@ func (r *Routeless) routeEstablished(target packet.NodeID) {
 }
 
 // gc drops settled or ancient states, oldest first, and puts them on the
-// free list. A state whose fwd the MAC still holds (a discovery forward
-// queued at a paused MAC) is left to the Go collector instead: reusing
-// it would rewrite that frame. A relay hands the MAC a clone, so the
-// MAC never holds its fwd.
+// free list. A state whose fwd the MAC still holds (a frame queued at a
+// paused MAC) is left to the Go collector instead: reusing it would
+// rewrite that frame.
 func (r *Routeless) gc() {
 	now := r.n.Kernel.Now()
 	r.order = slices.DeleteFunc(r.order, func(st *relayState) bool {

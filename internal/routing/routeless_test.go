@@ -219,6 +219,36 @@ func TestRRArbiterRetransmitsThroughGap(t *testing.T) {
 	}
 }
 
+// TestRRRetransmissionKeepsUID originates a data packet toward a target
+// two hops out that nobody relays: the origin, as arbiter, retransmits
+// its own frame until it gives up. A neighbour hears every copy with
+// the first copy's UID, as it would a MAC ARQ retry.
+func TestRRRetransmissionKeepsUID(t *testing.T) {
+	nw := node.Must(node.New(node.Config{Positions: line(2, 200), Seed: 24}))
+	rec := &frameRecorder{}
+	r := NewRouteless(RoutelessConfig{})
+	nw.Install(func(n *node.Node) node.Protocol {
+		if n.ID == 1 {
+			return rec
+		}
+		return r
+	})
+	r.table.Observe(9, 2, 1, 0)
+	r.Send(9, packet.SizeData)
+	nw.Run(2)
+	if got := r.Count(RRRetransmissions); got != maxRelayRetries {
+		t.Fatalf("%d retransmissions, want %d", got, maxRelayRetries)
+	}
+	if len(rec.got) != maxRelayRetries+1 {
+		t.Fatalf("neighbour heard %d copies, want %d", len(rec.got), maxRelayRetries+1)
+	}
+	for i, p := range rec.got {
+		if p.UID == 0 || p.UID != rec.got[0].UID {
+			t.Fatalf("copy %d has UID %d, the first copy %d", i, p.UID, rec.got[0].UID)
+		}
+	}
+}
+
 func TestRRNoRouteGivesUp(t *testing.T) {
 	// Destination unreachable (out of range): discovery retries then
 	// drops the queued data.

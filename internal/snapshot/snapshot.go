@@ -50,11 +50,15 @@ const Magic = "RLSNAP1\n"
 // moved into the state word), version 4 hashed AODV's neighbour
 // last-heard table and numbered the packet kinds after RERR from a
 // hello kind on, version 5 hashed a per-radio transmit power into the
-// state word, and version 6 hashed each signal's power in dBm, a
-// Routeless relay's always-zero re-ack word and the never-counted
-// aodv.hellos and rr.re_acks series; none can match a replay, so such a
+// state word, version 6 hashed each signal's power in dBm, a Routeless
+// relay's always-zero re-ack word and the never-counted aodv.hellos and
+// rr.re_acks series, and version 7 hashed Routeless relays and discovery
+// forwards in two loops, a relay's per-transmission clone beside its
+// frame, an immunization mark as an absent packet, a presence flag
+// before every Routeless and AODV packet and a flooding forward's
+// always-true held-by-value flag; none can match a replay, so such a
 // file is refused up front.
-const Version = 7
+const Version = 8
 
 // maxScenarioLen bounds the embedded document so a corrupt length field
 // cannot drive a huge allocation before the CRC check runs.
