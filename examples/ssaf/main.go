@@ -29,11 +29,7 @@ func run(ssaf bool) routeless.RunMetrics {
 		Net: routeless.NetworkConfig{
 			N: 100, Rect: routeless.NewRect(1000, 1000), Seed: 7, EnsureConnected: true,
 		},
-		Install: func(nw *routeless.Network) {
-			nw.Install(func(n *routeless.Node) routeless.Protocol {
-				return routeless.NewFlooding(&cfg)
-			})
-		},
+		Install:  func(nw *routeless.Network) { routeless.InstallFlooding(nw, cfg) },
 		Flows:    func(*routeless.Network) []routeless.CBRFlow { return flows },
 		Duration: 20, // then a 5 s drain
 	}))

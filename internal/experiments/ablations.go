@@ -30,9 +30,7 @@ func abl1Grid(cfg Fig1Config) grid {
 		spec: func(x, v int, seed int64) scenario.Spec {
 			fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
 			fcfg.Cancel = v == 1
-			install := func(nw *node.Network) {
-				nw.Install(func(*node.Node) node.Protocol { return flood.New(&fcfg) })
-			}
+			install := func(nw *node.Network) { flood.Install(nw, fcfg) }
 			return fig1Spec(cfg, install, cfg.Intervals[x], packet.SizeData, seed)
 		},
 	}

@@ -129,15 +129,7 @@ func megaSpec(cfg MegaConfig, n int, seed int64) scenario.Spec {
 			// ratio deterministically.
 			LinkCacheCap: cfg.LinkCacheCap,
 		},
-		Install: func(nw *node.Network) {
-			// One contiguous protocol arena instead of N heap objects.
-			floodArena := make([]flood.Flooding, n)
-			nw.Install(func(nd *node.Node) node.Protocol {
-				f := &floodArena[nd.ID]
-				flood.Init(f, &fcfg)
-				return f
-			})
-		},
+		Install: func(nw *node.Network) { flood.Install(nw, fcfg) },
 		Flows: func(*node.Network) []scenario.CBRFlow {
 			pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, cfg.Flows)
 			flows := make([]scenario.CBRFlow, len(pairs))

@@ -26,8 +26,7 @@ func BenchmarkFloodSteadyState(b *testing.B) {
 	nw := node.Must(node.New(node.Config{
 		N: 100, Rect: geo.NewRect(1000, 1000), Seed: 1, EnsureConnected: true,
 	}))
-	cfg := SSAFConfig(10e-3, -55.1, -33.2)
-	nw.Install(func(*node.Node) node.Protocol { return New(&cfg) })
+	Install(nw, SSAFConfig(10e-3, -55.1, -33.2))
 	delivered := uint64(0)
 	for _, n := range nw.Nodes {
 		n.OnAppReceive = func(*packet.Packet) { delivered++ }

@@ -99,11 +99,21 @@ var table = metrics.Table{Counters: []string{
 	TTLDrops:   "flood.ttl_drops",
 }}
 
+// population is one network's flooding: the Config every node's
+// instance reads and a LIFO free list of released pendingForwards,
+// each bound to that network's kernel. Install makes one per network,
+// so neither is ever shared between networks (sweep runs networks
+// concurrently, and a pooled timer belongs to one kernel).
+type population struct {
+	Config
+	free []*pendingForward
+}
+
 // Flooding is one node's instance of the protocol.
 type Flooding struct {
-	// cfg is shared across the population (see New); never written
-	// after the first New on it.
-	cfg   *Config
+	// cfg is the network's population (see Install); its Config is
+	// never written after Install.
+	cfg   *population
 	n     *node.Node
 	seq   uint32
 	dedup packet.DedupCache
@@ -118,9 +128,9 @@ type Flooding struct {
 }
 
 // pendingForward is one armed rebroadcast: the node's election bid and
-// the rebroadcast itself, both held by value (the MAC queues &pf.fwd),
-// so arming costs one object, not a Timer, a closure and a packet
-// beside it; pendingForwards are never copied.
+// the rebroadcast itself, both held by value (the MAC queues &pf.fwd).
+// pendingForwards are never copied; they come from the population's
+// free list (see armForward) and go back to it at release.
 type pendingForward struct {
 	core.Contender
 	f   *Flooding
@@ -128,40 +138,34 @@ type pendingForward struct {
 }
 
 // fire is the backoff expiry: hand the rebroadcast to the MAC. A frame
-// the full queue refuses was never the MAC's, so it leaves pending here.
+// the full queue refuses was never the MAC's, so it is released here.
 func (pf *pendingForward) fire() {
 	pf.Phase = core.Queued
 	if !pf.f.transmit(&pf.fwd, float64(pf.Backoff)) {
-		delete(pf.f.pending, pf.fwd.Key())
+		pf.f.release(pf)
 	}
 }
 
-// New builds a flooding instance; install it with Network.Install. cfg
-// is retained, not copied — every node's instance reads the same Config,
-// which is 40 bytes of identical bytes per node otherwise — and New
-// fills in zero-valued defaults in place, so callers must not mutate
-// it after the first New.
-func New(cfg *Config) *Flooding {
-	f := &Flooding{}
-	Init(f, cfg)
-	return f
-}
-
-// Init initializes f in place — the arena alternative to New for
-// mega-scale populations that lay their Flooding instances out in one
-// contiguous slice. Same contract as New: cfg is retained and shared.
-func Init(f *Flooding, cfg *Config) {
+// Install gives every node of nw a flooding instance of cfg, in node
+// order, through nw.Install. The instances share one population: one
+// copy of cfg, with a zero TTL set to packet.HopLimit, and one free
+// list of forwards.
+func Install(nw *node.Network, cfg Config) {
 	if cfg.Policy == nil && !cfg.Blind {
 		panic("flood: Config.Policy required")
 	}
 	if cfg.TTL == 0 {
 		cfg.TTL = packet.HopLimit
 	}
-	// pending is lazily allocated by armForward: a node no packet
-	// reaches keeps none, and at mega scale an eager empty map per node
-	// is measurable arena weight.
-	*f = Flooding{cfg: cfg}
-	f.dedup.Init(dedupCap)
+	pop := &population{Config: cfg}
+	nw.Install(func(*node.Node) node.Protocol {
+		// pending is made by armForward: a node no packet reaches keeps
+		// none, and at mega scale an eager empty map per node is
+		// measurable weight.
+		f := &Flooding{cfg: pop}
+		f.dedup.Init(dedupCap)
+		return f
+	})
 }
 
 // Start implements node.Protocol.
@@ -203,7 +207,7 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 		f.stats[Duplicates].Inc()
 		if f.cfg.Cancel {
 			if pf, ok := f.pending[key]; ok && pf.Withdraw(f.n.MAC, &pf.fwd) {
-				delete(f.pending, key)
+				f.release(pf)
 				f.stats[Cancelled].Inc()
 			}
 		}
@@ -237,7 +241,9 @@ func (f *Flooding) handleBlind(pkt *packet.Packet, rssiDBm float64) {
 }
 
 // armForward schedules the §2 election step: backoff from the policy,
-// then rebroadcast — unless cancelled first.
+// then rebroadcast — unless cancelled first. The forward comes off the
+// population's free list, rewritten whole except its timer; only an
+// empty list allocates one and binds its timer callback.
 func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	ctx := core.Context{
 		Self:             f.n.ID,
@@ -252,8 +258,15 @@ func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	if !ok {
 		return
 	}
-	pf := &pendingForward{f: f, fwd: forwardOf(pkt)}
-	pf.Init(f.n.Kernel, pf.fire)
+	var pf *pendingForward
+	if n := len(f.cfg.free); n > 0 {
+		pf = f.cfg.free[n-1]
+		f.cfg.free = f.cfg.free[:n-1]
+		*pf = pendingForward{Contender: core.Contender{Timer: pf.Timer}, f: f, fwd: forwardOf(pkt)}
+	} else {
+		pf = &pendingForward{f: f, fwd: forwardOf(pkt)}
+		pf.Init(f.n.Kernel, pf.fire)
+	}
 	if f.pending == nil {
 		f.pending = make(map[packet.FlowKey]*pendingForward)
 	}
@@ -279,14 +292,23 @@ func (f *Flooding) transmit(fwd *packet.Packet, priority float64) bool {
 }
 
 // OnSent implements node.Protocol: the frame has left the air and the
-// MAC has let go of it, so its tracking entry is released.
+// MAC has let go of it, so its forward is released.
 func (f *Flooding) OnSent(pkt *packet.Packet) {
 	if pkt.Kind != packet.KindFlood {
 		return
 	}
 	if pf, ok := f.pending[pkt.Key()]; ok && &pf.fwd == pkt {
-		delete(f.pending, pkt.Key())
+		f.release(pf)
 	}
+}
+
+// release ends a forward whose frame the MAC has let go of (sent,
+// withdrawn or refused): it leaves pending and goes back on the free
+// list. Nothing else returns a forward, so a frame the MAC still holds
+// is never rewritten.
+func (f *Flooding) release(pf *pendingForward) {
+	delete(f.pending, pf.fwd.Key())
+	f.cfg.free = append(f.cfg.free, pf)
 }
 
 // OnUnicastFailed implements node.Protocol; flooding never unicasts.

@@ -20,15 +20,17 @@ import (
 func build(t *testing.T, cfg Config, seed int64, positions ...geo.Point) (*node.Network, []*Flooding) {
 	t.Helper()
 	nw := node.Must(node.New(node.Config{Positions: positions, Seed: seed}))
-	floods := make([]*Flooding, len(positions))
-	i := 0
-	nw.Install(func(n *node.Node) node.Protocol {
-		f := New(&cfg)
-		floods[i] = f
-		i++
-		return f
-	})
-	return nw, floods
+	return nw, install(nw, cfg)
+}
+
+// install floods nw with cfg and returns every node's instance.
+func install(nw *node.Network, cfg Config) []*Flooding {
+	Install(nw, cfg)
+	floods := make([]*Flooding, len(nw.Nodes))
+	for i, n := range nw.Nodes {
+		floods[i] = n.Net.(*Flooding)
+	}
+	return floods
 }
 
 func chain(n int, spacing float64) []geo.Point {
@@ -76,20 +78,11 @@ func TestCounter1EachNodeForwardsOnce(t *testing.T) {
 
 func TestFloodReachesEveryNodeInField(t *testing.T) {
 	nw := node.Must(node.New(node.Config{N: 60, Rect: geo.NewRect(1000, 1000), Seed: 3, EnsureConnected: true}))
-	floods := map[packet.NodeID]*Flooding{}
-	fcfg := Counter1Config(5e-3)
-	nw.Install(func(n *node.Node) node.Protocol {
-		f := New(&fcfg)
-		floods[n.ID] = f
-		return f
-	})
+	floods := install(nw, Counter1Config(5e-3))
 	floods[0].Send(packet.None, packet.SizeData) // pure dissemination
 	nw.Run(5)
 	missed := 0
-	for id, f := range floods {
-		if id == 0 {
-			continue
-		}
+	for _, f := range floods[1:] {
 		if f.Count(Forwards) == 0 && f.Count(Duplicates) == 0 {
 			missed++
 		}
@@ -306,7 +299,8 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatal("expected panic for missing policy")
 		}
 	}()
-	New(&Config{})
+	nw := node.Must(node.New(node.Config{Positions: chain(2, 200), Seed: 1}))
+	Install(nw, Config{})
 }
 
 func TestBackoffPriorityReachesMAC(t *testing.T) {
@@ -327,13 +321,7 @@ func TestLocationBasedFlooding(t *testing.T) {
 	positions := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 240, Y: 0}}
 	nw := node.Must(node.New(node.Config{Positions: positions, Seed: 31}))
 	locator := func(id packet.NodeID) geo.Point { return positions[id] }
-	cfg := LocationConfig(10e-3, 250, locator)
-	floods := make([]*Flooding, 0, 3)
-	nw.Install(func(n *node.Node) node.Protocol {
-		f := New(&cfg)
-		floods = append(floods, f)
-		return f
-	})
+	floods := install(nw, LocationConfig(10e-3, 250, locator))
 	floods[0].Send(packet.None, 64)
 	order := forwardOrder(nw, floods, 2)
 	if len(order) < 2 || order[0] != 2 {
@@ -358,7 +346,9 @@ func TestLocationPolicyAbstainsWithoutLocator(t *testing.T) {
 // TestRefusedForwardLeavesPending holds a forward in pending exactly
 // while it is the MAC's, for both Cancel values. Behind a busy MAC the
 // armed forward stays until its OnSent; at a paused MAC whose queue is
-// full, MAC.Enqueue refuses it and it leaves at once.
+// full, MAC.Enqueue refuses it and it leaves at once. The per-step check
+// ends at the release: from then on the object is the network's to hand
+// to the next forward armed (node 0 re-arms it for this very packet).
 func TestRefusedForwardLeavesPending(t *testing.T) {
 	filler := &packet.Packet{Kind: packet.KindData, To: packet.Broadcast, Size: packet.SizeData}
 	copyFrom0 := func() *packet.Packet {
@@ -384,14 +374,15 @@ func TestRefusedForwardLeavesPending(t *testing.T) {
 		}
 		var queued, sent bool
 		nw.Kernel.SetHorizon(1)
-		for nw.Kernel.Step() {
+		for tracked := true; tracked && nw.Kernel.Step(); {
 			held := m.Holds(&pf.fwd)
 			queued = queued || held
 			sent = sent || (pf.Phase == core.Queued && !held)
-			if tracked := f.pending[pf.fwd.Key()] == pf; tracked != (pf.Phase == core.Pending || held) {
+			if tracked = f.pending[pf.fwd.Key()] == pf; tracked != (pf.Phase == core.Pending || held) {
 				t.Fatalf("cancel=%v at %v: pending=%v, phase %d, MAC holds %v", cancel, nw.Kernel.Now(), tracked, pf.Phase, held)
 			}
 		}
+		nw.Run(1)
 		if !queued || !sent || f.Count(Forwards) != 1 {
 			t.Fatalf("cancel=%v: queued %v, sent %v, %d forwards; want a forward that waits in the queue, then airs", cancel, queued, sent, f.Count(Forwards))
 		}

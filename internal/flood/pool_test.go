@@ -1,0 +1,169 @@
+package flood
+
+import (
+	"slices"
+	"testing"
+
+	"routeless/internal/core"
+	"routeless/internal/node"
+	"routeless/internal/packet"
+	"routeless/internal/sim"
+)
+
+// copyOf is a flood packet from node 5 toward target, as a node hears it
+// from node 0 one hop out.
+func copyOf(seq uint32, target packet.NodeID) *packet.Packet {
+	return &packet.Packet{
+		Kind: packet.KindFlood, To: packet.Broadcast, From: 0,
+		Origin: 5, Target: target, Seq: seq, HopCount: 1, TTL: 4,
+		Size: packet.SizeData,
+	}
+}
+
+// forwardView is what a forward carries besides its timer.
+type forwardView struct {
+	phase   core.Phase
+	backoff sim.Time
+	f       *Flooding
+	fwd     packet.Packet
+}
+
+func viewForward(pf *pendingForward) forwardView {
+	return forwardView{phase: pf.Phase, backoff: pf.Backoff, f: pf.f, fwd: pf.fwd}
+}
+
+// TestRecycledForwardStartsClean runs two identical networks of two
+// nodes out of each other's range. In both, node 0 arms a forward that
+// goes on the air and is released; then node 1 arms one. In network A
+// node 1 takes node 0's object off the free list; in network B the
+// list is emptied first, so node 1's object is fresh. The pool draws no
+// randomness, so the two must agree field for field, when armed and
+// after transmitting.
+func TestRecycledForwardStartsClean(t *testing.T) {
+	var armed, sent [2]forwardView
+	for i := range armed {
+		nw := node.Must(node.New(node.Config{Positions: chain(2, 1000), Seed: 13}))
+		floods := install(nw, SSAFConfig(10e-3, -55.1, -33.2))
+		floods[0].OnDeliver(copyOf(1, packet.None), -40)
+		first := floods[0].pending[copyOf(1, packet.None).Key()]
+		nw.Run(1)
+		if len(floods[0].pending) != 0 || first.Phase != core.Queued || first.fwd.UID == 0 {
+			t.Fatalf("run %d: the first forward was not sent and released: %+v", i, viewForward(first))
+		}
+		if i == 1 {
+			floods[0].cfg.free = nil
+		}
+		floods[1].OnDeliver(copyOf(2, packet.None), -50)
+		next := floods[1].pending[copyOf(2, packet.None).Key()]
+		if (next == first) != (i == 0) {
+			t.Fatalf("run %d: second forward reused the first: %v", i, next == first)
+		}
+		armed[i] = viewForward(next)
+		nw.Run(2)
+		sent[i] = viewForward(next)
+		// Node identity, not the pointer, is what the networks share.
+		if armed[i].f != floods[1] || sent[i].f != floods[1] {
+			t.Fatalf("run %d: the forward belongs to another node", i)
+		}
+		armed[i].f, sent[i].f = nil, nil
+	}
+	if armed[0] != armed[1] {
+		t.Fatalf("recycled forward differs from a fresh one when armed:\n got  %+v\n want %+v", armed[0], armed[1])
+	}
+	if sent[0] != sent[1] || sent[0].phase != core.Queued || sent[0].fwd.UID == 0 {
+		t.Fatalf("after transmitting, recycled forward differs from a fresh one:\n got  %+v\n want %+v", sent[0], sent[1])
+	}
+}
+
+// TestPausedMACForwardNotRecycled queues a forward at a failed node: its
+// paused MAC keeps &pf.fwd while node 0 arms, sends and releases other
+// forwards through the same pool. None of them may reuse that memory,
+// or the frame node 1 sends on recovery is theirs; node 0 must hear
+// node 1's forward with its original fields.
+func TestPausedMACForwardNotRecycled(t *testing.T) {
+	nw, floods := build(t, Counter1Config(5e-3), 14, chain(2, 200)...)
+	var heard []packet.Packet
+	nw.Nodes[0].OnAppReceive = func(p *packet.Packet) { heard = append(heard, *p) }
+	nw.Nodes[1].Fail()
+	floods[1].OnDeliver(copyOf(1, 0), -50)
+	held := floods[1].pending[copyOf(1, 0).Key()]
+	nw.Run(1)
+	if held.Phase != core.Queued || !nw.Nodes[1].MAC.Holds(&held.fwd) {
+		t.Fatal("the forward is not queued at the failed node")
+	}
+	for seq := uint32(2); seq < 6; seq++ {
+		floods[0].OnDeliver(copyOf(seq, 9), -50)
+		nw.Run(nw.Kernel.Now() + 1)
+	}
+	if floods[0].Count(Forwards) != 4 || len(floods[0].cfg.free) == 0 {
+		t.Fatalf("node 0 made %d forwards and left %d free; want 4 through the pool",
+			floods[0].Count(Forwards), len(floods[0].cfg.free))
+	}
+	if slices.Contains(floods[0].cfg.free, held) {
+		t.Fatal("a forward the paused MAC holds is on the free list")
+	}
+	nw.Nodes[1].Recover()
+	nw.Run(nw.Kernel.Now() + 1)
+
+	want := forwardOf(copyOf(1, 0))
+	want.From = 1
+	if len(heard) != 1 {
+		t.Fatalf("node 0 delivered %d packets, want node 1's one forward: %+v", len(heard), heard)
+	}
+	got := heard[0]
+	got.UID = 0
+	if got != want {
+		t.Fatalf("node 1's queued forward was rewritten:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestForwardCyclesAllocateNothing pins the pooled forward: on a warmed
+// node, a forward armed, fired and sent (released at OnSent), and, for
+// the Cancel variant, a forward armed and withdrawn by an overheard
+// duplicate, allocate nothing. Node 0 is out of range, so each cycle is
+// node 1's one forward.
+func TestForwardCyclesAllocateNothing(t *testing.T) {
+	for _, cancel := range []bool{false, true} {
+		cfg := Counter1Config(5e-3)
+		cfg.Cancel = cancel
+		nw, floods := build(t, cfg, 15, chain(2, 1000)...)
+		f := floods[1]
+		pkt := &packet.Packet{}
+		seq := uint32(0)
+		send := func() {
+			seq++
+			*pkt = *copyOf(seq, packet.None)
+			f.OnDeliver(pkt, -50)
+			nw.Run(nw.Kernel.Now() + 0.1)
+		}
+		withdraw := func() {
+			seq++
+			*pkt = *copyOf(seq, packet.None)
+			f.OnDeliver(pkt, -50) // arms
+			f.OnDeliver(pkt, -50) // the duplicate withdraws
+		}
+		type cycle struct {
+			name    string
+			run     func()
+			counter Series
+		}
+		cycles := []cycle{{"send", send, Forwards}}
+		if cancel {
+			cycles = append(cycles, cycle{"withdraw", withdraw, Cancelled})
+		}
+		// Past the dedup cache's capacity, so it evicts as it records.
+		for range dedupCap + 500 {
+			send()
+		}
+		for _, tc := range cycles {
+			const runs = 100
+			before := f.Count(tc.counter)
+			if allocs := testing.AllocsPerRun(runs, tc.run); allocs != 0 {
+				t.Errorf("cancel=%v, %s cycle: %v allocations per cycle, want 0", cancel, tc.name, allocs)
+			}
+			if got := f.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
+				t.Errorf("cancel=%v, %s cycle: counter moved %d in %d cycles", cancel, tc.name, got, runs+1)
+			}
+		}
+	}
+}

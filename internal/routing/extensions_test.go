@@ -95,15 +95,9 @@ func TestSSAFUnderRayleighFading(t *testing.T) {
 	}))
 	delivered := 0
 	nw.Nodes[60].OnAppReceive = func(*packet.Packet) { delivered++ }
-	protos := make([]node.Protocol, 0, 80)
-	fcfg := flood.SSAFConfig(10e-3, -55.1, -33.2)
-	nw.Install(func(n *node.Node) node.Protocol {
-		p := flood.New(&fcfg)
-		protos = append(protos, p)
-		return p
-	})
+	flood.Install(nw, flood.SSAFConfig(10e-3, -55.1, -33.2))
 	for i := 0; i < 10; i++ {
-		nw.Kernel.At(sim.Time(1+i), func() { protos[0].Send(60, 64) })
+		nw.Kernel.At(sim.Time(1+i), func() { nw.Nodes[0].Net.Send(60, 64) })
 	}
 	nw.Run(20)
 	if delivered < 7 {

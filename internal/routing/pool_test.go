@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"routeless/internal/core"
+	"routeless/internal/mac"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
@@ -179,6 +180,56 @@ func TestPausedMACFrameNotRecycled(t *testing.T) {
 		if p != w {
 			t.Fatalf("the frame sent for seq %d was rewritten:\n got  %+v\n want %+v", p.Seq, p, w)
 		}
+	}
+}
+
+// TestRefusedFrameEndsDone fills node 1's paused MAC queue before its
+// frame is due: a relay that won its election, a discovery forward, and
+// an arbiter retransmission. MAC.Enqueue refuses each; a refused frame
+// was never the MAC's, so the state ends Done with no arbiter duty, and
+// nothing is retransmitted afterwards.
+func TestRefusedFrameEndsDone(t *testing.T) {
+	filler := &packet.Packet{Kind: packet.KindData, To: packet.Broadcast, Size: packet.SizeData}
+	fill := func(m *mac.MAC) {
+		m.Pause()
+		for range mac.DefaultConfig().QueueCap {
+			if !m.Enqueue(filler.Clone(), 0) {
+				t.Fatal("queue full early")
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		copy        *packet.Packet
+		refuseAfter core.Phase // fill the queue once the state reaches it
+		retransmits uint64
+	}{
+		{"relay", dataCopy(1), core.Pending, 0},
+		{"discovery", discCopy(1, 2), core.Pending, 0},
+		{"retransmission", dataCopy(1), core.OnAir, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, rrs := buildRR(t, RoutelessConfig{}, 24, line(2, 200))
+			r, m := rrs[1], nw.Nodes[1].MAC
+			r.table.Observe(9, 1, 1, 0)
+			r.OnDeliver(tc.copy, -50)
+			st := r.relays[tc.copy.Key()]
+			if st == nil {
+				t.Fatal("no state armed")
+			}
+			nw.Kernel.SetHorizon(1)
+			for st.Phase != tc.refuseAfter && nw.Kernel.Step() {
+			}
+			fill(m)
+			nw.Run(1)
+			if st.Phase != core.Done || m.Holds(&st.fwd) || m.Count(mac.DroppedFull) != 1 {
+				t.Fatalf("phase %d, MAC holds %v, %d refused; want a Done state whose one frame was refused",
+					st.Phase, m.Holds(&st.fwd), m.Count(mac.DroppedFull))
+			}
+			if got := r.Count(RRRetransmissions); got != tc.retransmits || r.Count(RRRelayGiveUps) != 0 {
+				t.Fatalf("%d retransmissions, %d give-ups; want %d and 0", got, r.Count(RRRelayGiveUps), tc.retransmits)
+			}
+		})
 	}
 }
 

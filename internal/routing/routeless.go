@@ -175,9 +175,8 @@ func (st *relayState) fire() {
 	case st.Phase != core.Pending:
 		st.r.relayTimeout(st)
 	case st.key.Kind == packet.KindDiscovery:
-		st.Phase = core.Queued
 		st.r.stats[RRDiscoveryForwards].Inc()
-		st.r.n.MAC.Enqueue(&st.fwd, float64(st.Backoff))
+		st.r.enqueue(st, float64(st.Backoff))
 	default:
 		st.r.relayWon(st)
 	}
@@ -373,18 +372,30 @@ func (r *Routeless) sendReply(source packet.NodeID) {
 func (r *Routeless) originate(pkt *packet.Packet) {
 	st := r.newRelay(pkt.Key())
 	st.txHop, st.fwd = pkt.HopCount, *pkt
-	st.Phase = core.Queued
 	r.enqueueRelay(st, 0)
 }
 
-// enqueueRelay hands the state's frame to the MAC. A retransmission
-// resends the same frame, so it keeps the UID of the first copy, as a
-// MAC ARQ retry does.
-func (r *Routeless) enqueueRelay(st *relayState, priority float64) {
+// enqueueRelay hands a reply/data state's frame to the MAC through
+// enqueue and returns its result. A retransmission resends the same
+// frame, so it keeps the UID of the first copy, as a MAC ARQ retry does.
+func (r *Routeless) enqueueRelay(st *relayState, priority float64) bool {
 	if r.OnRelay != nil {
 		r.OnRelay(&st.fwd)
 	}
-	r.n.MAC.Enqueue(&st.fwd, priority)
+	return r.enqueue(st, priority)
+}
+
+// enqueue queues the state's frame at the MAC and returns MAC.Enqueue's
+// result. A frame that a full queue refuses was never the MAC's, as in
+// flooding: the state ends Done, with no arbiter duty, for gc to
+// collect.
+func (r *Routeless) enqueue(st *relayState, priority float64) bool {
+	st.Phase = core.Queued
+	if !r.n.MAC.Enqueue(&st.fwd, priority) {
+		st.Phase = core.Done
+		return false
+	}
+	return true
 }
 
 // floodDiscovery starts (or retries) a counter-1 flood for target.
@@ -541,8 +552,9 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 					r.sendAck(key)
 				}
 			}
-			// Withdraw failure means the frame is on the air; OnSent
-			// will promote us to OnAir and the usual rules apply.
+			// Withdraw failure means the frame is on the air (a frame
+			// the queue refused has already ended the state Done);
+			// OnSent will promote us to OnAir and the usual rules apply.
 		}
 	case core.OnAir:
 		if pkt.HopCount > st.txHop {
@@ -598,7 +610,6 @@ func (r *Routeless) armRelay(pkt *packet.Packet, rssiDBm float64, key packet.Flo
 // leader for this hop. Queue the frame; arbiter duty begins when it
 // leaves the air.
 func (r *Routeless) relayWon(st *relayState) {
-	st.Phase = core.Queued
 	st.txHop = st.fwd.HopCount
 	r.stats[RRRelays].Inc()
 	r.enqueueRelay(st, float64(st.Backoff))
@@ -632,7 +643,6 @@ func (r *Routeless) relayTimeout(st *relayState) {
 	if st.repairStart == 0 {
 		st.repairStart = r.n.Kernel.Now()
 	}
-	st.Phase = core.Queued
 	r.enqueueRelay(st, 0)
 }
 

@@ -84,10 +84,10 @@ func Installer(proto string, lambda sim.Time, rangeM float64) func(nw *node.Netw
 	switch proto {
 	case ProtoCounter1:
 		fcfg := flood.Counter1Config(lambda)
-		factory = func(*node.Node) node.Protocol { return flood.New(&fcfg) }
+		return func(nw *node.Network) { flood.Install(nw, fcfg) }
 	case ProtoSSAF:
 		fcfg := SSAFConfig(lambda, rangeM)
-		factory = func(*node.Node) node.Protocol { return flood.New(&fcfg) }
+		return func(nw *node.Network) { flood.Install(nw, fcfg) }
 	case ProtoRouteless:
 		rcfg := routing.RoutelessConfig{Lambda: lambda}
 		factory = func(*node.Node) node.Protocol { return routing.NewRouteless(rcfg) }

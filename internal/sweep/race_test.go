@@ -27,9 +27,7 @@ func raceCell(ctx *Context, i int, c Cell) uint64 {
 		Runtime:         ctx.Runtime(),
 	}))
 	fcfg := flood.Counter1Config(10e-3)
-	nw.Install(func(n *node.Node) node.Protocol {
-		return flood.New(&fcfg)
-	})
+	flood.Install(nw, fcfg)
 	cbr := traffic.NewCBR(nw.Nodes[0], nw.Nodes[len(nw.Nodes)-1].ID, sim.Time(0.25), 32)
 	cbr.Start()
 	nw.Run(1.0)

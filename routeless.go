@@ -215,10 +215,11 @@ type (
 	FloodConfig = flood.Config
 )
 
-// NewFlooding builds a flooding instance from the config. The config is
-// shared by every instance built from the same pointer (flood.New
-// retains it); callers must not mutate it afterwards.
-func NewFlooding(cfg *FloodConfig) *Flooding { return flood.New(cfg) }
+// InstallFlooding gives every node of a network a flooding instance of
+// the config, in place of Network.Install: the instances share one copy
+// of the config and one pool of armed rebroadcasts, which belongs to
+// that network alone.
+func InstallFlooding(nw *Network, cfg FloodConfig) { flood.Install(nw, cfg) }
 
 // Counter1Config is the paper's dedup-flooding baseline.
 var Counter1Config = flood.Counter1Config

@@ -50,13 +50,10 @@ func TestFloodingAPI(t *testing.T) {
 		routeless.Counter1Config(5e-3),
 		routeless.SSAFConfig(5e-3, -55.1, -33.2),
 	} {
-		cfg := cfg
 		nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 			N: 40, Rect: routeless.NewRect(700, 700), Seed: 9, EnsureConnected: true,
 		}))
-		nw.Install(func(n *routeless.Node) routeless.Protocol {
-			return routeless.NewFlooding(&cfg)
-		})
+		routeless.InstallFlooding(nw, cfg)
 		got := false
 		nw.Nodes[20].OnAppReceive = func(*routeless.Packet) { got = true }
 		nw.Nodes[0].Net.Send(20, 64)
