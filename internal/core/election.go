@@ -9,8 +9,9 @@ import (
 )
 
 // Message is what electors and arbiters exchange. The engine is written
-// against the tiny Medium interface below, so it runs identically over
-// the full PHY/MAC stack or an abstract test neighborhood.
+// against the tiny Medium interface below, but Cluster, an abstract
+// neighborhood with one fixed latency, is its only implementation: no
+// medium runs the election over the PHY/MAC stack (ROADMAP item 25).
 type Message struct {
 	Kind   packet.Kind   // KindSync, KindAnnounce or KindAck
 	Round  uint32        // election round, bumped by arbiter retriggers

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"routeless/internal/core"
+	"routeless/internal/mac"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/sim"
@@ -114,6 +115,44 @@ func TestPausedMACForwardNotRecycled(t *testing.T) {
 	got.UID = 0
 	if got != want {
 		t.Fatalf("node 1's queued forward was rewritten:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestPausedMACForwardReleased fails node 1 while its forward is the
+// MAC's frame under contention and 64 fillers fill the queue behind it.
+// The paused MAC keeps the forward past QueueCap, so it airs after
+// Recover and is released at OnSent: nothing is left in pending, the
+// object is back on the free list, and no frame was dropped.
+func TestPausedMACForwardReleased(t *testing.T) {
+	nw, floods := build(t, Counter1Config(5e-3), 16, chain(2, 200)...)
+	f, m := floods[1], nw.Nodes[1].MAC
+	f.OnDeliver(copyOf(1, 0), -50)
+	held := f.pending[copyOf(1, 0).Key()]
+	nw.Kernel.SetHorizon(1)
+	for held.Phase != core.Queued && nw.Kernel.Step() {
+	}
+	if !m.Holds(&held.fwd) {
+		t.Fatal("the forward is not the MAC's frame")
+	}
+	filler := &packet.Packet{Kind: packet.KindData, To: packet.Broadcast, Size: packet.SizeData}
+	for range mac.DefaultConfig().QueueCap {
+		if !m.Enqueue(filler.Clone(), 0) {
+			t.Fatal("queue full early")
+		}
+	}
+	nw.Nodes[1].Fail()
+	nw.Nodes[1].Recover()
+	nw.Run(5)
+
+	if len(f.pending) != 0 || !slices.Contains(f.cfg.free, held) {
+		t.Fatalf("%d forwards pending, forward on the free list: %v; want 0 and true",
+			len(f.pending), slices.Contains(f.cfg.free, held))
+	}
+	if got := nw.Metrics.Snapshot().Count("mac.dropped_paused"); got != 0 {
+		t.Fatalf("mac.dropped_paused = %d, want 0", got)
+	}
+	if err := nw.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -77,6 +77,9 @@ const (
 	UnicastFailed
 	Delivered
 	AcksReceived
+	// DroppedPaused is zero by construction (Pause keeps every frame);
+	// it stays a series because the journals and the mac-queue law
+	// name it.
 	DroppedPaused
 	Dequeued
 	DupRx
@@ -130,7 +133,7 @@ type MAC struct {
 	current entry // the frame under contention; pkt nil when none
 
 	// The contention counters are int32 and packed beside state, which
-	// pays for current's entry: a MAC is 256 B.
+	// pays for current's entry: a MAC is 248 B.
 	state     macState
 	slotsLeft int32
 	cw        int32
@@ -164,6 +167,9 @@ func New(k *sim.Kernel, radio *phy.Radio, cfg *Config, rng *rand.Rand) *MAC {
 // slice. The MAC captures its own address (queue, access timer, radio
 // listener), so it must never be copied after Init.
 func Init(m *MAC, k *sim.Kernel, radio *phy.Radio, cfg *Config, rng *rand.Rand) {
+	if cfg.QueueCap <= 0 {
+		panic("mac: queue capacity must be positive")
+	}
 	*m = MAC{
 		cfg:    cfg,
 		kernel: k,
@@ -171,7 +177,6 @@ func Init(m *MAC, k *sim.Kernel, radio *phy.Radio, cfg *Config, rng *rand.Rand) 
 		rng:    rng,
 		cw:     int32(cfg.MinCW),
 	}
-	m.queue.init(cfg.QueueCap)
 	sim.InitTimer(&m.access, k, m.onAccessTimer)
 	radio.SetListener(m)
 }
@@ -204,13 +209,17 @@ func RegisterMetrics(reg *metrics.Registry, macs []MAC) {
 
 // Enqueue hands a frame to the MAC with a queue priority (lower is
 // served first — network layers pass their backoff delay). It reports
-// false when the queue is full and the frame was dropped.
+// false when QueueCap frames already wait and the frame was dropped;
+// the frame under contention does not count, so a MAC holds at most
+// QueueCap+1 frames. A frame Enqueue accepts stays the MAC's until it
+// is sent, acknowledged, fails its retries or is withdrawn.
 func (m *MAC) Enqueue(pkt *packet.Packet, priority float64) bool {
 	m.stats[Enqueued].Inc()
-	if !m.queue.push(pkt, priority) {
+	if m.queue.len() >= m.cfg.QueueCap {
 		m.stats[DroppedFull].Inc()
 		return false
 	}
+	m.queue.push(pkt, priority)
 	if m.state == stIdle {
 		m.nextFrame()
 	}
@@ -252,17 +261,15 @@ func (m *MAC) Holds(pkt *packet.Packet) bool {
 	return pkt != nil && (m.current.pkt == pkt || m.queue.index(pkt) >= 0)
 }
 
-// Pause halts the MAC while its radio is off or asleep. Queued frames
-// are kept; the frame in flight (if any) is abandoned without
-// link-failure indication — exactly the silent-death behavior the
-// paper's failure experiments need.
+// Pause halts the MAC while its radio is off or asleep: the node falls
+// silent, the paper's §4.3 failure. It keeps every frame: the one under
+// contention or on the air goes back in the queue, even past QueueCap
+// (the MAC still holds QueueCap+1 frames at most), and contends again
+// after Resume, with no link-failure indication.
 func (m *MAC) Pause() {
 	m.access.Stop()
 	if m.current.pkt != nil {
-		// Back in the queue; it will recontend after Resume.
-		if !m.queue.push(m.current.pkt, m.current.priority) {
-			m.stats[DroppedPaused].Inc()
-		}
+		m.queue.push(m.current.pkt, m.current.priority)
 		m.current = entry{}
 	}
 	m.pendingTx = nil

@@ -33,19 +33,36 @@ func (n *netRecorder) OnUnicastFailed(p *packet.Packet) { n.failed = append(n.fa
 // rig builds a kernel, channel, and one MAC+recorder per position.
 func rig(t *testing.T, positions []geo.Point) (*sim.Kernel, *phy.Channel, []*MAC, []*netRecorder) {
 	t.Helper()
+	k, ch, macs, recs, _ := lawRig(t, positions)
+	return k, ch, macs, recs
+}
+
+// lawRig is rig with its MACs laid out in one arena, as node.Network
+// lays them out, and a registry holding their mac.* series and the
+// mac-queue conservation law.
+func lawRig(t *testing.T, positions []geo.Point) (*sim.Kernel, *phy.Channel, []*MAC, []*netRecorder, *metrics.Registry) {
+	t.Helper()
 	k := sim.NewKernel(3)
 	model := propagation.NewFreeSpace()
 	params := phy.DefaultParams(model, 250)
 	ch := phy.NewChannel(k, geo.NewRect(3000, 3000), positions, params, phy.ChannelConfig{Model: model})
+	arena := make([]MAC, len(positions))
 	macs := make([]*MAC, len(positions))
 	recs := make([]*netRecorder, len(positions))
 	cfg := DefaultConfig()
 	for i := range positions {
-		macs[i] = New(k, ch.Radio(i), &cfg, rng.ForNode(1, rng.StreamMAC, i))
+		macs[i] = &arena[i]
+		Init(macs[i], k, ch.Radio(i), &cfg, rng.ForNode(1, rng.StreamMAC, i))
 		recs[i] = &netRecorder{}
 		macs[i].SetHandler(recs[i])
 	}
-	return k, ch, macs, recs
+	reg := metrics.NewRegistry()
+	RegisterMetrics(reg, arena)
+	reg.Law("mac-queue",
+		[]string{"mac.enqueued"},
+		[]string{"mac.dropped_full", "mac.dequeued", "mac.completed",
+			"mac.unicast_failed", "mac.dropped_paused", "mac.backlog"})
+	return k, ch, macs, recs, reg
 }
 
 func pts(xy ...float64) []geo.Point {
@@ -239,24 +256,67 @@ func TestManyContendersAllDeliver(t *testing.T) {
 	}
 }
 
+// TestPauseResume pauses a MAC with one frame and with a full queue.
+// The frame under contention goes back in the queue even past
+// QueueCap, so the paused MAC holds all QueueCap+1 frames it accepted,
+// refuses more, and sends every one of them after Resume.
 func TestPauseResume(t *testing.T) {
-	k, ch, macs, recs := rig(t, pts(0, 0, 100, 0))
-	macs[0].Enqueue(bcast(1), 0)
-	// Pause before the frame can win contention.
-	ch.Radio(0).TurnOff()
-	macs[0].Pause()
-	if !macs[0].Paused() {
-		t.Fatal("not paused")
-	}
-	k.RunUntil(1.0)
-	if len(recs[1].delivered) != 0 {
-		t.Fatal("paused MAC transmitted")
-	}
-	ch.Radio(0).TurnOn()
-	macs[0].Resume()
-	k.Run()
-	if len(recs[1].delivered) != 1 {
-		t.Fatal("frame lost across pause/resume")
+	queueCap := DefaultConfig().QueueCap
+	for _, tc := range []struct {
+		name   string
+		frames int
+	}{
+		{"one frame", 1},
+		{"full queue", queueCap + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, ch, macs, recs, reg := lawRig(t, pts(0, 0, 100, 0))
+			m := macs[0]
+			first := bcast(1)
+			m.Enqueue(first, 0)
+			for s := 2; s <= tc.frames; s++ {
+				if !m.Enqueue(bcast(uint32(s)), 0) {
+					t.Fatalf("frame %d of %d refused", s, tc.frames)
+				}
+			}
+			// Pause before the first frame can win contention.
+			ch.Radio(0).TurnOff()
+			m.Pause()
+			if !m.Paused() {
+				t.Fatal("not paused")
+			}
+			if !m.Holds(first) {
+				t.Fatal("the paused MAC let go of the frame under contention")
+			}
+			if got := reg.Snapshot().Count("mac.backlog"); got != uint64(tc.frames) {
+				t.Fatalf("paused backlog %d, want %d", got, tc.frames)
+			}
+			refused := 0
+			if tc.frames > queueCap {
+				if m.Enqueue(bcast(0), 0) {
+					t.Fatal("a paused MAC holding QueueCap+1 frames accepted another")
+				}
+				refused = 1
+			}
+			k.RunUntil(1.0)
+			if len(recs[1].delivered) != 0 {
+				t.Fatal("paused MAC transmitted")
+			}
+			ch.Radio(0).TurnOn()
+			m.Resume()
+			k.Run()
+			if len(recs[1].delivered) != tc.frames || m.Count(Completed) != uint64(tc.frames) {
+				t.Fatalf("%d delivered and %d completed across pause/resume, want %d",
+					len(recs[1].delivered), m.Count(Completed), tc.frames)
+			}
+			if m.Count(DroppedPaused) != 0 || m.Count(DroppedFull) != uint64(refused) {
+				t.Fatalf("dropped_paused %d, dropped_full %d; want 0 and %d",
+					m.Count(DroppedPaused), m.Count(DroppedFull), refused)
+			}
+			if err := reg.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -339,13 +399,18 @@ func TestHiddenTerminalCollides(t *testing.T) {
 	}
 }
 
+// TestQueuePanicsOnBadCap: a MAC with no room for a frame is a setup
+// error, caught when the MAC is made.
 func TestQueuePanicsOnBadCap(t *testing.T) {
+	k, ch, _, _ := rig(t, pts(0, 0))
+	cfg := DefaultConfig()
+	cfg.QueueCap = 0
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	new(prioQueue).init(0)
+	New(k, ch.Radio(0), &cfg, rng.ForNode(1, rng.StreamMAC, 0))
 }
 
 // TestTableIsTheSchema pins the series table to the index constants:

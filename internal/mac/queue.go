@@ -22,30 +22,20 @@ type entry struct {
 // Entries are held by value, so push and pop allocate nothing once the
 // slice has grown. container/heap still lays them out: MAC.DigestState
 // hashes the storage order.
+//
+// The queue has no capacity of its own: MAC.Enqueue is the one place a
+// frame can be refused.
 type prioQueue struct {
 	items []entry
 	seq   uint64
-	cap   int
 }
 
-// init prepares an embedded queue in place (see MAC.queue).
-func (q *prioQueue) init(capacity int) {
-	if capacity <= 0 {
-		panic("mac: queue capacity must be positive")
-	}
-	*q = prioQueue{cap: capacity}
-}
-
-// push enqueues a frame; it reports false (and drops) when full.
-func (q *prioQueue) push(pkt *packet.Packet, priority float64) bool {
-	if len(q.items) >= q.cap {
-		return false
-	}
+// push enqueues a frame.
+func (q *prioQueue) push(pkt *packet.Packet, priority float64) {
 	// heap.Push's sift, without boxing the entry into an any.
 	q.items = append(q.items, entry{pkt: pkt, priority: priority, seq: q.seq})
 	q.seq++
 	heap.Fix((*entryHeap)(q), len(q.items)-1)
-	return true
 }
 
 // pop dequeues the highest-priority (lowest value) frame; the zero

@@ -12,7 +12,6 @@ import (
 
 func TestPrioQueueOrdering(t *testing.T) {
 	var q prioQueue
-	q.init(16)
 	for _, p := range []float64{3, 1, 2, 1, 0} {
 		q.push(&packet.Packet{Payload: p}, p)
 	}
@@ -27,7 +26,6 @@ func TestPrioQueueOrdering(t *testing.T) {
 
 func TestPrioQueueFIFOWithinPriority(t *testing.T) {
 	var q prioQueue
-	q.init(16)
 	pkts := make([]*packet.Packet, 6)
 	for i := range pkts {
 		pkts[i] = &packet.Packet{Seq: uint32(i)}
@@ -40,23 +38,33 @@ func TestPrioQueueFIFOWithinPriority(t *testing.T) {
 	}
 }
 
+// TestPrioQueueCapacity: capacity is Enqueue's admission rule. The
+// frame under contention leaves the queue, so QueueCap more are
+// accepted; the next is refused, and a withdrawn frame makes room.
 func TestPrioQueueCapacity(t *testing.T) {
-	var q prioQueue
-	q.init(2)
-	if !q.push(&packet.Packet{}, 0) || !q.push(&packet.Packet{}, 0) {
-		t.Fatal("pushes under capacity must succeed")
+	_, _, macs, _ := rig(t, pts(0, 0, 100, 0))
+	m := macs[0]
+	queueCap := DefaultConfig().QueueCap
+	frames := make([]*packet.Packet, queueCap+1)
+	for i := range frames {
+		frames[i] = bcast(uint32(i))
+		if !m.Enqueue(frames[i], 0) {
+			t.Fatalf("frame %d refused under capacity", i)
+		}
 	}
-	if q.push(&packet.Packet{}, 0) {
-		t.Fatal("push over capacity must fail")
+	if m.Enqueue(bcast(0), 0) {
+		t.Fatal("enqueue over capacity must fail")
 	}
-	if q.len() != 2 {
-		t.Fatalf("len = %d", q.len())
+	if m.queue.len() != queueCap || m.Count(DroppedFull) != 1 {
+		t.Fatalf("queue len %d, dropped_full %d; want %d and 1", m.queue.len(), m.Count(DroppedFull), queueCap)
+	}
+	if !m.Dequeue(frames[queueCap]) || !m.Enqueue(bcast(0), 0) {
+		t.Fatal("a withdrawn frame did not make room")
 	}
 }
 
 func TestPrioQueueRemove(t *testing.T) {
 	var q prioQueue
-	q.init(16)
 	a := &packet.Packet{Seq: 1}
 	b := &packet.Packet{Seq: 2}
 	c := &packet.Packet{Seq: 3}
@@ -79,7 +87,6 @@ func TestPrioQueueRemove(t *testing.T) {
 
 func TestPrioQueueEmptyPop(t *testing.T) {
 	var q prioQueue
-	q.init(4)
 	if q.pop().pkt != nil {
 		t.Fatal("pop on empty should be nil")
 	}
@@ -94,7 +101,6 @@ func TestQuickPrioQueueSemantics(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		var q prioQueue
-		q.init(1024)
 		type rec struct {
 			pkt  *packet.Packet
 			prio float64
@@ -113,9 +119,7 @@ func TestQuickPrioQueueSemantics(t *testing.T) {
 			}
 			p := &packet.Packet{}
 			prio := float64(o.Prio % 8)
-			if !q.push(p, prio) {
-				return false
-			}
+			q.push(p, prio)
 			live = append(live, rec{p, prio, seq})
 			seq++
 		}
@@ -137,12 +141,14 @@ func TestQuickPrioQueueSemantics(t *testing.T) {
 	}
 }
 
-// TestMACSize pins the per-node MAC at 256 B, the arena weight every
+// TestMACSize pins the per-node MAC at 248 B, the arena weight every
 // node of a run pays: the frame under contention is held by value, and
 // the int32 contention counters packed beside the state pay for it.
+// The 8 B left below the 256-B size class are the room for a MAC's own
+// ACK frame slot (ROADMAP item 19b).
 func TestMACSize(t *testing.T) {
-	if got := unsafe.Sizeof(MAC{}); got != 256 {
-		t.Fatalf("MAC is %d B, want 256", got)
+	if got := unsafe.Sizeof(MAC{}); got != 248 {
+		t.Fatalf("MAC is %d B, want 248", got)
 	}
 }
 
@@ -151,7 +157,6 @@ func TestMACSize(t *testing.T) {
 // entries are held by value.
 func TestQueueAllocatesNothing(t *testing.T) {
 	var q prioQueue
-	q.init(16)
 	pkts := make([]*packet.Packet, 8)
 	for i := range pkts {
 		pkts[i] = &packet.Packet{}

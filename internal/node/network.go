@@ -176,7 +176,6 @@ func New(cfg Config) (*Network, error) {
 		}
 		n.MAC = &macArena[i]
 		mac.Init(n.MAC, kernel, n.Radio, &macCfg, streams.ForNode(cfg.Seed, rng.StreamMAC, i))
-		n.MAC.SetHandler(macAdapter{n})
 		nw.Nodes[i] = n
 	}
 	mac.RegisterMetrics(nw.Metrics, macArena)
@@ -214,7 +213,9 @@ func (nw *Network) registerLaws() {
 		[]string{"phy.signal_starts"},
 		[]string{"phy.signal_ends", "phy.flushed_by_off", "phy.in_air"})
 	// Every frame handed to a MAC is dropped at the full queue, fully
-	// withdrawn, completed, failed, lost at pause, or still backlogged.
+	// withdrawn, completed, failed, or still backlogged. A paused MAC
+	// keeps its frames, so mac.dropped_paused is zero by construction;
+	// it stays in the law because the journals name it.
 	nw.Metrics.Law("mac-queue",
 		[]string{"mac.enqueued"},
 		[]string{"mac.dropped_full", "mac.dequeued", "mac.completed",
@@ -241,6 +242,7 @@ func (nw *Network) Install(factory func(n *Node) Protocol) {
 	var tables []*metrics.Table
 	for i, n := range nw.Nodes {
 		n.Net = factory(n)
+		n.MAC.SetHandler(n.Net)
 		if t := block(i).Table; t != nil && !slices.Contains(tables, t) {
 			tables = append(tables, t)
 			nw.Metrics.Population(t, len(nw.Nodes), block)

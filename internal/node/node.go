@@ -16,21 +16,13 @@ import (
 )
 
 // Protocol is a network-layer implementation (flooding variant or
-// routing protocol). Exactly one protocol instance runs per node.
+// routing protocol). Exactly one protocol instance runs per node, and
+// Network.Install makes it the node's MAC handler.
 type Protocol interface {
+	mac.Handler
 	// Start wires the protocol to its node; called once, before any
 	// traffic, with the node fully assembled.
 	Start(n *Node)
-	// OnDeliver sees every frame the MAC decodes (promiscuous), with
-	// its receive power. pkt is valid for the call: read or mutate it,
-	// and keep pkt.Clone() — never pkt — past the call.
-	OnDeliver(pkt *packet.Packet, rssiDBm float64)
-	// OnSent reports a frame this node transmitted (broadcast done or
-	// unicast acknowledged).
-	OnSent(pkt *packet.Packet)
-	// OnUnicastFailed reports a unicast frame that exhausted its
-	// link-layer retries.
-	OnUnicastFailed(pkt *packet.Packet)
 	// Send originates size bytes of application data toward target.
 	Send(target packet.NodeID, size int)
 }
@@ -95,26 +87,4 @@ func (n *Node) Sleep() {
 	n.failing = true
 	n.Radio.Sleep()
 	n.MAC.Pause()
-}
-
-// macAdapter forwards MAC events to the node's protocol; it keeps the
-// Protocol interface free of the mac.Handler names.
-type macAdapter struct{ n *Node }
-
-func (a macAdapter) OnDeliver(p *packet.Packet, rssi float64) {
-	if a.n.Net != nil {
-		a.n.Net.OnDeliver(p, rssi)
-	}
-}
-
-func (a macAdapter) OnSent(p *packet.Packet) {
-	if a.n.Net != nil {
-		a.n.Net.OnSent(p)
-	}
-}
-
-func (a macAdapter) OnUnicastFailed(p *packet.Packet) {
-	if a.n.Net != nil {
-		a.n.Net.OnUnicastFailed(p)
-	}
 }

@@ -183,15 +183,19 @@ func TestPausedMACFrameNotRecycled(t *testing.T) {
 	}
 }
 
-// TestRefusedFrameEndsDone fills node 1's paused MAC queue before its
-// frame is due: a relay that won its election, a discovery forward, and
-// an arbiter retransmission. MAC.Enqueue refuses each; a refused frame
-// was never the MAC's, so the state ends Done with no arbiter duty, and
-// nothing is retransmitted afterwards.
+// TestRefusedFrameEndsDone fills node 1's MAC queue at one phase of
+// its state. Filled while the MAC is paused, before the frame is due,
+// the queue refuses a relay that won its election, a discovery forward
+// and an arbiter retransmission: a refused frame was never the MAC's,
+// so the state ends Done with no arbiter duty, and nothing is
+// retransmitted afterwards. Filled behind a relay frame already under
+// contention, then failed and recovered, the paused MAC keeps the frame
+// past QueueCap: it airs on recovery, OnSent moves the state OnAir, and
+// nothing is dropped.
 func TestRefusedFrameEndsDone(t *testing.T) {
-	filler := &packet.Packet{Kind: packet.KindData, To: packet.Broadcast, Size: packet.SizeData}
+	// KindFlood: a kind Routeless ignores when the fillers air.
+	filler := &packet.Packet{Kind: packet.KindFlood, To: packet.Broadcast, Size: packet.SizeData}
 	fill := func(m *mac.MAC) {
-		m.Pause()
 		for range mac.DefaultConfig().QueueCap {
 			if !m.Enqueue(filler.Clone(), 0) {
 				t.Fatal("queue full early")
@@ -201,12 +205,15 @@ func TestRefusedFrameEndsDone(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		copy        *packet.Packet
-		refuseAfter core.Phase // fill the queue once the state reaches it
+		fillAt      core.Phase // fill the queue once the state reaches it
+		want        core.Phase
+		refused     uint64
 		retransmits uint64
 	}{
-		{"relay", dataCopy(1), core.Pending, 0},
-		{"discovery", discCopy(1, 2), core.Pending, 0},
-		{"retransmission", dataCopy(1), core.OnAir, 1},
+		{"relay", dataCopy(1), core.Pending, core.Done, 1, 0},
+		{"discovery", discCopy(1, 2), core.Pending, core.Done, 1, 0},
+		{"retransmission", dataCopy(1), core.OnAir, core.Done, 1, 1},
+		{"paused contender", dataCopy(1), core.Queued, core.OnAir, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, rrs := buildRR(t, RoutelessConfig{}, 24, line(2, 200))
@@ -218,16 +225,28 @@ func TestRefusedFrameEndsDone(t *testing.T) {
 				t.Fatal("no state armed")
 			}
 			nw.Kernel.SetHorizon(1)
-			for st.Phase != tc.refuseAfter && nw.Kernel.Step() {
+			for st.Phase != tc.fillAt && nw.Kernel.Step() {
 			}
-			fill(m)
-			nw.Run(1)
-			if st.Phase != core.Done || m.Holds(&st.fwd) || m.Count(mac.DroppedFull) != 1 {
-				t.Fatalf("phase %d, MAC holds %v, %d refused; want a Done state whose one frame was refused",
-					st.Phase, m.Holds(&st.fwd), m.Count(mac.DroppedFull))
+			if tc.fillAt == core.Queued {
+				fill(m)
+				nw.Nodes[1].Fail()
+				nw.Nodes[1].Recover()
+				for m.Holds(&st.fwd) && nw.Kernel.Step() {
+				}
+			} else {
+				m.Pause()
+				fill(m)
+				nw.Run(1)
+			}
+			if st.Phase != tc.want || m.Holds(&st.fwd) || m.Count(mac.DroppedFull) != tc.refused || m.Count(mac.DroppedPaused) != 0 {
+				t.Fatalf("phase %d, MAC holds %v, %d refused, %d dropped at pause; want phase %d, false, %d and 0",
+					st.Phase, m.Holds(&st.fwd), m.Count(mac.DroppedFull), m.Count(mac.DroppedPaused), tc.want, tc.refused)
 			}
 			if got := r.Count(RRRetransmissions); got != tc.retransmits || r.Count(RRRelayGiveUps) != 0 {
 				t.Fatalf("%d retransmissions, %d give-ups; want %d and 0", got, r.Count(RRRelayGiveUps), tc.retransmits)
+			}
+			if err := nw.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
