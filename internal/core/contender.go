@@ -27,16 +27,18 @@ type Recaller interface {
 // expires, stand down on overhearing the winner. Flooding's
 // rebroadcasts, Routeless Routing's relays and discovery forwards, and
 // the Elector all bid through it; the owner sets the phase when the
-// timer fires. The timer is held by value and captures its own address,
-// so a Contender must not be copied after Init.
+// timer fires. The timer is held by value and its events carry its own
+// address, so a Contender must not be copied after Init.
 type Contender struct {
 	Phase   Phase
 	Backoff sim.Time // the drawn delay, also the won frame's queue priority
 	Timer   sim.Timer
 }
 
-// Init binds the timer to k; fn runs on every expiry.
-func (c *Contender) Init(k *sim.Kernel, fn func()) { sim.InitTimer(&c.Timer, k, fn) }
+// Init binds the timer to k; h fires on every expiry. An owner that is
+// its own handler (a per-packet state with a Fire method) binds at no
+// allocation.
+func (c *Contender) Init(k *sim.Kernel, h sim.Handler) { sim.InitTimer(&c.Timer, k, h) }
 
 // Arm starts the bid with the delay the policy drew.
 func (c *Contender) Arm(d sim.Time) {

@@ -23,7 +23,7 @@ func TestContenderArmQueuesOneEvent(t *testing.T) {
 	k := sim.NewKernel(1)
 	fired := 0
 	var c Contender
-	c.Init(k, func() { fired++ })
+	c.Init(k, sim.Func(func() { fired++ }))
 	k.Schedule(2, func() { c.Arm(0.25) })
 	k.Step()
 	if k.Pending() != 1 {
@@ -59,7 +59,7 @@ func TestContenderWithdraw(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel(1)
 			var c Contender
-			c.Init(k, func() { t.Fatal("withdrawn bid fired") })
+			c.Init(k, sim.Func(func() { t.Fatal("withdrawn bid fired") }))
 			if tc.phase == Pending {
 				c.Arm(1)
 			}
@@ -91,11 +91,41 @@ func TestContenderStop(t *testing.T) {
 
 	k := sim.NewKernel(1)
 	var c Contender
-	c.Init(k, func() { t.Fatal("stopped bid fired") })
+	c.Init(k, sim.Func(func() { t.Fatal("stopped bid fired") }))
 	c.Arm(1)
 	c.Stop()
 	if c.Phase != Done || k.Pending() != 0 {
 		t.Fatalf("phase %v with %d events pending, want Done and 0", c.Phase, k.Pending())
 	}
 	k.Run()
+}
+
+// selfBid is a per-packet state that is its own timer's handler, as
+// flooding's forwards and Routeless Routing's relay states are.
+type selfBid struct {
+	Contender
+	fired int
+}
+
+func (b *selfBid) Fire() { b.fired++ }
+
+// TestContenderInitAllocatesNothing pins Init with a pointer handler: a
+// bid bound to itself, armed and fired on a warm kernel, allocates
+// nothing.
+func TestContenderInitAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := &selfBid{}
+	cycle := func() {
+		b.Init(k, b)
+		b.Arm(0.25)
+		k.Run()
+	}
+	cycle() // warms the event pool
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("bind, arm and fire: %v allocations per cycle, want 0", allocs)
+	}
+	if b.fired != runs+2 { // AllocsPerRun warms up once
+		t.Fatalf("bid fired %d times, want %d", b.fired, runs+2)
+	}
 }

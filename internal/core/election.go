@@ -71,7 +71,7 @@ const (
 // the elector is attached to (AttachElector).
 func NewElector(k *sim.Kernel, id packet.NodeID, medium Medium, policy BackoffPolicy) *Elector {
 	e := &Elector{id: id, medium: medium, policy: policy}
-	e.bid.Init(k, e.announce)
+	e.bid.Init(k, sim.Func(e.announce))
 	e.bid.Phase = Done // no round yet: nothing to cancel
 	return e
 }

@@ -1,6 +1,8 @@
 package flood
 
 import (
+	"slices"
+
 	"routeless/internal/core"
 	"routeless/internal/digest"
 	"routeless/internal/packet"
@@ -9,12 +11,16 @@ import (
 // DigestState folds this node's flooding state into h: the origination
 // sequence counter, the duplicate cache, and every armed rebroadcast
 // (sorted by flow key; the timer itself is captured by the kernel's
-// pending-event digest).
+// pending-event digest). An origination waiting in the MAC is no
+// rebroadcast: the MAC's queue digest covers its frame.
 func (f *Flooding) DigestState(h *digest.Hash) {
 	h.Uint64(uint64(f.seq))
 	f.dedup.DigestState(h)
-	h.Int(len(f.pending))
-	for _, k := range packet.SortedFlowKeys(f.pending) {
+	keys := slices.DeleteFunc(packet.SortedFlowKeys(f.pending), func(k packet.FlowKey) bool {
+		return f.pending[k].Phase == core.Done
+	})
+	h.Int(len(keys))
+	for _, k := range keys {
 		pf := f.pending[k]
 		k.DigestTo(h)
 		h.Bool(pf.Phase == core.Queued)

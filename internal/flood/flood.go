@@ -117,29 +117,31 @@ type Flooding struct {
 	n     *node.Node
 	seq   uint32
 	dedup packet.DedupCache
-	// pending maps logical packets to their armed rebroadcasts, from the
-	// draw of the backoff until the MAC lets go of the frame: at OnSent,
-	// at a successful Withdraw (the Cancel variant strikes while the
-	// backoff timer runs or while the frame waits in the MAC queue,
+	// pending maps logical packets to their forwards: an armed
+	// rebroadcast from the draw of the backoff, an origination from Send,
+	// until the MAC lets go of the frame: at OnSent, at a successful
+	// Withdraw (the Cancel variant strikes while the backoff timer runs
+	// or while the frame waits in the MAC queue,
 	// core.Contender.Withdraw), or when MAC.Enqueue refuses it.
 	pending map[packet.FlowKey]*pendingForward
 
 	stats [numSeries]metrics.Counter32
 }
 
-// pendingForward is one armed rebroadcast: the node's election bid and
-// the rebroadcast itself, both held by value (the MAC queues &pf.fwd).
-// pendingForwards are never copied; they come from the population's
-// free list (see armForward) and go back to it at release.
+// pendingForward is one frame the node hands the MAC: an armed
+// rebroadcast, the node's election bid and the rebroadcast held by
+// value (the MAC queues &pf.fwd), or an origination, which is no bid and
+// stays Done. pendingForwards are never copied; they come from the
+// population's free list (see newForward) and go back to it at release.
 type pendingForward struct {
 	core.Contender
 	f   *Flooding
 	fwd packet.Packet
 }
 
-// fire is the backoff expiry: hand the rebroadcast to the MAC. A frame
+// Fire is the backoff expiry: hand the rebroadcast to the MAC. A frame
 // the full queue refuses was never the MAC's, so it is released here.
-func (pf *pendingForward) fire() {
+func (pf *pendingForward) Fire() {
 	pf.Phase = core.Queued
 	if !pf.f.transmit(&pf.fwd, float64(pf.Backoff)) {
 		pf.f.release(pf)
@@ -179,18 +181,24 @@ func (f *Flooding) MetricBlock() metrics.Block {
 	return metrics.Block{Table: &table, Counters: f.stats[:]}
 }
 
-// Send implements node.Protocol: originate a flooded data packet.
+// Send implements node.Protocol: originate a flooded data packet. Its
+// frame is a forward from the pool, released like a rebroadcast's; it is
+// no bid, so it stays Done and an overheard duplicate never withdraws
+// it.
 func (f *Flooding) Send(target packet.NodeID, size int) {
 	f.seq++
 	f.stats[Originated].Inc()
-	pkt := &packet.Packet{
+	pf := f.newForward(packet.Packet{
 		Kind: packet.KindFlood, To: packet.Broadcast,
 		Origin: f.n.ID, Target: target, Seq: f.seq,
 		HopCount: 1, TTL: f.cfg.TTL, Size: size,
 		CreatedAt: f.n.Kernel.Now(),
+	})
+	pf.Phase = core.Done
+	f.dedup.Seen(pf.fwd.Key()) // never forward our own packet back
+	if !f.n.MAC.Enqueue(&pf.fwd, 0) {
+		f.release(pf)
 	}
-	f.dedup.Seen(pkt.Key()) // never forward our own packet back
-	f.n.MAC.Enqueue(pkt, 0)
 }
 
 // OnDeliver implements node.Protocol.
@@ -241,9 +249,7 @@ func (f *Flooding) handleBlind(pkt *packet.Packet, rssiDBm float64) {
 }
 
 // armForward schedules the §2 election step: backoff from the policy,
-// then rebroadcast — unless cancelled first. The forward comes off the
-// population's free list, rewritten whole except its timer; only an
-// empty list allocates one and binds its timer callback.
+// then rebroadcast — unless cancelled first.
 func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	ctx := core.Context{
 		Self:             f.n.ID,
@@ -258,20 +264,28 @@ func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	if !ok {
 		return
 	}
+	f.newForward(forwardOf(pkt)).Arm(backoff)
+}
+
+// newForward lists a forward for frame fwd in pending under its key. The
+// forward comes off the population's free list, rewritten whole except
+// its timer; only an empty list allocates one, and the forward is its
+// own timer's handler, so binding the timer allocates nothing more.
+func (f *Flooding) newForward(fwd packet.Packet) *pendingForward {
 	var pf *pendingForward
 	if n := len(f.cfg.free); n > 0 {
 		pf = f.cfg.free[n-1]
 		f.cfg.free = f.cfg.free[:n-1]
-		*pf = pendingForward{Contender: core.Contender{Timer: pf.Timer}, f: f, fwd: forwardOf(pkt)}
+		*pf = pendingForward{Contender: core.Contender{Timer: pf.Timer}, f: f, fwd: fwd}
 	} else {
-		pf = &pendingForward{f: f, fwd: forwardOf(pkt)}
-		pf.Init(f.n.Kernel, pf.fire)
+		pf = &pendingForward{f: f, fwd: fwd}
+		pf.Init(f.n.Kernel, pf)
 	}
 	if f.pending == nil {
 		f.pending = make(map[packet.FlowKey]*pendingForward)
 	}
-	f.pending[pkt.Key()] = pf
-	pf.Arm(backoff)
+	f.pending[fwd.Key()] = pf
+	return pf
 }
 
 // forwardOf returns the rebroadcast of a received pkt: one hop further,

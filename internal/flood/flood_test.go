@@ -349,6 +349,9 @@ func TestLocationPolicyAbstainsWithoutLocator(t *testing.T) {
 // full, MAC.Enqueue refuses it and it leaves at once. The per-step check
 // ends at the release: from then on the object is the network's to hand
 // to the next forward armed (node 0 re-arms it for this very packet).
+// An origination is held the same way: a duplicate of it overheard
+// while it waits in the queue never withdraws it, and the full queue's
+// refusal releases it.
 func TestRefusedForwardLeavesPending(t *testing.T) {
 	filler := &packet.Packet{Kind: packet.KindData, To: packet.Broadcast, Size: packet.SizeData}
 	copyFrom0 := func() *packet.Packet {
@@ -402,6 +405,26 @@ func TestRefusedForwardLeavesPending(t *testing.T) {
 		}
 		if len(f.pending) != 0 {
 			t.Fatalf("cancel=%v: a refused forward stays in pending (%d entries)", cancel, len(f.pending))
+		}
+		f.Send(packet.None, packet.SizeData)
+		if len(f.pending) != 0 || m.Count(mac.DroppedFull) != 2 {
+			t.Fatalf("cancel=%v: a refused origination stays in pending (%d entries, %d refused)", cancel, len(f.pending), m.Count(mac.DroppedFull))
+		}
+
+		nw, floods = build(t, cfg, 12, chain(2, 200)...)
+		f, m = floods[1], nw.Nodes[1].MAC
+		m.Enqueue(filler.Clone(), 0)
+		f.Send(packet.None, packet.SizeData)
+		own := copyFrom0()
+		own.Origin = 1
+		origin := f.pending[own.Key()]
+		f.OnDeliver(own, -50) // a duplicate of the origination, from node 0
+		if origin == nil || !m.Holds(&origin.fwd) || f.Count(Cancelled) != 0 {
+			t.Fatalf("cancel=%v: the queued origination was withdrawn by a duplicate", cancel)
+		}
+		nw.Run(1)
+		if len(f.pending) != 0 || m.Count(mac.TxFrames) != 2 {
+			t.Fatalf("cancel=%v: %d entries pending, %d frames sent; want the origination aired and released", cancel, len(f.pending), m.Count(mac.TxFrames))
 		}
 	}
 }

@@ -157,10 +157,11 @@ func TestPausedMACForwardReleased(t *testing.T) {
 }
 
 // TestForwardCyclesAllocateNothing pins the pooled forward: on a warmed
-// node, a forward armed, fired and sent (released at OnSent), and, for
-// the Cancel variant, a forward armed and withdrawn by an overheard
-// duplicate, allocate nothing. Node 0 is out of range, so each cycle is
-// node 1's one forward.
+// node, a forward armed, fired and sent (released at OnSent), an
+// origination sent and released the same way, and, for the Cancel
+// variant, a forward armed and withdrawn by an overheard duplicate,
+// allocate nothing. Node 0 is out of range, so each cycle is node 1's
+// one frame.
 func TestForwardCyclesAllocateNothing(t *testing.T) {
 	for _, cancel := range []bool{false, true} {
 		cfg := Counter1Config(5e-3)
@@ -175,6 +176,10 @@ func TestForwardCyclesAllocateNothing(t *testing.T) {
 			f.OnDeliver(pkt, -50)
 			nw.Run(nw.Kernel.Now() + 0.1)
 		}
+		originate := func() {
+			f.Send(packet.None, packet.SizeData)
+			nw.Run(nw.Kernel.Now() + 0.1)
+		}
 		withdraw := func() {
 			seq++
 			*pkt = *copyOf(seq, packet.None)
@@ -186,7 +191,7 @@ func TestForwardCyclesAllocateNothing(t *testing.T) {
 			run     func()
 			counter Series
 		}
-		cycles := []cycle{{"send", send, Forwards}}
+		cycles := []cycle{{"send", send, Forwards}, {"originate", originate, Originated}}
 		if cancel {
 			cycles = append(cycles, cycle{"withdraw", withdraw, Cancelled})
 		}
@@ -202,6 +207,9 @@ func TestForwardCyclesAllocateNothing(t *testing.T) {
 			}
 			if got := f.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
 				t.Errorf("cancel=%v, %s cycle: counter moved %d in %d cycles", cancel, tc.name, got, runs+1)
+			}
+			if len(f.pending) != 0 {
+				t.Errorf("cancel=%v, %s cycle: %d frames left pending, want every one released", cancel, tc.name, len(f.pending))
 			}
 		}
 	}

@@ -31,7 +31,8 @@ import (
 // dispatch are not resolved to bodies. Interface dispatch is bridged
 // for the simulator's handler interfaces by treating every concrete
 // method with a known handler name (OnReceive, OnDeliver, OnSent,
-// OnUnicastFailed) as an entry point in its own right.
+// OnUnicastFailed) as an entry point in its own right, and every Fire()
+// method — what implementing sim.Handler takes — as the event it is.
 
 // FuncID identifies one function across all units of a Program.
 type FuncID string
@@ -83,8 +84,9 @@ func (n *FuncNode) Name() string {
 }
 
 // EntryPoint is one place event-handler code enters the call graph: a
-// callback handed to the kernel scheduler or a timer, or a concrete
-// implementation of a delivery-handler interface method.
+// callback handed to the kernel scheduler or a timer, a concrete
+// implementation of a delivery-handler interface method, or a
+// sim.Handler's Fire method.
 type EntryPoint struct {
 	Fn   FuncID
 	Kind string // "schedule", "timer", or "dispatch"
@@ -121,7 +123,18 @@ var schedulerEntryPoints = []struct {
 }{
 	{"internal/sim.(Kernel).Schedule", 1, "schedule"},
 	{"internal/sim.(Kernel).At", 1, "schedule"},
+	{"internal/sim.(Kernel).AtCursor", 1, "schedule"},
 	{"internal/sim.NewTimer", 1, "timer"},
+	{"internal/sim.InitTimer", 2, "timer"},
+	{"internal/core.(Contender).Init", 1, "timer"},
+}
+
+// isHandlerFire reports whether fd is a Fire method taking and returning
+// nothing: the method set of sim.Handler, so the kernel dispatches to it
+// through an interface no static edge resolves.
+func isHandlerFire(fd *ast.FuncDecl) bool {
+	return fd.Recv != nil && fd.Name.Name == "Fire" &&
+		fd.Type.Params.NumFields() == 0 && fd.Type.Results.NumFields() == 0
 }
 
 // handlerMethodNames are the delivery-interface methods (phy.Listener,
@@ -348,9 +361,16 @@ func (p *Program) resolveCallee(n *FuncNode, u *Unit, fun ast.Expr) (FuncID, str
 
 // funcValueID resolves an expression used as a value to a FuncID when
 // it denotes a function: a literal, a named function, or a method
-// value.
+// value, also under a conversion such as sim.Func(f), which hands the
+// same function on as a handler.
 func (p *Program) funcValueID(n *FuncNode, u *Unit, e ast.Expr) (FuncID, bool) {
 	switch e := e.(type) {
+	case *ast.ParenExpr:
+		return p.funcValueID(n, u, e.X)
+	case *ast.CallExpr:
+		if len(e.Args) == 1 && u.Info != nil && u.Info.Types[e.Fun].IsType() {
+			return p.funcValueID(n, u, e.Args[0])
+		}
 	case *ast.FuncLit:
 		// Visited (and registered) by scanBody's own walk.
 		return p.litID(n, e), true
@@ -450,7 +470,7 @@ func (p *Program) findEntryPoints() {
 				}
 			}
 		}
-		if n.Decl != nil && n.Decl.Recv != nil && handlerMethodNames[n.Decl.Name.Name] {
+		if n.Decl != nil && n.Decl.Recv != nil && (handlerMethodNames[n.Decl.Name.Name] || isHandlerFire(n.Decl)) {
 			add(fid, "dispatch", n.Pos)
 		}
 	}

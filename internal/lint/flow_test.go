@@ -75,7 +75,9 @@ func TestCallGraphTopology(t *testing.T) {
 		t.Errorf("callers of proto.write = %v, want [flowmod/internal/proto.relay]", callers)
 	}
 
-	// Dispatch entry points: every handler-named concrete method.
+	// Dispatch entry points: every handler-named concrete method, and
+	// every Fire() method — a sim.Handler the kernel calls through the
+	// interface.
 	kinds := map[FuncID]string{}
 	for _, ep := range prog.EntryPoints {
 		kinds[ep.Fn] = ep.Kind
@@ -84,20 +86,22 @@ func TestCallGraphTopology(t *testing.T) {
 		"flowmod/internal/proto.(Listener).OnReceive",
 		"flowmod/internal/proto.(Meter).OnSent",
 		"flowmod/internal/proto.(Beacon).OnDeliver",
+		"flowmod/internal/proto.(Bid).Fire",
 	} {
 		if kinds[want] != "dispatch" {
 			t.Errorf("entry point %s: kind = %q, want dispatch", want, kinds[want])
 		}
 	}
-	// Scheduled closures (Arm, Beacon.OnDeliver) register too.
+	// Scheduled closures (Arm, Beacon.OnDeliver, and ArmWrapped's
+	// through sim.Func) register too.
 	scheduled := 0
 	for fn, kind := range kinds {
 		if kind == "schedule" && strings.HasPrefix(string(fn), "closure@") {
 			scheduled++
 		}
 	}
-	if scheduled < 2 {
-		t.Errorf("schedule closures registered = %d, want >= 2 (Arm, Beacon.OnDeliver)", scheduled)
+	if scheduled < 3 {
+		t.Errorf("schedule closures registered = %d, want >= 3 (Arm, Beacon.OnDeliver, ArmWrapped)", scheduled)
 	}
 
 	// Handler reachability: the gauge write and the re-armed emit are
@@ -194,6 +198,8 @@ func TestFlowmodFindings(t *testing.T) {
 		{"sharedstate", "package-level var flowmod/internal/proto.pending"},    // scheduled-closure write
 		{"sharedstate", "package-level var flowmod/internal/proto.deliveries"}, // OnSent write, not waived
 		{"goroutine", "go statement"},                                          // SpawnBad, outside the exempt engines
+		{"sharedstate", "package-level var flowmod/internal/proto.fired"},      // a sim.Handler's Fire
+		{"sharedstate", "package-level var flowmod/internal/proto.wrapped"},    // a sim.Func-wrapped scheduled closure
 	}
 
 	if len(res.Diags) != len(want) {

@@ -106,3 +106,25 @@ func (b *Beacon) emit() {}
 func SpawnBad(done chan struct{}) {
 	go func() { close(done) }()
 }
+
+// fired is written by a handler's Fire method, which nothing in this
+// module calls: the kernel dispatches to it through sim.Handler.
+var fired int
+
+// Bid is a per-packet state that is its own timer's handler.
+type Bid struct{ T sim.Timer }
+
+// Bind hands the bid to its timer as a handler, not as a function value.
+func (b *Bid) Bind(k *sim.Kernel) { sim.InitTimer(&b.T, k, b) }
+
+// Fire runs inside an event; the fired++ write is cross-shard state.
+func (b *Bid) Fire() { fired++ }
+
+// wrapped is written by a closure scheduled through the Func adapter.
+var wrapped int
+
+// ArmWrapped schedules a Func-wrapped closure; the conversion must not
+// hide the closure from the scheduler's entry points.
+func ArmWrapped(k *sim.Kernel) {
+	k.Schedule(1, sim.Func(func() { wrapped++ }))
+}

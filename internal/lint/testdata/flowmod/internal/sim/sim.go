@@ -1,6 +1,7 @@
 // Package sim is a miniature of the real kernel: just enough surface
-// (Schedule/At/NewTimer, a master stream) for the flow-aware rules to
-// recognize entry points and sinks by ID suffix.
+// (Schedule/At/NewTimer/InitTimer, Handler and its Func adapter, a
+// master stream) for the flow-aware rules to recognize entry points and
+// sinks by ID suffix.
 package sim
 
 import (
@@ -33,8 +34,23 @@ func (k *Kernel) At(t Time, f func()) { k.queue = append(k.queue, f) }
 // Rand exposes the master stream.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
+// Handler mirrors the real event handler: what an event fires.
+type Handler interface{ Fire() }
+
+// Func adapts a function to Handler.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Timer mirrors the real one-shot timer.
-type Timer struct{ k *Kernel }
+type Timer struct {
+	k *Kernel
+	h Handler
+}
+
+// InitTimer binds a timer to its handler in place.
+func InitTimer(t *Timer, k *Kernel, h Handler) { *t = Timer{k: k, h: h} }
 
 // NewTimer arms a timer; its callback is an event-handler entry point.
 func NewTimer(k *Kernel, d Time, f func()) *Timer {

@@ -177,7 +177,7 @@ func Init(m *MAC, k *sim.Kernel, radio *phy.Radio, cfg *Config, rng *rand.Rand) 
 		rng:    rng,
 		cw:     int32(cfg.MinCW),
 	}
-	sim.InitTimer(&m.access, k, m.onAccessTimer)
+	sim.InitTimer(&m.access, k, (*accessTimer)(m))
 	radio.SetListener(m)
 }
 
@@ -322,6 +322,13 @@ func (m *MAC) resumeContention() {
 	m.state = stDIFS
 	m.access.Reset(m.cfg.DIFS)
 }
+
+// accessTimer is the MAC as its access timer's handler: a conversion,
+// so binding the timer allocates nothing.
+type accessTimer MAC
+
+// Fire is the access timer's expiry.
+func (a *accessTimer) Fire() { (*MAC)(a).onAccessTimer() }
 
 func (m *MAC) onAccessTimer() {
 	switch m.state {

@@ -506,9 +506,15 @@ type transmission struct {
 	lead    int  // signals[:lead] have started
 	trail   int  // signals[:trail] have ended
 	armed   bool // the trailing cursor is queued, at signals[trail]
-
-	leadFn, trailFn func() // bound once at allocation, reused across recycles
 }
+
+// leadEdge and trailEdge are a transmission as the handler of its
+// leading-edge and trailing-edge cursors: conversions of one pointer,
+// so arming either cursor allocates nothing.
+type (
+	leadEdge  transmission
+	trailEdge transmission
+)
 
 // launch puts t on the air: orders the slab, takes the leading edges'
 // sequence numbers, freezes pkt and arms the leading cursor.
@@ -542,14 +548,15 @@ func (c *Channel) launch(t *transmission, pkt *packet.Packet) *transmission {
 	c.pendingStarts += len(sigs)
 	t.ch, t.frame = c, frame{pkt: *pkt}
 	c.inFlight = append(c.inFlight, t)
-	c.kernel.AtCursor(sigs[0].lead, t.leadFn)
+	c.kernel.AtCursor(sigs[0].lead, (*leadEdge)(t))
 	return t
 }
 
-// fireLead is a leading edge: take the trailing edge's sequence number,
+// Fire is a leading edge: take the trailing edge's sequence number,
 // move on to the next leading edge, then hand the signal to the
 // receiver.
-func (t *transmission) fireLead() {
+func (e *leadEdge) Fire() {
+	t := (*transmission)(e)
 	c := t.ch
 	s := &t.signals[t.lead]
 	t.lead++
@@ -560,7 +567,7 @@ func (t *transmission) fireLead() {
 		// with this one, when airtime is shorter than the spread of
 		// propagation delays.
 		t.armed = true
-		c.kernel.AtCursor(s.trail, t.trailFn)
+		c.kernel.AtCursor(s.trail, (*trailEdge)(t))
 	}
 	if t.lead < len(t.signals) {
 		c.kernel.Rekey(t.signals[t.lead].lead)
@@ -568,9 +575,10 @@ func (t *transmission) fireLead() {
 	c.radios[s.rcv].signalStart(s)
 }
 
-// fireTrail is a trailing edge: finish reception, then move on to the
-// next signal that has started, or recycle after the last.
-func (t *transmission) fireTrail() {
+// Fire is a trailing edge: finish reception, then move on to the next
+// signal that has started, or recycle after the last.
+func (e *trailEdge) Fire() {
+	t := (*transmission)(e)
 	c := t.ch
 	s := &t.signals[t.trail]
 	t.trail++

@@ -56,8 +56,8 @@ func NewPools() *Pools { return &Pools{} }
 const maxFreeSignals = 1 << 16
 
 // newTransmission takes a transmission from the free list (or allocates
-// one with its callbacks pre-bound) with an n-signal slab whose contents
-// are stale: the caller writes every signal it keeps.
+// one) with an n-signal slab whose contents are stale: the caller writes
+// every signal it keeps.
 func (p *Pools) newTransmission(n int) *transmission {
 	var t *transmission
 	if last := len(p.tx) - 1; last >= 0 {
@@ -67,7 +67,6 @@ func (p *Pools) newTransmission(n int) *transmission {
 		p.txSignals -= cap(t.signals)
 	} else {
 		t = &transmission{}
-		t.leadFn, t.trailFn = t.fireLead, t.fireTrail
 	}
 	if cap(t.signals) < n {
 		t.signals = make([]signal, n, n+n/4) // headroom: the next sender's neighbourhood differs

@@ -45,6 +45,24 @@ func dataCopy(seq uint32) *packet.Packet {
 	}
 }
 
+// targetCopy is a data packet from node 0 for node 1 itself, which node
+// 1 consumes and acknowledges.
+func targetCopy(seq uint32) *packet.Packet {
+	p := dataCopy(seq)
+	p.Target = 1
+	return p
+}
+
+// newestAck returns r's newest ACK copy: the tail of order.
+func newestAck(t *testing.T, r *Routeless) *relayState {
+	t.Helper()
+	if n := len(r.order); n > 0 && r.order[n-1].key.Kind == packet.KindAck {
+		return r.order[n-1]
+	}
+	t.Fatal("no ACK copy at the tail of order")
+	return nil
+}
+
 // discCopy is a discovery from node 5 for node 9 that node 1 overhears
 // from node 0, hops hops out.
 func discCopy(seq uint32, hops int) *packet.Packet {
@@ -132,10 +150,11 @@ func (f *frameRecorder) OnSent(*packet.Packet)                 {}
 func (f *frameRecorder) OnUnicastFailed(*packet.Packet)        {}
 func (f *frameRecorder) Send(packet.NodeID, int)               {}
 
-// TestPausedMACFrameNotRecycled queues a discovery forward at a failed
-// node: its paused MAC keeps &st.fwd past stateTTL, after gc has
-// dropped the state. Forwards armed afterwards must not reuse that
-// memory, or the frame the node sends on recovery is theirs.
+// TestPausedMACFrameNotRecycled queues an ACK copy and a discovery
+// forward at a failed node: its paused MAC keeps both frames past
+// stateTTL, after gc has dropped their states. Forwards armed afterwards
+// must not reuse that memory, or the frames the node sends on recovery
+// are theirs.
 func TestPausedMACFrameNotRecycled(t *testing.T) {
 	nw := node.Must(node.New(node.Config{Positions: line(2, 200), Seed: 22}))
 	rec := &frameRecorder{}
@@ -146,15 +165,22 @@ func TestPausedMACFrameNotRecycled(t *testing.T) {
 		}
 		return r
 	})
+	r.OnDeliver(targetCopy(50), -50) // node 1 is the target: it acknowledges
+	ack := newestAck(t, r)
+	for ack.Phase != core.Queued && nw.Kernel.Step() {
+	}
 	nw.Nodes[1].Fail()
+	if !nw.Nodes[1].MAC.Holds(&ack.fwd) {
+		t.Fatal("the ACK is not queued at the failed node")
+	}
 	r.OnDeliver(discCopy(1, 2), -50)
 	nw.Run(1)
 	if st := r.relays[discCopy(1, 2).Key()]; st == nil || st.Phase != core.Queued {
 		t.Fatal("the first forward is not queued at the failed node")
 	}
 	nw.Run(stateTTL + 6) // past stateTTL and at least one sweep
-	if len(r.relays) != 0 {
-		t.Fatalf("%d discovery forwards survived stateTTL", len(r.relays))
+	if len(r.relays) != 0 || len(r.order) != 0 {
+		t.Fatalf("%d discovery forwards and %d states survived stateTTL", len(r.relays), len(r.order))
 	}
 	r.OnDeliver(discCopy(2, 4), -50)
 	r.OnDeliver(discCopy(3, 4), -50)
@@ -166,6 +192,10 @@ func TestPausedMACFrameNotRecycled(t *testing.T) {
 	for seq, p := range want {
 		p.From, p.TTL = 1, p.TTL-1
 		want[seq] = p
+	}
+	want[50] = packet.Packet{
+		Kind: packet.KindAck, To: packet.Broadcast, From: 1,
+		Origin: 0, Seq: 50, Payload: packet.KindData, Size: packet.SizeAck,
 	}
 	if len(rec.got) != len(want) {
 		t.Fatalf("node 0 heard %d frames, want %d: %+v", len(rec.got), len(want), rec.got)
@@ -250,16 +280,50 @@ func TestRefusedFrameEndsDone(t *testing.T) {
 			}
 		})
 	}
+	// An ACK copy is released wherever its frame does not reach the MAC:
+	// refused by the queue filled while paused, or never queued because
+	// the node is down when its jitter expires.
+	for _, tc := range []struct {
+		name    string
+		stop    func(*node.Node) // before the jitter expires
+		refused uint64
+	}{
+		{"ack refused", func(n *node.Node) { n.MAC.Pause(); fill(n.MAC) }, 1},
+		{"ack at a down node", (*node.Node).Fail, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, rrs := buildRR(t, RoutelessConfig{}, 24, line(2, 200))
+			r, m := rrs[1], nw.Nodes[1].MAC
+			r.OnDeliver(targetCopy(1), -50)
+			ack := newestAck(t, r)
+			tc.stop(nw.Nodes[1])
+			nw.Run(1)
+			if r.Count(RRTargetAcks) != 1 || m.Holds(&ack.fwd) || m.Count(mac.DroppedFull) != tc.refused {
+				t.Fatalf("%d ACKs, MAC holds the ACK %v, %d refused; want 1, false, %d",
+					r.Count(RRTargetAcks), m.Holds(&ack.fwd), m.Count(mac.DroppedFull), tc.refused)
+			}
+			if len(r.order) != 0 || len(r.free) != 1 || r.free[0] != ack {
+				t.Fatalf("%d states live and %d free; want the ACK copy released to the free list", len(r.order), len(r.free))
+			}
+			if err := nw.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestElectionCyclesAllocateNothing pins the pooled per-packet state:
 // on a warmed node, a relay bid armed and cancelled by an overheard
-// downstream copy (then collected), and a discovery forward armed and
-// cancelled by a duplicate, allocate nothing.
+// downstream copy (then collected), a discovery forward armed and
+// cancelled by a duplicate, and, at a target out of everyone's range,
+// a data packet consumed and its ACK sent and released at OnSent,
+// allocate nothing.
 func TestElectionCyclesAllocateNothing(t *testing.T) {
 	nw, rrs := buildRR(t, RoutelessConfig{}, 23, line(2, 200))
 	r := rrs[1]
 	r.table.Observe(9, 1, 1, 0)
+	lone, lones := buildRR(t, RoutelessConfig{}, 23, line(2, 1000))
+	target := lones[1]
 	pkt := &packet.Packet{}
 	seq := uint32(0)
 	relay := func() {
@@ -281,26 +345,38 @@ func TestElectionCyclesAllocateNothing(t *testing.T) {
 		r.OnDeliver(pkt, -50) // arms
 		r.OnDeliver(pkt, -50) // the duplicate cancels
 	}
+	ack := func() {
+		seq++
+		*pkt = *targetCopy(seq)
+		target.OnDeliver(pkt, -50) // consumed and acknowledged
+		lone.Run(lone.Kernel.Now() + 0.1)
+	}
 	for _, tc := range []struct {
 		name    string
+		r       *Routeless
 		cycle   func()
 		warm    int
 		counter RoutelessSeries
 	}{
-		{"relay", relay, 10, RRCancelledByOverhear},
+		{"relay", r, relay, 10, RRCancelledByOverhear},
 		// Past the flood dedup cache's capacity, so it evicts as it records.
-		{"discovery", discovery, 9000, RRDiscoveryCancelled},
+		{"discovery", r, discovery, 9000, RRDiscoveryCancelled},
+		// Past the consumed cache's capacity, likewise.
+		{"target ack", target, ack, 5000, RRTargetAcks},
 	} {
 		for range tc.warm {
 			tc.cycle()
 		}
 		const runs = 100
-		before := r.Count(tc.counter)
+		before := tc.r.Count(tc.counter)
 		if allocs := testing.AllocsPerRun(runs, tc.cycle); allocs != 0 {
 			t.Errorf("%s cycle: %v allocations per cycle, want 0", tc.name, allocs)
 		}
-		if got := r.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
-			t.Errorf("%s cycle: %d cancellations in %d cycles", tc.name, got, runs+1)
+		if got := tc.r.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
+			t.Errorf("%s cycle: counter moved %d in %d cycles", tc.name, got, runs+1)
+		}
+		if len(tc.r.order) != 0 {
+			t.Errorf("%s cycle: %d states left live, want every one released", tc.name, len(tc.r.order))
 		}
 	}
 }

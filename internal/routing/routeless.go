@@ -148,9 +148,12 @@ var routelessTable = metrics.Table{
 // retransmission timeout. A discovery rebroadcast (key.Kind is
 // KindDiscovery) is the same bid with counter-1 cancellation; it uses
 // only key, fwd and created. An ACK's immunization mark is a state that
-// is never armed and keeps a zero fwd. Every state's fwd is the frame
-// the MAC queues, withdraws and sends. States are pooled per node (see
-// newRelay and gc).
+// is never armed and keeps a zero fwd. An ACK copy (key.Kind is KindAck)
+// is no bid: its timer is the send jitter, and it is listed in order
+// but not in relays, since two copies can share a key. Every state's
+// fwd is the frame the MAC queues, withdraws and sends. States are
+// pooled per node (see newState and gc), and each is its own timer's
+// handler.
 type relayState struct {
 	core.Contender
 	r         *Routeless
@@ -167,11 +170,14 @@ type relayState struct {
 	repairStart sim.Time
 }
 
-// fire is the state's one timer. In Pending the backoff expired and we
-// won: a discovery forward hands its frame to the MAC, a relay becomes
-// the hop's leader. OnAir it is the arbiter's retransmission timeout.
-func (st *relayState) fire() {
+// Fire is the state's one timer. An ACK copy's jitter expired: queue
+// the ACK. In Pending the backoff expired and we won: a discovery
+// forward hands its frame to the MAC, a relay becomes the hop's leader.
+// OnAir it is the arbiter's retransmission timeout.
+func (st *relayState) Fire() {
 	switch {
+	case st.key.Kind == packet.KindAck:
+		st.r.ackDue(st)
 	case st.Phase != core.Pending:
 		st.r.relayTimeout(st)
 	case st.key.Kind == packet.KindDiscovery:
@@ -243,10 +249,11 @@ func NewRouteless(cfg RoutelessConfig) *Routeless {
 	return r
 }
 
-// newRelay registers a clean state for key, created now, taking it off
-// the free list when one is there. The timer callback is bound only when
-// the state is first allocated.
-func (r *Routeless) newRelay(key packet.FlowKey) *relayState {
+// newState lists a clean state for key, created now, in order, taking
+// it off the free list when one is there. Only an empty list allocates
+// one; the state is its own timer's handler, so binding the timer
+// allocates nothing more.
+func (r *Routeless) newState(key packet.FlowKey) *relayState {
 	var st *relayState
 	if n := len(r.free); n > 0 {
 		st = r.free[n-1]
@@ -254,14 +261,20 @@ func (r *Routeless) newRelay(key packet.FlowKey) *relayState {
 		*st = relayState{Contender: core.Contender{Timer: st.Timer}, r: r}
 	} else {
 		st = &relayState{r: r}
-		st.Init(r.n.Kernel, st.fire)
+		st.Init(r.n.Kernel, st)
 	}
 	st.key, st.created = key, r.n.Kernel.Now()
+	r.order = append(r.order, st)
+	return st
+}
+
+// newRelay is newState registered in relays under key.
+func (r *Routeless) newRelay(key packet.FlowKey) *relayState {
+	st := r.newState(key)
 	if r.relays == nil {
 		r.relays = make(map[packet.FlowKey]*relayState)
 	}
 	r.relays[key] = st
-	r.order = append(r.order, st)
 	return st
 }
 
@@ -616,8 +629,20 @@ func (r *Routeless) relayWon(st *relayState) {
 }
 
 // OnSent implements node.Protocol: when a queued relay frame leaves the
-// air, arbiter duty starts (overhear the next hop or retransmit).
+// air, arbiter duty starts (overhear the next hop or retransmit); an ACK
+// copy that left the air is released. ACK copies are the newest states,
+// so the search for one starts at the tail of order; a copy gc already
+// collected is not found.
 func (r *Routeless) OnSent(pkt *packet.Packet) {
+	if pkt.Kind == packet.KindAck {
+		for i := len(r.order) - 1; i >= 0; i-- {
+			if &r.order[i].fwd == pkt {
+				r.dropAt(i)
+				return
+			}
+		}
+		return
+	}
 	if pkt.Kind != packet.KindReply && pkt.Kind != packet.KindData {
 		return
 	}
@@ -684,19 +709,27 @@ func (r *Routeless) sendAck(key packet.FlowKey) {
 	// acknowledgements from neighboring arbiters (they tend to fire on
 	// the same overheard relay); negative priority then makes them
 	// pre-empt queued relays — suppression must outrun competing
-	// backoff timers.
+	// backoff timers. Each copy is a state of its own, its frame built
+	// by value and its timer armed with the jitter (see ackDue).
 	for _, window := range r.ackWindows() {
 		jitter := sim.Time(r.n.Rng.Float64() * window)
-		r.n.Kernel.Schedule(jitter, func() {
-			if !r.n.Up() {
-				return
-			}
-			r.n.MAC.Enqueue(&packet.Packet{
-				Kind: packet.KindAck, To: packet.Broadcast,
-				Origin: key.Origin, Seq: key.Seq,
-				Payload: key.Kind, Size: packet.SizeAck,
-			}, -1)
-		})
+		ack := packet.Packet{
+			Kind: packet.KindAck, To: packet.Broadcast,
+			Origin: key.Origin, Seq: key.Seq,
+			Payload: key.Kind, Size: packet.SizeAck,
+		}
+		st := r.newState(ack.Key())
+		st.fwd = ack
+		st.Arm(jitter)
+	}
+}
+
+// ackDue queues an ACK copy whose jitter expired, ahead of every relay.
+// A copy the node is down for, or the MAC refuses, is released at once;
+// a queued one at OnSent.
+func (r *Routeless) ackDue(st *relayState) {
+	if !r.n.Up() || !r.enqueue(st, -1) {
+		r.drop(st)
 	}
 }
 
@@ -739,14 +772,22 @@ func (r *Routeless) gc() {
 	})
 }
 
-// drop unregisters a discovery forward Withdraw cancelled, whose frame is
-// therefore out of the MAC, and frees it. It is usually among the
-// newest.
+// drop ends a state whose frame is out of the MAC — a discovery forward
+// Withdraw cancelled, an ACK copy that was sent, refused or never
+// queued — and frees it. It is usually among the newest.
 func (r *Routeless) drop(st *relayState) {
-	delete(r.relays, st.key)
 	i := len(r.order) - 1
 	for r.order[i] != st {
 		i--
+	}
+	r.dropAt(i)
+}
+
+// dropAt is drop of the state at order[i].
+func (r *Routeless) dropAt(i int) {
+	st := r.order[i]
+	if r.relays[st.key] == st {
+		delete(r.relays, st.key)
 	}
 	r.order = slices.Delete(r.order, i, i+1)
 	r.free = append(r.free, st)

@@ -63,31 +63,43 @@ func BenchmarkHeapMixed(b *testing.B) {
 	}
 }
 
+// walker is a cursor's handler in BenchmarkCursorWalk: a pointer with
+// its own Fire, as a transmission's edges are, so no adapter sits
+// between the kernel and the edge.
+type walker struct {
+	k     *Kernel
+	first uint64
+	left  int
+}
+
+func (w *walker) Fire() {
+	if w.left--; w.left > 0 {
+		w.k.Rekey(EventKey{At: w.k.Now() + 1e-9, Seq: w.first + uint64(cursorEdges-w.left)})
+	}
+}
+
+// cursorEdges is the run length BenchmarkCursorWalk walks.
+const cursorEdges = 74
+
 // BenchmarkCursorWalk measures the signal-edge path: one cursor walks a
 // run of 74 keys 1 ns apart, re-keying itself at every edge, over a heap
 // of far-future ordinary events as deep as flood_dense's mean (27) and
 // route_unicast's (400). It reports ns per edge.
 func BenchmarkCursorWalk(b *testing.B) {
-	const edges = 74
+	const edges = cursorEdges
 	for _, depth := range []int{27, 400} {
 		b.Run(fmt.Sprintf("heap_%d", depth), func(b *testing.B) {
 			k := NewKernel(1)
 			for i := 0; i < depth; i++ {
 				k.At(1e9+Time(i), func() {})
 			}
-			var first uint64
-			left := 0
-			walk := func() {
-				if left--; left > 0 {
-					k.Rekey(EventKey{At: k.Now() + 1e-9, Seq: first + uint64(edges-left)})
-				}
-			}
+			w := &walker{k: k}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				first, left = k.ReserveSeq(edges), edges
-				k.AtCursor(EventKey{At: k.Now() + 1e-9, Seq: first}, walk)
-				for left > 0 {
+				w.first, w.left = k.ReserveSeq(edges), edges
+				k.AtCursor(EventKey{At: k.Now() + 1e-9, Seq: w.first}, w)
+				for w.left > 0 {
 					k.Step()
 				}
 			}

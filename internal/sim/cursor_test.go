@@ -83,10 +83,10 @@ func (w *cursorWorld) launch() {
 	w.note(fmt.Sprintf("launch %d: %d keys", r.id, n))
 	if w.perEvent {
 		for i := range r.keys {
-			r.events = append(r.events, w.k.AtCursor(r.keys[i], r.fire))
+			r.events = append(r.events, w.k.AtCursor(r.keys[i], Func(r.fire)))
 		}
 	} else {
-		r.self = w.k.AtCursor(r.keys[0], r.fire)
+		r.self = w.k.AtCursor(r.keys[0], Func(r.fire))
 	}
 }
 
@@ -96,9 +96,9 @@ func (r *cursorRun) push(key EventKey) {
 	r.keys = append(r.keys, key)
 	r.stop = len(r.keys)
 	if r.w.perEvent {
-		r.events = append(r.events, r.w.k.AtCursor(key, r.fire))
+		r.events = append(r.events, r.w.k.AtCursor(key, Func(r.fire)))
 	} else if r.self == nil {
-		r.self = r.w.k.AtCursor(key, r.fire)
+		r.self = r.w.k.AtCursor(key, Func(r.fire))
 	}
 }
 
@@ -273,17 +273,17 @@ func TestCursorContracts(t *testing.T) {
 		fn()
 	}
 	k := NewKernel(1)
-	mustPanic("AtCursor under an unreserved number", func() { k.AtCursor(EventKey{At: 1, Seq: k.Seq()}, func() {}) })
+	mustPanic("AtCursor under an unreserved number", func() { k.AtCursor(EventKey{At: 1, Seq: k.Seq()}, Func(func() {})) })
 	mustPanic("Rekey outside a callback", func() { k.Rekey(EventKey{At: 1}) })
 	k.Schedule(1, func() { mustPanic("Rekey from an ordinary event", func() { k.Rekey(EventKey{At: 2}) }) })
 	first := k.ReserveSeq(3)
 	fired := 0
-	k.AtCursor(EventKey{At: 2, Seq: first + 1}, func() {
+	k.AtCursor(EventKey{At: 2, Seq: first + 1}, Func(func() {
 		if fired++; fired == 1 {
 			mustPanic("Rekey backwards", func() { k.Rekey(EventKey{At: 2, Seq: first}) })
 			k.Rekey(EventKey{At: 4, Seq: first + 2})
 		}
-	})
+	}))
 	// The cursor now waits in the register, under (4, first+2), until it
 	// fires again: only its own callback may move it.
 	k.Schedule(3, func() {
@@ -305,7 +305,7 @@ func TestRegisterIsQueued(t *testing.T) {
 	k := NewKernel(1)
 	first := k.ReserveSeq(4)
 	key := func(at Time, i int) EventKey { return EventKey{At: at, Seq: first + uint64(i)} }
-	walk := func(keys ...EventKey) func() {
+	walk := func(keys ...EventKey) Func {
 		return func() {
 			if len(keys) > 0 {
 				k.Rekey(keys[0])

@@ -42,13 +42,34 @@ const Infinity Time = Time(math.MaxFloat64)
 // Millis returns t expressed in milliseconds.
 func (t Time) Millis() float64 { return float64(t) * 1e3 }
 
-// Event is a scheduled callback. Events are owned by the Kernel; user
+// Handler is what an event runs when it fires. A protocol's per-packet
+// state, a timer, a signal edge: each is a pointer whose Fire method is
+// the callback, so binding it to an event allocates nothing.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to Handler. A func value is pointer-shaped,
+// so storing one in an interface allocates nothing either.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// funcHandler is fn as a Handler, or nil when fn is nil, so that push
+// rejects a nil callback however it arrives.
+func funcHandler(fn func()) Handler {
+	if fn == nil {
+		return nil
+	}
+	return Func(fn)
+}
+
+// Event is a scheduled handler. Events are owned by the Kernel; user
 // code holds *Event only to cancel or inspect it.
 type Event struct {
-	fn     func()
-	index  int // position in the heap, inRegister, or -1 when not queued
+	h      Handler
 	kernel *Kernel
-	cursor bool // scheduled by AtCursor: stays queued while fn runs
+	index  int32 // position in the heap, inRegister, or -1 when not queued
+	cursor bool  // scheduled by AtCursor: stays queued while h fires
 }
 
 // Pending reports whether the event is still queued to fire.
@@ -56,7 +77,7 @@ func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
 // inRegister is the index of an event held in the kernel's cursor
 // register rather than in the heap: queued, so ≥ 0, and no heap slot.
-const inRegister = math.MaxInt
+const inRegister = math.MaxInt32
 
 // EventKey is one event's position in the execution order: its time,
 // then the sequence number that breaks ties deterministically — the
@@ -96,7 +117,7 @@ type heapNode struct {
 // A pool may outlive the kernel that filled it: a sweep worker hands
 // one pool to each replication's kernel in turn, so after the first
 // cell warms it, later cells schedule out of recycled memory. Pooled
-// events carry no kernel state (recycle clears fn and kernel), but the
+// events carry no kernel state (recycle clears h and kernel), but the
 // pool itself is plain mutable state — it must never be shared between
 // kernels that run concurrently.
 type EventPool struct {
@@ -266,18 +287,28 @@ func (k *Kernel) Pool() *EventPool { return k.pool }
 // returns the event handle. A negative delay panics: an event in the
 // past would violate causality.
 func (k *Kernel) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v at t=%v", delay, k.now))
-	}
-	return k.At(k.now+delay, fn)
+	return k.after(delay, funcHandler(fn))
 }
 
 // At queues fn to run at absolute time t (which must not precede the
 // current time) and returns the event handle.
 func (k *Kernel) At(t Time, fn func()) *Event {
+	return k.at(t, funcHandler(fn))
+}
+
+// after queues h delay seconds from now: Schedule's path, and a Timer's.
+func (k *Kernel) after(delay Time, h Handler) *Event {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v at t=%v", delay, k.now))
+	}
+	return k.at(k.now+delay, h)
+}
+
+// at queues h at time t under the next sequence number.
+func (k *Kernel) at(t Time, h Handler) *Event {
 	seq := k.seq
 	k.seq++
-	return k.push(EventKey{At: t, Seq: seq}, fn)
+	return k.push(EventKey{At: t, Seq: seq}, h)
 }
 
 // ReserveSeq sets aside the next n sequence numbers and returns the
@@ -291,19 +322,19 @@ func (k *Kernel) ReserveSeq(n int) uint64 {
 	return first
 }
 
-// AtCursor queues fn under a key whose sequence number was reserved
+// AtCursor queues h under a key whose sequence number was reserved
 // earlier, as a cursor event: one event that stands for a whole
 // ascending run of reserved keys, of which the heap holds only the
-// next. Each time it fires, fn handles the key it fired under and
+// next. Each time it fires, h handles the key it fired under and
 // either calls Rekey with the run's next key or returns without doing
 // so, which ends the cursor. Step moves a firing cursor into the
-// kernel's register and keeps it queued there while fn runs, so Rekey
+// kernel's register and keeps it queued there while h fires, so Rekey
 // only overwrites the register's key.
-func (k *Kernel) AtCursor(key EventKey, fn func()) *Event {
+func (k *Kernel) AtCursor(key EventKey, h Handler) *Event {
 	if key.Seq >= k.seq {
 		panic(fmt.Sprintf("sim: cursor sequence number %d was never reserved (next is %d)", key.Seq, k.seq))
 	}
-	e := k.push(key, fn)
+	e := k.push(key, h)
 	e.cursor = true
 	return e
 }
@@ -327,12 +358,12 @@ func (k *Kernel) Rekey(key EventKey) {
 	k.rekeyed = true
 }
 
-// push queues fn under key on a pooled event.
-func (k *Kernel) push(key EventKey, fn func()) *Event {
+// push queues h under key on a pooled event.
+func (k *Kernel) push(key EventKey, h Handler) *Event {
 	if key.At < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", key.At, k.now))
 	}
-	if fn == nil {
+	if h == nil {
 		panic("sim: nil event callback")
 	}
 	var e *Event
@@ -346,9 +377,9 @@ func (k *Kernel) push(key EventKey, fn func()) *Event {
 	if k.pool.live > k.pool.peak {
 		k.pool.peak = k.pool.live
 	}
-	e.fn = fn
+	e.h = h
 	e.kernel = k
-	e.index = len(k.events)
+	e.index = int32(len(k.events))
 	e.cursor = false
 	k.events = append(k.events, heapNode{EventKey: key, e: e})
 	k.siftUp(len(k.events) - 1)
@@ -376,7 +407,7 @@ func (k *Kernel) Cancel(e *Event) {
 
 // remove takes a queued event out of the heap.
 func (k *Kernel) remove(e *Event) {
-	i := e.index
+	i := int(e.index)
 	n := len(k.events) - 1
 	last := k.events[n]
 	k.events[n] = heapNode{}
@@ -384,17 +415,17 @@ func (k *Kernel) remove(e *Event) {
 	e.index = -1
 	if i < n {
 		k.events[i] = last
-		last.e.index = i
+		last.e.index = int32(i)
 		// The displaced event can be out of order in either direction.
 		k.siftDown(i)
-		if last.e.index == i {
+		if last.e.index == int32(i) {
 			k.siftUp(i)
 		}
 	}
 }
 
 func (k *Kernel) recycle(e *Event) {
-	e.fn = nil
+	e.h = nil
 	e.kernel = nil
 	k.pool.live--
 	// Retain spares up to the pool's own watermark (free + live ≤ peak +
@@ -422,9 +453,9 @@ const yieldEvery = 1024
 //
 // The earliest event is the register's cursor or the heap's root,
 // whichever comes first. An ordinary event is popped and recycled before
-// its callback runs. A cursor event (AtCursor) fires from the register —
+// its handler fires. A cursor event (AtCursor) fires from the register —
 // a cursor at the root first trades places with the register's, in one
-// siftDown — and leaves it afterwards only if the callback did not
+// siftDown — and leaves it afterwards only if the handler did not
 // Rekey it.
 func (k *Kernel) Step() bool {
 	next := k.reg
@@ -444,16 +475,16 @@ func (k *Kernel) Step() bool {
 	}
 	if !e.cursor {
 		k.remove(e)
-		fn := e.fn
+		h := e.h
 		k.recycle(e)
-		fn()
+		h.Fire()
 		return true
 	}
 	if e.index != inRegister {
 		k.takeRegister()
 	}
 	k.firing, k.rekeyed = true, false
-	e.fn()
+	e.h.Fire()
 	k.firing = false
 	if !k.rekeyed {
 		k.dropRegister()
@@ -534,11 +565,11 @@ func (k *Kernel) siftUp(i int) {
 			break
 		}
 		h[i] = p
-		p.e.index = i
+		p.e.index = int32(i)
 		i = parent
 	}
 	h[i] = nd
-	nd.e.index = i
+	nd.e.index = int32(i)
 }
 
 // siftDown moves the node at index i toward the leaves until no child
@@ -567,9 +598,9 @@ func (k *Kernel) siftDown(i int) {
 			break
 		}
 		h[i] = bn
-		bn.e.index = i
+		bn.e.index = int32(i)
 		i = best
 	}
 	h[i] = nd
-	nd.e.index = i
+	nd.e.index = int32(i)
 }

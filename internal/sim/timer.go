@@ -6,43 +6,46 @@ package sim
 //
 // Unlike scheduling raw events, a Timer guarantees that at most one
 // firing is pending at a time: Reset implicitly cancels the previous
-// schedule.
+// schedule. The timer is itself the handler its events carry, and it
+// holds its owner's handler, so arming it allocates nothing.
 type Timer struct {
 	kernel *Kernel
-	fn     func()
-	fireFn func() // t.fire bound once; rebinding per Reset would allocate
+	h      Handler
 	ev     *Event
 }
 
 // NewTimer returns a stopped timer that runs fn on expiry.
 func NewTimer(k *Kernel, fn func()) *Timer {
 	t := &Timer{}
-	InitTimer(t, k, fn)
+	InitTimer(t, k, funcHandler(fn))
 	return t
 }
 
 // InitTimer initializes a stopped timer in place — the value-embedding
 // alternative to NewTimer for owners that hold the Timer inline (one
-// fewer heap object per node at mega scale). The timer captures its own
-// address, so the owner must not be copied afterwards.
-func InitTimer(t *Timer, k *Kernel, fn func()) {
-	if fn == nil {
+// fewer heap object per node at mega scale). h fires on every expiry;
+// when it is a pointer (the owner, typically), binding it allocates
+// nothing. The timer's events carry its own address, so the owner must
+// not be copied afterwards.
+func InitTimer(t *Timer, k *Kernel, h Handler) {
+	if h == nil {
 		panic("sim: nil timer callback")
 	}
-	*t = Timer{kernel: k, fn: fn}
-	t.fireFn = t.fire
+	*t = Timer{kernel: k, h: h}
 }
 
 // Reset (re)schedules the timer to fire after delay, cancelling any
 // pending expiry.
 func (t *Timer) Reset(delay Time) {
 	t.Stop()
-	t.ev = t.kernel.Schedule(delay, t.fireFn)
+	t.ev = t.kernel.after(delay, t)
 }
 
-func (t *Timer) fire() {
+// Fire is the timer's expiry event: it runs the owner's handler. Owners
+// arm and cancel the timer with Reset and Stop; the kernel calls Fire.
+func (t *Timer) Fire() {
 	t.ev = nil
-	t.fn()
+	t.h.Fire()
 }
 
 // Stop cancels a pending expiry; it is a no-op on a stopped timer.
@@ -56,7 +59,7 @@ func (t *Timer) Stop() {
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
 // CBR sources and fault processes are tickers.
 type Ticker struct {
-	timer  *Timer
+	timer  Timer
 	period Time
 	fn     func()
 }
@@ -67,11 +70,13 @@ func NewTicker(k *Kernel, period Time, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{period: period, fn: fn}
-	t.timer = NewTimer(k, t.tick)
+	InitTimer(&t.timer, k, t)
 	return t
 }
 
-func (t *Ticker) tick() {
+// Fire is one tick, the ticker's timer event: re-arm, then run the
+// callback. Owners use Start and Stop; the kernel calls Fire.
+func (t *Ticker) Fire() {
 	t.timer.Reset(t.period)
 	t.fn()
 }

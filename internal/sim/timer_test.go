@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestTimerBasic(t *testing.T) {
 	k := NewKernel(1)
@@ -132,4 +135,44 @@ func TestNilCallbacksPanic(t *testing.T) {
 		k.Schedule(1, nil)
 		t.Error("Schedule(nil) should panic")
 	}()
+}
+
+// counter is a pointer handler: the shape protocol states bind.
+type counter struct{ n int }
+
+func (c *counter) Fire() { c.n++ }
+
+// TestTimerBindingAllocatesNothing pins handler binding: a timer bound
+// to a pointer handler with InitTimer, armed and fired on a warm kernel,
+// allocates nothing — the timer is its events' handler, and a pointer
+// in an interface is not boxed.
+func TestTimerBindingAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	h := &counter{}
+	var tm Timer
+	cycle := func() {
+		InitTimer(&tm, k, h)
+		tm.Reset(1)
+		k.Run()
+	}
+	cycle() // warms the event pool
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("bind, arm and fire: %v allocations per cycle, want 0", allocs)
+	}
+	if h.n != runs+2 { // AllocsPerRun warms up once
+		t.Fatalf("handler fired %d times, want %d", h.n, runs+2)
+	}
+}
+
+// TestEventAndTimerSize pins both at 32 bytes: the handler's two words,
+// the kernel (an event's) or the pending event (a timer's), and for an
+// event a 32-bit heap index beside the cursor flag.
+func TestEventAndTimerSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 32 {
+		t.Errorf("Event is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Timer{}); got != 32 {
+		t.Errorf("Timer is %d bytes, want 32", got)
+	}
 }
