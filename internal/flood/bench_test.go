@@ -18,7 +18,7 @@ const steadyWindow sim.Time = 10
 // BenchmarkFloodSteadyState measures SSAF at Figure 1's density (100
 // nodes in 1000×1000 m, 50 one-way CBR flows of 64-B packets every 2 s,
 // λ = 10 ms). The field runs one window before the timer starts, so
-// every node's dedup cache and pending map are warm; each iteration then
+// every node's dedup cache and pending list are warm; each iteration then
 // advances the same network one more window of 10 simulated seconds.
 // "delivered" is the mean number of application packets delivered per
 // window.

@@ -117,13 +117,14 @@ type Flooding struct {
 	n     *node.Node
 	seq   uint32
 	dedup packet.DedupCache
-	// pending maps logical packets to their forwards: an armed
-	// rebroadcast from the draw of the backoff, an origination from Send,
-	// until the MAC lets go of the frame: at OnSent, at a successful
-	// Withdraw (the Cancel variant strikes while the backoff timer runs
-	// or while the frame waits in the MAC queue,
-	// core.Contender.Withdraw), or when MAC.Enqueue refuses it.
-	pending map[packet.FlowKey]*pendingForward
+	// pending lists the node's forwards, newest first, linked through
+	// their next fields: an armed rebroadcast from the draw of the
+	// backoff, an origination from Send, until the MAC lets go of the
+	// frame: at OnSent, at a successful Withdraw (the Cancel variant
+	// strikes while the backoff timer runs or while the frame waits in
+	// the MAC queue, core.Contender.Withdraw), or when MAC.Enqueue
+	// refuses it.
+	pending *pendingForward
 
 	stats [numSeries]metrics.Counter32
 }
@@ -135,8 +136,9 @@ type Flooding struct {
 // population's free list (see newForward) and go back to it at release.
 type pendingForward struct {
 	core.Contender
-	f   *Flooding
-	fwd packet.Packet
+	f    *Flooding
+	next *pendingForward // in f.pending
+	fwd  packet.Packet
 }
 
 // Fire is the backoff expiry: hand the rebroadcast to the MAC. A frame
@@ -161,9 +163,6 @@ func Install(nw *node.Network, cfg Config) {
 	}
 	pop := &population{Config: cfg}
 	nw.Install(func(*node.Node) node.Protocol {
-		// pending is made by armForward: a node no packet reaches keeps
-		// none, and at mega scale an eager empty map per node is
-		// measurable weight.
 		f := &Flooding{cfg: pop}
 		f.dedup.Init(dedupCap)
 		return f
@@ -214,7 +213,7 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	if f.dedup.Seen(key) {
 		f.stats[Duplicates].Inc()
 		if f.cfg.Cancel {
-			if pf, ok := f.pending[key]; ok && pf.Withdraw(f.n.MAC, &pf.fwd) {
+			if pf := f.find(key); pf != nil && pf.Withdraw(f.n.MAC, &pf.fwd) {
 				f.release(pf)
 				f.stats[Cancelled].Inc()
 			}
@@ -267,7 +266,7 @@ func (f *Flooding) armForward(pkt *packet.Packet, rssiDBm float64) {
 	f.newForward(forwardOf(pkt)).Arm(backoff)
 }
 
-// newForward lists a forward for frame fwd in pending under its key. The
+// newForward lists a forward for frame fwd at the head of pending. The
 // forward comes off the population's free list, rewritten whole except
 // its timer; only an empty list allocates one, and the forward is its
 // own timer's handler, so binding the timer allocates nothing more.
@@ -281,11 +280,19 @@ func (f *Flooding) newForward(fwd packet.Packet) *pendingForward {
 		pf = &pendingForward{f: f, fwd: fwd}
 		pf.Init(f.n.Kernel, pf)
 	}
-	if f.pending == nil {
-		f.pending = make(map[packet.FlowKey]*pendingForward)
-	}
-	f.pending[fwd.Key()] = pf
+	pf.next = f.pending
+	f.pending = pf
 	return pf
+}
+
+// find returns the newest pending forward for key, or nil.
+func (f *Flooding) find(key packet.FlowKey) *pendingForward {
+	for pf := f.pending; pf != nil; pf = pf.next {
+		if pf.fwd.Key() == key {
+			return pf
+		}
+	}
+	return nil
 }
 
 // forwardOf returns the rebroadcast of a received pkt: one hop further,
@@ -311,8 +318,11 @@ func (f *Flooding) OnSent(pkt *packet.Packet) {
 	if pkt.Kind != packet.KindFlood {
 		return
 	}
-	if pf, ok := f.pending[pkt.Key()]; ok && &pf.fwd == pkt {
-		f.release(pf)
+	for pf := f.pending; pf != nil; pf = pf.next {
+		if &pf.fwd == pkt {
+			f.release(pf)
+			return
+		}
 	}
 }
 
@@ -321,7 +331,13 @@ func (f *Flooding) OnSent(pkt *packet.Packet) {
 // list. Nothing else returns a forward, so a frame the MAC still holds
 // is never rewritten.
 func (f *Flooding) release(pf *pendingForward) {
-	delete(f.pending, pf.fwd.Key())
+	for p := &f.pending; *p != nil; p = &(*p).next {
+		if *p == pf {
+			*p = pf.next
+			break
+		}
+	}
+	pf.next = nil
 	f.cfg.free = append(f.cfg.free, pf)
 }
 

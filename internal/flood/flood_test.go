@@ -371,7 +371,7 @@ func TestRefusedForwardLeavesPending(t *testing.T) {
 			m.Enqueue(filler.Clone(), 0)
 		}
 		f.OnDeliver(copyFrom0(), -50)
-		pf := f.pending[copyFrom0().Key()]
+		pf := f.find(copyFrom0().Key())
 		if pf == nil {
 			t.Fatalf("cancel=%v: no forward armed", cancel)
 		}
@@ -381,7 +381,7 @@ func TestRefusedForwardLeavesPending(t *testing.T) {
 			held := m.Holds(&pf.fwd)
 			queued = queued || held
 			sent = sent || (pf.Phase == core.Queued && !held)
-			if tracked = f.pending[pf.fwd.Key()] == pf; tracked != (pf.Phase == core.Pending || held) {
+			if tracked = f.find(pf.fwd.Key()) == pf; tracked != (pf.Phase == core.Pending || held) {
 				t.Fatalf("cancel=%v at %v: pending=%v, phase %d, MAC holds %v", cancel, nw.Kernel.Now(), tracked, pf.Phase, held)
 			}
 		}
@@ -403,12 +403,12 @@ func TestRefusedForwardLeavesPending(t *testing.T) {
 		if f.Count(Forwards) != 1 || m.Count(mac.DroppedFull) != 1 {
 			t.Fatalf("cancel=%v: %d forwards, %d refused, want 1 and 1", cancel, f.Count(Forwards), m.Count(mac.DroppedFull))
 		}
-		if len(f.pending) != 0 {
-			t.Fatalf("cancel=%v: a refused forward stays in pending (%d entries)", cancel, len(f.pending))
+		if f.pendingLen() != 0 {
+			t.Fatalf("cancel=%v: a refused forward stays in pending (%d entries)", cancel, f.pendingLen())
 		}
 		f.Send(packet.None, packet.SizeData)
-		if len(f.pending) != 0 || m.Count(mac.DroppedFull) != 2 {
-			t.Fatalf("cancel=%v: a refused origination stays in pending (%d entries, %d refused)", cancel, len(f.pending), m.Count(mac.DroppedFull))
+		if f.pendingLen() != 0 || m.Count(mac.DroppedFull) != 2 {
+			t.Fatalf("cancel=%v: a refused origination stays in pending (%d entries, %d refused)", cancel, f.pendingLen(), m.Count(mac.DroppedFull))
 		}
 
 		nw, floods = build(t, cfg, 12, chain(2, 200)...)
@@ -417,14 +417,14 @@ func TestRefusedForwardLeavesPending(t *testing.T) {
 		f.Send(packet.None, packet.SizeData)
 		own := copyFrom0()
 		own.Origin = 1
-		origin := f.pending[own.Key()]
+		origin := f.find(own.Key())
 		f.OnDeliver(own, -50) // a duplicate of the origination, from node 0
 		if origin == nil || !m.Holds(&origin.fwd) || f.Count(Cancelled) != 0 {
 			t.Fatalf("cancel=%v: the queued origination was withdrawn by a duplicate", cancel)
 		}
 		nw.Run(1)
-		if len(f.pending) != 0 || m.Count(mac.TxFrames) != 2 {
-			t.Fatalf("cancel=%v: %d entries pending, %d frames sent; want the origination aired and released", cancel, len(f.pending), m.Count(mac.TxFrames))
+		if f.pendingLen() != 0 || m.Count(mac.TxFrames) != 2 {
+			t.Fatalf("cancel=%v: %d entries pending, %d frames sent; want the origination aired and released", cancel, f.pendingLen(), m.Count(mac.TxFrames))
 		}
 	}
 }

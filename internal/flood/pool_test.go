@@ -21,6 +21,15 @@ func copyOf(seq uint32, target packet.NodeID) *packet.Packet {
 	}
 }
 
+// pendingLen counts the forwards f lists in pending.
+func (f *Flooding) pendingLen() int {
+	n := 0
+	for pf := f.pending; pf != nil; pf = pf.next {
+		n++
+	}
+	return n
+}
+
 // forwardView is what a forward carries besides its timer.
 type forwardView struct {
 	phase   core.Phase
@@ -46,16 +55,16 @@ func TestRecycledForwardStartsClean(t *testing.T) {
 		nw := node.Must(node.New(node.Config{Positions: chain(2, 1000), Seed: 13}))
 		floods := install(nw, SSAFConfig(10e-3, -55.1, -33.2))
 		floods[0].OnDeliver(copyOf(1, packet.None), -40)
-		first := floods[0].pending[copyOf(1, packet.None).Key()]
+		first := floods[0].find(copyOf(1, packet.None).Key())
 		nw.Run(1)
-		if len(floods[0].pending) != 0 || first.Phase != core.Queued || first.fwd.UID == 0 {
+		if floods[0].pendingLen() != 0 || first.Phase != core.Queued || first.fwd.UID == 0 {
 			t.Fatalf("run %d: the first forward was not sent and released: %+v", i, viewForward(first))
 		}
 		if i == 1 {
 			floods[0].cfg.free = nil
 		}
 		floods[1].OnDeliver(copyOf(2, packet.None), -50)
-		next := floods[1].pending[copyOf(2, packet.None).Key()]
+		next := floods[1].find(copyOf(2, packet.None).Key())
 		if (next == first) != (i == 0) {
 			t.Fatalf("run %d: second forward reused the first: %v", i, next == first)
 		}
@@ -87,7 +96,7 @@ func TestPausedMACForwardNotRecycled(t *testing.T) {
 	nw.Nodes[0].OnAppReceive = func(p *packet.Packet) { heard = append(heard, *p) }
 	nw.Nodes[1].Fail()
 	floods[1].OnDeliver(copyOf(1, 0), -50)
-	held := floods[1].pending[copyOf(1, 0).Key()]
+	held := floods[1].find(copyOf(1, 0).Key())
 	nw.Run(1)
 	if held.Phase != core.Queued || !nw.Nodes[1].MAC.Holds(&held.fwd) {
 		t.Fatal("the forward is not queued at the failed node")
@@ -127,7 +136,7 @@ func TestPausedMACForwardReleased(t *testing.T) {
 	nw, floods := build(t, Counter1Config(5e-3), 16, chain(2, 200)...)
 	f, m := floods[1], nw.Nodes[1].MAC
 	f.OnDeliver(copyOf(1, 0), -50)
-	held := f.pending[copyOf(1, 0).Key()]
+	held := f.find(copyOf(1, 0).Key())
 	nw.Kernel.SetHorizon(1)
 	for held.Phase != core.Queued && nw.Kernel.Step() {
 	}
@@ -144,9 +153,9 @@ func TestPausedMACForwardReleased(t *testing.T) {
 	nw.Nodes[1].Recover()
 	nw.Run(5)
 
-	if len(f.pending) != 0 || !slices.Contains(f.cfg.free, held) {
+	if f.pendingLen() != 0 || !slices.Contains(f.cfg.free, held) {
 		t.Fatalf("%d forwards pending, forward on the free list: %v; want 0 and true",
-			len(f.pending), slices.Contains(f.cfg.free, held))
+			f.pendingLen(), slices.Contains(f.cfg.free, held))
 	}
 	if got := nw.Metrics.Snapshot().Count("mac.dropped_paused"); got != 0 {
 		t.Fatalf("mac.dropped_paused = %d, want 0", got)
@@ -208,9 +217,38 @@ func TestForwardCyclesAllocateNothing(t *testing.T) {
 			if got := f.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
 				t.Errorf("cancel=%v, %s cycle: counter moved %d in %d cycles", cancel, tc.name, got, runs+1)
 			}
-			if len(f.pending) != 0 {
-				t.Errorf("cancel=%v, %s cycle: %d frames left pending, want every one released", cancel, tc.name, len(f.pending))
+			if f.pendingLen() != 0 {
+				t.Errorf("cancel=%v, %s cycle: %d frames left pending, want every one released", cancel, tc.name, f.pendingLen())
 			}
+		}
+	}
+}
+
+// TestCancelWithdrawsItsOwnForward arms three forwards at one node of
+// the Cancel variant, then overhears a duplicate of the middle one, the
+// newest and the oldest in turn: each withdraws its own forward,
+// wherever it sits in pending, which goes back on the free list while
+// the others stay armed.
+func TestCancelWithdrawsItsOwnForward(t *testing.T) {
+	cfg := Counter1Config(5e-3)
+	cfg.Cancel = true
+	_, floods := build(t, cfg, 17, chain(2, 1000)...)
+	f := floods[1]
+	for seq := uint32(1); seq <= 3; seq++ {
+		f.OnDeliver(copyOf(seq, packet.None), -50)
+	}
+	for i, seq := range []uint32{2, 3, 1} {
+		key := copyOf(seq, packet.None).Key()
+		pf := f.find(key)
+		if pf == nil || pf.Phase != core.Pending {
+			t.Fatalf("seq %d: no armed forward before its duplicate", seq)
+		}
+		f.OnDeliver(copyOf(seq, packet.None), -50)
+		if f.find(key) != nil || !slices.Contains(f.cfg.free, pf) {
+			t.Fatalf("seq %d: the duplicate did not withdraw and release its forward", seq)
+		}
+		if got := f.Count(Cancelled); got != uint64(i+1) || f.pendingLen() != 2-i {
+			t.Fatalf("seq %d: %d cancelled, %d pending; want %d and %d", seq, got, f.pendingLen(), i+1, 2-i)
 		}
 	}
 }

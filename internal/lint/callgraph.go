@@ -123,6 +123,7 @@ var schedulerEntryPoints = []struct {
 }{
 	{"internal/sim.(Kernel).Schedule", 1, "schedule"},
 	{"internal/sim.(Kernel).At", 1, "schedule"},
+	{"internal/sim.(Kernel).After", 1, "schedule"},
 	{"internal/sim.(Kernel).AtCursor", 1, "schedule"},
 	{"internal/sim.NewTimer", 1, "timer"},
 	{"internal/sim.InitTimer", 2, "timer"},

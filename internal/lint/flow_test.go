@@ -92,16 +92,16 @@ func TestCallGraphTopology(t *testing.T) {
 			t.Errorf("entry point %s: kind = %q, want dispatch", want, kinds[want])
 		}
 	}
-	// Scheduled closures (Arm, Beacon.OnDeliver, and ArmWrapped's
-	// through sim.Func) register too.
+	// Scheduled closures (Arm, Beacon.OnDeliver, and ArmWrapped's and
+	// ArmAfter's through sim.Func) register too.
 	scheduled := 0
 	for fn, kind := range kinds {
 		if kind == "schedule" && strings.HasPrefix(string(fn), "closure@") {
 			scheduled++
 		}
 	}
-	if scheduled < 3 {
-		t.Errorf("schedule closures registered = %d, want >= 3 (Arm, Beacon.OnDeliver, ArmWrapped)", scheduled)
+	if scheduled < 4 {
+		t.Errorf("schedule closures registered = %d, want >= 4 (Arm, Beacon.OnDeliver, ArmWrapped, ArmAfter)", scheduled)
 	}
 
 	// Handler reachability: the gauge write and the re-armed emit are
@@ -200,6 +200,7 @@ func TestFlowmodFindings(t *testing.T) {
 		{"goroutine", "go statement"},                                          // SpawnBad, outside the exempt engines
 		{"sharedstate", "package-level var flowmod/internal/proto.fired"},      // a sim.Handler's Fire
 		{"sharedstate", "package-level var flowmod/internal/proto.wrapped"},    // a sim.Func-wrapped scheduled closure
+		{"sharedstate", "package-level var flowmod/internal/proto.later"},      // a closure queued through After
 	}
 
 	if len(res.Diags) != len(want) {

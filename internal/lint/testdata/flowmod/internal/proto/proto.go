@@ -128,3 +128,12 @@ var wrapped int
 func ArmWrapped(k *sim.Kernel) {
 	k.Schedule(1, sim.Func(func() { wrapped++ }))
 }
+
+// later is written by a closure queued through the handler-taking After.
+var later int
+
+// ArmAfter queues a Func-wrapped closure with After, the relative entry
+// a pointer handler takes; the closure is an entry point all the same.
+func ArmAfter(k *sim.Kernel) {
+	k.After(1, sim.Func(func() { later++ }))
+}

@@ -1,6 +1,6 @@
 // Package sim is a miniature of the real kernel: just enough surface
-// (Schedule/At/NewTimer/InitTimer, Handler and its Func adapter, a
-// master stream) for the flow-aware rules to recognize entry points and
+// (Schedule/At/After/NewTimer/InitTimer, Handler and its Func adapter,
+// a master stream) for the flow-aware rules to recognize entry points and
 // sinks by ID suffix.
 package sim
 
@@ -30,6 +30,9 @@ func (k *Kernel) Schedule(d Time, f func()) { k.queue = append(k.queue, f) }
 
 // At enqueues f at absolute time t.
 func (k *Kernel) At(t Time, f func()) { k.queue = append(k.queue, f) }
+
+// After enqueues h after d.
+func (k *Kernel) After(d Time, h Handler) { k.queue = append(k.queue, h.Fire) }
 
 // Rand exposes the master stream.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }

@@ -23,23 +23,27 @@ func SortedFlowKeys[V any](m map[FlowKey]V) []FlowKey {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(a, b FlowKey) int {
-		if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
+	slices.SortFunc(keys, FlowKey.Compare)
 	return keys
 }
 
+// Compare orders keys by (Origin, Kind, Seq): the order of every digest
+// over FlowKey-keyed state.
+func (k FlowKey) Compare(o FlowKey) int {
+	if c := cmp.Compare(k.Origin, o.Origin); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.Kind, o.Kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Seq, o.Seq)
+}
+
 // DigestState folds the cache's behavioral state into h: capacity,
-// population, and every remembered key in insertion order. The order
-// slice is the deterministic iteration surface — hashing the map would
-// require a sort, and the FIFO order itself is state (it decides which
-// key the next insert evicts).
+// population, and every remembered key in insertion order. The ring,
+// walked from its head, is the deterministic iteration surface — the
+// index's layout is no state of the cache, and the FIFO order itself is
+// state (it decides which key the next insert evicts).
 func (c *DedupCache) DigestState(h *digest.Hash) {
 	if c == nil {
 		h.Bool(false)
@@ -47,8 +51,9 @@ func (c *DedupCache) DigestState(h *digest.Hash) {
 	}
 	h.Bool(true)
 	h.Int(c.cap)
-	h.Int(len(c.order))
-	for _, k := range c.order {
-		k.DigestTo(h)
+	h.Int(int(c.n))
+	ring := c.ringLen()
+	for i := range int(c.n) {
+		c.slots[(int(c.head)+i)%ring].key.DigestTo(h)
 	}
 }

@@ -160,15 +160,38 @@ const HopLimit = 32
 // classic sequence-number list every counter-1 flooding node keeps
 // (§3: "every node must also keep a list of sequence numbers of
 // received packets"). Eviction is FIFO.
+//
+// The keys live in one table of slots, each holding a ring entry and
+// an index entry. The ring keeps the keys in insertion order, oldest at
+// head; the index is open-addressed and linear-probed over the same
+// slots, each entry a ring position plus one (zero is empty). The table
+// starts at dedupFirstSlots and doubles whenever the ring fills, until
+// the ring holds capacity keys; the index is kept at most 3/4 full.
+// Eviction deletes the oldest key's index entry by backward shift, so
+// there are no tombstones, and a full cache records a key without
+// allocating.
 type DedupCache struct {
-	seen  map[FlowKey]struct{}
-	order []FlowKey
+	slots []dedupSlot
+	head  int32 // ring position of the oldest key
+	n     int32 // keys recorded
 	cap   int
 }
 
+// dedupSlot is one slot of a DedupCache's table: a ring entry and an
+// index entry, which are unrelated to each other.
+type dedupSlot struct {
+	key FlowKey
+	pos int32 // ring position + 1 of the key this index entry names; 0 is empty
+}
+
+// dedupFirstSlots is the table size a cache's first key allocates (64 B,
+// three keys): kept small, since on an arena one flood crosses every
+// node holds a single key.
+const dedupFirstSlots = 4
+
 // Init empties c and sets it to hold at most capacity keys. Owners hold
-// the cache by value. The backing map is allocated on first use: a node
-// no flood ever reaches keeps an empty cache, which at mega scale keeps
+// the cache by value. The table is allocated on first use: a node no
+// flood ever reaches keeps an empty cache, which at mega scale keeps
 // untouched arena regions cheap.
 func (c *DedupCache) Init(capacity int) {
 	if capacity <= 0 {
@@ -180,27 +203,96 @@ func (c *DedupCache) Init(capacity int) {
 // Seen reports whether k was recorded and records it. The first call
 // for a key returns false, later calls true (until evicted).
 func (c *DedupCache) Seen(k FlowKey) bool {
-	if _, ok := c.seen[k]; ok {
+	if c.find(k) >= 0 {
 		return true
 	}
-	if c.seen == nil {
-		c.seen = make(map[FlowKey]struct{})
+	if ring := c.ringLen(); int(c.n) == ring {
+		if ring < c.cap {
+			c.grow()
+		} else {
+			// Evict the oldest key: empty its index entry, then move
+			// into the hole each later entry of its probe run whose
+			// home slot is not cyclically past the hole, so no
+			// tombstone is left.
+			mask := len(c.slots) - 1
+			i := c.find(c.slots[c.head].key)
+			for j := (i + 1) & mask; c.slots[j].pos != 0; j = (j + 1) & mask {
+				p := c.slots[j].pos
+				if (j-c.home(c.slots[p-1].key))&mask >= (j-i)&mask {
+					c.slots[i].pos = p
+					i = j
+				}
+			}
+			c.slots[i].pos = 0
+			c.head = int32((int(c.head) + 1) % ring)
+			c.n--
+		}
 	}
-	if len(c.order) >= c.cap {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.seen, old)
-	}
-	c.seen[k] = struct{}{}
-	c.order = append(c.order, k)
+	pos := (int(c.head) + int(c.n)) % c.ringLen()
+	c.slots[pos].key = k
+	c.index(k, pos)
+	c.n++
 	return false
 }
 
 // Contains reports whether k is recorded without recording it.
-func (c *DedupCache) Contains(k FlowKey) bool {
-	_, ok := c.seen[k]
-	return ok
-}
+func (c *DedupCache) Contains(k FlowKey) bool { return c.find(k) >= 0 }
 
 // Len returns the number of recorded keys.
-func (c *DedupCache) Len() int { return len(c.seen) }
+func (c *DedupCache) Len() int { return int(c.n) }
+
+// ringLen is how many keys the table holds before it grows or evicts.
+func (c *DedupCache) ringLen() int { return min(c.cap, len(c.slots)*3/4) }
+
+// home is k's first index slot: a 64-bit mix of its fields, masked to
+// the table. len(c.slots) is a power of two.
+func (c *DedupCache) home(k FlowKey) int {
+	x := uint64(uint32(k.Origin))<<32 | uint64(k.Seq)
+	x ^= uint64(k.Kind) << 24
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return int(x) & (len(c.slots) - 1)
+}
+
+// find returns the index slot naming k, or -1.
+func (c *DedupCache) find(k FlowKey) int {
+	if c.n == 0 {
+		return -1
+	}
+	mask := len(c.slots) - 1
+	for i := c.home(k); ; i = (i + 1) & mask {
+		p := c.slots[i].pos
+		if p == 0 {
+			return -1
+		}
+		if c.slots[p-1].key == k {
+			return i
+		}
+	}
+}
+
+// index names ring position pos, which holds k, in k's probe run.
+func (c *DedupCache) index(k FlowKey, pos int) {
+	mask := len(c.slots) - 1
+	i := c.home(k)
+	for c.slots[i].pos != 0 {
+		i = (i + 1) & mask
+	}
+	c.slots[i].pos = int32(pos + 1)
+}
+
+// grow doubles the table (or makes the first one) and moves the ring
+// into it oldest first, re-indexing every key.
+func (c *DedupCache) grow() {
+	old, ring := c.slots, c.ringLen()
+	c.slots = make([]dedupSlot, max(dedupFirstSlots, 2*len(old)))
+	for i := range int(c.n) {
+		k := old[(int(c.head)+i)%ring].key
+		c.slots[i].key = k
+		c.index(k, i)
+	}
+	c.head = 0
+}

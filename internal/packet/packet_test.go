@@ -3,6 +3,9 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+
+	"routeless/internal/digest"
+	"routeless/internal/rng"
 )
 
 func TestNodeIDString(t *testing.T) {
@@ -157,5 +160,113 @@ func TestPacketString(t *testing.T) {
 	s := p.String()
 	if s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// refDedup is the map-and-slice cache DedupCache replaced, kept as the
+// reference its behavior and digest must match.
+type refDedup struct {
+	seen  map[FlowKey]struct{}
+	order []FlowKey
+	cap   int
+}
+
+func (c *refDedup) Seen(k FlowKey) bool {
+	if _, ok := c.seen[k]; ok {
+		return true
+	}
+	if len(c.order) >= c.cap {
+		delete(c.seen, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.seen[k] = struct{}{}
+	c.order = append(c.order, k)
+	return false
+}
+
+func (c *refDedup) DigestState(h *digest.Hash) {
+	h.Bool(true)
+	h.Int(c.cap)
+	h.Int(len(c.order))
+	for _, k := range c.order {
+		k.DigestTo(h)
+	}
+}
+
+// TestDedupCacheMatchesReference drives DedupCache and the reference
+// with the same seeded keys, repeats included, and checks that every
+// step agrees on Seen, Contains, Len and the digest bytes: through
+// every growth of the table, eviction at every ring position, and
+// backward shifts over probe runs that wrap the table's end.
+func TestDedupCacheMatchesReference(t *testing.T) {
+	caps := []int{4096, 8192}
+	for c := 1; c <= 17; c++ {
+		caps = append(caps, c)
+	}
+	for _, capacity := range caps {
+		r := rng.New(int64(capacity))
+		var got DedupCache
+		got.Init(capacity)
+		want := &refDedup{seen: map[FlowKey]struct{}{}, cap: capacity}
+		// Draw from a key space a little larger than the cache, so keys
+		// repeat both inside the window and after their eviction.
+		space := capacity + capacity/2 + 2
+		steps := 4 * space
+		for step := range steps {
+			n := r.Intn(space)
+			k := FlowKey{Origin: NodeID(n % 7), Kind: Kind(n % 3), Seq: uint32(n)}
+			if g, w := got.Seen(k), want.Seen(k); g != w {
+				t.Fatalf("cap %d step %d: Seen(%v) = %v, want %v", capacity, step, k, g, w)
+			}
+			probe := FlowKey{Origin: NodeID(step % 7), Kind: Kind(step % 3), Seq: uint32(step % space)}
+			if _, w := want.seen[probe]; got.Contains(probe) != w {
+				t.Fatalf("cap %d step %d: Contains(%v) = %v, want %v", capacity, step, probe, !w, w)
+			}
+			if got.Len() != len(want.order) {
+				t.Fatalf("cap %d step %d: Len = %d, want %d", capacity, step, got.Len(), len(want.order))
+			}
+			// A digest walks the whole cache: at the large capacities,
+			// take one every 61 steps and at the last.
+			if capacity > 17 && step%61 != 0 && step != steps-1 {
+				continue
+			}
+			gh, wh := digest.New(), digest.New()
+			got.DigestState(&gh)
+			want.DigestState(&wh)
+			if gh.Sum() != wh.Sum() {
+				t.Fatalf("cap %d step %d: digest differs from the reference", capacity, step)
+			}
+		}
+	}
+}
+
+// TestDedupCacheAllocatesNothing checks that a cache warmed past its
+// capacity records a hit and an evicting insert without allocating.
+func TestDedupCacheAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	var c DedupCache
+	c.Init(capacity)
+	seq := uint32(0)
+	for ; seq < 2*capacity; seq++ {
+		c.Seen(FlowKey{Origin: 3, Kind: KindFlood, Seq: seq})
+	}
+	hit := FlowKey{Origin: 3, Kind: KindFlood, Seq: seq - 1}
+	if n := testing.AllocsPerRun(100, func() {
+		if !c.Seen(hit) {
+			t.Fatal("the newest key was forgotten")
+		}
+	}); n != 0 {
+		t.Errorf("a hit allocates %.0f, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		seq++
+		if c.Seen(FlowKey{Origin: 3, Kind: KindFlood, Seq: seq}) {
+			t.Fatal("a new key was reported seen")
+		}
+	}); n != 0 {
+		t.Errorf("an evicting insert allocates %.0f, want 0", n)
+	}
+	if c.Len() != capacity {
+		t.Errorf("Len = %d, want %d", c.Len(), capacity)
 	}
 }

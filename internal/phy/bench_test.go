@@ -175,19 +175,20 @@ func TestLinkAndSignalSizes(t *testing.T) {
 	}
 }
 
-// TestRadioSize pins the per-node transceiver at 152 B, the arena weight
-// every node of a mega run pays: the running in-air sum and the bound
-// transmit-done callback are paid for by reading the configuration and
-// the kernel through the channel.
+// TestRadioSize pins the per-node transceiver at 144 B, the arena weight
+// every node of a mega run pays: the running in-air sum is paid for by
+// reading the configuration and the kernel through the channel, and the
+// transmit-done event is the radio itself as a handler, so no bound
+// callback is stored.
 func TestRadioSize(t *testing.T) {
-	if got := unsafe.Sizeof(Radio{}); got != 152 {
-		t.Fatalf("Radio is %d B, want 152", got)
+	if got := unsafe.Sizeof(Radio{}); got != 144 {
+		t.Fatalf("Radio is %d B, want 144", got)
 	}
 }
 
 // TestTransmitAllocatesNothing checks that once a radio has sent its
 // first frame, a Transmit drained to its last edge allocates nothing:
-// the transmit-done callback is bound on the first frame, not per frame.
+// the transmit-done event is the radio as a handler, not a closure.
 func TestTransmitAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel(1)
 	model := propagation.NewFreeSpace()
@@ -201,7 +202,7 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 		ch.Radio(1).Transmit(p)
 		k.Run()
 	}
-	send() // the radio's first frame binds its callback and warms the pools
+	send() // the first frame builds the link cache and warms the pools
 	if allocs := testing.AllocsPerRun(20, send); allocs != 0 {
 		t.Fatalf("a Transmit and its drain allocate %.0f objects, want 0", allocs)
 	}

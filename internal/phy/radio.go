@@ -154,6 +154,10 @@ type signal struct {
 	powerMW     float64 // receive power; RSSI is its dBm image, taken on decode
 }
 
+// inAirFirstCap is the in-air list a radio's first tracked signal
+// allocates: enough for the overlapping frames a dense flood stacks up.
+const inAirFirstCap = 8
+
 // Radio is a half-duplex transceiver attached to a Channel.
 //
 // The hottest per-node scalars do not live here: the transceiver phase
@@ -183,19 +187,15 @@ type Radio struct {
 	busy      bool // last carrier-sense state reported
 
 	// txLive is the transmission currently on the air, so a mid-TX
-	// power-down can mark its signals aborted. Cleared by txDone and
-	// powerDown; every trailing edge fires after txDone (which is queued
-	// first, for the same instant at the earliest), so the transmission
-	// is never recycled while it is live.
+	// power-down can mark its signals aborted. Cleared by the
+	// transmit-done event and powerDown; every trailing edge fires after
+	// that event (which is queued first, for the same instant at the
+	// earliest), so the transmission is never recycled while it is live.
 	txLive *transmission
 	// txEnd is when the current transmission leaves the air; it guards
-	// txDone against a stale completion event from a transmission that a
-	// power-down already truncated.
+	// the transmit-done event against a stale one from a transmission
+	// that a power-down already truncated.
 	txEnd sim.Time
-	// txDoneFn is txDone bound once, on the radio's first Transmit: a
-	// method value passed to Schedule escapes, so binding it per frame
-	// would allocate on every transmission.
-	txDoneFn func()
 
 	stats [numRadioSeries]metrics.Counter32
 }
@@ -295,13 +295,16 @@ func (r *Radio) Transmit(pkt *packet.Packet) {
 	dur := r.channel.params.AirTime(pkt.Size)
 	r.txEnd = r.channel.kernel.Now() + dur
 	r.txLive = r.channel.transmit(r, pkt, dur)
-	if r.txDoneFn == nil {
-		r.txDoneFn = r.txDone
-	}
-	r.channel.kernel.Schedule(dur, r.txDoneFn)
+	r.channel.kernel.After(dur, (*txDoneEvent)(r))
 }
 
-func (r *Radio) txDone() {
+// txDoneEvent is a radio as the handler of its transmit-done event: a
+// pointer conversion, so scheduling it allocates nothing.
+type txDoneEvent Radio
+
+// Fire ends the radio's transmission, unless a power-down already did.
+func (e *txDoneEvent) Fire() {
+	r := (*Radio)(e)
 	if r.State() != StateTx { // turned off mid-transmission
 		return
 	}
@@ -325,6 +328,10 @@ func (r *Radio) signalStart(s *signal) {
 	}
 	s.tracked = true
 	r.stats[SignalStarts].Inc()
+	if cap(r.inAir) == 0 {
+		// One allocation where append's doubling makes four to reach 8.
+		r.inAir = make([]*signal, 0, inAirFirstCap)
+	}
 	r.inAir = append(r.inAir, s)
 	r.airMW += s.powerMW
 	switch r.State() {

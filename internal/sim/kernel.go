@@ -287,7 +287,7 @@ func (k *Kernel) Pool() *EventPool { return k.pool }
 // returns the event handle. A negative delay panics: an event in the
 // past would violate causality.
 func (k *Kernel) Schedule(delay Time, fn func()) *Event {
-	return k.after(delay, funcHandler(fn))
+	return k.After(delay, funcHandler(fn))
 }
 
 // At queues fn to run at absolute time t (which must not precede the
@@ -296,8 +296,11 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	return k.at(t, funcHandler(fn))
 }
 
-// after queues h delay seconds from now: Schedule's path, and a Timer's.
-func (k *Kernel) after(delay Time, h Handler) *Event {
+// After queues h to fire delay seconds from now and returns the event
+// handle: Schedule's path, and a Timer's. A pointer handler costs no
+// allocation where a closure passed to Schedule would. A negative delay
+// panics, as Schedule's does.
+func (k *Kernel) After(delay Time, h Handler) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v at t=%v", delay, k.now))
 	}

@@ -38,7 +38,7 @@ func InitTimer(t *Timer, k *Kernel, h Handler) {
 // pending expiry.
 func (t *Timer) Reset(delay Time) {
 	t.Stop()
-	t.ev = t.kernel.after(delay, t)
+	t.ev = t.kernel.After(delay, t)
 }
 
 // Fire is the timer's expiry event: it runs the owner's handler. Owners
