@@ -155,7 +155,8 @@ type signal struct {
 }
 
 // inAirFirstCap is the in-air list a radio's first tracked signal
-// allocates: enough for the overlapping frames a dense flood stacks up.
+// allocates: what appending grew it to under Figure-1-density floods,
+// in one allocation instead of four.
 const inAirFirstCap = 8
 
 // Radio is a half-duplex transceiver attached to a Channel.
@@ -329,7 +330,6 @@ func (r *Radio) signalStart(s *signal) {
 	s.tracked = true
 	r.stats[SignalStarts].Inc()
 	if cap(r.inAir) == 0 {
-		// One allocation where append's doubling makes four to reach 8.
 		r.inAir = make([]*signal, 0, inAirFirstCap)
 	}
 	r.inAir = append(r.inAir, s)
