@@ -19,26 +19,20 @@ import (
 const movers = 140
 
 func run(maxSpeed float64) routeless.RunMetrics {
-	var flows []routeless.CBRFlow
-	for i := routeless.NodeID(0); i < 5; i++ {
-		flows = append(flows, routeless.CBRFlow{Src: movers + i, Dst: movers + 5 + i, Interval: 1, Size: 64})
-	}
-	sp := routeless.Spec{
-		Net: routeless.NetworkConfig{
-			N: 150, Rect: routeless.NewRect(1100, 1100), Seed: 13, EnsureConnected: true,
-		},
-		Install: func(nw *routeless.Network) {
-			nw.Install(func(n *routeless.Node) routeless.Protocol {
-				return routeless.NewRouteless(routeless.RoutelessConfig{})
-			})
-		},
-		Flows:    func(*routeless.Network) []routeless.CBRFlow { return flows },
+	sc := routeless.Scenario{
+		Seed: 13, N: 150, Width: 1100, Height: 1100, Range: 250,
+		Placement: "uniform", Connected: true,
+		Protocol: "routeless", Lambda: 50e-3,
+		Interval: 1, DataSize: 64,
 		Duration: 40, // then a 5 s drain
 	}
-	if maxSpeed > 0 {
-		sp.Mobility = &routeless.Mobility{Movers: movers, MinSpeed: maxSpeed / 4, MaxSpeed: maxSpeed}
+	for i := range 5 {
+		sc.Flows = append(sc.Flows, routeless.Flow{Src: movers + i, Dst: movers + 5 + i})
 	}
-	m, err := routeless.Must(routeless.Assemble(sp)).Finish()
+	if maxSpeed > 0 {
+		sc.Mobility = &routeless.Mobility{Movers: movers, MinSpeed: maxSpeed / 4, MaxSpeed: maxSpeed}
+	}
+	m, err := routeless.Must(routeless.Build(sc)).Finish()
 	if err != nil {
 		panic(err)
 	}

@@ -48,8 +48,8 @@ func main() {
 	// every node and a roaming jammer. The fault streams derive from the
 	// network seed, so this run is exactly reproducible too.
 	run("under fire", routeless.FaultPlan{
-		routeless.Crash(0.10),
-		routeless.Jam(24.5),
+		routeless.CrashSpec{OffFraction: 0.10},
+		routeless.JamSpec{TxPowerDBm: 24.5},
 	})
 }
 

@@ -13,27 +13,20 @@ import (
 	"routeless/internal/rng"
 )
 
-func run(ssaf bool) routeless.RunMetrics {
-	var cfg routeless.FloodConfig
-	if ssaf {
-		// RSSI span: decode threshold at 250 m up to the power at 25 m.
-		cfg = routeless.SSAFConfig(10e-3, -55.1, -33.2)
-	} else {
-		cfg = routeless.Counter1Config(10e-3)
-	}
-	var flows []routeless.CBRFlow
-	for _, p := range routeless.RandomPairs(rng.New(7, rng.StreamTraffic), 100, 20) {
-		flows = append(flows, routeless.CBRFlow{Src: p.Src, Dst: p.Dst, Interval: 1, Size: 64})
-	}
-	r := routeless.Must(routeless.Assemble(routeless.Spec{
-		Net: routeless.NetworkConfig{
-			N: 100, Rect: routeless.NewRect(1000, 1000), Seed: 7, EnsureConnected: true,
-		},
-		Install:  func(nw *routeless.Network) { routeless.InstallFlooding(nw, cfg) },
-		Flows:    func(*routeless.Network) []routeless.CBRFlow { return flows },
+func run(proto string) routeless.RunMetrics {
+	sc := routeless.Scenario{
+		Seed: 7, N: 100, Width: 1000, Height: 1000, Range: 250,
+		Placement: "uniform", Connected: true,
+		// SSAF maps the RSSI span from the decode threshold at 250 m up
+		// to the power at 25 m onto its 10 ms backoff band.
+		Protocol: proto, Lambda: 10e-3,
+		Interval: 1, DataSize: 64,
 		Duration: 20, // then a 5 s drain
-	}))
-	m, err := r.Finish()
+	}
+	for _, p := range routeless.RandomPairs(rng.New(7, rng.StreamTraffic), 100, 20) {
+		sc.Flows = append(sc.Flows, routeless.Flow{Src: int(p.Src), Dst: int(p.Dst)})
+	}
+	m, err := routeless.Must(routeless.Build(sc)).Finish()
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +34,7 @@ func run(ssaf bool) routeless.RunMetrics {
 }
 
 func main() {
-	c1, ss := run(false), run(true)
+	c1, ss := run("counter1"), run("ssaf")
 
 	t := routeless.NewTable("counter-1 flooding vs SSAF (100 nodes, 20 CBR connections, 20 s)",
 		"metric", "counter-1", "ssaf")

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"routeless/internal/core"
-	"routeless/internal/flood"
-	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/rng"
-	"routeless/internal/routing"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 	"routeless/internal/stats"
@@ -27,11 +24,12 @@ func abl1Grid(cfg Fig1Config) grid {
 		variants: []variant{{"ssaf", "ssaf"}, {"ssafc", "ssaf-c"}},
 		seeds:    cfg.Seeds,
 		cols:     []col{macCol, deliveryCol, delayCol},
-		spec: func(x, v int, seed int64) scenario.Spec {
-			fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
-			fcfg.Cancel = v == 1
-			install := func(nw *node.Network) { flood.Install(nw, fcfg) }
-			return fig1Spec(cfg, install, cfg.Intervals[x], packet.SizeData, seed)
+		spec: func(x, v int, seed int64) scenario.Scenario {
+			sc := fig1Spec(cfg, scenario.ProtoSSAF, cfg.Intervals[x], packet.SizeData, seed)
+			if v == 1 {
+				sc.Flood = &scenario.Flood{Cancel: true}
+			}
+			return sc
 		},
 	}
 }
@@ -54,7 +52,7 @@ func abl2Grid(cfg Fig34Config) grid {
 		variants: []variant{{"rr", scenario.ProtoRouteless}},
 		seeds:    cfg.Seeds,
 		cols:     []col{delayCol, deliveryCol, macCol},
-		spec: func(x, _ int, seed int64) scenario.Spec {
+		spec: func(x, _ int, seed int64) scenario.Scenario {
 			run := cfg
 			run.Lambda = cfg.Lambdas[x]
 			return routingCell(run, scenario.ProtoRouteless, cfg.AblPairs, 0, seed)
@@ -259,7 +257,7 @@ func abl4Grid(cfg Fig34Config) grid {
 		variants: variants,
 		seeds:    cfg.Seeds,
 		cols:     []col{macCol, deliveryCol, delayCol},
-		spec: func(x, v int, seed int64) scenario.Spec {
+		spec: func(x, v int, seed int64) scenario.Scenario {
 			return routingCell(cfg, variants[v].name, cfg.Pairs[x], 0, seed)
 		},
 	}
@@ -271,7 +269,6 @@ func abl4Grid(cfg Fig34Config) grid {
 // standby mode to save energy".
 func abl5Grid(cfg Fig34Config) grid {
 	cfg = cfg.withDefaults()
-	install := scenario.Installer(scenario.ProtoRouteless, cfg.Lambda, cfg.Range)
 	return grid{
 		name:     "abl5",
 		title:    "ABL5 — duty-cycled sleeping under Routeless Routing (§4.2 energy claim)",
@@ -282,10 +279,10 @@ func abl5Grid(cfg Fig34Config) grid {
 		variants: []variant{{"rr", scenario.ProtoRouteless}},
 		seeds:    cfg.Seeds,
 		cols:     []col{deliveryCol, delayCol, energyCol, macCol},
-		spec: func(x, _ int, seed int64) scenario.Spec {
-			sp, endpoints := routingSpec(cfg, seed, cfg.AblPairs, install)
-			sp.Plan = dutyCycle(cfg.SleepFractions[x], true, endpoints)
-			return sp
+		spec: func(x, _ int, seed int64) scenario.Scenario {
+			sc, endpoints := routingSpec(cfg, seed, cfg.AblPairs, scenario.ProtoRouteless)
+			sc.Faults = dutyCycle(cfg.SleepFractions[x], true, endpoints)
+			return sc
 		},
 	}
 }
@@ -305,13 +302,12 @@ func abl6Grid(cfg Fig34Config) grid {
 		variants: []variant{{"pure", "pure"}, {"sig", "signal"}},
 		seeds:    cfg.Seeds,
 		cols:     []col{macCol, hopsCol, deliveryCol},
-		spec: func(x, v int, seed int64) scenario.Spec {
-			rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, SignalTieBreak: v == 1}
-			install := func(nw *node.Network) {
-				nw.Install(func(*node.Node) node.Protocol { return routing.NewRouteless(rcfg) })
+		spec: func(x, v int, seed int64) scenario.Scenario {
+			sc, _ := routingSpec(cfg, seed, cfg.Pairs[x], scenario.ProtoRouteless)
+			if v == 1 {
+				sc.Routeless = &scenario.Routeless{SignalTieBreak: true}
 			}
-			sp, _ := routingSpec(cfg, seed, cfg.Pairs[x], install)
-			return sp
+			return sc
 		},
 	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"routeless/internal/fault"
-	"routeless/internal/packet"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 )
@@ -69,17 +67,15 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 // axis), plus one link shadowed and one jam burst per 0.05/intensity
 // seconds. Intensity 0 returns nil — no plan, bitwise identical to a
 // run without the fault plane.
-func churnPlan(intensity float64, exclude []packet.NodeID) fault.Plan {
+func churnPlan(intensity float64, exclude []int) []scenario.FaultSpec {
 	if intensity <= 0 {
 		return nil
 	}
-	crash := fault.Crash(intensity)
-	crash.Exclude = exclude
-	deg := fault.Degrade(-25)
-	deg.Period = sim.Time(0.05 / intensity)
-	jam := fault.Jam(24.5)
-	jam.Period = sim.Time(0.05 / intensity)
-	return fault.Plan{crash, deg, jam}
+	return []scenario.FaultSpec{
+		{Kind: "crash", OffFraction: intensity, Exclude: exclude},
+		{Kind: "degrade", OffsetDB: -25, Period: 0.05 / intensity},
+		{Kind: "jam", TxPowerDBm: 24.5, Period: 0.05 / intensity},
+	}
 }
 
 // churnGrid sweeps fault intensity × protocol across seeds on the
@@ -91,6 +87,7 @@ func churnGrid(cfg ChurnConfig) grid {
 	rig := Fig34Config{
 		Nodes: cfg.Nodes, Terrain: cfg.Terrain, Range: cfg.Range,
 		Interval: cfg.Interval, DataSize: cfg.DataSize, Duration: cfg.Duration,
+		Lambda: cfg.Lambda,
 	}
 	variants := []variant{{"rr", scenario.ProtoRouteless}, {"aodv", scenario.ProtoAODV}, {"grad", scenario.ProtoGradient}}
 	repairSeries := []string{"rr.repair_latency_s", "aodv.repair_latency_s", "gradient.repair_latency_s"}
@@ -109,11 +106,10 @@ func churnGrid(cfg ChurnConfig) grid {
 			{"repairs", func(a *Agg) float64 { return a.Repairs.Mean() }},
 			delayCol,
 		},
-		spec: func(x, v int, seed int64) scenario.Spec {
-			install := scenario.Installer(variants[v].name, cfg.Lambda, cfg.Range)
-			sp, endpoints := routingSpec(rig, seed, cfg.Pairs, install)
-			sp.Plan = churnPlan(cfg.Intensities[x], endpoints)
-			return sp
+		spec: func(x, v int, seed int64) scenario.Scenario {
+			sc, endpoints := routingSpec(rig, seed, cfg.Pairs, variants[v].name)
+			sc.Faults = churnPlan(cfg.Intensities[x], endpoints)
+			return sc
 		},
 		repair: func(v int) string { return repairSeries[v] },
 	}

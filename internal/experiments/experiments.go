@@ -3,16 +3,14 @@
 // the one list of them: each Study runs its cells across seeds in
 // parallel and returns the table the paper plots. All but fig2 and
 // abl3 are a grid — an x-axis crossed with one to three protocol
-// variants, one scenario.Spec per (point, variant, seed) cell, folded
-// per point — run by one runner and rendered by one table renderer.
-// Every cell is wired, advanced, drained and judged by scenario.Run.
+// variants, one scenario document per (point, variant, seed) cell,
+// folded per point — run by one runner and rendered by one table
+// renderer. Every cell, fig2's two runs included, is built by
+// scenario.BuildWith and advanced, drained and judged by scenario.Run.
 package experiments
 
 import (
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
-	"routeless/internal/node"
-	"routeless/internal/packet"
 	"routeless/internal/rng"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
@@ -104,31 +102,30 @@ func (s Suite) Studies() []Study {
 	}
 }
 
-// field is the paper's arena: n nodes placed uniformly on a square of
-// the given side, redrawn until the unit-disk graph is connected.
-func field(n int, side, rangeM float64, seed int64) node.Config {
-	return node.Config{
-		N:               n,
-		Rect:            geo.NewRect(side, side),
-		Range:           rangeM,
-		Seed:            seed,
-		EnsureConnected: true,
+// field is the paper's arena as a document without flows: n nodes
+// placed uniformly on a square of the given side, redrawn until the
+// unit-disk graph is connected, running proto at backoff quantum
+// lambda.
+func field(n int, side, rangeM float64, seed int64, proto string, lambda sim.Time) scenario.Scenario {
+	return scenario.Scenario{
+		Seed: seed, N: n, Width: side, Height: side, Range: rangeM,
+		Placement: scenario.PlaceUniform, Connected: true,
+		Protocol: proto, Lambda: float64(lambda),
 	}
 }
 
 // randomFlows draws count connections from the seed's traffic stream
-// and returns them as a Spec's flow list — both directions of each
+// and returns them as a document's flow list — both directions of each
 // pair when bidir ("the traffic being bidirectional", §4.3) — together
 // with the endpoint ids, which the failure studies shield from faults.
-func randomFlows(seed int64, n, count int, interval float64, size int, bidir bool) (func(*node.Network) []scenario.CBRFlow, []packet.NodeID) {
-	var flows []scenario.CBRFlow
-	var endpoints []packet.NodeID
+func randomFlows(seed int64, n, count int, bidir bool) (flows []scenario.Flow, endpoints []int) {
 	for _, p := range traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, count) {
-		endpoints = append(endpoints, p.Src, p.Dst)
-		flows = append(flows, scenario.CBRFlow{Src: p.Src, Dst: p.Dst, Interval: sim.Time(interval), Size: size})
+		src, dst := int(p.Src), int(p.Dst)
+		endpoints = append(endpoints, src, dst)
+		flows = append(flows, scenario.Flow{Src: src, Dst: dst})
 		if bidir {
-			flows = append(flows, scenario.CBRFlow{Src: p.Dst, Dst: p.Src, Interval: sim.Time(interval), Size: size})
+			flows = append(flows, scenario.Flow{Src: dst, Dst: src})
 		}
 	}
-	return func(*node.Network) []scenario.CBRFlow { return flows }, endpoints
+	return flows, endpoints
 }

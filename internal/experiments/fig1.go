@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"routeless/internal/node"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 )
@@ -57,15 +56,12 @@ func (c Fig1Config) withDefaults() Fig1Config {
 }
 
 // fig1Spec is one Figure 1 cell: `Connections` random one-way flows of
-// packetSize bytes flooded over a connected field.
-func fig1Spec(cfg Fig1Config, install func(*node.Network), interval float64, packetSize int, seed int64) scenario.Spec {
-	flows, _ := randomFlows(seed, cfg.Nodes, cfg.Connections, interval, packetSize, false)
-	return scenario.Spec{
-		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed),
-		Install:  install,
-		Flows:    flows,
-		Duration: sim.Time(cfg.Duration),
-	}
+// packetSize bytes flooded by proto over a connected field.
+func fig1Spec(cfg Fig1Config, proto string, interval float64, packetSize int, seed int64) scenario.Scenario {
+	sc := field(cfg.Nodes, cfg.Terrain, cfg.Range, seed, proto, cfg.Lambda)
+	sc.Flows, _ = randomFlows(seed, cfg.Nodes, cfg.Connections, false)
+	sc.Interval, sc.DataSize, sc.Duration = interval, packetSize, cfg.Duration
+	return sc
 }
 
 // fig1Grid sweeps the packet generation interval for both flooding
@@ -83,9 +79,8 @@ func fig1Grid(cfg Fig1Config) grid {
 		variants: variants,
 		seeds:    cfg.Seeds,
 		cols:     []col{delayCol, hopsCol, deliveryCol},
-		spec: func(x, v int, seed int64) scenario.Spec {
-			install := scenario.Installer(variants[v].name, cfg.Lambda, cfg.Range)
-			return fig1Spec(cfg, install, cfg.Intervals[x], cfg.DataSize, seed)
+		spec: func(x, v int, seed int64) scenario.Scenario {
+			return fig1Spec(cfg, variants[v].name, cfg.Intervals[x], cfg.DataSize, seed)
 		},
 	}
 }

@@ -93,14 +93,12 @@ type Fig2Result struct {
 // they execute concurrently when workers allow (0 = GOMAXPROCS).
 func RunFig2(cfg Fig2Config, workers int) Fig2Result {
 	cfg = cfg.withDefaults()
+	ends := fig2Endpoints(cfg)
 	cells := sweep.Cells("fig2", 2, []int64{cfg.Seed})
 	outs := sweep.Run(workers, cells, func(ctx *sweep.Context, i int, c sweep.Cell) fig2Out {
-		return runFig2Scenario(ctx, cfg, c.Point == 1)
+		return runFig2Scenario(ctx, cfg, ends, c.Point == 1)
 	})
 	alone, cross := outs[0], outs[1]
-	if alone.a != cross.a || alone.b != cross.b {
-		panic("experiments: fig2 scenarios diverged on endpoints")
-	}
 	for i := range alone.positions {
 		if alone.positions[i] != cross.positions[i] {
 			panic("experiments: fig2 scenarios diverged on topology")
@@ -108,14 +106,14 @@ func RunFig2(cfg Fig2Config, workers int) Fig2Result {
 	}
 	res := Fig2Result{
 		Config: cfg, Positions: cross.positions,
-		A: alone.a, B: alone.b, C: cross.c, D: cross.d,
+		A: ends[0], B: ends[1], C: ends[2], D: ends[3],
 		Alone: alone.paths, WithCross: cross.paths,
 		DeliveredAlone: alone.delivered, DeliveredWithCross: cross.delivered,
 		Events: alone.events + cross.events,
 	}
 	center := geo.Point{X: cfg.Terrain / 2, Y: cfg.Terrain / 2}
-	res.CenterShareAlone, res.MeanCenterDistAlone = centerUsage(alone.paths, alone.a, cross.positions, center, cfg.Terrain/4)
-	res.CenterShareWithCross, res.MeanCenterDistWithCross = centerUsage(cross.paths, alone.a, cross.positions, center, cfg.Terrain/4)
+	res.CenterShareAlone, res.MeanCenterDistAlone = centerUsage(alone.paths, res.A, cross.positions, center, cfg.Terrain/4)
+	res.CenterShareWithCross, res.MeanCenterDistWithCross = centerUsage(cross.paths, res.A, cross.positions, center, cfg.Terrain/4)
 	return res
 }
 
@@ -147,50 +145,60 @@ func centerUsage(c *trace.PathCollector, origin packet.NodeID, pos []geo.Point, 
 
 // fig2Out is one scenario's outcome as it crosses the sweep boundary.
 type fig2Out struct {
-	paths      *trace.PathCollector
-	positions  []geo.Point
-	a, b, c, d packet.NodeID
-	delivered  uint64
-	events     uint64
+	paths     *trace.PathCollector
+	positions []geo.Point
+	delivered uint64
+	events    uint64
 }
 
-func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out {
-	out := fig2Out{paths: trace.NewPathCollector()}
+// fig2Field is both Figure 2 runs' document before flows: Routeless
+// Routing over the connected field.
+func fig2Field(cfg Fig2Config) scenario.Scenario {
+	sc := field(cfg.Nodes, cfg.Terrain, cfg.Range, cfg.Seed, scenario.ProtoRouteless, cfg.Lambda)
 	// A generous path budget lets packets swing wide around the
 	// congested middle — the behavior this figure demonstrates.
-	rcfg := routing.RoutelessConfig{Lambda: cfg.Lambda, PathMargin: 5}
-	net := field(cfg.Nodes, cfg.Terrain, cfg.Range, cfg.Seed)
-	net.Runtime = ctx.Runtime()
-	run, err := scenario.Assemble(scenario.Spec{
-		Net: net,
-		Install: func(nw *node.Network) {
-			nw.Install(func(n *node.Node) node.Protocol {
-				r := routing.NewRouteless(rcfg)
-				id := n.ID
-				r.OnRelay = func(pkt *packet.Packet) { out.paths.Record(id, pkt) }
-				return r
-			})
-		},
-		// The endpoints are the nodes nearest four fixed points, so the
-		// flows depend on the built placement.
-		Flows: func(nw *node.Network) []scenario.CBRFlow {
-			t := cfg.Terrain
-			out.a = nearestNode(nw, geo.Point{X: 0.08 * t, Y: 0.5 * t})
-			out.b = nearestNode(nw, geo.Point{X: 0.92 * t, Y: 0.5 * t})
-			out.c = nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.08 * t})
-			out.d = nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.92 * t})
-			iv, cross := sim.Time(cfg.Interval), sim.Time(cfg.CrossInterval)
-			flows := []scenario.CBRFlow{{Src: out.a, Dst: out.b, Interval: iv, Size: packet.SizeData, StartAt: iv}}
-			if withCross {
-				// Bidirectional heavy cross traffic saturates the middle.
-				flows = append(flows,
-					scenario.CBRFlow{Src: out.c, Dst: out.d, Interval: cross, Size: cfg.CrossSize, StartAt: cross / 2},
-					scenario.CBRFlow{Src: out.d, Dst: out.c, Interval: cross, Size: cfg.CrossSize, StartAt: cross / 3})
-			}
-			return flows
-		},
-		Duration: sim.Time(cfg.Duration),
-	})
+	sc.Routeless = &scenario.Routeless{PathMargin: 5}
+	sc.Interval, sc.DataSize, sc.Duration = cfg.Interval, packet.SizeData, cfg.Duration
+	return sc
+}
+
+// fig2Endpoints returns A, B, C and D: the nodes nearest four fixed
+// points of the field. It reads them off a probe build of fig2Field,
+// whose placement is the real runs' (placement is a pure function of
+// the seed).
+func fig2Endpoints(cfg Fig2Config) [4]packet.NodeID {
+	probe, err := scenario.Build(fig2Field(cfg))
+	if err != nil {
+		panic(err)
+	}
+	nw, t := probe.Network(), cfg.Terrain
+	return [4]packet.NodeID{
+		nearestNode(nw, geo.Point{X: 0.08 * t, Y: 0.5 * t}),
+		nearestNode(nw, geo.Point{X: 0.92 * t, Y: 0.5 * t}),
+		nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.08 * t}),
+		nearestNode(nw, geo.Point{X: 0.5 * t, Y: 0.92 * t}),
+	}
+}
+
+// fig2Spec is one Figure 2 run over endpoints A, B, C, D: the A→B
+// flow, plus heavy C↔D cross traffic when withCross.
+func fig2Spec(cfg Fig2Config, ends [4]packet.NodeID, withCross bool) scenario.Scenario {
+	sc := fig2Field(cfg)
+	a, b, c, d := int(ends[0]), int(ends[1]), int(ends[2]), int(ends[3])
+	sc.Flows = []scenario.Flow{{Src: a, Dst: b, Start: cfg.Interval}}
+	if withCross {
+		// Bidirectional heavy cross traffic saturates the middle.
+		cross := cfg.CrossInterval
+		sc.Flows = append(sc.Flows,
+			scenario.Flow{Src: c, Dst: d, Start: cross / 2, Interval: cross, Size: cfg.CrossSize},
+			scenario.Flow{Src: d, Dst: c, Start: cross / 3, Interval: cross, Size: cfg.CrossSize})
+	}
+	return sc
+}
+
+func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, ends [4]packet.NodeID, withCross bool) fig2Out {
+	out := fig2Out{paths: trace.NewPathCollector()}
+	run, err := scenario.BuildWith(fig2Spec(cfg, ends, withCross), scenario.BuildOptions{Runtime: ctx.Runtime()})
 	if err != nil {
 		panic(err)
 	}
@@ -200,12 +208,18 @@ func runFig2Scenario(ctx *sweep.Context, cfg Fig2Config, withCross bool) fig2Out
 	for i, n := range nw.Nodes {
 		out.positions[i] = n.Pos
 	}
-	// Count A's arrivals at B on top of the run's own delivery metering.
-	b := nw.Nodes[out.b]
+	// Observation hooks, attached before the run advances: every node's
+	// relays, and A's arrivals at B on top of the run's own delivery
+	// metering.
+	for _, n := range nw.Nodes {
+		id := n.ID
+		n.Net.(*routing.Routeless).OnRelay = func(pkt *packet.Packet) { out.paths.Record(id, pkt) }
+	}
+	b := nw.Nodes[ends[1]]
 	metered := b.OnAppReceive
 	b.OnAppReceive = func(p *packet.Packet) {
 		metered(p)
-		if p.Origin == out.a {
+		if p.Origin == ends[0] {
 			out.delivered++
 		}
 	}

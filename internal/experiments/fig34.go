@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"routeless/internal/fault"
-	"routeless/internal/node"
-	"routeless/internal/packet"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 )
@@ -88,17 +85,15 @@ func (c Fig34Config) withDefaults() Fig34Config {
 }
 
 // routingSpec is the §4.3 rig shared by Figures 3 and 4, the churn
-// study and ablations 2, 4, 5 and 6: a connected field and `pairs`
-// bidirectional CBR connections. It also returns the traffic endpoints,
-// which the failure studies shield from their fault plans.
-func routingSpec(cfg Fig34Config, seed int64, pairs int, install func(*node.Network)) (scenario.Spec, []packet.NodeID) {
-	flows, endpoints := randomFlows(seed, cfg.Nodes, pairs, cfg.Interval, cfg.DataSize, true)
-	return scenario.Spec{
-		Net:      field(cfg.Nodes, cfg.Terrain, cfg.Range, seed),
-		Install:  install,
-		Flows:    flows,
-		Duration: sim.Time(cfg.Duration),
-	}, endpoints
+// study and ablations 2, 4, 5 and 6: proto over a connected field with
+// `pairs` bidirectional CBR connections. It also returns the traffic
+// endpoints, which the failure studies shield from their fault plans.
+func routingSpec(cfg Fig34Config, seed int64, pairs int, proto string) (scenario.Scenario, []int) {
+	sc := field(cfg.Nodes, cfg.Terrain, cfg.Range, seed, proto, cfg.Lambda)
+	sc.Interval, sc.DataSize, sc.Duration = cfg.Interval, cfg.DataSize, cfg.Duration
+	var endpoints []int
+	sc.Flows, endpoints = randomFlows(seed, cfg.Nodes, pairs, true)
+	return sc, endpoints
 }
 
 // dutyCycle is the §4.3 failure model as a fault plan: "node failures
@@ -106,11 +101,11 @@ func routingSpec(cfg Fig34Config, seed int64, pairs int, install func(*node.Netw
 // those that generate and receive CBR traffic". sleep selects the §4.2
 // voluntary low-power variant. A zero fraction returns no plan, so the
 // run is bitwise identical to one without the fault plane.
-func dutyCycle(offFraction float64, sleep bool, endpoints []packet.NodeID) fault.Plan {
+func dutyCycle(offFraction float64, sleep bool, endpoints []int) []scenario.FaultSpec {
 	if offFraction <= 0 {
 		return nil
 	}
-	return fault.Plan{fault.CrashSpec{OffFraction: offFraction, Sleep: sleep, Exclude: endpoints}}
+	return []scenario.FaultSpec{{Kind: "crash", OffFraction: offFraction, Sleep: sleep, Exclude: endpoints}}
 }
 
 // fig34Variants are Figures 3 and 4's protocols: AODV the baseline,
@@ -122,10 +117,10 @@ var fig34Cols = []col{delayCol, deliveryCol, macCol, hopsCol}
 
 // routingCell is one routing-rig cell of the named protocol at the
 // config's λ, with a duty-cycle failure plan when failurePct > 0.
-func routingCell(cfg Fig34Config, proto string, pairs int, failurePct float64, seed int64) scenario.Spec {
-	sp, endpoints := routingSpec(cfg, seed, pairs, scenario.Installer(proto, cfg.Lambda, cfg.Range))
-	sp.Plan = dutyCycle(failurePct, false, endpoints)
-	return sp
+func routingCell(cfg Fig34Config, proto string, pairs int, failurePct float64, seed int64) scenario.Scenario {
+	sc, endpoints := routingSpec(cfg, seed, pairs, proto)
+	sc.Faults = dutyCycle(failurePct, false, endpoints)
+	return sc
 }
 
 // fig3Grid sweeps the number of communicating pairs with no failures.
@@ -141,7 +136,7 @@ func fig3Grid(cfg Fig34Config) grid {
 		variants: fig34Variants,
 		seeds:    cfg.Seeds,
 		cols:     fig34Cols,
-		spec: func(x, v int, seed int64) scenario.Spec {
+		spec: func(x, v int, seed int64) scenario.Scenario {
 			return routingCell(cfg, fig34Variants[v].name, cfg.Pairs[x], 0, seed)
 		},
 	}
@@ -160,7 +155,7 @@ func fig4Grid(cfg Fig34Config) grid {
 		variants: fig34Variants,
 		seeds:    cfg.Seeds,
 		cols:     fig34Cols,
-		spec: func(x, v int, seed int64) scenario.Spec {
+		spec: func(x, v int, seed int64) scenario.Scenario {
 			return routingCell(cfg, fig34Variants[v].name, cfg.Fig4Pairs, cfg.FailurePcts[x], seed)
 		},
 	}

@@ -11,7 +11,7 @@ import (
 
 // grid is a study shaped the way the paper's figures are: an x-axis
 // crossed with one to three protocol variants, replicated over seeds,
-// one scenario.Spec per cell, folded per (point, variant).
+// one scenario document per cell, folded per (point, variant).
 type grid struct {
 	name, title string
 	config      any    // journaled with every cell record
@@ -20,7 +20,10 @@ type grid struct {
 	variants    []variant
 	seeds       []int64
 	cols        []col
-	spec        func(x, v int, seed int64) scenario.Spec
+	spec        func(x, v int, seed int64) scenario.Scenario
+	// linkCacheCap bounds every cell's resident link caches
+	// (scenario.BuildOptions); 0 leaves them unbounded.
+	linkCacheCap int
 	// repair, when set, names variant v's repair-latency histogram;
 	// every cell's final snapshot is then taken and folded into
 	// Agg.RepairS and Agg.Repairs.
@@ -71,16 +74,16 @@ type cellOut struct {
 // then seeds ascending — into aggs[x][v] and events[x], so every
 // Welford sequence, and every table value, is the same at any worker
 // count. A non-nil journal receives one Record per cell, in the same
-// order. A grid's specs are fixed by its config, so a build failure or
-// a conservation-law violation is a simulator bug and panics.
+// order. A grid's documents are fixed by its config, so an invalid
+// document, a build failure or a conservation-law violation is a bug
+// and panics.
 func (g grid) run(workers int, j *metrics.Journal) (aggs [][]Agg, events []uint64) {
 	nv, spec := len(g.variants), g.spec
 	snap := j != nil || g.repair != nil
 	cells := sweep.Cells(g.name, len(g.xs)*nv, g.seeds)
 	results := sweep.Run(workers, cells, func(ctx *sweep.Context, _ int, c sweep.Cell) cellOut {
-		sp := spec(c.Point/nv, c.Point%nv, c.Seed)
-		sp.Net.Runtime = ctx.Runtime()
-		run, err := scenario.Assemble(sp)
+		sc := spec(c.Point/nv, c.Point%nv, c.Seed)
+		run, err := scenario.BuildWith(sc, scenario.BuildOptions{Runtime: ctx.Runtime(), LinkCacheCap: g.linkCacheCap})
 		if err != nil {
 			panic(err)
 		}

@@ -3,9 +3,6 @@ package experiments
 import (
 	"math"
 
-	"routeless/internal/flood"
-	"routeless/internal/geo"
-	"routeless/internal/node"
 	"routeless/internal/rng"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
@@ -102,48 +99,40 @@ func megaGrid(cfg MegaConfig) grid {
 			hopsCol,
 			{"mac_packets", func(a *Agg) float64 { return a.MACPackets.Mean() }},
 		},
-		spec: func(x, _ int, seed int64) scenario.Spec { return megaSpec(cfg, cfg.Ns[x], seed) },
+		spec:         func(x, _ int, seed int64) scenario.Scenario { return megaSpec(cfg, cfg.Ns[x], seed) },
+		linkCacheCap: cfg.LinkCacheCap,
 	}
 }
 
 // megaSpec is one arena cell: n nodes at the configured density, one
 // staggered SSAF flood per flow.
-func megaSpec(cfg MegaConfig, n int, seed int64) scenario.Spec {
+func megaSpec(cfg MegaConfig, n int, seed int64) scenario.Scenario {
 	side := megaSide(n, cfg.Density)
 	dur := megaDuration(cfg, side)
-	fcfg := scenario.SSAFConfig(cfg.Lambda, cfg.Range)
-	// The default TTL of 32 suits paper-scale arenas; a mega arena's
-	// diagonal is hundreds of hops (SSAF's effective hop progress is
-	// roughly half the calibrated range), so the brake scales with the
-	// geometry instead of silently amputating the flood mid-arena.
-	fcfg.TTL = int(4*side*math.Sqrt2/cfg.Range) + 16
-	return scenario.Spec{
-		Net: node.Config{
-			N:     n,
-			Rect:  geo.NewRect(side, side),
-			Range: cfg.Range,
-			Seed:  seed,
-			// No EnsureConnected: the connectivity check is O(N·deg) per
-			// placement draw, and at Figure-1 density a giant component
-			// spans the arena anyway — stragglers just dent the delivery
-			// ratio deterministically.
-			LinkCacheCap: cfg.LinkCacheCap,
-		},
-		Install: func(nw *node.Network) { flood.Install(nw, fcfg) },
-		Flows: func(*node.Network) []scenario.CBRFlow {
-			pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, cfg.Flows)
-			flows := make([]scenario.CBRFlow, len(pairs))
-			for i, p := range pairs {
-				// One packet per flow: the interval outlasts the whole run,
-				// and the 1 s stagger keeps floods from colliding at birth.
-				flows[i] = scenario.CBRFlow{
-					Src: p.Src, Dst: p.Dst, Size: cfg.DataSize,
-					Interval: sim.Time(dur) + 3*scenario.DrainTime,
-					StartAt:  sim.Time(0.5 + float64(i)),
-				}
-			}
-			return flows
-		},
-		Duration: sim.Time(dur),
+	pairs := traffic.RandomPairs(rng.New(seed, rng.StreamTraffic), n, cfg.Flows)
+	flows := make([]scenario.Flow, len(pairs))
+	for i, p := range pairs {
+		// One packet per flow: the interval outlasts the whole run, and
+		// the 1 s stagger keeps floods from colliding at birth.
+		flows[i] = scenario.Flow{Src: int(p.Src), Dst: int(p.Dst), Start: 0.5 + float64(i)}
+	}
+	return scenario.Scenario{
+		Seed: seed, N: n, Width: side, Height: side, Range: cfg.Range,
+		// Not Connected: the connectivity check is O(N·deg) per
+		// placement draw, and at Figure-1 density a giant component
+		// spans the arena anyway — stragglers just dent the delivery
+		// ratio deterministically.
+		Placement: scenario.PlaceUniform,
+		Protocol:  scenario.ProtoSSAF, Lambda: float64(cfg.Lambda),
+		// The default TTL of 32 suits paper-scale arenas; a mega
+		// arena's diagonal is hundreds of hops (SSAF's effective hop
+		// progress is roughly half the calibrated range), so the brake
+		// scales with the geometry instead of silently amputating the
+		// flood mid-arena.
+		Flood:    &scenario.Flood{TTL: int(4*side*math.Sqrt2/cfg.Range) + 16},
+		Flows:    flows,
+		Interval: float64(sim.Time(dur) + 3*scenario.DrainTime),
+		DataSize: cfg.DataSize,
+		Duration: dur,
 	}
 }

@@ -84,8 +84,8 @@ func TestMegaJournalMatchesGolden(t *testing.T) {
 }
 
 // TestMegaArenaRetainedBytesPerNode gates the memory constant of the
-// mega arena (DESIGN.md §14): post-GC heap growth across Assemble of
-// the 100 000-node cell's Spec — node, radio, MAC and protocol arenas,
+// mega arena (DESIGN.md §14): post-GC heap growth across BuildWith of
+// the 100 000-node cell's document — node, radio, MAC and protocol arenas,
 // the app tap, the scheduled flows, no traffic yet — must stay within
 // 1 KiB a node. It builds and never runs, so it takes a fraction of a
 // second; the logged figure reads 900–1 000 while the gate measures
@@ -99,7 +99,8 @@ func TestMegaArenaRetainedBytesPerNode(t *testing.T) {
 		return m.HeapAlloc
 	}
 	before := heap()
-	run, err := scenario.Assemble(megaSpec(MegaConfig{}.withDefaults(), n, 1))
+	cfg := MegaConfig{}.withDefaults()
+	run, err := scenario.BuildWith(megaSpec(cfg, n, 1), scenario.BuildOptions{LinkCacheCap: cfg.LinkCacheCap})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 // healthy two-crash run reported a conservation violation. Pre-fix this
 // test failed at CheckInvariants.
 func TestDowntimeBoundWithTwoCrashSpecs(t *testing.T) {
-	c1 := fault.Crash(0.34)
+	c1 := fault.CrashSpec{OffFraction: 0.34}
 	c1.Cycle = 1
-	c2 := fault.Crash(0.35)
+	c2 := fault.CrashSpec{OffFraction: 0.35}
 	c2.Cycle = 0.9
 	c2.Sleep = true
 	nw := scenario(t, 78, 12, func(nw *node.Network) {
@@ -41,7 +41,7 @@ func TestDowntimeBoundWithTwoCrashSpecs(t *testing.T) {
 // magnitude over the elapsed time. Pre-fix this test failed with
 // downtime far above sim time × processes.
 func TestDowntimeAccrualWithDrainInterference(t *testing.T) {
-	crash := fault.Crash(0.08)
+	crash := fault.CrashSpec{OffFraction: 0.08}
 	crash.Cycle = 2.3
 	crash.Sleep = true
 	drain := fault.DrainSpec{CapacityJ: 0.13}
@@ -94,7 +94,7 @@ func TestTwoCrashSpecsOnOneNodeAreIndependent(t *testing.T) {
 	nw := node.Must(node.New(node.Config{
 		N: 4, Rect: geo.NewRect(300, 300), Seed: 5, EnsureConnected: true,
 	}))
-	crash := fault.Crash(0.3)
+	crash := fault.CrashSpec{OffFraction: 0.3}
 	crash.Cycle = 1
 	crash.Nodes = []packet.NodeID{2}
 	inj := node.Must(fault.Install(nw, fault.Plan{crash, crash}))

@@ -102,7 +102,7 @@ func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 		}
 	})
 	planned := scenario(t, 11, 10, func(nw *node.Network) {
-		crash := fault.Crash(p)
+		crash := fault.CrashSpec{OffFraction: p}
 		crash.Exclude = endpoints(nw)
 		node.Must(fault.Install(nw, fault.Plan{crash}))
 	})
@@ -123,7 +123,7 @@ func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 // §4.2 voluntary duty cycling — and the recovery counters still roll up.
 func TestCrashSleepDutyCycle(t *testing.T) {
 	nw := scenario(t, 13, 12, func(nw *node.Network) {
-		crash := fault.Crash(0.4)
+		crash := fault.CrashSpec{OffFraction: 0.4}
 		crash.Cycle = 2
 		crash.Sleep = true
 		crash.Exclude = endpoints(nw)
@@ -152,7 +152,7 @@ func TestCrashSleepDutyCycle(t *testing.T) {
 // exact. This is the regression test for that interaction.
 func TestMidTXPowerDownUnderChurn(t *testing.T) {
 	nw := scenarioAt(t, 17, 15, 0.01 /* saturating traffic */, func(nw *node.Network) {
-		crash := fault.Crash(0.5)
+		crash := fault.CrashSpec{OffFraction: 0.5}
 		crash.Cycle = 0.5 // flip fast enough to land inside frames
 		crash.Exclude = endpoints(nw)
 		node.Must(fault.Install(nw, fault.Plan{crash}))
@@ -176,7 +176,7 @@ func TestDrainKillsPermanently(t *testing.T) {
 	nw := scenario(t, 19, 20, func(nw *node.Network) {
 		drain := fault.DrainSpec{CapacityJ: 0.2} // idle draw alone crosses this in ~6 s
 		drain.Nodes = victims
-		crash := fault.Crash(0.3)
+		crash := fault.CrashSpec{OffFraction: 0.3}
 		crash.Nodes = victims
 		node.Must(fault.Install(nw, fault.Plan{drain, crash}))
 	})
@@ -199,7 +199,7 @@ func TestDrainKillsPermanently(t *testing.T) {
 // configured offset while installed.
 func TestDegradeShadowsLinks(t *testing.T) {
 	nw := scenario(t, 23, 10, func(nw *node.Network) {
-		deg := fault.Degrade(-25)
+		deg := fault.DegradeSpec{OffsetDB: -25}
 		deg.Period = 0.25
 		deg.Duration = 0.5
 		node.Must(fault.Install(nw, fault.Plan{deg}))
@@ -242,7 +242,7 @@ func TestDegradeShadowsLinks(t *testing.T) {
 func TestJamInterferes(t *testing.T) {
 	clean := scenario(t, 29, 10, nil)
 	jammed := scenario(t, 29, 10, func(nw *node.Network) {
-		node.Must(fault.Install(nw, fault.Plan{fault.Jam(24.5)}))
+		node.Must(fault.Install(nw, fault.Plan{fault.JamSpec{TxPowerDBm: 24.5}}))
 	})
 	snap := jammed.Metrics.Snapshot()
 	if snap.Count("fault.jam_bursts") == 0 || snap.Count("fault.jam_hits") == 0 {
@@ -261,11 +261,11 @@ func TestJamInterferes(t *testing.T) {
 // conservation bound the injector registers with the network.
 func TestCompositePlanInvariants(t *testing.T) {
 	nw := scenario(t, 31, 12, func(nw *node.Network) {
-		crash := fault.Crash(0.2)
+		crash := fault.CrashSpec{OffFraction: 0.2}
 		crash.Exclude = endpoints(nw)
-		deg := fault.Degrade(-25)
+		deg := fault.DegradeSpec{OffsetDB: -25}
 		deg.Period = 0.5
-		node.Must(fault.Install(nw, fault.Plan{crash, deg, fault.Jam(24.5)}))
+		node.Must(fault.Install(nw, fault.Plan{crash, deg, fault.JamSpec{TxPowerDBm: 24.5}}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("composite plan violated invariants: %v", err)

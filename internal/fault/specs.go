@@ -56,10 +56,6 @@ type CrashSpec struct {
 	Exclude []packet.NodeID
 }
 
-// Crash returns a crash/recovery duty-cycle fault with the given
-// long-run off fraction on every node.
-func Crash(offFraction float64) CrashSpec { return CrashSpec{OffFraction: offFraction} }
-
 // validate rejects off fractions outside [0, 1) — FailureProcess.Start
 // panics on p ≥ 1, and the validated path turns that process death into
 // a value — and non-finite or negative cycles.
@@ -161,9 +157,6 @@ type DegradeSpec struct {
 	Duration sim.Time
 }
 
-// Degrade returns a per-link shadowing fault with the given offset.
-func Degrade(offsetDB float64) DegradeSpec { return DegradeSpec{OffsetDB: offsetDB} }
-
 // validate rejects NaN/Inf offsets (any finite sign is a legal gain)
 // and negative or NaN periods and durations.
 func (s DegradeSpec) validate() error {
@@ -238,9 +231,6 @@ type JamSpec struct {
 	// Stop silences the jammer from this sim time on; 0 means never.
 	Stop sim.Time
 }
-
-// Jam returns a roaming jammer with the given transmit power.
-func Jam(txPowerDBm float64) JamSpec { return JamSpec{TxPowerDBm: txPowerDBm} }
 
 // validate rejects non-finite powers and negative or NaN timing and
 // speed fields.

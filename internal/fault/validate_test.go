@@ -30,10 +30,10 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		plan fault.Plan
 		want string // substring of the error
 	}{
-		{"crash off fraction 1", fault.Plan{fault.Crash(1)}, "OffFraction"},
-		{"crash off fraction above 1", fault.Plan{fault.Crash(1.5)}, "OffFraction"},
-		{"crash off fraction negative", fault.Plan{fault.Crash(-0.1)}, "OffFraction"},
-		{"crash off fraction NaN", fault.Plan{fault.Crash(nan)}, "OffFraction"},
+		{"crash off fraction 1", fault.Plan{fault.CrashSpec{OffFraction: 1}}, "OffFraction"},
+		{"crash off fraction above 1", fault.Plan{fault.CrashSpec{OffFraction: 1.5}}, "OffFraction"},
+		{"crash off fraction negative", fault.Plan{fault.CrashSpec{OffFraction: -0.1}}, "OffFraction"},
+		{"crash off fraction NaN", fault.Plan{fault.CrashSpec{OffFraction: nan}}, "OffFraction"},
 		{"crash negative cycle", fault.Plan{fault.CrashSpec{OffFraction: 0.1, Cycle: -1}}, "Cycle"},
 		{"drain zero capacity", fault.Plan{fault.DrainSpec{CapacityJ: 0}}, "CapacityJ"},
 		{"drain negative capacity", fault.Plan{fault.DrainSpec{CapacityJ: -5}}, "CapacityJ"},
@@ -41,10 +41,10 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"drain infinite capacity", fault.Plan{fault.DrainSpec{CapacityJ: math.Inf(1)}}, "CapacityJ"},
 		{"drain negative period", fault.Plan{fault.DrainSpec{CapacityJ: 1, Period: -1}}, "Period"},
 		{"drain NaN period", fault.Plan{fault.DrainSpec{CapacityJ: 1, Period: sim.Time(nan)}}, "Period"},
-		{"degrade NaN offset", fault.Plan{fault.Degrade(nan)}, "OffsetDB"},
+		{"degrade NaN offset", fault.Plan{fault.DegradeSpec{OffsetDB: nan}}, "OffsetDB"},
 		{"degrade negative period", fault.Plan{fault.DegradeSpec{OffsetDB: -25, Period: -2}}, "Period"},
 		{"degrade negative duration", fault.Plan{fault.DegradeSpec{OffsetDB: -25, Duration: -2}}, "Duration"},
-		{"jam NaN power", fault.Plan{fault.Jam(nan)}, "TxPowerDBm"},
+		{"jam NaN power", fault.Plan{fault.JamSpec{TxPowerDBm: nan}}, "TxPowerDBm"},
 		{"jam negative period", fault.Plan{fault.JamSpec{TxPowerDBm: 24.5, Period: -1}}, "Period"},
 		{"jam negative burst", fault.Plan{fault.JamSpec{TxPowerDBm: 24.5, Burst: -1}}, "Burst"},
 		{"jam negative speed", fault.Plan{fault.JamSpec{TxPowerDBm: 24.5, SpeedMps: -3}}, "SpeedMps"},
@@ -68,13 +68,13 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 // arguments must pass.
 func TestValidateAcceptsDefaults(t *testing.T) {
 	plan := fault.Plan{
-		fault.Crash(0.1),
-		fault.Crash(0), // inert but legal
+		fault.CrashSpec{OffFraction: 0.1},
+		fault.CrashSpec{OffFraction: 0}, // inert but legal
 		fault.DrainSpec{CapacityJ: 2.5},
-		fault.Degrade(-25),
-		fault.Degrade(0), // zero offset means default
-		fault.Jam(24.5),
-		fault.Jam(0), // zero power means default
+		fault.DegradeSpec{OffsetDB: -25},
+		fault.DegradeSpec{OffsetDB: 0}, // zero offset means default
+		fault.JamSpec{TxPowerDBm: 24.5},
+		fault.JamSpec{TxPowerDBm: 0}, // zero power means default
 	}
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("Validate rejected a default-form plan: %v", err)
@@ -114,7 +114,7 @@ func TestTryInstallRejectsWithoutSideEffects(t *testing.T) {
 		t.Error("rejected plan mutated the metrics registry")
 	}
 	// The network must still accept a valid plan afterwards.
-	if _, err := fault.Install(nw, fault.Plan{fault.Crash(0.05)}); err != nil {
+	if _, err := fault.Install(nw, fault.Plan{fault.CrashSpec{OffFraction: 0.05}}); err != nil {
 		t.Errorf("valid plan rejected after a failed Install: %v", err)
 	}
 }
@@ -129,5 +129,5 @@ func TestInstallPanicsOnInvalidPlan(t *testing.T) {
 			t.Error("Must(Install) did not panic on an invalid plan")
 		}
 	}()
-	node.Must(fault.Install(nw, fault.Plan{fault.Crash(1.0)}))
+	node.Must(fault.Install(nw, fault.Plan{fault.CrashSpec{OffFraction: 1.0}}))
 }

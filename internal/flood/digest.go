@@ -12,8 +12,8 @@ import (
 // (sorted by flow key; the timer itself is captured by the kernel's
 // pending-event digest). An origination waiting in the MAC is no
 // rebroadcast: the MAC's queue digest covers its frame. Two forwards of
-// one key, possible only once the duplicate cache has forgotten the
-// key, keep pending's order, newest first.
+// one key, possible only under blind flooding or once the duplicate
+// cache has forgotten the key, keep pending's order, newest first.
 func (f *Flooding) DigestState(h *digest.Hash) {
 	h.Uint64(uint64(f.seq))
 	f.dedup.DigestState(h)

@@ -233,6 +233,8 @@ func (f *Flooding) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	f.armForward(pkt, rssiDBm)
 }
 
+// handleBlind rebroadcasts every copy after a uniform backoff of up
+// to 5 ms; its forward is pooled and released like any other.
 func (f *Flooding) handleBlind(pkt *packet.Packet, rssiDBm float64) {
 	if pkt.Target == f.n.ID {
 		f.stats[Delivered].Inc()
@@ -243,8 +245,7 @@ func (f *Flooding) handleBlind(pkt *packet.Packet, rssiDBm float64) {
 		return
 	}
 	backoff := sim.Time(f.n.Rng.Float64()) * 5e-3
-	fwd := forwardOf(pkt)
-	f.n.Kernel.Schedule(backoff, func() { f.transmit(&fwd, float64(backoff)) })
+	f.newForward(forwardOf(pkt)).Arm(backoff)
 }
 
 // armForward schedules the §2 election step: backoff from the policy,

@@ -169,13 +169,21 @@ func TestPausedMACForwardReleased(t *testing.T) {
 // node, a forward armed, fired and sent (released at OnSent), an
 // origination sent and released the same way, and, for the Cancel
 // variant, a forward armed and withdrawn by an overheard duplicate,
-// allocate nothing. Node 0 is out of range, so each cycle is node 1's
-// one frame.
+// allocate nothing. Blind flooding arms its rebroadcasts through the
+// same pool. Node 0 is out of range, so each cycle is node 1's one
+// frame.
 func TestForwardCyclesAllocateNothing(t *testing.T) {
-	for _, cancel := range []bool{false, true} {
-		cfg := Counter1Config(5e-3)
-		cfg.Cancel = cancel
-		nw, floods := build(t, cfg, 15, chain(2, 1000)...)
+	cancelCfg := Counter1Config(5e-3)
+	cancelCfg.Cancel = true
+	for _, v := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"counter-1", Counter1Config(5e-3)},
+		{"cancel", cancelCfg},
+		{"blind", Config{Blind: true}},
+	} {
+		nw, floods := build(t, v.cfg, 15, chain(2, 1000)...)
 		f := floods[1]
 		pkt := &packet.Packet{}
 		seq := uint32(0)
@@ -201,7 +209,7 @@ func TestForwardCyclesAllocateNothing(t *testing.T) {
 			counter Series
 		}
 		cycles := []cycle{{"send", send, Forwards}, {"originate", originate, Originated}}
-		if cancel {
+		if v.cfg.Cancel {
 			cycles = append(cycles, cycle{"withdraw", withdraw, Cancelled})
 		}
 		// Past the dedup cache's capacity, so it evicts as it records.
@@ -212,13 +220,13 @@ func TestForwardCyclesAllocateNothing(t *testing.T) {
 			const runs = 100
 			before := f.Count(tc.counter)
 			if allocs := testing.AllocsPerRun(runs, tc.run); allocs != 0 {
-				t.Errorf("cancel=%v, %s cycle: %v allocations per cycle, want 0", cancel, tc.name, allocs)
+				t.Errorf("%s, %s cycle: %v allocations per cycle, want 0", v.name, tc.name, allocs)
 			}
 			if got := f.Count(tc.counter) - before; got != runs+1 { // AllocsPerRun warms up once
-				t.Errorf("cancel=%v, %s cycle: counter moved %d in %d cycles", cancel, tc.name, got, runs+1)
+				t.Errorf("%s, %s cycle: counter moved %d in %d cycles", v.name, tc.name, got, runs+1)
 			}
 			if f.pendingLen() != 0 {
-				t.Errorf("cancel=%v, %s cycle: %d frames left pending, want every one released", cancel, tc.name, f.pendingLen())
+				t.Errorf("%s, %s cycle: %d frames left pending, want every one released", v.name, tc.name, f.pendingLen())
 			}
 		}
 	}

@@ -72,7 +72,7 @@ func NewRuntime() *Runtime {
 
 // Reset shrinks the runtime's event free list to the watermark of the
 // run since the previous Reset (see sim.EventPool.Reset) and zeroes the
-// watermark. Its one caller is the run assembler (scenario.Assemble),
+// watermark. Its one caller is the run assembler (scenario.BuildWith),
 // right before each build; a second call between runs would see a zero
 // watermark and empty the free list. Must not be called while any
 // network built on this runtime is still running.

@@ -7,8 +7,6 @@ import (
 	"routeless/internal/fault"
 	"routeless/internal/metrics"
 	"routeless/internal/node"
-	"routeless/internal/packet"
-	"routeless/internal/rng"
 	"routeless/internal/sim"
 	"routeless/internal/traffic"
 )
@@ -22,47 +20,12 @@ const DrainTime sim.Time = 5
 // placement). It wraps the underlying node.New/fault.Install error.
 var ErrBuild = errors.New("scenario: build failed")
 
-// Spec is the Go-level description of one run — what BuildWith derives
-// from a document, and what each figure, ablation, churn and mega cell
-// of internal/experiments writes directly for the settings the document
-// format does not carry. Assemble is the only code that turns one into
-// a wired network.
-type Spec struct {
-	// Net is the network to build. A non-nil Net.Runtime is reset
-	// before the build.
-	Net node.Config
-	// Install attaches the network layer with one nw.Install call.
-	Install func(nw *node.Network)
-	// Flows returns the run's CBR sources in start order. It is called
-	// once the protocol is installed, so endpoints may be chosen from
-	// the built node positions.
-	Flows func(nw *node.Network) []CBRFlow
-	// Mobility, when non-nil, starts random-waypoint motion.
-	Mobility *Mobility
-	// Plan is the fault plan; empty installs nothing.
-	Plan fault.Plan
-	// Duration is the traffic window; the run ends DrainTime later.
-	Duration sim.Time
-}
-
-// CBRFlow is one constant-bit-rate source of a Spec.
-type CBRFlow struct {
-	Src, Dst packet.NodeID
-	Interval sim.Time
-	Size     int
-	// StartAt, when positive, fixes the first packet's time; zero
-	// de-phases the flow by a uniform fraction of one interval drawn
-	// from the source node's stream.
-	StartAt sim.Time
-}
-
 // Run is a built, resumable simulation: the network plus everything
-// its Spec attached to it (traffic, mobility, faults), advanced in
+// its document attached to it (traffic, mobility, faults), advanced in
 // exact chunks by AdvanceTo, drained and judged by Finish. The zero
-// value is not usable; construct with Build or Assemble.
+// value is not usable; construct with Build or BuildWith.
 type Run struct {
-	sc     Scenario // the source document; zero for a bare Spec
-	dur    sim.Time
+	sc     Scenario // the source document
 	nw     *node.Network
 	tap    *appTap
 	cbrs   []*traffic.CBR
@@ -77,60 +40,7 @@ type Run struct {
 	ferr    error
 }
 
-// Assemble constructs the run at t=0.
-//
-// The construction order is frozen — runtime reset, network, protocol,
-// app tap, flows (in list order), movers, fault plan — because stream
-// creation order, metric registration order, and kernel sequence
-// numbers all derive from it. Every run in the repo is wired here, so
-// a document that spells out a figure cell's parameters reproduces
-// that cell bit for bit.
-//
-// Assemble owns the runtime reset: pool watermarks start from zero
-// exactly as with a fresh runtime (snapshots hash them), and the free
-// lists shrink to what the previous run on this worker needed.
-func Assemble(sp Spec) (*Run, error) {
-	if rt := sp.Net.Runtime; rt != nil {
-		rt.Reset()
-	}
-	nw, err := node.New(sp.Net)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBuild, err)
-	}
-	r := &Run{nw: nw, dur: sp.Duration}
-	sp.Install(nw)
-
-	r.tap = newAppTap(nw)
-	flows := sp.Flows(nw)
-	r.cbrs = make([]*traffic.CBR, len(flows))
-	for i, f := range flows {
-		c := traffic.NewCBR(nw.Nodes[f.Src], f.Dst, f.Interval, f.Size)
-		if f.StartAt > 0 {
-			c.StartAt(f.StartAt)
-		} else {
-			c.Start()
-		}
-		r.cbrs[i] = c
-	}
-
-	if m := sp.Mobility; m != nil {
-		for i := 0; i < m.Movers; i++ {
-			w := node.NewWaypoint(nw, nw.Nodes[i], nw.RNG.New(nw.Seed, rng.StreamFuzz, SubMobility, uint64(i)))
-			w.MinSpeed, w.MaxSpeed = m.MinSpeed, m.MaxSpeed
-			w.Start()
-			r.movers = append(r.movers, w)
-		}
-	}
-
-	if r.inj, err = fault.Install(nw, sp.Plan); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBuild, err)
-	}
-	return r, nil
-}
-
-// Scenario returns the document the run was built from (the zero value
-// for a run assembled from a bare Spec, which therefore cannot be
-// snapshotted).
+// Scenario returns the document the run was built from.
 func (r *Run) Scenario() Scenario { return r.sc }
 
 // Network returns the underlying network.
@@ -150,7 +60,7 @@ func (r *Run) Now() sim.Time { return r.nw.Kernel.Now() }
 
 // End returns the run's final time: traffic duration plus the drain
 // window the conservation-law oracle expects.
-func (r *Run) End() sim.Time { return r.dur + DrainTime }
+func (r *Run) End() sim.Time { return sim.Time(r.sc.Duration) + DrainTime }
 
 // Finished reports whether Finish has folded the run. A finished run
 // must not be advanced or snapshotted — folding the app tap is a
@@ -226,9 +136,9 @@ func (r *Run) AdvanceTo(t sim.Time) error {
 			}
 		}
 		stopHere := false
-		if !r.stopped && r.dur <= next {
-			if r.dur < next {
-				next = r.dur
+		if dur := sim.Time(r.sc.Duration); !r.stopped && dur <= next {
+			if dur < next {
+				next = dur
 				atEpoch = false
 			}
 			stopHere = true

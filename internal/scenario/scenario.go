@@ -1,9 +1,10 @@
 // Package scenario is the single, versioned description of one
 // simulation run: topology, placement, mobility, fading, traffic
 // flows, and a typed fault plan, as one validated JSON document. It is
-// the unified entry point every consumer shares — the fuzzer generates
+// the one run description every consumer shares — the fuzzer generates
 // into it, `wmansim -scenario` loads it, `simserve` accepts it over
-// HTTP, and snapshots embed it — so the simulator's input constraints
+// HTTP, snapshots embed it, and every study cell of internal/experiments
+// is one — so the simulator's input constraints
 // (bounds, Connected ⇒ uniform placement) live in exactly one place:
 // Validate.
 //
@@ -70,10 +71,37 @@ const (
 	PlaceGrid    = "grid"
 )
 
-// Flow is one CBR connection of the scenario's traffic mix.
+// Flow is one CBR connection of the scenario's traffic mix. Its zero
+// Interval and Size take the document's Interval and DataSize.
 type Flow struct {
 	Src int `json:"src"`
 	Dst int `json:"dst"`
+	// Start, when positive, fixes the first packet's time; zero
+	// de-phases the flow by a uniform fraction of one interval drawn
+	// from the source node's stream.
+	Start    float64 `json:"start,omitempty"`    // s
+	Interval float64 `json:"interval,omitempty"` // CBR interval, s
+	Size     int     `json:"size,omitempty"`     // CBR payload, bytes
+}
+
+// Flood tunes the flooding protocols (counter1, ssaf); zero values
+// keep their defaults.
+type Flood struct {
+	// Cancel drops a pending rebroadcast when a duplicate is overheard
+	// during its backoff (SSAF-C).
+	Cancel bool `json:"cancel,omitempty"`
+	// TTL bounds forwarding; 0 means packet.HopLimit.
+	TTL int `json:"ttl,omitempty"`
+}
+
+// Routeless tunes Routeless Routing; zero values keep its defaults.
+type Routeless struct {
+	// PathMargin is the hop budget past the known distance to a
+	// packet's target; 0 means the protocol default of 2.
+	PathMargin int `json:"path_margin,omitempty"`
+	// SignalTieBreak breaks ties within a gradient band by signal
+	// strength.
+	SignalTieBreak bool `json:"signal_tie_break,omitempty"`
 }
 
 // Mobility switches on random-waypoint motion for the first Movers
@@ -161,7 +189,11 @@ type Scenario struct {
 	Tiles int `json:"tiles,omitempty"`
 
 	Protocol string  `json:"protocol"`
-	Lambda   float64 `json:"lambda,omitempty"` // backoff quantum, s; 0 = protocol default
+	Lambda   float64 `json:"lambda,omitempty"` // backoff quantum, s; 0 = 10 ms
+	// Flood and Routeless tune the protocol; each is valid only with
+	// the protocols it names.
+	Flood     *Flood     `json:"flood,omitempty"`
+	Routeless *Routeless `json:"routeless,omitempty"`
 
 	Flows    []Flow  `json:"flows"`
 	Interval float64 `json:"interval"`  // CBR interval, s
@@ -231,6 +263,9 @@ func posFinite(name string, v float64) error {
 	return nil
 }
 
+// finiteNonNeg reports whether v is a finite number ≥ 0 (NaN is not).
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // Validate checks the scenario against the simulator's constraint
 // matrix and returns the first problem found, wrapping ErrInvalid. A
 // scenario that validates cleanly must never crash the simulator:
@@ -265,8 +300,26 @@ func (sc Scenario) Validate() error {
 	if !slices.Contains(Protocols, sc.Protocol) {
 		return invalidf("unknown protocol %q", sc.Protocol)
 	}
-	if math.IsNaN(sc.Lambda) || math.IsInf(sc.Lambda, 0) || sc.Lambda < 0 {
+	if !finiteNonNeg(sc.Lambda) {
 		return invalidf("Lambda must be a finite non-negative number, got %v", sc.Lambda)
+	}
+	if fl := sc.Flood; fl != nil {
+		if sc.Protocol != ProtoCounter1 && sc.Protocol != ProtoSSAF {
+			return invalidf("a flood block applies only to counter1 and ssaf, not %q", sc.Protocol)
+		}
+		if fl.TTL < 0 {
+			return invalidf("Flood.TTL must be non-negative, got %d", fl.TTL)
+		}
+	}
+	if rr := sc.Routeless; rr != nil {
+		if sc.Protocol != ProtoRouteless {
+			return invalidf("a routeless block applies only to routeless, not %q", sc.Protocol)
+		}
+		// A budget is capped at packet.HopLimit anyway, and a larger
+		// margin would overflow the sum it is added to.
+		if rr.PathMargin < 0 || rr.PathMargin > packet.HopLimit {
+			return invalidf("Routeless.PathMargin must be in [0,%d], got %d", packet.HopLimit, rr.PathMargin)
+		}
 	}
 	if err := posFinite("Interval", sc.Interval); err != nil {
 		return err
@@ -277,10 +330,10 @@ func (sc Scenario) Validate() error {
 	if sc.DataSize <= 0 {
 		return invalidf("DataSize must be positive, got %d", sc.DataSize)
 	}
-	if math.IsNaN(sc.JournalEvery) || math.IsInf(sc.JournalEvery, 0) || sc.JournalEvery < 0 {
+	if !finiteNonNeg(sc.JournalEvery) {
 		return invalidf("JournalEvery must be a finite non-negative number, got %v", sc.JournalEvery)
 	}
-	seen := make(map[Flow]bool, len(sc.Flows))
+	seen := make(map[[2]int]bool, len(sc.Flows))
 	for i, f := range sc.Flows {
 		if f.Src < 0 || f.Src >= sc.N || f.Dst < 0 || f.Dst >= sc.N {
 			return invalidf("flow %d (%d→%d) references nodes outside [0,%d)", i, f.Src, f.Dst, sc.N)
@@ -288,17 +341,21 @@ func (sc Scenario) Validate() error {
 		if f.Src == f.Dst {
 			return invalidf("flow %d is a self-loop at node %d", i, f.Src)
 		}
-		if seen[f] {
+		pair := [2]int{f.Src, f.Dst}
+		if seen[pair] {
 			return invalidf("duplicate flow %d→%d", f.Src, f.Dst)
 		}
-		seen[f] = true
+		seen[pair] = true
+		if !finiteNonNeg(f.Start) || !finiteNonNeg(f.Interval) || f.Size < 0 {
+			return invalidf("flow %d: start, interval and size must be finite and non-negative, got %v, %v, %d",
+				i, f.Start, f.Interval, f.Size)
+		}
 	}
 	if m := sc.Mobility; m != nil {
 		if m.Movers < 1 || m.Movers > sc.N {
 			return invalidf("Mobility.Movers must be in [1,%d], got %d", sc.N, m.Movers)
 		}
-		if math.IsNaN(m.MinSpeed) || math.IsInf(m.MinSpeed, 0) || m.MinSpeed < 0 ||
-			math.IsNaN(m.MaxSpeed) || math.IsInf(m.MaxSpeed, 0) || m.MaxSpeed < m.MinSpeed {
+		if !finiteNonNeg(m.MinSpeed) || !finiteNonNeg(m.MaxSpeed) || m.MaxSpeed < m.MinSpeed {
 			return invalidf("mobility speeds must satisfy 0 <= min <= max and be finite, got [%v,%v]",
 				m.MinSpeed, m.MaxSpeed)
 		}

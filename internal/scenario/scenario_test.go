@@ -11,9 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"routeless/internal/geo"
 	"routeless/internal/metrics"
-	"routeless/internal/node"
 	"routeless/internal/scenario"
 	"routeless/internal/sweep"
 )
@@ -30,17 +28,18 @@ func validDoc() scenario.Scenario {
 // TestParseRoundTrip: a marshalled valid document parses back to the
 // identical value, so the JSON surface is lossless for API clients.
 func TestParseRoundTrip(t *testing.T) {
-	want := validDoc()
-	data, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := scenario.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	for _, want := range []scenario.Scenario{validDoc(), everyFieldDoc()} {
+		data, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := scenario.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+		}
 	}
 }
 
@@ -84,7 +83,42 @@ func parseCases(tb testing.TB) []parseCase {
 		{"exclude-wrong-kind", mutate(func(sc *scenario.Scenario) {
 			sc.Faults = []scenario.FaultSpec{{Kind: "jam", Exclude: []int{0}}}
 		}), scenario.ErrInvalid},
+		// Every protocol block and per-flow field; one document cannot
+		// carry both blocks.
+		{"flood-block-and-flow-fields", mutate(func(sc *scenario.Scenario) { *sc = everyFieldDoc() }), nil},
+		{"routeless-block", mutate(func(sc *scenario.Scenario) {
+			sc.Protocol, sc.Routeless = scenario.ProtoRouteless, &scenario.Routeless{PathMargin: 5, SignalTieBreak: true}
+		}), nil},
+		{"negative-flow-start", mutate(func(sc *scenario.Scenario) { sc.Flows[0].Start = -1 }), scenario.ErrInvalid},
+		{"negative-flow-interval", mutate(func(sc *scenario.Scenario) { sc.Flows[0].Interval = -0.5 }), scenario.ErrInvalid},
+		{"negative-flow-size", mutate(func(sc *scenario.Scenario) { sc.Flows[0].Size = -1 }), scenario.ErrInvalid},
+		{"duplicate-flow-other-settings", mutate(func(sc *scenario.Scenario) {
+			sc.Flows = []scenario.Flow{{Src: 0, Dst: 11}, {Src: 0, Dst: 11, Start: 1}}
+		}), scenario.ErrInvalid},
+		{"flood-block-on-routeless", mutate(func(sc *scenario.Scenario) {
+			sc.Protocol, sc.Flood = scenario.ProtoRouteless, &scenario.Flood{Cancel: true}
+		}), scenario.ErrInvalid},
+		{"routeless-block-on-ssaf", mutate(func(sc *scenario.Scenario) {
+			sc.Routeless = &scenario.Routeless{SignalTieBreak: true}
+		}), scenario.ErrInvalid},
+		{"negative-ttl", mutate(func(sc *scenario.Scenario) { sc.Flood = &scenario.Flood{TTL: -1} }), scenario.ErrInvalid},
+		{"negative-path-margin", mutate(func(sc *scenario.Scenario) {
+			sc.Protocol, sc.Routeless = scenario.ProtoRouteless, &scenario.Routeless{PathMargin: -2}
+		}), scenario.ErrInvalid},
+		{"path-margin-past-hop-limit", mutate(func(sc *scenario.Scenario) {
+			sc.Protocol, sc.Routeless = scenario.ProtoRouteless, &scenario.Routeless{PathMargin: math.MaxInt}
+		}), scenario.ErrInvalid},
 	}
+}
+
+// everyFieldDoc is a valid document that sets the flood block and
+// every per-flow field.
+func everyFieldDoc() scenario.Scenario {
+	sc := validDoc()
+	sc.Protocol = scenario.ProtoCounter1
+	sc.Flood = &scenario.Flood{Cancel: true, TTL: 6}
+	sc.Flows = []scenario.Flow{{Src: 0, Dst: 11}, {Src: 3, Dst: 8, Start: 0.25, Interval: 0.5, Size: 64}}
+	return sc
 }
 
 // TestParseTypedErrors: every malformed or invalid document fails with
@@ -97,6 +131,20 @@ func TestParseTypedErrors(t *testing.T) {
 		_, err := scenario.Parse(tc.data)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want errors.Is(%v)", tc.name, err, tc.want)
+		}
+	}
+	// JSON spells no non-finite number, so these reach Validate only
+	// from Go callers of BuildWith.
+	for name, f := range map[string]func(*scenario.Flow){
+		"infinite-flow-start":    func(f *scenario.Flow) { f.Start = math.Inf(1) },
+		"nan-flow-start":         func(f *scenario.Flow) { f.Start = math.NaN() },
+		"infinite-flow-interval": func(f *scenario.Flow) { f.Interval = math.Inf(1) },
+		"nan-flow-interval":      func(f *scenario.Flow) { f.Interval = math.NaN() },
+	} {
+		sc := validDoc()
+		f(&sc.Flows[0])
+		if err := sc.Validate(); !errors.Is(err, scenario.ErrInvalid) {
+			t.Errorf("%s: got %v, want errors.Is(%v)", name, err, scenario.ErrInvalid)
 		}
 	}
 }
@@ -278,11 +326,10 @@ func TestRunMetricsMatchAppSeries(t *testing.T) {
 		}
 	}
 
-	idle, err := scenario.Assemble(scenario.Spec{
-		Net:      node.Config{N: 4, Rect: geo.NewRect(300, 300), Seed: 1},
-		Install:  scenario.Installer(scenario.ProtoSSAF, 10e-3, 250),
-		Flows:    func(*node.Network) []scenario.CBRFlow { return nil },
-		Duration: 1,
+	idle, err := scenario.Build(scenario.Scenario{
+		Seed: 1, N: 4, Width: 300, Height: 300, Range: 250,
+		Placement: scenario.PlaceUniform, Protocol: scenario.ProtoSSAF,
+		Interval: 1, DataSize: 256, Duration: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

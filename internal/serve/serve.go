@@ -91,9 +91,10 @@ type runState struct {
 	metrics *scenario.RunMetrics
 
 	// source is what the run was built from — the scenario document,
-	// or the snapshot doc a resume started at. The snapshot handler
-	// replays a twin from it.
-	sc  scenario.Scenario
+	// or the snapshot doc a resume started at; only one is set, and the
+	// server holds it for as long as it holds the run. The snapshot
+	// handler replays a twin from it.
+	sc  *scenario.Scenario
 	doc *snapshot.Doc
 }
 
@@ -194,12 +195,12 @@ func (s *Server) launch(rs *runState) {
 // buildFrom constructs a run on a pool worker from a run's source:
 // a fresh build from the scenario document, or a replay-verified
 // restore from a snapshot doc.
-func buildFrom(sc scenario.Scenario, doc *snapshot.Doc, ctx *sweep.Context) (*scenario.Run, error) {
+func buildFrom(sc *scenario.Scenario, doc *snapshot.Doc, ctx *sweep.Context) (*scenario.Run, error) {
 	opts := scenario.BuildOptions{Runtime: ctx.Runtime()}
 	if doc != nil {
 		return doc.Restore(opts)
 	}
-	return scenario.BuildWith(sc, opts)
+	return scenario.BuildWith(*sc, opts)
 }
 
 // --- handlers ---
@@ -246,7 +247,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rs := s.register()
-	rs.sc = sc
+	rs.sc = &sc
 	s.launch(rs)
 	writeJSON(w, http.StatusCreated, createdDoc{ID: rs.id})
 }

@@ -65,6 +65,33 @@ func churnScenario(proto string, tiles int) scenario.Scenario {
 	}
 }
 
+// floodBlockScenario is fig1Scenario with SSAF-C's cancellation and a
+// short TTL.
+func floodBlockScenario(proto string, tiles int) scenario.Scenario {
+	sc := fig1Scenario(proto, tiles)
+	sc.Flood = &scenario.Flood{Cancel: true, TTL: 3}
+	return sc
+}
+
+// routelessBlockScenario is fig1Scenario with a wide path budget and
+// the signal-strength tie-break.
+func routelessBlockScenario(proto string, tiles int) scenario.Scenario {
+	sc := fig1Scenario(proto, tiles)
+	sc.Routeless = &scenario.Routeless{PathMargin: 5, SignalTieBreak: true}
+	return sc
+}
+
+// flowFieldsScenario is fig1Scenario with a fixed first packet, its own
+// interval or its own size on some flows.
+func flowFieldsScenario(proto string, tiles int) scenario.Scenario {
+	sc := fig1Scenario(proto, tiles)
+	sc.Flows[0].Start = 0.3
+	sc.Flows[1].Interval, sc.Flows[1].Size = 0.7, 96
+	sc.Flows[2].Start, sc.Flows[2].Interval = 1.1, 1.5
+	sc.Flows[3].Size = 1024
+	return sc
+}
+
 // runFull runs sc uninterrupted under a journal and returns the journal
 // bytes and the final metrics snapshot JSON.
 func runFull(t *testing.T, sc scenario.Scenario) (journal, snap []byte) {
@@ -137,9 +164,16 @@ func TestRoundTripOracle(t *testing.T) {
 		name string
 		sc   func(string, int) scenario.Scenario
 		pros []string
+		// tuned cases set document fields over fig1Scenario, which must
+		// change the run: a field the snapshot dropped would then
+		// diverge on restore.
+		tuned bool
 	}{
-		{"fig1", fig1Scenario, []string{scenario.ProtoCounter1, scenario.ProtoSSAF}},
-		{"churn", churnScenario, []string{scenario.ProtoRouteless, scenario.ProtoAODV, scenario.ProtoGradient}},
+		{"fig1", fig1Scenario, []string{scenario.ProtoCounter1, scenario.ProtoSSAF}, false},
+		{"churn", churnScenario, []string{scenario.ProtoRouteless, scenario.ProtoAODV, scenario.ProtoGradient}, false},
+		{"flood-block", floodBlockScenario, []string{scenario.ProtoCounter1, scenario.ProtoSSAF}, true},
+		{"routeless-block", routelessBlockScenario, []string{scenario.ProtoRouteless}, true},
+		{"flow-fields", flowFieldsScenario, []string{scenario.ProtoSSAF, scenario.ProtoRouteless}, true},
 	}
 	for _, tc := range cases {
 		for _, proto := range tc.pros {
@@ -147,6 +181,9 @@ func TestRoundTripOracle(t *testing.T) {
 				t.Parallel()
 				sc := tc.sc(proto, 4)
 				fullJournal, fullSnap := runFull(t, sc)
+				if _, plainSnap := runFull(t, fig1Scenario(proto, 4)); tc.tuned && bytes.Equal(fullSnap, plainSnap) {
+					t.Fatal("the tuned fields leave the run unchanged, so the oracle cannot see them dropped")
+				}
 				doc, prefix := saveAt(t, sc, (sc.Duration+5)/2)
 				suffix, restoredSnap := resume(t, doc)
 

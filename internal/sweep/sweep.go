@@ -67,7 +67,7 @@ func (c *Context) Worker() int { return c.worker }
 
 // Runtime returns the worker's reusable allocation state for
 // node.Config.Runtime. The engine never resets it: the run assembler
-// (scenario.Assemble) does, once, before each build — a second reset
+// (scenario.BuildWith) does, once, before each build — a second reset
 // between runs would read a zero watermark and empty the free lists.
 func (c *Context) Runtime() *node.Runtime { return c.rt }
 

@@ -33,8 +33,8 @@
 // protocols:
 //
 //	inj, err := routeless.InstallFaults(nw, routeless.FaultPlan{
-//		routeless.Crash(0.05),
-//		routeless.Jam(24.5),
+//		routeless.CrashSpec{OffFraction: 0.05},
+//		routeless.JamSpec{TxPowerDBm: 24.5},
 //	})
 //
 // See examples/ for runnable programs and DESIGN.md for the system
@@ -155,15 +155,6 @@ type (
 	JamSpec = fault.JamSpec
 )
 
-// Crash returns a duty-cycle crash fault with the given off fraction.
-var Crash = fault.Crash
-
-// Degrade returns a per-link shadowing fault with the given offset.
-var Degrade = fault.Degrade
-
-// Jam returns a roaming jammer with the given transmit power.
-var Jam = fault.Jam
-
 // InstallFaults wires a fault plan into a built network and returns
 // the injector handle, or an error for an invalid plan. An empty plan
 // is inert.
@@ -271,21 +262,21 @@ type (
 // Wired runs: the one way every figure, document and example builds,
 // drives and scores a run.
 type (
-	// Spec describes one run: network, protocol, flows, mobility,
-	// faults and traffic window.
-	Spec = scenario.Spec
-	// CBRFlow is one constant-bit-rate source of a Spec.
-	CBRFlow = scenario.CBRFlow
-	// Mobility moves a Spec's first Movers nodes by random waypoint.
+	// Scenario is the validated run document: network, protocol, flows,
+	// mobility, faults and traffic window.
+	Scenario = scenario.Scenario
+	// Flow is one constant-bit-rate source of a Scenario.
+	Flow = scenario.Flow
+	// Mobility moves a Scenario's first Movers nodes by random waypoint.
 	Mobility = scenario.Mobility
 	// RunMetrics is a finished run's delay, hops, delivery ratio, MAC
 	// transmissions and energy.
 	RunMetrics = scenario.RunMetrics
 )
 
-// Assemble wires a Spec into a run; its Finish drains the run, checks
-// the conservation laws and returns the RunMetrics.
-var Assemble = scenario.Assemble
+// Build validates a Scenario and wires it into a run; its Finish drains
+// the run, checks the conservation laws and returns the RunMetrics.
+var Build = scenario.Build
 
 // NewCBR builds a stopped CBR flow from n toward target.
 var NewCBR = traffic.NewCBR

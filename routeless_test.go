@@ -148,7 +148,7 @@ func TestInstallFaultsAPI(t *testing.T) {
 	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
 		N: 40, Rect: routeless.NewRect(700, 700), Seed: 9, EnsureConnected: true,
 	}))
-	routeless.Must(routeless.InstallFaults(nw, routeless.FaultPlan{routeless.Crash(0.3)}))
+	routeless.Must(routeless.InstallFaults(nw, routeless.FaultPlan{routeless.CrashSpec{OffFraction: 0.3}}))
 	nw.Install(func(n *routeless.Node) routeless.Protocol {
 		return routeless.NewRouteless(routeless.RoutelessConfig{})
 	})
