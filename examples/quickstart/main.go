@@ -1,8 +1,8 @@
-// Quickstart: the façade end to end. Build a 100-node field, install
-// Routeless Routing, run CBR traffic between two corners — then do it
-// again on the same field with a fault plan (duty-cycle crashes plus a
-// roaming jammer) installed before the protocols, and compare what
-// survived.
+// Quickstart: the façade end to end. Describe a 100-node Routeless
+// Routing field with CBR traffic between two fixed nodes as one
+// Scenario, build and score it — then score the same document again
+// with a faults list (§4.3's duty-cycle crashes plus a roaming jammer)
+// and compare what survived.
 //
 //	go run ./examples/quickstart
 package main
@@ -13,54 +13,40 @@ import (
 	"routeless"
 )
 
-// run builds the field, installs the fault plan (none for an empty
-// plan), routes 20 packets corner to corner, and reports delivery.
-func run(label string, plan routeless.FaultPlan) {
-	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
-		N: 100, Rect: routeless.NewRect(1000, 1000), Seed: 42, EnsureConnected: true,
-	}))
-	routeless.Must(routeless.InstallFaults(nw, plan))
-	nw.Install(func(n *routeless.Node) routeless.Protocol {
-		return routeless.NewRouteless(routeless.RoutelessConfig{})
-	})
+// src and dst are the traffic endpoints; the crashes spare them, as
+// §4.3 spares "those that generate and receive CBR traffic".
+const src, dst = 0, 99
 
-	src, dst := corner(nw, 0, 0), corner(nw, 1000, 1000)
-	delivered := 0
-	nw.Nodes[dst].OnAppReceive = func(p *routeless.Packet) { delivered++ }
-
-	cbr := routeless.NewCBR(nw.Nodes[src], dst, 1.0, 256)
-	cbr.StartAt(0.5)
-	nw.Run(20)
-	cbr.Stop()
-	nw.Run(25)
-
-	if err := nw.CheckInvariants(); err != nil {
+// run builds the document with the given faults, routes 20 packets from
+// src to dst, and reports what arrived.
+func run(label string, faults []routeless.FaultSpec) {
+	sc := routeless.Scenario{
+		Seed: 42, N: 100, Width: 1000, Height: 1000, Range: 250,
+		Placement: "uniform", Connected: true,
+		Protocol: "routeless",
+		Flows:    []routeless.Flow{{Src: src, Dst: dst, Start: 0.5}},
+		Interval: 1, DataSize: 256,
+		Duration: 20, // then a 5 s drain
+		Faults:   faults,
+	}
+	m, err := routeless.Must(routeless.Build(sc)).Finish()
+	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%-12s n%d → n%d: %d/%d delivered\n", label, src, dst, delivered, cbr.Sent())
+	fmt.Printf("%-12s n%d → n%d: delivery %.2f, %.1f hops, %.1f ms\n",
+		label, src, dst, m.Delivery, m.Hops, m.Delay*1e3)
 }
 
 func main() {
 	// Clean run: no faults.
 	run("clean", nil)
 
-	// Same field, same seed, now under fire: 10% duty-cycle crashes on
-	// every node and a roaming jammer. The fault streams derive from the
-	// network seed, so this run is exactly reproducible too.
-	run("under fire", routeless.FaultPlan{
-		routeless.CrashSpec{OffFraction: 0.10},
-		routeless.JamSpec{TxPowerDBm: 24.5},
+	// Same field, same seed, now under fire: every node but the two
+	// endpoints is down 10% of the time, and a jammer roams the field.
+	// The fault streams derive from the document's seed, so this run is
+	// exactly reproducible too.
+	run("under fire", []routeless.FaultSpec{
+		{Kind: "crash", OffFraction: 0.10, Exclude: []int{src, dst}},
+		{Kind: "jam", TxPowerDBm: 24.5},
 	})
-}
-
-// corner returns the node nearest (x, y).
-func corner(nw *routeless.Network, x, y float64) routeless.NodeID {
-	best, bestD := 0, 1e18
-	for i, n := range nw.Nodes {
-		dx, dy := n.Pos.X-x, n.Pos.Y-y
-		if d := dx*dx + dy*dy; d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return routeless.NodeID(best)
 }

@@ -71,7 +71,7 @@ const (
 // the elector is attached to (AttachElector).
 func NewElector(k *sim.Kernel, id packet.NodeID, medium Medium, policy BackoffPolicy) *Elector {
 	e := &Elector{id: id, medium: medium, policy: policy}
-	e.bid.Init(k, sim.Func(e.announce))
+	e.bid.Init(k, (*electorBid)(e))
 	e.bid.Phase = Done // no round yet: nothing to cancel
 	return e
 }
@@ -114,6 +114,13 @@ func (e *Elector) beginRound(round uint32, ctx Context) {
 	}
 	e.bid.Arm(d)
 }
+
+// electorBid is the elector as its bid's handler: a conversion, so
+// binding the bid allocates nothing.
+type electorBid Elector
+
+// Fire is the bid's expiry.
+func (b *electorBid) Fire() { (*Elector)(b).announce() }
 
 // announce fires when the backoff expires uncancelled: claim leadership.
 func (e *Elector) announce() {
@@ -182,7 +189,7 @@ type Arbiter struct {
 	// MaxRetries bounds re-triggers; 0 means unbounded.
 	MaxRetries int
 
-	timer   *sim.Timer
+	timer   sim.Timer
 	round   uint32
 	leader  packet.NodeID
 	done    bool
@@ -209,7 +216,7 @@ const (
 // NewArbiter builds an arbiter for node id.
 func NewArbiter(k *sim.Kernel, id packet.NodeID, medium Medium, timeout sim.Time) *Arbiter {
 	a := &Arbiter{id: id, medium: medium, Timeout: timeout}
-	a.timer = sim.NewTimer(k, a.onTimeout)
+	sim.InitTimer(&a.timer, k, (*arbiterTimer)(a))
 	return a
 }
 
@@ -257,6 +264,13 @@ func (a *Arbiter) Handle(from packet.NodeID, msg Message) {
 		a.OnElected(msg.Leader, a.round)
 	}
 }
+
+// arbiterTimer is the arbiter as its timer's handler: a conversion, so
+// binding the timer allocates nothing.
+type arbiterTimer Arbiter
+
+// Fire is the arbiter's timeout.
+func (t *arbiterTimer) Fire() { (*Arbiter)(t).onTimeout() }
 
 func (a *Arbiter) onTimeout() {
 	if a.done {

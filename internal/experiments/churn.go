@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"routeless/internal/fault"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 )
@@ -24,7 +25,7 @@ type ChurnConfig struct {
 
 	// Intensities is the x-axis: the crash OffFraction, with the link
 	// degradation and jamming rates scaling linearly alongside it.
-	// Intensity 0 runs with no fault plan at all (the clean baseline).
+	// Intensity 0 runs with no faults at all (the clean baseline).
 	Intensities []float64 // default {0, 0.05, 0.1, 0.2}
 }
 
@@ -65,16 +66,16 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 // churnPlan scales the three network-level fault shapes with one
 // intensity knob: crash duty cycles at the intensity itself (Figure 4's
 // axis), plus one link shadowed and one jam burst per 0.05/intensity
-// seconds. Intensity 0 returns nil — no plan, bitwise identical to a
+// seconds. Intensity 0 returns nil — no faults, bitwise identical to a
 // run without the fault plane.
-func churnPlan(intensity float64, exclude []int) []scenario.FaultSpec {
+func churnPlan(intensity float64, exclude []int) []fault.Spec {
 	if intensity <= 0 {
 		return nil
 	}
-	return []scenario.FaultSpec{
-		{Kind: "crash", OffFraction: intensity, Exclude: exclude},
-		{Kind: "degrade", OffsetDB: -25, Period: 0.05 / intensity},
-		{Kind: "jam", TxPowerDBm: 24.5, Period: 0.05 / intensity},
+	return []fault.Spec{
+		{Kind: fault.KindCrash, OffFraction: intensity, Exclude: exclude},
+		{Kind: fault.KindDegrade, OffsetDB: -25, Period: 0.05 / intensity},
+		{Kind: fault.KindJam, TxPowerDBm: 24.5, Period: 0.05 / intensity},
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"routeless/internal/fault"
 	"routeless/internal/scenario"
 	"routeless/internal/sim"
 )
@@ -87,7 +88,7 @@ func (c Fig34Config) withDefaults() Fig34Config {
 // routingSpec is the §4.3 rig shared by Figures 3 and 4, the churn
 // study and ablations 2, 4, 5 and 6: proto over a connected field with
 // `pairs` bidirectional CBR connections. It also returns the traffic
-// endpoints, which the failure studies shield from their fault plans.
+// endpoints, which the failure studies shield from their crash faults.
 func routingSpec(cfg Fig34Config, seed int64, pairs int, proto string) (scenario.Scenario, []int) {
 	sc := field(cfg.Nodes, cfg.Terrain, cfg.Range, seed, proto, cfg.Lambda)
 	sc.Interval, sc.DataSize, sc.Duration = cfg.Interval, cfg.DataSize, cfg.Duration
@@ -96,16 +97,16 @@ func routingSpec(cfg Fig34Config, seed int64, pairs int, proto string) (scenario
 	return sc, endpoints
 }
 
-// dutyCycle is the §4.3 failure model as a fault plan: "node failures
+// dutyCycle is the §4.3 failure model as a faults list: "node failures
 // are artificially introduced to turn off transceivers in all nodes but
 // those that generate and receive CBR traffic". sleep selects the §4.2
-// voluntary low-power variant. A zero fraction returns no plan, so the
+// voluntary low-power variant. A zero fraction returns no faults, so the
 // run is bitwise identical to one without the fault plane.
-func dutyCycle(offFraction float64, sleep bool, endpoints []int) []scenario.FaultSpec {
+func dutyCycle(offFraction float64, sleep bool, endpoints []int) []fault.Spec {
 	if offFraction <= 0 {
 		return nil
 	}
-	return []scenario.FaultSpec{{Kind: "crash", OffFraction: offFraction, Sleep: sleep, Exclude: endpoints}}
+	return []fault.Spec{{Kind: fault.KindCrash, OffFraction: offFraction, Sleep: sleep, Exclude: endpoints}}
 }
 
 // fig34Variants are Figures 3 and 4's protocols: AODV the baseline,
@@ -116,7 +117,7 @@ var fig34Variants = []variant{{"aodv", scenario.ProtoAODV}, {"rr", scenario.Prot
 var fig34Cols = []col{delayCol, deliveryCol, macCol, hopsCol}
 
 // routingCell is one routing-rig cell of the named protocol at the
-// config's λ, with a duty-cycle failure plan when failurePct > 0.
+// config's λ, with a duty-cycle crash fault when failurePct > 0.
 func routingCell(cfg Fig34Config, proto string, pairs int, failurePct float64, seed int64) scenario.Scenario {
 	sc, endpoints := routingSpec(cfg, seed, pairs, proto)
 	sc.Faults = dutyCycle(failurePct, false, endpoints)

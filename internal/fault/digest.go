@@ -7,7 +7,7 @@ import (
 )
 
 // DigestState folds the injector's mutable state into h: every crash
-// process's phase machine (install order — fixed by the plan) and the
+// process's phase machine (install order — fixed by the spec list) and the
 // set of currently shadowed links in sorted order. Tickers and the
 // scheduled restore events are captured by the kernel's pending-event
 // digest; the fault counters roll up through the metrics digest.

@@ -6,7 +6,6 @@ import (
 	"routeless/internal/fault"
 	"routeless/internal/geo"
 	"routeless/internal/node"
-	"routeless/internal/packet"
 	"routeless/internal/rng"
 	"routeless/internal/sim"
 )
@@ -19,13 +18,11 @@ import (
 // healthy two-crash run reported a conservation violation. Pre-fix this
 // test failed at CheckInvariants.
 func TestDowntimeBoundWithTwoCrashSpecs(t *testing.T) {
-	c1 := fault.CrashSpec{OffFraction: 0.34}
-	c1.Cycle = 1
-	c2 := fault.CrashSpec{OffFraction: 0.35}
-	c2.Cycle = 0.9
-	c2.Sleep = true
 	nw := scenario(t, 78, 12, func(nw *node.Network) {
-		node.Must(fault.Install(nw, fault.Plan{c1, c2}))
+		node.Must(fault.Install(nw, []fault.Spec{
+			{Kind: fault.KindCrash, OffFraction: 0.34, Cycle: 1},
+			{Kind: fault.KindCrash, OffFraction: 0.35, Cycle: 0.9, Sleep: true},
+		}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("two-crash plan violated invariants: %v", err)
@@ -41,13 +38,11 @@ func TestDowntimeBoundWithTwoCrashSpecs(t *testing.T) {
 // magnitude over the elapsed time. Pre-fix this test failed with
 // downtime far above sim time × processes.
 func TestDowntimeAccrualWithDrainInterference(t *testing.T) {
-	crash := fault.CrashSpec{OffFraction: 0.08}
-	crash.Cycle = 2.3
-	crash.Sleep = true
-	drain := fault.DrainSpec{CapacityJ: 0.13}
-	drain.Period = sim.Time(0.26)
 	nw := scenario(t, 76, 12, func(nw *node.Network) {
-		node.Must(fault.Install(nw, fault.Plan{crash, drain}))
+		node.Must(fault.Install(nw, []fault.Spec{
+			{Kind: fault.KindCrash, OffFraction: 0.08, Cycle: 2.3, Sleep: true},
+			{Kind: fault.KindDrain, CapacityJ: 0.13, Period: 0.26},
+		}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("crash+drain plan violated invariants: %v", err)
@@ -94,10 +89,8 @@ func TestTwoCrashSpecsOnOneNodeAreIndependent(t *testing.T) {
 	nw := node.Must(node.New(node.Config{
 		N: 4, Rect: geo.NewRect(300, 300), Seed: 5, EnsureConnected: true,
 	}))
-	crash := fault.CrashSpec{OffFraction: 0.3}
-	crash.Cycle = 1
-	crash.Nodes = []packet.NodeID{2}
-	inj := node.Must(fault.Install(nw, fault.Plan{crash, crash}))
+	crash := fault.Spec{Kind: fault.KindCrash, OffFraction: 0.3, Cycle: 1, Exclude: allBut(nw, 2)}
+	inj := node.Must(fault.Install(nw, []fault.Spec{crash, crash}))
 	nw.Run(30)
 
 	procs := inj.Crashes()

@@ -1,67 +1,36 @@
-// Package fault is the deterministic fault-injection plane: a typed
-// Plan of fault processes — node crash/recovery duty cycles (Crash),
-// battery depletion (Drain), per-link shadowing (Degrade), and a
-// roaming jammer (Jam) — installed against a running node.Network.
+// Package fault is the deterministic fault-injection plane: a list of
+// Specs — a scenario document's faults entries — naming node
+// crash/recovery duty cycles (crash), battery depletion (drain),
+// per-link shadowing (degrade) and a roaming jammer (jam), installed
+// against a built node.Network. Validate is the one check of a spec
+// list; the scenario document and Install both call it.
 //
 // Determinism contract: every fault stream derives from the network
-// seed through internal/rng stream labels. Crash processes reuse the
-// per-node StreamFailure streams (so routing a legacy hand-wired
-// FailureProcess experiment through a one-crash plan is bitwise
-// identical), and every other spec draws from a per-spec child of
-// StreamFault keyed by its position in the plan. A plan therefore
-// perturbs neither topology, traffic, MAC, nor fading draws, and
-// same-seed runs stay byte-identical at any sweep worker count.
+// seed through internal/rng stream labels. Crash processes draw from
+// per-node StreamFailure streams (so a one-crash list is bitwise
+// identical to the hand-wired §4.3 FailureProcess loop), and every
+// other spec draws from a per-spec child of StreamFault keyed by its
+// position in the list. Faults therefore perturb neither topology,
+// traffic, MAC, nor fading draws, and same-seed runs stay
+// byte-identical at any sweep worker count.
 //
-// An empty plan is inert: Install registers no metrics and schedules
-// no events, leaving a run's snapshot and journal bytes untouched —
-// the fault plane can be wired in everywhere without disturbing
-// golden figures.
+// An empty list is inert: Install registers no metrics and schedules
+// no events, leaving a run's snapshot and journal bytes untouched.
 //
-// Interactions: a node selected by both Crash and Drain can be revived
-// by the duty cycle after depletion; the drain poller re-fails it on
-// its next tick, so batteries stay dead at period granularity.
+// Interactions: a node selected by both a crash and a drain can be
+// revived by the duty cycle after depletion; the drain poller re-fails
+// it on its next tick, so batteries stay dead at period granularity.
 package fault
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"routeless/internal/metrics"
 	"routeless/internal/node"
 	"routeless/internal/packet"
 	"routeless/internal/rng"
 )
-
-// Spec is one typed fault in a Plan: a CrashSpec, DrainSpec,
-// DegradeSpec, or JamSpec. The interface is closed — install wires the
-// fault into the injector's network with the event and stream ordering
-// the determinism contract requires, and validate rejects nonsensical
-// parameterizations before any process is started.
-type Spec interface {
-	install(inj *Injector, idx int)
-	validate() error
-}
-
-// Plan is an ordered list of fault specs. Order matters: a spec's
-// position fixes both its derived rng stream and its event-creation
-// order, both part of the determinism contract.
-type Plan []Spec
-
-// Validate checks every spec's parameters as values — NaN or negative
-// periods, out-of-range fractions, non-positive capacities — and
-// returns the first problem found, identified by the spec's position
-// and type. A plan that validates cleanly installs without panicking;
-// generated plans (the scenario fuzzer's) are rejected here instead of
-// killing the process mid-install.
-func (p Plan) Validate() error {
-	for i, s := range p {
-		if err := s.validate(); err != nil {
-			return fmt.Errorf("fault: plan spec %d (%T): %w", i, s, err)
-		}
-	}
-	return nil
-}
 
 // Injector is the handle returned by Install: it owns the fault
 // processes driving one network and the fault.* metric series they
@@ -84,24 +53,34 @@ type Injector struct {
 	jamHits   metrics.Counter
 }
 
-// Install validates plan and, when it is clean, wires it into nw. All
-// fault streams derive from nw.Seed and live in nw.RNG. An empty plan
-// installs nothing and registers nothing, so a run with the fault plane
-// merely present stays byte-identical to one without. An invalid plan
-// is reported as an error value with nothing installed — no metrics
-// registered, no events scheduled — so the network remains usable (and
-// byte-identical to one that never saw the plan).
-func Install(nw *node.Network, plan Plan) (*Injector, error) {
-	if err := plan.Validate(); err != nil {
+// Install validates specs against nw's node count and, when they are
+// clean, wires them into nw in list order. All fault streams derive
+// from nw.Seed and live in nw.RNG. An empty list installs nothing and
+// registers nothing, so a run with the fault plane merely present stays
+// byte-identical to one without. Invalid specs are reported as an error
+// value with nothing installed — no metrics registered, no events
+// scheduled — so the network remains usable (and byte-identical to one
+// that never saw them).
+func Install(nw *node.Network, specs []Spec) (*Injector, error) {
+	if err := Validate(specs, len(nw.Nodes)); err != nil {
 		return nil, err
 	}
 	inj := &Injector{nw: nw, degraded: make(map[[2]int32]bool)}
-	if len(plan) == 0 {
+	if len(specs) == 0 {
 		return inj, nil
 	}
 	inj.registerMetrics(nw.Metrics)
-	for i, s := range plan {
-		s.install(inj, i)
+	for i, s := range specs {
+		switch s.Kind {
+		case KindCrash:
+			inj.installCrash(s, i)
+		case KindDrain:
+			inj.installDrain(s)
+		case KindDegrade:
+			inj.installDegrade(s, i)
+		case KindJam:
+			inj.installJam(s, i)
+		}
 	}
 	return inj, nil
 }
@@ -130,10 +109,10 @@ func (inj *Injector) registerMetrics(reg *metrics.Registry) {
 
 // checkDowntime is the conservation bound behind CheckInvariants: each
 // crash process's down phases are disjoint in time, so its accrued
-// downtime can never exceed the elapsed sim time, and the plan total is
+// downtime can never exceed the elapsed sim time, and the total is
 // bounded by sim time × number of crash processes. (The bound used to
-// multiply by the node count, which both overshot single-spec plans
-// with exclusions and undershot multi-crash plans — the scenario fuzzer
+// multiply by the node count, which both overshot single-spec lists
+// with exclusions and undershot multi-crash lists — the scenario fuzzer
 // caught the latter.) A small relative tolerance absorbs float
 // summation error across thousands of accrual terms.
 func (inj *Injector) checkDowntime() error {
@@ -158,29 +137,17 @@ func (inj *Injector) stream(idx int) *rand.Rand {
 }
 
 // selectNodes resolves a spec's node selection in ascending id order —
-// installation order is part of the determinism contract. A nil ids
-// slice selects every node; exclude always wins.
-func selectNodes(nw *node.Network, ids, exclude []packet.NodeID) []*node.Node {
+// installation order is part of the determinism contract: every node
+// but the excluded ones.
+func selectNodes(nw *node.Network, exclude []int) []*node.Node {
 	skip := make(map[packet.NodeID]bool, len(exclude))
 	for _, id := range exclude {
-		skip[id] = true
+		skip[packet.NodeID(id)] = true
 	}
-	if ids == nil {
-		out := make([]*node.Node, 0, len(nw.Nodes))
-		for _, n := range nw.Nodes {
-			if !skip[n.ID] {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
-	out := make([]*node.Node, 0, len(sorted))
-	for _, id := range sorted {
-		if !skip[id] && int(id) >= 0 && int(id) < len(nw.Nodes) {
-			out = append(out, nw.Nodes[id])
+	out := make([]*node.Node, 0, len(nw.Nodes))
+	for _, n := range nw.Nodes {
+		if !skip[n.ID] {
+			out = append(out, n)
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package fault_test
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"routeless/internal/fault"
@@ -50,8 +51,19 @@ func scenarioAt(t *testing.T, seed int64, dur, interval sim.Time, prep func(nw *
 
 // endpoints are the CBR source and sink scenario wires up; fault specs
 // exclude them so traffic keeps flowing.
-func endpoints(nw *node.Network) []packet.NodeID {
-	return []packet.NodeID{0, packet.NodeID(len(nw.Nodes) - 1)}
+func endpoints(nw *node.Network) []int {
+	return []int{0, len(nw.Nodes) - 1}
+}
+
+// allBut excludes every node of nw but keep from a node-targeting spec.
+func allBut(nw *node.Network, keep ...int) []int {
+	var out []int
+	for i := range nw.Nodes {
+		if !slices.Contains(keep, i) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func snapshotJSON(t *testing.T, nw *node.Network) []byte {
@@ -63,7 +75,7 @@ func snapshotJSON(t *testing.T, nw *node.Network) []byte {
 	return b
 }
 
-// An empty plan must be inert: installing it changes neither the event
+// An empty spec list must be inert: installing it changes neither the event
 // stream nor the metric snapshot — byte for byte. This is the guarantee
 // that lets the fault plane be wired into every experiment without
 // disturbing golden figures.
@@ -71,29 +83,25 @@ func TestEmptyPlanInert(t *testing.T) {
 	base := scenario(t, 7, 10, nil)
 	wired := scenario(t, 7, 10, func(nw *node.Network) {
 		node.Must(fault.Install(nw, nil))
-		node.Must(fault.Install(nw, fault.Plan{}))
+		node.Must(fault.Install(nw, []fault.Spec{}))
 	})
 	if g, w := base.Kernel.Processed(), wired.Kernel.Processed(); g != w {
-		t.Fatalf("empty plan changed event count: %d vs %d", g, w)
+		t.Fatalf("empty spec list changed event count: %d vs %d", g, w)
 	}
 	if g, w := snapshotJSON(t, base), snapshotJSON(t, wired); string(g) != string(w) {
-		t.Fatalf("empty plan changed snapshot:\nbase:  %s\nwired: %s", g, w)
+		t.Fatalf("empty spec list changed snapshot:\nbase:  %s\nwired: %s", g, w)
 	}
 }
 
 // Routing the legacy hand-wired FailureProcess loop through a one-crash
-// plan must be bitwise identical in simulation behavior: spec 0 of the
-// plan draws from the per-node (StreamFailure, 0, id) streams and
+// list must be bitwise identical in simulation behavior: spec 0 of the
+// list draws from the per-node (StreamFailure, 0, id) streams and
 // installs in id order.
 func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 	const p = 0.3
 	legacy := scenario(t, 11, 10, func(nw *node.Network) {
-		skip := map[packet.NodeID]bool{}
-		for _, id := range endpoints(nw) {
-			skip[id] = true
-		}
 		for _, n := range nw.Nodes {
-			if skip[n.ID] {
+			if slices.Contains(endpoints(nw), int(n.ID)) {
 				continue
 			}
 			fp := node.NewFailureProcess(n, rng.New(nw.Seed, rng.StreamFailure, 0, uint64(n.ID)))
@@ -102,9 +110,9 @@ func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 		}
 	})
 	planned := scenario(t, 11, 10, func(nw *node.Network) {
-		crash := fault.CrashSpec{OffFraction: p}
-		crash.Exclude = endpoints(nw)
-		node.Must(fault.Install(nw, fault.Plan{crash}))
+		node.Must(fault.Install(nw, []fault.Spec{
+			{Kind: fault.KindCrash, OffFraction: p, Exclude: endpoints(nw)},
+		}))
 	})
 	if g, w := legacy.Kernel.Processed(), planned.Kernel.Processed(); g != w {
 		t.Fatalf("crash plan diverged from legacy loop: %d vs %d events", g, w)
@@ -123,11 +131,9 @@ func TestCrashPlanMatchesLegacyHandWired(t *testing.T) {
 // §4.2 voluntary duty cycling — and the recovery counters still roll up.
 func TestCrashSleepDutyCycle(t *testing.T) {
 	nw := scenario(t, 13, 12, func(nw *node.Network) {
-		crash := fault.CrashSpec{OffFraction: 0.4}
-		crash.Cycle = 2
-		crash.Sleep = true
-		crash.Exclude = endpoints(nw)
-		node.Must(fault.Install(nw, fault.Plan{crash}))
+		node.Must(fault.Install(nw, []fault.Spec{
+			{Kind: fault.KindCrash, OffFraction: 0.4, Cycle: 2, Sleep: true, Exclude: endpoints(nw)},
+		}))
 	})
 	snap := nw.Metrics.Snapshot()
 	if snap.Count("fault.crashes") == 0 || snap.Count("fault.recoveries") == 0 {
@@ -152,10 +158,9 @@ func TestCrashSleepDutyCycle(t *testing.T) {
 // exact. This is the regression test for that interaction.
 func TestMidTXPowerDownUnderChurn(t *testing.T) {
 	nw := scenarioAt(t, 17, 15, 0.01 /* saturating traffic */, func(nw *node.Network) {
-		crash := fault.CrashSpec{OffFraction: 0.5}
-		crash.Cycle = 0.5 // flip fast enough to land inside frames
-		crash.Exclude = endpoints(nw)
-		node.Must(fault.Install(nw, fault.Plan{crash}))
+		node.Must(fault.Install(nw, []fault.Spec{{Kind: fault.KindCrash, OffFraction: 0.5,
+			Cycle:   0.5, // flip fast enough to land inside frames
+			Exclude: endpoints(nw)}}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
 		t.Fatalf("invariants violated under fast churn: %v", err)
@@ -172,13 +177,13 @@ func TestMidTXPowerDownUnderChurn(t *testing.T) {
 // Drain kills nodes permanently once their energy budget is spent —
 // even when a crash duty cycle tries to revive them.
 func TestDrainKillsPermanently(t *testing.T) {
-	victims := []packet.NodeID{3, 4, 5}
+	victims := []int{3, 4, 5}
 	nw := scenario(t, 19, 20, func(nw *node.Network) {
-		drain := fault.DrainSpec{CapacityJ: 0.2} // idle draw alone crosses this in ~6 s
-		drain.Nodes = victims
-		crash := fault.CrashSpec{OffFraction: 0.3}
-		crash.Nodes = victims
-		node.Must(fault.Install(nw, fault.Plan{drain, crash}))
+		node.Must(fault.Install(nw, []fault.Spec{
+			// idle draw alone crosses 0.2 J in ~6 s
+			{Kind: fault.KindDrain, CapacityJ: 0.2, Exclude: allBut(nw, victims...)},
+			{Kind: fault.KindCrash, OffFraction: 0.3, Exclude: allBut(nw, victims...)},
+		}))
 	})
 	snap := nw.Metrics.Snapshot()
 	if got := snap.Count("fault.drained"); got != uint64(len(victims)) {
@@ -199,10 +204,9 @@ func TestDrainKillsPermanently(t *testing.T) {
 // configured offset while installed.
 func TestDegradeShadowsLinks(t *testing.T) {
 	nw := scenario(t, 23, 10, func(nw *node.Network) {
-		deg := fault.DegradeSpec{OffsetDB: -25}
-		deg.Period = 0.25
-		deg.Duration = 0.5
-		node.Must(fault.Install(nw, fault.Plan{deg}))
+		node.Must(fault.Install(nw, []fault.Spec{
+			{Kind: fault.KindDegrade, OffsetDB: -25, Period: 0.25, Duration: 0.5},
+		}))
 	})
 	snap := nw.Metrics.Snapshot()
 	if snap.Count("fault.degrades") == 0 {
@@ -242,7 +246,7 @@ func TestDegradeShadowsLinks(t *testing.T) {
 func TestJamInterferes(t *testing.T) {
 	clean := scenario(t, 29, 10, nil)
 	jammed := scenario(t, 29, 10, func(nw *node.Network) {
-		node.Must(fault.Install(nw, fault.Plan{fault.JamSpec{TxPowerDBm: 24.5}}))
+		node.Must(fault.Install(nw, []fault.Spec{{Kind: fault.KindJam, TxPowerDBm: 24.5}}))
 	})
 	snap := jammed.Metrics.Snapshot()
 	if snap.Count("fault.jam_bursts") == 0 || snap.Count("fault.jam_hits") == 0 {
@@ -257,23 +261,23 @@ func TestJamInterferes(t *testing.T) {
 	}
 }
 
-// The composite plan — everything at once — holds the downtime
+// The composite list — everything at once — holds the downtime
 // conservation bound the injector registers with the network.
 func TestCompositePlanInvariants(t *testing.T) {
 	nw := scenario(t, 31, 12, func(nw *node.Network) {
-		crash := fault.CrashSpec{OffFraction: 0.2}
-		crash.Exclude = endpoints(nw)
-		deg := fault.DegradeSpec{OffsetDB: -25}
-		deg.Period = 0.5
-		node.Must(fault.Install(nw, fault.Plan{crash, deg, fault.JamSpec{TxPowerDBm: 24.5}}))
+		node.Must(fault.Install(nw, []fault.Spec{
+			{Kind: fault.KindCrash, OffFraction: 0.2, Exclude: endpoints(nw)},
+			{Kind: fault.KindDegrade, OffsetDB: -25, Period: 0.5},
+			{Kind: fault.KindJam, TxPowerDBm: 24.5},
+		}))
 	})
 	if err := nw.CheckInvariants(); err != nil {
-		t.Fatalf("composite plan violated invariants: %v", err)
+		t.Fatalf("composite list violated invariants: %v", err)
 	}
 	snap := nw.Metrics.Snapshot()
 	for _, series := range []string{"fault.crashes", "fault.degrades", "fault.jam_bursts"} {
 		if snap.Count(series) == 0 {
-			t.Fatalf("composite plan: %s never fired", series)
+			t.Fatalf("composite list: %s never fired", series)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"routeless/internal/fault"
 	"routeless/internal/rng"
 	"routeless/internal/scenario"
 )
@@ -131,24 +132,24 @@ func Generate(seed int64, lim Limits) scenario.Scenario {
 // genFault draws one fault spec from realistic parameter ranges — the
 // same shapes the churn study installs, with dials wide enough to reach
 // corners the experiments never set.
-func genFault(r *rand.Rand) scenario.FaultSpec {
+func genFault(r *rand.Rand) fault.Spec {
 	switch r.Intn(4) {
 	case 0:
-		return scenario.FaultSpec{Kind: "crash",
+		return fault.Spec{Kind: fault.KindCrash,
 			OffFraction: 0.05 + r.Float64()*0.3,
 			Cycle:       0.5 + r.Float64()*2,
 			Sleep:       r.Intn(2) == 0}
 	case 1:
-		return scenario.FaultSpec{Kind: "drain",
+		return fault.Spec{Kind: fault.KindDrain,
 			CapacityJ: 0.05 + r.Float64()*5,
 			Period:    0.1 + r.Float64()*0.9}
 	case 2:
-		return scenario.FaultSpec{Kind: "degrade",
+		return fault.Spec{Kind: fault.KindDegrade,
 			OffsetDB: -30 + r.Float64()*20,
 			Period:   0.5 + r.Float64()*4,
 			Duration: 0.2 + r.Float64()*1.8}
 	default:
-		return scenario.FaultSpec{Kind: "jam",
+		return fault.Spec{Kind: fault.KindJam,
 			TxPowerDBm: 10 + r.Float64()*20,
 			Period:     0.5 + r.Float64()*4,
 			Burst:      0.1 + r.Float64()*0.9,

@@ -125,8 +125,10 @@ type onceOut struct {
 
 // runOnce builds and runs the scenario once through scenario.Build,
 // converting any panic into a value. The build path goes through the
-// error-returning node.New / fault.Install constructors, so only genuine
-// simulator bugs can still reach the recover.
+// error-returning node.New / fault.Install constructors, and Install
+// refuses exactly the fault specs Validate refuses (both run
+// fault.Validate), so only genuine simulator bugs can still reach the
+// recover.
 func (r *Runner) runOnce(sc scenario.Scenario, runIdx int) (out onceOut) {
 	defer func() {
 		if p := recover(); p != nil {

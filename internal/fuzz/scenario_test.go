@@ -2,9 +2,11 @@ package fuzz
 
 import (
 	"math"
-	"routeless/internal/scenario"
 	"strings"
 	"testing"
+
+	"routeless/internal/fault"
+	"routeless/internal/scenario"
 )
 
 // valid returns a small scenario that passes Validate; cases mutate it.
@@ -59,9 +61,9 @@ func TestValidateConstraintMatrix(t *testing.T) {
 			s.Tiles = 4
 			s.Mobility = &scenario.Mobility{Movers: 1, MaxSpeed: 1}
 		}, ""},
-		{"unknown fault kind", func(s *scenario.Scenario) { s.Faults = []scenario.FaultSpec{{Kind: "meteor"}} }, "unknown fault kind"},
+		{"unknown fault kind", func(s *scenario.Scenario) { s.Faults = []fault.Spec{{Kind: "meteor"}} }, "unknown fault kind"},
 		{"bad fault numerics", func(s *scenario.Scenario) {
-			s.Faults = []scenario.FaultSpec{{Kind: "drain", CapacityJ: -1}}
+			s.Faults = []fault.Spec{{Kind: fault.KindDrain, CapacityJ: -1}}
 		}, "CapacityJ"},
 	}
 	for _, tc := range cases {
@@ -91,9 +93,9 @@ func TestValidateAcceptsFullFeatureSet(t *testing.T) {
 	sc.Placement = scenario.PlaceCluster
 	sc.Fading = true
 	sc.Mobility = &scenario.Mobility{Movers: 3, MinSpeed: 1, MaxSpeed: 5}
-	sc.Faults = []scenario.FaultSpec{
-		{Kind: "crash", OffFraction: 0.1, Cycle: 1},
-		{Kind: "jam", TxPowerDBm: 20, Period: 1, Burst: 0.2, SpeedMps: 3},
+	sc.Faults = []fault.Spec{
+		{Kind: fault.KindCrash, OffFraction: 0.1, Cycle: 1},
+		{Kind: fault.KindJam, TxPowerDBm: 20, Period: 1, Burst: 0.2, SpeedMps: 3},
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("full-feature scenario rejected: %v", err)
@@ -105,22 +107,28 @@ func TestValidateAcceptsFullFeatureSet(t *testing.T) {
 	}
 }
 
+// TestPlanConversion builds a document naming every fault kind: the
+// list validates, and the run installs it — one crash process per
+// node — and keeps the conservation laws.
 func TestPlanConversion(t *testing.T) {
 	sc := valid()
-	sc.Faults = []scenario.FaultSpec{
-		{Kind: "crash", OffFraction: 0.2},
-		{Kind: "drain", CapacityJ: 1},
-		{Kind: "degrade", OffsetDB: -20},
-		{Kind: "jam", TxPowerDBm: 15},
+	sc.Faults = []fault.Spec{
+		{Kind: fault.KindCrash, OffFraction: 0.2},
+		{Kind: fault.KindDrain, CapacityJ: 1},
+		{Kind: fault.KindDegrade, OffsetDB: -20},
+		{Kind: fault.KindJam, TxPowerDBm: 15},
 	}
-	plan, err := sc.Plan()
+	if err := fault.Validate(sc.Faults, sc.N); err != nil {
+		t.Fatalf("fault list invalid: %v", err)
+	}
+	r, err := scenario.Build(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan) != 4 {
-		t.Fatalf("plan has %d specs, want 4", len(plan))
+	if got := len(r.Faults().Crashes()); got != sc.N {
+		t.Fatalf("installed %d crash processes, want %d", got, sc.N)
 	}
-	if err := plan.Validate(); err != nil {
-		t.Fatalf("converted plan invalid: %v", err)
+	if _, err := r.Finish(); err != nil {
+		t.Fatalf("run under every fault kind violated invariants: %v", err)
 	}
 }

@@ -1,6 +1,9 @@
 package fuzz
 
-import "routeless/internal/scenario"
+import (
+	"routeless/internal/fault"
+	"routeless/internal/scenario"
+)
 
 // The shrinking reducer: given a failing scenario and a predicate that
 // re-checks failure, greedily apply size-reducing moves until no move
@@ -68,7 +71,7 @@ func moves(sc scenario.Scenario) []scenario.Scenario {
 
 	for i := range sc.Faults {
 		c := sc
-		c.Faults = append(append([]scenario.FaultSpec(nil), sc.Faults[:i]...), sc.Faults[i+1:]...)
+		c.Faults = append(append([]fault.Spec(nil), sc.Faults[:i]...), sc.Faults[i+1:]...)
 		out = append(out, c)
 	}
 	for i := range sc.Flows {

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"testing"
 
+	"routeless/internal/fault"
 	"routeless/internal/node"
 	"routeless/internal/scenario"
 )
@@ -17,9 +18,9 @@ func big() scenario.Scenario {
 		Flows:    []scenario.Flow{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}, {Src: 4, Dst: 5}},
 		Interval: 0.5, DataSize: 64, Duration: 6,
 		Mobility: &scenario.Mobility{Movers: 5, MinSpeed: 1, MaxSpeed: 5},
-		Faults: []scenario.FaultSpec{
-			{Kind: "crash", OffFraction: 0.2},
-			{Kind: "jam", TxPowerDBm: 20},
+		Faults: []fault.Spec{
+			{Kind: fault.KindCrash, OffFraction: 0.2},
+			{Kind: fault.KindJam, TxPowerDBm: 20},
 		},
 	}
 }

@@ -196,7 +196,7 @@ func (a *AODV) routeOrDiscover(target packet.NodeID, size int, created sim.Time)
 		a.sendDataVia(r, target, size, created)
 		return
 	}
-	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
+	d, started := a.discovering.ensure(target, a.n.Kernel, a)
 	if started {
 		a.floodRREQ(target)
 		d.timer.Reset(discoveryTimeout)
@@ -490,10 +490,10 @@ func (a *AODV) salvageData(pkt *packet.Packet) {
 		a.repairStart[pkt.Target] = a.n.Kernel.Now()
 	}
 	a.salvage[pkt.Target] = append(list, pkt.Clone())
-	// The timeout closure captures the target, not pkt: a delivered
-	// packet is lent for the OnDeliver call only.
+	// The discovery keeps the target, not pkt: a delivered packet is
+	// lent for the OnDeliver call only.
 	target := pkt.Target
-	d, started := a.discovering.ensure(target, a.n.Kernel, func() { a.discoveryTimeout(target) })
+	d, started := a.discovering.ensure(target, a.n.Kernel, a)
 	if started {
 		a.floodRREQ(target)
 		d.timer.Reset(discoveryTimeout)

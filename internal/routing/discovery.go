@@ -15,12 +15,23 @@ type pendingData struct {
 
 // discovery is the per-target discovery state: the retry timer, the
 // retry count, and the data queued until the route (or gradient)
-// exists.
+// exists. It is its timer's handler, so arming a discovery binds no
+// closure.
 type discovery struct {
-	timer   *sim.Timer
+	timer   sim.Timer
+	owner   discoverer
+	target  packet.NodeID
 	retries int
 	queue   []pendingData
 }
+
+// discoverer is the protocol a discovery's retry timer reports to.
+type discoverer interface {
+	discoveryTimeout(target packet.NodeID)
+}
+
+// Fire is the retry timer's expiry: the owner's timeout for target.
+func (d *discovery) Fire() { d.owner.discoveryTimeout(d.target) }
 
 // The three discovery floods — Routeless Routing's path discovery,
 // AODV's RREQ flood and Gradient Routing's setup flood — share one
@@ -52,17 +63,18 @@ const dedupCap = 8192
 type discoverySet map[packet.NodeID]*discovery
 
 // ensure returns the discovery for target, creating it on first use
-// with a timer bound to onTimeout, and the set itself on first insert.
+// with a timer reporting to owner, and the set itself on first insert.
 // started reports whether this call created it — the caller then emits
 // the first flood and arms the timer.
-func (s *discoverySet) ensure(target packet.NodeID, k *sim.Kernel, onTimeout func()) (d *discovery, started bool) {
+func (s *discoverySet) ensure(target packet.NodeID, k *sim.Kernel, owner discoverer) (d *discovery, started bool) {
 	if d, ok := (*s)[target]; ok {
 		return d, false
 	}
 	if *s == nil {
 		*s = make(discoverySet)
 	}
-	d = &discovery{timer: sim.NewTimer(k, onTimeout)}
+	d = &discovery{owner: owner, target: target}
+	sim.InitTimer(&d.timer, k, d)
 	(*s)[target] = d
 	return d, true
 }

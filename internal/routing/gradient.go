@@ -128,7 +128,7 @@ func (g *Gradient) Send(target packet.NodeID, size int) {
 		g.sendData(target, size, now)
 		return
 	}
-	d, started := g.discovering.ensure(target, g.n.Kernel, func() { g.discoveryTimeout(target) })
+	d, started := g.discovering.ensure(target, g.n.Kernel, g)
 	if started {
 		g.floodDiscovery(target)
 		d.timer.Reset(discoveryTimeout)

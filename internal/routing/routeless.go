@@ -326,7 +326,7 @@ func (r *Routeless) Send(target packet.NodeID, size int) {
 		r.sendData(target, size, now)
 		return
 	}
-	d, started := r.discovering.ensure(target, r.n.Kernel, func() { r.discoveryTimeout(target) })
+	d, started := r.discovering.ensure(target, r.n.Kernel, r)
 	if started {
 		r.floodDiscovery(target)
 		d.timer.Reset(discoveryTimeout)

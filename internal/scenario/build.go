@@ -37,28 +37,22 @@ func BuildWith(sc Scenario, opts BuildOptions) (*Run, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := sc.Plan()
-	if err != nil {
-		// Validate accepted the document, so this is unreachable; keep
-		// the error path anyway rather than a silent nil plan.
-		return nil, fmt.Errorf("%w: %w", ErrBuild, err)
-	}
-	return assemble(sc, plan, opts)
+	return assemble(sc, opts)
 }
 
 // assemble constructs the run of a validated document at t=0.
 //
 // The construction order is frozen — runtime reset, network, protocol,
-// app tap, flows (in list order), movers, fault plan — because stream
-// creation order, metric registration order, and kernel sequence
-// numbers all derive from it. Every run in the repo is wired here, so
-// a document that spells out a figure cell's parameters reproduces
-// that cell bit for bit.
+// app tap, flows (in list order), movers, faults (in list order) —
+// because stream creation order, metric registration order, and kernel
+// sequence numbers all derive from it. Every run in the repo is wired
+// here, so a document that spells out a figure cell's parameters
+// reproduces that cell bit for bit.
 //
 // assemble owns the runtime reset: pool watermarks start from zero
 // exactly as with a fresh runtime (snapshots hash them), and the free
 // lists shrink to what the previous run on this worker needed.
-func assemble(sc Scenario, plan fault.Plan, opts BuildOptions) (*Run, error) {
+func assemble(sc Scenario, opts BuildOptions) (*Run, error) {
 	if rt := opts.Runtime; rt != nil {
 		rt.Reset()
 	}
@@ -108,7 +102,7 @@ func assemble(sc Scenario, plan fault.Plan, opts BuildOptions) (*Run, error) {
 		}
 	}
 
-	if r.inj, err = fault.Install(nw, plan); err != nil {
+	if r.inj, err = fault.Install(nw, sc.Faults); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBuild, err)
 	}
 	return r, nil

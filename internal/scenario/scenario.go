@@ -1,6 +1,6 @@
 // Package scenario is the single, versioned description of one
 // simulation run: topology, placement, mobility, fading, traffic
-// flows, and a typed fault plan, as one validated JSON document. It is
+// flows, and its faults, as one validated JSON document. It is
 // the one run description every consumer shares — the fuzzer generates
 // into it, `wmansim -scenario` loads it, `simserve` accepts it over
 // HTTP, snapshots embed it, and every study cell of internal/experiments
@@ -25,7 +25,6 @@ import (
 	"routeless/internal/fault"
 	"routeless/internal/geo"
 	"routeless/internal/packet"
-	"routeless/internal/sim"
 )
 
 // Version is the current scenario document version. Documents carrying
@@ -112,52 +111,9 @@ type Mobility struct {
 	MaxSpeed float64 `json:"max_speed"` // m/s
 }
 
-// FaultSpec is the data form of one fault-plane spec: fully
-// JSON-serializable, convertible to the typed fault.Plan entry. Fields
-// irrelevant to a Kind are ignored by it; zero values mean the fault
-// plane's defaults.
-type FaultSpec struct {
-	Kind string `json:"kind"` // "crash" | "drain" | "degrade" | "jam"
-
-	OffFraction float64 `json:"off_fraction,omitempty"` // crash
-	Cycle       float64 `json:"cycle,omitempty"`        // crash
-	Sleep       bool    `json:"sleep,omitempty"`        // crash
-	CapacityJ   float64 `json:"capacity_j,omitempty"`   // drain
-	OffsetDB    float64 `json:"offset_db,omitempty"`    // degrade
-	TxPowerDBm  float64 `json:"tx_power_dbm,omitempty"` // jam
-	SpeedMps    float64 `json:"speed_mps,omitempty"`    // jam
-	Period      float64 `json:"period,omitempty"`       // drain, degrade, jam
-	Duration    float64 `json:"duration,omitempty"`     // degrade
-	Burst       float64 `json:"burst,omitempty"`        // jam
-
-	// Exclude shields the listed node ids from node-targeting faults
-	// (crash, drain) — the experiment harness uses it to keep traffic
-	// endpoints alive under churn.
-	Exclude []int `json:"exclude,omitempty"`
-}
-
-// spec converts the data form to the typed fault-plane spec.
-func (f FaultSpec) spec() (fault.Spec, error) {
-	excl := make([]packet.NodeID, len(f.Exclude))
-	for i, id := range f.Exclude {
-		excl[i] = packet.NodeID(id)
-	}
-	if len(excl) == 0 {
-		excl = nil
-	}
-	switch f.Kind {
-	case "crash":
-		return fault.CrashSpec{OffFraction: f.OffFraction, Cycle: f.Cycle, Sleep: f.Sleep, Exclude: excl}, nil
-	case "drain":
-		return fault.DrainSpec{CapacityJ: f.CapacityJ, Period: sim.Time(f.Period), Exclude: excl}, nil
-	case "degrade":
-		return fault.DegradeSpec{OffsetDB: f.OffsetDB, Period: sim.Time(f.Period), Duration: sim.Time(f.Duration)}, nil
-	case "jam":
-		return fault.JamSpec{TxPowerDBm: f.TxPowerDBm, Period: sim.Time(f.Period), Burst: sim.Time(f.Burst), SpeedMps: f.SpeedMps}, nil
-	default:
-		return nil, fmt.Errorf("unknown fault kind %q", f.Kind)
-	}
-}
+// FaultSpec is one entry of a document's faults list: a fault.Spec,
+// validated by fault.Validate and installed by fault.Install.
+type FaultSpec = fault.Spec
 
 // Scenario fully describes one simulation run: everything Build needs
 // is a field here, so a scenario serializes to a replayable JSON
@@ -206,28 +162,12 @@ type Scenario struct {
 	// snapshots align with.
 	JournalEvery float64 `json:"journal_every,omitempty"`
 
-	Mobility *Mobility   `json:"mobility,omitempty"`
-	Faults   []FaultSpec `json:"faults,omitempty"`
+	Mobility *Mobility    `json:"mobility,omitempty"`
+	Faults   []fault.Spec `json:"faults,omitempty"`
 }
 
 // Rect returns the scenario terrain.
 func (sc Scenario) Rect() geo.Rect { return geo.NewRect(sc.Width, sc.Height) }
-
-// Plan converts the scenario's fault specs into a typed fault.Plan.
-func (sc Scenario) Plan() (fault.Plan, error) {
-	if len(sc.Faults) == 0 {
-		return nil, nil
-	}
-	plan := make(fault.Plan, 0, len(sc.Faults))
-	for i, f := range sc.Faults {
-		s, err := f.spec()
-		if err != nil {
-			return nil, fmt.Errorf("fault %d: %w", i, err)
-		}
-		plan = append(plan, s)
-	}
-	return plan, nil
-}
 
 // Parse decodes and validates one scenario document. Decoding is
 // strict: unknown fields and trailing input are rejected (wrapping
@@ -363,21 +303,7 @@ func (sc Scenario) Validate() error {
 	if sc.Tiles < 0 {
 		return invalidf("Tiles must be non-negative, got %d", sc.Tiles)
 	}
-	for i, f := range sc.Faults {
-		if len(f.Exclude) > 0 && f.Kind != "crash" && f.Kind != "drain" {
-			return invalidf("fault %d: Exclude applies only to node-targeting kinds (crash, drain), not %q", i, f.Kind)
-		}
-		for _, id := range f.Exclude {
-			if id < 0 || id >= sc.N {
-				return invalidf("fault %d: excluded node %d outside [0,%d)", i, id, sc.N)
-			}
-		}
-	}
-	plan, err := sc.Plan()
-	if err != nil {
-		return fmt.Errorf("%w: %s", ErrInvalid, err)
-	}
-	if err := plan.Validate(); err != nil {
+	if err := fault.Validate(sc.Faults, sc.N); err != nil {
 		return fmt.Errorf("%w: %s", ErrInvalid, err)
 	}
 	return nil

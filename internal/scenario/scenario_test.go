@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"routeless/internal/fault"
 	"routeless/internal/metrics"
 	"routeless/internal/scenario"
 	"routeless/internal/sweep"
@@ -78,10 +79,10 @@ func parseCases(tb testing.TB) []parseCase {
 		// Tiles is a compatibility field: no combination with it is invalid.
 		{"tiled-fading", mutate(func(sc *scenario.Scenario) { sc.Tiles = 4; sc.Fading = true }), nil},
 		{"exclude-out-of-range", mutate(func(sc *scenario.Scenario) {
-			sc.Faults = []scenario.FaultSpec{{Kind: "crash", OffFraction: 0.1, Exclude: []int{99}}}
+			sc.Faults = []fault.Spec{{Kind: fault.KindCrash, OffFraction: 0.1, Exclude: []int{99}}}
 		}), scenario.ErrInvalid},
 		{"exclude-wrong-kind", mutate(func(sc *scenario.Scenario) {
-			sc.Faults = []scenario.FaultSpec{{Kind: "jam", Exclude: []int{0}}}
+			sc.Faults = []fault.Spec{{Kind: fault.KindJam, Exclude: []int{0}}}
 		}), scenario.ErrInvalid},
 		// Every protocol block and per-flow field; one document cannot
 		// carry both blocks.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"routeless/internal/fault"
 	"routeless/internal/metrics"
 	"routeless/internal/rng"
 	"routeless/internal/scenario"
@@ -56,11 +57,11 @@ func churnScenario(proto string, tiles int) scenario.Scenario {
 		},
 		Interval: 2, DataSize: 512, Duration: 5,
 		JournalEvery: 1,
-		Faults: []scenario.FaultSpec{
-			{Kind: "crash", OffFraction: intensity,
+		Faults: []fault.Spec{
+			{Kind: fault.KindCrash, OffFraction: intensity,
 				Exclude: []int{0, 1, 2, 15, 16, 17}},
-			{Kind: "degrade", OffsetDB: -25, Period: 0.05 / intensity},
-			{Kind: "jam", TxPowerDBm: 24.5, Period: 0.05 / intensity},
+			{Kind: fault.KindDegrade, OffsetDB: -25, Period: 0.05 / intensity},
+			{Kind: fault.KindJam, TxPowerDBm: 24.5, Period: 0.05 / intensity},
 		},
 	}
 }
@@ -290,14 +291,14 @@ func TestGoldenJournalLinkage(t *testing.T) {
 	seed, want = goldenCell(t, "churn_tiny.journal.jsonl", 0, &cfg)
 	sc = doc(seed, scenario.ProtoRouteless, cfg.Interval, cfg.Pairs, true)
 	x := cfg.Intensities[0]
-	crash := scenario.FaultSpec{Kind: "crash", OffFraction: x}
+	crash := fault.Spec{Kind: fault.KindCrash, OffFraction: x}
 	for _, f := range sc.Flows {
 		crash.Exclude = append(crash.Exclude, f.Src)
 	}
-	sc.Faults = []scenario.FaultSpec{
+	sc.Faults = []fault.Spec{
 		crash,
-		{Kind: "degrade", OffsetDB: -25, Period: 0.05 / x},
-		{Kind: "jam", TxPowerDBm: 24.5, Period: 0.05 / x},
+		{Kind: fault.KindDegrade, OffsetDB: -25, Period: 0.05 / x},
+		{Kind: fault.KindJam, TxPowerDBm: 24.5, Period: 0.05 / x},
 	}
 	if _, got := runFull(t, sc); !bytes.Equal(got, want) {
 		t.Fatalf("churn document diverges from the golden cell (%d vs %d bytes)", len(got), len(want))

@@ -29,13 +29,14 @@
 //	nw.Run(10) // simulated seconds
 //
 // Deterministic fault injection (crashes, battery drain, link
-// shadowing, jamming) is installed on the built network, before the
-// protocols:
+// shadowing, jamming) is a Scenario's faults list, wired by Build like
+// the rest of the document:
 //
-//	inj, err := routeless.InstallFaults(nw, routeless.FaultPlan{
-//		routeless.CrashSpec{OffFraction: 0.05},
-//		routeless.JamSpec{TxPowerDBm: 24.5},
-//	})
+//	sc.Faults = []routeless.FaultSpec{
+//		{Kind: "crash", OffFraction: 0.05, Exclude: []int{0, 7}},
+//		{Kind: "jam", TxPowerDBm: 24.5},
+//	}
+//	run, err := routeless.Build(sc)
 //
 // See examples/ for runnable programs and DESIGN.md for the system
 // inventory.
@@ -114,10 +115,6 @@ type (
 	Node = node.Node
 	// Protocol is a network-layer implementation.
 	Protocol = node.Protocol
-	// FailureProcess injects §4.3 duty-cycle transceiver failures.
-	// Prefer the fault plane's Crash spec, which drives the same
-	// process with metrics and exclusion handling built in.
-	FailureProcess = node.FailureProcess
 )
 
 // NetworkConfig describes a network to build; zero fields take the
@@ -128,37 +125,11 @@ type NetworkConfig = node.Config
 // when construction cannot succeed: non-positive N without explicit
 // positions, or no connected placement found under EnsureConnected.
 // Hand-written experiments whose configs are literals wrap the call in
-// Must; a fault plan is installed afterwards with InstallFaults.
+// Must.
 func NewNetwork(cfg NetworkConfig) (*Network, error) { return node.New(cfg) }
 
 // Must unwraps a constructor's result, panicking on its error.
 func Must[T any](v T, err error) T { return node.Must(v, err) }
-
-// NewFailureProcess builds a duty-cycle failure process for n.
-var NewFailureProcess = node.NewFailureProcess
-
-// Fault injection (the deterministic fault plane).
-type (
-	// FaultPlan is an ordered list of fault specs to install.
-	FaultPlan = fault.Plan
-	// FaultSpec is one typed fault in a plan (closed interface).
-	FaultSpec = fault.Spec
-	// FaultInjector is the handle InstallFaults returns.
-	FaultInjector = fault.Injector
-	// CrashSpec is the §4.3 duty-cycle crash/recovery fault.
-	CrashSpec = fault.CrashSpec
-	// DrainSpec is the battery-depletion fault.
-	DrainSpec = fault.DrainSpec
-	// DegradeSpec is the transient per-link shadowing fault.
-	DegradeSpec = fault.DegradeSpec
-	// JamSpec is the roaming interference-only jammer.
-	JamSpec = fault.JamSpec
-)
-
-// InstallFaults wires a fault plan into a built network and returns
-// the injector handle, or an error for an invalid plan. An empty plan
-// is inert.
-var InstallFaults = fault.Install
 
 // Local leader election (§2).
 type (
@@ -269,6 +240,9 @@ type (
 	Flow = scenario.Flow
 	// Mobility moves a Scenario's first Movers nodes by random waypoint.
 	Mobility = scenario.Mobility
+	// FaultSpec is one entry of a Scenario's faults list: a crash
+	// (§4.3's duty-cycle transceiver failures), drain, degrade or jam.
+	FaultSpec = fault.Spec
 	// RunMetrics is a finished run's delay, hops, delivery ratio, MAC
 	// transmissions and energy.
 	RunMetrics = scenario.RunMetrics

@@ -84,30 +84,20 @@ func TestAODVAPI(t *testing.T) {
 // TestFailureProcessAPI injects §4.3 duty-cycle failures via the façade
 // and checks Routeless keeps delivering.
 func TestFailureProcessAPI(t *testing.T) {
-	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
-		N: 120, Rect: routeless.NewRect(1000, 1000), Seed: 5, EnsureConnected: true,
-	}))
-	nw.Install(func(n *routeless.Node) routeless.Protocol {
-		return routeless.NewRouteless(routeless.RoutelessConfig{})
-	})
-	src, dst := 0, 100
-	delivered := 0
-	nw.Nodes[dst].OnAppReceive = func(p *routeless.Packet) { delivered++ }
-	cbr := routeless.NewCBR(nw.Nodes[src], routeless.NodeID(dst), 0.5, 64)
-	cbr.Start()
-	for i, n := range nw.Nodes {
-		if i == src || i == dst {
-			continue
-		}
-		fp := routeless.NewFailureProcess(n, nw.RNG.ForNode(5, rng.StreamFailure, i))
-		fp.OffFraction = 0.10
-		fp.Start()
+	const src, dst = 0, 100
+	sc := routeless.Scenario{
+		Seed: 5, N: 120, Width: 1000, Height: 1000, Range: 250,
+		Placement: "uniform", Connected: true, Protocol: "routeless",
+		Flows:    []routeless.Flow{{Src: src, Dst: dst}},
+		Interval: 0.5, DataSize: 64, Duration: 30,
+		Faults: []routeless.FaultSpec{{Kind: "crash", OffFraction: 0.10, Exclude: []int{src, dst}}},
 	}
-	nw.Run(30)
-	cbr.Stop()
-	nw.Run(35)
-	if r := float64(delivered) / float64(cbr.Sent()); r < 0.85 {
-		t.Fatalf("delivery %v under 10%% failures", r)
+	m, err := routeless.Must(routeless.Build(sc)).Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Delivery < 0.85 {
+		t.Fatalf("delivery %v under 10%% failures", m.Delivery)
 	}
 }
 
@@ -141,23 +131,22 @@ func TestPropagationAPI(t *testing.T) {
 	}
 }
 
-// TestInstallFaultsAPI installs the fault plane through the façade on
-// a built network: the plan crashes nodes and the run still satisfies
+// TestInstallFaultsAPI installs the fault plane through the façade: a
+// document's crash fault crashes nodes and the run still satisfies
 // every conservation law.
 func TestInstallFaultsAPI(t *testing.T) {
-	nw := routeless.Must(routeless.NewNetwork(routeless.NetworkConfig{
-		N: 40, Rect: routeless.NewRect(700, 700), Seed: 9, EnsureConnected: true,
-	}))
-	routeless.Must(routeless.InstallFaults(nw, routeless.FaultPlan{routeless.CrashSpec{OffFraction: 0.3}}))
-	nw.Install(func(n *routeless.Node) routeless.Protocol {
-		return routeless.NewRouteless(routeless.RoutelessConfig{})
-	})
-	nw.Nodes[0].Net.Send(20, 64)
-	nw.Run(5)
-	if nw.Metrics.Snapshot().Count("fault.crashes") == 0 {
-		t.Fatal("InstallFaults never crashed a node")
+	sc := routeless.Scenario{
+		Seed: 9, N: 40, Width: 700, Height: 700, Range: 250,
+		Placement: "uniform", Connected: true, Protocol: "routeless",
+		Flows:    []routeless.Flow{{Src: 0, Dst: 20}},
+		Interval: 1, DataSize: 64, Duration: 5,
+		Faults: []routeless.FaultSpec{{Kind: "crash", OffFraction: 0.3}},
 	}
-	if err := nw.CheckInvariants(); err != nil {
+	run := routeless.Must(routeless.Build(sc))
+	if _, err := run.Finish(); err != nil {
 		t.Fatalf("invariants violated under the fault plan: %v", err)
+	}
+	if run.Network().Metrics.Snapshot().Count("fault.crashes") == 0 {
+		t.Fatal("the crash fault never crashed a node")
 	}
 }
