@@ -1,9 +1,10 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 
 	"routeless/internal/geo"
 	"routeless/internal/node"
@@ -27,8 +28,9 @@ const (
 )
 
 // Spec is one fault of a run, exactly as a scenario document's faults
-// entry spells it. Fields irrelevant to a Kind are ignored by it; zero
-// values take the defaults noted on each field.
+// entry spells it. Each Kind reads only its own fields (see reads), and
+// Validate rejects a spec that sets any other; zero values take the
+// defaults noted on each field.
 type Spec struct {
 	Kind string `json:"kind"` // KindCrash, KindDrain, KindDegrade or KindJam
 
@@ -67,13 +69,14 @@ type Spec struct {
 
 // Validate checks specs for a network of n nodes and returns the first
 // problem found, identified by the spec's position and kind: an unknown
-// kind, an Exclude on a kind that targets no nodes or naming an id
-// outside [0, n), and — among the fields its kind reads — an off
-// fraction outside [0, 1), a capacity that is not positive and finite,
-// a gain that is not finite, or a time, speed or period that is NaN,
-// infinite or negative (zero takes the default). Specs that validate
-// install without panicking, so a generated or served document is
-// rejected here as a value instead of killing the process mid-install.
+// kind, a field set that its kind does not read (named in the error), an
+// Exclude naming an id outside [0, n), and — among the fields its kind
+// reads — an off fraction outside [0, 1), a capacity that is not
+// positive and finite, a gain that is not finite, or a time, speed or
+// period that is NaN, infinite or negative (zero takes the default).
+// Specs that validate install without panicking, so a generated or
+// served document is rejected here as a value instead of killing the
+// process mid-install.
 func Validate(specs []Spec, n int) error {
 	for i, s := range specs {
 		if err := s.check(n); err != nil {
@@ -83,8 +86,26 @@ func Validate(specs []Spec, n int) error {
 	return nil
 }
 
+// reads names, per kind, the fields its installer reads besides Kind.
+var reads = map[string][]string{
+	KindCrash:   {"OffFraction", "Cycle", "Sleep", "Exclude"},
+	KindDrain:   {"CapacityJ", "Period", "Exclude"},
+	KindDegrade: {"OffsetDB", "Period", "Duration"},
+	KindJam:     {"TxPowerDBm", "Period", "Burst", "SpeedMps"},
+}
+
 // check is Validate for one spec.
 func (s Spec) check(n int) error {
+	read, ok := reads[s.Kind]
+	if !ok {
+		return fmt.Errorf("unknown fault kind %q", s.Kind)
+	}
+	v := reflect.ValueOf(s)
+	for i := 1; i < v.NumField(); i++ { // field 0 is Kind
+		if name := v.Type().Field(i).Name; !v.Field(i).IsZero() && !slices.Contains(read, name) {
+			return fmt.Errorf("%s is not read by %s faults", name, s.Kind)
+		}
+	}
 	var fields []error
 	switch s.Kind {
 	case KindCrash:
@@ -103,16 +124,11 @@ func (s Spec) check(n int) error {
 	case KindJam:
 		fields = []error{finite("TxPowerDBm", s.TxPowerDBm), finiteNonNeg("Period", s.Period),
 			finiteNonNeg("Burst", s.Burst), finiteNonNeg("SpeedMps", s.SpeedMps)}
-	default:
-		return fmt.Errorf("unknown fault kind %q", s.Kind)
 	}
 	for _, err := range fields {
 		if err != nil {
 			return err
 		}
-	}
-	if len(s.Exclude) > 0 && s.Kind != KindCrash && s.Kind != KindDrain {
-		return errors.New("Exclude applies only to node-targeting kinds (crash, drain)")
 	}
 	for _, id := range s.Exclude {
 		if id < 0 || id >= n {

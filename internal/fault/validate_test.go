@@ -55,6 +55,13 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"jam negative period", fault.Spec{Kind: jam, TxPowerDBm: 24.5, Period: -1}, "Period"},
 		{"jam negative burst", fault.Spec{Kind: jam, TxPowerDBm: 24.5, Burst: -1}, "Burst"},
 		{"jam negative speed", fault.Spec{Kind: jam, TxPowerDBm: 24.5, SpeedMps: -3}, "SpeedMps"},
+		// A field the kind does not read, whatever its value, is an
+		// authoring error: the installer would ignore it silently.
+		{"jam with crash and drain fields", fault.Spec{Kind: jam, Cycle: -5, OffFraction: 7, CapacityJ: -1}, "OffFraction"},
+		{"crash with a period", fault.Spec{Kind: crash, OffFraction: 0.1, Period: 1}, "Period"},
+		{"drain asleep", fault.Spec{Kind: drain, CapacityJ: 1, Sleep: true}, "Sleep"},
+		{"degrade NaN speed", fault.Spec{Kind: degrade, OffsetDB: -25, SpeedMps: nan}, "SpeedMps"},
+		{"jam with an exclude list", fault.Spec{Kind: jam, Exclude: []int{0}}, "Exclude"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

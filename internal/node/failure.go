@@ -27,7 +27,7 @@ type FailureProcess struct {
 
 	node  *Node
 	rng   *rand.Rand
-	timer *sim.Timer
+	timer sim.Timer
 
 	// down is this process's own phase. It deliberately does NOT mirror
 	// node.Up(): the node's power state is shared (a battery drain or a
@@ -48,7 +48,7 @@ type FailureProcess struct {
 // start until Start is called.
 func NewFailureProcess(n *Node, r *rand.Rand) *FailureProcess {
 	fp := &FailureProcess{Cycle: 10, node: n, rng: r}
-	fp.timer = sim.NewTimer(n.Kernel, fp.flip)
+	sim.InitTimer(&fp.timer, n.Kernel, fp)
 	return fp
 }
 
@@ -106,7 +106,9 @@ func (fp *FailureProcess) downDuration() sim.Time {
 	return sim.Time(fp.rng.ExpFloat64() * mean)
 }
 
-func (fp *FailureProcess) flip() {
+// Fire is the process's timer, whose handler it is: the end of an up or
+// a down period.
+func (fp *FailureProcess) Fire() {
 	if !fp.down {
 		fp.down = true
 		fp.failures.Inc()

@@ -26,7 +26,7 @@ type Waypoint struct {
 	node  *Node
 	rng   *rand.Rand
 	rect  geo.Rect
-	timer *sim.Timer
+	timer sim.Timer
 
 	dest    geo.Point
 	speed   float64
@@ -44,7 +44,7 @@ func NewWaypoint(nw *Network, n *Node, r *rand.Rand) *Waypoint {
 		Tick: 0.25,
 		nw:   nw, node: n, rng: r, rect: nw.Rect,
 	}
-	w.timer = sim.NewTimer(n.Kernel, w.step)
+	sim.InitTimer(&w.timer, n.Kernel, w)
 	return w
 }
 
@@ -85,7 +85,9 @@ func (w *Waypoint) pickLeg() {
 	w.timer.Reset(sim.Time(w.Tick))
 }
 
-func (w *Waypoint) step() {
+// Fire is the process's timer, whose handler it is: the end of a pause
+// or one tick of a leg.
+func (w *Waypoint) Fire() {
 	if w.stopped {
 		return
 	}

@@ -100,10 +100,8 @@ type AODV struct {
 	rreqID uint32
 
 	routes   map[packet.NodeID]*route
-	rreqSeen packet.DedupCache
+	disc     discoveryFlood    // the RREQ flood
 	consumed packet.DedupCache // end-to-end dedup of salvaged copies
-
-	discovering discoverySet
 
 	stats [numAODVSeries]metrics.Counter32
 	// repairLatency spans a data packet's parking behind a re-discovery
@@ -120,9 +118,8 @@ func NewAODV() *AODV {
 		salvage:     make(map[packet.NodeID][]*packet.Packet),
 		repairStart: make(map[packet.NodeID]sim.Time),
 		routes:      make(map[packet.NodeID]*route),
-		discovering: make(discoverySet),
 	}
-	a.rreqSeen.Init(dedupCap)
+	a.disc.seen.Init(dedupCap)
 	a.consumed.Init(dedupCap)
 	return a
 }
@@ -196,11 +193,7 @@ func (a *AODV) routeOrDiscover(target packet.NodeID, size int, created sim.Time)
 		a.sendDataVia(r, target, size, created)
 		return
 	}
-	d, started := a.discovering.ensure(target, a.n.Kernel, a)
-	if started {
-		a.floodRREQ(target)
-		d.timer.Reset(discoveryTimeout)
-	}
+	d := a.disc.discover(a, a.n, target)
 	d.queue = append(d.queue, pendingData{size: size, created: created})
 }
 
@@ -211,49 +204,6 @@ func (a *AODV) sendDataVia(r *route, target packet.NodeID, size int, created sim
 		Origin: a.n.ID, Target: target, Seq: a.nextSeq(),
 		HopCount: 1, TTL: packet.HopLimit, Size: size, CreatedAt: created,
 	}, 0)
-}
-
-func (a *AODV) floodRREQ(target packet.NodeID) {
-	a.rreqID++
-	a.stats[AODVRREQSent].Inc()
-	pkt := &packet.Packet{
-		Kind: packet.KindRREQ, To: packet.Broadcast,
-		Origin: a.n.ID, Target: target, Seq: a.rreqID,
-		HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
-		CreatedAt: a.n.Kernel.Now(),
-		Payload:   rreqInfo{originSeq: a.nextSeq()},
-	}
-	a.rreqSeen.Seen(pkt.Key())
-	a.n.MAC.Enqueue(pkt, 0)
-}
-
-func (a *AODV) discoveryTimeout(target packet.NodeID) {
-	// A usable route may exist even though no RREP was addressed to us:
-	// an overheard RREQ from the target or a forwarded RREP installs one
-	// without triggering the success path. Flush through it instead of
-	// re-flooding or dropping queued data next to a valid route.
-	if r := a.validRoute(target); r != nil {
-		for _, pd := range a.discovering.succeed(target) {
-			a.sendDataVia(r, target, pd.size, pd.created)
-		}
-		a.flushSalvage(target)
-		return
-	}
-	d, retry := a.discovering.step(target)
-	if d == nil {
-		return
-	}
-	if !retry {
-		a.stats[AODVDroppedNoRoute].Add(uint32(len(d.queue) + len(a.salvage[target])))
-		delete(a.salvage, target)
-		// The repair failed; the window closes without a latency sample
-		// (give-ups are visible through aodv.dropped_no_route).
-		delete(a.repairStart, target)
-		return
-	}
-	a.stats[AODVRediscoveries].Inc()
-	a.floodRREQ(target)
-	d.timer.Reset(discoveryTimeout)
 }
 
 // invalidateVia drops every route whose next hop is gone and advertises
@@ -291,7 +241,11 @@ func (a *AODV) invalidateVia(hop packet.NodeID) {
 func (a *AODV) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	switch pkt.Kind {
 	case packet.KindRREQ:
-		a.handleRREQ(pkt)
+		// Reverse route to the originator through whoever relayed this
+		// copy.
+		info, _ := pkt.Payload.(rreqInfo)
+		a.installRoute(pkt.Origin, pkt.From, pkt.HopCount, info.originSeq)
+		a.disc.receive(a, a.n, pkt)
 	case packet.KindRREP:
 		if pkt.To == a.n.ID {
 			a.handleRREP(pkt)
@@ -318,43 +272,69 @@ func (a *AODV) installRoute(dest, nextHop packet.NodeID, hops int, seq uint32) {
 	a.routes[dest] = &route{nextHop: nextHop, hops: hops, seq: seq, expiry: now + routeLifetime}
 }
 
-func (a *AODV) handleRREQ(pkt *packet.Packet) {
-	info, _ := pkt.Payload.(rreqInfo)
-	// Reverse route to the originator through whoever relayed this copy.
-	a.installRoute(pkt.Origin, pkt.From, pkt.HopCount, info.originSeq)
-	if a.rreqSeen.Seen(pkt.Key()) {
+// The discoverer steps of AODV's route discovery. "In this particular
+// implementation of AODV, the route discovery procedure is based on
+// original flooding" (§4.3): plain dedup flooding with a random
+// backoff, no prioritization.
+
+func (a *AODV) flood() (*discoveryFlood, *node.Node) { return &a.disc, a.n }
+
+func (a *AODV) discoveryFrame(target packet.NodeID, retry bool) *packet.Packet {
+	if retry {
+		a.stats[AODVRediscoveries].Inc()
+	}
+	a.rreqID++
+	a.stats[AODVRREQSent].Inc()
+	return &packet.Packet{
+		Kind: packet.KindRREQ, To: packet.Broadcast,
+		Origin: a.n.ID, Target: target, Seq: a.rreqID,
+		HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
+		CreatedAt: a.n.Kernel.Now(),
+		Payload:   rreqInfo{originSeq: a.nextSeq()},
+	}
+}
+
+func (a *AODV) duplicateDiscovery(*packet.Packet) {}
+
+// answerDiscovery is the destination's unicast RREP along the reverse
+// path.
+func (a *AODV) answerDiscovery(pkt *packet.Packet) {
+	rev := a.validRoute(pkt.Origin)
+	if rev == nil {
 		return
 	}
-	if pkt.Target == a.n.ID {
-		// Destination answers with a unicast RREP along the reverse path.
-		rev := a.validRoute(pkt.Origin)
-		if rev == nil {
-			return
-		}
-		a.stats[AODVRREPSent].Inc()
-		a.n.MAC.Enqueue(&packet.Packet{
-			Kind: packet.KindRREP, To: rev.nextHop,
-			Origin: a.n.ID, Target: pkt.Origin, Seq: pkt.Seq,
-			HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
-			Payload: rrepInfo{destSeq: a.nextSeq()},
-		}, 0)
-		return
+	a.stats[AODVRREPSent].Inc()
+	a.n.MAC.Enqueue(&packet.Packet{
+		Kind: packet.KindRREP, To: rev.nextHop,
+		Origin: a.n.ID, Target: pkt.Origin, Seq: pkt.Seq,
+		HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
+		Payload: rrepInfo{destSeq: a.nextSeq()},
+	}, 0)
+}
+
+func (a *AODV) rebroadcastDiscovery(fwd packet.Packet, backoff sim.Time) {
+	forwardLater(a.n, fwd, backoff, 0, &a.stats[AODVRREQForwarded])
+}
+
+func (a *AODV) knowsWay(target packet.NodeID) bool { return a.validRoute(target) != nil }
+
+// flushParked sends the queued data, then the salvaged packets, along
+// the route that ended target's discovery: a RREP's, or one an
+// overheard RREQ from the target or a forwarded RREP installed.
+func (a *AODV) flushParked(target packet.NodeID, queue []pendingData) {
+	r := a.validRoute(target)
+	for _, pd := range queue {
+		a.sendDataVia(r, target, pd.size, pd.created)
 	}
-	if pkt.TTL <= 1 {
-		return
-	}
-	// "In this particular implementation of AODV, the route discovery
-	// procedure is based on original flooding" (§4.3): plain dedup
-	// flooding with a random backoff, no prioritization.
-	fwd := pkt.Clone()
-	fwd.To = packet.Broadcast
-	fwd.HopCount++
-	fwd.TTL--
-	backoff := sim.Time(a.n.Rng.Float64()) * discoveryBackoff
-	a.n.Kernel.Schedule(backoff, func() {
-		a.stats[AODVRREQForwarded].Inc()
-		a.n.MAC.Enqueue(fwd, 0)
-	})
+	a.flushSalvage(target)
+}
+
+func (a *AODV) dropParked(target packet.NodeID, queue []pendingData) {
+	a.stats[AODVDroppedNoRoute].Add(uint32(len(queue) + len(a.salvage[target])))
+	delete(a.salvage, target)
+	// The repair failed; the window closes without a latency sample
+	// (give-ups are visible through aodv.dropped_no_route).
+	delete(a.repairStart, target)
 }
 
 func (a *AODV) handleRREP(pkt *packet.Packet) {
@@ -362,15 +342,9 @@ func (a *AODV) handleRREP(pkt *packet.Packet) {
 	// Forward route to the replying destination.
 	a.installRoute(pkt.Origin, pkt.From, pkt.HopCount, info.destSeq)
 	if pkt.Target == a.n.ID {
-		// Discovery complete: release queued and salvaged data.
-		for _, pd := range a.discovering.succeed(pkt.Origin) {
-			if r := a.validRoute(pkt.Origin); r != nil {
-				a.sendDataVia(r, pkt.Origin, pd.size, pd.created)
-			} else {
-				a.stats[AODVDroppedNoRoute].Inc()
-			}
-		}
-		a.flushSalvage(pkt.Origin)
+		// Discovery complete: release queued and salvaged data along
+		// the route just installed.
+		a.disc.resolve(a, pkt.Origin)
 		return
 	}
 	rev := a.validRoute(pkt.Target)
@@ -492,10 +466,5 @@ func (a *AODV) salvageData(pkt *packet.Packet) {
 	a.salvage[pkt.Target] = append(list, pkt.Clone())
 	// The discovery keeps the target, not pkt: a delivered packet is
 	// lent for the OnDeliver call only.
-	target := pkt.Target
-	d, started := a.discovering.ensure(target, a.n.Kernel, a)
-	if started {
-		a.floodRREQ(target)
-		d.timer.Reset(discoveryTimeout)
-	}
+	a.disc.discover(a, a.n, pkt.Target)
 }

@@ -45,10 +45,10 @@ func (t *ActiveTable) DigestState(h *digest.Hash) {
 	}
 }
 
-func (s discoverySet) digestState(h *digest.Hash) {
-	h.Int(len(s))
-	for _, id := range sortedNodeKeys(s) {
-		d := s[id]
+func (f *discoveryFlood) digestPending(h *digest.Hash) {
+	h.Int(len(f.pending))
+	for _, id := range sortedNodeKeys(f.pending) {
+		d := f.pending[id]
 		h.Int64(int64(id))
 		h.Int(d.retries)
 		h.Int(len(d.queue))
@@ -75,7 +75,7 @@ func digestRepairStarts(h *digest.Hash, m map[packet.NodeID]sim.Time) {
 func (r *Routeless) DigestState(h *digest.Hash) {
 	h.Uint64(uint64(r.seq))
 	r.table.DigestState(h)
-	r.floodDedup.DigestState(h)
+	r.disc.seen.DigestState(h)
 	r.consumed.DigestState(h)
 
 	h.Int(len(r.relays))
@@ -92,7 +92,7 @@ func (r *Routeless) DigestState(h *digest.Hash) {
 		digestPkt(h, &st.fwd)
 	}
 
-	r.discovering.digestState(h)
+	r.disc.digestPending(h)
 }
 
 // DigestState folds one node's AODV state into h: sequence and RREQ-id
@@ -113,7 +113,7 @@ func (a *AODV) DigestState(h *digest.Hash) {
 		h.Float64(float64(rt.expiry))
 	}
 
-	a.rreqSeen.DigestState(h)
+	a.disc.seen.DigestState(h)
 	a.consumed.DigestState(h)
 
 	h.Int(len(a.salvage))
@@ -126,7 +126,7 @@ func (a *AODV) DigestState(h *digest.Hash) {
 	}
 	digestRepairStarts(h, a.repairStart)
 
-	a.discovering.digestState(h)
+	a.disc.digestPending(h)
 }
 
 // DigestState folds one node's gradient-routing state into h: the
@@ -135,9 +135,9 @@ func (a *AODV) DigestState(h *digest.Hash) {
 func (g *Gradient) DigestState(h *digest.Hash) {
 	h.Uint64(uint64(g.seq))
 	g.table.DigestState(h)
-	g.floodDedup.DigestState(h)
+	g.disc.seen.DigestState(h)
 	g.fwdDedup.DigestState(h)
 	g.consumed.DigestState(h)
 	digestRepairStarts(h, g.repairStart)
-	g.discovering.digestState(h)
+	g.disc.digestPending(h)
 }

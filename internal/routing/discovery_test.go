@@ -3,8 +3,86 @@ package routing
 import (
 	"testing"
 
+	"routeless/internal/geo"
+	"routeless/internal/node"
 	"routeless/internal/packet"
 )
+
+// TestDiscoveryFloodRelaysOnce is the flood-termination property of the
+// one discovery flood, under every protocol that runs it. On a static
+// connected field one source floods once (the run ends before its retry
+// timer): the target answers, and every other node hands the MAC at most
+// one rebroadcast. Without counter-1 suppression no rebroadcast is
+// cancelled, so every node that heard the flood rebroadcasts it exactly
+// once; with it, an armed rebroadcast ends on the MAC or cancelled by a
+// duplicate. A node that never heard the flood sends none.
+func TestDiscoveryFloodRelaysOnce(t *testing.T) {
+	const n, src, dst = 60, 0, 59
+	rr := func(s RoutelessSeries) func(node.Protocol) uint64 {
+		return func(p node.Protocol) uint64 { return p.(*Routeless).Count(s) }
+	}
+	aodv := func(s AODVSeries) func(node.Protocol) uint64 {
+		return func(p node.Protocol) uint64 { return p.(*AODV).Count(s) }
+	}
+	grad := func(s GradientSeries) func(node.Protocol) uint64 {
+		return func(p node.Protocol) uint64 { return p.(*Gradient).Count(s) }
+	}
+	none := func(node.Protocol) uint64 { return 0 }
+	for _, tc := range []struct {
+		name                         string
+		install                      func() node.Protocol
+		kind                         packet.Kind
+		forwards, answers, cancelled func(node.Protocol) uint64
+		counter1                     bool
+	}{
+		{"routeless", func() node.Protocol { return NewRouteless(RoutelessConfig{}) }, packet.KindDiscovery,
+			rr(RRDiscoveryForwards), rr(RRRepliesSent), rr(RRDiscoveryCancelled), true},
+		{"routeless-plain", func() node.Protocol { return NewRouteless(RoutelessConfig{PlainDiscovery: true}) }, packet.KindDiscovery,
+			rr(RRDiscoveryForwards), rr(RRRepliesSent), rr(RRDiscoveryCancelled), false},
+		{"aodv", func() node.Protocol { return NewAODV() }, packet.KindRREQ,
+			aodv(AODVRREQForwarded), aodv(AODVRREPSent), none, false},
+		{"gradient", func() node.Protocol { return NewGradient() }, packet.KindDiscovery,
+			grad(GradDiscoveryForwards), grad(GradRepliesSent), none, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := node.Must(node.New(node.Config{N: n, Rect: geo.NewRect(800, 800), Seed: 31, EnsureConnected: true}))
+			protos := make([]node.Protocol, 0, n)
+			nw.Install(func(*node.Node) node.Protocol {
+				p := tc.install()
+				protos = append(protos, p)
+				return p
+			})
+			protos[src].Send(dst, 0)
+			nw.Run(discoveryTimeout - 0.5)
+			if got := tc.answers(protos[dst]); got != 1 {
+				t.Fatalf("the target answered %d times, want 1", got)
+			}
+			key := packet.FlowKey{Origin: src, Kind: tc.kind, Seq: 1}
+			heard := 0
+			for i, p := range protos {
+				f, _ := p.(discoverer).flood()
+				fwd, cancelled := tc.forwards(p), tc.cancelled(p)
+				relay := i != src && i != dst && f.seen.Contains(key)
+				switch {
+				case fwd > 1:
+					t.Errorf("node %d handed the MAC %d rebroadcasts of one flood", i, fwd)
+				case !relay && fwd+cancelled != 0:
+					t.Errorf("node %d is no relay of the flood but rebroadcast %d, cancelled %d", i, fwd, cancelled)
+				case relay && tc.counter1 && fwd+cancelled == 0:
+					t.Errorf("node %d heard the flood but neither rebroadcast nor cancelled it", i)
+				case relay && !tc.counter1 && (fwd != 1 || cancelled != 0):
+					t.Errorf("node %d heard the flood: rebroadcast %d, cancelled %d; want 1 and 0", i, fwd, cancelled)
+				}
+				if relay {
+					heard++
+				}
+			}
+			if heard < n/2 {
+				t.Errorf("only %d of %d nodes relay the flood", heard, n-2)
+			}
+		})
+	}
+}
 
 // Regression tests for the discovery give-up audit: a route or gradient
 // learned passively while a discovery is pending must flush the queued

@@ -57,12 +57,11 @@ var gradientTable = metrics.Table{
 type Gradient struct {
 	n *node.Node
 
-	table       ActiveTable
-	seq         uint32
-	floodDedup  packet.DedupCache
-	fwdDedup    packet.DedupCache
-	consumed    packet.DedupCache
-	discovering discoverySet
+	table    ActiveTable
+	seq      uint32
+	disc     discoveryFlood
+	fwdDedup packet.DedupCache
+	consumed packet.DedupCache
 
 	// repairStart records when a discovery first re-flooded for a
 	// target; cleared when the discovery succeeds or gives up.
@@ -79,11 +78,8 @@ type Gradient struct {
 
 // NewGradient builds an instance; install with Network.Install.
 func NewGradient() *Gradient {
-	g := &Gradient{
-		discovering: make(discoverySet),
-		repairStart: make(map[packet.NodeID]sim.Time),
-	}
-	g.floodDedup.Init(dedupCap)
+	g := &Gradient{repairStart: make(map[packet.NodeID]sim.Time)}
+	g.disc.seen.Init(dedupCap)
 	g.fwdDedup.Init(dedupCap)
 	g.consumed.Init(dedupCap)
 	return g
@@ -128,11 +124,7 @@ func (g *Gradient) Send(target packet.NodeID, size int) {
 		g.sendData(target, size, now)
 		return
 	}
-	d, started := g.discovering.ensure(target, g.n.Kernel, g)
-	if started {
-		g.floodDiscovery(target)
-		d.timer.Reset(discoveryTimeout)
-	}
+	d := g.disc.discover(g, g.n, target)
 	d.queue = append(d.queue, pendingData{size: size, created: now})
 }
 
@@ -147,46 +139,56 @@ func (g *Gradient) sendData(target packet.NodeID, size int, created sim.Time) {
 	}, 0)
 }
 
-func (g *Gradient) floodDiscovery(target packet.NodeID) {
-	pkt := &packet.Packet{
+// The discoverer steps of Gradient Routing's setup flood.
+
+func (g *Gradient) flood() (*discoveryFlood, *node.Node) { return &g.disc, g.n }
+
+// discoveryFrame opens a repair window at a discovery's first re-flood.
+func (g *Gradient) discoveryFrame(target packet.NodeID, retry bool) *packet.Packet {
+	if _, open := g.repairStart[target]; retry && !open {
+		g.repairStart[target] = g.n.Kernel.Now()
+	}
+	g.stats[GradDiscoveriesSent].Inc()
+	return &packet.Packet{
 		Kind: packet.KindDiscovery, To: packet.Broadcast,
 		Origin: g.n.ID, Target: target, Seq: g.nextSeq(),
 		HopCount: 1, TTL: packet.HopLimit, Size: packet.SizeControl,
 		CreatedAt: g.n.Kernel.Now(),
 	}
-	g.floodDedup.Seen(pkt.Key())
-	g.stats[GradDiscoveriesSent].Inc()
-	g.n.MAC.Enqueue(pkt, 0)
 }
 
-func (g *Gradient) discoveryTimeout(target packet.NodeID) {
-	// The gradient may have been learned passively from overheard
-	// traffic even though the reply never reached us; if so the
-	// discovery has succeeded — flush instead of re-flooding or
-	// dropping the queue next to a usable gradient.
-	if g.table.Hops(target) >= 0 {
-		g.endRepair(target)
-		for _, pd := range g.discovering.succeed(target) {
-			g.sendData(target, pd.size, pd.created)
-		}
-		return
+func (g *Gradient) duplicateDiscovery(*packet.Packet) {}
+
+// answerDiscovery establishes the reverse gradient with a reply that
+// flows back down the just-built gradient.
+func (g *Gradient) answerDiscovery(pkt *packet.Packet) {
+	g.stats[GradRepliesSent].Inc()
+	g.n.MAC.Enqueue(&packet.Packet{
+		Kind: packet.KindReply, To: packet.Broadcast,
+		Origin: g.n.ID, Target: pkt.Origin, Seq: g.nextSeq(),
+		HopCount: 1, ExpectedHops: g.table.Hops(pkt.Origin),
+		TTL: packet.HopLimit, Size: packet.SizeControl, CreatedAt: g.n.Kernel.Now(),
+	}, 0)
+}
+
+func (g *Gradient) rebroadcastDiscovery(fwd packet.Packet, backoff sim.Time) {
+	forwardLater(g.n, fwd, backoff, 0, &g.stats[GradDiscoveryForwards])
+}
+
+func (g *Gradient) knowsWay(target packet.NodeID) bool { return g.table.Hops(target) >= 0 }
+
+func (g *Gradient) flushParked(target packet.NodeID, queue []pendingData) {
+	g.endRepair(target)
+	for _, pd := range queue {
+		g.sendData(target, pd.size, pd.created)
 	}
-	d, retry := g.discovering.step(target)
-	if d == nil {
-		return
-	}
-	if !retry {
-		g.stats[GradDroppedNoRoute].Add(uint32(len(d.queue)))
-		// The repair failed; no latency sample (give-ups are visible
-		// through gradient.dropped_no_route).
-		delete(g.repairStart, target)
-		return
-	}
-	if _, open := g.repairStart[target]; !open {
-		g.repairStart[target] = g.n.Kernel.Now()
-	}
-	g.floodDiscovery(target)
-	d.timer.Reset(discoveryTimeout)
+}
+
+func (g *Gradient) dropParked(target packet.NodeID, queue []pendingData) {
+	g.stats[GradDroppedNoRoute].Add(uint32(len(queue)))
+	// The repair failed; no latency sample (give-ups are visible
+	// through gradient.dropped_no_route).
+	delete(g.repairStart, target)
 }
 
 // OnDeliver implements node.Protocol.
@@ -195,34 +197,9 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	switch pkt.Kind {
 	case packet.KindDiscovery:
 		g.table.Observe(pkt.Origin, pkt.HopCount, pkt.Seq, now)
-		if g.floodDedup.Seen(pkt.Key()) {
-			return
-		}
-		if pkt.Target == g.n.ID {
-			// Establish the reverse gradient with a reply that flows
-			// back down the just-built gradient.
-			g.stats[GradRepliesSent].Inc()
-			g.n.MAC.Enqueue(&packet.Packet{
-				Kind: packet.KindReply, To: packet.Broadcast,
-				Origin: g.n.ID, Target: pkt.Origin, Seq: g.nextSeq(),
-				HopCount: 1, ExpectedHops: g.table.Hops(pkt.Origin),
-				TTL: packet.HopLimit, Size: packet.SizeControl, CreatedAt: now,
-			}, 0)
-			return
-		}
-		if pkt.TTL <= 1 {
+		if g.disc.receive(g, g.n, pkt) {
 			g.stats[GradTTLDrops].Inc()
-			return
 		}
-		backoff := sim.Time(g.n.Rng.Float64()) * discoveryBackoff
-		fwd := pkt.Clone()
-		fwd.To = packet.Broadcast
-		fwd.HopCount++
-		fwd.TTL--
-		g.n.Kernel.Schedule(backoff, func() {
-			g.stats[GradDiscoveryForwards].Inc()
-			g.n.MAC.Enqueue(fwd, 0)
-		})
 	case packet.KindReply, packet.KindData:
 		g.table.Observe(pkt.Origin, pkt.HopCount, pkt.Seq, now)
 		key := pkt.Key()
@@ -232,10 +209,7 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 					g.stats[GradDataDelivered].Inc()
 					g.n.Deliver(pkt)
 				} else {
-					g.endRepair(pkt.Origin)
-					for _, pd := range g.discovering.succeed(pkt.Origin) {
-						g.sendData(pkt.Origin, pd.size, pd.created)
-					}
+					g.disc.resolve(g, pkt.Origin)
 				}
 			}
 			return
@@ -252,16 +226,13 @@ func (g *Gradient) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 			g.stats[GradNotCloserDrops].Inc()
 			return // only strictly closer nodes forward
 		}
-		fwd := pkt.Clone()
+		fwd := *pkt
 		fwd.To = packet.Broadcast
 		fwd.HopCount++
 		fwd.TTL--
 		fwd.ExpectedHops = h
 		backoff := sim.Time(g.n.Rng.Float64()) * gradientBackoff
-		g.n.Kernel.Schedule(backoff, func() {
-			g.stats[GradForwards].Inc()
-			g.n.MAC.Enqueue(fwd, float64(backoff))
-		})
+		forwardLater(g.n, fwd, backoff, float64(backoff), &g.stats[GradForwards])
 	}
 }
 

@@ -196,15 +196,14 @@ type Routeless struct {
 	cfg RoutelessConfig
 	n   *node.Node
 
-	table      ActiveTable
-	seq        uint32
-	floodDedup packet.DedupCache
-	consumed   packet.DedupCache
+	table    ActiveTable
+	seq      uint32
+	disc     discoveryFlood
+	consumed packet.DedupCache
 	// relays holds every live per-packet state: reply/data relays,
 	// immunization marks and discovery forwards, kept apart by the
 	// key's Kind.
-	relays      map[packet.FlowKey]*relayState
-	discovering discoverySet
+	relays map[packet.FlowKey]*relayState
 
 	// order holds the live states in creation order, so gc walks them,
 	// and refills free, in an order that does not depend on map
@@ -244,7 +243,7 @@ func NewRouteless(cfg RoutelessConfig) *Routeless {
 	}
 	// The maps are made on first insert: a node no packet reaches keeps none.
 	r := &Routeless{cfg: cfg, policy: policy}
-	r.floodDedup.Init(dedupCap)
+	r.disc.seen.Init(dedupCap)
 	r.consumed.Init(dedupCap)
 	return r
 }
@@ -326,11 +325,7 @@ func (r *Routeless) Send(target packet.NodeID, size int) {
 		r.sendData(target, size, now)
 		return
 	}
-	d, started := r.discovering.ensure(target, r.n.Kernel, r)
-	if started {
-		r.floodDiscovery(target)
-		d.timer.Reset(discoveryTimeout)
-	}
+	d := r.disc.discover(r, r.n, target)
 	d.queue = append(d.queue, pendingData{size: size, created: now})
 }
 
@@ -362,16 +357,16 @@ func (r *Routeless) sendData(target packet.NodeID, size int, created sim.Time) {
 	r.originate(pkt)
 }
 
-// sendReply answers a path discovery (§4.1): expected hop count is the
-// table distance to the source minus one.
-func (r *Routeless) sendReply(source packet.NodeID) {
-	h := r.table.Hops(source)
+// answerDiscovery answers a path discovery (§4.1) with a reply whose
+// expected hop count is the table distance to its source minus one.
+func (r *Routeless) answerDiscovery(disc *packet.Packet) {
+	h := r.table.Hops(disc.Origin)
 	if h < 0 {
 		return // discovery observation failed somehow; next retry will fix
 	}
 	pkt := &packet.Packet{
 		Kind: packet.KindReply, To: packet.Broadcast,
-		Origin: r.n.ID, Target: source, Seq: r.nextSeq(),
+		Origin: r.n.ID, Target: disc.Origin, Seq: r.nextSeq(),
 		HopCount: 1, ExpectedHops: h - 1,
 		TTL: r.pathBudget(h), Size: packet.SizeControl, CreatedAt: r.n.Kernel.Now(),
 	}
@@ -411,48 +406,14 @@ func (r *Routeless) enqueue(st *relayState, priority float64) bool {
 	return true
 }
 
-// floodDiscovery starts (or retries) a counter-1 flood for target.
-func (r *Routeless) floodDiscovery(target packet.NodeID) {
-	pkt := &packet.Packet{
-		Kind: packet.KindDiscovery, To: packet.Broadcast,
-		Origin: r.n.ID, Target: target, Seq: r.nextSeq(),
-		HopCount: 1, TTL: packet.HopLimit,
-		Size: packet.SizeControl, CreatedAt: r.n.Kernel.Now(),
-	}
-	r.floodDedup.Seen(pkt.Key())
-	r.stats[RRDiscoveriesSent].Inc()
-	r.n.MAC.Enqueue(pkt, 0)
-}
-
-func (r *Routeless) discoveryTimeout(target packet.NodeID) {
-	// The reply may have been lost while the gradient was still learned
-	// passively (the table observes every overheard packet from the
-	// target). If a gradient exists now, the discovery has effectively
-	// succeeded: flush the queue through the normal send path instead of
-	// re-flooding or mis-counting the data as routeless.
-	if r.table.Hops(target) >= 0 {
-		for _, pd := range r.discovering.succeed(target) {
-			r.sendData(target, pd.size, pd.created)
-		}
-		return
-	}
-	d, retry := r.discovering.step(target)
-	if d == nil {
-		return
-	}
-	if !retry {
-		r.stats[RRDroppedNoRoute].Add(uint32(len(d.queue)))
-		return
-	}
-	r.floodDiscovery(target)
-	d.timer.Reset(discoveryTimeout)
-}
-
 // OnDeliver implements node.Protocol.
 func (r *Routeless) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	switch pkt.Kind {
 	case packet.KindDiscovery:
-		r.handleDiscovery(pkt)
+		r.table.Observe(pkt.Origin, pkt.HopCount, pkt.Seq, r.n.Kernel.Now())
+		if r.disc.receive(r, r.n, pkt) {
+			r.stats[RRTTLDrops].Inc()
+		}
 	case packet.KindReply, packet.KindData:
 		r.handleRelayPacket(pkt, rssiDBm)
 	case packet.KindAck:
@@ -460,37 +421,51 @@ func (r *Routeless) OnDeliver(pkt *packet.Packet, rssiDBm float64) {
 	}
 }
 
-func (r *Routeless) handleDiscovery(pkt *packet.Packet) {
-	now := r.n.Kernel.Now()
-	r.table.Observe(pkt.Origin, pkt.HopCount, pkt.Seq, now)
-	key := pkt.Key()
-	if r.floodDedup.Seen(key) {
-		r.stats[RRDupDiscovery].Inc()
-		if !r.cfg.PlainDiscovery {
-			// Counter-1 suppression: a duplicate overheard before our
-			// rebroadcast reaches the air cancels it.
-			if st, ok := r.relays[key]; ok && st.Withdraw(r.n.MAC, &st.fwd) {
-				r.drop(st)
-				r.stats[RRDiscoveryCancelled].Inc()
-			}
-		}
+// The discoverer steps of Routeless Routing's path discovery.
+
+func (r *Routeless) flood() (*discoveryFlood, *node.Node) { return &r.disc, r.n }
+
+func (r *Routeless) discoveryFrame(target packet.NodeID, _ bool) *packet.Packet {
+	r.stats[RRDiscoveriesSent].Inc()
+	return &packet.Packet{
+		Kind: packet.KindDiscovery, To: packet.Broadcast,
+		Origin: r.n.ID, Target: target, Seq: r.nextSeq(),
+		HopCount: 1, TTL: packet.HopLimit,
+		Size: packet.SizeControl, CreatedAt: r.n.Kernel.Now(),
+	}
+}
+
+func (r *Routeless) duplicateDiscovery(pkt *packet.Packet) {
+	r.stats[RRDupDiscovery].Inc()
+	if r.cfg.PlainDiscovery {
 		return
 	}
-	if pkt.Target == r.n.ID {
-		r.sendReply(pkt.Origin)
-		return
+	// Counter-1 suppression: a duplicate overheard before our
+	// rebroadcast reaches the air cancels it.
+	if st, ok := r.relays[pkt.Key()]; ok && st.Withdraw(r.n.MAC, &st.fwd) {
+		r.drop(st)
+		r.stats[RRDiscoveryCancelled].Inc()
 	}
-	if pkt.TTL <= 1 {
-		r.stats[RRTTLDrops].Inc()
-		return
-	}
-	backoff, _ := core.Uniform{Max: discoveryBackoff}.Backoff(core.Context{Rand: r.n.Rng})
-	st := r.newRelay(key)
-	st.fwd = *pkt
-	st.fwd.To = packet.Broadcast
-	st.fwd.HopCount++
-	st.fwd.TTL--
+}
+
+// rebroadcastDiscovery arms a pooled state whose Fire queues fwd at its
+// backoff as MAC priority.
+func (r *Routeless) rebroadcastDiscovery(fwd packet.Packet, backoff sim.Time) {
+	st := r.newRelay(fwd.Key())
+	st.fwd = fwd
 	st.Arm(backoff)
+}
+
+func (r *Routeless) knowsWay(target packet.NodeID) bool { return r.table.Hops(target) >= 0 }
+
+func (r *Routeless) flushParked(target packet.NodeID, queue []pendingData) {
+	for _, pd := range queue {
+		r.sendData(target, pd.size, pd.created)
+	}
+}
+
+func (r *Routeless) dropParked(_ packet.NodeID, queue []pendingData) {
+	r.stats[RRDroppedNoRoute].Add(uint32(len(queue)))
 }
 
 func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
@@ -521,7 +496,7 @@ func (r *Routeless) handleRelayPacket(pkt *packet.Packet, rssiDBm float64) {
 				r.n.Deliver(pkt)
 			case packet.KindReply:
 				r.stats[RRRepliesReceived].Inc()
-				r.routeEstablished(pkt.Origin)
+				r.disc.resolve(r, pkt.Origin)
 			}
 		}
 		// ACK on every copy: a retransmission means our previous ACK
@@ -739,14 +714,6 @@ func (r *Routeless) ackWindows() []float64 {
 		return []float64{2e-3, 8e-3}
 	}
 	return []float64{2e-3}
-}
-
-// routeEstablished flushes data queued behind a discovery once the path
-// reply arrives.
-func (r *Routeless) routeEstablished(target packet.NodeID) {
-	for _, pd := range r.discovering.succeed(target) {
-		r.sendData(target, pd.size, pd.created)
-	}
 }
 
 // gc drops settled or ancient states, oldest first, and puts them on the

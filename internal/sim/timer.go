@@ -14,7 +14,9 @@ type Timer struct {
 	ev     *Event
 }
 
-// NewTimer returns a stopped timer that runs fn on expiry.
+// NewTimer returns a stopped timer that runs fn on expiry. Only tests
+// and the benchmark's timer ladder call it: model code holds its timer
+// by value and binds itself with InitTimer.
 func NewTimer(k *Kernel, fn func()) *Timer {
 	t := &Timer{}
 	InitTimer(t, k, funcHandler(fn))
